@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .algebra import ClearedShiftOperator, LaurentPoly, ParamPoint, ShiftTerm, rat
 from .errors import ParameterDegeneracy
@@ -27,15 +27,11 @@ FULL_BASE = "full-base"
 
 @dataclass(frozen=True)
 class SeriesTrunc:
-    """Truncated formal series x^offset * sum_j coeffs[j] x^j.
-
-    offset None records the generic-s convention: the series carries a
-    symbolic prefactor x^-lambda with s = q^-lambda that is never expanded;
-    an integer offset is an honest Laurent shift.
-    """
+    """Truncated formal series sum_j coeffs[j] x^j, under the generic-s
+    convention: the symbolic prefactor x^-lambda with s = q^-lambda is
+    never expanded."""
 
     coeffs: tuple
-    offset: Optional[int] = None
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(rat(c) for c in self.coeffs))

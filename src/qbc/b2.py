@@ -6,12 +6,12 @@ threefold sum, unit-coefficient character polytope).
 Weights live on the doubled lattice so half-integer entries stay exact.
 """
 
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import (
+    SKIPPED,
     ClearedShiftOperator,
     LaurentPoly,
     ParamPoint,
@@ -24,7 +24,6 @@ from .algebra import (
 )
 from .errors import DimensionMismatch, NonTerminating, ParameterDegeneracy
 from .qseries import qpoch
-from .reports import CaseResult, VerificationReport
 
 
 @dataclass(frozen=True)
@@ -85,69 +84,34 @@ def _one_minus(u, e1: int, e2: int) -> LaurentPoly:
 
 @lru_cache(maxsize=None)
 def _b2_operator(P: ParamPoint) -> ClearedShiftOperator:
+    """Four shift terms, one per direction x_var -> q^step x_var.
+
+    A term's factors sit at the two long roots (e, with the other doubled
+    coordinate set to -2 and then +2) and at the short root e, where e is
+    the shift direction on the doubled lattice."""
     t, T = P.t, P.T
-    terms = (
-        ShiftTerm(
-            numer_factors=(
-                _one_minus(t, 2, -2),
-                _one_minus(t, 2, 2),
-                _one_minus(T, 2, 0),
-            ),
-            denom_factors=(
-                _one_minus(1, 2, -2),
-                _one_minus(1, 2, 2),
-                _one_minus(1, 2, 0),
-            ),
-            var=0,
-            step=1,
-            subtract_identity=False,
-        ),
-        ShiftTerm(
-            numer_factors=(
-                _one_minus(t, -2, 2),
-                _one_minus(t, 2, 2),
-                _one_minus(T, 0, 2),
-            ),
-            denom_factors=(
-                _one_minus(1, -2, 2),
-                _one_minus(1, 2, 2),
-                _one_minus(1, 0, 2),
-            ),
-            var=1,
-            step=1,
-            subtract_identity=False,
-        ),
-        ShiftTerm(
-            numer_factors=(
-                _one_minus(t, -2, -2),
-                _one_minus(t, -2, 2),
-                _one_minus(T, -2, 0),
-            ),
-            denom_factors=(
-                _one_minus(1, -2, -2),
-                _one_minus(1, -2, 2),
-                _one_minus(1, -2, 0),
-            ),
-            var=0,
-            step=-1,
-            subtract_identity=False,
-        ),
-        ShiftTerm(
-            numer_factors=(
-                _one_minus(t, -2, -2),
-                _one_minus(t, 2, -2),
-                _one_minus(T, 0, -2),
-            ),
-            denom_factors=(
-                _one_minus(1, -2, -2),
-                _one_minus(1, 2, -2),
-                _one_minus(1, 0, -2),
-            ),
-            var=1,
-            step=-1,
-            subtract_identity=False,
-        ),
-    )
+    terms = []
+    for step in (1, -1):
+        for var in (0, 1):
+            short = [0, 0]
+            short[var] = 2 * step
+            roots = []
+            for other in (-2, 2):
+                long = list(short)
+                long[1 - var] = other
+                roots.append(long)
+            roots.append(short)
+            terms.append(
+                ShiftTerm(
+                    numer_factors=tuple(
+                        _one_minus(u, *e) for u, e in zip((t, t, T), roots)
+                    ),
+                    denom_factors=tuple(_one_minus(1, *e) for e in roots),
+                    var=var,
+                    step=step,
+                    subtract_identity=False,
+                )
+            )
     return ClearedShiftOperator(P, 2, terms, scale=2)
 
 
@@ -632,99 +596,54 @@ def b2_row_threefold(r: int, P: ParamPoint) -> LaurentPoly:
     return total * _mono(2 * r, 0)
 
 
-def b2_conjecture_check(r1: int, r2: int, P: ParamPoint) -> VerificationReport:
-    """Three verdicts per weight: the series terminates, it reproduces the
-    triangular eigenpolynomial, and it satisfies the difference equation."""
+def b2_conjecture_check(r1: int, r2: int, P: ParamPoint) -> list:
+    """Check plan for one weight: the series terminates, it reproduces the
+    triangular eigenpolynomial, and it satisfies the difference equation.
+
+    Entries are (id suffix, anchor, degrees, check) and run in order; the
+    last two checks are SKIPPED when the series did not terminate.
+    """
     w = B2Weight(r1, r2)
-    point = P.to_json_obj()
+    P.require("sqrt_t", "sqrt_T")
     degrees = {"r1": r1, "r2": r2}
-    report = VerificationReport(suite="b2-conjecture")
+    series = []  # termination fills it; the later checks read it
 
-    start = time.perf_counter()
-    series = None
-    mismatch = None
-    try:
-        series = f_b2_poly(w, P)
-    except NonTerminating as exc:
-        mismatch = {"expected": "terminating series", "got": str(exc)}
-    report.add(
-        CaseResult(
-            case_id=f"b2-r{r1}{r2}-termination",
-            anchor="series-truncation",
-            point=point,
-            degrees=degrees,
-            verdict="pass" if mismatch is None else "fail",
-            mismatch=mismatch,
-            seconds=time.perf_counter() - start,
-        )
-    )
+    def termination():
+        try:
+            series.append(f_b2_poly(w, P))
+        except NonTerminating as exc:
+            return {"expected": "terminating series", "got": str(exc)}
+        return None
 
-    start = time.perf_counter()
-    if series is None:
-        report.add(
-            CaseResult(
-                case_id=f"b2-r{r1}{r2}-eigenpolynomial",
-                anchor="series-equals-eigenpolynomial",
-                point=point,
-                degrees=degrees,
-                verdict="skipped",
-                seconds=time.perf_counter() - start,
-            )
-        )
-    else:
-        oracle = b2_oracle(w, P)
-        mismatch = None
-        if series != oracle:
-            diff = series - oracle
-            exps, value = diff.leading()
-            mismatch = {
-                "coefficient": f"x^{list(exps)}/2",
-                "expected": "0",
-                "got": format_rational(value),
-            }
-        report.add(
-            CaseResult(
-                case_id=f"b2-r{r1}{r2}-eigenpolynomial",
-                anchor="series-equals-eigenpolynomial",
-                point=point,
-                degrees=degrees,
-                verdict="pass" if mismatch is None else "fail",
-                mismatch=mismatch,
-                seconds=time.perf_counter() - start,
-            )
-        )
+    def residual_mismatch(residual):
+        if residual.is_zero():
+            return None
+        exps, value = residual.leading()
+        return {
+            "coefficient": f"x^{list(exps)}/2",
+            "expected": "0",
+            "got": format_rational(value),
+        }
 
-    start = time.perf_counter()
-    if series is None:
-        report.add(
-            CaseResult(
-                case_id=f"b2-r{r1}{r2}-difference-equation",
-                anchor="difference-equation-residual",
-                point=point,
-                degrees=degrees,
-                verdict="skipped",
-                seconds=time.perf_counter() - start,
-            )
-        )
-    else:
-        residual = b2_apply(series, P) - series * b2_eigenvalue(w, P)
-        mismatch = None
-        if not residual.is_zero():
-            exps, value = residual.leading()
-            mismatch = {
-                "coefficient": f"x^{list(exps)}/2",
-                "expected": "0",
-                "got": format_rational(value),
-            }
-        report.add(
-            CaseResult(
-                case_id=f"b2-r{r1}{r2}-difference-equation",
-                anchor="difference-equation-residual",
-                point=point,
-                degrees=degrees,
-                verdict="pass" if mismatch is None else "fail",
-                mismatch=mismatch,
-                seconds=time.perf_counter() - start,
-            )
-        )
-    return report
+    def eigenpolynomial():
+        if not series:
+            return SKIPPED
+        return residual_mismatch(series[0] - b2_oracle(w, P))
+
+    def difference_equation():
+        if not series:
+            return SKIPPED
+        f = series[0]
+        return residual_mismatch(b2_apply(f, P) - f * b2_eigenvalue(w, P))
+
+    stem = f"r{r1}{r2}-"
+    return [
+        (stem + "termination", "series-truncation", degrees, termination),
+        (stem + "eigenpolynomial", "series-equals-eigenpolynomial", degrees, eigenpolynomial),
+        (
+            stem + "difference-equation",
+            "difference-equation-residual",
+            degrees,
+            difference_equation,
+        ),
+    ]

@@ -18,8 +18,16 @@ from .askey_wilson import aw_poly, fourfold_poly
 from .b2 import B2Weight, f_b2_poly
 from .errors import QbcError
 from .koornwinder import CACHE_ENV, cache_root, g_series, koorn_oracle
-from .macdonald_bcd import FAMILY_B, FAMILY_C, FAMILY_D, mac_row, specialize_params
-from .suites import RunConfig, SUITE_NAMES, default_config, family_tag, run_suite
+from .macdonald_bcd import FAMILY_B, FAMILY_C, FAMILY_D, mac_row
+from .suites import (
+    SUITE_NAMES,
+    RunConfig,
+    default_config,
+    family_tag,
+    koornwinder_rows,
+    lassalle_rows,
+    run_suite,
+)
 
 COMPUTE_TARGETS = (
     "aw",
@@ -268,18 +276,12 @@ def _cmd_cache(args, cfg: RunConfig) -> int:
         _emit(text, args.out)
         return 0
     count = 0
-    for cp in cfg.points("koornwinder"):
-        for n in (1, 2, 3):
-            for r in range(5 if n < 3 else 4):
-                koorn_oracle((r,), cp.point, n)
-                count += 1
-    for cp in cfg.points("macdonald"):
-        for fam in (FAMILY_B, FAMILY_C, FAMILY_D):
-            Q = specialize_params(family_tag(fam, cp), cp.point)
-            for n in (1, 2):
-                for r in range(5):
-                    koorn_oracle((r,), Q, n)
-                    count += 1
+    for _, cp, n, r in koornwinder_rows(cfg):
+        koorn_oracle((r,), cp.point, n)
+        count += 1
+    for _, _, _, Q, n, r in lassalle_rows(cfg):
+        koorn_oracle((r,), Q, n)
+        count += 1
     text = (
         json.dumps(
             {"schema": 1, "cache_dir": str(root), "warmed": count}, sort_keys=True

@@ -8,9 +8,8 @@ operators together.
 import json
 import os
 import tempfile
-import time
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
 
 from .algebra import (
@@ -29,7 +28,6 @@ from .algebra import (
 from .askey_wilson import coeff_ce_prime, coeff_co_recast
 from .errors import ParameterDegeneracy
 from .qseries import qbinom_series
-from .reports import CaseResult, VerificationReport
 
 CACHE_ENV = "QBC_CACHE_DIR"
 
@@ -228,10 +226,9 @@ def _poly_mul(u, v):
     return out
 
 
-def kernel_identity_check(
-    n: int, beta: int, deg: int, P: ParamPoint
-) -> VerificationReport:
-    """Truncated coefficientwise check of the kernel-function identity.
+def kernel_identity_check(n: int, beta: int, deg: int, P: ParamPoint) -> list:
+    """Check plan for the truncated kernel-function identity, one entry
+    (id suffix, anchor, degrees, check) per y-coefficient.
 
     With one auxiliary variable y and t = q^beta the kernel product is a
     power series y^(beta n) sum_r W_r(x) y^r with W_r = G_r (q/t)^(r/2).
@@ -264,10 +261,9 @@ def kernel_identity_check(
         gdown = _poly_mul(gdown, [-u, 1])
     gdown = [-v for v in gdown]
 
-    report = VerificationReport(suite="kernel-identity")
     shift = beta * n
-    for e in range(deg + 1):
-        start = time.perf_counter()
+
+    def residual_check(e):
         residual = LaurentPoly.zero(n)
         for j in range(min(e, 6) + 1):
             w = W[e - j]
@@ -278,23 +274,21 @@ def kernel_identity_check(
                 residual = residual - w * (gup[j] * (q ** power - 1) / alpha_tilde)
             if gdown[j]:
                 residual = residual - w * (gdown[j] * (q ** -power - 1) / alpha_tilde)
-        mismatch = None
-        if not residual.is_zero():
-            exps, value = residual.leading()
-            mismatch = {
-                "coefficient": f"y^{shift + e} x^{list(exps)}",
-                "expected": "0",
-                "got": format_rational(value),
-            }
-        report.add(
-            CaseResult(
-                case_id=f"kernel-n{n}-beta{beta}-y{e:02d}",
-                anchor="kernel-identity-truncated",
-                point=P.to_json_obj(),
-                degrees={"n": n, "beta": beta, "y_degree": e},
-                verdict="pass" if mismatch is None else "fail",
-                mismatch=mismatch,
-                seconds=time.perf_counter() - start,
-            )
+        if residual.is_zero():
+            return None
+        exps, value = residual.leading()
+        return {
+            "coefficient": f"y^{shift + e} x^{list(exps)}",
+            "expected": "0",
+            "got": format_rational(value),
+        }
+
+    return [
+        (
+            f"n{n}-beta{beta}-y{e:02d}",
+            "kernel-identity-truncated",
+            {"n": n, "beta": beta, "y_degree": e},
+            partial(residual_check, e),
         )
-    return report
+        for e in range(deg + 1)
+    ]

@@ -3,9 +3,9 @@ one-parameter families, their explicit one-row expansions, and the
 equivalent rewritten displays those expansions were first conjectured in.
 """
 
-import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Optional
 
 from .algebra import LaurentPoly, ParamPoint, format_rational, rat
@@ -13,7 +13,6 @@ from .askey_wilson import phi_series
 from .errors import MissingSquareRoot, ParameterDegeneracy
 from .koornwinder import g_series_list
 from .qseries import qpoch, qpoch_multi
-from .reports import CaseResult, VerificationReport
 
 FAMILY_B = "B"
 FAMILY_C = "C"
@@ -267,8 +266,9 @@ def lassalle_b_forms(tag: FamilyTag, r: int, P: ParamPoint, n: int):
     return first * head, second * head, third
 
 
-def simplification_lemma_check(variant: str, s, P: ParamPoint, N: int) -> VerificationReport:
-    """Coefficientwise check of the quadratic-pair simplification.
+def simplification_lemma_check(variant: str, s, P: ParamPoint, N: int) -> list:
+    """Check plan for the quadratic-pair simplification, one entry
+    (id suffix, anchor, degrees, check) per coefficient and ladder.
 
     At a point whose last two parameters are -sqrt(q) a, sqrt(q) a the
     fourfold series collapses to explicit ladders: a single one when the
@@ -349,49 +349,30 @@ def simplification_lemma_check(variant: str, s, P: ParamPoint, N: int) -> Verifi
         return total
 
     ser = phi_series(s, P, N)
-    tag = variant.lower()
-    report = VerificationReport(suite="simplification-lemma")
-    for p in range(N + 1):
-        start = time.perf_counter()
-        got, want = ser.coeff(p), plain(p)
-        mismatch = None
-        if got != want:
-            mismatch = {
-                "coefficient": f"x^{p}",
-                "expected": format_rational(want),
-                "got": format_rational(got),
-            }
-        report.add(
-            CaseResult(
-                case_id=f"lemma-{tag}-series-x{p:02d}",
-                anchor="quadratic-ladder-collapse",
-                point=P.to_json_obj(),
-                degrees={"s": format_rational(s), "x_degree": p},
-                verdict="pass" if mismatch is None else "fail",
-                mismatch=mismatch,
-                seconds=time.perf_counter() - start,
-            )
-        )
-    for p in range(N + 1):
-        start = time.perf_counter()
+
+    def coefficient_check(p, got, want):
+        if got == want:
+            return None
+        return {
+            "coefficient": f"x^{p}",
+            "expected": format_rational(want),
+            "got": format_rational(got),
+        }
+
+    def series_check(p):
+        return coefficient_check(p, ser.coeff(p), plain(p))
+
+    def twist_check(p):
         want = plain(p) - (plain(p - 2) if p >= 2 else Fraction(0))
-        got = twisted(p)
-        mismatch = None
-        if got != want:
-            mismatch = {
-                "coefficient": f"x^{p}",
-                "expected": format_rational(want),
-                "got": format_rational(got),
-            }
-        report.add(
-            CaseResult(
-                case_id=f"lemma-{tag}-twist-x{p:02d}",
-                anchor="quadratic-prefactor-twist",
-                point=P.to_json_obj(),
-                degrees={"s": format_rational(s), "x_degree": p},
-                verdict="pass" if mismatch is None else "fail",
-                mismatch=mismatch,
-                seconds=time.perf_counter() - start,
-            )
+        return coefficient_check(p, twisted(p), want)
+
+    tag = variant.lower()
+    s_text = format_rational(s)
+    return [
+        (f"{tag}-{kind}-x{p:02d}", anchor, {"s": s_text, "x_degree": p}, partial(check, p))
+        for kind, anchor, check in (
+            ("series", "quadratic-ladder-collapse", series_check),
+            ("twist", "quadratic-prefactor-twist", twist_check),
         )
-    return report
+        for p in range(N + 1)
+    ]

@@ -14,7 +14,7 @@ from fractions import Fraction
 from importlib import resources
 from typing import Optional
 
-from .algebra import LaurentPoly, ParamPoint, format_rational, rat
+from .algebra import SKIPPED, LaurentPoly, ParamPoint, format_rational, rat
 from .askey_wilson import (
     FULL_BASE,
     HALF_BASE,
@@ -131,29 +131,28 @@ def default_config() -> RunConfig:
     return RunConfig.from_json_obj(json.loads(text))
 
 
-def _run_case(report, case_id, anchor, point_obj, degrees, check) -> None:
+def _run_case(report, case_id, anchor, point_obj, degrees, check, setup=0.0) -> None:
+    """Time one check and record its verdict; setup is the shared work done
+    before it that this case also carries."""
     t0 = time.perf_counter()
-    mismatch = check()
-    report.add(
-        CaseResult(
-            case_id,
-            anchor,
-            point_obj,
-            degrees,
-            "pass" if mismatch is None else "fail",
-            mismatch,
-            time.perf_counter() - t0,
-        )
-    )
+    outcome = check()
+    seconds = setup + time.perf_counter() - t0
+    if outcome is SKIPPED:
+        verdict, outcome = "skipped", None
+    else:
+        verdict = "pass" if outcome is None else "fail"
+    report.add(CaseResult(case_id, anchor, point_obj, degrees, verdict, outcome, seconds))
 
 
-def _merge(report, sub, old_prefix, new_prefix) -> None:
-    for case in sub.cases:
-        if case.case_id.startswith(old_prefix):
-            case.case_id = new_prefix + case.case_id[len(old_prefix):]
-        else:
-            case.case_id = new_prefix + case.case_id
-        report.add(case)
+def _run_plan(report, prefix, point_obj, build, *args) -> None:
+    """Run the check plan build(*args) returns, prefixing each case id.  The
+    time build spends on shared set-up is charged to the plan's first case."""
+    t0 = time.perf_counter()
+    plan = build(*args)
+    setup = time.perf_counter() - t0
+    for suffix, anchor, degrees, check in plan:
+        _run_case(report, prefix + suffix, anchor, point_obj, degrees, check, setup)
+        setup = 0.0
 
 
 def _poly_mismatch(got, want) -> Optional[dict]:
@@ -374,37 +373,22 @@ def suite_bibasic(cfg: RunConfig) -> VerificationReport:
             )
     for variant, group in ((TYPE_C, "lemma-c"), (TYPE_B, "lemma-b")):
         for i, cp in enumerate(cfg.points(group), 1):
-            cp.point.require("s")
-            sub = simplification_lemma_check(variant, cp.point.s, cp.point, simp_deg)
-            _merge(rep, sub, "lemma-", f"bib-p{i}-lemma-")
+            P = cp.point
+            P.require("s")
+            _run_plan(
+                rep, f"bib-p{i}-lemma-", P.to_json_obj(),
+                simplification_lemma_check, variant, P.s, P, simp_deg,
+            )
     return rep
 
 
-def suite_koornwinder(cfg: RunConfig, ranks=None, rows=None) -> VerificationReport:
-    """One-row formula against the cached operator oracle, scaled by the
-    row head (t;q)_r / (q;q)_r."""
-    rep = VerificationReport("koornwinder")
+def koornwinder_rows(cfg: RunConfig, ranks=None, rows=None):
+    """(point index, configured point, rank, row) for every koornwinder-suite
+    case; cache warm solves the oracles of exactly these cases."""
     for i, cp in enumerate(cfg.points("koornwinder"), 1):
-        P = cp.point
-        pj = P.to_json_obj()
         for n in ranks or (1, 2, 3):
-            default_rows = range(5 if n < 3 else 4)
-            for r in rows if rows is not None else default_rows:
-
-                def row_check(P=P, n=n, r=r):
-                    head = qpoch(P.t, P.q, r) / qpoch(P.q, P.q, r)
-                    want = koorn_oracle((r,), P, n) * head
-                    return _poly_mismatch(g_row_general(r, P, n), want)
-
-                _run_case(
-                    rep,
-                    f"koorn-p{i}-n{n}-r{r:02d}",
-                    "row-head-ratio",
-                    pj,
-                    {"rank": n, "row": r},
-                    row_check,
-                )
-    return rep
+            for r in rows if rows is not None else range(5 if n < 3 else 4):
+                yield i, cp, n, r
 
 
 def family_tag(family: str, cp: ConfiguredPoint) -> FamilyTag:
@@ -415,36 +399,57 @@ def family_tag(family: str, cp: ConfiguredPoint) -> FamilyTag:
     return FamilyTag(family, cp.sqrt_param)
 
 
-def suite_lassalle(cfg: RunConfig, families=None, ranks=None, rows=None) -> VerificationReport:
-    """Both one-row displays for the three classical specializations against
-    the operator oracle at the specialized point."""
-    rep = VerificationReport("lassalle")
+def lassalle_rows(cfg: RunConfig, families=None, ranks=None, rows=None):
+    """(point index, configured point, family tag, specialized point, rank,
+    row) for every lassalle-suite case; cache warm solves the oracles of
+    exactly these cases."""
     for i, cp in enumerate(cfg.points("macdonald"), 1):
-        pj = cp.to_json_obj()
         for fam in families or (FAMILY_B, FAMILY_C, FAMILY_D):
             tag = family_tag(fam, cp)
             Q = specialize_params(tag, cp.point)
             for n in ranks or (1, 2):
                 for r in rows if rows is not None else range(5):
-                    stem = f"las-{fam.lower()}-p{i}-n{n}-r{r}"
-                    degrees = {"family": fam, "rank": n, "row": r}
+                    yield i, cp, tag, Q, n, r
 
-                    def row_check(tag=tag, Q=Q, P=cp.point, n=n, r=r):
-                        return _poly_mismatch(
-                            mac_row(tag, r, P, n), koorn_oracle((r,), Q, n)
-                        )
 
-                    _run_case(rep, stem + "-row", "family-row", pj, degrees, row_check)
+def suite_koornwinder(cfg: RunConfig, ranks=None, rows=None) -> VerificationReport:
+    """One-row formula against the cached operator oracle, scaled by the
+    row head (t;q)_r / (q;q)_r."""
+    rep = VerificationReport("koornwinder")
+    for i, cp, n, r in koornwinder_rows(cfg, ranks, rows):
 
-                    def positive_check(tag=tag, Q=Q, P=cp.point, n=n, r=r):
-                        return _poly_mismatch(
-                            lassalle_form(tag, r, P, n), koorn_oracle((r,), Q, n)
-                        )
+        def row_check(P=cp.point, n=n, r=r):
+            head = qpoch(P.t, P.q, r) / qpoch(P.q, P.q, r)
+            want = koorn_oracle((r,), P, n) * head
+            return _poly_mismatch(g_row_general(r, P, n), want)
 
-                    _run_case(
-                        rep, stem + "-positive", "positive-power-row", pj, degrees,
-                        positive_check,
-                    )
+        _run_case(
+            rep,
+            f"koorn-p{i}-n{n}-r{r:02d}",
+            "row-head-ratio",
+            cp.point.to_json_obj(),
+            {"rank": n, "row": r},
+            row_check,
+        )
+    return rep
+
+
+def suite_lassalle(cfg: RunConfig, families=None, ranks=None, rows=None) -> VerificationReport:
+    """Both one-row displays for the three classical specializations against
+    the operator oracle at the specialized point."""
+    rep = VerificationReport("lassalle")
+    for i, cp, tag, Q, n, r in lassalle_rows(cfg, families, ranks, rows):
+        stem = f"las-{tag.family.lower()}-p{i}-n{n}-r{r}"
+        degrees = {"family": tag.family, "rank": n, "row": r}
+        for suffix, anchor, display in (
+            ("-row", "family-row", mac_row),
+            ("-positive", "positive-power-row", lassalle_form),
+        ):
+
+            def display_check(display=display, tag=tag, Q=Q, P=cp.point, n=n, r=r):
+                return _poly_mismatch(display(tag, r, P, n), koorn_oracle((r,), Q, n))
+
+            _run_case(rep, stem + suffix, anchor, cp.to_json_obj(), degrees, display_check)
     return rep
 
 
@@ -458,7 +463,7 @@ def suite_b2(cfg: RunConfig) -> VerificationReport:
         pj = P.to_json_obj()
         for total in range(bound + 1):
             for r1 in range(total + 1):
-                _merge(rep, b2_conjecture_check(r1, total - r1, P), "b2-", f"b2-p{i}-")
+                _run_plan(rep, f"b2-p{i}-", pj, b2_conjecture_check, r1, total - r1, P)
         for r in range(bound + 1):
 
             def threefold_check(P=P, r=r):
@@ -502,8 +507,10 @@ def suite_kernel(cfg: RunConfig) -> VerificationReport:
     for i, cp in enumerate(cfg.points("kernel"), 1):
         if cp.beta is None:
             raise ValueError("kernel points must carry beta")
-        sub = kernel_identity_check(2, cp.beta, 6, cp.point)
-        _merge(rep, sub, "kernel-", f"kernel-p{i}-")
+        _run_plan(
+            rep, f"kernel-p{i}-", cp.point.to_json_obj(),
+            kernel_identity_check, 2, cp.beta, 6, cp.point,
+        )
     return rep
 
 

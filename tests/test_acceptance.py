@@ -4,8 +4,11 @@ Every comparison is exact (Fraction arithmetic, == on polynomials); the wall
 clock bounds are generous and only guard against complexity regressions.
 Criterion 8 sweeps the rank-two conjecture up to total weight 3 by default;
 set QBC_B2_MAX_WEIGHT to raise the bound (the timing guard then steps aside).
+A last test pins the timing-free report of every suite at the default
+configuration, so a refactor that changes any verdict or case shows.
 """
 
+import hashlib
 import itertools
 import os
 import random
@@ -38,6 +41,7 @@ from qbc.koornwinder import CACHE_ENV
 from qbc.qseries import qpoch, qpoch_multi
 from qbc.suites import (
     default_config,
+    run_suite,
     suite_b2,
     suite_bibasic,
     suite_kernel,
@@ -46,6 +50,8 @@ from qbc.suites import (
 )
 
 CFG = default_config()
+# sha256 of run_suite("all", CFG).to_json(with_timing=False): 366 passing cases
+ALL_DIGEST = "6b7ebdcef175f4677fd3ee0e192a48b85406d93d7424bfa3ccb1586728377d14"
 AW_POINTS = [cp.point for cp in CFG.points("askey-wilson")]
 
 
@@ -242,3 +248,12 @@ def test_criterion_10_property_suites():
         )
         assert weyl_invariant(first)
         assert weyl_invariant(first * second)
+
+
+def test_all_suites_timing_free_body_is_unchanged():
+    # runs on the oracle cache criteria 6-7 filled; any change to a verdict,
+    # case id, anchor, point or mismatch shows up as a new digest
+    report = run_suite("all", CFG)
+    body = report.to_json(with_timing=False)
+    assert report.counts() == {"pass": 366, "fail": 0, "skipped": 0}
+    assert hashlib.sha256(body.encode()).hexdigest() == ALL_DIGEST

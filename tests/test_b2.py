@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import qbc.b2
 from qbc.algebra import (
     LaurentPoly,
     ParamPoint,
@@ -24,6 +25,8 @@ from qbc.b2 import (
     f_b2_poly,
 )
 from qbc.errors import DimensionMismatch, NonTerminating, ParameterDegeneracy
+from qbc.reports import VerificationReport
+from qbc.suites import _run_plan
 
 # t, t^2, T, tT, t^2T must stay off integer powers of q, or a denominator
 # ladder pins to 1 at a live index.  Both points were picked for that.
@@ -242,18 +245,42 @@ class TestCharacterCollapse:
             b2_character_series(B2Weight(1, 0), B2P1)
 
 
+def _plan_report(r1, r2, P):
+    report = VerificationReport("b2")
+    _run_plan(report, "", P.to_json_obj(), b2_conjecture_check, r1, r2, P)
+    return report
+
+
 class TestConjectureCheck:
     @pytest.mark.parametrize("r1,r2", [(0, 0), (1, 1), (2, 1)])
     def test_passes(self, r1, r2):
-        report = b2_conjecture_check(r1, r2, B2P1)
+        report = _plan_report(r1, r2, B2P1)
         assert report.passed
         assert report.counts()["pass"] == 3
 
     def test_case_identities(self):
-        report = b2_conjecture_check(1, 1, B2P2)
+        report = _plan_report(1, 1, B2P2)
         ids = [c.case_id for c in report.cases]
         assert ids == [
-            "b2-r11-termination",
-            "b2-r11-eigenpolynomial",
-            "b2-r11-difference-equation",
+            "r11-termination",
+            "r11-eigenpolynomial",
+            "r11-difference-equation",
         ]
+
+    def test_invalid_weight_raises_when_planned(self):
+        with pytest.raises(ValueError):
+            b2_conjecture_check(-1, 0, B2P1)
+
+    def test_nonterminating_series_skips_the_comparisons(self, monkeypatch):
+        def overrun(w, P):
+            raise NonTerminating("principal direction index passed 8")
+
+        monkeypatch.setattr(qbc.b2, "f_b2_poly", overrun)
+        report = _plan_report(1, 0, B2P1)
+        assert [c.verdict for c in report.cases] == ["fail", "skipped", "skipped"]
+        assert report.cases[0].mismatch == {
+            "expected": "terminating series",
+            "got": "principal direction index passed 8",
+        }
+        assert [c.mismatch for c in report.cases[1:]] == [None, None]
+        assert not report.passed

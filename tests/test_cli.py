@@ -186,6 +186,16 @@ class TestCache:
         assert main(["cache", "clear"]) == 0
         assert not root.exists()
 
+    def test_warm_solves_exactly_what_the_suites_request(self, tmp_path, capsys):
+        assert main(["cache", "warm", "--json"]) == 0
+        warmed = json.loads(capsys.readouterr().out)["warmed"]
+        root = tmp_path / "cache"
+        entries = sorted(root.rglob("*.json"))
+        assert warmed == len(entries) == 88
+        assert main(["verify", "koornwinder"]) == 0
+        assert main(["verify", "lassalle"]) == 0
+        assert sorted(root.rglob("*.json")) == entries
+
     def test_clear_reports_json(self, capsys):
         assert main(["cache", "clear", "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)

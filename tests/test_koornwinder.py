@@ -23,6 +23,8 @@ from qbc.koornwinder import (
     koorn_oracle,
 )
 from qbc.qseries import qpoch
+from qbc.reports import VerificationReport
+from qbc.suites import _run_plan
 
 POINT_K1 = ParamPoint(
     sqrt_q=Fraction(1, 2), sqrt_t=Fraction(1, 3), a=2, b=3, c=5, d=Fraction(5, 6)
@@ -230,14 +232,22 @@ class TestOneRowFormulas:
                 assert g_row_general(r, P, 2) == expected
 
 
+def _kernel_report(n, beta, deg, P):
+    report = VerificationReport("kernel")
+    _run_plan(report, "", P.to_json_obj(), kernel_identity_check, n, beta, deg, P)
+    return report
+
+
 class TestKernelIdentity:
     def test_beta_one(self):
-        report = kernel_identity_check(2, 1, 4, POINT_KER1)
+        report = _kernel_report(2, 1, 4, POINT_KER1)
         assert report.passed
-        assert len(report.cases) == 5
+        assert [c.case_id for c in report.cases] == [
+            f"n2-beta1-y{e:02d}" for e in range(5)
+        ]
 
     def test_beta_two(self):
-        assert kernel_identity_check(2, 2, 4, POINT_KER2).passed
+        assert _kernel_report(2, 2, 4, POINT_KER2).passed
 
     def test_requires_matching_t(self):
         with pytest.raises(ParameterDegeneracy):

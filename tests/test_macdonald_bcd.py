@@ -20,6 +20,8 @@ from qbc.macdonald_bcd import (
     simplification_lemma_check,
     specialize_params,
 )
+from qbc.reports import VerificationReport
+from qbc.suites import _run_plan
 
 # base points carry only (q, t); the family parameter lives on the tag.
 # sqrt_param values keep b/t, the squared ladders, and the shifted lower
@@ -143,31 +145,35 @@ class TestLassalleForms:
             lassalle_b_forms(TAG_C, 2, MAC1, 1)
 
 
+def _lemma_report(variant, s, P, N):
+    report = VerificationReport("lemma")
+    _run_plan(report, "", P.to_json_obj(), simplification_lemma_check, variant, s, P, N)
+    return report
+
+
 class TestSimplificationLemma:
     # second parameter tied: single ladder in x^2
     def test_type_c_through_x10(self):
         P = ParamPoint(sqrt_q=F(1, 2), a=-2, b=2, c=-1, d=1)
-        report = simplification_lemma_check(TYPE_C, F(1, 7), P, 10)
+        report = _lemma_report(TYPE_C, F(1, 7), P, 10)
         assert report.passed
         assert report.counts() == {"pass": 22, "fail": 0, "skipped": 0}
 
     def test_type_b_through_x10(self):
         P = ParamPoint(sqrt_q=F(1, 2), a=-2, b=3, c=-1, d=1)
-        report = simplification_lemma_check(TYPE_B, F(1, 7), P, 10)
+        report = _lemma_report(TYPE_B, F(1, 7), P, 10)
         assert report.passed
 
     def test_second_point(self):
         P = ParamPoint(sqrt_q=F(1, 3), a=-3, b=5, c=-1, d=1)
-        assert simplification_lemma_check(TYPE_B, F(2, 5), P, 8).passed
-        assert simplification_lemma_check(
-            TYPE_C, F(2, 5), P.replace(b=3), 8
-        ).passed
+        assert _lemma_report(TYPE_B, F(2, 5), P, 8).passed
+        assert _lemma_report(TYPE_C, F(2, 5), P.replace(b=3), 8).passed
 
     def test_degree_zero_case_present(self):
         P = ParamPoint(sqrt_q=F(1, 2), a=-2, b=2, c=-1, d=1)
-        report = simplification_lemma_check(TYPE_C, F(1, 7), P, 4)
+        report = _lemma_report(TYPE_C, F(1, 7), P, 4)
         ids = {c.case_id for c in report.cases}
-        assert "lemma-c-series-x00" in ids and "lemma-c-twist-x00" in ids
+        assert "c-series-x00" in ids and "c-twist-x00" in ids
 
     def test_wrong_pattern_raises(self):
         P = ParamPoint(sqrt_q=F(1, 2), a=-2, b=2, c=-1, d=F(3, 2))

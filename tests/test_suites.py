@@ -1,0 +1,74 @@
+"""The case pipeline: how suites run check plans and time their cases."""
+
+from dataclasses import replace
+from types import SimpleNamespace
+
+import pytest
+
+import qbc.koornwinder
+from qbc import suites
+from qbc.algebra import SKIPPED
+from qbc.reports import VerificationReport
+
+
+class FakeClock:
+    def __init__(self):
+        self.now = 0.0
+
+    def perf_counter(self):
+        return self.now
+
+
+@pytest.fixture
+def clock(monkeypatch):
+    fake = FakeClock()
+    monkeypatch.setattr(suites, "time", SimpleNamespace(perf_counter=fake.perf_counter))
+    return fake
+
+
+def test_plan_verdicts_ids_and_setup_time(clock):
+    def spend(seconds, outcome):
+        clock.now += seconds
+        return outcome
+
+    def build():
+        clock.now += 5.0
+        return [
+            ("a", "first", {"k": 0}, lambda: spend(1.0, None)),
+            ("b", "second", {"k": 1}, lambda: spend(2.0, {"got": "1/1"})),
+            ("c", "third", {"k": 2}, lambda: spend(0.5, SKIPPED)),
+        ]
+
+    report = VerificationReport("plan")
+    suites._run_plan(report, "p1-", {"sqrt_q": "1/2"}, build)
+    assert [c.case_id for c in report.cases] == ["p1-a", "p1-b", "p1-c"]
+    assert [c.verdict for c in report.cases] == ["pass", "fail", "skipped"]
+    assert [c.mismatch for c in report.cases] == [None, {"got": "1/1"}, None]
+    assert [c.seconds for c in report.cases] == [6.0, 2.0, 0.5]
+
+
+def test_kernel_setup_lands_in_the_first_case(clock, monkeypatch):
+    # the shared set-up of a kernel plan is one g_series_list call and one
+    # operator application per series coefficient; only those advance the
+    # clock here, so everything they cost must show in the y00 case
+    def charged(fn, seconds):
+        def wrapped(*args):
+            clock.now += seconds
+            return fn(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(
+        qbc.koornwinder, "g_series_list", charged(qbc.koornwinder.g_series_list, 100.0)
+    )
+    monkeypatch.setattr(
+        qbc.koornwinder, "koorn_apply", charged(qbc.koornwinder.koorn_apply, 1.0)
+    )
+    cfg = suites.default_config()
+    one_point = replace(cfg, groups={**cfg.groups, "kernel": cfg.points("kernel")[:1]})
+    report = suites.run_suite("kernel", one_point)
+    assert report.passed
+    seconds = {c.case_id: c.seconds for c in report.cases}
+    assert seconds.pop("kernel-p1-n2-beta1-y00") == 107.0
+    assert len(seconds) == 6 and set(seconds.values()) == {0.0}
+    assert "seconds" not in report.to_json_obj(with_timing=False)["cases"][0]
