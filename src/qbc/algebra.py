@@ -16,10 +16,12 @@ and it is an error if it is irrational at the supplied point.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, neg, sub
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import (
@@ -471,10 +473,33 @@ def exact_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     """Divide f by g, insisting the quotient is a Laurent polynomial.
 
     Peels the lex-leading term of the remainder against the lex-leading term
-    of g.  Every per-variable degree of an exact quotient is pinned by the
-    degrees of f and g, which bounds the emitted exponents to a finite box;
-    an emission outside that box, or a nonzero remainder once the box is
-    exhausted, raises InexactDivision.
+    of g, finding that term with a heap instead of a scan, after Monagan and
+    Pearce, "Sparse polynomial division using a heap" (J. Symbolic Comput.
+    46, 2011).  The remainder is a dict from exponent to coefficient, and a
+    min-heap of the negated exponents orders it.  An exponent is pushed once,
+    when a step first creates it.  Each step pops the lex-largest exponent,
+    emits one quotient term, and subtracts that term times the non-leading
+    terms of g; the product with the leading term would only cancel the
+    popped term, so it is never formed.
+
+    A remainder term that cancels stays in the dict with coefficient zero,
+    and its heap entry goes stale: the pop skips it.  If a later step
+    creates the exponent again, the zero entry takes the new coefficient
+    and the entry it already has in the heap is live again.  No exponent
+    needs a second entry: every exponent a step creates is lex-smaller than
+    the one just popped, so pops never increase and an exponent is never
+    recreated once it has been popped.
+
+    With q the quotient, a division pushes and pops at most
+    |f| + |q| (|g| - 1) exponents, so it costs O(|q| |g|) coefficient products
+    and O((|f| + |q| |g|) log(|f| + |q| |g|)) exponent comparisons.  Scanning
+    the remainder for its leading term instead is quadratic in its size.
+
+    Every per-variable degree of an exact quotient is pinned by the degrees
+    of f and g, which bounds the emitted exponents to a finite box.  An
+    emission outside that box raises InexactDivision.  The loop pops every
+    remainder term, and each nonzero one is emitted, so an inexact division
+    always ends in such an emission.
     """
     f._check_compatible(g)
     if g.is_zero():
@@ -488,28 +513,29 @@ def exact_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     if any(lo > hi for lo, hi in zip(box_lo, box_hi)):
         raise InexactDivision("degree box is empty")
     g_lead_e, g_lead_c = g.leading()
-    g_items = list(g.terms.items())
+    g_rest = [(ge, gc) for ge, gc in g.terms.items() if ge != g_lead_e]
     rem = dict(f.terms)
+    heap = [tuple(map(neg, e)) for e in rem]
+    heapq.heapify(heap)
     quo: dict = {}
-    while rem:
-        r_lead = max(rem)
-        qe = tuple(a - b for a, b in zip(r_lead, g_lead_e))
+    while heap:
+        r_lead = tuple(map(neg, heapq.heappop(heap)))
+        c = rem.pop(r_lead)
+        if not c:
+            continue
+        qe = tuple(map(sub, r_lead, g_lead_e))
         if any(e < lo or e > hi for e, lo, hi in zip(qe, box_lo, box_hi)):
             raise InexactDivision("remainder is not divisible")
-        qc = rem[r_lead] / g_lead_c
+        qc = c / g_lead_c
         quo[qe] = qc
-        for ge, gc in g_items:
-            e = tuple(x + y for x, y in zip(qe, ge))
+        for ge, gc in g_rest:
+            e = tuple(map(add, qe, ge))
             acc = rem.get(e)
-            val = qc * gc
             if acc is None:
-                rem[e] = -val
+                rem[e] = -qc * gc
+                heapq.heappush(heap, tuple(map(neg, e)))
             else:
-                acc = acc - val
-                if acc:
-                    rem[e] = acc
-                else:
-                    del rem[e]
+                rem[e] = acc - qc * gc
     out = LaurentPoly.__new__(LaurentPoly)
     out.num_vars, out.scale, out.terms, out._key = f.num_vars, f.scale, quo, None
     return out
@@ -567,7 +593,9 @@ class Partition:
         if isinstance(other, Partition):
             return self.parts == other.parts
         if isinstance(other, tuple):
-            return self.parts == Partition(other).parts
+            while other and other[-1] == 0:
+                other = other[:-1]
+            return self.parts == other
         return NotImplemented
 
     def __hash__(self):

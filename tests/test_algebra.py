@@ -1,10 +1,12 @@
 """Substrate checks: Laurent arithmetic, exact division, partitions, orbits."""
 
+import heapq
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qbc import algebra
 from qbc.algebra import (
     ClearedShiftOperator,
     LaurentPoly,
@@ -29,10 +31,60 @@ from qbc.errors import (
     MissingSquareRoot,
     ParameterDegeneracy,
 )
+from qbc.koornwinder import _koorn_operator
 
 
 def lp1(terms):
     return LaurentPoly(1, terms)
+
+
+def _peel_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
+    """Reference division: rescan the remainder for its lex-leading term.
+
+    Quadratic in the remainder size, and independent of the heap that
+    exact_div keeps; the two must agree on every input.
+    """
+    f._check_compatible(g)
+    if g.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    if f.is_zero():
+        return LaurentPoly.zero(f.num_vars, f.scale)
+    f_lo, f_hi = f.exponent_box()
+    g_lo, g_hi = g.exponent_box()
+    box_lo = tuple(a - b for a, b in zip(f_lo, g_lo))
+    box_hi = tuple(a - b for a, b in zip(f_hi, g_hi))
+    if any(lo > hi for lo, hi in zip(box_lo, box_hi)):
+        raise InexactDivision("degree box is empty")
+    g_lead_e, g_lead_c = g.leading()
+    rem = dict(f.terms)
+    quo = {}
+    while rem:
+        r_lead = max(rem)
+        qe = tuple(a - b for a, b in zip(r_lead, g_lead_e))
+        if any(e < lo or e > hi for e, lo, hi in zip(qe, box_lo, box_hi)):
+            raise InexactDivision("remainder is not divisible")
+        qc = rem[r_lead] / g_lead_c
+        quo[qe] = qc
+        for ge, gc in g.terms.items():
+            e = tuple(x + y for x, y in zip(qe, ge))
+            acc = rem.get(e)
+            val = qc * gc
+            if acc is None:
+                rem[e] = -val
+            else:
+                acc = acc - val
+                if acc:
+                    rem[e] = acc
+                else:
+                    del rem[e]
+    return LaurentPoly(f.num_vars, quo, f.scale)
+
+
+def _division_outcome(divide, f, g):
+    try:
+        return divide(f, g)
+    except InexactDivision:
+        return InexactDivision
 
 
 class TestRationals:
@@ -154,6 +206,57 @@ class TestExactDivision:
         g = lp1({(2,): F(1, 2)})
         assert exact_div(f, g) == lp1({(-5,): 5})
 
+    def test_cancelled_then_recreated_term_is_consumed_once(self, monkeypatch):
+        # (x^4 + x^2 + 1) / (x^2 - x + 1): the first step cancels the x^2 of
+        # the dividend, the second creates x^2 again.  The exponent keeps its
+        # one heap entry throughout and is popped and consumed once; the
+        # cancelled x and 1 of the last step are popped as stale entries.
+        pushed, popped = [], []
+
+        class SpyHeap:
+            @staticmethod
+            def heapify(heap):
+                pushed.extend(heap)
+                heapq.heapify(heap)
+
+            @staticmethod
+            def heappush(heap, item):
+                pushed.append(item)
+                heapq.heappush(heap, item)
+
+            @staticmethod
+            def heappop(heap):
+                item = heapq.heappop(heap)
+                popped.append(item)
+                return item
+
+        monkeypatch.setattr(algebra, "heapq", SpyHeap)
+        f = lp1({(4,): 1, (2,): 1, (0,): 1})
+        g = lp1({(2,): 1, (1,): -1, (0,): 1})
+        quotient = lp1({(2,): 1, (1,): 1, (0,): 1})
+        assert exact_div(f, g) == quotient
+        # heap entries are negated exponents
+        assert sorted(pushed) == [(-4,), (-3,), (-2,), (-1,), (0,)]
+        assert popped == [(-4,), (-3,), (-2,), (-1,), (0,)]
+        assert _peel_div(f, g) == quotient
+
+    def test_rank3_koornwinder_lcd_divides_back_out(self):
+        P = ParamPoint(sqrt_q=F(1, 2), sqrt_t=F(1, 3), a=2, b=3, c=5, d=F(5, 6))
+        factors = [
+            canon
+            for canon, mult in _koorn_operator(P, 3)._lcd.values()
+            for _ in range(mult)
+        ]
+        assert len(factors) == 15
+        total = LaurentPoly.one(3)
+        for canon in factors:
+            total = total * canon
+        for canon in factors:
+            quotient = exact_div(total, canon)
+            assert quotient == _peel_div(total, canon)
+            total = quotient
+        assert total == LaurentPoly.one(3)
+
 
 class TestQShift:
     def test_full_shift(self):
@@ -185,6 +288,15 @@ class TestPartitions:
             Partition([1, 2])
         with pytest.raises(ValueError):
             Partition([2, -1])
+
+    def test_equality_with_tuples(self):
+        assert Partition([2, 1]) == (2, 1)
+        assert Partition([2, 1]) == (2, 1, 0, 0)
+        assert Partition([]) == ()
+        assert Partition([]) == (0, 0)
+        assert Partition([1]) != (0, 1)
+        assert Partition([1]) != (1, -1)
+        assert not Partition([1]) == (2,)
 
     def test_padding_guard(self):
         with pytest.raises(LengthError):
@@ -246,6 +358,44 @@ def test_exact_division_round_trip_property(data):
     if g.is_zero():
         return
     assert exact_div(f * g, g) == f
+
+
+def _nonzero_rationals():
+    # small integers make remainder terms cancel more often
+    return st.one_of(
+        st.sampled_from((F(1), F(-1), F(2))),
+        st.builds(F, st.integers(-9, 9).filter(bool), st.integers(1, 9)),
+    )
+
+
+@settings(derandomize=True, max_examples=200)
+@given(st.data())
+def test_exact_division_matches_peel_reference(data):
+    num_vars = data.draw(st.integers(1, 3), label="num_vars")
+    scale = data.draw(st.sampled_from((1, 2)), label="scale")
+
+    def poly(label, min_size, max_size):
+        terms = data.draw(
+            st.dictionaries(
+                st.tuples(*[st.integers(-3, 3)] * num_vars),
+                _nonzero_rationals(),
+                min_size=min_size,
+                max_size=max_size,
+            ),
+            label=label,
+        )
+        return LaurentPoly(num_vars, terms, scale)
+
+    g = poly("g", 1, 4)
+    lead = data.draw(_nonzero_rationals().filter(lambda c: c != 1), label="lead")
+    g = g * (lead / g.leading()[1])
+    if data.draw(st.booleans(), label="exact"):
+        q = poly("q", 1, 5)
+        f = q * g
+        assert exact_div(f, g) == q
+    else:
+        f = poly("f", 0, 6)
+    assert _division_outcome(exact_div, f, g) == _division_outcome(_peel_div, f, g)
 
 
 class TestOrbits:
