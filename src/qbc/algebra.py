@@ -769,72 +769,146 @@ class ShiftTerm:
     subtract_identity: bool = True
 
 
-class ClearedShiftOperator:
-    """A q-difference operator applied by clearing explicit denominators.
+def _swap(n: int, var: int, i: int, sign: int):
+    """act_signed arguments for x_var -> x_i^sign, x_i -> x_var."""
+    perm = list(range(n))
+    perm[var], perm[i] = i, var
+    signs = [1] * n
+    signs[var] = sign
+    return perm, signs
 
-    The least common denominator over all shift terms is assembled from
-    unit-normalized factors.  Applying the operator multiplies each shifted
-    input by the term numerator and the complementary denominator factors,
-    sums, divides back out factor by factor (InexactDivision if the input was
-    not in the operator's polynomial domain) and finally divides by the
-    scalar prefactor.
+
+class ClearedShiftOperator:
+    """A q-difference operator summed over the signed-permutation group W.
+
+    The generator is one term A_0(x) (T_0 - 1), or A_0(x) T_0 when its
+    subtract_identity is false, where T_0 is the shift x_v -> q^step x_v.
+    The operator is
+
+        D f = (1/scalar) sum_w w(A_0) (T_w f - f)
+
+    (T_w f in the second case), summed over one representative w of each
+    of the 2n cosets of the stabilizer of x_v in W: w takes x_v to x_i^s
+    (s = +1 or -1), and T_w is the shift x_i -> q^(s step) x_i.  The sum is
+    well defined only if A_0 is invariant under that stabilizer, the
+    permutations and inversions of the other variables; the build checks
+    this and raises ValueError otherwise.
+
+    The least common denominator L is assembled from the unit-normalized
+    factors of the images' denominators, each to its largest multiplicity
+    in one image.  W permutes these factors up to monomial units (the build
+    checks that too), so L / w(L) = c_w x^(e_w), read off the normalized
+    image of each factor.  With cof_0 = L A_0 and g_0 = T_0 f - f (or
+    T_0 f), an invariant f has w(g_0) = T_w f - f (or T_w f), and
+    L w(A_0) w(g_0) = (L / w(L)) w(cof_0 g_0) gives the orbit identity
+
+        scalar L D f = sum_w (L / w(L)) w(cof_0 g_0).
+
+    An application forms the one product cof_0 g_0 and adds up its 2n
+    relabelled images in one pass, where summing the terms explicitly
+    needs 2n cofactors L w(A_0) and 2n products.  The two sums are the same
+    polynomial, term for term, so the exact divisions by the factors of L
+    that follow, in the same order, get the same inputs: InexactDivision if
+    the input was not in the operator's polynomial domain.  The identity
+    holds only for invariant input, so apply raises ValueError for any
+    other.
     """
 
     def __init__(
-        self, P: ParamPoint, num_vars: int, terms: Sequence[ShiftTerm], scalar=1, scale: int = 1
+        self, P: ParamPoint, num_vars: int, generator: ShiftTerm, scalar=1, scale: int = 1
     ):
         self.P = P
+        self.generator = generator
         self.scalar = rat(scalar)
         if self.scalar == 0:
             raise ParameterDegeneracy("operator scalar prefactor vanishes")
-        prepared = []
+        n, v = num_vars, generator.var
+        orbit = [_swap(n, v, i, s) for i in range(n) for s in (1, -1)]
         lcd: dict = {}
-        for term in terms:
+        for perm, signs in orbit:
             counts: dict = {}
-            unit_coeff = Fraction(1)
-            unit_shift = None
-            for factor in term.denom_factors:
-                canon, lc, lo = _unit_normalize(factor)
+            for factor in generator.denom_factors:
+                canon, _, _ = _unit_normalize(factor.act_signed(perm, signs))
                 key = canon.key()
                 counts[key] = counts.get(key, 0) + 1
-                unit_coeff *= lc
-                if unit_shift is None:
-                    unit_shift = list(lo)
-                else:
-                    unit_shift = [a + b for a, b in zip(unit_shift, lo)]
                 if key not in lcd or lcd[key][1] < counts[key]:
                     lcd[key] = (canon, counts[key])
-            numer = LaurentPoly.one(num_vars, scale)
-            for f in term.numer_factors:
-                numer = numer * f
-            prepared.append((term, counts, numer, unit_coeff, tuple(unit_shift or ())))
         self._lcd = lcd
-        final = []
-        for term, counts, numer, unit_coeff, unit_shift in prepared:
-            cof = numer
-            for key, (canon, mult) in lcd.items():
-                extra = mult - counts.get(key, 0)
-                for _ in range(extra):
-                    cof = cof * canon
-            # fold the denominator unit back in: dividing by unit * canon
-            # equals multiplying by canon-complement and unit inverse
-            if unit_shift:
-                inv_shift = tuple(-e for e in unit_shift)
-                cof = cof * LaurentPoly.monomial(inv_shift, 1 / unit_coeff, cof.scale)
-            else:
-                cof = cof * (1 / unit_coeff)
-            final.append((term.var, term.step, term.subtract_identity, cof))
-        self._terms = final
+        # cof_0 = L A_0: the numerator times the factors of L that the
+        # generator's denominator lacks, over that denominator's unit
+        cof = LaurentPoly.one(n, scale)
+        for f in generator.numer_factors:
+            cof = cof * f
+        counts = {}
+        unit_coeff, unit_shift = Fraction(1), (0,) * n
+        for factor in generator.denom_factors:
+            canon, lc, lo = _unit_normalize(factor)
+            counts[canon.key()] = counts.get(canon.key(), 0) + 1
+            unit_coeff *= lc
+            unit_shift = tuple(map(add, unit_shift, lo))
+        for key, (canon, mult) in lcd.items():
+            for _ in range(mult - counts.get(key, 0)):
+                cof = cof * canon
+        self._cof = cof * LaurentPoly.monomial(
+            tuple(map(neg, unit_shift)), 1 / unit_coeff, scale
+        )
+        self._images = [self._image(perm, signs) for perm, signs in orbit]
+        others = [k for k in range(n) if k != v]
+        stabilizer = [_swap(n, j, k, 1) for j, k in zip(others, others[1:])]
+        if others:
+            stabilizer.append(_swap(n, others[-1], others[-1], -1))
+        for perm, signs in stabilizer:
+            if self._fold(self._cof, [self._image(perm, signs)]) != self._cof:
+                raise ValueError(
+                    "generator coefficient is not invariant under permutations "
+                    "and inversions of the other variables"
+                )
+
+    def _image(self, perm, signs):
+        """The signed permutation w as a relabelling of exponents,
+        ((source variable, sign, unit exponent) per variable, unit
+        coefficient), so that folding h with it gives (L / w(L)) w(h)."""
+        coeff, shift = Fraction(1), (0,) * len(perm)
+        for canon, mult in self._lcd.values():
+            image, lc, lo = _unit_normalize(canon.act_signed(perm, signs))
+            if self._lcd.get(image.key(), (None, 0))[1] != mult:
+                raise ValueError("denominators are not closed under signed permutations")
+            coeff *= lc**mult
+            shift = tuple(e - mult * x for e, x in zip(shift, lo))
+        source = [None] * len(perm)
+        for k, (p, s) in enumerate(zip(perm, signs)):
+            source[p] = (k, s)
+        return tuple((k, s, e) for (k, s), e in zip(source, shift)), 1 / coeff
+
+    def _fold(self, h: LaurentPoly, images) -> LaurentPoly:
+        """sum over images of (L / w(L)) w(h), in one pass over h's terms."""
+        by_unit: dict = {}
+        for spec, unit in images:
+            by_unit.setdefault(unit, []).append(spec)
+        groups = list(by_unit.items())
+        out: dict = {}
+        for exps, c in h.terms.items():
+            for unit, specs in groups:
+                cu = c * unit
+                for spec in specs:
+                    e = tuple([s * exps[k] + u for k, s, u in spec])
+                    acc = out.get(e)
+                    out[e] = cu if acc is None else acc + cu
+        res = LaurentPoly.__new__(LaurentPoly)
+        res.num_vars, res.scale, res._key = h.num_vars, h.scale, None
+        res.terms = {e: c for e, c in out.items() if c}
+        return res
 
     def apply(self, f: LaurentPoly) -> LaurentPoly:
-        total = LaurentPoly.zero(f.num_vars, f.scale)
-        for var, step, subtract_identity, cof in self._terms:
-            g = qshift(f, var, step, self.P)
-            if subtract_identity:
-                g = g - f
-            if g.is_zero():
-                continue
-            total = total + cof * g
+        if not weyl_invariant(f):
+            raise ValueError("operator input is not invariant under signed permutations")
+        gen = self.generator
+        g = qshift(f, gen.var, gen.step, self.P)
+        if gen.subtract_identity:
+            g = g - f
+        if g.is_zero():
+            return LaurentPoly.zero(f.num_vars, f.scale)
+        total = self._fold(self._cof * g, self._images)
         if total.is_zero():
             return total
         for canon, mult in self._lcd.values():

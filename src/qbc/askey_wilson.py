@@ -107,32 +107,24 @@ def aw_poly(n: int, P: ParamPoint) -> LaurentPoly:
 
 @lru_cache(maxsize=None)
 def _aw_operator(P: ParamPoint) -> ClearedShiftOperator:
+    """Generated by the up-shift term; x -> 1/x gives the down-shift."""
     q = P.q
     one = LaurentPoly.one(1)
+    x = LaurentPoly.var(0, 1)
     x2 = LaurentPoly.var(0, 1, power=2)
-    xm2 = LaurentPoly.var(0, 1, power=-2)
-
-    def affine(u, power):
-        return one - LaurentPoly.var(0, 1, power=power) * rat(u)
-
     up = ShiftTerm(
-        numer_factors=tuple(affine(u, 1) for u in (P.a, P.b, P.c, P.d)),
+        numer_factors=tuple(one - x * rat(u) for u in (P.a, P.b, P.c, P.d)),
         denom_factors=(one - x2, one - x2 * q),
         var=0,
         step=1,
     )
-    down = ShiftTerm(
-        numer_factors=tuple(affine(u, -1) for u in (P.a, P.b, P.c, P.d)),
-        denom_factors=(one - xm2, one - xm2 * q),
-        var=0,
-        step=-1,
-    )
-    return ClearedShiftOperator(P, 1, (up, down))
+    return ClearedShiftOperator(P, 1, up)
 
 
 def aw_apply(f: LaurentPoly, P: ParamPoint) -> LaurentPoly:
     """Apply the q-difference operator to a symmetric Laurent polynomial.
 
+    f must be invariant under x -> 1/x; any other input raises ValueError.
     Denominators are cleared against their least common multiple and divided
     back out exactly, so a result is produced only when the input really lies
     in the operator's polynomial domain.

@@ -84,39 +84,30 @@ def _one_minus(u, e1: int, e2: int) -> LaurentPoly:
 
 @lru_cache(maxsize=None)
 def _b2_operator(P: ParamPoint) -> ClearedShiftOperator:
-    """Four shift terms, one per direction x_var -> q^step x_var.
+    """Generated by the shift x_1 -> q x_1; the signed permutations give
+    the other three directions.
 
-    A term's factors sit at the two long roots (e, with the other doubled
-    coordinate set to -2 and then +2) and at the short root e, where e is
-    the shift direction on the doubled lattice."""
+    The generator's factors sit at the two long roots (2, -2) and (2, 2)
+    and at the short root (2, 0) of the doubled lattice; swapping the long
+    roots is the inversion of x_2, so the coefficient is invariant under
+    it."""
     t, T = P.t, P.T
-    terms = []
-    for step in (1, -1):
-        for var in (0, 1):
-            short = [0, 0]
-            short[var] = 2 * step
-            roots = []
-            for other in (-2, 2):
-                long = list(short)
-                long[1 - var] = other
-                roots.append(long)
-            roots.append(short)
-            terms.append(
-                ShiftTerm(
-                    numer_factors=tuple(
-                        _one_minus(u, *e) for u, e in zip((t, t, T), roots)
-                    ),
-                    denom_factors=tuple(_one_minus(1, *e) for e in roots),
-                    var=var,
-                    step=step,
-                    subtract_identity=False,
-                )
-            )
-    return ClearedShiftOperator(P, 2, terms, scale=2)
+    roots = ((2, -2), (2, 2), (2, 0))
+    generator = ShiftTerm(
+        numer_factors=tuple(_one_minus(u, *e) for u, e in zip((t, t, T), roots)),
+        denom_factors=tuple(_one_minus(1, *e) for e in roots),
+        var=0,
+        step=1,
+        subtract_identity=False,
+    )
+    return ClearedShiftOperator(P, 2, generator, scale=2)
 
 
 def b2_apply(f: LaurentPoly, P: ParamPoint) -> LaurentPoly:
-    """Act with the rank-two difference operator on the doubled lattice."""
+    """Act with the rank-two difference operator on the doubled lattice.
+
+    f must be invariant under permutations and inversions of the two
+    variables; any other input raises ValueError."""
     P.require("sqrt_t", "sqrt_T")
     if f.num_vars != 2 or f.scale != 2:
         raise DimensionMismatch("operator acts on two variables at lattice scale 2")

@@ -26,7 +26,7 @@ from .algebra import (
     solve_triangular_eigenproblem,
 )
 from .askey_wilson import coeff_ce_prime, coeff_co_recast
-from .errors import ParameterDegeneracy
+from .errors import DimensionMismatch, ParameterDegeneracy
 from .qseries import qbinom_series
 
 CACHE_ENV = "QBC_CACHE_DIR"
@@ -46,37 +46,33 @@ def _mono(n, spots, coeff):
 
 @lru_cache(maxsize=None)
 def _koorn_operator(P: ParamPoint, n: int) -> ClearedShiftOperator:
-    """The 2n-term operator in cleared-denominator form.
+    """The operator in cleared-denominator form, generated by its x_1
+    up-shift term.
 
-    Each variable contributes an up-shift and a down-shift term; the pair
-    factors couple it to every other variable.  The overall scalar divisor
+    The generator's pair factors couple x_1 to every other variable, and
+    they are invariant under permutations and inversions of those
+    variables; its images under the signed permutations are the 2n terms,
+    an up-shift and a down-shift per variable.  The overall scalar divisor
     alpha t^(n-1) keeps the rank-one case aligned with the one-variable
     operator up to 1/alpha.
     """
     P.require("a", "b", "c", "d", "sqrt_t")
     q, t = P.q, P.t
     one = LaurentPoly.one(n)
-    terms = []
-    for i in range(n):
-        for step in (1, -1):
-            numer = [one - _mono(n, [(i, step)], u) for u in (P.a, P.b, P.c, P.d)]
-            denom = [
-                one - _mono(n, [(i, 2 * step)], 1),
-                one - _mono(n, [(i, 2 * step)], q),
-            ]
-            for j in range(n):
-                if j == i:
-                    continue
-                numer.append(one - _mono(n, [(i, step), (j, 1)], t))
-                numer.append(one - _mono(n, [(i, step), (j, -1)], t))
-                denom.append(one - _mono(n, [(i, step), (j, 1)], 1))
-                denom.append(one - _mono(n, [(i, step), (j, -1)], 1))
-            terms.append(ShiftTerm(tuple(numer), tuple(denom), i, step))
-    return ClearedShiftOperator(P, n, terms, scalar=P.alpha * t ** (n - 1))
+    numer = [one - _mono(n, [(0, 1)], u) for u in (P.a, P.b, P.c, P.d)]
+    denom = [one - _mono(n, [(0, 2)], 1), one - _mono(n, [(0, 2)], q)]
+    for j in range(1, n):
+        numer.append(one - _mono(n, [(0, 1), (j, 1)], t))
+        numer.append(one - _mono(n, [(0, 1), (j, -1)], t))
+        denom.append(one - _mono(n, [(0, 1), (j, 1)], 1))
+        denom.append(one - _mono(n, [(0, 1), (j, -1)], 1))
+    generator = ShiftTerm(tuple(numer), tuple(denom), 0, 1)
+    return ClearedShiftOperator(P, n, generator, scalar=P.alpha * t ** (n - 1))
 
 
 def koorn_apply(f: LaurentPoly, P: ParamPoint, n: int) -> LaurentPoly:
-    """Apply the operator to an invariant Laurent polynomial in n variables."""
+    """Apply the operator to an invariant Laurent polynomial in n variables;
+    any other input raises ValueError."""
     return _koorn_operator(P, n).apply(f)
 
 
@@ -97,15 +93,33 @@ def _cache_path(lam: Partition, P: ParamPoint, n: int) -> Path:
     return cache_root() / "koornwinder" / f"n{n}_lam{name}_{P.canonical_key()}.json"
 
 
-def _cache_store(path: Path, lam: Partition, P: ParamPoint, n: int, poly: LaurentPoly):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    payload = {
+def _cache_header(lam: Partition, P: ParamPoint, n: int) -> dict:
+    """The fields that tie a cache entry to the request it answers."""
+    return {
         "schema": 1,
         "n": n,
         "partition": list(lam.parts),
         "point": P.to_json_obj(),
-        "polynomial": poly.to_json_obj(),
     }
+
+
+def _cache_load(path: Path, lam: Partition, P: ParamPoint, n: int):
+    """The cached solution, or None when the file is missing, unreadable as
+    an entry, or an entry for another request (a file copied over another
+    entry's name, say); the caller then solves and overwrites it."""
+    try:
+        with path.open() as fh:
+            entry = json.load(fh)
+        if any(entry[k] != v for k, v in _cache_header(lam, P, n).items()):
+            return None
+        return LaurentPoly.from_json_obj(entry["polynomial"])
+    except (FileNotFoundError, KeyError, TypeError, ValueError, DimensionMismatch):
+        return None
+
+
+def _cache_store(path: Path, lam: Partition, P: ParamPoint, n: int, poly: LaurentPoly):
+    path.parent.mkdir(parents=True, exist_ok=True)
+    payload = dict(_cache_header(lam, P, n), polynomial=poly.to_json_obj())
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
@@ -124,13 +138,17 @@ def koorn_oracle(lam, P: ParamPoint, n: int, use_cache: bool = True) -> LaurentP
     nothing about the closed one-row formulas enters here, which is what
     makes the result usable as a reference value for them.  Solutions are
     cached on disk because the triangular solve dominates verification time.
+    A cache entry is used only when its schema, rank, partition and point
+    match the request; any other entry, or one that does not parse, is
+    solved again and overwritten.
     """
     lam = lam if isinstance(lam, Partition) else Partition(lam)
     P.require("a", "b", "c", "d", "sqrt_t")
     path = _cache_path(lam, P, n)
-    if use_cache and path.exists():
-        with path.open() as fh:
-            return LaurentPoly.from_json_obj(json.load(fh)["polynomial"])
+    if use_cache:
+        cached = _cache_load(path, lam, P, n)
+        if cached is not None:
+            return cached
     op = _koorn_operator(P, n)
 
     def column(mu):

@@ -2,6 +2,8 @@
 
 import heapq
 from fractions import Fraction as F
+from functools import lru_cache
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,7 +33,10 @@ from qbc.errors import (
     MissingSquareRoot,
     ParameterDegeneracy,
 )
-from qbc.koornwinder import _koorn_operator
+from qbc.askey_wilson import _aw_operator, aw_apply
+from qbc.b2 import _b2_operator, _one_minus, b2_apply
+from qbc.koornwinder import _koorn_operator, _mono, koorn_apply
+from qbc.suites import default_config
 
 
 def lp1(terms):
@@ -429,41 +434,270 @@ class TestOrbits:
 
 class TestClearedShiftOperator:
     def test_forward_difference_style(self):
-        # f(qx) - f(x) divided by (1 - x) * (1 - 1/x): apply to an input that
-        # the image divides exactly and compare by hand.
+        # generator (1-x)^2 / ((1-x)(1-1/x)) (T - 1) = -x (T - 1); its image
+        # under x -> 1/x is -(1/x) (T^-1 - 1).  On f = x + 1/x the operator
+        # gives -x((q-1)x + (1/q-1)/x) - (1/x)((1/q-1)x + (q-1)/x).
         P = ParamPoint(sqrt_q=F(1, 2))
         one_minus_x = lp1({(0,): 1, (1,): -1})
         one_minus_inv = lp1({(0,): 1, (-1,): -1})
-        # operator: [1 / ((1-x)(1-1/x))] (T - 1) with numerator (1-x)^2
         op = ClearedShiftOperator(
             P,
             1,
-            [
-                ShiftTerm(
-                    numer_factors=(one_minus_x, one_minus_x),
-                    denom_factors=(one_minus_x, one_minus_inv),
-                    var=0,
-                    step=1,
-                )
-            ],
+            ShiftTerm(
+                numer_factors=(one_minus_x, one_minus_x),
+                denom_factors=(one_minus_x, one_minus_inv),
+                var=0,
+                step=1,
+            ),
         )
-        # (1-x)^2/((1-x)(1-1/x)) = (1-x)/(1-1/x) = -x(1-x)/(1-x) * ... = -x
-        f = lp1({(1,): 1})  # f = x, (T-1)f = (q-1)x
+        f = lp1({(1,): 1, (-1,): 1})
         q = P.q
-        assert op.apply(f) == lp1({(2,): -(q - 1)})
+        assert op.apply(f) == lp1({(2,): 1 - q, (0,): 2 * (1 - 1 / q), (-2,): 1 - q})
 
     def test_unit_sharing_in_lcd(self):
-        # denominators (1 - x^2) and (1 - 1/x^2) differ by a unit and must
-        # collapse to a single canonical factor in the least common denominator
+        # the generator denominator 1 - x^2 and its image 1 - 1/x^2 differ by
+        # a unit and must collapse to one canonical factor of the LCD
         P = ParamPoint(sqrt_q=F(1, 2))
         a = lp1({(0,): 1, (2,): -1})
         b = lp1({(0,): 1, (-2,): -1})
         op = ClearedShiftOperator(
-            P,
-            1,
-            [
-                ShiftTerm(numer_factors=(b,), denom_factors=(a,), var=0, step=1),
-                ShiftTerm(numer_factors=(b,), denom_factors=(b,), var=0, step=-1),
-            ],
+            P, 1, ShiftTerm(numer_factors=(b,), denom_factors=(a,), var=0, step=1)
         )
         assert len(op._lcd) == 1
+
+    @pytest.mark.parametrize(
+        "apply, point, f",
+        [
+            (lambda f, P: koorn_apply(f, P, 2), "koornwinder", LaurentPoly.var(0, 2)),
+            (aw_apply, "askey-wilson", LaurentPoly.var(0, 1)),
+            (b2_apply, "b2", LaurentPoly.var(0, 2, power=2, scale=2)),
+        ],
+    )
+    def test_non_invariant_input_raises(self, apply, point, f):
+        P = default_config().points(point)[0].point
+        with pytest.raises(ValueError, match="input is not invariant"):
+            apply(f, P)
+
+    def test_generator_must_be_invariant_under_its_stabilizer(self):
+        # (1 - x1 x2 / 2) is not invariant under x2 -> 1/x2, which fixes x1
+        P = ParamPoint(sqrt_q=F(1, 2))
+        one = LaurentPoly.one(2)
+        generator = ShiftTerm(
+            numer_factors=(one - LaurentPoly(2, {(1, 1): F(1, 2)}),),
+            denom_factors=(
+                one - LaurentPoly(2, {(1, 1): 1}),
+                one - LaurentPoly(2, {(1, -1): 1}),
+            ),
+            var=0,
+            step=1,
+        )
+        with pytest.raises(ValueError, match="generator coefficient is not invariant"):
+            ClearedShiftOperator(P, 2, generator)
+
+
+# -- the explicit operator sum, kept as the reference for the orbit fold -------
+
+
+def _koorn_terms(P, n):
+    """The 2n terms of the Koornwinder operator, each written out."""
+    q, t = P.q, P.t
+    one = LaurentPoly.one(n)
+    terms = []
+    for i in range(n):
+        for step in (1, -1):
+            numer = [one - _mono(n, [(i, step)], u) for u in (P.a, P.b, P.c, P.d)]
+            denom = [
+                one - _mono(n, [(i, 2 * step)], 1),
+                one - _mono(n, [(i, 2 * step)], q),
+            ]
+            for j in range(n):
+                if j == i:
+                    continue
+                numer.append(one - _mono(n, [(i, step), (j, 1)], t))
+                numer.append(one - _mono(n, [(i, step), (j, -1)], t))
+                denom.append(one - _mono(n, [(i, step), (j, 1)], 1))
+                denom.append(one - _mono(n, [(i, step), (j, -1)], 1))
+            terms.append(ShiftTerm(tuple(numer), tuple(denom), i, step))
+    return tuple(terms)
+
+
+def _aw_terms(P):
+    """The up- and down-shift terms of the Askey-Wilson operator."""
+    q = P.q
+    one = LaurentPoly.one(1)
+    x2 = LaurentPoly.var(0, 1, power=2)
+    xm2 = LaurentPoly.var(0, 1, power=-2)
+
+    def affine(u, power):
+        return one - LaurentPoly.var(0, 1, power=power) * rat(u)
+
+    up = ShiftTerm(
+        numer_factors=tuple(affine(u, 1) for u in (P.a, P.b, P.c, P.d)),
+        denom_factors=(one - x2, one - x2 * q),
+        var=0,
+        step=1,
+    )
+    down = ShiftTerm(
+        numer_factors=tuple(affine(u, -1) for u in (P.a, P.b, P.c, P.d)),
+        denom_factors=(one - xm2, one - xm2 * q),
+        var=0,
+        step=-1,
+    )
+    return (up, down)
+
+
+def _b2_terms(P):
+    """The four shift terms of the B2 operator, one per direction."""
+    t, T = P.t, P.T
+    terms = []
+    for step in (1, -1):
+        for var in (0, 1):
+            short = [0, 0]
+            short[var] = 2 * step
+            roots = []
+            for other in (-2, 2):
+                long = list(short)
+                long[1 - var] = other
+                roots.append(long)
+            roots.append(short)
+            terms.append(
+                ShiftTerm(
+                    numer_factors=tuple(
+                        _one_minus(u, *e) for u, e in zip((t, t, T), roots)
+                    ),
+                    denom_factors=tuple(_one_minus(1, *e) for e in roots),
+                    var=var,
+                    step=step,
+                    subtract_identity=False,
+                )
+            )
+    return tuple(terms)
+
+
+@lru_cache(maxsize=None)
+def _explicit_build(P, num_vars, terms, scale):
+    """One cofactor per term: the LCD over all term denominators, and each
+    term's numerator times the LCD factors its denominator lacks."""
+    prepared = []
+    lcd: dict = {}
+    for term in terms:
+        counts: dict = {}
+        unit_coeff = F(1)
+        unit_shift = None
+        for factor in term.denom_factors:
+            canon, lc, lo = algebra._unit_normalize(factor)
+            key = canon.key()
+            counts[key] = counts.get(key, 0) + 1
+            unit_coeff *= lc
+            if unit_shift is None:
+                unit_shift = list(lo)
+            else:
+                unit_shift = [a + b for a, b in zip(unit_shift, lo)]
+            if key not in lcd or lcd[key][1] < counts[key]:
+                lcd[key] = (canon, counts[key])
+        numer = LaurentPoly.one(num_vars, scale)
+        for f in term.numer_factors:
+            numer = numer * f
+        prepared.append((term, counts, numer, unit_coeff, tuple(unit_shift or ())))
+    final = []
+    for term, counts, numer, unit_coeff, unit_shift in prepared:
+        cof = numer
+        for key, (canon, mult) in lcd.items():
+            extra = mult - counts.get(key, 0)
+            for _ in range(extra):
+                cof = cof * canon
+        if unit_shift:
+            inv_shift = tuple(-e for e in unit_shift)
+            cof = cof * LaurentPoly.monomial(inv_shift, 1 / unit_coeff, cof.scale)
+        else:
+            cof = cof * (1 / unit_coeff)
+        final.append((term.var, term.step, term.subtract_identity, cof))
+    return lcd, final
+
+
+def _explicit_apply(P, num_vars, terms, f, scalar=1, scale=1):
+    """The operator applied as the explicit sum of its terms: one product
+    per term, summed, then divided by the LCD factors."""
+    lcd, final = _explicit_build(P, num_vars, terms, scale)
+    total = LaurentPoly.zero(f.num_vars, f.scale)
+    for var, step, subtract_identity, cof in final:
+        g = qshift(f, var, step, P)
+        if subtract_identity:
+            g = g - f
+        if g.is_zero():
+            continue
+        total = total + cof * g
+    if total.is_zero():
+        return total
+    for canon, mult in lcd.values():
+        for _ in range(mult):
+            total = algebra.exact_div(total, canon)
+    if scalar != 1:
+        total = total * (1 / rat(scalar))
+    return total
+
+
+def _orbit_case(kind, P, n):
+    """(operator, its explicit terms, scalar, lattice scale)."""
+    if kind == "koornwinder":
+        return _koorn_operator(P, n), _koorn_terms(P, n), P.alpha * P.t ** (n - 1), 1
+    if kind == "askey-wilson":
+        return _aw_operator(P), _aw_terms(P), 1, 1
+    return _b2_operator(P), _b2_terms(P), 1, 2
+
+
+# (kind, point, num_vars, largest input exponent) for every shipped operator
+ORBIT_CASES = [
+    pytest.param(kind, cp.point, n, top, id=f"{kind}-p{i}-n{n}")
+    for kind, ranks in (
+        ("koornwinder", ((1, 4), (2, 2), (3, 1))),
+        ("askey-wilson", ((1, 4),)),
+        ("b2", ((2, 3),)),
+    )
+    for i, cp in enumerate(default_config().points(kind), 1)
+    for n, top in ranks
+]
+
+
+def _traced_outcome(apply, f):
+    """apply(f), or InexactDivision, with the (dividend, divisor) of every
+    exact division it made."""
+    divisions = []
+    real_div = algebra.exact_div
+
+    def recording_div(num, den):
+        divisions.append((num.key(), den.key()))
+        return real_div(num, den)
+
+    with mock.patch.object(algebra, "exact_div", recording_div):
+        try:
+            result = apply(f)
+        except InexactDivision:
+            result = InexactDivision
+    return result, divisions
+
+
+@pytest.mark.parametrize("kind, P, n, top", ORBIT_CASES)
+@settings(derandomize=True, max_examples=6, deadline=None)
+@given(data=st.data())
+def test_orbit_fold_matches_explicit_sum(kind, P, n, top, data):
+    op, terms, scalar, scale = _orbit_case(kind, P, n)
+    orbits = data.draw(
+        st.dictionaries(
+            st.lists(st.integers(0, top), min_size=n, max_size=n).map(
+                lambda e: tuple(sorted(e, reverse=True))
+            ),
+            _nonzero_rationals(),
+            min_size=1,
+            max_size=3,
+        ),
+        label="orbit sums",
+    )
+    f = LaurentPoly.zero(n, scale)
+    for dominant, coeff in orbits.items():
+        f = f + coeff * monomial_symmetric(dominant, n, scale)
+    got = _traced_outcome(op.apply, f)
+    want = _traced_outcome(
+        lambda f: _explicit_apply(P, n, terms, f, scalar, scale), f
+    )
+    assert got == want

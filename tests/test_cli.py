@@ -6,7 +6,8 @@ import pytest
 
 from qbc.b2 import B2Weight, f_b2_poly
 from qbc.cli import main
-from qbc.koornwinder import CACHE_ENV, koorn_oracle
+from qbc.algebra import Partition
+from qbc.koornwinder import CACHE_ENV, _cache_path, koorn_oracle
 from qbc.macdonald_bcd import FAMILY_D, FamilyTag, mac_row
 from qbc.suites import default_config
 
@@ -200,3 +201,28 @@ class TestCache:
         assert main(["cache", "clear", "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["schema"] == 1 and doc["cleared"] is False
+
+    def _rank_one_entry(self, capsys):
+        """Fill the rank-one koornwinder entries; return the row-1 and row-2
+        entry paths at the first point."""
+        assert main(["verify", "koornwinder", "--n", "1"]) == 0
+        capsys.readouterr()
+        P = default_config().points("koornwinder")[0].point
+        return _cache_path(Partition((1,)), P, 1), _cache_path(Partition((2,)), P, 1)
+
+    def _assert_solved_again(self, path, capsys):
+        assert main(["verify", "koornwinder", "--n", "1", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["passed"] is True
+        entry = json.loads(path.read_text())
+        assert (entry["n"], entry["partition"]) == (1, [1])
+
+    def test_entry_copied_over_another_name_is_solved_again(self, capsys):
+        row1, row2 = self._rank_one_entry(capsys)
+        row1.write_text(row2.read_text())
+        self._assert_solved_again(row1, capsys)
+
+    def test_truncated_entry_is_solved_again(self, capsys):
+        row1, _ = self._rank_one_entry(capsys)
+        text = row1.read_text()
+        row1.write_text(text[: len(text) // 2])
+        self._assert_solved_again(row1, capsys)
