@@ -215,6 +215,14 @@ class LaurentPoly:
     # -- construction helpers -------------------------------------------------
 
     @classmethod
+    def _raw(cls, num_vars: int, terms: dict, scale: int = 1) -> "LaurentPoly":
+        """Wrap a clean terms dict (tuple exponents, nonzero coefficients)
+        as it is: no copy, no check, no coercion of its coefficients."""
+        res = cls.__new__(cls)
+        res.num_vars, res.scale, res.terms, res._key = num_vars, scale, terms, None
+        return res
+
+    @classmethod
     def zero(cls, num_vars: int, scale: int = 1) -> "LaurentPoly":
         return cls(num_vars, {}, scale)
 
@@ -291,18 +299,14 @@ class LaurentPoly:
                     out[exps] = acc
                 else:
                     del out[exps]
-        res = LaurentPoly.__new__(LaurentPoly)
-        res.num_vars, res.scale, res.terms, res._key = self.num_vars, self.scale, out, None
-        return res
+        return LaurentPoly._raw(self.num_vars, out, self.scale)
 
     __radd__ = __add__
 
     def __neg__(self):
-        res = LaurentPoly.__new__(LaurentPoly)
-        res.num_vars, res.scale = self.num_vars, self.scale
-        res.terms = {e: -c for e, c in self.terms.items()}
-        res._key = None
-        return res
+        return LaurentPoly._raw(
+            self.num_vars, {e: -c for e, c in self.terms.items()}, self.scale
+        )
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -317,11 +321,9 @@ class LaurentPoly:
             other = rat(other)
             if other == 0:
                 return LaurentPoly.zero(self.num_vars, self.scale)
-            res = LaurentPoly.__new__(LaurentPoly)
-            res.num_vars, res.scale = self.num_vars, self.scale
-            res.terms = {e: c * other for e, c in self.terms.items()}
-            res._key = None
-            return res
+            return LaurentPoly._raw(
+                self.num_vars, {e: c * other for e, c in self.terms.items()}, self.scale
+            )
         self._check_compatible(other)
         a, b = self.terms, other.terms
         if len(a) > len(b):
@@ -329,7 +331,7 @@ class LaurentPoly:
         out: dict = {}
         for ea, ca in a.items():
             for eb, cb in b.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
+                e = tuple(map(add, ea, eb))
                 prod = ca * cb
                 acc = out.get(e)
                 if acc is None:
@@ -340,9 +342,7 @@ class LaurentPoly:
                         out[e] = acc
                     else:
                         del out[e]
-        res = LaurentPoly.__new__(LaurentPoly)
-        res.num_vars, res.scale, res.terms, res._key = self.num_vars, self.scale, out, None
-        return res
+        return LaurentPoly._raw(self.num_vars, out, self.scale)
 
     __rmul__ = __mul__
 
@@ -472,15 +472,105 @@ class LaurentPoly:
 def exact_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     """Divide f by g, insisting the quotient is a Laurent polynomial.
 
-    Peels the lex-leading term of the remainder against the lex-leading term
-    of g, finding that term with a heap instead of a scan, after Monagan and
-    Pearce, "Sparse polynomial division using a heap" (J. Symbolic Comput.
-    46, 2011).  The remainder is a dict from exponent to coefficient, and a
-    min-heap of the negated exponents orders it.  An exponent is pushed once,
-    when a step first creates it.  Each step pops the lex-largest exponent,
-    emits one quotient term, and subtracts that term times the non-leading
-    terms of g; the product with the leading term would only cancel the
-    popped term, so it is never formed.
+    A quotient that is not a Laurent polynomial raises InexactDivision.  A
+    two-term g = a x^e1 + b x^e0 goes to _binomial_div, which runs the
+    recurrence q_k = (f_k - b q_(k+1)) / a down each line of exponents
+    parallel to e1 - e0 and checks that each line leaves no remainder.
+    When f has int coefficients and g is a primitive integer binomial, that
+    recurrence stays in ints: by Gauss's lemma an exact quotient is then
+    integral, so a step that does not divide evenly proves the division
+    inexact.  Any other g goes to the heap-ordered peel, _heap_div, which
+    is also the tests' reference for binomials.
+    """
+    f._check_compatible(g)
+    if g.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    if f.is_zero():
+        return LaurentPoly.zero(f.num_vars, f.scale)
+    if len(g.terms) == 2:
+        return _binomial_div(f, g)
+    return _heap_div(f, g)
+
+
+def _binomial_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
+    """f / (a x^e1 + b x^e0), e1 the lex-larger exponent, by synthetic
+    division along each line of exponents parallel to d = e1 - e0.
+
+    Multiplying by g maps a line into itself, so the lines divide
+    independently.  On the line of f through base, write f_k for the
+    coefficient at base + k d; the quotient term at base + k d - e1 is
+    q_k = (f_k - b q_(k+1)) / a, taken from the top of the line down to one
+    step above its lowest term f_low, which must equal b q_(low+1): that
+    line remainder is zero exactly when the line divides, so a division
+    raises InexactDivision exactly when no Laurent quotient exists, as the
+    heap peel does.  Where a q_k vanishes nothing carries below it, and the
+    recurrence jumps to the next term of f.  The cost is O(|f| + |q|)
+    coefficient steps, with no heap and no box.
+
+    When f has int coefficients and g is a primitive integer binomial
+    (int coefficients with gcd 1), the recurrence stays in ints: by Gauss's
+    lemma an exact quotient of an integer polynomial by a primitive one is
+    itself integral, so a step whose divmod by a leaves a remainder proves
+    the division inexact.  Any other input runs over Fraction, so a
+    non-primitive integer g such as 2x - 2 still gives a rational quotient.
+    """
+    (e1, a), (e0, b) = sorted(g.terms.items(), reverse=True)
+    d = tuple(map(sub, e1, e0))
+    # d is lex-positive, so its first nonzero entry is positive and
+    # e - (e_i // d_i) d picks one base point on each line
+    i = next(k for k, x in enumerate(d) if x)
+    integral = (
+        type(a) is int
+        and type(b) is int
+        and math.gcd(a, b) == 1
+        and all(type(c) is int for c in f.terms.values())
+    )
+    if not integral:
+        a = rat(a)
+    position = {e: e[i] // d[i] for e in f.terms}
+    lo, hi = min(position.values()), max(position.values())
+    steps = {k: tuple([k * x for x in d]) for k in range(lo, hi + 1)}  # k d
+    lines: dict = {}
+    for e, c in f.terms.items():
+        k = position[e]
+        lines.setdefault(tuple(map(sub, e, steps[k])), {})[k] = c
+    quo: dict = {}
+    for base, line in lines.items():
+        origin = tuple(map(sub, base, e1))
+        ks = sorted(line, reverse=True)
+        low = ks[-1]
+        k, nxt, carry = ks[0], 1, 0
+        while k > low:
+            r = line.get(k, 0) - carry
+            if not r:
+                while ks[nxt] >= k:
+                    nxt += 1
+                k, carry = ks[nxt], 0
+                continue
+            if integral:
+                qc, left = divmod(r, a)
+                if left:
+                    raise InexactDivision("quotient is not integral")
+            else:
+                qc = r / a
+            quo[tuple(map(add, origin, steps[k]))] = qc
+            carry = b * qc
+            k -= 1
+        if line[low] != carry:
+            raise InexactDivision("remainder is not divisible")
+    return LaurentPoly._raw(f.num_vars, quo, f.scale)
+
+
+def _heap_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
+    """Peel the lex-leading term of the remainder against the lex-leading
+    term of g, finding that term with a heap instead of a scan, after
+    Monagan and Pearce, "Sparse polynomial division using a heap" (J.
+    Symbolic Comput. 46, 2011).  The remainder is a dict from exponent to
+    coefficient, and a min-heap of the negated exponents orders it.  An
+    exponent is pushed once, when a step first creates it.  Each step pops
+    the lex-largest exponent, emits one quotient term, and subtracts that
+    term times the non-leading terms of g; the product with the leading
+    term would only cancel the popped term, so it is never formed.
 
     A remainder term that cancels stays in the dict with coefficient zero,
     and its heap entry goes stale: the pop skips it.  If a later step
@@ -501,11 +591,6 @@ def exact_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     remainder term, and each nonzero one is emitted, so an inexact division
     always ends in such an emission.
     """
-    f._check_compatible(g)
-    if g.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    if f.is_zero():
-        return LaurentPoly.zero(f.num_vars, f.scale)
     f_lo, f_hi = f.exponent_box()
     g_lo, g_hi = g.exponent_box()
     box_lo = tuple(a - b for a, b in zip(f_lo, g_lo))
@@ -513,6 +598,7 @@ def exact_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     if any(lo > hi for lo, hi in zip(box_lo, box_hi)):
         raise InexactDivision("degree box is empty")
     g_lead_e, g_lead_c = g.leading()
+    g_lead_c = rat(g_lead_c)
     g_rest = [(ge, gc) for ge, gc in g.terms.items() if ge != g_lead_e]
     rem = dict(f.terms)
     heap = [tuple(map(neg, e)) for e in rem]
@@ -536,9 +622,7 @@ def exact_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
                 heapq.heappush(heap, tuple(map(neg, e)))
             else:
                 rem[e] = acc - qc * gc
-    out = LaurentPoly.__new__(LaurentPoly)
-    out.num_vars, out.scale, out.terms, out._key = f.num_vars, f.scale, quo, None
-    return out
+    return LaurentPoly._raw(f.num_vars, quo, f.scale)
 
 
 def qshift(f: LaurentPoly, i: int, k, P: ParamPoint) -> LaurentPoly:
@@ -753,6 +837,13 @@ def _unit_normalize(p: LaurentPoly):
     return canon, lc, lo
 
 
+def _integer_numerators(p: LaurentPoly):
+    """(D p with int coefficients, D) for D the lcm of p's denominators."""
+    den = math.lcm(*(c.denominator for c in p.terms.values()))
+    terms = {e: c.numerator * (den // c.denominator) for e, c in p.terms.items()}
+    return LaurentPoly._raw(p.num_vars, terms, p.scale), den
+
+
 @dataclass(frozen=True)
 class ShiftTerm:
     """One summand coeff(x) * T or coeff(x) * (T - 1) of a difference operator.
@@ -806,12 +897,22 @@ class ClearedShiftOperator:
 
     An application forms the one product cof_0 g_0 and adds up its 2n
     relabelled images in one pass, where summing the terms explicitly
-    needs 2n cofactors L w(A_0) and 2n products.  The two sums are the same
-    polynomial, term for term, so the exact divisions by the factors of L
-    that follow, in the same order, get the same inputs: InexactDivision if
-    the input was not in the operator's polynomial domain.  The identity
-    holds only for invariant input, so apply raises ValueError for any
-    other.
+    needs 2n cofactors L w(A_0) and 2n products.  The identity holds only
+    for invariant input, so apply raises ValueError for any other.
+
+    An application runs over Python ints from end to end.  Every factor of
+    L must be a binomial x^e1 - c x^e0 (the build raises ValueError
+    otherwise), and the build keeps it in primitive integer form
+    r x^e1 - p x^e0 with c = p/r, cof_0 as integer numerators over one
+    denominator, and the units L / w(L) as ints over one denominator.
+    apply clears g_0's denominators, folds the int product, divides it by
+    the integer factors, where exact_div stays in ints, and scales once per
+    output term by the product of the r's over all those denominators and
+    the scalar.  The fold equals the explicit sum of the terms up to that
+    integer scaling, so the exact divisions by the factors of L that
+    follow, in the same order, get the same inputs up to integer constants:
+    the same supports, InexactDivision at the same step if the input was
+    not in the operator's polynomial domain.
     """
 
     def __init__(
@@ -849,10 +950,20 @@ class ClearedShiftOperator:
         for key, (canon, mult) in lcd.items():
             for _ in range(mult - counts.get(key, 0)):
                 cof = cof * canon
-        self._cof = cof * LaurentPoly.monomial(
-            tuple(map(neg, unit_shift)), 1 / unit_coeff, scale
+        self._cof, cof_den = _integer_numerators(
+            cof * LaurentPoly.monomial(tuple(map(neg, unit_shift)), 1 / unit_coeff, scale)
         )
-        self._images = [self._image(perm, signs) for perm, signs in orbit]
+        images = [self._image(perm, signs) for perm, signs in orbit]
+        unit_den = math.lcm(*(unit.denominator for _, unit in images))
+        self._images = [(spec, int(unit * unit_den)) for spec, unit in images]
+        self._divisors, radix = [], 1
+        for canon, mult in lcd.values():
+            if len(canon.terms) != 2:
+                raise ValueError(f"denominator factor {canon} is not a binomial")
+            binomial, r = _integer_numerators(canon)
+            self._divisors += [binomial] * mult
+            radix *= r**mult
+        self._unscale = Fraction(radix, cof_den * unit_den) / self.scalar
         others = [k for k in range(n) if k != v]
         stabilizer = [_swap(n, j, k, 1) for j, k in zip(others, others[1:])]
         if others:
@@ -894,10 +1005,7 @@ class ClearedShiftOperator:
                     e = tuple([s * exps[k] + u for k, s, u in spec])
                     acc = out.get(e)
                     out[e] = cu if acc is None else acc + cu
-        res = LaurentPoly.__new__(LaurentPoly)
-        res.num_vars, res.scale, res._key = h.num_vars, h.scale, None
-        res.terms = {e: c for e, c in out.items() if c}
-        return res
+        return LaurentPoly._raw(h.num_vars, {e: c for e, c in out.items() if c}, h.scale)
 
     def apply(self, f: LaurentPoly) -> LaurentPoly:
         if not weyl_invariant(f):
@@ -908,15 +1016,16 @@ class ClearedShiftOperator:
             g = g - f
         if g.is_zero():
             return LaurentPoly.zero(f.num_vars, f.scale)
+        g, g_den = _integer_numerators(g)
         total = self._fold(self._cof * g, self._images)
         if total.is_zero():
             return total
-        for canon, mult in self._lcd.values():
-            for _ in range(mult):
-                total = exact_div(total, canon)
-        if self.scalar != 1:
-            total = total * (1 / self.scalar)
-        return total
+        for divisor in self._divisors:
+            total = exact_div(total, divisor)
+        unscale = self._unscale / g_den
+        return LaurentPoly._raw(
+            f.num_vars, {e: c * unscale for e, c in total.terms.items()}, f.scale
+        )
 
 
 # -- triangular eigenproblems ---------------------------------------------------

@@ -76,6 +76,18 @@ def koorn_apply(f: LaurentPoly, P: ParamPoint, n: int) -> LaurentPoly:
     return _koorn_operator(P, n).apply(f)
 
 
+@lru_cache(maxsize=None)
+def _koorn_column(P: ParamPoint, n: int, mu: Partition) -> dict:
+    """The operator image of the orbit sum m_mu, over the orbit basis.
+
+    A solve for a higher row needs every column of a lower row's solve
+    again, so the columns are kept per (P, n, mu) for the process.  The
+    dict is shared by every caller and must not be mutated.
+    """
+    image = _koorn_operator(P, n).apply(monomial_symmetric(mu.padded(n), n))
+    return {Partition(e): coeff for e, coeff in decompose_symmetric(image).items()}
+
+
 def koorn_eigenvalue(lam, P: ParamPoint, n: int) -> Fraction:
     lam = lam if isinstance(lam, Partition) else Partition(lam)
     P.require("a", "b", "c", "d", "sqrt_t")
@@ -137,7 +149,9 @@ def koorn_oracle(lam, P: ParamPoint, n: int, use_cache: bool = True) -> LaurentP
     Solved by back-substitution over the dominance-ordered monomial basis;
     nothing about the closed one-row formulas enters here, which is what
     makes the result usable as a reference value for them.  Solutions are
-    cached on disk because the triangular solve dominates verification time.
+    cached on disk because the triangular solve dominates verification time;
+    within a process the solve's columns are kept too, so solving several
+    rows at one point applies the operator once per distinct basis element.
     A cache entry is used only when its schema, rank, partition and point
     match the request; any other entry, or one that does not parse, is
     solved again and overwritten.
@@ -149,13 +163,9 @@ def koorn_oracle(lam, P: ParamPoint, n: int, use_cache: bool = True) -> LaurentP
         cached = _cache_load(path, lam, P, n)
         if cached is not None:
             return cached
-    op = _koorn_operator(P, n)
-
-    def column(mu):
-        image = op.apply(monomial_symmetric(mu.padded(n), n))
-        return {Partition(e): coeff for e, coeff in decompose_symmetric(image).items()}
-
-    coeffs = solve_triangular_eigenproblem(dominated_partitions(lam, n), column, lam)
+    coeffs = solve_triangular_eigenproblem(
+        dominated_partitions(lam, n), partial(_koorn_column, P, n), lam
+    )
     result = LaurentPoly.zero(n)
     for mu, coeff in coeffs.items():
         result = result + monomial_symmetric(mu.padded(n), n) * coeff

@@ -1,6 +1,7 @@
 """Substrate checks: Laurent arithmetic, exact division, partitions, orbits."""
 
 import heapq
+import math
 from fractions import Fraction as F
 from functools import lru_cache
 from unittest import mock
@@ -403,6 +404,95 @@ def test_exact_division_matches_peel_reference(data):
     assert _division_outcome(exact_div, f, g) == _division_outcome(_peel_div, f, g)
 
 
+def _int_poly(num_vars, terms, scale=1):
+    """A polynomial with int coefficients, as the operator builds them;
+    the LaurentPoly constructor would coerce them to Fraction."""
+    return LaurentPoly._raw(num_vars, {e: c for e, c in terms.items() if c}, scale)
+
+
+def _check_binomial_division(f, g):
+    """exact_div against the heap path on a two-term divisor: equal
+    quotients or InexactDivision from both, and int quotients whenever f
+    and g have int coefficients and g is primitive."""
+    got = _division_outcome(exact_div, f, g)
+    assert got == _division_outcome(algebra._heap_div, f, g)
+    a, b = g.terms.values()
+    integral = all(type(c) is int for c in [a, b, *f.terms.values()])
+    if got is not InexactDivision and integral and math.gcd(a, b) == 1:
+        assert all(type(c) is int for c in got.terms.values())
+    return got
+
+
+# (num_vars, scale, dividend, divisor, quotient or InexactDivision)
+BINOMIAL_CASES = [
+    pytest.param(1, 1, {(1,): 1, (0,): -1}, {(1,): 2, (0,): -2}, {(0,): F(1, 2)},
+                 id="non-primitive"),
+    pytest.param(1, 1, {(4,): 16, (0,): -1}, {(2,): 4, (0,): -1},
+                 {(2,): 4, (0,): 1}, id="non-unit-lead"),
+    pytest.param(1, 1, {(1,): 3, (0,): -1}, {(1,): 2, (0,): -1}, InexactDivision,
+                 id="non-integral-step"),
+    pytest.param(1, 1, {(2,): 1, (0,): 1}, {(1,): 1, (0,): -1}, InexactDivision,
+                 id="line-remainder"),
+    pytest.param(2, 1, {(2, 0): 1, (0, 2): -1}, {(1, 0): 1, (0, 1): -1},
+                 {(1, 0): 1, (0, 1): 1}, id="lower-term-off-origin"),
+    pytest.param(2, 1, {(1, 3): 1, (1, 0): -1}, {(0, 1): 1, (0, 0): -1},
+                 {(1, 2): 1, (1, 1): 1, (1, 0): 1}, id="direction-first-entry-zero"),
+    pytest.param(1, 1, {(3,): 1, (-3,): -1}, {(1,): 1, (-1,): -1},
+                 {(2,): 1, (0,): 1, (-2,): 1}, id="negative-exponents"),
+    pytest.param(2, 2, {(3, 1): 2, (1, 1): 1, (-1, 1): -1}, {(2, 0): 2, (0, 0): -1},
+                 {(1, 1): 1, (-1, 1): 1}, id="scale-2"),
+]
+
+
+@pytest.mark.parametrize("num_vars, scale, f, g, want", BINOMIAL_CASES)
+@pytest.mark.parametrize("make", [_int_poly, LaurentPoly], ids=["int", "fraction"])
+def test_binomial_division_cases(make, num_vars, scale, f, g, want):
+    f, g = make(num_vars, f, scale), make(num_vars, g, scale)
+    if want is not InexactDivision:
+        want = LaurentPoly(num_vars, want, scale)
+    assert _check_binomial_division(f, g) == want
+
+
+@settings(derandomize=True, max_examples=200)
+@given(st.data())
+def test_binomial_division_matches_heap_path(data):
+    num_vars = data.draw(st.integers(1, 3), label="num_vars")
+    scale = data.draw(st.sampled_from((1, 2)), label="scale")
+    exps = st.tuples(*[st.integers(-3, 3)] * num_vars)
+    e1, e0 = data.draw(st.lists(exps, min_size=2, max_size=2, unique=True), label="g")
+    integral = data.draw(st.booleans(), label="int coefficients")
+    if integral:
+        # a content of 2 makes the binomial non-primitive
+        a, b = data.draw(st.tuples(*[st.integers(-4, 4).filter(bool)] * 2), label="g_c")
+        content = data.draw(st.sampled_from((1, 2)), label="content")
+        g = _int_poly(num_vars, {e1: content * a, e0: content * b}, scale)
+    else:
+        a, b = data.draw(st.tuples(_nonzero_rationals(), _nonzero_rationals()), label="g_c")
+        g = LaurentPoly(num_vars, {e1: a, e0: b}, scale)
+
+    def poly(label, min_size, max_size):
+        terms = data.draw(
+            st.dictionaries(exps, _nonzero_rationals(), min_size=min_size, max_size=max_size),
+            label=label,
+        )
+        return LaurentPoly(num_vars, terms, scale)
+
+    kind = data.draw(st.sampled_from(("exact", "bumped", "arbitrary")), label="kind")
+    f = poly("f", 1, 8) if kind == "arbitrary" else poly("q", 1, 5) * g
+    if integral:
+        # cleared of denominators: a rational quotient of it by a
+        # non-primitive g need not be integral
+        f = algebra._integer_numerators(f)[0]
+    if kind == "bumped":
+        # an exact product whose leading coefficient is off by one: a
+        # quotient rounded down at that step would still divide out
+        lead, c = f.leading()
+        terms = dict(f.terms)
+        terms[lead] = c + 1
+        f = (_int_poly if integral else LaurentPoly)(num_vars, terms, scale)
+    _check_binomial_division(f, g)
+
+
 class TestOrbits:
     def test_signed_orbit_counts(self):
         assert len(signed_orbit((1, 0))) == 4
@@ -493,6 +583,19 @@ class TestClearedShiftOperator:
         )
         with pytest.raises(ValueError, match="generator coefficient is not invariant"):
             ClearedShiftOperator(P, 2, generator)
+
+    def test_denominator_factors_must_be_binomials(self):
+        # 1 + x + x^2 is closed under x -> 1/x up to a unit, but it has
+        # three terms, so it has no primitive integer binomial form
+        P = ParamPoint(sqrt_q=F(1, 2))
+        generator = ShiftTerm(
+            numer_factors=(LaurentPoly.one(1),),
+            denom_factors=(lp1({(0,): 1, (1,): 1, (2,): 1}),),
+            var=0,
+            step=1,
+        )
+        with pytest.raises(ValueError, match="is not a binomial"):
+            ClearedShiftOperator(P, 1, generator)
 
 
 # -- the explicit operator sum, kept as the reference for the orbit fold -------
@@ -659,14 +762,20 @@ ORBIT_CASES = [
 ]
 
 
+def _monic_key(p):
+    """p scaled by the inverse of its lex-leading coefficient: the support
+    and the coefficient ratios, blind to a constant factor."""
+    return (p * (1 / rat(p.leading()[1]))).key()
+
+
 def _traced_outcome(apply, f):
     """apply(f), or InexactDivision, with the (dividend, divisor) of every
-    exact division it made."""
+    exact division it made, each up to a constant factor."""
     divisions = []
     real_div = algebra.exact_div
 
     def recording_div(num, den):
-        divisions.append((num.key(), den.key()))
+        divisions.append((_monic_key(num), _monic_key(den)))
         return real_div(num, den)
 
     with mock.patch.object(algebra, "exact_div", recording_div):

@@ -9,10 +9,18 @@ from fractions import Fraction
 
 import pytest
 
-from qbc.algebra import LaurentPoly, ParamPoint, Partition, monomial_symmetric
+from qbc.algebra import (
+    ClearedShiftOperator,
+    LaurentPoly,
+    ParamPoint,
+    Partition,
+    dominated_partitions,
+    monomial_symmetric,
+)
 from qbc.askey_wilson import aw_apply, aw_eigenvalue, aw_poly
 from qbc.errors import ParameterDegeneracy
 from qbc.koornwinder import (
+    _koorn_column,
     g_row_general,
     g_row_sym,
     g_series,
@@ -143,6 +151,27 @@ class TestOracle:
         assert poly.coeff((2, 1)) == 1
         eig = koorn_eigenvalue((2, 1), P, 2)
         assert koorn_apply(poly, P, 2) == poly * eig
+
+    def test_rows_share_operator_columns(self, monkeypatch):
+        # the bases of rows 0-3 at rank 3 nest, so four uncached solves
+        # apply the operator once per distinct mu, not once per column
+        applied = []
+        real_apply = ClearedShiftOperator.apply
+
+        def spy(op, f):
+            applied.append(f.key())
+            return real_apply(op, f)
+
+        _koorn_column.cache_clear()
+        monkeypatch.setattr(ClearedShiftOperator, "apply", spy)
+        distinct, columns = set(), 0
+        for r in range(4):
+            basis = dominated_partitions(Partition((r,)), 3)
+            distinct.update(basis)
+            columns += len(basis)
+            koorn_oracle((r,), POINT_K1, 3, use_cache=False)
+        assert columns == 14
+        assert len(applied) == len(set(applied)) == len(distinct) == 7
 
     def test_cache_round_trip(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QBC_CACHE_DIR", str(tmp_path))
