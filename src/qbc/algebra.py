@@ -16,6 +16,7 @@ and it is an error if it is irrational at the supplied point.
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
 import itertools
 import math
@@ -143,18 +144,8 @@ class ParamPoint:
         return self
 
     def replace(self, **kw) -> "ParamPoint":
-        fields = {
-            "sqrt_q": self.sqrt_q,
-            "a": self.a,
-            "b": self.b,
-            "c": self.c,
-            "d": self.d,
-            "sqrt_t": self.sqrt_t,
-            "sqrt_T": self.sqrt_T,
-            "s": self.s,
-        }
-        fields.update(kw)
-        return ParamPoint(**fields)
+        """A copy with some fields changed, checked again by __post_init__."""
+        return dataclasses.replace(self, **kw)
 
     def canonical_key(self) -> str:
         """Deterministic filesystem-safe identifier for this point."""

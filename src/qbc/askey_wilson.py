@@ -304,7 +304,7 @@ def psi_series(s, P: ParamPoint, N: int) -> SeriesTrunc:
             base=q,
             argument=q,
         )
-        inner.append(outer * phi_sum(spec))
+        inner.append(outer * phi_sum(spec, n))
         outer *= (1 - q * s ** 2 / a ** 2 * qn) / (1 - q * qn) * (a / s)
         qn *= q
     coeffs = []
@@ -371,7 +371,7 @@ def even_sum_forms(s, P: ParamPoint, N: int) -> EvenSumForms:
             base=q2,
             argument=q2,
         )
-        closed.append(headn / headd * (q ** 3 / (a ** 2 * c ** 2)) ** K * phi_sum(spec))
+        closed.append(headn / headd * (q ** 3 / (a ** 2 * c ** 2)) ** K * phi_sum(spec, K))
 
     split = [Fraction(0)] * (N + 1)
     coupled = [Fraction(0)] * (N + 1)
@@ -440,7 +440,7 @@ def odd_sum_check(l: int, s, P: ParamPoint):
         base=q,
         argument=q,
     )
-    closed = headn / headd * (q / d) ** l * phi_sum(spec)
+    closed = headn / headd * (q / d) ** l * phi_sum(spec, l)
     return direct, closed
 
 

@@ -359,51 +359,30 @@ def _series_terms(w: B2Weight, P: ParamPoint, ring, bound: int) -> dict:
             f"{label} index passed {bound} without a vanishing factor"
         )
 
-    th1_memo: dict = {}
+    ladder_memo: dict = {}
 
-    def th1_sum(d: int):
-        # sum over the x2/x1 direction; depends on theta3 - theta2 only
-        if d not in th1_memo:
+    def two_factor_sum(step: int, gamma, label: str):
+        """Cells (doubled exponent offset, weight) of the sum over one ladder
+        direction stepping (-2, step): cell k + 1 is cell k times
+        (q/t) (1 - q^k t)(1 - gamma q^k) / ((1 - q^(k+1))(1 - gamma q^(k+1) / t)).
+        Memoized per (step, gamma)."""
+        key = (step, gamma)
+        if key not in ladder_memo:
             cells = []
             run = ring.one
             k = 0
             while True:
-                cells.append(((-2 * k, 2 * k), run))
+                cells.append(((-2 * k, step * k), run))
                 if k > bound:
-                    raise overran("skew direction")
-                num = ring.factor(q ** k, 1) * ring.factor(q ** (d + k) * c2 / c1, 0)
-                den = ring.factor(q ** (1 + k), 0) * ring.factor(
-                    q ** (d + 1 + k) * c2 / c1, -1
-                )
+                    raise overran(label)
+                num = ring.factor(q ** k, 1) * ring.factor(q ** k * gamma, 0)
+                den = ring.factor(q ** (1 + k), 0) * ring.factor(q ** (1 + k) * gamma, -1)
                 if stop(num, den, "ladder denominator"):
                     break
                 run = run * ring.unit(q, -1) * num / den
                 k += 1
-            th1_memo[d] = cells
-        return th1_memo[d]
-
-    th4_memo: dict = {}
-
-    def th4_sum(m: int):
-        # sum over the 1/(x1 x2) direction; depends on 2n + theta2 + theta3
-        if m not in th4_memo:
-            cells = []
-            run = ring.one
-            k = 0
-            while True:
-                cells.append(((-2 * k, -2 * k), run))
-                if k > bound:
-                    raise overran("diagonal direction")
-                num = ring.factor(q ** k, 1) * ring.factor(q ** (m + k) * T / cc, 0)
-                den = ring.factor(q ** (1 + k), 0) * ring.factor(
-                    q ** (m + 1 + k) * T / cc, -1
-                )
-                if stop(num, den, "ladder denominator"):
-                    break
-                run = run * ring.unit(q, -1) * num / den
-                k += 1
-            th4_memo[m] = cells
-        return th4_memo[m]
+            ladder_memo[key] = cells
+        return ladder_memo[key]
 
     out: dict = {}
     n = 0
@@ -447,9 +426,15 @@ def _series_terms(w: B2Weight, P: ParamPoint, ring, bound: int) -> dict:
                 cell = hterm * b2run * b3run
                 base1 = d1 - 2 * n - 2 * t3
                 base2 = d2 - 2 * n - 2 * t2
-                for (e1, e2), w1 in th1_sum(t3 - t2):
+                # the x2/x1 direction depends on theta3 - theta2 only, the
+                # 1/(x1 x2) direction on 2n + theta2 + theta3
+                skew = two_factor_sum(2, q ** (t3 - t2) * c2 / c1, "skew direction")
+                diagonal = two_factor_sum(
+                    -2, q ** (2 * n + t2 + t3) * T / cc, "diagonal direction"
+                )
+                for (e1, e2), w1 in skew:
                     left = cell * w1
-                    for (g1, g2), w4 in th4_sum(2 * n + t2 + t3):
+                    for (g1, g2), w4 in diagonal:
                         exps = (base1 + e1 + g1, base2 + e2 + g2)
                         out[exps] = out.get(exps, ring.zero) + left * w4
                 k = t3

@@ -30,7 +30,7 @@ class LengthError(QbcError):
 
 class DivergentSpec(QbcError):
     """A basic hypergeometric sum was asked to terminate but no upper
-    parameter is an exact nonpositive power of the base."""
+    parameter is base^-M for an M up to the caller's bound."""
 
 
 class PoleInLower(QbcError):

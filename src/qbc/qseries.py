@@ -1,9 +1,10 @@
 """q-Pochhammer symbols and terminating basic hypergeometric sums.
 
-All evaluation is exact over Fraction.  A series is summed either to an
-explicit number of terms or in terminating mode, where some upper parameter
-must be an exact nonpositive power of the base; termination is detected by
-repeated multiplication, never by floating point.
+All evaluation is exact over Fraction.  A basic hypergeometric sum must
+terminate: the caller passes an N for which some upper parameter equals
+base^-N, and the sum stops at the first cutoff at or below N.  Cutoffs are
+found by at most N + 1 exact multiplications per upper parameter, never by
+floating point.
 """
 
 from __future__ import annotations
@@ -13,13 +14,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .algebra import rat
-from .errors import DivergentSpec, NonTerminating, PoleInLower
-
-#: sentinel for phi_sum: sum until the terminating upper parameter cuts off
-TERMINATING = object()
-
-#: bound on the search for q^-N structure and on terminating-series length
-TERMINATION_SCAN_CAP = 512
+from .errors import DivergentSpec, PoleInLower
 
 
 def qpoch(a, q, n: int) -> Fraction:
@@ -50,8 +45,8 @@ def qpoch_multi(params: Sequence, q, n: int) -> Fraction:
     return out
 
 
-def power_of_base(u, q, cap: int = TERMINATION_SCAN_CAP) -> Optional[int]:
-    """Return N >= 0 with u = q^-N exactly, or None within the scan cap."""
+def power_of_base(u, q, cap: int) -> Optional[int]:
+    """Return N in 0..cap with u = q^-N exactly, or None."""
     u, q = rat(u), rat(q)
     p = u
     for n in range(cap + 1):
@@ -82,29 +77,21 @@ class PhiSpec:
         object.__setattr__(self, "argument", rat(self.argument))
 
 
-def phi_sum(spec: PhiSpec, max_terms=TERMINATING) -> Fraction:
-    """Evaluate a basic hypergeometric sum exactly.
+def phi_sum(spec: PhiSpec, N: int) -> Fraction:
+    """Evaluate a terminating basic hypergeometric sum exactly.
 
-    With max_terms=TERMINATING the series must terminate: some upper
-    parameter equals base^-N, and N+1 terms are summed.  With an integer
-    max_terms exactly that many terms are added (a partial sum).  A lower
-    parameter whose Pochhammer vanishes inside the summed range raises
-    PoleInLower; termination that never arrives raises DivergentSpec or
-    NonTerminating.
+    Some upper parameter must equal base^-N.  The sum runs through the
+    smallest M <= N for which an upper parameter equals base^-M, so M + 1
+    terms are added.  A lower parameter whose Pochhammer vanishes inside
+    the summed range raises PoleInLower; a spec with no such cutoff raises
+    DivergentSpec.
     """
     q = spec.base
-    if max_terms is TERMINATING:
-        cutoffs = [power_of_base(u, q) for u in spec.uppers]
-        cutoffs = [n for n in cutoffs if n is not None]
-        if not cutoffs:
-            raise DivergentSpec(
-                f"no upper parameter in {spec.uppers} is a q^-N within the scan cap"
-            )
-        length = min(cutoffs) + 1
-    else:
-        length = int(max_terms)
-        if length < 0:
-            raise ValueError("max_terms must be nonnegative")
+    cutoffs = [power_of_base(u, q, N) for u in spec.uppers]
+    cutoffs = [n for n in cutoffs if n is not None]
+    if not cutoffs:
+        raise DivergentSpec(f"no upper parameter in {spec.uppers} is a q^-M with M <= {N}")
+    length = min(cutoffs) + 1
     total = Fraction(0)
     term = Fraction(1)
     qm = Fraction(1)  # q^m

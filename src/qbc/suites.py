@@ -1,12 +1,15 @@
 """Verification suites over configured parameter points.
 
 Each suite replays one block of identities at every configured point and
-returns a VerificationReport.  The default point set ships as package data
+returns a VerificationReport.  A suite is written as a generator of case
+entries; _run alone calls their checks, times them and records the
+verdicts.  The default point set ships as package data
 (default_config.json); a user configuration may replace any point group
 wholesale, but every group it keeps must stay nonempty and the truncation
 degree must stay at least 4.
 """
 
+import functools
 import json
 import time
 from dataclasses import dataclass, field
@@ -131,28 +134,47 @@ def default_config() -> RunConfig:
     return RunConfig.from_json_obj(json.loads(text))
 
 
-def _run_case(report, case_id, anchor, point_obj, degrees, check, setup=0.0) -> None:
-    """Time one check and record its verdict; setup is the shared work done
-    before it that this case also carries."""
-    t0 = time.perf_counter()
-    outcome = check()
-    seconds = setup + time.perf_counter() - t0
-    if outcome is SKIPPED:
-        verdict, outcome = "skipped", None
-    else:
-        verdict = "pass" if outcome is None else "fail"
-    report.add(CaseResult(case_id, anchor, point_obj, degrees, verdict, outcome, seconds))
+def _run(name: str, entries) -> VerificationReport:
+    """Run (case_id, anchor, point, degrees, check) entries into a report.
+
+    A case's seconds run from the end of the previous case, or the start of
+    the suite, to the end of its own check: work the generator does between
+    two checks, such as building a check plan, lands in the next case, and
+    the seconds add up to the suite's time.  Each check is called before the
+    generator resumes, so a check may read the generator's loop variables.
+    """
+    rep = VerificationReport(name)
+    last = time.perf_counter()
+    for case_id, anchor, point_obj, degrees, check in entries:
+        outcome = check()
+        now = time.perf_counter()
+        if outcome is SKIPPED:
+            verdict, outcome = "skipped", None
+        else:
+            verdict = "pass" if outcome is None else "fail"
+        rep.add(CaseResult(case_id, anchor, point_obj, degrees, verdict, outcome, now - last))
+        last = now
+    return rep
 
 
-def _run_plan(report, prefix, point_obj, build, *args) -> None:
-    """Run the check plan build(*args) returns, prefixing each case id.  The
-    time build spends on shared set-up is charged to the plan's first case."""
-    t0 = time.perf_counter()
-    plan = build(*args)
-    setup = time.perf_counter() - t0
+def _plan(prefix: str, point_obj, plan):
+    """Entries for a (suffix, anchor, degrees, check) plan at one point."""
     for suffix, anchor, degrees, check in plan:
-        _run_case(report, prefix + suffix, anchor, point_obj, degrees, check, setup)
-        setup = 0.0
+        yield prefix + suffix, anchor, point_obj, degrees, check
+
+
+def _suite(name: str):
+    """Make a generator of case entries into a suite function that returns
+    the VerificationReport _run records from it."""
+
+    def decorate(cases):
+        @functools.wraps(cases)
+        def suite(*args, **kwargs):
+            return _run(name, cases(*args, **kwargs))
+
+        return suite
+
+    return decorate
 
 
 def _poly_mismatch(got, want) -> Optional[dict]:
@@ -188,60 +210,35 @@ def _series_mismatch(got, want, top) -> Optional[dict]:
     return None
 
 
-def suite_askey_wilson(cfg: RunConfig) -> VerificationReport:
+@_suite("askey-wilson")
+def suite_askey_wilson(cfg: RunConfig):
     """Fourfold expansion, difference equation, series recombination, and
     the terminating rescale, at every configured four-parameter point."""
-    rep = VerificationReport("askey-wilson")
     for i, cp in enumerate(cfg.points("askey-wilson"), 1):
         P = cp.point
         pj = P.to_json_obj()
         for lam in range(7):
-
-            def fourfold_check(P=P, lam=lam):
-                return _poly_mismatch(fourfold_poly(lam, P), aw_poly(lam, P))
-
-            _run_case(
-                rep,
-                f"aw-fourfold-p{i}-l{lam}",
-                "fourfold-expansion",
-                pj,
-                {"weight": lam},
-                fourfold_check,
+            yield (
+                f"aw-fourfold-p{i}-l{lam}", "fourfold-expansion", pj, {"weight": lam},
+                lambda: _poly_mismatch(fourfold_poly(lam, P), aw_poly(lam, P)),
             )
         for n in range(7):
 
-            def eigen_check(P=P, n=n):
+            def eigen_check():
                 poly = aw_poly(n, P)
                 return _poly_mismatch(aw_apply(poly, P), aw_eigenvalue(n, P) * poly)
 
-            _run_case(
-                rep,
-                f"aw-eigen-p{i}-n{n}",
-                "difference-equation",
-                pj,
-                {"weight": n},
-                eigen_check,
-            )
-
-        def recombine_check(P=P):
-            P.require("s")
-            return _series_mismatch(
-                psi_series(P.s, P, cfg.degree),
-                phi_series(P.s, P, cfg.degree),
-                cfg.degree,
-            )
-
-        _run_case(
-            rep,
-            f"aw-series-p{i}",
-            "series-recombination",
-            pj,
-            {"truncation": cfg.degree},
-            recombine_check,
+            yield f"aw-eigen-p{i}-n{n}", "difference-equation", pj, {"weight": n}, eigen_check
+        P.require("s")
+        yield (
+            f"aw-series-p{i}", "series-recombination", pj, {"truncation": cfg.degree},
+            lambda: _series_mismatch(
+                psi_series(P.s, P, cfg.degree), phi_series(P.s, P, cfg.degree), cfg.degree
+            ),
         )
         for m in range(1, 5):
 
-            def rescale_check(P=P, m=m):
+            def rescale_check():
                 a, q = P.a, P.q
                 ser = psi_series(q**-m, P, 2 * m + 2)
                 for j in range(2 * m + 1, 2 * m + 3):
@@ -263,31 +260,21 @@ def suite_askey_wilson(cfg: RunConfig) -> VerificationReport:
                 )
                 return _poly_mismatch(rescaled, bare)
 
-            _run_case(
-                rep,
-                f"aw-rescale-p{i}-m{m}",
-                "terminating-rescale",
-                pj,
-                {"weight": m},
-                rescale_check,
-            )
-    return rep
+            yield f"aw-rescale-p{i}-m{m}", "terminating-rescale", pj, {"weight": m}, rescale_check
 
 
-def suite_bibasic(cfg: RunConfig) -> VerificationReport:
+@_suite("bibasic")
+def suite_bibasic(cfg: RunConfig):
     """Even-sum forms, the a/c swap, odd closed forms, and both tied-point
     collapses of the fourfold series."""
-    rep = VerificationReport("bibasic")
     half = cfg.degree // 2
     simp_deg = max(4, cfg.degree - 2)
     for i, cp in enumerate(cfg.points("askey-wilson"), 1):
-        P = cp.point
-        P.require("s")
-        s = P.s
+        P = cp.point.require("s")
         pj = P.to_json_obj()
 
-        def even_check(P=P, s=s):
-            forms = even_sum_forms(s, P, half)
+        def even_check():
+            forms = even_sum_forms(P.s, P, half)
             routes = (
                 ("closed", forms.closed),
                 ("bibasic-split", forms.bibasic_split),
@@ -304,19 +291,12 @@ def suite_bibasic(cfg: RunConfig) -> VerificationReport:
                         }
             return None
 
-        _run_case(
-            rep,
-            f"bib-even-p{i}",
-            "even-sum-forms",
-            pj,
-            {"max_power": 2 * half},
-            even_check,
-        )
+        yield f"bib-even-p{i}", "even-sum-forms", pj, {"max_power": 2 * half}, even_check
 
-        def watson_check(P=P, s=s):
+        def watson_check():
             swapped = P.replace(a=P.c, c=P.a)
-            first = even_sum_forms(s, P, half).closed
-            second = even_sum_forms(s, swapped, half).closed
+            first = even_sum_forms(P.s, P, half).closed
+            second = even_sum_forms(P.s, swapped, half).closed
             for K in range(half + 1):
                 if first[K] != second[K]:
                     return {
@@ -326,60 +306,33 @@ def suite_bibasic(cfg: RunConfig) -> VerificationReport:
                     }
             return None
 
-        _run_case(
-            rep,
-            f"bib-watson-p{i}",
-            "watson-symmetry",
-            pj,
-            {"max_power": 2 * half},
-            watson_check,
-        )
+        yield f"bib-watson-p{i}", "watson-symmetry", pj, {"max_power": 2 * half}, watson_check
         for l in range(7):
-
-            def odd_check(P=P, s=s, l=l):
-                direct, closed = odd_sum_check(l, s, P)
-                return _value_mismatch(direct, closed, f"odd sum, degree {l}")
-
-            _run_case(
-                rep,
-                f"bib-odd-p{i}-l{l}",
-                "odd-sum-closed",
-                pj,
-                {"degree": l},
-                odd_check,
+            yield (
+                f"bib-odd-p{i}-l{l}", "odd-sum-closed", pj, {"degree": l},
+                lambda: _value_mismatch(*odd_sum_check(l, P.s, P), f"odd sum, degree {l}"),
             )
     for variant, group, anchor in (
         (HALF_BASE, "tied-half", "half-base-collapse"),
         (FULL_BASE, "tied-full", "full-base-collapse"),
     ):
         for i, cp in enumerate(cfg.points(group), 1):
-            P = cp.point
-            P.require("s")
-
-            def tied_check(P=P, variant=variant):
-                return _series_mismatch(
+            P = cp.point.require("s")
+            yield (
+                f"bib-{group}-p{i}", anchor, P.to_json_obj(), {"truncation": simp_deg},
+                lambda: _series_mismatch(
                     simplified_series(variant, P.s, P, simp_deg),
                     phi_series(P.s, P, simp_deg),
                     simp_deg,
-                )
-
-            _run_case(
-                rep,
-                f"bib-{group}-p{i}",
-                anchor,
-                P.to_json_obj(),
-                {"truncation": simp_deg},
-                tied_check,
+                ),
             )
     for variant, group in ((TYPE_C, "lemma-c"), (TYPE_B, "lemma-b")):
         for i, cp in enumerate(cfg.points(group), 1):
-            P = cp.point
-            P.require("s")
-            _run_plan(
-                rep, f"bib-p{i}-lemma-", P.to_json_obj(),
-                simplification_lemma_check, variant, P.s, P, simp_deg,
+            P = cp.point.require("s")
+            yield from _plan(
+                f"bib-p{i}-lemma-", P.to_json_obj(),
+                simplification_lemma_check(variant, P.s, P, simp_deg),
             )
-    return rep
 
 
 def koornwinder_rows(cfg: RunConfig, ranks=None, rows=None):
@@ -412,32 +365,26 @@ def lassalle_rows(cfg: RunConfig, families=None, ranks=None, rows=None):
                     yield i, cp, tag, Q, n, r
 
 
-def suite_koornwinder(cfg: RunConfig, ranks=None, rows=None) -> VerificationReport:
+@_suite("koornwinder")
+def suite_koornwinder(cfg: RunConfig, ranks=None, rows=None):
     """One-row formula against the cached operator oracle, scaled by the
     row head (t;q)_r / (q;q)_r."""
-    rep = VerificationReport("koornwinder")
     for i, cp, n, r in koornwinder_rows(cfg, ranks, rows):
-
-        def row_check(P=cp.point, n=n, r=r):
-            head = qpoch(P.t, P.q, r) / qpoch(P.q, P.q, r)
-            want = koorn_oracle((r,), P, n) * head
-            return _poly_mismatch(g_row_general(r, P, n), want)
-
-        _run_case(
-            rep,
-            f"koorn-p{i}-n{n}-r{r:02d}",
-            "row-head-ratio",
-            cp.point.to_json_obj(),
+        P = cp.point
+        yield (
+            f"koorn-p{i}-n{n}-r{r:02d}", "row-head-ratio", P.to_json_obj(),
             {"rank": n, "row": r},
-            row_check,
+            lambda: _poly_mismatch(
+                g_row_general(r, P, n),
+                koorn_oracle((r,), P, n) * (qpoch(P.t, P.q, r) / qpoch(P.q, P.q, r)),
+            ),
         )
-    return rep
 
 
-def suite_lassalle(cfg: RunConfig, families=None, ranks=None, rows=None) -> VerificationReport:
+@_suite("lassalle")
+def suite_lassalle(cfg: RunConfig, families=None, ranks=None, rows=None):
     """Both one-row displays for the three classical specializations against
     the operator oracle at the specialized point."""
-    rep = VerificationReport("lassalle")
     for i, cp, tag, Q, n, r in lassalle_rows(cfg, families, ranks, rows):
         stem = f"las-{tag.family.lower()}-p{i}-n{n}-r{r}"
         degrees = {"family": tag.family, "rank": n, "row": r}
@@ -445,73 +392,52 @@ def suite_lassalle(cfg: RunConfig, families=None, ranks=None, rows=None) -> Veri
             ("-row", "family-row", mac_row),
             ("-positive", "positive-power-row", lassalle_form),
         ):
-
-            def display_check(display=display, tag=tag, Q=Q, P=cp.point, n=n, r=r):
-                return _poly_mismatch(display(tag, r, P, n), koorn_oracle((r,), Q, n))
-
-            _run_case(rep, stem + suffix, anchor, cp.to_json_obj(), degrees, display_check)
-    return rep
+            yield (
+                stem + suffix, anchor, cp.to_json_obj(), degrees,
+                lambda: _poly_mismatch(display(tag, r, cp.point, n), koorn_oracle((r,), Q, n)),
+            )
 
 
-def suite_b2(cfg: RunConfig) -> VerificationReport:
+@_suite("b2")
+def suite_b2(cfg: RunConfig):
     """Rank-two conjecture sweep up to the configured weight bound, the
     threefold single-row formula, and the one-parameter character collapse."""
-    rep = VerificationReport("b2")
     bound = cfg.max_weight
     for i, cp in enumerate(cfg.points("b2"), 1):
         P = cp.point
         pj = P.to_json_obj()
         for total in range(bound + 1):
             for r1 in range(total + 1):
-                _run_plan(rep, f"b2-p{i}-", pj, b2_conjecture_check, r1, total - r1, P)
+                yield from _plan(f"b2-p{i}-", pj, b2_conjecture_check(r1, total - r1, P))
         for r in range(bound + 1):
-
-            def threefold_check(P=P, r=r):
-                return _poly_mismatch(b2_row_threefold(r, P), f_b2_poly(B2Weight(r, 0), P))
-
-            _run_case(
-                rep,
-                f"b2-p{i}-threefold-r{r}",
-                "threefold-row",
-                pj,
-                {"row": r},
-                threefold_check,
+            yield (
+                f"b2-p{i}-threefold-r{r}", "threefold-row", pj, {"row": r},
+                lambda: _poly_mismatch(b2_row_threefold(r, P), f_b2_poly(B2Weight(r, 0), P)),
             )
     for i, cp in enumerate(cfg.points("b2-character"), 1):
         P = cp.point
-        pj = P.to_json_obj()
         for total in range(min(bound, 2) + 1):
             for r1 in range(total + 1):
                 r2 = total - r1
-
-                def char_check(P=P, r1=r1, r2=r2):
-                    return _poly_mismatch(
-                        b2_character_series(B2Weight(r1, r2), P),
-                        b2_character_polytope(r1, r2),
-                    )
-
-                _run_case(
-                    rep,
-                    f"b2-char-c{i}-r{r1}{r2}",
-                    "character-collapse",
-                    pj,
+                yield (
+                    f"b2-char-c{i}-r{r1}{r2}", "character-collapse", P.to_json_obj(),
                     {"weight": [r1, r2]},
-                    char_check,
+                    lambda: _poly_mismatch(
+                        b2_character_series(B2Weight(r1, r2), P), b2_character_polytope(r1, r2)
+                    ),
                 )
-    return rep
 
 
-def suite_kernel(cfg: RunConfig) -> VerificationReport:
+@_suite("kernel")
+def suite_kernel(cfg: RunConfig):
     """Truncated kernel-function identity at rank two for each tied point."""
-    rep = VerificationReport("kernel")
     for i, cp in enumerate(cfg.points("kernel"), 1):
         if cp.beta is None:
             raise ValueError("kernel points must carry beta")
-        _run_plan(
-            rep, f"kernel-p{i}-", cp.point.to_json_obj(),
-            kernel_identity_check, 2, cp.beta, 6, cp.point,
+        yield from _plan(
+            f"kernel-p{i}-", cp.point.to_json_obj(),
+            kernel_identity_check(2, cp.beta, 6, cp.point),
         )
-    return rep
 
 
 SUITES = {

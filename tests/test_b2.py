@@ -25,8 +25,7 @@ from qbc.b2 import (
     f_b2_poly,
 )
 from qbc.errors import DimensionMismatch, NonTerminating, ParameterDegeneracy
-from qbc.reports import VerificationReport
-from qbc.suites import _run_plan
+from qbc.suites import _plan, _run
 
 # t, t^2, T, tT, t^2T must stay off integer powers of q, or a denominator
 # ladder pins to 1 at a live index.  Both points were picked for that.
@@ -246,9 +245,7 @@ class TestCharacterCollapse:
 
 
 def _plan_report(r1, r2, P):
-    report = VerificationReport("b2")
-    _run_plan(report, "", P.to_json_obj(), b2_conjecture_check, r1, r2, P)
-    return report
+    return _run("b2", _plan("", P.to_json_obj(), b2_conjecture_check(r1, r2, P)))
 
 
 class TestConjectureCheck:

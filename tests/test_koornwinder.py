@@ -31,8 +31,7 @@ from qbc.koornwinder import (
     koorn_oracle,
 )
 from qbc.qseries import qpoch
-from qbc.reports import VerificationReport
-from qbc.suites import _run_plan
+from qbc.suites import _plan, _run
 
 POINT_K1 = ParamPoint(
     sqrt_q=Fraction(1, 2), sqrt_t=Fraction(1, 3), a=2, b=3, c=5, d=Fraction(5, 6)
@@ -262,9 +261,7 @@ class TestOneRowFormulas:
 
 
 def _kernel_report(n, beta, deg, P):
-    report = VerificationReport("kernel")
-    _run_plan(report, "", P.to_json_obj(), kernel_identity_check, n, beta, deg, P)
-    return report
+    return _run("kernel", _plan("", P.to_json_obj(), kernel_identity_check(n, beta, deg, P)))
 
 
 class TestKernelIdentity:

@@ -20,8 +20,7 @@ from qbc.macdonald_bcd import (
     simplification_lemma_check,
     specialize_params,
 )
-from qbc.reports import VerificationReport
-from qbc.suites import _run_plan
+from qbc.suites import _plan, _run
 
 # base points carry only (q, t); the family parameter lives on the tag.
 # sqrt_param values keep b/t, the squared ladders, and the shifted lower
@@ -146,9 +145,7 @@ class TestLassalleForms:
 
 
 def _lemma_report(variant, s, P, N):
-    report = VerificationReport("lemma")
-    _run_plan(report, "", P.to_json_obj(), simplification_lemma_check, variant, s, P, N)
-    return report
+    return _run("lemma", _plan("", P.to_json_obj(), simplification_lemma_check(variant, s, P, N)))
 
 
 class TestSimplificationLemma:

@@ -1,4 +1,4 @@
-"""The case pipeline: how suites run check plans and time their cases."""
+"""The case pipeline: how suites run their case entries and time them."""
 
 from dataclasses import replace
 from types import SimpleNamespace
@@ -39,12 +39,32 @@ def test_plan_verdicts_ids_and_setup_time(clock):
             ("c", "third", {"k": 2}, lambda: spend(0.5, SKIPPED)),
         ]
 
-    report = VerificationReport("plan")
-    suites._run_plan(report, "p1-", {"sqrt_q": "1/2"}, build)
+    def entries():
+        yield from suites._plan("p1-", {"sqrt_q": "1/2"}, build())
+
+    report = suites._run("plan", entries())
+    assert report.suite == "plan"
     assert [c.case_id for c in report.cases] == ["p1-a", "p1-b", "p1-c"]
     assert [c.verdict for c in report.cases] == ["pass", "fail", "skipped"]
     assert [c.mismatch for c in report.cases] == [None, {"got": "1/1"}, None]
     assert [c.seconds for c in report.cases] == [6.0, 2.0, 0.5]
+
+
+def test_work_between_checks_lands_in_the_next_case(clock):
+    # 4 s of generator work precede each check, which itself takes 1 + k s;
+    # the clock starts with the suite, so the cases cover all of its time
+    def spend(seconds):
+        clock.now += seconds
+
+    def entries():
+        for k in range(3):
+            clock.now += 4.0
+            yield f"c{k}", "anchor", None, {"k": k}, lambda: spend(1.0 + k)
+
+    clock.now = 10.0
+    report = suites._run("gen", entries())
+    assert [c.seconds for c in report.cases] == [5.0, 6.0, 7.0]
+    assert sum(c.seconds for c in report.cases) == clock.now - 10.0
 
 
 def test_kernel_setup_lands_in_the_first_case(clock, monkeypatch):

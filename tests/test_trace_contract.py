@@ -1,12 +1,14 @@
-"""The benchmark's trace contract: the division layer it reports.
+"""The benchmark's trace contract: layers it reports.
 
 perfbench wraps ``algebra.exact_div`` at its module global and counts the
 calls and the dividend terms.  Those counts compare two commits only while
 one operator application still divides once per factor of its cleared
-denominator, through that global.
+denominator, through that global.  It also wraps ``qseries.power_of_base``
+and each suite function, whose span must enclose the suite's cases.
 """
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +17,7 @@ import pytest
 
 from qbc import algebra
 from qbc.algebra import monomial_symmetric
-from qbc.koornwinder import _koorn_operator
+from qbc.koornwinder import CACHE_ENV, _koorn_operator
 from qbc.suites import default_config
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -53,3 +55,37 @@ def test_perfbench_traces_exact_div_on_oracle_rank3():
     assert metrics["algebra.exact_div.calls"] == 45
     assert metrics["algebra.exact_div.terms_in"] == 15_554
     assert metrics["algebra.exact_div.s"] > 0
+
+
+BIBASIC_TRACE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import spans
+from qbc import suites
+tracer = spans.Tracer()
+spans.install_qbc_layers(tracer)
+report = suites.run_suite("bibasic", suites.default_config())
+metrics = spans.layer_metrics(tracer)
+print(json.dumps({
+    "passed": report.passed,
+    "case_seconds": sum(c.seconds for c in report.cases),
+    "power_of_base_calls": metrics["qseries.power_of_base.calls"],
+    "suite_total_s": metrics["suites.bibasic.total_s"],
+}))
+"""
+
+
+def test_traced_bibasic_reaches_the_cutoff_search_and_encloses_its_cases(tmp_path):
+    # phi_sum finds its cutoff through the module global perfbench wraps,
+    # and the suite span, wrapped around the suite function, covers every
+    # second its cases report
+    proc = subprocess.run(
+        [sys.executable, "-c", BIBASIC_TRACE, str(ROOT / "perfbench")],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src"), CACHE_ENV: str(tmp_path)},
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["passed"] is True
+    assert result["power_of_base_calls"] > 0
+    assert result["suite_total_s"] >= result["case_seconds"] > 0
