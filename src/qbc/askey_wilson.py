@@ -134,7 +134,10 @@ def aw_apply(f: LaurentPoly, P: ParamPoint) -> LaurentPoly:
 
 
 def coeff_ce(k: int, l: int, s, P: ParamPoint) -> Fraction:
-    """Even-family coefficient c_e(k, l; s): base q^2, depends only on a, c."""
+    """Even-family coefficient c_e(k, l; s): base q^2, depends only on a, c.
+
+    The per-term definition, every ladder rebuilt: the running-ratio walk
+    phi_series, fourfold_poly and even_sum_forms use is tested against it."""
     P.require("a", "c")
     a, c, q = P.a, P.c, P.q
     s = rat(s)
@@ -159,7 +162,11 @@ def coeff_ce(k: int, l: int, s, P: ParamPoint) -> Fraction:
 
 
 def coeff_co(m: int, n: int, s, P: ParamPoint) -> Fraction:
-    """Odd-family coefficient c_o(m, n; s): base q with two q^2 ladders."""
+    """Odd-family coefficient c_o(m, n; s): base q with two q^2 ladders.
+
+    The per-term definition, every ladder rebuilt: the running-ratio walk
+    phi_series and fourfold_poly use is tested against it, and
+    odd_sum_check's direct side sums it."""
     P.require("a", "b", "c", "d")
     a, b, c, d, q = P.a, P.b, P.c, P.d, P.q
     s = rat(s)
@@ -251,23 +258,128 @@ def coeff_ce_prime(k: int, l: int, s, P: ParamPoint) -> Fraction:
     return (knum / kden) * (q2 / a ** 2) ** k * (lnum / lden) * ratio * (q2 / c ** 2) ** l
 
 
+def _ladder_walk(tops, outer, inner, what: str):
+    """Anti-diagonal sums of a two-index coefficient family, built by running
+    ratios over the region 0 <= i < len(tops), 0 <= j <= tops[i].
+
+    tops must be non-increasing, so the region is closed downward and each
+    term is reached from a neighbour inside it: (i, 0) from (i - 1, 0) by
+    outer(i - 1), and (i, j) from (i, j - 1) by inner(i)(j - 1).  A ratio is
+    a (numerator, denominator) pair of factor products whose denominator
+    holds exactly the lower Pochhammer factors the step adds; a zero one is a
+    vanishing lower ladder at the term it builds and raises
+    ParameterDegeneracy, as the per-term definitions do.  sums[d] adds the
+    terms with i + j = d.
+    """
+    size = max((i + top for i, top in enumerate(tops)), default=-1) + 1
+    sums = [Fraction(0)] * size
+    head = Fraction(1)
+    for i, top in enumerate(tops):
+        if i:
+            num, den = outer(i - 1)
+            if den == 0:
+                raise ParameterDegeneracy(f"vanishing lower Pochhammer in {what}")
+            head = head * num / den
+        term = head
+        step = inner(i)
+        for j in range(top + 1):
+            if j:
+                num, den = step(j - 1)
+                if den == 0:
+                    raise ParameterDegeneracy(f"vanishing lower Pochhammer in {what}")
+                term = term * num / den
+            sums[i + j] += term
+    return sums
+
+
+def _even_sums(s, P: ParamPoint, tops):
+    """c_e(k, l; s) summed along k + l over 0 <= l < len(tops),
+    0 <= k <= tops[l]: a walk along l at k = 0, then along k."""
+    P.require("a", "c")
+    a, c, q = P.a, P.c, P.q
+    s = rat(s)
+    q2 = q * q
+    a2, c2, s2 = a * a, c * c, s * s
+    cq, sa2 = c2 / q, s2 / a2
+    sac3, qsa = q ** 3 * s2 / (a2 * c2), q * s / a2
+    sa4 = q2 * s2 / (a2 * a2)
+
+    def outer(l):
+        x = q ** (2 * l)
+        xx = x * x
+        num = (
+            (1 - cq * x) * (1 - sa2 * x) * (1 - s * x) * (1 - s * x * q)
+            * (1 - sa4 * xx) * (1 - sa4 * xx * q2)
+        )
+        den = (
+            (1 - q2 * x) * (1 - sac3 * x) * (1 - qsa * x) * (1 - qsa * x * q)
+            * (1 - sa2 * xx) * (1 - sa2 * xx * q2)
+        )
+        return num * q2 / c2, den
+
+    def inner(l):
+        up = q ** (4 * l) * s2
+        down = up * q2 / a2
+
+        def step(k):
+            x = q ** (2 * k)
+            return (1 - a2 * x) * (1 - up * x) * q2 / a2, (1 - q2 * x) * (1 - down * x)
+
+        return step
+
+    return _ladder_walk(tops, outer, inner, "the even family")
+
+
+def _odd_sums(s, P: ParamPoint, tops):
+    """c_o(m, n; s) summed along m + n over 0 <= m < len(tops),
+    0 <= n <= tops[m]: a walk along m at n = 0, then along n."""
+    P.require("a", "b", "c", "d")
+    a, b, c, d, q = P.a, P.b, P.c, P.d, P.q
+    s = rat(s)
+    sac = q * s * s / (a * a * c * c)
+    sabcd = q * q * s * s / (a * b * c * d)
+    ba, scd, dc, sab = -b / a, q * s / (c * d), -d / c, q * s / (a * b)
+    sacn = -q * s / (a * c)
+
+    def outer(m):
+        x = q ** m
+        num = (1 - ba * x) * (1 - s * x) * (1 - scd * x) * (1 - sac * x)
+        return num * q / b, (1 - q * x) * (1 - sabcd * x) * (1 - sac * x * x)
+
+    def inner(m):
+        qm = q ** m
+        up_s, up_sacn, up_sac = qm * s, qm * sacn, qm * sac
+        down_sabcd, down_sac = qm * sabcd, qm * qm * sac
+
+        def step(n):
+            y = q ** n
+            num = (
+                (1 - dc * y) * (1 - sab * y)
+                * (1 - up_s * y) * (1 - up_sacn * y) * (1 - up_sac * y)
+            )
+            den = (1 - q * y) * (1 - down_sabcd * y) * (1 - sacn * y) * (1 - down_sac * y * y)
+            return num * q / d, den
+
+        return step
+
+    return _ladder_walk(tops, outer, inner, "the odd family")
+
+
 def phi_series(s, P: ParamPoint, N: int) -> SeriesTrunc:
     """Coefficients through x^N of the fourfold series
-    sum c_e(k, l; q^(m+n) s) c_o(m, n; s) x^(2k+2l+m+n)."""
+    sum c_e(k, l; q^(m+n) s) c_o(m, n; s) x^(2k+2l+m+n).
+
+    The odd sums over m + n = w come from one walk over m + n <= N; the
+    even triangle k + l <= (N - w) / 2 is walked once per w at q^w s."""
     s = rat(s)
     q = P.q
-    coeffs = []
-    for j in range(N + 1):
-        acc = Fraction(0)
-        for w in range(j + 1):
-            if (j - w) % 2:
-                continue
-            deg = (j - w) // 2
-            sw = q ** w * s
-            even = sum(coeff_ce(deg - l, l, sw, P) for l in range(deg + 1))
-            odd = sum(coeff_co(m, w - m, s, P) for m in range(w + 1))
-            acc += even * odd
-        coeffs.append(acc)
+    odd = _odd_sums(s, P, [N - m for m in range(N + 1)])
+    coeffs = [Fraction(0)] * (N + 1)
+    for w in range(N + 1):
+        deg = (N - w) // 2
+        even = _even_sums(q ** w * s, P, [deg - l for l in range(deg + 1)])
+        for K, value in enumerate(even):
+            coeffs[w + 2 * K] += value * odd[w]
     return SeriesTrunc(tuple(coeffs))
 
 
@@ -319,46 +431,37 @@ def psi_series(s, P: ParamPoint, N: int) -> SeriesTrunc:
 def fourfold_poly(lam: int, P: ParamPoint) -> LaurentPoly:
     """One-row polynomial as a finite sum over the lattice polyhedron
     0 <= m <= lam, 0 <= n <= lam-m, 0 <= 2l <= lam-m-n, 0 <= k <= lam-2l-m-n,
-    with s pinned to q^-lam."""
+    with s pinned to q^-lam.
+
+    The even walk at m + n = w is skipped when the odd sum there is zero.
+    That cannot hide a degenerate point: every lower factor the even family
+    meets at w >= 1 is either met again at w = 0, whose odd sum is 1, or
+    forces a vanishing (q s^2/(a^2 c^2); q^2)_m in the odd walk."""
     P.require("a", "b", "c", "d")
     if lam < 0:
         raise ValueError("lam must be nonnegative")
     q = P.q
-    slam = q ** -lam
+    odd = _odd_sums(q ** -lam, P, [lam - m for m in range(lam + 1)])
     terms: dict = {}
-    for m in range(lam + 1):
-        for n in range(lam - m + 1):
-            w = m + n
-            co = coeff_co(m, n, slam, P)
-            if co == 0:
-                continue
-            for l in range((lam - w) // 2 + 1):
-                for k in range(lam - 2 * l - w + 1):
-                    ce = coeff_ce(k, l, q ** (w - lam), P)
-                    if ce == 0:
-                        continue
-                    e = (-lam + 2 * k + 2 * l + w,)
-                    acc = terms.get(e, Fraction(0)) + co * ce
-                    if acc:
-                        terms[e] = acc
-                    else:
-                        del terms[e]
+    for w in range(lam + 1):
+        if not odd[w]:
+            continue
+        tops = [lam - w - 2 * l for l in range((lam - w) // 2 + 1)]
+        even = _even_sums(q ** (w - lam), P, tops)
+        for K, value in enumerate(even):
+            e = (-lam + 2 * K + w,)
+            terms[e] = terms.get(e, Fraction(0)) + odd[w] * value
     pref = qpoch(P.abcd() * q ** (lam - 1), q, lam)
     return LaurentPoly(1, terms) * pref
 
 
-def even_sum_forms(s, P: ParamPoint, N: int) -> EvenSumForms:
-    """Coefficients of x^(2K), K = 0..N, of sum c_e(k,l;s) x^(2k+2l) by four
-    routes: the raw double sum, the per-degree closed form, and the two
-    bibasic rewrites (split ladders, and ladders coupled through 2k+l)."""
+def even_sum_closed(s, P: ParamPoint, N: int) -> list:
+    """Coefficients of x^(2K), K = 0..N, of sum c_e(k,l;s) x^(2k+2l) by the
+    per-degree closed form: a head factor times a terminating 4phi3 in q^2."""
     P.require("a", "c")
     a, c, q = P.a, P.c, P.q
     s = rat(s)
     q2 = q * q
-    raw = [
-        sum(coeff_ce(K - l, l, s, P) for l in range(K + 1)) for K in range(N + 1)
-    ]
-
     closed = []
     for K in range(N + 1):
         headn = qpoch_multi((a ** 2 * c ** 2 / q, s ** 2), q2, K)
@@ -372,47 +475,70 @@ def even_sum_forms(s, P: ParamPoint, N: int) -> EvenSumForms:
             argument=q2,
         )
         closed.append(headn / headd * (q ** 3 / (a ** 2 * c ** 2)) ** K * phi_sum(spec, K))
+    return closed
 
-    split = [Fraction(0)] * (N + 1)
-    coupled = [Fraction(0)] * (N + 1)
-    for K in range(N + 1):
-        for k in range(K + 1):
-            l = K - k
-            den = (
-                qpoch(q2, q2, k)
-                * qpoch(q ** (2 * l + 3) * s ** 2 / (a ** 2 * c ** 2), q2, k)
-                * qpoch(q, q, l)
-                * qpoch(q * s / a ** 2, q, l)
-                * qpoch(q ** 3 * s ** 2 / (a ** 2 * c ** 2), q2, l)
-            )
-            if den == 0:
-                raise ParameterDegeneracy("vanishing lower Pochhammer in the split form")
-            num = (
-                qpoch(q * a ** 2 / c ** 2, q2, k)
-                * qpoch(q ** (2 * l) * s ** 2, q2, k)
-                * qpoch(c ** 2 / q, q, l)
-                * qpoch(s, q, l)
-                * qpoch(q ** 2 * s ** 2 / a ** 4, q2, l)
-            )
-            split[K] += num / den * (q2 / a ** 2) ** k * (q2 / c ** 2) ** l
 
-            den = (
-                qpoch(q2, q2, k)
-                * qpoch(q * s / c ** 2, q2, k)
-                * qpoch(q ** 3 * s ** 2 / (a ** 2 * c ** 2), q2, k)
-                * qpoch(q, q, l)
-                * qpoch(q ** 2 * s / c ** 2, q, 2 * k + l)
-            )
-            if den == 0:
-                raise ParameterDegeneracy("vanishing lower Pochhammer in the coupled form")
+def even_sum_forms(s, P: ParamPoint, N: int) -> EvenSumForms:
+    """Coefficients of x^(2K), K = 0..N, of sum c_e(k,l;s) x^(2k+2l) by four
+    routes: the raw double sum, the per-degree closed form, and the two
+    bibasic rewrites (split ladders, and ladders coupled through 2k+l).
+
+    Every route but the closed one walks the triangle k + l <= N by running
+    ratios, along l at k = 0 and then along k."""
+    P.require("a", "c")
+    a, c, q = P.a, P.c, P.q
+    s = rat(s)
+    q2 = q * q
+    a2, c2, s2 = a * a, c * c, s * s
+    tops = [N - l for l in range(N + 1)]
+    raw = _even_sums(s, P, tops)
+    closed = even_sum_closed(s, P, N)
+
+    cq, qac, sac3 = c2 / q, q * a2 / c2, q ** 3 * s2 / (a2 * c2)
+    sa4, qsa = q2 * s2 / (a2 * a2), q * s / a2
+
+    def split_outer(l):
+        x = q ** l
+        num = (1 - cq * x) * (1 - s * x) * (1 - sa4 * x * x)
+        return num * q2 / c2, (1 - q * x) * (1 - qsa * x) * (1 - sac3 * x * x)
+
+    def split_inner(l):
+        up = q ** (2 * l) * s2
+        down = up * q ** 3 / (a2 * c2)
+
+        def step(k):
+            x = q ** (2 * k)
+            return (1 - qac * x) * (1 - up * x) * q2 / a2, (1 - q2 * x) * (1 - down * x)
+
+        return step
+
+    split = _ladder_walk(tops, split_outer, split_inner, "the split form")
+
+    qsc, q2sc, q3sc, sc4 = q * s / c2, q2 * s / c2, q ** 3 * s / c2, q2 * s2 / (c2 * c2)
+
+    def coupled_outer(l):
+        x = q ** l
+        return (1 - cq * x) * (1 - s * x) * q2 / c2, (1 - q * x) * (1 - q2sc * x)
+
+    def coupled_inner(l):
+        ql = q ** l
+
+        def step(k):
+            x = q ** (2 * k)
+            y = x * ql  # q^(2k+l): the coupled ladders add two factors per step in k
             num = (
-                qpoch(q * a ** 2 / c ** 2, q2, k)
-                * qpoch(q ** 3 * s / c ** 2, q2, k)
-                * qpoch(q ** 2 * s ** 2 / c ** 4, q2, k)
-                * qpoch(c ** 2 / q, q, l)
-                * qpoch(s, q, 2 * k + l)
+                (1 - qac * x) * (1 - q3sc * x) * (1 - sc4 * x)
+                * (1 - s * y) * (1 - s * y * q)
             )
-            coupled[K] += num / den * (q2 / a ** 2) ** k * (q2 / c ** 2) ** l
+            den = (
+                (1 - q2 * x) * (1 - qsc * x) * (1 - sac3 * x)
+                * (1 - q2sc * y) * (1 - q2sc * y * q)
+            )
+            return num * q2 / a2, den
+
+        return step
+
+    coupled = _ladder_walk(tops, coupled_outer, coupled_inner, "the coupled form")
     return EvenSumForms(raw, closed, split, coupled)
 
 

@@ -4,7 +4,8 @@ Three subcommands: compute expands a single polynomial at a configured
 parameter point, verify runs a named identity suite and reports per-case
 verdicts, cache inspects or manages the operator-oracle store.  Exit codes:
 0 success / all cases pass, 1 some case failed, 2 bad invocation or
-configuration, 3 the exact arithmetic hit a degenerate point.
+configuration, or an oracle cache that cannot be read or written, 3 the
+exact arithmetic hit a degenerate point.
 """
 
 import argparse
@@ -16,7 +17,7 @@ from dataclasses import replace
 
 from .askey_wilson import aw_poly, fourfold_poly
 from .b2 import B2Weight, f_b2_poly
-from .errors import QbcError
+from .errors import CacheError, QbcError
 from .koornwinder import CACHE_ENV, cache_root, g_series, koorn_oracle
 from .macdonald_bcd import FAMILY_B, FAMILY_C, FAMILY_D, mac_row
 from .suites import (
@@ -264,7 +265,10 @@ def _cmd_cache(args, cfg: RunConfig) -> int:
     if args.action == "clear":
         existed = root.exists()
         if existed:
-            shutil.rmtree(root)
+            try:
+                shutil.rmtree(root)
+            except OSError as exc:
+                raise CacheError.from_os_error(exc, root) from exc
         text = (
             json.dumps(
                 {"schema": 1, "cache_dir": str(root), "cleared": existed},
@@ -309,6 +313,9 @@ def main(argv=None) -> int:
         return _cmd_cache(args, cfg)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
+        return 2
+    except CacheError as exc:
+        print(f"cache error: {exc}", file=sys.stderr)
         return 2
     except QbcError as exc:
         print(f"exact computation aborted: {exc}", file=sys.stderr)

@@ -3,7 +3,8 @@
 Every failure mode of the exact pipeline has its own class so that tests can
 assert on the precise reason a computation refused to proceed.  All of them
 derive from QbcError; nothing in this package raises a bare Exception for a
-mathematical problem.
+mathematical problem.  CacheError, a fault of the on-disk oracle store, is
+kept outside that hierarchy so no handler can take it for a degenerate point.
 """
 
 
@@ -54,3 +55,14 @@ class DegenerateEigenvalues(QbcError):
 
 class MissingSquareRoot(QbcError):
     """An exact rational square root was required but does not exist."""
+
+
+class CacheError(Exception):
+    """The oracle cache could not be read or written: its directory is a
+    regular file, say, or is not writable.  Not a QbcError: the store is at
+    fault, not the mathematics."""
+
+    @classmethod
+    def from_os_error(cls, exc: OSError, path) -> "CacheError":
+        """'<path>: <reason>', naming the file the system call failed on."""
+        return cls(f"{exc.filename or path}: {exc.strerror or exc}")

@@ -26,7 +26,7 @@ from .algebra import (
     solve_triangular_eigenproblem,
 )
 from .askey_wilson import coeff_ce_prime, coeff_co_recast
-from .errors import DimensionMismatch, ParameterDegeneracy
+from .errors import CacheError, DimensionMismatch, ParameterDegeneracy
 from .qseries import qbinom_series
 
 CACHE_ENV = "QBC_CACHE_DIR"
@@ -118,7 +118,8 @@ def _cache_header(lam: Partition, P: ParamPoint, n: int) -> dict:
 def _cache_load(path: Path, lam: Partition, P: ParamPoint, n: int):
     """The cached solution, or None when the file is missing, unreadable as
     an entry, or an entry for another request (a file copied over another
-    entry's name, say); the caller then solves and overwrites it."""
+    entry's name, say); the caller then solves and overwrites it.  Any other
+    failure to read it is a CacheError."""
     try:
         with path.open() as fh:
             entry = json.load(fh)
@@ -127,20 +128,26 @@ def _cache_load(path: Path, lam: Partition, P: ParamPoint, n: int):
         return LaurentPoly.from_json_obj(entry["polynomial"])
     except (FileNotFoundError, KeyError, TypeError, ValueError, DimensionMismatch):
         return None
+    except OSError as exc:
+        raise CacheError.from_os_error(exc, path) from exc
 
 
 def _cache_store(path: Path, lam: Partition, P: ParamPoint, n: int, poly: LaurentPoly):
-    path.parent.mkdir(parents=True, exist_ok=True)
+    """Write the entry atomically; a failure to write it is a CacheError."""
     payload = dict(_cache_header(lam, P, n), polynomial=poly.to_json_obj())
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(payload, fh, sort_keys=True)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                json.dump(payload, fh, sort_keys=True)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise CacheError.from_os_error(exc, path) from exc
 
 
 def koorn_oracle(lam, P: ParamPoint, n: int, use_cache: bool = True) -> LaurentPoly:

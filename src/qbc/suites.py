@@ -24,6 +24,7 @@ from .askey_wilson import (
     aw_apply,
     aw_eigenvalue,
     aw_poly,
+    even_sum_closed,
     even_sum_forms,
     fourfold_poly,
     odd_sum_check,
@@ -295,8 +296,8 @@ def suite_bibasic(cfg: RunConfig):
 
         def watson_check():
             swapped = P.replace(a=P.c, c=P.a)
-            first = even_sum_forms(P.s, P, half).closed
-            second = even_sum_forms(P.s, swapped, half).closed
+            first = even_sum_closed(P.s, P, half)
+            second = even_sum_closed(P.s, swapped, half)
             for K in range(half + 1):
                 if first[K] != second[K]:
                     return {

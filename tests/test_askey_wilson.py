@@ -16,6 +16,8 @@ from qbc.algebra import LaurentPoly, ParamPoint, monomial_symmetric, qshift, rat
 from qbc.askey_wilson import (
     FULL_BASE,
     HALF_BASE,
+    EvenSumForms,
+    SeriesTrunc,
     aw_apply,
     aw_eigenvalue,
     aw_poly,
@@ -23,6 +25,7 @@ from qbc.askey_wilson import (
     coeff_ce_prime,
     coeff_co,
     coeff_co_recast,
+    even_sum_closed,
     even_sum_forms,
     fourfold_poly,
     odd_sum_check,
@@ -30,7 +33,7 @@ from qbc.askey_wilson import (
     psi_series,
     simplified_series,
 )
-from qbc.errors import ParameterDegeneracy
+from qbc.errors import ParameterDegeneracy, QbcError
 from qbc.qseries import qpoch, qpoch_multi
 
 # Parameter values stay away from integer and half-integer powers of q: with
@@ -343,3 +346,163 @@ class TestTransformationSuite:
         P = POINT_A  # d is unrelated to the chained pattern
         with pytest.raises(ParameterDegeneracy):
             simplified_series(HALF_BASE, Fraction(1, 7), P, 4)
+
+
+# Per-term references for the running-ratio walks: the old code, which
+# rebuilds every coefficient from its qpoch ladders through coeff_ce /
+# coeff_co, the definitions the walks must reproduce.
+
+
+def _phi_series_reference(s, P, N):
+    q = P.q
+    coeffs = []
+    for j in range(N + 1):
+        acc = Fraction(0)
+        for w in range(j + 1):
+            if (j - w) % 2:
+                continue
+            deg = (j - w) // 2
+            sw = q ** w * s
+            even = sum(coeff_ce(deg - l, l, sw, P) for l in range(deg + 1))
+            odd = sum(coeff_co(m, w - m, s, P) for m in range(w + 1))
+            acc += even * odd
+        coeffs.append(acc)
+    return SeriesTrunc(tuple(coeffs))
+
+
+def _fourfold_reference(lam, P):
+    q = P.q
+    slam = q ** -lam
+    terms = {}
+    for m in range(lam + 1):
+        for n in range(lam - m + 1):
+            w = m + n
+            co = coeff_co(m, n, slam, P)
+            if co == 0:
+                continue
+            for l in range((lam - w) // 2 + 1):
+                for k in range(lam - 2 * l - w + 1):
+                    e = (-lam + 2 * k + 2 * l + w,)
+                    terms[e] = terms.get(e, 0) + co * coeff_ce(k, l, q ** (w - lam), P)
+    return LaurentPoly(1, terms) * qpoch(P.abcd() * q ** (lam - 1), q, lam)
+
+
+def _even_sum_forms_reference(s, P, N):
+    a, c, q = P.a, P.c, P.q
+    q2 = q * q
+    raw = [sum(coeff_ce(K - l, l, s, P) for l in range(K + 1)) for K in range(N + 1)]
+    closed = even_sum_closed(s, P, N)
+    split = [Fraction(0)] * (N + 1)
+    coupled = [Fraction(0)] * (N + 1)
+    for K in range(N + 1):
+        for k in range(K + 1):
+            l = K - k
+            den = (
+                qpoch(q2, q2, k)
+                * qpoch(q ** (2 * l + 3) * s ** 2 / (a ** 2 * c ** 2), q2, k)
+                * qpoch(q, q, l)
+                * qpoch(q * s / a ** 2, q, l)
+                * qpoch(q ** 3 * s ** 2 / (a ** 2 * c ** 2), q2, l)
+            )
+            if den == 0:
+                raise ParameterDegeneracy("split")
+            num = (
+                qpoch(q * a ** 2 / c ** 2, q2, k)
+                * qpoch(q ** (2 * l) * s ** 2, q2, k)
+                * qpoch(c ** 2 / q, q, l)
+                * qpoch(s, q, l)
+                * qpoch(q ** 2 * s ** 2 / a ** 4, q2, l)
+            )
+            split[K] += num / den * (q2 / a ** 2) ** k * (q2 / c ** 2) ** l
+            den = (
+                qpoch(q2, q2, k)
+                * qpoch(q * s / c ** 2, q2, k)
+                * qpoch(q ** 3 * s ** 2 / (a ** 2 * c ** 2), q2, k)
+                * qpoch(q, q, l)
+                * qpoch(q ** 2 * s / c ** 2, q, 2 * k + l)
+            )
+            if den == 0:
+                raise ParameterDegeneracy("coupled")
+            num = (
+                qpoch(q * a ** 2 / c ** 2, q2, k)
+                * qpoch(q ** 3 * s / c ** 2, q2, k)
+                * qpoch(q ** 2 * s ** 2 / c ** 4, q2, k)
+                * qpoch(c ** 2 / q, q, l)
+                * qpoch(s, q, 2 * k + l)
+            )
+            coupled[K] += num / den * (q2 / a ** 2) ** k * (q2 / c ** 2) ** l
+    return EvenSumForms(raw, closed, split, coupled)
+
+
+def _outcome(fn, *args):
+    """The value, or the class of the QbcError raised instead."""
+    try:
+        return fn(*args)
+    except QbcError as exc:
+        return type(exc)
+
+
+_SMALL = st.builds(
+    Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 4)
+)
+_SQRT_Q = _SMALL.filter(lambda x: abs(x) != 1)
+
+
+@st.composite
+def _walk_inputs(draw):
+    """A random small-height point and s.  Each coordinate is a small
+    rational times a power of sqrt(q), so a lower ladder such as
+    (q s / a^2; q)_2l or (q^2 s^2 / abcd; q)_m vanishes in about one draw
+    in ten."""
+    sq = draw(_SQRT_Q)
+
+    def coordinate(lo, hi):
+        return draw(_SMALL) * sq ** draw(st.integers(lo, hi))
+
+    P = ParamPoint(
+        sqrt_q=sq, a=coordinate(-2, 2), b=coordinate(-2, 2),
+        c=coordinate(-2, 2), d=coordinate(-2, 2),
+    )
+    return P, coordinate(-6, 6)
+
+
+class TestRunningRatioWalks:
+    """phi_series, fourfold_poly and even_sum_forms build c_e / c_o terms by
+    running ratios; each must agree with its per-term reference exactly, or
+    raise the same error."""
+
+    @settings(derandomize=True, max_examples=250, deadline=None)
+    @given(_walk_inputs(), st.integers(0, 6), st.integers(0, 4))
+    def test_walks_match_per_term_references(self, drawn, N, lam):
+        P, s = drawn
+        assert _outcome(phi_series, s, P, N) == _outcome(_phi_series_reference, s, P, N)
+        assert _outcome(fourfold_poly, lam, P) == _outcome(_fourfold_reference, lam, P)
+        assert _outcome(even_sum_forms, s, P, N) == _outcome(
+            _even_sum_forms_reference, s, P, N
+        )
+
+    def test_even_walk_stops_at_a_vanishing_lower_ladder(self):
+        # q^3 s^2/(a^2 c^2) = q^-2, so (q^3 s^2/(a^2 c^2); q^2)_l vanishes
+        # from l = 2 on: the triangle k + l <= 1 is fine, k + l <= 2 is not
+        P = POINT_A
+        s = P.a * P.c / P.sqrt_q ** 5
+        coeff_ce(1, 1, s, P)
+        with pytest.raises(ParameterDegeneracy):
+            coeff_ce(0, 2, s, P)
+        assert even_sum_forms(s, P, 1) == _even_sum_forms_reference(s, P, 1)
+        with pytest.raises(ParameterDegeneracy, match="even family"):
+            even_sum_forms(s, P, 2)
+
+    def test_odd_walk_stops_at_a_vanishing_lower_ladder(self):
+        # abcd = 105^2 and q^2 s^2/abcd = q^-1, so (q^2 s^2/abcd; q)_m
+        # vanishes from m = 2 on and c_o(m, n) with m + n = 2 has a zero
+        # lower ladder
+        P = POINT_A.replace(d=105)
+        s = 105 / P.sqrt_q ** 3
+        coeff_co(0, 1, s, P)
+        for m in range(3):
+            with pytest.raises(ParameterDegeneracy):
+                coeff_co(m, 2 - m, s, P)
+        assert phi_series(s, P, 1) == _phi_series_reference(s, P, 1)
+        with pytest.raises(ParameterDegeneracy, match="odd family"):
+            phi_series(s, P, 2)

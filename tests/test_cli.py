@@ -221,6 +221,21 @@ class TestCache:
         row1.write_text(row2.read_text())
         self._assert_solved_again(row1, capsys)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify", "koornwinder", "--n", "1", "--r", "1"], ["cache", "warm"], ["cache", "clear"]],
+    )
+    def test_cache_dir_that_is_a_file_is_a_cache_error(self, argv, tmp_path, monkeypatch, capsys):
+        # an unusable store is exit 2 with the path, never a traceback or
+        # the formula-FAIL exit 1
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("")
+        monkeypatch.setenv(CACHE_ENV, str(blocker))
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"cache error: {blocker}")
+        assert "Not a directory" in err and "Traceback" not in err
+
     def test_truncated_entry_is_solved_again(self, capsys):
         row1, _ = self._rank_one_entry(capsys)
         text = row1.read_text()

@@ -3,8 +3,10 @@
 perfbench wraps ``algebra.exact_div`` at its module global and counts the
 calls and the dividend terms.  Those counts compare two commits only while
 one operator application still divides once per factor of its cleared
-denominator, through that global.  It also wraps ``qseries.power_of_base``
-and each suite function, whose span must enclose the suite's cases.
+denominator, through that global.  It also wraps ``qseries.power_of_base``,
+each suite function, whose span must enclose the suite's cases, and the
+series ``phi_series``, ``fourfold_poly`` and ``even_sum_forms`` at the
+``suites`` and ``macdonald_bcd`` globals that call them.
 """
 
 import json
@@ -89,3 +91,38 @@ def test_traced_bibasic_reaches_the_cutoff_search_and_encloses_its_cases(tmp_pat
     assert result["passed"] is True
     assert result["power_of_base_calls"] > 0
     assert result["suite_total_s"] >= result["case_seconds"] > 0
+
+
+SERIES_TRACE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import spans
+from qbc import suites
+tracer = spans.Tracer()
+spans.install_qbc_layers(tracer)
+passed = [suites.run_suite(name, suites.default_config()).passed
+          for name in ("askey-wilson", "bibasic")]
+metrics = spans.layer_metrics(tracer)
+print(json.dumps({
+    "passed": passed,
+    "calls": {name: metrics.get(name + ".calls", 0) for name in sys.argv[2:]},
+}))
+"""
+
+SERIES_LAYERS = (
+    "askey_wilson.phi_series", "askey_wilson.fourfold_poly", "askey_wilson.even_sum_forms",
+)
+
+
+def test_traced_series_suites_reach_the_walked_series(tmp_path):
+    # the suites and macdonald_bcd look these up as module globals, which is
+    # where perfbench wraps them
+    proc = subprocess.run(
+        [sys.executable, "-c", SERIES_TRACE, str(ROOT / "perfbench"), *SERIES_LAYERS],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src"), CACHE_ENV: str(tmp_path)},
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["passed"] == [True, True]
+    assert all(result["calls"][name] > 0 for name in SERIES_LAYERS), result["calls"]
