@@ -203,7 +203,8 @@ def coeff_co_recast(m: int, n: int, s, P: ParamPoint) -> Fraction:
     """c_o(m, n; s) regrouped so the parameter-symmetric part ladders in m+n.
 
     Two of the grouped denominators sit at a half power, so the point must
-    carry sqrt_q (every ParamPoint does).
+    carry sqrt_q (every ParamPoint does).  The per-term definition: the
+    walk co_recast_sums is tested against it.
     """
     P.require("a", "b", "c", "d")
     a, b, c, d, q = P.a, P.b, P.c, P.d, P.q
@@ -233,7 +234,9 @@ def coeff_co_recast(m: int, n: int, s, P: ParamPoint) -> Fraction:
 
 def coeff_ce_prime(k: int, l: int, s, P: ParamPoint) -> Fraction:
     """Even-family coefficient absorbing a (1 - x^2) prefactor:
-    (1 - x^2) sum c_e(k,l;s) x^(2k+2l) = sum c'_e(k,l;s) x^(2k+2l)."""
+    (1 - x^2) sum c_e(k,l;s) x^(2k+2l) = sum c'_e(k,l;s) x^(2k+2l).
+
+    The per-term definition: the walk ce_prime_sums is tested against it."""
     P.require("a", "c")
     a, c, q = P.a, P.c, P.q
     s = rat(s)
@@ -363,6 +366,88 @@ def _odd_sums(s, P: ParamPoint, tops):
         return step
 
     return _ladder_walk(tops, outer, inner, "the odd family")
+
+
+def ce_prime_sums(s, P: ParamPoint, D: int) -> list:
+    """c'_e(k, l; s) summed along k + l = K for K = 0..D: a walk along l at
+    k = 0, then along k, of every factor but the ratio, which depends on
+    k + l alone and multiplies each sum."""
+    P.require("a", "c")
+    a, c, q = P.a, P.c, P.q
+    s = rat(s)
+    if s == q:
+        raise ParameterDegeneracy("the ratio factor needs s != q")
+    q2 = q * q
+    a2, c2 = a * a, c * c
+    cq2, sq, q2sc = c2 / q2, s / q, q2 * s / c2
+    qac, q3sc, sc4 = q * a2 / c2, q ** 3 * s / c2, q2 * s * s / (c2 * c2)
+    qsc, sac3 = q * s / c2, q ** 3 * s * s / (a2 * c2)
+
+    def outer(l):
+        x = q ** l
+        return (1 - cq2 * x) * (1 - sq * x) * q2 / c2, (1 - q * x) * (1 - q2sc * x)
+
+    def inner(l):
+        ql = q ** l
+
+        def step(k):
+            x = q ** (2 * k)
+            y = x * ql  # q^(2k+l): the (.; q)_(2k+l) ladders add two factors per step in k
+            num = (
+                (1 - qac * x) * (1 - q3sc * x) * (1 - sc4 * x)
+                * (1 - sq * y) * (1 - sq * y * q)
+            )
+            den = (
+                (1 - q2 * x) * (1 - qsc * x) * (1 - sac3 * x)
+                * (1 - q2sc * y) * (1 - q2sc * y * q)
+            )
+            return num * q2 / a2, den
+
+        return step
+
+    sums = _ladder_walk(
+        [D - l for l in range(D + 1)], outer, inner, "the primed even family"
+    )
+    return [
+        value * (1 - q ** (2 * K - 1) * s) / (1 - sq) for K, value in enumerate(sums)
+    ]
+
+
+def co_recast_sums(s, P: ParamPoint, W: int) -> list:
+    """coeff_co_recast(m, n; s) summed along m + n = w for w = 0..W: a walk
+    along m at n = 0, then along n; each step also adds one factor to the
+    ladders in m + n."""
+    P.require("a", "b", "c", "d")
+    a, b, c, d, q = P.a, P.b, P.c, P.d, P.q
+    s = rat(s)
+    half = P.sqrt_q * s / (a * c)
+    sabcd = q * q * s * s / (a * b * c * d)
+    sacn, sac = -q * s / (a * c), q * s * s / (a * a * c * c)
+    ba, scd, dc, sab = -b / a, q * s / (c * d), -d / c, q * s / (a * b)
+
+    def diagonal(w):
+        x = q ** w
+        num = (1 - s * x) * (1 - sacn * x) * (1 - sac * x)
+        return num, (1 - sabcd * x) * (1 - half * x) * (1 + half * x)
+
+    def outer(m):
+        x = q ** m
+        num, den = diagonal(m)
+        num *= (1 - ba * x) * (1 - scd * x) * q / b
+        return num, den * (1 - q * x) * (1 - sacn * x)
+
+    def inner(m):
+        def step(n):
+            y = q ** n
+            num, den = diagonal(m + n)
+            num *= (1 - dc * y) * (1 - sab * y) * q / d
+            return num, den * (1 - q * y) * (1 - sacn * y)
+
+        return step
+
+    return _ladder_walk(
+        [W - m for m in range(W + 1)], outer, inner, "the regrouped odd family"
+    )
 
 
 def phi_series(s, P: ParamPoint, N: int) -> SeriesTrunc:

@@ -161,112 +161,101 @@ def b2_oracle(w: B2Weight, P: ParamPoint) -> LaurentPoly:
 #
 # Every Pochhammer argument is gamma * t^p with gamma free of t, so the same
 # summation code runs over two scalar rings: exact rationals at a generic
-# point, and truncated Laurent expansions in v (t = q(1 + v)) at q = t = T,
-# where the factors pick up zeros and poles that only cancel in the limit.
+# point, and leading terms of Laurent expansions in v (t = tv (1 + v)) at
+# q = t = T, where the factors pick up zeros and poles that only cancel in the
+# limit.  The second ring tracks one coefficient per value and nothing past
+# it: a product or quotient of leading terms is exact, and a sum whose leading
+# terms cancel only knows that it is O(v^(off + 1)).  So a limit it returns
+# is exact, and a coefficient whose terms cancel at order 0 or below raises
+# ParameterDegeneracy instead of being expanded further.
 
 
-class _Jet:
-    """Truncated Laurent series c[0] v^off + c[1] v^(off+1) + ...
+class _LeadTerm:
+    """coeff * v^off + O(v^(off + 1)) while coeff != 0; with coeff == 0 it
+    is O(v^off), all that is left after leading terms cancel; off None marks
+    the identically zero series."""
 
-    prec is the absolute exponent where knowledge stops; None marks the
-    exact zero series.  coeffs[0] != 0 whenever coeffs is nonempty.
-    """
+    __slots__ = ("coeff", "off")
 
-    __slots__ = ("off", "coeffs", "prec")
-
-    def __init__(self, off, coeffs, prec):
-        while coeffs and coeffs[0] == 0:
-            off += 1
-            coeffs = coeffs[1:]
-        if not coeffs:
-            off = 0
+    def __init__(self, coeff, off):
+        self.coeff = coeff
         self.off = off
-        self.coeffs = tuple(coeffs)
-        self.prec = prec
 
     def is_exact_zero(self) -> bool:
-        return not self.coeffs and self.prec is None
+        return self.off is None
 
     def __mul__(self, other):
-        if self.is_exact_zero() or other.is_exact_zero():
-            return _JET_ZERO
-        if not self.coeffs or not other.coeffs:
+        if self.off is None or other.off is None:
+            return _LEAD_ZERO
+        if not self.coeff or not other.coeff:
             raise ParameterDegeneracy("series precision exhausted in a product")
-        off = self.off + other.off
-        length = min(len(self.coeffs), len(other.coeffs))
-        out = [Fraction(0)] * length
-        for i, a in enumerate(self.coeffs[:length]):
-            if a:
-                for j, b in enumerate(other.coeffs[: length - i]):
-                    if b:
-                        out[i + j] += a * b
-        return _Jet(off, out, off + length)
+        return _LeadTerm(self.coeff * other.coeff, self.off + other.off)
 
     def __truediv__(self, other):
-        return self * other._inverse()
-
-    def _inverse(self):
-        if not self.coeffs:
+        if not other.coeff:
             raise ParameterDegeneracy("division by a vanishing series")
-        c0 = self.coeffs[0]
-        length = len(self.coeffs)
-        inv = [1 / c0] + [Fraction(0)] * (length - 1)
-        for k in range(1, length):
-            acc = Fraction(0)
-            for j in range(1, k + 1):
-                if j < length and self.coeffs[j]:
-                    acc += self.coeffs[j] * inv[k - j]
-            inv[k] = -acc / c0
-        return _Jet(-self.off, inv, -self.off + length)
+        if self.off is None:
+            return _LEAD_ZERO
+        if not self.coeff:
+            raise ParameterDegeneracy("series precision exhausted in a product")
+        return _LeadTerm(self.coeff / other.coeff, self.off - other.off)
 
     def __add__(self, other):
-        if self.is_exact_zero():
+        if self.off is None:
             return other
-        if other.is_exact_zero():
+        if other.off is None or self.off < other.off:
             return self
-        off = min(self.off, other.off)
-        prec = min(p for p in (self.prec, other.prec) if p is not None)
-        out = [Fraction(0)] * (prec - off)
-        for src in (self, other):
-            for i, c in enumerate(src.coeffs):
-                k = src.off + i - off
-                if 0 <= k < len(out):
-                    out[k] += c
-        return _Jet(off, out, prec)
+        if other.off < self.off:
+            return other
+        if not self.coeff or not other.coeff:
+            return _LeadTerm(Fraction(0), self.off)
+        total = self.coeff + other.coeff
+        return _LeadTerm(total, self.off) if total else _LeadTerm(total, self.off + 1)
 
     def value(self) -> Fraction:
         """Evaluate at v = 0; a surviving negative power is a genuine pole."""
-        if not self.coeffs:
-            if self.prec is not None and self.prec < 1:
+        if self.off is None:
+            return Fraction(0)
+        if not self.coeff:
+            if self.off < 1:
                 raise ParameterDegeneracy("series precision exhausted at evaluation")
             return Fraction(0)
         if self.off < 0:
             raise ParameterDegeneracy(
                 "coefficient diverges at the collapsed parameter point"
             )
-        if self.off > 0:
-            return Fraction(0)
-        return self.coeffs[0]
+        return self.coeff if self.off == 0 else Fraction(0)
 
 
-_JET_ZERO = _Jet(0, (), None)
+_LEAD_ZERO = _LeadTerm(Fraction(0), None)
 
 
-class _RationalScalars:
-    """Plain evaluation with a numeric t."""
-
-    zero_is_identical = False
+class _Scalars:
+    """Shared by both rings: t^p read from one power table."""
 
     def __init__(self, t):
         self.t = rat(t)
-        self.one = Fraction(1)
-        self.zero = Fraction(0)
+        self._powers = {}
+
+    def power(self, p: int) -> Fraction:
+        value = self._powers.get(p)
+        if value is None:
+            value = self._powers[p] = self.t ** p
+        return value
+
+
+class _RationalScalars(_Scalars):
+    """Plain evaluation with a numeric t."""
+
+    zero_is_identical = False
+    one = Fraction(1)
+    zero = Fraction(0)
 
     def unit(self, gamma, p):
-        return gamma * self.t ** p
+        return gamma * self.power(p)
 
     def factor(self, gamma, p):
-        return 1 - gamma * self.t ** p
+        return 1 - gamma * self.power(p)
 
     def dead(self, x) -> bool:
         return x == 0
@@ -275,40 +264,27 @@ class _RationalScalars:
         return x
 
 
-class _JetScalars:
-    """Laurent-series evaluation around t = tv, for points where the plain
-    substitution hits 0/0.  A dead value here is zero as a rational function
-    of t, not merely zero at the point."""
+class _JetScalars(_Scalars):
+    """Leading terms of the expansion around t = tv, for points where the
+    plain substitution hits 0/0.  A dead value here is zero as a rational
+    function of t, not merely zero at the point."""
 
     zero_is_identical = True
-    PREC = 48
-
-    def __init__(self, tv):
-        self.tv = rat(tv)
-        self.one = _Jet(0, (Fraction(1),), self.PREC)
-        self.zero = _JET_ZERO
-
-    def _tpow(self, p: int):
-        # (tv (1+v))^p expanded by the (generalized) binomial series
-        coeffs = [self.tv ** p]
-        binom = Fraction(1)
-        for i in range(1, self.PREC):
-            binom = binom * Fraction(p - i + 1, i)
-            coeffs.append(self.tv ** p * binom)
-        return coeffs
+    one = _LeadTerm(Fraction(1), 0)
+    zero = _LEAD_ZERO
 
     def unit(self, gamma, p):
-        coeffs = [gamma * c for c in self._tpow(p)]
-        return _Jet(0, coeffs, self.PREC)
+        return _LeadTerm(gamma * self.power(p), 0)
 
     def factor(self, gamma, p):
+        # 1 - gamma tv^p (1 + v)^p; where the constant term vanishes the
+        # linear one, -gamma tv^p p v, leads unless p = 0
+        x = gamma * self.power(p)
+        if x != 1:
+            return _LeadTerm(1 - x, 0)
         if p == 0:
-            if gamma == 1:
-                return _JET_ZERO
-            return _Jet(0, (1 - gamma,), self.PREC)
-        coeffs = [-gamma * c for c in self._tpow(p)]
-        coeffs[0] += 1
-        return _Jet(0, coeffs, self.PREC)
+            return _LEAD_ZERO
+        return _LeadTerm(-x * p, 1)
 
     def dead(self, x) -> bool:
         return x.is_exact_zero()

@@ -25,7 +25,7 @@ from .algebra import (
     rat,
     solve_triangular_eigenproblem,
 )
-from .askey_wilson import coeff_ce_prime, coeff_co_recast
+from .askey_wilson import ce_prime_sums, co_recast_sums
 from .errors import CacheError, DimensionMismatch, ParameterDegeneracy
 from .qseries import qbinom_series
 
@@ -208,25 +208,27 @@ def g_series(r: int, n: int, P: ParamPoint) -> LaurentPoly:
     return g_series_list(r, n, P)[r]
 
 
-def g_row_sym(r: int, P: ParamPoint, n: int) -> LaurentPoly:
+def g_row_sym(r: int, P: ParamPoint, n: int, gs: list = None) -> LaurentPoly:
     """One-row sum for the chained parameter family (a, -a, c, -c).
 
     The k,l weights are the primed even-family coefficients evaluated at a
     point rescaled by sqrt(q/t) and at the pinned spectral value
-    q^(1-r) t^(-n), carrying one factor t/q per lattice step.
+    q^(1-r) t^(-n), carrying one factor t/q per lattice step; they enter
+    summed along k + l.  gs is g_series_list of any order >= r, built here
+    when not given: entry j of a list does not depend on its order.
     """
     P.require("a", "c", "sqrt_t")
     q, t = P.q, P.t
     hat = P.sqrt_q / P.sqrt_t
     Phat = P.replace(a=hat * P.a, c=hat * P.c)
     shat = q ** (1 - r) * t ** -n
-    gs = g_series_list(r, n, P)
+    if gs is None:
+        gs = g_series_list(r, n, P)
     total = LaurentPoly.zero(n)
-    for k in range(r // 2 + 1):
-        for l in range((r - 2 * k) // 2 + 1):
-            w = coeff_ce_prime(k, l, shat, Phat) * (t / q) ** (k + l)
-            if w:
-                total = total + gs[r - 2 * k - 2 * l] * w
+    for K, value in enumerate(ce_prime_sums(shat, Phat, r // 2)):
+        w = value * (t / q) ** K
+        if w:
+            total = total + gs[r - 2 * K] * w
     return total
 
 
@@ -234,8 +236,9 @@ def g_row_general(r: int, P: ParamPoint, n: int) -> LaurentPoly:
     """One-row sum for general (a,b,c,d), layered over g_row_sym.
 
     The i,j weights are the regrouped odd-family coefficients at the same
-    rescaled point and spectral value, carrying sqrt(t/q) per step; both
-    ladders collapse to the (0,0) term when b=-a and d=-c.
+    rescaled point and spectral value, carrying sqrt(t/q) per step and
+    summed along i + j; both ladders collapse to the (0,0) term when b=-a
+    and d=-c.  One g_series_list of order r serves every g_row_sym below.
     """
     P.require("a", "b", "c", "d", "sqrt_t")
     q, t = P.q, P.t
@@ -243,13 +246,13 @@ def g_row_general(r: int, P: ParamPoint, n: int) -> LaurentPoly:
     Phat = P.replace(a=hat * P.a, b=hat * P.b, c=hat * P.c, d=hat * P.d)
     shat = q ** (1 - r) * t ** -n
     half = P.sqrt_t / P.sqrt_q
-    syms = [g_row_sym(k, P, n) for k in range(r + 1)]
+    gs = g_series_list(r, n, P)
+    syms = [g_row_sym(k, P, n, gs) for k in range(r + 1)]
     total = LaurentPoly.zero(n)
-    for i in range(r + 1):
-        for j in range(r + 1 - i):
-            w = coeff_co_recast(i, j, shat, Phat) * half ** (i + j)
-            if w:
-                total = total + syms[r - i - j] * w
+    for w, value in enumerate(co_recast_sums(shat, Phat, r)):
+        weight = value * half ** w
+        if weight:
+            total = total + syms[r - w] * weight
     return total
 
 

@@ -25,6 +25,8 @@ from qbc.askey_wilson import (
     coeff_ce_prime,
     coeff_co,
     coeff_co_recast,
+    co_recast_sums,
+    ce_prime_sums,
     even_sum_closed,
     even_sum_forms,
     fourfold_poly,
@@ -479,6 +481,20 @@ class TestRunningRatioWalks:
         assert _outcome(fourfold_poly, lam, P) == _outcome(_fourfold_reference, lam, P)
         assert _outcome(even_sum_forms, s, P, N) == _outcome(
             _even_sum_forms_reference, s, P, N
+        )
+
+    @settings(derandomize=True, max_examples=250, deadline=None)
+    @given(_walk_inputs(), st.integers(0, 4), st.integers(0, 6))
+    def test_koornwinder_weight_walks_match_per_term_sums(self, drawn, D, W):
+        # g_row_sym and g_row_general weigh their terms by these sums
+        P, s = drawn
+        assert _outcome(ce_prime_sums, s, P, D) == _outcome(
+            lambda: [sum(coeff_ce_prime(K - l, l, s, P) for l in range(K + 1))
+                     for K in range(D + 1)]
+        )
+        assert _outcome(co_recast_sums, s, P, W) == _outcome(
+            lambda: [sum(coeff_co_recast(w - n, n, s, P) for n in range(w + 1))
+                     for w in range(W + 1)]
         )
 
     def test_even_walk_stops_at_a_vanishing_lower_ladder(self):

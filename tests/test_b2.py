@@ -4,6 +4,7 @@ fivefold series, and its collapsed forms."""
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qbc.b2
 from qbc.algebra import (
@@ -15,6 +16,9 @@ from qbc.algebra import (
 )
 from qbc.b2 import (
     B2Weight,
+    _default_bound,
+    _JetScalars,
+    _series_terms,
     b2_apply,
     b2_character_polytope,
     b2_character_series,
@@ -24,7 +28,7 @@ from qbc.b2 import (
     b2_row_threefold,
     f_b2_poly,
 )
-from qbc.errors import DimensionMismatch, NonTerminating, ParameterDegeneracy
+from qbc.errors import DimensionMismatch, NonTerminating, ParameterDegeneracy, QbcError
 from qbc.suites import _plan, _run
 
 # t, t^2, T, tT, t^2T must stay off integer powers of q, or a denominator
@@ -234,7 +238,9 @@ class TestCharacterCollapse:
     def test_polytope_is_invariant(self):
         assert weyl_invariant(b2_character_polytope(2, 1))
 
-    @pytest.mark.parametrize("r1,r2", [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)])
+    @pytest.mark.parametrize(
+        "r1,r2", [(r1, total - r1) for total in range(5) for r1 in range(total + 1)]
+    )
     def test_series_limit_matches_polytope(self, r1, r2):
         w = B2Weight(r1, r2)
         assert b2_character_series(w, CHAR_POINT) == b2_character_polytope(r1, r2)
@@ -242,6 +248,217 @@ class TestCharacterCollapse:
     def test_needs_collapsed_point(self):
         with pytest.raises(ParameterDegeneracy):
             b2_character_series(B2Weight(1, 0), B2P1)
+
+
+class _ReferenceJet:
+    """The truncated Laurent series c[0] v^off + c[1] v^(off+1) + ... the
+    collapsed series was first computed in, kept as the reference for the
+    leading-term ring.  prec is the absolute exponent where knowledge
+    stops; None marks the exact zero series."""
+
+    def __init__(self, off, coeffs, prec):
+        while coeffs and coeffs[0] == 0:
+            off += 1
+            coeffs = coeffs[1:]
+        if not coeffs:
+            off = 0
+        self.off = off
+        self.coeffs = tuple(coeffs)
+        self.prec = prec
+
+    def is_exact_zero(self):
+        return not self.coeffs and self.prec is None
+
+    def __mul__(self, other):
+        if self.is_exact_zero() or other.is_exact_zero():
+            return _REFERENCE_ZERO
+        if not self.coeffs or not other.coeffs:
+            raise ParameterDegeneracy("series precision exhausted in a product")
+        off = self.off + other.off
+        length = min(len(self.coeffs), len(other.coeffs))
+        out = [F(0)] * length
+        for i, a in enumerate(self.coeffs[:length]):
+            for j, b in enumerate(other.coeffs[: length - i]):
+                out[i + j] += a * b
+        return _ReferenceJet(off, out, off + length)
+
+    def __truediv__(self, other):
+        if not other.coeffs:
+            raise ParameterDegeneracy("division by a vanishing series")
+        c0, length = other.coeffs[0], len(other.coeffs)
+        inv = [1 / c0] + [F(0)] * (length - 1)
+        for k in range(1, length):
+            inv[k] = -sum(other.coeffs[j] * inv[k - j] for j in range(1, k + 1)) / c0
+        return self * _ReferenceJet(-other.off, inv, length - other.off)
+
+    def __add__(self, other):
+        if self.is_exact_zero():
+            return other
+        if other.is_exact_zero():
+            return self
+        off = min(self.off, other.off)
+        prec = min(self.prec, other.prec)
+        out = [F(0)] * (prec - off)
+        for src in (self, other):
+            for i, c in enumerate(src.coeffs):
+                if 0 <= src.off + i - off < len(out):
+                    out[src.off + i - off] += c
+        return _ReferenceJet(off, out, prec)
+
+    def value(self):
+        if not self.coeffs:
+            if self.prec is not None and self.prec < 1:
+                raise ParameterDegeneracy("series precision exhausted at evaluation")
+            return F(0)
+        if self.off < 0:
+            raise ParameterDegeneracy("coefficient diverges at the collapsed parameter point")
+        return self.coeffs[0] if self.off == 0 else F(0)
+
+
+_REFERENCE_ZERO = _ReferenceJet(0, (), None)
+
+
+class _ReferenceJetScalars:
+    """The reference ring: 48 binomial coefficients of (tv (1 + v))^p per
+    factor."""
+
+    zero_is_identical = True
+    PREC = 48
+
+    def __init__(self, tv):
+        self.tv = tv
+        self.one = _ReferenceJet(0, (F(1),), self.PREC)
+        self.zero = _REFERENCE_ZERO
+
+    def _tpow(self, p):
+        coeffs, binom = [self.tv ** p], F(1)
+        for i in range(1, self.PREC):
+            binom = binom * F(p - i + 1, i)
+            coeffs.append(self.tv ** p * binom)
+        return coeffs
+
+    def unit(self, gamma, p):
+        return _ReferenceJet(0, [gamma * c for c in self._tpow(p)], self.PREC)
+
+    def factor(self, gamma, p):
+        if p == 0:
+            return _REFERENCE_ZERO if gamma == 1 else _ReferenceJet(0, (1 - gamma,), self.PREC)
+        coeffs = [-gamma * c for c in self._tpow(p)]
+        coeffs[0] += 1
+        return _ReferenceJet(0, coeffs, self.PREC)
+
+    def dead(self, x):
+        return x.is_exact_zero()
+
+    def finalize(self, x):
+        return x.value()
+
+
+def _series_outcome(ring, w, P):
+    """Every finalized coefficient, each the value or the class of the
+    QbcError it raised; or the class of the error the series raised."""
+    try:
+        terms = _series_terms(w, P, ring, _default_bound(w))
+    except QbcError as exc:
+        return type(exc)
+    out = {}
+    for exps, x in terms.items():
+        try:
+            out[exps] = ring.finalize(x)
+        except QbcError as exc:
+            out[exps] = type(exc)
+    return out
+
+
+_SMALL = st.builds(F, st.integers(-5, 5).filter(bool), st.integers(1, 4))
+_SIGN = st.sampled_from([F(1), F(-1)])
+
+
+@st.composite
+def _series_inputs(draw):
+    """A point, collapsed (q = t = T, the square roots up to sign) about
+    half the time, and a weight of total at most 3.  Off the collapse
+    sqrt_t and sqrt_T are signed powers of sqrt q or small rationals times
+    them, so that factors pin to 0 and denominators vanish at live
+    indices."""
+    sq = draw(_SMALL.filter(lambda x: abs(x) != 1))
+
+    def coordinate():
+        scale = draw(_SIGN | _SMALL)
+        return scale * sq ** draw(st.integers(-2, 2))
+
+    if draw(st.booleans()):
+        st_, sT = sq * draw(_SIGN), sq * draw(_SIGN)
+    else:
+        st_, sT = coordinate(), coordinate()
+    total = draw(st.integers(0, 3))
+    r1 = draw(st.integers(0, total))
+    return ParamPoint(sqrt_q=sq, sqrt_t=st_, sqrt_T=sT), B2Weight(r1, total - r1)
+
+
+RINGS = [_JetScalars, _ReferenceJetScalars]
+
+
+class TestLeadingTermRing:
+    """The collapsed series keeps one leading coefficient per value; it must
+    give what the 48-term truncated ring gave, values and errors alike."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(_series_inputs())
+    def test_series_matches_truncated_reference(self, drawn):
+        P, w = drawn
+        assert _series_outcome(_JetScalars(P.t), w, P) == _series_outcome(
+            _ReferenceJetScalars(P.t), w, P
+        )
+
+    @pytest.mark.parametrize("Ring", RINGS)
+    def test_cancellation_at_order_zero_is_zero(self, Ring):
+        ring = Ring(F(1, 4))
+        minus_one = ring.factor(F(2), 0)
+        assert ring.finalize(ring.one + minus_one) == 0
+
+    @pytest.mark.parametrize("Ring", RINGS)
+    def test_cancellation_at_order_minus_one_raises(self, Ring):
+        ring = Ring(F(1, 4))
+        pole = ring.one / ring.factor(F(4), 1)  # 1 - 4 t vanishes at t = 1/4
+        cancelled = pole + pole * ring.unit(F(-1), 0)
+        # what is left is O(v^0): a constant added to it stays unknown
+        for value in (cancelled, cancelled + ring.one, ring.one + cancelled):
+            with pytest.raises(ParameterDegeneracy):
+                ring.finalize(value)
+
+    @pytest.mark.parametrize("Ring", RINGS)
+    def test_surviving_pole_raises(self, Ring):
+        ring = Ring(F(1, 4))
+        with pytest.raises(ParameterDegeneracy):
+            ring.finalize(ring.one / ring.factor(F(4), 1))
+
+    @pytest.mark.parametrize("Ring", RINGS)
+    def test_exact_zero_absorbs_products(self, Ring):
+        ring = Ring(F(1, 4))
+        zero = ring.factor(F(1), 0)
+        exhausted = ring.one + ring.factor(F(2), 0)
+        assert ring.dead(zero)
+        assert not ring.dead(exhausted)
+        for product in (zero * ring.one, exhausted * zero, zero / ring.factor(F(4), 1)):
+            assert ring.dead(product)
+            assert ring.finalize(product) == 0
+        with pytest.raises(ParameterDegeneracy):
+            exhausted * ring.one
+
+    @pytest.mark.parametrize("Ring", RINGS)
+    def test_dividing_by_exact_zero_raises(self, Ring):
+        ring = Ring(F(1, 4))
+        zero = ring.factor(F(1), 0)
+        for numerator in (ring.one, zero):
+            with pytest.raises(ParameterDegeneracy):
+                numerator / zero
+
+    @pytest.mark.parametrize("Ring", RINGS)
+    def test_vanishing_factor_leads_at_order_one(self, Ring):
+        # (1 - 4 t) / (1 - 16 t^2) -> 1/2 as t -> 1/4
+        ring = Ring(F(1, 4))
+        assert ring.finalize(ring.factor(F(4), 1) / ring.factor(F(16), 2)) == F(1, 2)
 
 
 def _plan_report(r1, r2, P):

@@ -4,9 +4,11 @@ perfbench wraps ``algebra.exact_div`` at its module global and counts the
 calls and the dividend terms.  Those counts compare two commits only while
 one operator application still divides once per factor of its cleared
 denominator, through that global.  It also wraps ``qseries.power_of_base``,
-each suite function, whose span must enclose the suite's cases, and the
+each suite function, whose span must enclose the suite's cases, the
 series ``phi_series``, ``fourfold_poly`` and ``even_sum_forms`` at the
-``suites`` and ``macdonald_bcd`` globals that call them.
+``suites`` and ``macdonald_bcd`` globals that call them, and the rank-two
+series: ``b2._series_terms`` at its module global and
+``b2_character_series`` at the ``suites`` global.
 """
 
 import json
@@ -101,11 +103,11 @@ from qbc import suites
 tracer = spans.Tracer()
 spans.install_qbc_layers(tracer)
 passed = [suites.run_suite(name, suites.default_config()).passed
-          for name in ("askey-wilson", "bibasic")]
+          for name in sys.argv[2].split(",")]
 metrics = spans.layer_metrics(tracer)
 print(json.dumps({
     "passed": passed,
-    "calls": {name: metrics.get(name + ".calls", 0) for name in sys.argv[2:]},
+    "calls": {name: metrics.get(name + ".calls", 0) for name in sys.argv[3:]},
 }))
 """
 
@@ -114,15 +116,29 @@ SERIES_LAYERS = (
 )
 
 
-def test_traced_series_suites_reach_the_walked_series(tmp_path):
-    # the suites and macdonald_bcd look these up as module globals, which is
-    # where perfbench wraps them
+def _traced_calls(tmp_path, suite_names, layers):
     proc = subprocess.run(
-        [sys.executable, "-c", SERIES_TRACE, str(ROOT / "perfbench"), *SERIES_LAYERS],
+        [sys.executable, "-c", SERIES_TRACE, str(ROOT / "perfbench"),
+         ",".join(suite_names), *layers],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
         env={**os.environ, "PYTHONPATH": str(ROOT / "src"), CACHE_ENV: str(tmp_path)},
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     result = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert result["passed"] == [True, True]
-    assert all(result["calls"][name] > 0 for name in SERIES_LAYERS), result["calls"]
+    assert result["passed"] == [True] * len(suite_names)
+    return result["calls"]
+
+
+def test_traced_series_suites_reach_the_walked_series(tmp_path):
+    # the suites and macdonald_bcd look these up as module globals, which is
+    # where perfbench wraps them
+    calls = _traced_calls(tmp_path, ("askey-wilson", "bibasic"), SERIES_LAYERS)
+    assert all(calls[name] > 0 for name in SERIES_LAYERS), calls
+
+
+def test_traced_b2_suite_reaches_the_rank_two_series(tmp_path):
+    # f_b2_poly and b2_character_series call _series_terms through the b2
+    # module global; the suite calls b2_character_series through its own
+    layers = ("b2.series", "b2.character_series")
+    calls = _traced_calls(tmp_path, ("b2",), layers)
+    assert all(calls[name] > 0 for name in layers), calls
