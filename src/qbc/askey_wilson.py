@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from .algebra import ClearedShiftOperator, LaurentPoly, ParamPoint, ShiftTerm, rat
 from .errors import ParameterDegeneracy
-from .qseries import PhiSpec, phi_sum, qbinom_series, qpoch, qpoch_multi
+from .qseries import PhiSpec, phi_sum, qbinom_series, qpoch, qpoch_multi, qpoch_ratio
 
 #: variants of the twofold simplification of the fourfold series
 HALF_BASE = "half-base"
@@ -368,24 +368,25 @@ def _odd_sums(s, P: ParamPoint, tops):
     return _ladder_walk(tops, outer, inner, "the odd family")
 
 
-def ce_prime_sums(s, P: ParamPoint, D: int) -> list:
-    """c'_e(k, l; s) summed along k + l = K for K = 0..D: a walk along l at
-    k = 0, then along k, of every factor but the ratio, which depends on
-    k + l alone and multiplies each sum."""
+def _coupled_sums(s, P: ParamPoint, tops, cu, su, what: str) -> list:
+    """Sums along k + l, over 0 <= l < len(tops), 0 <= k <= tops[l], of
+
+        (q a^2/c^2, q^3 s/c^2, q^2 s^2/c^4; q^2)_k (q^2/a^2)^k
+        / (q^2, q s/c^2, q^3 s^2/(a^2 c^2); q^2)_k
+        * (cu; q)_l (su; q)_(2k+l) (q^2/c^2)^l / ((q; q)_l (q^2 s/c^2; q)_(2k+l)),
+
+    a walk along l at k = 0, then along k.  The coupled even route takes
+    (cu, su) = (c^2/q, s), the primed even family (c^2/q^2, s/q)."""
     P.require("a", "c")
     a, c, q = P.a, P.c, P.q
-    s = rat(s)
-    if s == q:
-        raise ParameterDegeneracy("the ratio factor needs s != q")
     q2 = q * q
     a2, c2 = a * a, c * c
-    cq2, sq, q2sc = c2 / q2, s / q, q2 * s / c2
-    qac, q3sc, sc4 = q * a2 / c2, q ** 3 * s / c2, q2 * s * s / (c2 * c2)
-    qsc, sac3 = q * s / c2, q ** 3 * s * s / (a2 * c2)
+    q2sc, qac, q3sc = q2 * s / c2, q * a2 / c2, q ** 3 * s / c2
+    sc4, qsc, sac3 = q2 * s * s / (c2 * c2), q * s / c2, q ** 3 * s * s / (a2 * c2)
 
     def outer(l):
         x = q ** l
-        return (1 - cq2 * x) * (1 - sq * x) * q2 / c2, (1 - q * x) * (1 - q2sc * x)
+        return (1 - cu * x) * (1 - su * x) * q2 / c2, (1 - q * x) * (1 - q2sc * x)
 
     def inner(l):
         ql = q ** l
@@ -395,7 +396,7 @@ def ce_prime_sums(s, P: ParamPoint, D: int) -> list:
             y = x * ql  # q^(2k+l): the (.; q)_(2k+l) ladders add two factors per step in k
             num = (
                 (1 - qac * x) * (1 - q3sc * x) * (1 - sc4 * x)
-                * (1 - sq * y) * (1 - sq * y * q)
+                * (1 - su * y) * (1 - su * y * q)
             )
             den = (
                 (1 - q2 * x) * (1 - qsc * x) * (1 - sac3 * x)
@@ -405,11 +406,22 @@ def ce_prime_sums(s, P: ParamPoint, D: int) -> list:
 
         return step
 
-    sums = _ladder_walk(
-        [D - l for l in range(D + 1)], outer, inner, "the primed even family"
+    return _ladder_walk(tops, outer, inner, what)
+
+
+def ce_prime_sums(s, P: ParamPoint, D: int) -> list:
+    """c'_e(k, l; s) summed along k + l = K for K = 0..D: the coupled walk
+    of every factor but the ratio, which depends on k + l alone and
+    multiplies each sum."""
+    P.require("a", "c")
+    q, s = P.q, rat(s)
+    if s == q:
+        raise ParameterDegeneracy("the ratio factor needs s != q")
+    sums = _coupled_sums(
+        s, P, [D - l for l in range(D + 1)], P.c ** 2 / q ** 2, s / q, "the primed even family"
     )
     return [
-        value * (1 - q ** (2 * K - 1) * s) / (1 - sq) for K, value in enumerate(sums)
+        value * (1 - q ** (2 * K - 1) * s) / (1 - s / q) for K, value in enumerate(sums)
     ]
 
 
@@ -549,17 +561,17 @@ def even_sum_closed(s, P: ParamPoint, N: int) -> list:
     q2 = q * q
     closed = []
     for K in range(N + 1):
-        headn = qpoch_multi((a ** 2 * c ** 2 / q, s ** 2), q2, K)
-        headd = qpoch_multi((q2, q ** 3 * s ** 2 / (a ** 2 * c ** 2)), q2, K)
-        if headd == 0:
-            raise ParameterDegeneracy("vanishing head factor in the closed even form")
+        head = qpoch_ratio(
+            (a ** 2 * c ** 2 / q, s ** 2), (q2, q ** 3 * s ** 2 / (a ** 2 * c ** 2)),
+            q2, K, "the head factor of the closed even form",
+        )
         spec = PhiSpec(
             uppers=(a ** 2 / q, c ** 2 / q, q ** (2 * K) * s ** 2, q ** (-2 * K)),
             lowers=(-s, -q * s, a ** 2 * c ** 2 / q),
             base=q2,
             argument=q2,
         )
-        closed.append(headn / headd * (q ** 3 / (a ** 2 * c ** 2)) ** K * phi_sum(spec, K))
+        closed.append(head * (q ** 3 / (a ** 2 * c ** 2)) ** K * phi_sum(spec, K))
     return closed
 
 
@@ -569,7 +581,8 @@ def even_sum_forms(s, P: ParamPoint, N: int) -> EvenSumForms:
     bibasic rewrites (split ladders, and ladders coupled through 2k+l).
 
     Every route but the closed one walks the triangle k + l <= N by running
-    ratios, along l at k = 0 and then along k."""
+    ratios, along l at k = 0 and then along k; the coupled route is the walk
+    ce_prime_sums takes at shifted ladders."""
     P.require("a", "c")
     a, c, q = P.a, P.c, P.q
     s = rat(s)
@@ -598,32 +611,7 @@ def even_sum_forms(s, P: ParamPoint, N: int) -> EvenSumForms:
         return step
 
     split = _ladder_walk(tops, split_outer, split_inner, "the split form")
-
-    qsc, q2sc, q3sc, sc4 = q * s / c2, q2 * s / c2, q ** 3 * s / c2, q2 * s2 / (c2 * c2)
-
-    def coupled_outer(l):
-        x = q ** l
-        return (1 - cq * x) * (1 - s * x) * q2 / c2, (1 - q * x) * (1 - q2sc * x)
-
-    def coupled_inner(l):
-        ql = q ** l
-
-        def step(k):
-            x = q ** (2 * k)
-            y = x * ql  # q^(2k+l): the coupled ladders add two factors per step in k
-            num = (
-                (1 - qac * x) * (1 - q3sc * x) * (1 - sc4 * x)
-                * (1 - s * y) * (1 - s * y * q)
-            )
-            den = (
-                (1 - q2 * x) * (1 - qsc * x) * (1 - sac3 * x)
-                * (1 - q2sc * y) * (1 - q2sc * y * q)
-            )
-            return num * q2 / a2, den
-
-        return step
-
-    coupled = _ladder_walk(tops, coupled_outer, coupled_inner, "the coupled form")
+    coupled = _coupled_sums(s, P, tops, cq, s, "the coupled form")
     return EvenSumForms(raw, closed, split, coupled)
 
 
@@ -637,13 +625,10 @@ def odd_sum_check(l: int, s, P: ParamPoint):
         raise ParameterDegeneracy("the closed odd form needs s != 0")
     direct = sum(coeff_co(m, l - m, s, P) for m in range(l + 1))
     half = P.sqrt_q * s / (a * c)
-    headd = qpoch_multi(
-        (q, q ** 2 * s ** 2 / (a * b * c * d), half, -half), q, l
-    )
-    if headd == 0:
-        raise ParameterDegeneracy("vanishing head factor in the closed odd form")
-    headn = qpoch_multi(
-        (-d / c, q * s / (a * b), s, q * s ** 2 / (a ** 2 * c ** 2)), q, l
+    head = qpoch_ratio(
+        (-d / c, q * s / (a * b), s, q * s ** 2 / (a ** 2 * c ** 2)),
+        (q, q ** 2 * s ** 2 / (a * b * c * d), half, -half),
+        q, l, "the head factor of the closed odd form",
     )
     spec = PhiSpec(
         uppers=(q ** -l, -(q ** -l) * a * c / s, -b / a, q * s / (c * d)),
@@ -651,7 +636,7 @@ def odd_sum_check(l: int, s, P: ParamPoint):
         base=q,
         argument=q,
     )
-    closed = headn / headd * (q / d) ** l * phi_sum(spec, l)
+    closed = head * (q / d) ** l * phi_sum(spec, l)
     return direct, closed
 
 
@@ -681,33 +666,19 @@ def simplified_series(variant: str, s, P: ParamPoint, N: int) -> SeriesTrunc:
     coeffs = [Fraction(0)] * (N + 1)
     for l in range(N + 1):
         if variant == HALF_BASE:
-            lden = (
-                qpoch(sq, sq, l)
-                * qpoch(sq * s / (A * B), sq, l)
-                * qpoch(s / A ** 2, q, l)
+            lterm = (
+                qpoch_ratio((B / A, s / A ** 2), (sq, sq * s / (A * B)), sq, l, "the l ladder")
+                * qpoch_ratio((s,), (s / A ** 2,), q, l, "the l ladder")
+                * (sq / B) ** l
             )
-            if lden == 0:
-                raise ParameterDegeneracy("vanishing lower Pochhammer in the l ladder")
-            lnum = (
-                qpoch(B / A, sq, l) * qpoch(s / A ** 2, sq, l) * qpoch(s, q, l)
-            )
-            lterm = lnum / lden * (sq / B) ** l
         else:
-            lden = (
-                qpoch(q, q, l)
-                * qpoch(q * s ** 2 / (A ** 3 * B), q, l)
-                * qpoch(s / A ** 2, q, l)
-            )
-            if lden == 0:
-                raise ParameterDegeneracy("vanishing lower Pochhammer in the l ladder")
-            lnum = (
-                qpoch(B / A, q, l) * qpoch(s ** 2 / A ** 4, q, l) * qpoch(s, q, l)
-            )
-            lterm = lnum / lden * (q / B) ** l
+            lterm = qpoch_ratio(
+                (B / A, s ** 2 / A ** 4, s), (q, q * s ** 2 / (A ** 3 * B), s / A ** 2),
+                q, l, "the l ladder",
+            ) * (q / B) ** l
         for m in range((N - l) // 2 + 1):
-            mden = qpoch(q, q, m) * qpoch(q ** (l + 1) * s / A ** 2, q, m)
-            if mden == 0:
-                raise ParameterDegeneracy("vanishing lower Pochhammer in the m ladder")
-            mnum = qpoch(A ** 2, q, m) * qpoch(q ** l * s, q, m)
-            coeffs[2 * m + l] += lterm * mnum / mden * (q / A ** 2) ** m
+            mterm = qpoch_ratio(
+                (A ** 2, q ** l * s), (q, q ** (l + 1) * s / A ** 2), q, m, "the m ladder"
+            )
+            coeffs[2 * m + l] += lterm * mterm * (q / A ** 2) ** m
     return SeriesTrunc(tuple(coeffs))

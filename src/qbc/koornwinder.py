@@ -181,10 +181,15 @@ def koorn_oracle(lam, P: ParamPoint, n: int, use_cache: bool = True) -> LaurentP
     return result
 
 
-def g_series_list(rmax: int, n: int, P: ParamPoint) -> list:
-    """Coefficients [G_0, ..., G_rmax] of the binomial-product generating
+@lru_cache(maxsize=None)
+def g_series_list(rmax: int, n: int, P: ParamPoint) -> tuple:
+    """Coefficients (G_0, ..., G_rmax) of the binomial-product generating
     function: each of the 2n factors contributes (t;q)_j/(q;q)_j x_i^(+-j)
-    at order j, and the truncated factor series are convolved."""
+    at order j, and the truncated factor series are convolved.
+
+    Entry j does not depend on rmax.  The tuple is memoized per (rmax, n, P)
+    for the process and shared by every caller, so the one-row displays at a
+    point build each list once."""
     P.require("sqrt_t")
     heads = qbinom_series(P.t, P.q, rmax)
     out = [LaurentPoly.one(n)] + [LaurentPoly.zero(n) for _ in range(rmax)]
@@ -199,7 +204,7 @@ def g_series_list(rmax: int, n: int, P: ParamPoint) -> list:
                         continue
                     new[r + j] = new[r + j] + out[r] * _mono(n, [(i, sign * j)], heads[j])
             out = new
-    return out
+    return tuple(out)
 
 
 def g_series(r: int, n: int, P: ParamPoint) -> LaurentPoly:
@@ -208,28 +213,32 @@ def g_series(r: int, n: int, P: ParamPoint) -> LaurentPoly:
     return g_series_list(r, n, P)[r]
 
 
-def g_row_sym(r: int, P: ParamPoint, n: int, gs: list = None) -> LaurentPoly:
+def row_sum(n: int, gs, terms) -> LaurentPoly:
+    """Sum of gs[k] * w over the (k, w) pairs of terms; an entry of gs is
+    read only where its weight is nonzero."""
+    total = LaurentPoly.zero(n)
+    for k, w in terms:
+        if w:
+            total = total + gs[k] * w
+    return total
+
+
+def g_row_sym(r: int, P: ParamPoint, n: int) -> LaurentPoly:
     """One-row sum for the chained parameter family (a, -a, c, -c).
 
     The k,l weights are the primed even-family coefficients evaluated at a
     point rescaled by sqrt(q/t) and at the pinned spectral value
     q^(1-r) t^(-n), carrying one factor t/q per lattice step; they enter
-    summed along k + l.  gs is g_series_list of any order >= r, built here
-    when not given: entry j of a list does not depend on its order.
+    summed along k + l.
     """
     P.require("a", "c", "sqrt_t")
     q, t = P.q, P.t
     hat = P.sqrt_q / P.sqrt_t
     Phat = P.replace(a=hat * P.a, c=hat * P.c)
     shat = q ** (1 - r) * t ** -n
-    if gs is None:
-        gs = g_series_list(r, n, P)
-    total = LaurentPoly.zero(n)
-    for K, value in enumerate(ce_prime_sums(shat, Phat, r // 2)):
-        w = value * (t / q) ** K
-        if w:
-            total = total + gs[r - 2 * K] * w
-    return total
+    gs = g_series_list(r, n, P)
+    sums = ce_prime_sums(shat, Phat, r // 2)
+    return row_sum(n, gs, ((r - 2 * K, value * (t / q) ** K) for K, value in enumerate(sums)))
 
 
 def g_row_general(r: int, P: ParamPoint, n: int) -> LaurentPoly:
@@ -238,7 +247,7 @@ def g_row_general(r: int, P: ParamPoint, n: int) -> LaurentPoly:
     The i,j weights are the regrouped odd-family coefficients at the same
     rescaled point and spectral value, carrying sqrt(t/q) per step and
     summed along i + j; both ladders collapse to the (0,0) term when b=-a
-    and d=-c.  One g_series_list of order r serves every g_row_sym below.
+    and d=-c.
     """
     P.require("a", "b", "c", "d", "sqrt_t")
     q, t = P.q, P.t
@@ -246,14 +255,9 @@ def g_row_general(r: int, P: ParamPoint, n: int) -> LaurentPoly:
     Phat = P.replace(a=hat * P.a, b=hat * P.b, c=hat * P.c, d=hat * P.d)
     shat = q ** (1 - r) * t ** -n
     half = P.sqrt_t / P.sqrt_q
-    gs = g_series_list(r, n, P)
-    syms = [g_row_sym(k, P, n, gs) for k in range(r + 1)]
-    total = LaurentPoly.zero(n)
-    for w, value in enumerate(co_recast_sums(shat, Phat, r)):
-        weight = value * half ** w
-        if weight:
-            total = total + syms[r - w] * weight
-    return total
+    syms = [g_row_sym(k, P, n) for k in range(r + 1)]
+    sums = co_recast_sums(shat, Phat, r)
+    return row_sum(n, syms, ((r - w, value * half ** w) for w, value in enumerate(sums)))
 
 
 def _poly_mul(u, v):

@@ -11,8 +11,8 @@ from typing import Optional
 from .algebra import LaurentPoly, ParamPoint, format_rational, rat
 from .askey_wilson import phi_series
 from .errors import MissingSquareRoot, ParameterDegeneracy
-from .koornwinder import g_series_list
-from .qseries import qpoch, qpoch_multi
+from .koornwinder import g_series_list, row_sum
+from .qseries import qpoch, qpoch_ratio
 
 FAMILY_B = "B"
 FAMILY_C = "C"
@@ -74,25 +74,26 @@ def specialize_params(tag: FamilyTag, P: ParamPoint) -> ParamPoint:
     return P.replace(a=-1, b=sa * sa, c=-sq, d=sq)
 
 
-def _nonzero(value, what):
-    if value == 0:
-        raise ParameterDegeneracy(f"vanishing {what}")
-    return value
-
-
 def _head(r: int, P: ParamPoint) -> Fraction:
-    return qpoch(P.q, P.q, r) / _nonzero(qpoch(P.t, P.q, r), "one-row prefactor")
+    return qpoch_ratio((P.q,), (P.t,), P.q, r, "the one-row prefactor")
+
+
+def _pivot(x: Fraction, qk: Fraction, what: str) -> Fraction:
+    # the well-poised factor (1 - x q^k) / (1 - x), given q^k: a quotient of
+    # length-one ladders, whose base plays no part
+    return qpoch_ratio((x * qk,), (x,), qk, 1, what)
 
 
 def _weight_cd(j: int, r: int, b: Fraction, P: ParamPoint, n: int) -> Fraction:
     # family D is the b = 1 case of the same single-ladder weight
     q, t = P.q, P.t
-    num = qpoch(b / t, q, j) * qpoch(t ** -n * q ** -r, q, j)
-    den = qpoch(q, q, j) * qpoch(t ** (1 - n) * q ** (1 - r) / b, q, j)
-    _nonzero(den, "lower Pochhammer in the one-row weight")
-    pivot = _nonzero(1 - t ** -n * q ** -r, "one-row weight pivot")
-    ratio = (1 - t ** -n * q ** (-r + 2 * j)) / pivot
-    return num / den * ratio * (t * t / (q * b)) ** j
+    x = t ** -n * q ** -r
+    what = "the one-row weight"
+    return (
+        qpoch_ratio((b / t, x), (q, t ** (1 - n) * q ** (1 - r) / b), q, j, what)
+        * _pivot(x, q ** (2 * j), what)
+        * (t * t / (q * b)) ** j
+    )
 
 
 def _weight_b(i: int, j: int, r: int, a: Fraction, P: ParamPoint, n: int) -> Fraction:
@@ -100,23 +101,24 @@ def _weight_b(i: int, j: int, r: int, a: Fraction, P: ParamPoint, n: int) -> Fra
     # i-ladder is cancelled against the denominator head, leaving only the
     # tail of length j; the uncancelled form is 0/0 at n = 1, i + j = r
     q, t = P.q, P.t
-    num = (
-        qpoch(a, q, i)
-        * qpoch(t ** -n * q ** -r, q, i + j)
-        * qpoch(t ** (2 - 2 * n) * q ** (-2 * r), q, i)
-        * qpoch(1 / t, q, j)
+    x = t ** -n * q ** -r
+    t2 = t ** (2 - 2 * n)
+    what = "the one-row weight"
+    return (
+        qpoch(x, q, i + j)
+        * qpoch_ratio((a, t2 * q ** (-2 * r)), (q, t * x, t2 * q ** (1 - 2 * r) / a), q, i, what)
+        * qpoch_ratio((1 / t,), (q, t ** (1 - n) * q ** (1 - r + i)), q, j, what)
+        * _pivot(x, q ** (i + 2 * j), what)
+        * (t / a) ** i
+        * (t * t / q) ** j
     )
-    den = (
-        qpoch(q, q, i)
-        * qpoch(t ** (1 - n) * q ** -r, q, i)
-        * qpoch(t ** (1 - n) * q ** (1 - r + i), q, j)
-        * qpoch(t ** (2 - 2 * n) * q ** (1 - 2 * r) / a, q, i)
-        * qpoch(q, q, j)
-    )
-    _nonzero(den, "lower Pochhammer in the one-row weight")
-    pivot = _nonzero(1 - t ** -n * q ** -r, "one-row weight pivot")
-    ratio = (1 - t ** -n * q ** (-r + i + 2 * j)) / pivot
-    return num / den * ratio * (t / a) ** i * (t * t / q) ** j
+
+
+def _cd_row(r: int, b: Fraction, P: ParamPoint, n: int) -> LaurentPoly:
+    """The single-ladder G-sum of families C (parameter b) and D (b = 1),
+    without the monic head."""
+    terms = ((r - 2 * j, _weight_cd(j, r, b, P, n)) for j in range(r // 2 + 1))
+    return row_sum(n, g_series_list(r, n, P), terms)
 
 
 def mac_row(tag: FamilyTag, r: int, P: ParamPoint, n: int) -> LaurentPoly:
@@ -125,38 +127,31 @@ def mac_row(tag: FamilyTag, r: int, P: ParamPoint, n: int) -> LaurentPoly:
         raise ValueError("row length must be nonnegative")
     P.require("sqrt_t")
     head = _head(r, P)
-    gs = g_series_list(r, n, P)
-    total = LaurentPoly.zero(n)
     if tag.family in (FAMILY_C, FAMILY_D):
         b = Fraction(1) if tag.family == FAMILY_D else tag.param
-        for j in range(r // 2 + 1):
-            w = _weight_cd(j, r, b, P, n)
-            if w:
-                total = total + gs[r - 2 * j] * w
-    else:
-        a = tag.param
-        for i in range(r + 1):
-            for j in range((r - i) // 2 + 1):
-                w = _weight_b(i, j, r, a, P, n)
-                if w:
-                    total = total + gs[r - i - 2 * j] * w
-    return total * head
+        return _cd_row(r, b, P, n) * head
+    a = tag.param
+    terms = (
+        (r - i - 2 * j, _weight_b(i, j, r, a, P, n))
+        for i in range(r + 1)
+        for j in range((r - i) // 2 + 1)
+    )
+    return row_sum(n, g_series_list(r, n, P), terms) * head
 
 
-def _lassalle_cd_sum(r: int, b: Fraction, P: ParamPoint, n: int, gs) -> LaurentPoly:
+def _lassalle_cd_sum(r: int, b: Fraction, P: ParamPoint, n: int) -> LaurentPoly:
     # positive-power display; the shifted pivot 1 - t^n q^(r-i) replaces the
     # boundary factor of the numerator ladder
     q, t = P.q, P.t
-    total = LaurentPoly.zero(n)
-    for i in range(r // 2 + 1):
-        num = qpoch(b / t, q, i) * qpoch(t ** n * q ** (r - i), q, i)
-        den = qpoch(q, q, i) * qpoch(b * t ** (n - 1) * q ** (r - i), q, i)
-        _nonzero(den, "lower Pochhammer in the conjectured weight")
-        pivot = _nonzero(1 - t ** n * q ** (r - i), "conjectured weight pivot")
-        w = t ** i * num / den * (1 - t ** n * q ** (r - 2 * i)) / pivot
-        if w:
-            total = total + gs[r - 2 * i] * w
-    return total
+    what = "the conjectured weight"
+
+    def weight(i):
+        x = t ** n * q ** (r - i)
+        ratio = qpoch_ratio((b / t, x), (q, b * t ** (n - 1) * q ** (r - i)), q, i, what)
+        return t ** i * ratio * _pivot(x, q ** -i, what)
+
+    terms = ((r - 2 * i, weight(i)) for i in range(r // 2 + 1))
+    return row_sum(n, g_series_list(r, n, P), terms)
 
 
 def lassalle_form(tag: FamilyTag, r: int, P: ParamPoint, n: int) -> LaurentPoly:
@@ -170,29 +165,21 @@ def lassalle_form(tag: FamilyTag, r: int, P: ParamPoint, n: int) -> LaurentPoly:
         raise ValueError("row length must be nonnegative")
     P.require("sqrt_t")
     q, t = P.q, P.t
-    gs = g_series_list(r, n, P)
     if tag.family in (FAMILY_C, FAMILY_D):
         b = Fraction(1) if tag.family == FAMILY_D else tag.param
-        return _lassalle_cd_sum(r, b, P, n, gs) * _head(r, P)
+        return _lassalle_cd_sum(r, b, P, n) * _head(r, P)
     a = tag.param
-    inner = [_lassalle_cd_sum(k, Fraction(1), P, n, gs) for k in range(r + 1)]
-    total = LaurentPoly.zero(n)
-    for i in range(r + 1):
-        num = (
-            qpoch(a, q, i)
-            * qpoch(t ** n * q ** (r - i), q, i)
-            * qpoch(t ** (2 * n - 2) * q ** (2 * r - i + 1), q, i)
+    inner = [_lassalle_cd_sum(k, Fraction(1), P, n) for k in range(r + 1)]
+    t2 = t ** (2 * n - 2)
+
+    def weight(i):
+        return qpoch_ratio(
+            (a, t ** n * q ** (r - i), t2 * q ** (2 * r - i + 1)),
+            (q, t ** (n - 1) * q ** (r - i + 1), a * t2 * q ** (2 * r - i)),
+            q, i, "the conjectured weight",
         )
-        den = (
-            qpoch(q, q, i)
-            * qpoch(t ** (n - 1) * q ** (r - i + 1), q, i)
-            * qpoch(a * t ** (2 * n - 2) * q ** (2 * r - i), q, i)
-        )
-        _nonzero(den, "lower Pochhammer in the conjectured weight")
-        w = num / den
-        if w:
-            total = total + inner[r - i] * w
-    return total * _head(r, P)
+
+    return row_sum(n, inner, ((r - i, weight(i)) for i in range(r + 1))) * _head(r, P)
 
 
 def lassalle_b_forms(tag: FamilyTag, r: int, P: ParamPoint, n: int):
@@ -207,61 +194,31 @@ def lassalle_b_forms(tag: FamilyTag, r: int, P: ParamPoint, n: int):
     P.require("sqrt_t")
     q, t = P.q, P.t
     a = tag.param
-    gs = g_series_list(r, n, P)
     head = _head(r, P)
+    t2 = t ** (2 - 2 * n)
 
     def iblock(i):
-        num = (
-            qpoch(a, q, i)
-            * qpoch(t ** -n * q ** (1 - r), q, i)
-            * qpoch(t ** (2 - 2 * n) * q ** (-2 * r), q, i)
-        )
-        den = (
-            qpoch(q, q, i)
-            * qpoch(t ** (1 - n) * q ** -r, q, i)
-            * qpoch(t ** (2 - 2 * n) * q ** (1 - 2 * r) / a, q, i)
-        )
-        _nonzero(den, "lower Pochhammer in the rewritten weight")
-        return num / den * (t / a) ** i
+        return qpoch_ratio(
+            (a, t ** -n * q ** (1 - r), t2 * q ** (-2 * r)),
+            (q, t ** (1 - n) * q ** -r, t2 * q ** (1 - 2 * r) / a),
+            q, i, "the rewritten weight",
+        ) * (t / a) ** i
 
-    def jblock(j, offset):
-        # offset is the row index already consumed by the outer sum
-        num = qpoch(1 / t, q, j) * qpoch(t ** -n * q ** (-r + offset), q, j)
-        den = qpoch(q, q, j) * qpoch(t ** (1 - n) * q ** (1 - r + offset), q, j)
-        _nonzero(den, "lower Pochhammer in the rewritten weight")
-        pivot = _nonzero(1 - t ** -n * q ** (-r + offset), "rewritten weight pivot")
-        ratio = (1 - t ** -n * q ** (-r + offset + 2 * j)) / pivot
-        return num / den * ratio * (t * t / q) ** j
-
-    def d_row(k):
-        # rewritten family-D display for a single row, no monic head
-        out = LaurentPoly.zero(n)
-        for j in range(k // 2 + 1):
-            num = qpoch(1 / t, q, j) * qpoch(t ** -n * q ** -k, q, j)
-            den = qpoch(q, q, j) * qpoch(t ** (1 - n) * q ** (1 - k), q, j)
-            _nonzero(den, "lower Pochhammer in the rewritten weight")
-            pivot = _nonzero(1 - t ** -n * q ** -k, "rewritten weight pivot")
-            wj = num / den * (1 - t ** -n * q ** (-k + 2 * j)) / pivot * (t * t / q) ** j
-            if wj:
-                out = out + gs[k - 2 * j] * wj
-        return out
-
-    first = LaurentPoly.zero(n)
-    for i in range(r + 1):
-        wi = iblock(i)
-        if wi:
-            first = first + d_row(r - i) * wi
-
-    second = LaurentPoly.zero(n)
-    for i in range(r + 1):
-        wi = iblock(i)
-        if not wi:
-            continue
-        for j in range((r - i) // 2 + 1):
-            w = wi * jblock(j, i)
-            if w:
-                second = second + gs[r - i - 2 * j] * w
-
+    # (row left to the family-D sum, its weight); the first display sums the
+    # family-D rows, the second expands them into the same G terms
+    outer = [(r - i, iblock(i)) for i in range(r + 1)]
+    d_rows = {k: _cd_row(k, Fraction(1), P, n) for k, w in outer if w}
+    first = row_sum(n, d_rows, outer)
+    second = row_sum(
+        n,
+        g_series_list(r, n, P),
+        (
+            (k - 2 * j, w * _weight_cd(j, k, Fraction(1), P, n))
+            for k, w in outer
+            if w
+            for j in range(k // 2 + 1)
+        ),
+    )
     third = mac_row(tag, r, P, n)
     return first * head, second * head, third
 
@@ -294,58 +251,31 @@ def simplification_lemma_check(variant: str, s, P: ParamPoint, N: int) -> list:
     a2 = a * a
 
     def iblock(i):
-        num = qpoch_multi((b / a, s * s / a2 ** 2, q * s / a2), q, i)
-        den = _nonzero(
-            qpoch_multi((q, q * s * s / (a2 * a * b), s / a2), q, i),
-            "lower Pochhammer in the collapsed ladder",
-        )
-        return num / den * (q / b) ** i
+        return qpoch_ratio(
+            (b / a, s * s / a2 ** 2, q * s / a2), (q, q * s * s / (a2 * a * b), s / a2),
+            q, i, "the collapsed ladder",
+        ) * (q / b) ** i
 
-    def plain(p):
-        if variant == TYPE_C:
-            if p % 2:
-                return Fraction(0)
-            j = p // 2
-            num = qpoch(a2, q, j) * qpoch(s, q, j)
-            den = _nonzero(
-                qpoch(q, q, j) * qpoch(q * s / a2, q, j),
-                "lower Pochhammer in the collapsed ladder",
-            )
-            return num / den * (q / a2) ** j
+    def ladder(p, twist):
+        # coefficient of x^p over 2j + i = p; twist = 1 gives the ladder that
+        # absorbs the (1 - x^2) prefactor.  Variant C keeps only i = 0: its
+        # i-blocks vanish (b = a), but their longer lower ladders could raise
+        what = "the twisted ladder" if twist else "the collapsed ladder"
+        shift = q ** -twist
         total = Fraction(0)
         for j in range(p // 2 + 1):
             i = p - 2 * j
-            num = qpoch(a2, q, j) * qpoch(s, q, i + j)
-            den = _nonzero(
-                qpoch(q, q, j) * qpoch(q * s / a2, q, i + j),
-                "lower Pochhammer in the collapsed ladder",
+            if variant == TYPE_C and i:
+                continue
+            w = (
+                qpoch_ratio((a2 * shift,), (q,), q, j, what)
+                * qpoch_ratio((s * shift,), (q * s / a2,), q, i + j, what)
+                * iblock(i)
+                * (q / a2) ** j
             )
-            total += num / den * iblock(i) * (q / a2) ** j
-        return total
-
-    def twisted(p):
-        pivot = 1 - s / q
-        if variant == TYPE_C:
-            if p % 2:
-                return Fraction(0)
-            j = p // 2
-            num = qpoch(a2 / q, q, j) * qpoch(s / q, q, j)
-            den = _nonzero(
-                qpoch(q, q, j) * qpoch(q * s / a2, q, j),
-                "lower Pochhammer in the twisted ladder",
-            )
-            return num / den * (1 - q ** (2 * j - 1) * s) / pivot * (q / a2) ** j
-        total = Fraction(0)
-        for j in range(p // 2 + 1):
-            i = p - 2 * j
-            num = qpoch(a2 / q, q, j) * qpoch(s / q, q, i + j)
-            den = _nonzero(
-                qpoch(q, q, j) * qpoch(q * s / a2, q, i + j),
-                "lower Pochhammer in the twisted ladder",
-            )
-            total += (
-                num / den * iblock(i) * (1 - q ** (i + 2 * j - 1) * s) / pivot * (q / a2) ** j
-            )
+            if twist:
+                w *= _pivot(s / q, q ** (i + 2 * j), what)
+            total += w
         return total
 
     ser = phi_series(s, P, N)
@@ -360,11 +290,11 @@ def simplification_lemma_check(variant: str, s, P: ParamPoint, N: int) -> list:
         }
 
     def series_check(p):
-        return coefficient_check(p, ser.coeff(p), plain(p))
+        return coefficient_check(p, ser.coeff(p), ladder(p, 0))
 
     def twist_check(p):
-        want = plain(p) - (plain(p - 2) if p >= 2 else Fraction(0))
-        return coefficient_check(p, twisted(p), want)
+        want = ladder(p, 0) - (ladder(p - 2, 0) if p >= 2 else Fraction(0))
+        return coefficient_check(p, ladder(p, 1), want)
 
     tag = variant.lower()
     s_text = format_rational(s)

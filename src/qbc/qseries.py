@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .algebra import rat
-from .errors import DivergentSpec, PoleInLower
+from .errors import DivergentSpec, ParameterDegeneracy, PoleInLower
 
 
 def qpoch(a, q, n: int) -> Fraction:
@@ -43,6 +43,16 @@ def qpoch_multi(params: Sequence, q, n: int) -> Fraction:
     for a in params:
         out *= qpoch(a, q, n)
     return out
+
+
+def qpoch_ratio(uppers: Sequence, lowers: Sequence, q, n: int, what: str) -> Fraction:
+    """Product of (u; q)_n over uppers divided by that of (v; q)_n over
+    lowers; a vanishing lower product raises ParameterDegeneracy naming
+    what, so a zero upper ladder gives 0 only at a point with no pole."""
+    den = qpoch_multi(lowers, q, n)
+    if den == 0:
+        raise ParameterDegeneracy(f"vanishing lower Pochhammer in {what}")
+    return qpoch_multi(uppers, q, n) / den
 
 
 def power_of_base(u, q, cap: int) -> Optional[int]:

@@ -62,6 +62,17 @@ CONFIG_FILE = "default_config.json"
 _EXTRA_KEYS = ("beta", "sqrt_param")
 
 
+def _json_int(obj: dict, key: str, default):
+    """obj[key] as a JSON integer, default when absent; a fraction, string
+    or boolean is a ValueError, not a silent truncation."""
+    if key not in obj:
+        return default
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class ConfiguredPoint:
     """A parameter point plus the extras some suites need: beta ties
@@ -74,12 +85,13 @@ class ConfiguredPoint:
 
     @classmethod
     def from_json_obj(cls, obj) -> "ConfiguredPoint":
+        if not isinstance(obj, dict):
+            raise ValueError(f"a configured point must be an object, got {obj!r}")
         fields = {k: v for k, v in obj.items() if k not in _EXTRA_KEYS}
-        beta = obj.get("beta")
         sqrt_param = obj.get("sqrt_param")
         return cls(
             ParamPoint.from_json_obj(fields),
-            beta=None if beta is None else int(beta),
+            beta=_json_int(obj, "beta", None),
             sqrt_param=None if sqrt_param is None else rat(sqrt_param),
         )
 
@@ -117,16 +129,24 @@ class RunConfig:
 
     @classmethod
     def from_json_obj(cls, obj, base: "RunConfig" = None) -> "RunConfig":
-        if obj.get("schema") != 1:
-            raise ValueError("configuration must declare schema 1")
+        if not isinstance(obj, dict) or obj.get("schema") != 1:
+            raise ValueError("configuration must be an object that declares schema 1")
+        points = obj.get("points", {})
+        if not isinstance(points, dict):
+            raise ValueError("points must map group names to lists of points")
         groups = dict(base.groups) if base is not None else {}
-        for name, pts in obj.get("points", {}).items():
+        for name, pts in points.items():
+            if not isinstance(pts, list):
+                raise ValueError(f"point group {name!r} must be a list")
             groups[name] = tuple(ConfiguredPoint.from_json_obj(p) for p in pts)
+        cache_dir = obj.get("cache_dir", base.cache_dir if base else None)
+        if cache_dir is not None and not isinstance(cache_dir, str):
+            raise ValueError(f"cache_dir must be a string, got {cache_dir!r}")
         return cls(
-            degree=int(obj.get("degree", base.degree if base else 12)),
-            max_weight=int(obj.get("max_weight", base.max_weight if base else 3)),
+            degree=_json_int(obj, "degree", base.degree if base else 12),
+            max_weight=_json_int(obj, "max_weight", base.max_weight if base else 3),
             groups=groups,
-            cache_dir=obj.get("cache_dir", base.cache_dir if base else None),
+            cache_dir=cache_dir,
         )
 
 
@@ -385,17 +405,18 @@ def suite_koornwinder(cfg: RunConfig, ranks=None, rows=None):
 @_suite("lassalle")
 def suite_lassalle(cfg: RunConfig, families=None, ranks=None, rows=None):
     """Both one-row displays for the three classical specializations against
-    the operator oracle at the specialized point."""
+    the operator oracle at the specialized point, taken once per row."""
     for i, cp, tag, Q, n, r in lassalle_rows(cfg, families, ranks, rows):
         stem = f"las-{tag.family.lower()}-p{i}-n{n}-r{r}"
         degrees = {"family": tag.family, "rank": n, "row": r}
+        want = koorn_oracle((r,), Q, n)
         for suffix, anchor, display in (
             ("-row", "family-row", mac_row),
             ("-positive", "positive-power-row", lassalle_form),
         ):
             yield (
                 stem + suffix, anchor, cp.to_json_obj(), degrees,
-                lambda: _poly_mismatch(display(tag, r, cp.point, n), koorn_oracle((r,), Q, n)),
+                lambda: _poly_mismatch(display(tag, r, cp.point, n), want),
             )
 
 

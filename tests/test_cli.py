@@ -158,6 +158,29 @@ class TestVerify:
         cfg = _write_config(tmp_path, {"degree": 8})
         assert main(["verify", "kernel", "--config", cfg]) == 2
 
+    # each shape is a usage error, exit 2: not a traceback with exit 1, the
+    # code of a formula FAIL, and not a degree silently truncated to 12
+    MALFORMED_CONFIGS = {
+        "points-array": {"schema": 1, "points": []},
+        "point-not-object": {"schema": 1, "points": {"b2": [5]}},
+        "group-not-list": {"schema": 1, "points": {"b2": 5}},
+        "top-level-array": [{"schema": 1}],
+        "cache-dir-number": {"schema": 1, "cache_dir": 5},
+        "fractional-degree": {"schema": 1, "degree": 12.7},
+        "boolean-beta": {
+            "schema": 1,
+            "points": {"kernel": [{"sqrt_q": "1/2", "sqrt_t": "1/2", "beta": True}]},
+        },
+    }
+
+    @pytest.mark.parametrize("shape", sorted(MALFORMED_CONFIGS))
+    def test_malformed_config_is_a_usage_error(self, shape, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv(CACHE_ENV)
+        monkeypatch.chdir(tmp_path)
+        cfg = _write_config(tmp_path, self.MALFORMED_CONFIGS[shape])
+        assert main(["verify", "kernel", "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith("usage error: bad configuration")
+
     def test_config_replaces_group_wholesale(self, tmp_path, capsys):
         cfg = _write_config(
             tmp_path,

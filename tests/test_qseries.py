@@ -12,8 +12,9 @@ from qbc.qseries import (
     qbinom_series,
     qpoch,
     qpoch_multi,
+    qpoch_ratio,
 )
-from qbc.errors import DivergentSpec, PoleInLower
+from qbc.errors import DivergentSpec, ParameterDegeneracy, PoleInLower
 
 
 class TestQPochhammer:
@@ -33,6 +34,27 @@ class TestQPochhammer:
         assert qpoch(q ** -2, q, 2) != 0
         assert qpoch(q ** -2, q, 3) == 0
         assert qpoch(q ** -2, q, 5) == 0
+
+
+class TestQPochRatio:
+    def test_value(self):
+        # (1/2, 1/3; 1/2)_2 / (1/5; 1/2)_2 = (3/8)(5/9) / (18/25)
+        assert qpoch_ratio((F(1, 2), F(1, 3)), (F(1, 5),), F(1, 2), 2, "x") == F(125, 432)
+        assert qpoch_ratio((F(1, 2),), (F(1, 5),), F(1, 2), 0, "x") == 1
+
+    def test_vanishing_upper_gives_zero(self):
+        # (4; 1/2)_3 has the factor 1 - 4/4
+        assert qpoch_ratio((4,), (3,), F(1, 2), 3, "x") == 0
+
+    def test_vanishing_lower_raises(self):
+        with pytest.raises(ParameterDegeneracy, match="vanishing lower Pochhammer in the test ladder"):
+            qpoch_ratio((3,), (4,), F(1, 2), 3, "the test ladder")
+        # a vanishing upper does not hide the pole
+        with pytest.raises(ParameterDegeneracy):
+            qpoch_ratio((4,), (4,), F(1, 2), 3, "the test ladder")
+        # the pole is the third factor of (4; 1/2)_n: below it the quotient
+        # is (-2)(-1/2) / ((-3)(-1))
+        assert qpoch_ratio((3,), (4,), F(1, 2), 2, "the test ladder") == F(1, 3)
 
 
 @settings(derandomize=True, max_examples=120)

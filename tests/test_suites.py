@@ -92,3 +92,26 @@ def test_kernel_setup_lands_in_the_first_case(clock, monkeypatch):
     assert seconds.pop("kernel-p1-n2-beta1-y00") == 107.0
     assert len(seconds) == 6 and set(seconds.values()) == {0.0}
     assert "seconds" not in report.to_json_obj(with_timing=False)["cases"][0]
+
+
+def test_lassalle_suite_builds_each_g_list_once_and_takes_one_oracle_per_row(
+    tmp_path, monkeypatch
+):
+    # 2 points x 2 ranks x rows 0..4: 20 distinct (r, n, P), though the two
+    # displays of 3 families read them 120 times; each of the 60 rows
+    # compares both displays with one oracle call
+    monkeypatch.setenv(qbc.koornwinder.CACHE_ENV, str(tmp_path))
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return qbc.koornwinder.koorn_oracle(*args)
+
+    monkeypatch.setattr(suites, "koorn_oracle", counted)
+    qbc.koornwinder.g_series_list.cache_clear()
+    report = suites.run_suite("lassalle", suites.default_config())
+    assert report.passed and len(report.cases) == 120
+    assert qbc.koornwinder.g_series_list.cache_info().misses == 20
+    assert len(calls) == 60
+    assert isinstance(qbc.koornwinder.g_series_list(1, 1, calls[0][1]), tuple)
+
