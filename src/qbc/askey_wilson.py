@@ -18,7 +18,9 @@ from typing import NamedTuple
 
 from .algebra import ClearedShiftOperator, LaurentPoly, ParamPoint, ShiftTerm, rat
 from .errors import ParameterDegeneracy
-from .qseries import PhiSpec, phi_sum, qbinom_series, qpoch, qpoch_multi, qpoch_ratio
+from .qseries import (
+    PhiSpec, _Pair, phi_sum, qbinom_series, qpoch, qpoch_multi, qpoch_ratio,
+)
 
 #: variants of the twofold simplification of the fourfold series
 HALF_BASE = "half-base"
@@ -268,29 +270,32 @@ def _ladder_walk(tops, outer, inner, what: str):
     tops must be non-increasing, so the region is closed downward and each
     term is reached from a neighbour inside it: (i, 0) from (i - 1, 0) by
     outer(i - 1), and (i, j) from (i, j - 1) by inner(i)(j - 1).  A ratio is
-    a (numerator, denominator) pair of factor products whose denominator
-    holds exactly the lower Pochhammer factors the step adds; a zero one is a
-    vanishing lower ladder at the term it builds and raises
-    ParameterDegeneracy, as the per-term definitions do.  sums[d] adds the
-    terms with i + j = d.
+    a (numerator, denominator) pair of unreduced factor products (_Pair)
+    whose denominator holds exactly the lower Pochhammer factors the step
+    adds; a zero one is a vanishing lower ladder at the term it builds and
+    raises ParameterDegeneracy, as the per-term definitions do.  Each term is
+    reduced once, into a Fraction.  sums[d] adds the terms with i + j = d.
     """
+
+    def advance(term: Fraction, ratio) -> Fraction:
+        num, den = ratio
+        if den.is_zero():
+            raise ParameterDegeneracy(f"vanishing lower Pochhammer in {what}")
+        return Fraction(
+            term.numerator * num.num * den.den, term.denominator * num.den * den.num
+        )
+
     size = max((i + top for i, top in enumerate(tops)), default=-1) + 1
     sums = [Fraction(0)] * size
     head = Fraction(1)
     for i, top in enumerate(tops):
         if i:
-            num, den = outer(i - 1)
-            if den == 0:
-                raise ParameterDegeneracy(f"vanishing lower Pochhammer in {what}")
-            head = head * num / den
+            head = advance(head, outer(i - 1))
         term = head
         step = inner(i)
         for j in range(top + 1):
             if j:
-                num, den = step(j - 1)
-                if den == 0:
-                    raise ParameterDegeneracy(f"vanishing lower Pochhammer in {what}")
-                term = term * num / den
+                term = advance(term, step(j - 1))
             sums[i + j] += term
     return sums
 
@@ -303,12 +308,13 @@ def _even_sums(s, P: ParamPoint, tops):
     s = rat(s)
     q2 = q * q
     a2, c2, s2 = a * a, c * c, s * s
-    cq, sa2 = c2 / q, s2 / a2
-    sac3, qsa = q ** 3 * s2 / (a2 * c2), q * s / a2
-    sa4 = q2 * s2 / (a2 * a2)
+    q, q2, s, a2, s2, cq, sa2, sac3, qsa, sa4, lw, kw = map(_Pair.of, (
+        q, q2, s, a2, s2, c2 / q, s2 / a2, q ** 3 * s2 / (a2 * c2), q * s / a2,
+        q2 * s2 / (a2 * a2), q2 / c2, q2 / a2,
+    ))
 
     def outer(l):
-        x = q ** (2 * l)
+        x = q2 ** l
         xx = x * x
         num = (
             (1 - cq * x) * (1 - sa2 * x) * (1 - s * x) * (1 - s * x * q)
@@ -318,15 +324,15 @@ def _even_sums(s, P: ParamPoint, tops):
             (1 - q2 * x) * (1 - sac3 * x) * (1 - qsa * x) * (1 - qsa * x * q)
             * (1 - sa2 * xx) * (1 - sa2 * xx * q2)
         )
-        return num * q2 / c2, den
+        return num * lw, den
 
     def inner(l):
-        up = q ** (4 * l) * s2
-        down = up * q2 / a2
+        up = q2 ** (2 * l) * s2
+        down = up * kw
 
         def step(k):
-            x = q ** (2 * k)
-            return (1 - a2 * x) * (1 - up * x) * q2 / a2, (1 - q2 * x) * (1 - down * x)
+            x = q2 ** k
+            return (1 - a2 * x) * (1 - up * x) * kw, (1 - q2 * x) * (1 - down * x)
 
         return step
 
@@ -339,15 +345,15 @@ def _odd_sums(s, P: ParamPoint, tops):
     P.require("a", "b", "c", "d")
     a, b, c, d, q = P.a, P.b, P.c, P.d, P.q
     s = rat(s)
-    sac = q * s * s / (a * a * c * c)
-    sabcd = q * q * s * s / (a * b * c * d)
-    ba, scd, dc, sab = -b / a, q * s / (c * d), -d / c, q * s / (a * b)
-    sacn = -q * s / (a * c)
+    q, s, sac, sabcd, ba, scd, dc, sab, sacn, mw, nw = map(_Pair.of, (
+        q, s, q * s * s / (a * a * c * c), q * q * s * s / (a * b * c * d),
+        -b / a, q * s / (c * d), -d / c, q * s / (a * b), -q * s / (a * c), q / b, q / d,
+    ))
 
     def outer(m):
         x = q ** m
         num = (1 - ba * x) * (1 - s * x) * (1 - scd * x) * (1 - sac * x)
-        return num * q / b, (1 - q * x) * (1 - sabcd * x) * (1 - sac * x * x)
+        return num * mw, (1 - q * x) * (1 - sabcd * x) * (1 - sac * x * x)
 
     def inner(m):
         qm = q ** m
@@ -361,7 +367,7 @@ def _odd_sums(s, P: ParamPoint, tops):
                 * (1 - up_s * y) * (1 - up_sacn * y) * (1 - up_sac * y)
             )
             den = (1 - q * y) * (1 - down_sabcd * y) * (1 - sacn * y) * (1 - down_sac * y * y)
-            return num * q / d, den
+            return num * nw, den
 
         return step
 
@@ -381,18 +387,20 @@ def _coupled_sums(s, P: ParamPoint, tops, cu, su, what: str) -> list:
     a, c, q = P.a, P.c, P.q
     q2 = q * q
     a2, c2 = a * a, c * c
-    q2sc, qac, q3sc = q2 * s / c2, q * a2 / c2, q ** 3 * s / c2
-    sc4, qsc, sac3 = q2 * s * s / (c2 * c2), q * s / c2, q ** 3 * s * s / (a2 * c2)
+    q, q2, cu, su, q2sc, qac, q3sc, sc4, qsc, sac3, lw, kw = map(_Pair.of, (
+        q, q2, cu, su, q2 * s / c2, q * a2 / c2, q ** 3 * s / c2,
+        q2 * s * s / (c2 * c2), q * s / c2, q ** 3 * s * s / (a2 * c2), q2 / c2, q2 / a2,
+    ))
 
     def outer(l):
         x = q ** l
-        return (1 - cu * x) * (1 - su * x) * q2 / c2, (1 - q * x) * (1 - q2sc * x)
+        return (1 - cu * x) * (1 - su * x) * lw, (1 - q * x) * (1 - q2sc * x)
 
     def inner(l):
         ql = q ** l
 
         def step(k):
-            x = q ** (2 * k)
+            x = q2 ** k
             y = x * ql  # q^(2k+l): the (.; q)_(2k+l) ladders add two factors per step in k
             num = (
                 (1 - qac * x) * (1 - q3sc * x) * (1 - sc4 * x)
@@ -402,7 +410,7 @@ def _coupled_sums(s, P: ParamPoint, tops, cu, su, what: str) -> list:
                 (1 - q2 * x) * (1 - qsc * x) * (1 - sac3 * x)
                 * (1 - q2sc * y) * (1 - q2sc * y * q)
             )
-            return num * q2 / a2, den
+            return num * kw, den
 
         return step
 
@@ -432,27 +440,29 @@ def co_recast_sums(s, P: ParamPoint, W: int) -> list:
     P.require("a", "b", "c", "d")
     a, b, c, d, q = P.a, P.b, P.c, P.d, P.q
     s = rat(s)
-    half = P.sqrt_q * s / (a * c)
-    sabcd = q * q * s * s / (a * b * c * d)
-    sacn, sac = -q * s / (a * c), q * s * s / (a * a * c * c)
-    ba, scd, dc, sab = -b / a, q * s / (c * d), -d / c, q * s / (a * b)
+    q, s, sabcd, sacn, sac, ba, scd, dc, sab, mw, nw = map(_Pair.of, (
+        q, s, q * q * s * s / (a * b * c * d), -q * s / (a * c), q * s * s / (a * a * c * c),
+        -b / a, q * s / (c * d), -d / c, q * s / (a * b), q / b, q / d,
+    ))
 
     def diagonal(w):
+        # the lower pair (half, -half; q)_w, half = q^(1/2) s/(a c), steps
+        # by (1 - half x)(1 + half x) = 1 - sac x^2
         x = q ** w
         num = (1 - s * x) * (1 - sacn * x) * (1 - sac * x)
-        return num, (1 - sabcd * x) * (1 - half * x) * (1 + half * x)
+        return num, (1 - sabcd * x) * (1 - sac * x * x)
 
     def outer(m):
         x = q ** m
         num, den = diagonal(m)
-        num *= (1 - ba * x) * (1 - scd * x) * q / b
+        num *= (1 - ba * x) * (1 - scd * x) * mw
         return num, den * (1 - q * x) * (1 - sacn * x)
 
     def inner(m):
         def step(n):
             y = q ** n
             num, den = diagonal(m + n)
-            num *= (1 - dc * y) * (1 - sab * y) * q / d
+            num *= (1 - dc * y) * (1 - sab * y) * nw
             return num, den * (1 - q * y) * (1 - sacn * y)
 
         return step
@@ -575,6 +585,36 @@ def even_sum_closed(s, P: ParamPoint, N: int) -> list:
     return closed
 
 
+def _split_sums(s, P: ParamPoint, tops) -> list:
+    """The split bibasic form of c_e(k, l; s) summed along k + l, over
+    0 <= l < len(tops), 0 <= k <= tops[l]: a walk along l at k = 0, then
+    along k."""
+    a, c, q = P.a, P.c, P.q
+    q2 = q * q
+    a2, c2, s2 = a * a, c * c, s * s
+    q, q2, s, s2, cq, qac, sac3, sa4, qsa, q3ac, lw, kw = map(_Pair.of, (
+        q, q2, s, s2, c2 / q, q * a2 / c2, q ** 3 * s2 / (a2 * c2), q2 * s2 / (a2 * a2),
+        q * s / a2, q ** 3 / (a2 * c2), q2 / c2, q2 / a2,
+    ))
+
+    def outer(l):
+        x = q ** l
+        num = (1 - cq * x) * (1 - s * x) * (1 - sa4 * x * x)
+        return num * lw, (1 - q * x) * (1 - qsa * x) * (1 - sac3 * x * x)
+
+    def inner(l):
+        up = q ** (2 * l) * s2
+        down = up * q3ac
+
+        def step(k):
+            x = q2 ** k
+            return (1 - qac * x) * (1 - up * x) * kw, (1 - q2 * x) * (1 - down * x)
+
+        return step
+
+    return _ladder_walk(tops, outer, inner, "the split form")
+
+
 def even_sum_forms(s, P: ParamPoint, N: int) -> EvenSumForms:
     """Coefficients of x^(2K), K = 0..N, of sum c_e(k,l;s) x^(2k+2l) by four
     routes: the raw double sum, the per-degree closed form, and the two
@@ -584,34 +624,12 @@ def even_sum_forms(s, P: ParamPoint, N: int) -> EvenSumForms:
     ratios, along l at k = 0 and then along k; the coupled route is the walk
     ce_prime_sums takes at shifted ladders."""
     P.require("a", "c")
-    a, c, q = P.a, P.c, P.q
     s = rat(s)
-    q2 = q * q
-    a2, c2, s2 = a * a, c * c, s * s
     tops = [N - l for l in range(N + 1)]
     raw = _even_sums(s, P, tops)
     closed = even_sum_closed(s, P, N)
-
-    cq, qac, sac3 = c2 / q, q * a2 / c2, q ** 3 * s2 / (a2 * c2)
-    sa4, qsa = q2 * s2 / (a2 * a2), q * s / a2
-
-    def split_outer(l):
-        x = q ** l
-        num = (1 - cq * x) * (1 - s * x) * (1 - sa4 * x * x)
-        return num * q2 / c2, (1 - q * x) * (1 - qsa * x) * (1 - sac3 * x * x)
-
-    def split_inner(l):
-        up = q ** (2 * l) * s2
-        down = up * q ** 3 / (a2 * c2)
-
-        def step(k):
-            x = q ** (2 * k)
-            return (1 - qac * x) * (1 - up * x) * q2 / a2, (1 - q2 * x) * (1 - down * x)
-
-        return step
-
-    split = _ladder_walk(tops, split_outer, split_inner, "the split form")
-    coupled = _coupled_sums(s, P, tops, cq, s, "the coupled form")
+    split = _split_sums(s, P, tops)
+    coupled = _coupled_sums(s, P, tops, P.c ** 2 / P.q, s, "the coupled form")
     return EvenSumForms(raw, closed, split, coupled)
 
 

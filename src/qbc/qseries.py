@@ -1,10 +1,11 @@
 """q-Pochhammer symbols and terminating basic hypergeometric sums.
 
-All evaluation is exact over Fraction.  A basic hypergeometric sum must
-terminate: the caller passes an N for which some upper parameter equals
-base^-N, and the sum stops at the first cutoff at or below N.  Cutoffs are
-found by at most N + 1 exact multiplications per upper parameter, never by
-floating point.
+All evaluation is exact.  A ladder multiplies integer numerators and
+denominators and reduces once, into the Fraction it returns or the next
+term of its sum.  A basic hypergeometric sum must terminate: the caller
+passes an N for which some upper parameter equals base^-N, and the sum
+stops at the first cutoff at or below N.  Cutoffs are found by at most
+N + 1 exact multiplications per upper parameter, never by floating point.
 """
 
 from __future__ import annotations
@@ -17,6 +18,65 @@ from .algebra import rat
 from .errors import DivergentSpec, ParameterDegeneracy, PoleInLower
 
 
+class _Pair:
+    """An unreduced quotient num / den of two Python integers.
+
+    A product of ladder factors built on pairs costs integer multiplies
+    only; its user reduces it once, in the one Fraction it builds per term.
+    Only the operators the ladder steps need exist: pair * pair,
+    int - pair and pair ** k for k >= 0.  A step never divides: it returns
+    its numerator and denominator products apart, and the walk checks the
+    denominator before it reduces, so pair / pair is a TypeError.  == and
+    bool() raise TypeError too, so a zero test has to say what it reads:
+    is_zero, the numerator.
+    """
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: int, den: int = 1):
+        self.num = num
+        self.den = den
+
+    @classmethod
+    def of(cls, x) -> "_Pair":
+        x = rat(x)
+        return cls(x.numerator, x.denominator)
+
+    def is_zero(self) -> bool:
+        return self.num == 0
+
+    def __mul__(self, other: "_Pair") -> "_Pair":
+        return _Pair(self.num * other.num, self.den * other.den)
+
+    def __rsub__(self, other: int) -> "_Pair":
+        return _Pair(other * self.den - self.num, self.den)
+
+    def __pow__(self, k: int) -> "_Pair":
+        return _Pair(self.num ** k, self.den ** k)
+
+    def __eq__(self, other):
+        raise TypeError("a pair has no value equality; test is_zero()")
+
+    def __bool__(self):
+        raise TypeError("a pair has no truth value; test is_zero()")
+
+
+def _ladder(params: Sequence, q, n: int):
+    """Integers (num, den) with num / den the product of (u; q)_n over
+    params, n >= 0; num is 0 exactly when some factor 1 - u q^i is."""
+    num = den = 1
+    for u in params:
+        u, q = rat(u), rat(q)
+        un, ud = u.numerator, u.denominator
+        qn, qd = q.numerator, q.denominator
+        for _ in range(n):
+            num *= ud - un  # 1 - u q^i over the denominator of u q^i
+            un *= qn
+            ud *= qd
+        den *= u.denominator ** n * qd ** (n * (n - 1) // 2)
+    return num, den
+
+
 def qpoch(a, q, n: int) -> Fraction:
     """(a; q)_n = product of (1 - a q^i) for 0 <= i < n.
 
@@ -25,12 +85,7 @@ def qpoch(a, q, n: int) -> Fraction:
     """
     a, q = rat(a), rat(q)
     if n >= 0:
-        out = Fraction(1)
-        p = a
-        for _ in range(n):
-            out *= 1 - p
-            p *= q
-        return out
+        return Fraction(*_ladder((a,), q, n))
     inv = qpoch(a * q ** n, q, -n)
     if inv == 0:
         raise ZeroDivisionError(f"(a;q)_{n} hits a vanishing factor")
@@ -39,6 +94,8 @@ def qpoch(a, q, n: int) -> Fraction:
 
 def qpoch_multi(params: Sequence, q, n: int) -> Fraction:
     """Product of (a; q)_n over a list of arguments."""
+    if n >= 0:
+        return Fraction(*_ladder(params, q, n))
     out = Fraction(1)
     for a in params:
         out *= qpoch(a, q, n)
@@ -49,20 +106,26 @@ def qpoch_ratio(uppers: Sequence, lowers: Sequence, q, n: int, what: str) -> Fra
     """Product of (u; q)_n over uppers divided by that of (v; q)_n over
     lowers; a vanishing lower product raises ParameterDegeneracy naming
     what, so a zero upper ladder gives 0 only at a point with no pole."""
-    den = qpoch_multi(lowers, q, n)
-    if den == 0:
+    if n < 0:  # (v; q)_n is then an inverse, never zero
+        den = qpoch_multi(lowers, q, n)
+        return qpoch_multi(uppers, q, n) / den
+    dnum, dden = _ladder(lowers, q, n)
+    if dnum == 0:
         raise ParameterDegeneracy(f"vanishing lower Pochhammer in {what}")
-    return qpoch_multi(uppers, q, n) / den
+    unum, uden = _ladder(uppers, q, n)
+    return Fraction(unum * dden, uden * dnum)
 
 
 def power_of_base(u, q, cap: int) -> Optional[int]:
     """Return N in 0..cap with u = q^-N exactly, or None."""
     u, q = rat(u), rat(q)
-    p = u
+    pn, pd = u.numerator, u.denominator  # u q^n = pn / pd, pd > 0
+    qn, qd = q.numerator, q.denominator
     for n in range(cap + 1):
-        if p == 1:
+        if pn == pd:
             return n
-        p *= q
+        pn *= qn
+        pd *= qd
     return None
 
 
@@ -102,27 +165,35 @@ def phi_sum(spec: PhiSpec, N: int) -> Fraction:
     if not cutoffs:
         raise DivergentSpec(f"no upper parameter in {spec.uppers} is a q^-M with M <= {N}")
     length = min(cutoffs) + 1
+    qn, qd = q.numerator, q.denominator
+    zn, zd = spec.argument.numerator, spec.argument.denominator
+    uppers = [(u.numerator, u.denominator) for u in spec.uppers]
+    lowers = [(qn, qd)] + [(v.numerator, v.denominator) for v in spec.lowers]
     total = Fraction(0)
     term = Fraction(1)
-    qm = Fraction(1)  # q^m
+    pn = pd = 1  # q^m = pn / pd
     for m in range(length):
         total += term
         if m + 1 == length:
             break
-        ratio = spec.argument
-        for u in spec.uppers:
-            ratio *= 1 - u * qm
-        denom = 1 - q * qm
-        for v in spec.lowers:
-            denom *= 1 - v * qm
-        if denom == 0:
+        # the term ratio z prod(1 - u q^m) / ((1 - q^(m+1)) prod(1 - v q^m))
+        # as num / den, with the lower factors' numerators apart in low
+        num, den, low = zn, zd, 1
+        for un, ud in uppers:
+            num *= ud * pd - un * pn
+            den *= ud * pd
+        for vn, vd in lowers:
+            low *= vd * pd - vn * pn
+            num *= vd * pd
+        if low == 0:
             raise PoleInLower(
                 f"lower parameter ladder vanished at term {m + 1} of {spec}"
             )
-        term *= ratio / denom
+        term = Fraction(term.numerator * num, term.denominator * den * low)
         if term == 0:
             break  # a numerator factor hit zero; every later term is zero too
-        qm *= q
+        pn *= qn
+        pd *= qd
     return total
 
 
@@ -130,17 +201,21 @@ def qbinom_series(aparam, q, N: int) -> list:
     """Coefficients c_0..c_N of (a z; q)_inf / (z; q)_inf = sum c_n z^n.
 
     The q-binomial theorem gives c_n = (a; q)_n / (q; q)_n; coefficients are
-    built by running ratios so each step is one multiply and one divide.
+    built by running ratios, one integer quotient and one reduction a step.
     """
     aparam, q = rat(aparam), rat(q)
+    an, ad = aparam.numerator, aparam.denominator
+    qn, qd = q.numerator, q.denominator
     out = [Fraction(1)]
     c = Fraction(1)
-    qn = Fraction(1)
+    pn = pd = 1  # q^n = pn / pd
     for n in range(N):
-        denom = 1 - q * qn
-        if denom == 0:
+        # (1 - a q^n) / (1 - q^(n+1)) = (ad pd - an pn) qd / (ad (qd pd - qn pn))
+        low = qd * pd - qn * pn
+        if low == 0:
             raise PoleInLower(f"(q;q)_{n + 1} vanished; base {q} is a root of unity")
-        c *= (1 - aparam * qn) / denom
+        c = Fraction(c.numerator * (ad * pd - an * pn) * qd, c.denominator * ad * low)
         out.append(c)
-        qn *= q
+        pn *= qn
+        pd *= qd
     return out

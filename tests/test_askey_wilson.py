@@ -10,7 +10,7 @@ factor block written out inside the test.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qbc.algebra import LaurentPoly, ParamPoint, monomial_symmetric, qshift, rat
 from qbc.askey_wilson import (
@@ -389,13 +389,10 @@ def _fourfold_reference(lam, P):
     return LaurentPoly(1, terms) * qpoch(P.abcd() * q ** (lam - 1), q, lam)
 
 
-def _even_sum_forms_reference(s, P, N):
+def _split_reference(s, P, N):
     a, c, q = P.a, P.c, P.q
     q2 = q * q
-    raw = [sum(coeff_ce(K - l, l, s, P) for l in range(K + 1)) for K in range(N + 1)]
-    closed = even_sum_closed(s, P, N)
     split = [Fraction(0)] * (N + 1)
-    coupled = [Fraction(0)] * (N + 1)
     for K in range(N + 1):
         for k in range(K + 1):
             l = K - k
@@ -407,7 +404,7 @@ def _even_sum_forms_reference(s, P, N):
                 * qpoch(q ** 3 * s ** 2 / (a ** 2 * c ** 2), q2, l)
             )
             if den == 0:
-                raise ParameterDegeneracy("split")
+                raise ParameterDegeneracy("vanishing lower Pochhammer in the split form")
             num = (
                 qpoch(q * a ** 2 / c ** 2, q2, k)
                 * qpoch(q ** (2 * l) * s ** 2, q2, k)
@@ -416,6 +413,16 @@ def _even_sum_forms_reference(s, P, N):
                 * qpoch(q ** 2 * s ** 2 / a ** 4, q2, l)
             )
             split[K] += num / den * (q2 / a ** 2) ** k * (q2 / c ** 2) ** l
+    return split
+
+
+def _coupled_reference(s, P, N):
+    a, c, q = P.a, P.c, P.q
+    q2 = q * q
+    coupled = [Fraction(0)] * (N + 1)
+    for K in range(N + 1):
+        for k in range(K + 1):
+            l = K - k
             den = (
                 qpoch(q2, q2, k)
                 * qpoch(q * s / c ** 2, q2, k)
@@ -424,7 +431,7 @@ def _even_sum_forms_reference(s, P, N):
                 * qpoch(q ** 2 * s / c ** 2, q, 2 * k + l)
             )
             if den == 0:
-                raise ParameterDegeneracy("coupled")
+                raise ParameterDegeneracy("vanishing lower Pochhammer in the coupled form")
             num = (
                 qpoch(q * a ** 2 / c ** 2, q2, k)
                 * qpoch(q ** 3 * s / c ** 2, q2, k)
@@ -433,15 +440,33 @@ def _even_sum_forms_reference(s, P, N):
                 * qpoch(s, q, 2 * k + l)
             )
             coupled[K] += num / den * (q2 / a ** 2) ** k * (q2 / c ** 2) ** l
-    return EvenSumForms(raw, closed, split, coupled)
+    return coupled
+
+
+def _even_sum_forms_reference(s, P, N):
+    # the routes in the order even_sum_forms takes them, so the first
+    # degenerate route raises first in both
+    raw = [sum(coeff_ce(K - l, l, s, P) for l in range(K + 1)) for K in range(N + 1)]
+    closed = even_sum_closed(s, P, N)
+    return EvenSumForms(raw, closed, _split_reference(s, P, N), _coupled_reference(s, P, N))
+
+
+def _odd_first(reference, s, P, N):
+    """reference(s, P, N) after every c_o(m, n; s) with m + n <= N, which
+    the walks build before any even term: a point degenerate in both
+    families then raises the odd family's error on both sides."""
+    for w in range(N + 1):
+        for m in range(w + 1):
+            coeff_co(m, w - m, s, P)
+    return reference(s, P, N)
 
 
 def _outcome(fn, *args):
-    """The value, or the class of the QbcError raised instead."""
+    """The value, or the class and message of the QbcError raised instead."""
     try:
         return fn(*args)
     except QbcError as exc:
-        return type(exc)
+        return type(exc), str(exc)
 
 
 _SMALL = st.builds(
@@ -468,23 +493,45 @@ def _walk_inputs(draw):
     return P, coordinate(-6, 6)
 
 
+# Points where a family's lower ladder first vanishes at degree 2, past the
+# first step of its walk: the triangle of degree 1 is fine, degree 2 raises.
+# EVEN_POLE: q^3 s^2/(a^2 c^2) = q^-2.  ODD_POLE: q^2 s^2/abcd = q^-1, which
+# also starts (q^2 s^2/abcd; q)_(m+n) of the regrouped family.  COUPLED_POLE:
+# q^2 s/c^2 = q^-2, so (q^2 s/c^2; q)_(2k+l) vanishes at 2k + l = 3, in the
+# coupled route and the primed family alike.  The split route has no such
+# point: each of its lower factors vanishes only where a lower factor of the
+# raw route, which runs first, vanishes at the same or a lower degree.
+EVEN_POLE = (POINT_A, Fraction(672))
+ODD_POLE = (POINT_A.replace(d=105), Fraction(840))
+COUPLED_POLE = (POINT_A, Fraction(12544))
+
+
 class TestRunningRatioWalks:
     """phi_series, fourfold_poly and even_sum_forms build c_e / c_o terms by
     running ratios; each must agree with its per-term reference exactly, or
-    raise the same error."""
+    raise the same error with the same message."""
 
     @settings(derandomize=True, max_examples=250, deadline=None)
     @given(_walk_inputs(), st.integers(0, 6), st.integers(0, 4))
+    @example(EVEN_POLE, 2, 0)
+    @example(ODD_POLE, 2, 0)
+    @example(COUPLED_POLE, 2, 0)
     def test_walks_match_per_term_references(self, drawn, N, lam):
         P, s = drawn
-        assert _outcome(phi_series, s, P, N) == _outcome(_phi_series_reference, s, P, N)
-        assert _outcome(fourfold_poly, lam, P) == _outcome(_fourfold_reference, lam, P)
+        assert _outcome(phi_series, s, P, N) == _outcome(
+            _odd_first, _phi_series_reference, s, P, N
+        )
+        assert _outcome(fourfold_poly, lam, P) == _outcome(
+            _odd_first, lambda *_: _fourfold_reference(lam, P), P.q ** -lam, P, lam
+        )
         assert _outcome(even_sum_forms, s, P, N) == _outcome(
             _even_sum_forms_reference, s, P, N
         )
 
     @settings(derandomize=True, max_examples=250, deadline=None)
     @given(_walk_inputs(), st.integers(0, 4), st.integers(0, 6))
+    @example(COUPLED_POLE, 2, 0)
+    @example(ODD_POLE, 0, 2)
     def test_koornwinder_weight_walks_match_per_term_sums(self, drawn, D, W):
         # g_row_sym and g_row_general weigh their terms by these sums
         P, s = drawn
@@ -522,3 +569,21 @@ class TestRunningRatioWalks:
         assert phi_series(s, P, 1) == _phi_series_reference(s, P, 1)
         with pytest.raises(ParameterDegeneracy, match="odd family"):
             phi_series(s, P, 2)
+
+    @pytest.mark.parametrize(
+        "walk, point, family",
+        [
+            (even_sum_forms, EVEN_POLE, "the even family"),
+            (phi_series, ODD_POLE, "the odd family"),
+            (even_sum_forms, COUPLED_POLE, "the coupled form"),
+            (ce_prime_sums, COUPLED_POLE, "the primed even family"),
+            (co_recast_sums, ODD_POLE, "the regrouped odd family"),
+        ],
+    )
+    def test_pole_points_raise_at_degree_two(self, walk, point, family):
+        # the @example points above are degenerate where they claim to be
+        P, s = point
+        walk(s, P, 1)
+        with pytest.raises(ParameterDegeneracy) as info:
+            walk(s, P, 2)
+        assert str(info.value) == f"vanishing lower Pochhammer in {family}"

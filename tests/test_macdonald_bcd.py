@@ -4,7 +4,7 @@ from fractions import Fraction
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qbc.algebra import LaurentPoly, ParamPoint, Partition, format_rational, rat
 from qbc.askey_wilson import phi_series
@@ -528,12 +528,27 @@ def _lemma_inputs(draw):
     return variant, scale * coordinate(-4, 4), P
 
 
+# Points where laziness alone decides whether a display or a lemma check
+# raises.  B_ZERO_WEIGHTS: a = 1 zeroes every i-weight of the rewritten
+# type-B displays past i = 0, and t = q^(-1/2) at n = 2 puts a zero pivot
+# 1 - t^-2 q^-1 in the family-D row of length 1, a row only a zero weight
+# asks for.  C_ODD_LADDER: variant C at a = 1, s = 1/q; the odd ladders'
+# i-terms vanish since b = a, but their lower ladder (q s/a^2; q)_(i+j) is
+# (1; q)_1 = 0, so a plan that summed them would raise where the i = 0
+# ladder has no pole.
+B_ZERO_WEIGHTS = (FamilyTag(FAMILY_B, 1), ParamPoint(sqrt_q=4, sqrt_t=F(1, 2)))
+C_ODD_LADDER = (
+    TYPE_C, F(9, 4), ParamPoint(sqrt_q=F(2, 3), a=-1, b=1, c=-F(2, 3), d=F(2, 3))
+)
+
+
 class TestAgainstPerTermReferences:
     """The displays and the lemma plan give the per-term references' values
     exactly, or raise the same error class, degenerate points included."""
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(_display_inputs(), st.integers(1, 2), st.integers(0, 4))
+    @example(B_ZERO_WEIGHTS, 2, 2)
     def test_displays_match(self, drawn, n, r):
         tag, P = drawn
         pairs = [(mac_row, _mac_row_ref), (lassalle_form, _lassalle_form_ref)]
@@ -544,6 +559,7 @@ class TestAgainstPerTermReferences:
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(_lemma_inputs(), st.integers(0, 6))
+    @example(C_ODD_LADDER, 1)
     def test_lemma_plan_matches(self, drawn, N):
         variant, s, P = drawn
 

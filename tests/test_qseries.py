@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from qbc.qseries import (
     PhiSpec,
+    _Pair,
     phi_sum,
     power_of_base,
     qbinom_series,
@@ -131,21 +132,16 @@ class TestPhiSum:
         assert phi_sum(spec, 4) == long_sum
 
 
-def _terminating_reference(spec: PhiSpec) -> F:
-    """The terminating sum as it stood before callers passed their N: every
-    upper parameter is scanned for a base^-M with M <= 512, and the sum runs
-    through the smallest such M."""
+def _terminating_reference(spec: PhiSpec, cap: int = 512) -> F:
+    """The terminating sum as a loop over Fraction, as it stood before
+    callers passed their N: every upper parameter is scanned for a base^-M
+    with M <= cap, and the sum runs through the smallest such M.  With
+    cap = N it is phi_sum(spec, N) before its ladders went to integers."""
     q = spec.base
-    cutoffs = []
-    for u in spec.uppers:
-        p = u
-        for n in range(513):
-            if p == 1:
-                cutoffs.append(n)
-                break
-            p *= q
+    cutoffs = [_power_of_base_reference(u, q, cap) for u in spec.uppers]
+    cutoffs = [n for n in cutoffs if n is not None]
     if not cutoffs:
-        raise DivergentSpec(f"no upper parameter in {spec.uppers} is a q^-N within the scan cap")
+        raise DivergentSpec(f"no upper parameter in {spec.uppers} is a q^-M with M <= {cap}")
     length = min(cutoffs) + 1
     total = F(0)
     term = F(1)
@@ -235,3 +231,139 @@ def test_qbinom_recurrence_property(anum, aden, qnum, qden, N):
     cs = qbinom_series(a, q, N)
     for n in range(1, N + 1):
         assert (1 - q ** n) * cs[n] == (1 - a * q ** (n - 1)) * cs[n - 1]
+
+
+# Fraction-loop references for the integer ladders of qseries: the kernel
+# as it stood before its products went to integer numerators and
+# denominators.  The per-term references of the other test modules are
+# built from qpoch, so these anchor them to code that does not use it.
+
+
+def _qpoch_reference(a, q, n):
+    a, q = F(a), F(q)
+    if n >= 0:
+        out = F(1)
+        p = a
+        for _ in range(n):
+            out *= 1 - p
+            p *= q
+        return out
+    inv = _qpoch_reference(a * q ** n, q, -n)
+    if inv == 0:
+        raise ZeroDivisionError(f"(a;q)_{n} hits a vanishing factor")
+    return 1 / inv
+
+
+def _qpoch_multi_reference(params, q, n):
+    out = F(1)
+    for a in params:
+        out *= _qpoch_reference(a, q, n)
+    return out
+
+
+def _qpoch_ratio_reference(uppers, lowers, q, n, what):
+    den = _qpoch_multi_reference(lowers, q, n)
+    if den == 0:
+        raise ParameterDegeneracy(f"vanishing lower Pochhammer in {what}")
+    return _qpoch_multi_reference(uppers, q, n) / den
+
+
+def _power_of_base_reference(u, q, cap):
+    p = F(u)
+    for n in range(cap + 1):
+        if p == 1:
+            return n
+        p *= q
+    return None
+
+
+def _qbinom_series_reference(aparam, q, N):
+    aparam, q = F(aparam), F(q)
+    out = [F(1)]
+    c = F(1)
+    qn = F(1)
+    for n in range(N):
+        denom = 1 - q * qn
+        if denom == 0:
+            raise PoleInLower(f"(q;q)_{n + 1} vanished; base {q} is a root of unity")
+        c *= (1 - aparam * qn) / denom
+        out.append(c)
+        qn *= q
+    return out
+
+
+def _result(fn, *args):
+    """The value, or the class and message of the exception raised instead."""
+    try:
+        return fn(*args)
+    except (ArithmeticError, ParameterDegeneracy, PoleInLower, DivergentSpec) as exc:
+        return type(exc), str(exc)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.data())
+def test_kernel_matches_fraction_loops(data):
+    # q is a signed small rational, -1 included, the root of unity that
+    # makes (q; q)_2 vanish; parameters are small signed rationals, zero among
+    # them, or signed powers q^k, so ladders hit exact zeros at every n
+    q = data.draw(
+        st.builds(
+            lambda sign, num, den: sign * F(num, den),
+            st.sampled_from((1, -1)), st.integers(1, 9), st.integers(1, 9),
+        ).filter(lambda x: x != 1),
+        label="q",
+    )
+    small = st.builds(F, st.integers(-9, 9), st.integers(1, 9))
+    power = st.builds(
+        lambda sign, k: sign * q ** k, st.sampled_from((1, 1, -1)), st.integers(-6, 6)
+    )
+    param = st.one_of(small, power)
+    a = data.draw(param, label="a")
+    n = data.draw(st.integers(-4, 10), label="n")
+    assert _result(qpoch, a, q, n) == _result(_qpoch_reference, a, q, n)
+
+    uppers = data.draw(st.lists(param, max_size=3), label="uppers")
+    lowers = data.draw(st.lists(param, max_size=3), label="lowers")
+    assert _result(qpoch_multi, uppers, q, n) == _result(_qpoch_multi_reference, uppers, q, n)
+    assert _result(qpoch_ratio, uppers, lowers, q, n, "the drawn ladder") == _result(
+        _qpoch_ratio_reference, uppers, lowers, q, n, "the drawn ladder"
+    )
+
+    N = data.draw(st.integers(0, 8), label="N")
+    assert power_of_base(a, q, N) == _power_of_base_reference(a, q, N)
+    spec = PhiSpec(
+        uppers=[q ** -N] + uppers, lowers=lowers, base=q, argument=data.draw(small, label="z")
+    )
+    assert _result(phi_sum, spec, N) == _result(_terminating_reference, spec, N)
+    assert _result(qbinom_series, a, q, N) == _result(_qbinom_series_reference, a, q, N)
+
+
+class TestPair:
+    """The unreduced pair of the ladder steps has no value equality, no
+    truth value and no division, so a stray zero test or division fails
+    loudly instead of reading False or skipping the walk's pole check."""
+
+    def test_equality_and_truth_raise(self):
+        zero, one = _Pair(0, 3), _Pair(2, 2)
+        with pytest.raises(TypeError):
+            zero == 0
+        with pytest.raises(TypeError):
+            one != one
+        with pytest.raises(TypeError):
+            bool(zero)
+        with pytest.raises(TypeError):
+            hash(one)
+        assert zero.is_zero() and not one.is_zero()
+
+    def test_no_division(self):
+        # a step keeps its denominator apart for the walk's zero test, so a
+        # division, by a zero pair or any other, is an error
+        with pytest.raises(TypeError):
+            _Pair(1, 2) / _Pair(0, 5)
+        with pytest.raises(TypeError):
+            _Pair(1, 2) / _Pair(3, 5)
+
+    def test_operators(self):
+        x, y = _Pair.of(F(-2, 3)), _Pair(6, 4)
+        for pair, value in ((x * y, F(-1)), (1 - x, F(5, 3)), (x ** 3, F(-8, 27))):
+            assert F(pair.num, pair.den) == value
