@@ -911,6 +911,8 @@ class ClearedShiftOperator:
     ):
         self.P = P
         self.generator = generator
+        self.num_vars, self.scale = num_vars, scale
+        self._columns: dict = {}
         self.scalar = rat(scalar)
         if self.scalar == 0:
             raise ParameterDegeneracy("operator scalar prefactor vanishes")
@@ -1017,6 +1019,20 @@ class ClearedShiftOperator:
         return LaurentPoly._raw(
             f.num_vars, {e: c * unscale for e, c in total.terms.items()}, f.scale
         )
+
+    def column(self, key: tuple) -> dict:
+        """The image of the orbit sum m_key over the orbit basis, as
+        decompose_symmetric gives it: one column of the operator's matrix.
+
+        A triangular operator's image of m_key does not depend on the weight
+        being solved, so the columns are kept per operator for the process
+        and every solve at it shares them.  The dict is shared by every
+        caller and must not be mutated."""
+        col = self._columns.get(key)
+        if col is None:
+            image = self.apply(monomial_symmetric(key, self.num_vars, self.scale))
+            col = self._columns[key] = decompose_symmetric(image)
+        return col
 
 
 # -- triangular eigenproblems ---------------------------------------------------

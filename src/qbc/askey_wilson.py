@@ -71,12 +71,17 @@ def aw_eigenvalue(n, P: ParamPoint) -> Fraction:
     return s + abcd / (q * s) - 1 - abcd / q
 
 
+@lru_cache(maxsize=None)
 def aw_poly(n: int, P: ParamPoint) -> LaurentPoly:
     """Degree-n symmetric Laurent polynomial eigenfunction.
 
     a^-n (ab,ac,ad;q)_n times the terminating series with upper parameters
     q^-n, abcd q^(n-1), ax, a/x and lower parameters ab, ac, ad, where the
     x-dependent pair is expanded into Laurent factors (1 - a q^i x^(+-1)).
+
+    Several checks at a point read the same degree, so the result is
+    memoized per (n, P) for the process; it is shared by every caller and
+    must not be mutated.
     """
     P.require("a", "b", "c", "d")
     if n < 0:
@@ -135,34 +140,6 @@ def aw_apply(f: LaurentPoly, P: ParamPoint) -> LaurentPoly:
     return _aw_operator(P).apply(f)
 
 
-def coeff_ce(k: int, l: int, s, P: ParamPoint) -> Fraction:
-    """Even-family coefficient c_e(k, l; s): base q^2, depends only on a, c.
-
-    The per-term definition, every ladder rebuilt: the running-ratio walk
-    phi_series, fourfold_poly and even_sum_forms use is tested against it."""
-    P.require("a", "c")
-    a, c, q = P.a, P.c, P.q
-    s = rat(s)
-    q2 = q * q
-    kden = qpoch(q2, q2, k) * qpoch(q ** (4 * l + 2) * s ** 2 / a ** 2, q2, k)
-    lden = (
-        qpoch(q2, q2, l)
-        * qpoch(q ** 3 * s ** 2 / (a ** 2 * c ** 2), q2, l)
-        * qpoch(q * s / a ** 2, q, 2 * l)
-        * qpoch(s ** 2 / a ** 2, q2, 2 * l)
-    )
-    if kden == 0 or lden == 0:
-        raise ParameterDegeneracy("vanishing lower Pochhammer in the even family")
-    knum = qpoch(a ** 2, q2, k) * qpoch(q ** (4 * l) * s ** 2, q2, k)
-    lnum = (
-        qpoch(c ** 2 / q, q2, l)
-        * qpoch(s ** 2 / a ** 2, q2, l)
-        * qpoch(s, q, 2 * l)
-        * qpoch(q ** 2 * s ** 2 / a ** 4, q2, 2 * l)
-    )
-    return (knum / kden) * (q2 / a ** 2) ** k * (lnum / lden) * (q2 / c ** 2) ** l
-
-
 def coeff_co(m: int, n: int, s, P: ParamPoint) -> Fraction:
     """Odd-family coefficient c_o(m, n; s): base q with two q^2 ladders.
 
@@ -199,68 +176,6 @@ def coeff_co(m: int, n: int, s, P: ParamPoint) -> Fraction:
         * qpoch(qm * sac, q, n)
     )
     return (mnum / mden) * (q / b) ** m * (nnum / nden) * (q / d) ** n
-
-
-def coeff_co_recast(m: int, n: int, s, P: ParamPoint) -> Fraction:
-    """c_o(m, n; s) regrouped so the parameter-symmetric part ladders in m+n.
-
-    Two of the grouped denominators sit at a half power, so the point must
-    carry sqrt_q (every ParamPoint does).  The per-term definition: the
-    walk co_recast_sums is tested against it.
-    """
-    P.require("a", "b", "c", "d")
-    a, b, c, d, q = P.a, P.b, P.c, P.d, P.q
-    s = rat(s)
-    w = m + n
-    half = P.sqrt_q * s / (a * c)
-    den = (
-        qpoch(q, q, m)
-        * qpoch(-q * s / (a * c), q, m)
-        * qpoch_multi((q ** 2 * s ** 2 / (a * b * c * d), half, -half), q, w)
-        * qpoch(q, q, n)
-        * qpoch(-q * s / (a * c), q, n)
-    )
-    if den == 0:
-        raise ParameterDegeneracy("vanishing lower Pochhammer in the regrouped odd family")
-    num = (
-        qpoch(-b / a, q, m)
-        * qpoch(q * s / (c * d), q, m)
-        * qpoch_multi(
-            (s, -q * s / (a * c), q * s ** 2 / (a ** 2 * c ** 2)), q, w
-        )
-        * qpoch(-d / c, q, n)
-        * qpoch(q * s / (a * b), q, n)
-    )
-    return (num / den) * (q / b) ** m * (q / d) ** n
-
-
-def coeff_ce_prime(k: int, l: int, s, P: ParamPoint) -> Fraction:
-    """Even-family coefficient absorbing a (1 - x^2) prefactor:
-    (1 - x^2) sum c_e(k,l;s) x^(2k+2l) = sum c'_e(k,l;s) x^(2k+2l).
-
-    The per-term definition: the walk ce_prime_sums is tested against it."""
-    P.require("a", "c")
-    a, c, q = P.a, P.c, P.q
-    s = rat(s)
-    q2 = q * q
-    if s == q:
-        raise ParameterDegeneracy("the ratio factor needs s != q")
-    kden = (
-        qpoch(q2, q2, k)
-        * qpoch(q * s / c ** 2, q2, k)
-        * qpoch(q ** 3 * s ** 2 / (a ** 2 * c ** 2), q2, k)
-    )
-    lden = qpoch(q, q, l) * qpoch(q ** 2 * s / c ** 2, q, 2 * k + l)
-    if kden == 0 or lden == 0:
-        raise ParameterDegeneracy("vanishing lower Pochhammer in the primed even family")
-    knum = (
-        qpoch(q * a ** 2 / c ** 2, q2, k)
-        * qpoch(q ** 3 * s / c ** 2, q2, k)
-        * qpoch(q ** 2 * s ** 2 / c ** 4, q2, k)
-    )
-    lnum = qpoch(c ** 2 / q ** 2, q, l) * qpoch(s / q, q, 2 * k + l)
-    ratio = (1 - q ** (2 * k + 2 * l - 1) * s) / (1 - s / q)
-    return (knum / kden) * (q2 / a ** 2) ** k * (lnum / lden) * ratio * (q2 / c ** 2) ** l
 
 
 def _ladder_walk(tops, outer, inner, what: str):
@@ -418,8 +333,11 @@ def _coupled_sums(s, P: ParamPoint, tops, cu, su, what: str) -> list:
 
 
 def ce_prime_sums(s, P: ParamPoint, D: int) -> list:
-    """c'_e(k, l; s) summed along k + l = K for K = 0..D: the coupled walk
-    of every factor but the ratio, which depends on k + l alone and
+    """c'_e(k, l; s) summed along k + l = K for K = 0..D, where c'_e
+    absorbs a (1 - x^2) prefactor:
+    (1 - x^2) sum c_e(k,l;s) x^(2k+2l) = sum c'_e(k,l;s) x^(2k+2l).
+    The coupled walk covers every factor but the ratio
+    (1 - q^(2k+2l-1) s) / (1 - s/q), which depends on k + l alone and
     multiplies each sum."""
     P.require("a", "c")
     q, s = P.q, rat(s)
@@ -434,9 +352,11 @@ def ce_prime_sums(s, P: ParamPoint, D: int) -> list:
 
 
 def co_recast_sums(s, P: ParamPoint, W: int) -> list:
-    """coeff_co_recast(m, n; s) summed along m + n = w for w = 0..W: a walk
-    along m at n = 0, then along n; each step also adds one factor to the
-    ladders in m + n."""
+    """c_o(m, n; s), regrouped so the parameter-symmetric part ladders in
+    m + n, summed along m + n = w for w = 0..W: a walk along m at n = 0,
+    then along n; each step also adds one factor to the ladders in m + n.
+    Two of the grouped lower ladders, (q^(1/2) s/(ac), -q^(1/2) s/(ac); q),
+    sit at a half power of q."""
     P.require("a", "b", "c", "d")
     a, b, c, d, q = P.a, P.b, P.c, P.d, P.q
     s = rat(s)

@@ -16,7 +16,6 @@ from .algebra import (
     LaurentPoly,
     ParamPoint,
     ShiftTerm,
-    decompose_symmetric,
     format_rational,
     monomial_symmetric,
     rat,
@@ -142,15 +141,12 @@ def _dominant_below(w: B2Weight):
 
 def b2_oracle(w: B2Weight, P: ParamPoint) -> LaurentPoly:
     """Eigenpolynomial through the triangular solve, independent of any
-    explicit summation formula."""
+    explicit summation formula.  The operator keeps its columns, so the
+    weights at one point apply it once per distinct dominant weight."""
     P.require("sqrt_t", "sqrt_T")
     basis = _dominant_below(w)
 
-    def column(key):
-        image = b2_apply(monomial_symmetric(key, 2, 2), P)
-        return decompose_symmetric(image)
-
-    coeffs = solve_triangular_eigenproblem(basis, column, basis[0])
+    coeffs = solve_triangular_eigenproblem(basis, _b2_operator(P).column, basis[0])
     total = LaurentPoly.zero(2, 2)
     for key, c in coeffs.items():
         total = total + monomial_symmetric(key, 2, 2) * c
@@ -459,8 +455,13 @@ def _default_bound(w: B2Weight) -> int:
     return 4 * w.total + 8
 
 
+@lru_cache(maxsize=None)
 def f_b2_poly(w: B2Weight, P: ParamPoint, bound: int = None) -> LaurentPoly:
-    """The explicit series at the weight's own spectral point, fully expanded."""
+    """The explicit series at the weight's own spectral point, fully expanded.
+
+    The conjecture sweep and the threefold rows ask for the same weights,
+    so the result is memoized per (w, P, bound) for the process; it is
+    shared by every caller and must not be mutated."""
     P.require("sqrt_t", "sqrt_T")
     if bound is None:
         bound = _default_bound(w)

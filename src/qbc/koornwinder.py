@@ -18,7 +18,6 @@ from .algebra import (
     ParamPoint,
     Partition,
     ShiftTerm,
-    decompose_symmetric,
     dominated_partitions,
     format_rational,
     monomial_symmetric,
@@ -76,16 +75,12 @@ def koorn_apply(f: LaurentPoly, P: ParamPoint, n: int) -> LaurentPoly:
     return _koorn_operator(P, n).apply(f)
 
 
-@lru_cache(maxsize=None)
 def _koorn_column(P: ParamPoint, n: int, mu: Partition) -> dict:
-    """The operator image of the orbit sum m_mu, over the orbit basis.
-
-    A solve for a higher row needs every column of a lower row's solve
-    again, so the columns are kept per (P, n, mu) for the process.  The
-    dict is shared by every caller and must not be mutated.
-    """
-    image = _koorn_operator(P, n).apply(monomial_symmetric(mu.padded(n), n))
-    return {Partition(e): coeff for e, coeff in decompose_symmetric(image).items()}
+    """The operator image of the orbit sum m_mu over the orbit basis, keyed
+    by partition.  The operator keeps the column itself, so a solve for a
+    higher row reuses every column of a lower row's solve."""
+    column = _koorn_operator(P, n).column(mu.padded(n))
+    return {Partition(e): coeff for e, coeff in column.items()}
 
 
 def koorn_eigenvalue(lam, P: ParamPoint, n: int) -> Fraction:
@@ -181,30 +176,66 @@ def koorn_oracle(lam, P: ParamPoint, n: int, use_cache: bool = True) -> LaurentP
     return result
 
 
-@lru_cache(maxsize=None)
+class _GTable:
+    """The G table at one (n, P), grown one order at a time.
+
+    G is the product of 2n factor series, the factor for (i, sign)
+    contributing (t;q)_j/(q;q)_j x_i^(sign j) at order j.  stages[s] holds
+    the product of the first s factors, so stages[0] is the series 1 and
+    stages[2n] is G; order m of stage s + 1 is the sum over j of order
+    m - j of stage s times the order-j term of factor s.  That needs only
+    orders up to m below it, so a new order of every stage is built from
+    the ones already kept, and each entry is built once."""
+
+    def __init__(self, n: int, P: ParamPoint):
+        self.n, self.P = n, P
+        self.factors = [(i, sign) for i in range(n) for sign in (1, -1)]
+        self.stages = [[] for _ in range(2 * n + 1)]
+        self.heads = [Fraction(1)]
+
+    def upto(self, rmax: int) -> tuple:
+        if len(self.heads) <= rmax:
+            self.heads = qbinom_series(self.P.t, self.P.q, rmax)
+        while len(self.stages[0]) <= rmax:
+            self._grow()
+        return tuple(self.stages[-1][: rmax + 1])
+
+    def _grow(self) -> None:
+        """Append order m = len(stages[0]) to every stage, all at once."""
+        n, heads = self.n, self.heads
+        m = len(self.stages[0])
+        new = [LaurentPoly.one(n) if m == 0 else LaurentPoly.zero(n)]
+        for (i, sign), prev in zip(self.factors, self.stages):
+            below = prev + new[-1:]
+            total = LaurentPoly.zero(n)
+            for r in range(m + 1):
+                j = m - r
+                if below[r].is_zero() or heads[j] == 0:
+                    continue
+                total = total + below[r] * _mono(n, [(i, sign * j)], heads[j])
+            new.append(total)
+        for stage, entry in zip(self.stages, new):
+            stage.append(entry)
+
+
+#: one G table per (n, P) for the process
+_G_TABLES: dict = {}
+
+
 def g_series_list(rmax: int, n: int, P: ParamPoint) -> tuple:
     """Coefficients (G_0, ..., G_rmax) of the binomial-product generating
     function: each of the 2n factors contributes (t;q)_j/(q;q)_j x_i^(+-j)
     at order j, and the truncated factor series are convolved.
 
-    Entry j does not depend on rmax.  The tuple is memoized per (rmax, n, P)
-    for the process and shared by every caller, so the one-row displays at a
-    point build each list once."""
+    Entry j does not depend on rmax, so one table per (n, P) is kept for
+    the process and extended on demand: each entry is built once, however
+    the requested orders grow.  The entries are shared by every caller and
+    must not be mutated."""
     P.require("sqrt_t")
-    heads = qbinom_series(P.t, P.q, rmax)
-    out = [LaurentPoly.one(n)] + [LaurentPoly.zero(n) for _ in range(rmax)]
-    for i in range(n):
-        for sign in (1, -1):
-            new = [LaurentPoly.zero(n) for _ in range(rmax + 1)]
-            for r in range(rmax + 1):
-                if out[r].is_zero():
-                    continue
-                for j in range(rmax + 1 - r):
-                    if heads[j] == 0:
-                        continue
-                    new[r + j] = new[r + j] + out[r] * _mono(n, [(i, sign * j)], heads[j])
-            out = new
-    return tuple(out)
+    table = _G_TABLES.get((n, P))
+    if table is None:
+        table = _G_TABLES[(n, P)] = _GTable(n, P)
+    return table.upto(rmax)
 
 
 def g_series(r: int, n: int, P: ParamPoint) -> LaurentPoly:
@@ -223,6 +254,7 @@ def row_sum(n: int, gs, terms) -> LaurentPoly:
     return total
 
 
+@lru_cache(maxsize=None)
 def g_row_sym(r: int, P: ParamPoint, n: int) -> LaurentPoly:
     """One-row sum for the chained parameter family (a, -a, c, -c).
 
@@ -230,6 +262,10 @@ def g_row_sym(r: int, P: ParamPoint, n: int) -> LaurentPoly:
     point rescaled by sqrt(q/t) and at the pinned spectral value
     q^(1-r) t^(-n), carrying one factor t/q per lattice step; they enter
     summed along k + l.
+
+    g_row_general reads rows 0..r of it for row r, so the rows are memoized
+    per (r, P, n) for the process.  The result is shared by every caller
+    and must not be mutated.
     """
     P.require("a", "c", "sqrt_t")
     q, t = P.q, P.t

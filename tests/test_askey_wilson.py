@@ -21,10 +21,7 @@ from qbc.askey_wilson import (
     aw_apply,
     aw_eigenvalue,
     aw_poly,
-    coeff_ce,
-    coeff_ce_prime,
     coeff_co,
-    coeff_co_recast,
     co_recast_sums,
     ce_prime_sums,
     even_sum_closed,
@@ -47,6 +44,104 @@ POINT_C = ParamPoint(
     sqrt_q=Fraction(2, 3), a=Fraction(5, 2), b=Fraction(7, 2), c=4, d=6
 )
 POINTS = [POINT_A, POINT_B, POINT_C]
+
+
+# -- per-term definitions ------------------------------------------------------
+#
+# The coefficient families with every Pochhammer ladder rebuilt per term.  The
+# program sums them only through running-ratio walks (coeff_co stays in
+# askey_wilson, whose odd_sum_check sums it directly); these are the
+# definitions the walks are checked against.
+
+
+def coeff_ce(k: int, l: int, s, P: ParamPoint) -> Fraction:
+    """Even-family coefficient c_e(k, l; s): base q^2, depends only on a, c.
+
+    Every ladder rebuilt: the running-ratio walk phi_series, fourfold_poly
+    and even_sum_forms use is tested against it."""
+    P.require("a", "c")
+    a, c, q = P.a, P.c, P.q
+    s = rat(s)
+    q2 = q * q
+    kden = qpoch(q2, q2, k) * qpoch(q ** (4 * l + 2) * s ** 2 / a ** 2, q2, k)
+    lden = (
+        qpoch(q2, q2, l)
+        * qpoch(q ** 3 * s ** 2 / (a ** 2 * c ** 2), q2, l)
+        * qpoch(q * s / a ** 2, q, 2 * l)
+        * qpoch(s ** 2 / a ** 2, q2, 2 * l)
+    )
+    if kden == 0 or lden == 0:
+        raise ParameterDegeneracy("vanishing lower Pochhammer in the even family")
+    knum = qpoch(a ** 2, q2, k) * qpoch(q ** (4 * l) * s ** 2, q2, k)
+    lnum = (
+        qpoch(c ** 2 / q, q2, l)
+        * qpoch(s ** 2 / a ** 2, q2, l)
+        * qpoch(s, q, 2 * l)
+        * qpoch(q ** 2 * s ** 2 / a ** 4, q2, 2 * l)
+    )
+    return (knum / kden) * (q2 / a ** 2) ** k * (lnum / lden) * (q2 / c ** 2) ** l
+
+
+def coeff_co_recast(m: int, n: int, s, P: ParamPoint) -> Fraction:
+    """c_o(m, n; s) regrouped so the parameter-symmetric part ladders in m+n.
+
+    Two of the grouped denominators sit at a half power, so the point must
+    carry sqrt_q (every ParamPoint does).  The walk co_recast_sums is tested
+    against it.
+    """
+    P.require("a", "b", "c", "d")
+    a, b, c, d, q = P.a, P.b, P.c, P.d, P.q
+    s = rat(s)
+    w = m + n
+    half = P.sqrt_q * s / (a * c)
+    den = (
+        qpoch(q, q, m)
+        * qpoch(-q * s / (a * c), q, m)
+        * qpoch_multi((q ** 2 * s ** 2 / (a * b * c * d), half, -half), q, w)
+        * qpoch(q, q, n)
+        * qpoch(-q * s / (a * c), q, n)
+    )
+    if den == 0:
+        raise ParameterDegeneracy("vanishing lower Pochhammer in the regrouped odd family")
+    num = (
+        qpoch(-b / a, q, m)
+        * qpoch(q * s / (c * d), q, m)
+        * qpoch_multi(
+            (s, -q * s / (a * c), q * s ** 2 / (a ** 2 * c ** 2)), q, w
+        )
+        * qpoch(-d / c, q, n)
+        * qpoch(q * s / (a * b), q, n)
+    )
+    return (num / den) * (q / b) ** m * (q / d) ** n
+
+
+def coeff_ce_prime(k: int, l: int, s, P: ParamPoint) -> Fraction:
+    """Even-family coefficient absorbing a (1 - x^2) prefactor:
+    (1 - x^2) sum c_e(k,l;s) x^(2k+2l) = sum c'_e(k,l;s) x^(2k+2l).
+
+    The walk ce_prime_sums is tested against it."""
+    P.require("a", "c")
+    a, c, q = P.a, P.c, P.q
+    s = rat(s)
+    q2 = q * q
+    if s == q:
+        raise ParameterDegeneracy("the ratio factor needs s != q")
+    kden = (
+        qpoch(q2, q2, k)
+        * qpoch(q * s / c ** 2, q2, k)
+        * qpoch(q ** 3 * s ** 2 / (a ** 2 * c ** 2), q2, k)
+    )
+    lden = qpoch(q, q, l) * qpoch(q ** 2 * s / c ** 2, q, 2 * k + l)
+    if kden == 0 or lden == 0:
+        raise ParameterDegeneracy("vanishing lower Pochhammer in the primed even family")
+    knum = (
+        qpoch(q * a ** 2 / c ** 2, q2, k)
+        * qpoch(q ** 3 * s / c ** 2, q2, k)
+        * qpoch(q ** 2 * s ** 2 / c ** 4, q2, k)
+    )
+    lnum = qpoch(c ** 2 / q ** 2, q, l) * qpoch(s / q, q, 2 * k + l)
+    ratio = (1 - q ** (2 * k + 2 * l - 1) * s) / (1 - s / q)
+    return (knum / kden) * (q2 / a ** 2) ** k * (lnum / lden) * ratio * (q2 / c ** 2) ** l
 
 
 def eval_laurent(f: LaurentPoly, x0: Fraction) -> Fraction:

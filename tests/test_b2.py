@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import qbc.b2
 from qbc.algebra import (
+    ClearedShiftOperator,
     LaurentPoly,
     ParamPoint,
     decompose_symmetric,
@@ -16,7 +17,9 @@ from qbc.algebra import (
 )
 from qbc.b2 import (
     B2Weight,
+    _b2_operator,
     _default_bound,
+    _dominant_below,
     _JetScalars,
     _series_terms,
     b2_apply,
@@ -29,7 +32,7 @@ from qbc.b2 import (
     f_b2_poly,
 )
 from qbc.errors import DimensionMismatch, NonTerminating, ParameterDegeneracy, QbcError
-from qbc.suites import _plan, _run
+from qbc.suites import _plan, _run, default_config
 
 # t, t^2, T, tT, t^2T must stay off integer powers of q, or a denominator
 # ladder pins to 1 at a live index.  Both points were picked for that.
@@ -167,6 +170,28 @@ class TestOracle:
         w = B2Weight(r1, r2)
         poly = b2_oracle(w, B2P1)
         assert b2_apply(poly, B2P1) == poly * b2_eigenvalue(w, B2P1)
+
+
+    def test_weights_share_operator_columns(self, monkeypatch):
+        # the bases of the weights with r1 + r2 <= 3 nest, so their ten
+        # solves apply the operator once per distinct dominant weight, not
+        # once per column; the operator keeps the columns, so a fresh one
+        # starts with none
+        P = default_config().points("b2")[0].point
+        applied = []
+        real_apply = ClearedShiftOperator.apply
+
+        def spy(op, f):
+            applied.append(f.key())
+            return real_apply(op, f)
+
+        _b2_operator.cache_clear()
+        monkeypatch.setattr(ClearedShiftOperator, "apply", spy)
+        weights = [B2Weight(r1, total - r1) for total in range(4) for r1 in range(total + 1)]
+        for w in weights:
+            b2_oracle(w, P)
+        assert sum(len(_dominant_below(w)) for w in weights) == 31
+        assert len(applied) == len(set(applied)) == len(weights) == 10
 
 
 class TestExplicitSeries:

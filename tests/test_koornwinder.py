@@ -20,7 +20,7 @@ from qbc.algebra import (
 from qbc.askey_wilson import aw_apply, aw_eigenvalue, aw_poly
 from qbc.errors import ParameterDegeneracy
 from qbc.koornwinder import (
-    _koorn_column,
+    _koorn_operator,
     g_row_general,
     g_row_sym,
     g_series,
@@ -30,7 +30,7 @@ from qbc.koornwinder import (
     koorn_eigenvalue,
     koorn_oracle,
 )
-from qbc.qseries import qpoch
+from qbc.qseries import qbinom_series, qpoch
 from qbc.suites import _plan, _run
 
 POINT_K1 = ParamPoint(
@@ -153,7 +153,8 @@ class TestOracle:
 
     def test_rows_share_operator_columns(self, monkeypatch):
         # the bases of rows 0-3 at rank 3 nest, so four uncached solves
-        # apply the operator once per distinct mu, not once per column
+        # apply the operator once per distinct mu, not once per column; the
+        # operator keeps the columns, so a fresh one starts with none
         applied = []
         real_apply = ClearedShiftOperator.apply
 
@@ -161,7 +162,7 @@ class TestOracle:
             applied.append(f.key())
             return real_apply(op, f)
 
-        _koorn_column.cache_clear()
+        _koorn_operator.cache_clear()
         monkeypatch.setattr(ClearedShiftOperator, "apply", spy)
         distinct, columns = set(), 0
         for r in range(4):
@@ -181,7 +182,43 @@ class TestOracle:
         assert first == second
 
 
+def _g_list_reference(rmax, n, P):
+    """(G_0, ..., G_rmax) by one convolution truncated at rmax: the 2n
+    factor series multiplied in turn, every order of one factor before
+    the next, as g_series_list computed it before its table grew."""
+    heads = qbinom_series(P.t, P.q, rmax)
+    out = [LaurentPoly.one(n)] + [LaurentPoly.zero(n) for _ in range(rmax)]
+    for i in range(n):
+        for sign in (1, -1):
+            new = [LaurentPoly.zero(n) for _ in range(rmax + 1)]
+            for r in range(rmax + 1):
+                for j in range(rmax + 1 - r):
+                    exps = [0] * n
+                    exps[i] = sign * j
+                    new[r + j] = new[r + j] + out[r] * LaurentPoly.monomial(exps, heads[j])
+            out = new
+    return out
+
+
 class TestGeneratingFamily:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_growing_table_matches_per_rmax_convolution(self, n, g_builds):
+        # orders requested in increasing order grow the table one entry at
+        # a time; every prefix equals the convolution truncated there
+        for P in (POINT_K1, POINT_K2):
+            for rmax in range(7):
+                assert list(g_series_list(rmax, n, P)) == _g_list_reference(rmax, n, P)
+        assert len(g_builds) == len(set(g_builds)) == 14
+
+    def test_table_serves_any_request_order_from_one_build(self, g_builds):
+        full = g_series_list(5, 2, POINT_K2)
+        for rmax in (0, 3, 1, 5, 2, 4):
+            part = g_series_list(rmax, 2, POINT_K2)
+            assert isinstance(part, tuple) and len(part) == rmax + 1
+            assert all(a is b for a, b in zip(part, full))
+        assert g_series_list(-1, 2, POINT_K2) == ()
+        assert g_builds == [(j, 2, POINT_K2) for j in range(6)]
+
     def test_order_zero(self):
         assert g_series(0, 2, POINT_K1) == LaurentPoly.one(2)
 

@@ -1,0 +1,93 @@
+"""Per-process memos: what verify all builds once and shares.
+
+The operator columns, the G tables and the memoized builders (aw_poly,
+f_b2_poly, g_row_sym) hand the same object to every caller.  A caller that
+mutated one would corrupt every later check at that point, so these tests
+compare the memoized values, after a full run has read them many times,
+with a fresh computation on cleared memos: the slow path is the reference.
+"""
+
+import hashlib
+
+import pytest
+
+from qbc import askey_wilson, b2, koornwinder
+from qbc.b2 import B2Weight
+from qbc.suites import default_config, run_suite
+
+CFG = default_config()
+# sha256 of run_suite("all", CFG).to_json(with_timing=False): 366 passing cases
+ALL_DIGEST = "6b7ebdcef175f4677fd3ee0e192a48b85406d93d7424bfa3ccb1586728377d14"
+
+
+def _clear_memos():
+    for memo in (
+        askey_wilson.aw_poly, askey_wilson._aw_operator, b2.f_b2_poly, b2._b2_operator,
+        koornwinder.g_row_sym, koornwinder._koorn_operator,
+    ):
+        memo.cache_clear()
+    koornwinder._G_TABLES.clear()
+
+
+def _requests():
+    """(builder, args) for the memoized builder calls of verify all at the
+    shipped points."""
+    out = []
+    for cp in CFG.points("askey-wilson"):
+        out += [(askey_wilson.aw_poly, (n, cp.point)) for n in range(7)]
+    for cp in CFG.points("b2"):
+        out += [
+            (b2.f_b2_poly, (B2Weight(r1, total - r1), cp.point))
+            for total in range(CFG.max_weight + 1)
+            for r1 in range(total + 1)
+        ]
+    for cp in CFG.points("koornwinder"):
+        out += [
+            (koornwinder.g_row_sym, (r, cp.point, n))
+            for n in (1, 2, 3)
+            for r in range(5 if n < 3 else 4)
+        ]
+    return out
+
+
+@pytest.fixture(scope="module")
+def warm(tmp_path_factory):
+    """Two runs of every suite on cleared memos and an empty oracle cache,
+    the second on the memos the first filled; returns both bodies and the
+    memoized values as they stand after both runs."""
+    mp = pytest.MonkeyPatch()
+    mp.setenv(koornwinder.CACHE_ENV, str(tmp_path_factory.mktemp("oracle-cache")))
+    try:
+        _clear_memos()
+        bodies = [run_suite("all", CFG).to_json(with_timing=False) for _ in range(2)]
+        values = [(fn, args, fn(*args)) for fn, args in _requests()]
+        tables = {key: table.upto(len(table.stages[0]) - 1)
+                  for key, table in koornwinder._G_TABLES.items()}
+        yield bodies, values, tables
+    finally:
+        mp.undo()
+
+
+def test_a_second_run_on_warm_memos_gives_the_same_body(warm):
+    first, second = warm[0]
+    assert first == second
+    assert hashlib.sha256(second.encode()).hexdigest() == ALL_DIGEST
+
+
+def test_memoized_builders_equal_a_fresh_computation(warm):
+    _, values, _ = warm
+    assert len(values) == 3 * 7 + 2 * 10 + 2 * 14
+    _clear_memos()
+    for fn, args, memoized in values:
+        assert fn(*args) == memoized, (fn.__name__, args)
+        assert fn(*args) is fn(*args)
+
+
+def test_g_tables_equal_a_fresh_computation(warm):
+    # the full run grows a table at every koornwinder, macdonald and kernel
+    # point and rank it reads; the lists a fresh table builds match it
+    _, _, tables = warm
+    assert len(tables) == 12
+    koornwinder._G_TABLES.clear()
+    for (n, P), entries in tables.items():
+        assert koornwinder.g_series_list(len(entries) - 1, n, P) == entries

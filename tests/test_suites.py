@@ -95,11 +95,12 @@ def test_kernel_setup_lands_in_the_first_case(clock, monkeypatch):
 
 
 def test_lassalle_suite_builds_each_g_list_once_and_takes_one_oracle_per_row(
-    tmp_path, monkeypatch
+    tmp_path, monkeypatch, g_builds
 ):
-    # 2 points x 2 ranks x rows 0..4: 20 distinct (r, n, P), though the two
-    # displays of 3 families read them 120 times; each of the 60 rows
-    # compares both displays with one oracle call
+    # 2 points x 2 ranks x orders 0..4: 20 distinct G entries (j, n, P),
+    # though the two displays of 3 families read them 120 times, in lists
+    # of every length up to 5; each entry is built once, on empty tables,
+    # and each of the 60 rows compares both displays with one oracle call
     monkeypatch.setenv(qbc.koornwinder.CACHE_ENV, str(tmp_path))
     calls = []
 
@@ -108,10 +109,9 @@ def test_lassalle_suite_builds_each_g_list_once_and_takes_one_oracle_per_row(
         return qbc.koornwinder.koorn_oracle(*args)
 
     monkeypatch.setattr(suites, "koorn_oracle", counted)
-    qbc.koornwinder.g_series_list.cache_clear()
     report = suites.run_suite("lassalle", suites.default_config())
     assert report.passed and len(report.cases) == 120
-    assert qbc.koornwinder.g_series_list.cache_info().misses == 20
+    assert len(g_builds) == len(set(g_builds)) == 20
     assert len(calls) == 60
     assert isinstance(qbc.koornwinder.g_series_list(1, 1, calls[0][1]), tuple)
 
