@@ -17,7 +17,6 @@ and it is an error if it is irrational at the supplied point.
 from __future__ import annotations
 
 import dataclasses
-import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -461,42 +460,24 @@ class LaurentPoly:
 
 
 def exact_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-    """Divide f by g, insisting the quotient is a Laurent polynomial.
+    """Divide f by a binomial g = a x^e1 + b x^e0, e1 the lex-larger
+    exponent, insisting the quotient is a Laurent polynomial.
 
-    A quotient that is not a Laurent polynomial raises InexactDivision.  A
-    two-term g = a x^e1 + b x^e0 goes to _binomial_div, which runs the
-    recurrence q_k = (f_k - b q_(k+1)) / a down each line of exponents
-    parallel to e1 - e0 and checks that each line leaves no remainder.
-    When f has int coefficients and g is a primitive integer binomial, that
-    recurrence stays in ints: by Gauss's lemma an exact quotient is then
-    integral, so a step that does not divide evenly proves the division
-    inexact.  Any other g goes to the heap-ordered peel, _heap_div, which
-    is also the tests' reference for binomials.
-    """
-    f._check_compatible(g)
-    if g.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    if f.is_zero():
-        return LaurentPoly.zero(f.num_vars, f.scale)
-    if len(g.terms) == 2:
-        return _binomial_div(f, g)
-    return _heap_div(f, g)
+    A zero g raises ZeroDivisionError and any other g that is not a
+    binomial raises ValueError; the operators divide by nothing else.  A
+    quotient that is not a Laurent polynomial raises InexactDivision.
 
-
-def _binomial_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-    """f / (a x^e1 + b x^e0), e1 the lex-larger exponent, by synthetic
-    division along each line of exponents parallel to d = e1 - e0.
-
-    Multiplying by g maps a line into itself, so the lines divide
-    independently.  On the line of f through base, write f_k for the
+    The division is synthetic, along each line of exponents parallel to
+    d = e1 - e0.  Multiplying by g maps a line into itself, so the lines
+    divide independently.  On the line of f through base, write f_k for the
     coefficient at base + k d; the quotient term at base + k d - e1 is
     q_k = (f_k - b q_(k+1)) / a, taken from the top of the line down to one
     step above its lowest term f_low, which must equal b q_(low+1): that
     line remainder is zero exactly when the line divides, so a division
-    raises InexactDivision exactly when no Laurent quotient exists, as the
-    heap peel does.  Where a q_k vanishes nothing carries below it, and the
-    recurrence jumps to the next term of f.  The cost is O(|f| + |q|)
-    coefficient steps, with no heap and no box.
+    raises InexactDivision exactly when no Laurent quotient exists.  Where a
+    q_k vanishes nothing carries below it, and the recurrence jumps to the
+    next term of f.  The cost is O(|f| + |q|) coefficient steps, with no
+    heap and no box.
 
     When f has int coefficients and g is a primitive integer binomial
     (int coefficients with gcd 1), the recurrence stays in ints: by Gauss's
@@ -505,6 +486,13 @@ def _binomial_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     the division inexact.  Any other input runs over Fraction, so a
     non-primitive integer g such as 2x - 2 still gives a rational quotient.
     """
+    f._check_compatible(g)
+    if g.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    if len(g.terms) != 2:
+        raise ValueError(f"exact_div divides by binomials only, not {g}")
+    if f.is_zero():
+        return LaurentPoly.zero(f.num_vars, f.scale)
     (e1, a), (e0, b) = sorted(g.terms.items(), reverse=True)
     d = tuple(map(sub, e1, e0))
     # d is lex-positive, so its first nonzero entry is positive and
@@ -549,70 +537,6 @@ def _binomial_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
             k -= 1
         if line[low] != carry:
             raise InexactDivision("remainder is not divisible")
-    return LaurentPoly._raw(f.num_vars, quo, f.scale)
-
-
-def _heap_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-    """Peel the lex-leading term of the remainder against the lex-leading
-    term of g, finding that term with a heap instead of a scan, after
-    Monagan and Pearce, "Sparse polynomial division using a heap" (J.
-    Symbolic Comput. 46, 2011).  The remainder is a dict from exponent to
-    coefficient, and a min-heap of the negated exponents orders it.  An
-    exponent is pushed once, when a step first creates it.  Each step pops
-    the lex-largest exponent, emits one quotient term, and subtracts that
-    term times the non-leading terms of g; the product with the leading
-    term would only cancel the popped term, so it is never formed.
-
-    A remainder term that cancels stays in the dict with coefficient zero,
-    and its heap entry goes stale: the pop skips it.  If a later step
-    creates the exponent again, the zero entry takes the new coefficient
-    and the entry it already has in the heap is live again.  No exponent
-    needs a second entry: every exponent a step creates is lex-smaller than
-    the one just popped, so pops never increase and an exponent is never
-    recreated once it has been popped.
-
-    With q the quotient, a division pushes and pops at most
-    |f| + |q| (|g| - 1) exponents, so it costs O(|q| |g|) coefficient products
-    and O((|f| + |q| |g|) log(|f| + |q| |g|)) exponent comparisons.  Scanning
-    the remainder for its leading term instead is quadratic in its size.
-
-    Every per-variable degree of an exact quotient is pinned by the degrees
-    of f and g, which bounds the emitted exponents to a finite box.  An
-    emission outside that box raises InexactDivision.  The loop pops every
-    remainder term, and each nonzero one is emitted, so an inexact division
-    always ends in such an emission.
-    """
-    f_lo, f_hi = f.exponent_box()
-    g_lo, g_hi = g.exponent_box()
-    box_lo = tuple(a - b for a, b in zip(f_lo, g_lo))
-    box_hi = tuple(a - b for a, b in zip(f_hi, g_hi))
-    if any(lo > hi for lo, hi in zip(box_lo, box_hi)):
-        raise InexactDivision("degree box is empty")
-    g_lead_e, g_lead_c = g.leading()
-    g_lead_c = rat(g_lead_c)
-    g_rest = [(ge, gc) for ge, gc in g.terms.items() if ge != g_lead_e]
-    rem = dict(f.terms)
-    heap = [tuple(map(neg, e)) for e in rem]
-    heapq.heapify(heap)
-    quo: dict = {}
-    while heap:
-        r_lead = tuple(map(neg, heapq.heappop(heap)))
-        c = rem.pop(r_lead)
-        if not c:
-            continue
-        qe = tuple(map(sub, r_lead, g_lead_e))
-        if any(e < lo or e > hi for e, lo, hi in zip(qe, box_lo, box_hi)):
-            raise InexactDivision("remainder is not divisible")
-        qc = c / g_lead_c
-        quo[qe] = qc
-        for ge, gc in g_rest:
-            e = tuple(map(add, qe, ge))
-            acc = rem.get(e)
-            if acc is None:
-                rem[e] = -qc * gc
-                heapq.heappush(heap, tuple(map(neg, e)))
-            else:
-                rem[e] = acc - qc * gc
     return LaurentPoly._raw(f.num_vars, quo, f.scale)
 
 
@@ -891,19 +815,31 @@ class ClearedShiftOperator:
     needs 2n cofactors L w(A_0) and 2n products.  The identity holds only
     for invariant input, so apply raises ValueError for any other.
 
+    In the (T_0 - 1) form, g_0 = T_0 f - f vanishes where q^step x_v = 1/x_v,
+    because f(1/x_v) = f(x_v) for invariant f.  So the pole factor
+    1 - q^step x_v^2 of A_0 divides g_0 (on the scale-2 lattice, with y the
+    lattice variable x_v^(1/2), the factor is 1 - q^(step/2) y^2).  The
+    build finds that factor, up to a unit, among the generator's
+    denominators, and keeps one copy of it out of L and cof_0; apply
+    divides g_0 by it before the product.  That one division of a
+    polynomial of a few dozen terms spares L the pole's 2n images, which
+    every application would otherwise multiply in and divide back out.
+    The T_0 form keeps all its denominators in L.
+
     An application runs over Python ints from end to end.  Every factor of
-    L must be a binomial x^e1 - c x^e0 (the build raises ValueError
-    otherwise), and the build keeps it in primitive integer form
-    r x^e1 - p x^e0 with c = p/r, cof_0 as integer numerators over one
+    L must be a binomial x^e1 - c x^e0, as the pole is (the build raises
+    ValueError otherwise), and the build keeps each in primitive integer
+    form r x^e1 - p x^e0 with c = p/r, cof_0 as integer numerators over one
     denominator, and the units L / w(L) as ints over one denominator.
-    apply clears g_0's denominators, folds the int product, divides it by
-    the integer factors, where exact_div stays in ints, and scales once per
-    output term by the product of the r's over all those denominators and
-    the scalar.  The fold equals the explicit sum of the terms up to that
-    integer scaling, so the exact divisions by the factors of L that
-    follow, in the same order, get the same inputs up to integer constants:
-    the same supports, InexactDivision at the same step if the input was
-    not in the operator's polynomial domain.
+    apply clears g_0's denominators, divides it by the pole, folds the int
+    product, divides it by the factors of L, where exact_div stays in ints,
+    and scales once per output term by the product of the r's over all
+    those denominators and the scalar.  After the one division of g_0, the
+    fold equals the explicit sum of the terms, each with its own pole
+    absorbed, up to that integer scaling, so the exact divisions by the
+    factors of L that follow, in the same order, get the same inputs up to
+    integer constants: the same supports, InexactDivision at the same step
+    if the input was not in the operator's polynomial domain.
     """
 
     def __init__(
@@ -918,26 +854,44 @@ class ClearedShiftOperator:
             raise ParameterDegeneracy("operator scalar prefactor vanishes")
         n, v = num_vars, generator.var
         orbit = [_swap(n, v, i, s) for i in range(n) for s in (1, -1)]
+        # A_0 = numerator / (unit * canonical factors); one copy of the
+        # pole's canonical factor divides g_0 and stays out of L
+        normal = [_unit_normalize(factor) for factor in generator.denom_factors]
+        keys = [canon.key() for canon, _, _ in normal]
+        kept = list(zip(generator.denom_factors, keys))
+        self._pole, pole_radix = None, 1
+        if generator.subtract_identity:
+            exps = [0] * n
+            exps[v] = 2
+            pole = LaurentPoly.one(n, scale) - LaurentPoly.monomial(
+                exps, P.sqrt_q ** (2 * generator.step // scale), scale
+            )
+            pole_key = _unit_normalize(pole)[0].key()
+            if pole_key in keys:
+                k = keys.index(pole_key)
+                self._pole, pole_radix = _integer_numerators(normal[k][0])
+                del kept[k]
         lcd: dict = {}
         for perm, signs in orbit:
             counts: dict = {}
-            for factor in generator.denom_factors:
+            for factor, _ in kept:
                 canon, _, _ = _unit_normalize(factor.act_signed(perm, signs))
                 key = canon.key()
                 counts[key] = counts.get(key, 0) + 1
                 if key not in lcd or lcd[key][1] < counts[key]:
                     lcd[key] = (canon, counts[key])
         self._lcd = lcd
-        # cof_0 = L A_0: the numerator times the factors of L that the
-        # generator's denominator lacks, over that denominator's unit
+        # cof_0 = L A_0 (times the absorbed pole factor): the numerator
+        # times the factors of L that the kept denominators lack, over the
+        # units of all the denominators
         cof = LaurentPoly.one(n, scale)
         for f in generator.numer_factors:
             cof = cof * f
         counts = {}
+        for _, key in kept:
+            counts[key] = counts.get(key, 0) + 1
         unit_coeff, unit_shift = Fraction(1), (0,) * n
-        for factor in generator.denom_factors:
-            canon, lc, lo = _unit_normalize(factor)
-            counts[canon.key()] = counts.get(canon.key(), 0) + 1
+        for _, lc, lo in normal:
             unit_coeff *= lc
             unit_shift = tuple(map(add, unit_shift, lo))
         for key, (canon, mult) in lcd.items():
@@ -949,7 +903,7 @@ class ClearedShiftOperator:
         images = [self._image(perm, signs) for perm, signs in orbit]
         unit_den = math.lcm(*(unit.denominator for _, unit in images))
         self._images = [(spec, int(unit * unit_den)) for spec, unit in images]
-        self._divisors, radix = [], 1
+        self._divisors, radix = [], pole_radix
         for canon, mult in lcd.values():
             if len(canon.terms) != 2:
                 raise ValueError(f"denominator factor {canon} is not a binomial")
@@ -1010,6 +964,8 @@ class ClearedShiftOperator:
         if g.is_zero():
             return LaurentPoly.zero(f.num_vars, f.scale)
         g, g_den = _integer_numerators(g)
+        if self._pole is not None:
+            g = exact_div(g, self._pole)
         total = self._fold(self._cof * g, self._images)
         if total.is_zero():
             return total

