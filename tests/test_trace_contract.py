@@ -15,24 +15,32 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from qbc import algebra
-from qbc.algebra import monomial_symmetric
+from qbc.algebra import ClearedShiftOperator, monomial_symmetric
 from qbc.koornwinder import CACHE_ENV, _koorn_operator
 from qbc.suites import default_config
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("n, factors", [(3, 9), (4, 16)])
-def test_one_apply_divides_once_per_lcd_factor(n, factors, monkeypatch):
-    # the LCD keeps n factors 1 - x_i^2 and n(n - 1) pair factors; the
-    # pole 1 - q x_1^2 divides T f - f first, and its 2n images stay out
+@pytest.mark.parametrize("n, orbit_factors", [(3, 15), (4, 24)])
+def test_one_apply_divides_once_per_lcd_factor(n, orbit_factors, monkeypatch):
+    # the generator's denominators over the 2n images take orbit_factors
+    # factors, as the T_0 form, which absorbs no pole, keeps them all; the
+    # pole 1 - q x_1^2 divides T f - f first, and its 2n images stay out of
+    # the LCD, which keeps n factors 1 - x_i^2 and n(n - 1) pair factors
     P = default_config().points("koornwinder")[0].point
     op = _koorn_operator(P, n)
+    unabsorbed = ClearedShiftOperator(
+        P, n, replace(op.generator, subtract_identity=False), scalar=op.scalar
+    )
+    assert sum(mult for _, mult in unabsorbed._lcd.values()) == orbit_factors
+    factors = orbit_factors - 2 * n
     assert sum(mult for _, mult in op._lcd.values()) == factors
     divisors = []
     real_div = algebra.exact_div
