@@ -353,9 +353,6 @@ class LaurentPoly:
     def coeff(self, exps: Sequence[int]) -> Fraction:
         return self.terms.get(tuple(exps), Fraction(0))
 
-    def constant(self) -> Fraction:
-        return self.coeff((0,) * self.num_vars)
-
     def exponent_box(self):
         """Per-variable (min, max) exponent over the support; None if zero."""
         if not self.terms:
@@ -723,12 +720,18 @@ def decompose_symmetric(f: LaurentPoly) -> dict:
         dominant = tuple(sorted((abs(e) for e in exps), reverse=True))
         if dominant == exps:
             out[dominant] = coeff
-    rebuilt = LaurentPoly.zero(f.num_vars, f.scale)
-    for dominant, coeff in out.items():
-        rebuilt = rebuilt + coeff * monomial_symmetric(dominant, f.num_vars, f.scale)
-    if rebuilt != f:
+    if compose_symmetric(out, f.num_vars, f.scale) != f:
         raise ValueError("polynomial is not invariant under the signed-permutation group")
     return out
+
+
+def compose_symmetric(coeffs: Mapping, n: int, scale: int = 1) -> LaurentPoly:
+    """The sum of coeff * m_key over a dict from dominant exponent tuples of
+    length n, as decompose_symmetric gives it, to coefficients.  Distinct
+    dominant tuples have disjoint orbits, so each term is written once."""
+    return LaurentPoly(
+        n, {e: c for key, c in coeffs.items() for e in signed_orbit(key)}, scale
+    )
 
 
 # -- cleared-denominator difference operators ----------------------------------
@@ -994,21 +997,16 @@ class ClearedShiftOperator:
 # -- triangular eigenproblems ---------------------------------------------------
 
 
-def solve_triangular_eigenproblem(
-    basis: Sequence,
-    column: Callable,
-    top,
-) -> dict:
+def solve_triangular_eigenproblem(basis: Sequence, column: Callable) -> dict:
     """Back-substitute the one-dimensional eigenvector of a triangular matrix.
 
     basis lists keys with the top weight first, in some linear extension of
     the order that makes the operator triangular.  column(key) returns the
     expansion of the operator applied to the basis element as a dict over
     basis keys; its diagonal entry is the eigenvalue of that key.  Returns
-    coefficients normalized by coeff[top] = 1.
+    coefficients normalized by coeff[top] = 1, top = basis[0].
     """
-    if not basis or basis[0] != top:
-        raise ValueError("basis must start with the top weight")
+    top = basis[0]
     cols = {key: column(key) for key in basis}
     index = {key: i for i, key in enumerate(basis)}
     for key, col in cols.items():

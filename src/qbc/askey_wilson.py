@@ -38,10 +38,6 @@ class SeriesTrunc:
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(rat(c) for c in self.coeffs))
 
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
     def coeff(self, j: int) -> Fraction:
         return self.coeffs[j]
 

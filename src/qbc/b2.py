@@ -16,8 +16,8 @@ from .algebra import (
     LaurentPoly,
     ParamPoint,
     ShiftTerm,
+    compose_symmetric,
     format_rational,
-    monomial_symmetric,
     rat,
     solve_triangular_eigenproblem,
 )
@@ -36,41 +36,13 @@ class B2Weight:
         if self.r1 < 0 or self.r2 < 0:
             raise ValueError("fundamental-weight multiplicities must be nonnegative")
 
-    @classmethod
-    def from_epsilon(cls, lam1, lam2) -> "B2Weight":
-        lam1, lam2 = rat(lam1), rat(lam2)
-        if (2 * lam1).denominator != 1 or (2 * lam2).denominator != 1:
-            raise ValueError("coordinates must be half-integers")
-        if (lam1 - lam2).denominator != 1:
-            raise ValueError("coordinate difference must be an integer")
-        if not lam1 >= lam2 >= 0:
-            raise ValueError("weight is not dominant")
-        return cls(int(lam1 - lam2), int(2 * lam2))
-
     @property
     def doubled(self):
         return (2 * self.r1 + self.r2, self.r2)
 
     @property
-    def lam1(self) -> Fraction:
-        return Fraction(2 * self.r1 + self.r2, 2)
-
-    @property
-    def lam2(self) -> Fraction:
-        return Fraction(self.r2, 2)
-
-    @property
     def total(self) -> int:
         return self.r1 + self.r2
-
-    def s_values(self, P: ParamPoint):
-        """The spectral parameters (s1, s2) the weight pins down."""
-        P.require("sqrt_t", "sqrt_T")
-        d1, d2 = self.doubled
-        return (
-            P.t * P.sqrt_T * P.sqrt_q ** d1,
-            P.sqrt_T * P.sqrt_q ** d2,
-        )
 
 
 def _mono(e1: int, e2: int, coeff=1) -> LaurentPoly:
@@ -144,13 +116,8 @@ def b2_oracle(w: B2Weight, P: ParamPoint) -> LaurentPoly:
     explicit summation formula.  The operator keeps its columns, so the
     weights at one point apply it once per distinct dominant weight."""
     P.require("sqrt_t", "sqrt_T")
-    basis = _dominant_below(w)
-
-    coeffs = solve_triangular_eigenproblem(basis, _b2_operator(P).column, basis[0])
-    total = LaurentPoly.zero(2, 2)
-    for key, c in coeffs.items():
-        total = total + monomial_symmetric(key, 2, 2) * c
-    return total
+    coeffs = solve_triangular_eigenproblem(_dominant_below(w), _b2_operator(P).column)
+    return compose_symmetric(coeffs, 2, 2)
 
 
 # -- the explicit series ---------------------------------------------------------

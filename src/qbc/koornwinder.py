@@ -18,9 +18,9 @@ from .algebra import (
     ParamPoint,
     Partition,
     ShiftTerm,
+    compose_symmetric,
     dominated_partitions,
     format_rational,
-    monomial_symmetric,
     rat,
     solve_triangular_eigenproblem,
 )
@@ -73,14 +73,6 @@ def koorn_apply(f: LaurentPoly, P: ParamPoint, n: int) -> LaurentPoly:
     """Apply the operator to an invariant Laurent polynomial in n variables;
     any other input raises ValueError."""
     return _koorn_operator(P, n).apply(f)
-
-
-def _koorn_column(P: ParamPoint, n: int, mu: Partition) -> dict:
-    """The operator image of the orbit sum m_mu over the orbit basis, keyed
-    by partition.  The operator keeps the column itself, so a solve for a
-    higher row reuses every column of a lower row's solve."""
-    column = _koorn_operator(P, n).column(mu.padded(n))
-    return {Partition(e): coeff for e, coeff in column.items()}
 
 
 def koorn_eigenvalue(lam, P: ParamPoint, n: int) -> Fraction:
@@ -165,77 +157,52 @@ def koorn_oracle(lam, P: ParamPoint, n: int, use_cache: bool = True) -> LaurentP
         cached = _cache_load(path, lam, P, n)
         if cached is not None:
             return cached
-    coeffs = solve_triangular_eigenproblem(
-        dominated_partitions(lam, n), partial(_koorn_column, P, n), lam
-    )
-    result = LaurentPoly.zero(n)
-    for mu, coeff in coeffs.items():
-        result = result + monomial_symmetric(mu.padded(n), n) * coeff
+    basis = [mu.padded(n) for mu in dominated_partitions(lam, n)]
+    coeffs = solve_triangular_eigenproblem(basis, _koorn_operator(P, n).column)
+    result = compose_symmetric(coeffs, n)
     if use_cache:
         _cache_store(path, lam, P, n, result)
     return result
 
 
-class _GTable:
-    """The G table at one (n, P), grown one order at a time.
-
-    G is the product of 2n factor series, the factor for (i, sign)
-    contributing (t;q)_j/(q;q)_j x_i^(sign j) at order j.  stages[s] holds
-    the product of the first s factors, so stages[0] is the series 1 and
-    stages[2n] is G; order m of stage s + 1 is the sum over j of order
-    m - j of stage s times the order-j term of factor s.  That needs only
-    orders up to m below it, so a new order of every stage is built from
-    the ones already kept, and each entry is built once."""
-
-    def __init__(self, n: int, P: ParamPoint):
-        self.n, self.P = n, P
-        self.factors = [(i, sign) for i in range(n) for sign in (1, -1)]
-        self.stages = [[] for _ in range(2 * n + 1)]
-        self.heads = [Fraction(1)]
-
-    def upto(self, rmax: int) -> tuple:
-        if len(self.heads) <= rmax:
-            self.heads = qbinom_series(self.P.t, self.P.q, rmax)
-        while len(self.stages[0]) <= rmax:
-            self._grow()
-        return tuple(self.stages[-1][: rmax + 1])
-
-    def _grow(self) -> None:
-        """Append order m = len(stages[0]) to every stage, all at once."""
-        n, heads = self.n, self.heads
-        m = len(self.stages[0])
-        new = [LaurentPoly.one(n) if m == 0 else LaurentPoly.zero(n)]
-        for (i, sign), prev in zip(self.factors, self.stages):
-            below = prev + new[-1:]
-            total = LaurentPoly.zero(n)
-            for r in range(m + 1):
-                j = m - r
-                if below[r].is_zero() or heads[j] == 0:
-                    continue
-                total = total + below[r] * _mono(n, [(i, sign * j)], heads[j])
-            new.append(total)
-        for stage, entry in zip(self.stages, new):
-            stage.append(entry)
-
-
-#: one G table per (n, P) for the process
+#: the G table (G_0, ..., G_m) of each (n, P) for the process
 _G_TABLES: dict = {}
 
 
 def g_series_list(rmax: int, n: int, P: ParamPoint) -> tuple:
-    """Coefficients (G_0, ..., G_rmax) of the binomial-product generating
-    function: each of the 2n factors contributes (t;q)_j/(q;q)_j x_i^(+-j)
-    at order j, and the truncated factor series are convolved.
+    """Coefficients (G_0, ..., G_rmax) of the generating function
+    prod_i (t u x_i^(+-1); q)_inf / (u x_i^(+-1); q)_inf in u.
 
     Entry j does not depend on rmax, so one table per (n, P) is kept for
     the process and extended on demand: each entry is built once, however
     the requested orders grow.  The entries are shared by every caller and
     must not be mutated."""
     P.require("sqrt_t")
-    table = _G_TABLES.get((n, P))
-    if table is None:
-        table = _G_TABLES[(n, P)] = _GTable(n, P)
-    return table.upto(rmax)
+    table = _G_TABLES.setdefault((n, P), [])
+    while len(table) <= rmax:
+        table.append(_g_entry(len(table), n, P))
+    return tuple(table[: rmax + 1])
+
+
+def _g_entry(m: int, n: int, P: ParamPoint) -> LaurentPoly:
+    """G_m at rank n, grown from the rank below: the rank-n product is the
+    rank-(n - 1) one times the two factors in x_n, so G_m is the sum over j
+    of G'_(m - j) H_j(x_n), with G' the rank-(n - 1) table at P (the series
+    1 at rank 0) and H_j = sum_(a + b = j) h_a h_b x_n^(a - b) for
+    h_j = (t;q)_j/(q;q)_j."""
+    h = qbinom_series(P.t, P.q, m)
+    if n > 1:
+        lower = [g.terms for g in g_series_list(m, n - 1, P)]
+    else:
+        lower = [{(): 1}] + [{}] * m
+    terms: dict = {}
+    for j in range(m + 1):
+        H = [(2 * a - j, h[a] * h[j - a]) for a in range(j + 1)]
+        for exps, c in lower[m - j].items():
+            for e, w in H:
+                key = exps + (e,)
+                terms[key] = terms.get(key, 0) + c * w
+    return LaurentPoly(n, terms)
 
 
 def g_series(r: int, n: int, P: ParamPoint) -> LaurentPoly:

@@ -63,7 +63,10 @@ class _Pair:
 
 def _ladder(params: Sequence, q, n: int):
     """Integers (num, den) with num / den the product of (u; q)_n over
-    params, n >= 0; num is 0 exactly when some factor 1 - u q^i is."""
+    params; num is 0 exactly when some factor 1 - u q^i is.  A negative n
+    raises ValueError."""
+    if n < 0:
+        raise ValueError(f"Pochhammer length {n} is negative")
     num = den = 1
     for u in params:
         u, q = rat(u), rat(q)
@@ -78,37 +81,20 @@ def _ladder(params: Sequence, q, n: int):
 
 
 def qpoch(a, q, n: int) -> Fraction:
-    """(a; q)_n = product of (1 - a q^i) for 0 <= i < n.
-
-    Negative n uses the standard inversion
-    (a; q)_{-n} = 1 / (a q^{-n}; q)_n, which requires every factor nonzero.
-    """
-    a, q = rat(a), rat(q)
-    if n >= 0:
-        return Fraction(*_ladder((a,), q, n))
-    inv = qpoch(a * q ** n, q, -n)
-    if inv == 0:
-        raise ZeroDivisionError(f"(a;q)_{n} hits a vanishing factor")
-    return 1 / inv
+    """(a; q)_n = product of (1 - a q^i) for 0 <= i < n, n >= 0."""
+    return Fraction(*_ladder((a,), q, n))
 
 
 def qpoch_multi(params: Sequence, q, n: int) -> Fraction:
-    """Product of (a; q)_n over a list of arguments."""
-    if n >= 0:
-        return Fraction(*_ladder(params, q, n))
-    out = Fraction(1)
-    for a in params:
-        out *= qpoch(a, q, n)
-    return out
+    """Product of (a; q)_n over a list of arguments, n >= 0."""
+    return Fraction(*_ladder(params, q, n))
 
 
 def qpoch_ratio(uppers: Sequence, lowers: Sequence, q, n: int, what: str) -> Fraction:
     """Product of (u; q)_n over uppers divided by that of (v; q)_n over
-    lowers; a vanishing lower product raises ParameterDegeneracy naming
-    what, so a zero upper ladder gives 0 only at a point with no pole."""
-    if n < 0:  # (v; q)_n is then an inverse, never zero
-        den = qpoch_multi(lowers, q, n)
-        return qpoch_multi(uppers, q, n) / den
+    lowers, n >= 0; a vanishing lower product raises ParameterDegeneracy
+    naming what, so a zero upper ladder gives 0 only at a point with no
+    pole."""
     dnum, dden = _ladder(lowers, q, n)
     if dnum == 0:
         raise ParameterDegeneracy(f"vanishing lower Pochhammer in {what}")

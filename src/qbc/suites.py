@@ -10,6 +10,7 @@ degree must stay at least 4.
 """
 
 import functools
+import inspect
 import json
 import time
 from dataclasses import dataclass, field
@@ -473,24 +474,27 @@ SUITES = {
 
 SUITE_NAMES = ("all",) + tuple(sorted(SUITES))
 
+#: the narrowing options each suite takes: its parameters after cfg
+_NARROWING = {
+    name: tuple(inspect.signature(suite).parameters)[1:] for name, suite in SUITES.items()
+}
+
 
 def run_suite(name: str, cfg: RunConfig, families=None, ranks=None, rows=None):
-    """Run one named suite, or every suite merged under the name "all"."""
-    narrowed = {"families": families, "ranks": ranks, "rows": rows}
-    if name == "all":
-        if any(v is not None for v in narrowed.values()):
-            raise ValueError("the combined suite takes no narrowing options")
-        rep = VerificationReport("all")
-        for key in sorted(SUITES):
-            for case in SUITES[key](cfg).cases:
-                rep.add(case)
-        return rep
-    if name not in SUITES:
+    """Run one named suite, or every suite merged under the name "all".
+
+    A narrowing option the suite does not take raises ValueError."""
+    if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}")
-    if name == "koornwinder":
-        return suite_koornwinder(cfg, ranks=ranks, rows=rows)
-    if name == "lassalle":
-        return suite_lassalle(cfg, families=families, ranks=ranks, rows=rows)
-    if any(v is not None for v in narrowed.values()):
-        raise ValueError(f"suite {name!r} takes no narrowing options")
-    return SUITES[name](cfg)
+    narrowed = {"families": families, "ranks": ranks, "rows": rows}
+    narrowed = {k: v for k, v in narrowed.items() if v is not None}
+    extra = sorted(set(narrowed) - set(_NARROWING.get(name, ())))
+    if extra:
+        raise ValueError(f"suite {name!r} takes no {', '.join(extra)} narrowing")
+    if name != "all":
+        return SUITES[name](cfg, **narrowed)
+    rep = VerificationReport("all")
+    for key in sorted(SUITES):
+        for case in SUITES[key](cfg).cases:
+            rep.add(case)
+    return rep

@@ -10,12 +10,12 @@ def g_builds(monkeypatch):
     """Give g_series_list empty G tables for the test; the returned list
     records each (order, n, P) entry as it is built."""
     built = []
-    real_grow = koornwinder._GTable._grow
+    real_entry = koornwinder._g_entry
 
-    def spy(table):
-        built.append((len(table.stages[0]), table.n, table.P))
-        real_grow(table)
+    def spy(m, n, P):
+        built.append((m, n, P))
+        return real_entry(m, n, P)
 
-    monkeypatch.setattr(koornwinder._GTable, "_grow", spy)
+    monkeypatch.setattr(koornwinder, "_g_entry", spy)
     monkeypatch.setattr(koornwinder, "_G_TABLES", {})
     return built

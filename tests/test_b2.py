@@ -51,31 +51,25 @@ def eval_doubled(f, u1, u2):
     return total
 
 
+def s_values(w, P):
+    """The spectral parameters (s1, s2) = (t T^(1/2) q^(l1), T^(1/2) q^(l2))
+    that the weight w = (l1, l2) pins down."""
+    d1, d2 = w.doubled
+    return P.t * P.sqrt_T * P.sqrt_q ** d1, P.sqrt_T * P.sqrt_q ** d2
+
+
 class TestB2Weight:
     def test_doubled_coordinates(self):
         w = B2Weight(2, 3)
         assert w.doubled == (7, 3)
-        assert w.lam1 == F(7, 2)
-        assert w.lam2 == F(3, 2)
         assert w.total == 5
-
-    def test_epsilon_roundtrip(self):
-        w = B2Weight.from_epsilon(F(3, 2), F(1, 2))
-        assert w == B2Weight(1, 1)
-        assert B2Weight.from_epsilon(2, 1) == B2Weight(1, 2)
 
     def test_invalid_weights_raise(self):
         with pytest.raises(ValueError):
             B2Weight(-1, 0)
-        with pytest.raises(ValueError):
-            B2Weight.from_epsilon(F(1, 2), 0)  # difference not an integer
-        with pytest.raises(ValueError):
-            B2Weight.from_epsilon(1, 2)  # not dominant
-        with pytest.raises(ValueError):
-            B2Weight.from_epsilon(F(1, 3), F(1, 3))
 
     def test_spectral_values(self):
-        s1, s2 = B2Weight(1, 1).s_values(B2P1)
+        s1, s2 = s_values(B2Weight(1, 1), B2P1)
         t, sT, sq = B2P1.t, B2P1.sqrt_T, B2P1.sqrt_q
         assert s1 == t * sT * sq ** 3
         assert s2 == sT * sq
@@ -135,12 +129,12 @@ class TestEigenvalue:
         # t^2 T q^(3/2) + t T q^(1/2) + t q^(-1/2) + q^(-3/2)
         t, T, sq = B2P1.t, B2P1.T, B2P1.sqrt_q
         expected = t * t * T * sq ** 3 + t * T * sq + t / sq + 1 / sq ** 3
-        assert b2_eigenvalue(B2Weight.from_epsilon(F(3, 2), F(1, 2)), B2P1) == expected
+        assert b2_eigenvalue(B2Weight(1, 1), B2P1) == expected
 
     @pytest.mark.parametrize("r1,r2", [(0, 0), (1, 0), (0, 1), (2, 1), (1, 2)])
     def test_spectral_form(self, r1, r2):
         w = B2Weight(r1, r2)
-        s1, s2 = w.s_values(B2P2)
+        s1, s2 = s_values(w, B2P2)
         t, sT = B2P2.t, B2P2.sqrt_T
         assert b2_eigenvalue(w, B2P2) == t * sT * (s1 + s2 + 1 / s1 + 1 / s2)
 

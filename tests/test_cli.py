@@ -109,6 +109,7 @@ class TestVerify:
 
     def test_narrowing_rejected_elsewhere(self, capsys):
         assert main(["verify", "bibasic", "--family", "d"]) == 2
+        assert main(["verify", "koornwinder", "--family", "d"]) == 2
 
     def test_degenerate_point_exits_three(self, tmp_path, capsys):
         # t T = q pins a denominator ladder at the very first weight

@@ -204,11 +204,13 @@ class TestGeneratingFamily:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_growing_table_matches_per_rmax_convolution(self, n, g_builds):
         # orders requested in increasing order grow the table one entry at
-        # a time; every prefix equals the convolution truncated there
+        # a time; every prefix equals the convolution truncated there.  The
+        # rank-n table grows from the rank-(n - 1) one, so orders 0..6 are
+        # built once at each of the n ranks and 2 points
         for P in (POINT_K1, POINT_K2):
             for rmax in range(7):
                 assert list(g_series_list(rmax, n, P)) == _g_list_reference(rmax, n, P)
-        assert len(g_builds) == len(set(g_builds)) == 14
+        assert len(g_builds) == len(set(g_builds)) == 14 * n
 
     def test_table_serves_any_request_order_from_one_build(self, g_builds):
         full = g_series_list(5, 2, POINT_K2)
@@ -217,7 +219,9 @@ class TestGeneratingFamily:
             assert isinstance(part, tuple) and len(part) == rmax + 1
             assert all(a is b for a, b in zip(part, full))
         assert g_series_list(-1, 2, POINT_K2) == ()
-        assert g_builds == [(j, 2, POINT_K2) for j in range(6)]
+        # the rank-2 entries and the rank-1 entries they grow from, once each
+        assert len(g_builds) == 12
+        assert set(g_builds) == {(j, k, POINT_K2) for j in range(6) for k in (1, 2)}
 
     def test_order_zero(self):
         assert g_series(0, 2, POINT_K1) == LaurentPoly.one(2)

@@ -24,10 +24,15 @@ class TestQPochhammer:
         assert qpoch(F(1, 2), F(1, 3), 2) == F(5, 12)
         assert qpoch_multi([F(1, 2), 2], F(1, 3), 1) == F(-1, 2)
 
-    def test_negative_index_inversion(self):
+    def test_negative_index_raises(self):
         a, q = F(2, 3), F(1, 5)
         for n in range(1, 4):
-            assert qpoch(a, q, -n) * qpoch(a * q ** -n, q, n) == 1
+            with pytest.raises(ValueError):
+                qpoch(a, q, -n)
+            with pytest.raises(ValueError):
+                qpoch_multi([a, q], q, -n)
+            with pytest.raises(ValueError):
+                qpoch_ratio((a,), (q,), q, -n, "x")
 
     def test_vanishing(self):
         # (q^-2; q)_n vanishes exactly for n >= 3
@@ -241,17 +246,12 @@ def test_qbinom_recurrence_property(anum, aden, qnum, qden, N):
 
 def _qpoch_reference(a, q, n):
     a, q = F(a), F(q)
-    if n >= 0:
-        out = F(1)
-        p = a
-        for _ in range(n):
-            out *= 1 - p
-            p *= q
-        return out
-    inv = _qpoch_reference(a * q ** n, q, -n)
-    if inv == 0:
-        raise ZeroDivisionError(f"(a;q)_{n} hits a vanishing factor")
-    return 1 / inv
+    out = F(1)
+    p = a
+    for _ in range(n):
+        out *= 1 - p
+        p *= q
+    return out
 
 
 def _qpoch_multi_reference(params, q, n):
@@ -319,11 +319,18 @@ def test_kernel_matches_fraction_loops(data):
     )
     param = st.one_of(small, power)
     a = data.draw(param, label="a")
-    n = data.draw(st.integers(-4, 10), label="n")
+    n = data.draw(st.integers(0, 10), label="n")
     assert _result(qpoch, a, q, n) == _result(_qpoch_reference, a, q, n)
 
     uppers = data.draw(st.lists(param, max_size=3), label="uppers")
     lowers = data.draw(st.lists(param, max_size=3), label="lowers")
+    negative = data.draw(st.integers(-4, -1), label="negative n")
+    with pytest.raises(ValueError):
+        qpoch(a, q, negative)
+    with pytest.raises(ValueError):
+        qpoch_multi(uppers, q, negative)
+    with pytest.raises(ValueError):
+        qpoch_ratio(uppers, lowers, q, negative, "the drawn ladder")
     assert _result(qpoch_multi, uppers, q, n) == _result(_qpoch_multi_reference, uppers, q, n)
     assert _result(qpoch_ratio, uppers, lowers, q, n, "the drawn ladder") == _result(
         _qpoch_ratio_reference, uppers, lowers, q, n, "the drawn ladder"

@@ -70,7 +70,11 @@ def test_work_between_checks_lands_in_the_next_case(clock):
 def test_kernel_setup_lands_in_the_first_case(clock, monkeypatch):
     # the shared set-up of a kernel plan is one g_series_list call and one
     # operator application per series coefficient; only those advance the
-    # clock here, so everything they cost must show in the y00 case
+    # clock here, so everything they cost must show in the y00 case.  On
+    # empty G tables the rank-2 call grows orders 0..6, and each entry
+    # reads the rank-1 table through g_series_list: 8 calls in all
+    monkeypatch.setattr(qbc.koornwinder, "_G_TABLES", {})
+
     def charged(fn, seconds):
         def wrapped(*args):
             clock.now += seconds
@@ -89,7 +93,7 @@ def test_kernel_setup_lands_in_the_first_case(clock, monkeypatch):
     report = suites.run_suite("kernel", one_point)
     assert report.passed
     seconds = {c.case_id: c.seconds for c in report.cases}
-    assert seconds.pop("kernel-p1-n2-beta1-y00") == 107.0
+    assert seconds.pop("kernel-p1-n2-beta1-y00") == 8 * 100.0 + 7 * 1.0
     assert len(seconds) == 6 and set(seconds.values()) == {0.0}
     assert "seconds" not in report.to_json_obj(with_timing=False)["cases"][0]
 
