@@ -33,11 +33,13 @@ from .errors import (
     ParameterDegeneracy,
 )
 
-Rat = Fraction
-
-
 def rat(value, den=None) -> Fraction:
-    """Coerce ints, strings like '3/4', or Fractions to an exact Fraction."""
+    """Coerce ints, strings like '3/4', or Fractions to an exact Fraction.
+
+    A bool is an int to Python but no number in a configuration, so it
+    raises TypeError instead of reading as 0 or 1."""
+    if isinstance(value, bool):
+        raise TypeError(f"cannot build an exact rational from {value!r}")
     if den is not None:
         return Fraction(value, den)
     if isinstance(value, Fraction):
@@ -125,9 +127,7 @@ class ParamPoint:
         return self.sqrt_T * self.sqrt_T
 
     def abcd(self) -> Fraction:
-        for name in ("a", "b", "c", "d"):
-            if getattr(self, name) is None:
-                raise ParameterDegeneracy(f"point has no {name} value")
+        self.require("a", "b", "c", "d")
         return self.a * self.b * self.c * self.d
 
     @property
@@ -762,22 +762,6 @@ def _integer_numerators(p: LaurentPoly):
     return LaurentPoly._raw(p.num_vars, terms, p.scale), den
 
 
-@dataclass(frozen=True)
-class ShiftTerm:
-    """One summand coeff(x) * T or coeff(x) * (T - 1) of a difference operator.
-
-    numer_factors and denom_factors are Laurent-polynomial factor lists; var
-    and step describe the shift x_var -> q^step x_var.  subtract_identity
-    selects the (T - 1) form.
-    """
-
-    numer_factors: tuple
-    denom_factors: tuple
-    var: int
-    step: int
-    subtract_identity: bool = True
-
-
 def _swap(n: int, var: int, i: int, sign: int):
     """act_signed arguments for x_var -> x_i^sign, x_i -> x_var."""
     perm = list(range(n))
@@ -790,16 +774,16 @@ def _swap(n: int, var: int, i: int, sign: int):
 class ClearedShiftOperator:
     """A q-difference operator summed over the signed-permutation group W.
 
-    The generator is one term A_0(x) (T_0 - 1), or A_0(x) T_0 when its
-    subtract_identity is false, where T_0 is the shift x_v -> q^step x_v.
-    The operator is
+    The generator is one term A_0(x) (T_0 - 1), where T_0 is the shift
+    x_1 -> q x_1 and A_0 is the product of numer_factors over the product
+    of denom_factors.  The operator is
 
-        D f = (1/scalar) sum_w w(A_0) (T_w f - f)
+        D f = (1/scalar) sum_w w(A_0) (T_w f - f),
 
-    (T_w f in the second case), summed over one representative w of each
-    of the 2n cosets of the stabilizer of x_v in W: w takes x_v to x_i^s
-    (s = +1 or -1), and T_w is the shift x_i -> q^(s step) x_i.  The sum is
-    well defined only if A_0 is invariant under that stabilizer, the
+    summed over one representative w of each of the 2n cosets of the
+    stabilizer of x_1 in W: w takes x_1 to x_i^s (s = +1 or -1), and T_w is
+    the shift x_i -> q^s x_i.  So D annihilates constants.  The sum is well
+    defined only if A_0 is invariant under that stabilizer, the
     permutations and inversions of the other variables; the build checks
     this and raises ValueError otherwise.
 
@@ -807,8 +791,8 @@ class ClearedShiftOperator:
     factors of the images' denominators, each to its largest multiplicity
     in one image.  W permutes these factors up to monomial units (the build
     checks that too), so L / w(L) = c_w x^(e_w), read off the normalized
-    image of each factor.  With cof_0 = L A_0 and g_0 = T_0 f - f (or
-    T_0 f), an invariant f has w(g_0) = T_w f - f (or T_w f), and
+    image of each factor.  With cof_0 = L A_0 and g_0 = T_0 f - f, an
+    invariant f has w(g_0) = T_w f - f, and
     L w(A_0) w(g_0) = (L / w(L)) w(cof_0 g_0) gives the orbit identity
 
         scalar L D f = sum_w (L / w(L)) w(cof_0 g_0).
@@ -818,16 +802,14 @@ class ClearedShiftOperator:
     needs 2n cofactors L w(A_0) and 2n products.  The identity holds only
     for invariant input, so apply raises ValueError for any other.
 
-    In the (T_0 - 1) form, g_0 = T_0 f - f vanishes where q^step x_v = 1/x_v,
-    because f(1/x_v) = f(x_v) for invariant f.  So the pole factor
-    1 - q^step x_v^2 of A_0 divides g_0 (on the scale-2 lattice, with y the
-    lattice variable x_v^(1/2), the factor is 1 - q^(step/2) y^2).  The
-    build finds that factor, up to a unit, among the generator's
-    denominators, and keeps one copy of it out of L and cof_0; apply
-    divides g_0 by it before the product.  That one division of a
+    g_0 = T_0 f - f vanishes where q x_1 = 1/x_1, because f(1/x_1) = f(x_1)
+    for invariant f.  So the pole factor 1 - q x_1^2 of A_0 divides g_0 (on
+    the scale-2 lattice, with y the lattice variable x_1^(1/2), the factor
+    is 1 - q^(1/2) y^2).  When the build finds that factor, up to a unit,
+    among the denominators, it keeps one copy of it out of L and cof_0, and
+    apply divides g_0 by it before the product.  That one division of a
     polynomial of a few dozen terms spares L the pole's 2n images, which
     every application would otherwise multiply in and divide back out.
-    The T_0 form keeps all its denominators in L.
 
     An application runs over Python ints from end to end.  Every factor of
     L must be a binomial x^e1 - c x^e0, as the pole is (the build raises
@@ -846,34 +828,36 @@ class ClearedShiftOperator:
     """
 
     def __init__(
-        self, P: ParamPoint, num_vars: int, generator: ShiftTerm, scalar=1, scale: int = 1
+        self,
+        P: ParamPoint,
+        num_vars: int,
+        numer_factors: Sequence[LaurentPoly],
+        denom_factors: Sequence[LaurentPoly],
+        scalar=1,
+        scale: int = 1,
     ):
         self.P = P
-        self.generator = generator
         self.num_vars, self.scale = num_vars, scale
         self._columns: dict = {}
         self.scalar = rat(scalar)
         if self.scalar == 0:
             raise ParameterDegeneracy("operator scalar prefactor vanishes")
-        n, v = num_vars, generator.var
-        orbit = [_swap(n, v, i, s) for i in range(n) for s in (1, -1)]
+        n = num_vars
+        orbit = [_swap(n, 0, i, s) for i in range(n) for s in (1, -1)]
         # A_0 = numerator / (unit * canonical factors); one copy of the
         # pole's canonical factor divides g_0 and stays out of L
-        normal = [_unit_normalize(factor) for factor in generator.denom_factors]
+        normal = [_unit_normalize(factor) for factor in denom_factors]
         keys = [canon.key() for canon, _, _ in normal]
-        kept = list(zip(generator.denom_factors, keys))
+        kept = list(zip(denom_factors, keys))
         self._pole, pole_radix = None, 1
-        if generator.subtract_identity:
-            exps = [0] * n
-            exps[v] = 2
-            pole = LaurentPoly.one(n, scale) - LaurentPoly.monomial(
-                exps, P.sqrt_q ** (2 * generator.step // scale), scale
-            )
-            pole_key = _unit_normalize(pole)[0].key()
-            if pole_key in keys:
-                k = keys.index(pole_key)
-                self._pole, pole_radix = _integer_numerators(normal[k][0])
-                del kept[k]
+        pole = LaurentPoly.one(n, scale) - LaurentPoly.monomial(
+            (2,) + (0,) * (n - 1), P.sqrt_q ** (2 // scale), scale
+        )
+        pole_key = _unit_normalize(pole)[0].key()
+        if pole_key in keys:
+            k = keys.index(pole_key)
+            self._pole, pole_radix = _integer_numerators(normal[k][0])
+            del kept[k]
         lcd: dict = {}
         for perm, signs in orbit:
             counts: dict = {}
@@ -888,7 +872,7 @@ class ClearedShiftOperator:
         # times the factors of L that the kept denominators lack, over the
         # units of all the denominators
         cof = LaurentPoly.one(n, scale)
-        for f in generator.numer_factors:
+        for f in numer_factors:
             cof = cof * f
         counts = {}
         for _, key in kept:
@@ -914,7 +898,7 @@ class ClearedShiftOperator:
             self._divisors += [binomial] * mult
             radix *= r**mult
         self._unscale = Fraction(radix, cof_den * unit_den) / self.scalar
-        others = [k for k in range(n) if k != v]
+        others = list(range(1, n))
         stabilizer = [_swap(n, j, k, 1) for j, k in zip(others, others[1:])]
         if others:
             stabilizer.append(_swap(n, others[-1], others[-1], -1))
@@ -960,10 +944,7 @@ class ClearedShiftOperator:
     def apply(self, f: LaurentPoly) -> LaurentPoly:
         if not weyl_invariant(f):
             raise ValueError("operator input is not invariant under signed permutations")
-        gen = self.generator
-        g = qshift(f, gen.var, gen.step, self.P)
-        if gen.subtract_identity:
-            g = g - f
+        g = qshift(f, 0, 1, self.P) - f
         if g.is_zero():
             return LaurentPoly.zero(f.num_vars, f.scale)
         g, g_den = _integer_numerators(g)

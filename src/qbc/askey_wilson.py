@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .algebra import ClearedShiftOperator, LaurentPoly, ParamPoint, ShiftTerm, rat
+from .algebra import ClearedShiftOperator, LaurentPoly, ParamPoint, rat
 from .errors import ParameterDegeneracy
 from .qseries import (
     PhiSpec, _Pair, phi_sum, qbinom_series, qpoch, qpoch_multi, qpoch_ratio,
@@ -115,13 +115,12 @@ def _aw_operator(P: ParamPoint) -> ClearedShiftOperator:
     one = LaurentPoly.one(1)
     x = LaurentPoly.var(0, 1)
     x2 = LaurentPoly.var(0, 1, power=2)
-    up = ShiftTerm(
-        numer_factors=tuple(one - x * rat(u) for u in (P.a, P.b, P.c, P.d)),
-        denom_factors=(one - x2, one - x2 * q),
-        var=0,
-        step=1,
+    return ClearedShiftOperator(
+        P,
+        1,
+        [one - x * rat(u) for u in (P.a, P.b, P.c, P.d)],
+        [one - x2, one - x2 * q],
     )
-    return ClearedShiftOperator(P, 1, up)
 
 
 def aw_apply(f: LaurentPoly, P: ParamPoint) -> LaurentPoly:

@@ -15,7 +15,6 @@ from .algebra import (
     ClearedShiftOperator,
     LaurentPoly,
     ParamPoint,
-    ShiftTerm,
     compose_symmetric,
     format_rational,
     rat,
@@ -55,23 +54,26 @@ def _one_minus(u, e1: int, e2: int) -> LaurentPoly:
 
 @lru_cache(maxsize=None)
 def _b2_operator(P: ParamPoint) -> ClearedShiftOperator:
-    """Generated by the shift x_1 -> q x_1; the signed permutations give
-    the other three directions.
+    """Generated by the (T - 1) term of the shift x_1 -> q x_1; the signed
+    permutations give the other three directions.  The coefficients of the
+    four shifts add up to the constant E(0) of b2_eigenvalue, so the
+    operator is the rank-two operator less E(0), and it annihilates
+    constants.
 
     The generator's factors sit at the two long roots (2, -2) and (2, 2)
     and at the short root (2, 0) of the doubled lattice; swapping the long
     roots is the inversion of x_2, so the coefficient is invariant under
-    it."""
+    it.  No denominator is the pole 1 - q^(1/2) y_1^2, so the cleared
+    denominator keeps every factor."""
     t, T = P.t, P.T
     roots = ((2, -2), (2, 2), (2, 0))
-    generator = ShiftTerm(
-        numer_factors=tuple(_one_minus(u, *e) for u, e in zip((t, t, T), roots)),
-        denom_factors=tuple(_one_minus(1, *e) for e in roots),
-        var=0,
-        step=1,
-        subtract_identity=False,
+    return ClearedShiftOperator(
+        P,
+        2,
+        [_one_minus(u, *e) for u, e in zip((t, t, T), roots)],
+        [_one_minus(1, *e) for e in roots],
+        scale=2,
     )
-    return ClearedShiftOperator(P, 2, generator, scale=2)
 
 
 def b2_apply(f: LaurentPoly, P: ParamPoint) -> LaurentPoly:
@@ -86,11 +88,17 @@ def b2_apply(f: LaurentPoly, P: ParamPoint) -> LaurentPoly:
 
 
 def b2_eigenvalue(w: B2Weight, P: ParamPoint) -> Fraction:
-    """t^2 T q^l1 + t T q^l2 + t q^-l2 + q^-l1 on the doubled exponents."""
+    """E(w) - E(0), with E(w) = t^2 T q^l1 + t T q^l2 + t q^-l2 + q^-l1 on
+    the doubled exponents.  E(w) is t T^(1/2) (s + 1/s) summed over the
+    spectral values s_1 = t T^(1/2) q^l1 and s_2 = T^(1/2) q^l2, so each
+    of them gives one shifted term less its base at the zero weight."""
     P.require("sqrt_t", "sqrt_T")
-    t, T, sq = P.t, P.T, P.sqrt_q
-    d1, d2 = w.doubled
-    return t * t * T * sq ** d1 + t * T * sq ** d2 + t * sq ** -d2 + sq ** -d1
+    front = P.t * P.sqrt_T
+    total = Fraction(0)
+    for base, d in zip((front, P.sqrt_T), w.doubled):
+        shifted = base * P.sqrt_q ** d
+        total += front * (shifted + 1 / shifted - base - 1 / base)
+    return total
 
 
 def _dominant_below(w: B2Weight):
@@ -222,9 +230,6 @@ class _RationalScalars(_Scalars):
 
     def dead(self, x) -> bool:
         return x == 0
-
-    def finalize(self, x) -> Fraction:
-        return x
 
 
 class _JetScalars(_Scalars):

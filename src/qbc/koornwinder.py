@@ -17,7 +17,6 @@ from .algebra import (
     LaurentPoly,
     ParamPoint,
     Partition,
-    ShiftTerm,
     compose_symmetric,
     dominated_partitions,
     format_rational,
@@ -65,8 +64,7 @@ def _koorn_operator(P: ParamPoint, n: int) -> ClearedShiftOperator:
         numer.append(one - _mono(n, [(0, 1), (j, -1)], t))
         denom.append(one - _mono(n, [(0, 1), (j, 1)], 1))
         denom.append(one - _mono(n, [(0, 1), (j, -1)], 1))
-    generator = ShiftTerm(tuple(numer), tuple(denom), 0, 1)
-    return ClearedShiftOperator(P, n, generator, scalar=P.alpha * t ** (n - 1))
+    return ClearedShiftOperator(P, n, numer, denom, scalar=P.alpha * t ** (n - 1))
 
 
 def koorn_apply(f: LaurentPoly, P: ParamPoint, n: int) -> LaurentPoly:

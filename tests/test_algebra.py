@@ -5,6 +5,7 @@ import heapq
 import math
 from fractions import Fraction as F
 from functools import lru_cache
+from typing import NamedTuple
 from unittest import mock
 
 import pytest
@@ -16,7 +17,6 @@ from qbc.algebra import (
     LaurentPoly,
     ParamPoint,
     Partition,
-    ShiftTerm,
     decompose_symmetric,
     dominance_leq,
     dominated_partitions,
@@ -26,9 +26,11 @@ from qbc.algebra import (
     rat,
     rational_sqrt,
     signed_orbit,
+    solve_triangular_eigenproblem,
     weyl_invariant,
 )
 from qbc.errors import (
+    DegenerateEigenvalues,
     DimensionMismatch,
     InexactDivision,
     LengthError,
@@ -166,6 +168,12 @@ class TestRationals:
         assert rat("3/4") == F(3, 4)
         assert rat("-2") == F(-2)
         assert rat(5) == F(5)
+
+    def test_rat_rejects_bool(self):
+        # a bool is an int to Python, but no rational in a configuration
+        for flag in (True, False):
+            with pytest.raises(TypeError):
+                rat(flag)
 
     def test_rational_sqrt_exact(self):
         assert rational_sqrt(F(9, 4)) == F(3, 2)
@@ -613,14 +621,7 @@ class TestClearedShiftOperator:
         one_minus_x = lp1({(0,): 1, (1,): -1})
         one_minus_inv = lp1({(0,): 1, (-1,): -1})
         op = ClearedShiftOperator(
-            P,
-            1,
-            ShiftTerm(
-                numer_factors=(one_minus_x, one_minus_x),
-                denom_factors=(one_minus_x, one_minus_inv),
-                var=0,
-                step=1,
-            ),
+            P, 1, (one_minus_x, one_minus_x), (one_minus_x, one_minus_inv)
         )
         f = lp1({(1,): 1, (-1,): 1})
         q = P.q
@@ -632,9 +633,7 @@ class TestClearedShiftOperator:
         P = ParamPoint(sqrt_q=F(1, 2))
         a = lp1({(0,): 1, (2,): -1})
         b = lp1({(0,): 1, (-2,): -1})
-        op = ClearedShiftOperator(
-            P, 1, ShiftTerm(numer_factors=(b,), denom_factors=(a,), var=0, step=1)
-        )
+        op = ClearedShiftOperator(P, 1, (b,), (a,))
         assert len(op._lcd) == 1
 
     @pytest.mark.parametrize(
@@ -650,37 +649,23 @@ class TestClearedShiftOperator:
         with pytest.raises(ValueError, match="input is not invariant"):
             apply(f, P)
 
-    def test_pole_stays_in_lcd_without_subtract_identity(self):
-        # A(x) T + A(1/x) T^-1 with A = (1 - 2x)(1 - 3x)(1 - q x^2) /
-        # ((1 - x^2)(1 - q x^2)) maps invariant polynomials to polynomials,
-        # but T f does not vanish where q x^2 = 1: 1 - q x^2 is no pole to
-        # absorb and stays in L, as do its image x^2 - q and 1 - x^2
-        P = ParamPoint(sqrt_q=F(1, 2))
-        one = LaurentPoly.one(1)
-
-        def term(sign):
-            x, x2 = LaurentPoly.var(0, 1, power=sign), LaurentPoly.var(0, 1, power=2 * sign)
-            pole = one - x2 * P.q
-            return ShiftTerm(
-                numer_factors=(one - x * 2, one - x * 3, pole),
-                denom_factors=(one - x2, pole),
-                var=0,
-                step=sign,
-                subtract_identity=False,
-            )
-
-        terms = (term(1), term(-1))
-        op = ClearedShiftOperator(P, 1, terms[0])
-        assert op._pole is None
-        pole = algebra._unit_normalize(lp1({(0,): 1, (2,): -P.q}))[0]
-        assert op._lcd[pole.key()] == (pole, 1)
-        assert len(op._divisors) == 3
-        for top in range(4):
-            f = monomial_symmetric((top,), 1)
-            assert op.apply(f) == _explicit_apply(P, 1, terms, f)
+    @pytest.mark.parametrize(
+        "kind, build, absorbs",
+        [
+            pytest.param("koornwinder", lambda P: _koorn_operator(P, 2), True, id="koornwinder"),
+            pytest.param("askey-wilson", _aw_operator, True, id="askey-wilson"),
+            pytest.param("b2", _b2_operator, False, id="b2"),
+        ],
+    )
+    def test_shipped_operators_annihilate_constants(self, kind, build, absorbs):
+        # every term is A_w (T_w - 1), so D 1 = 0; the shift pole
+        # 1 - q x_1^2 is a denominator of the first two generators only
+        op = build(default_config().points(kind)[0].point)
+        assert op.apply(LaurentPoly.one(op.num_vars, op.scale)).is_zero()
+        assert (op._pole is not None) == absorbs
 
     def test_b2_divisors_are_the_full_lcd(self):
-        # the B2 generator is A_0 T_0, without the - f: nothing is absorbed
+        # no B2 denominator is the pole 1 - q^(1/2) y_1^2: nothing is absorbed
         P = default_config().points("b2")[0].point
         op = _b2_operator(P)
         lcd, _ = _explicit_build(P, 2, _b2_terms(P), 2)
@@ -700,13 +685,13 @@ class TestClearedShiftOperator:
         base = ParamPoint(sqrt_q=F(1, 2), a=3, b=5, c=7, d=11)
         one = LaurentPoly.one(1, 2)
         y = LaurentPoly.var(0, 1, scale=2)
-        generator = ShiftTerm(
-            numer_factors=tuple(one - y * u for u in (base.a, base.b, base.c, base.d)),
-            denom_factors=(one - y * y, one - y * y * base.q),
-            var=0,
-            step=1,
+        op = ClearedShiftOperator(
+            P,
+            1,
+            [one - y * u for u in (base.a, base.b, base.c, base.d)],
+            [one - y * y, one - y * y * base.q],
+            scale=2,
         )
-        op = ClearedShiftOperator(P, 1, generator, scale=2)
         assert op._pole is not None and len(op._divisors) == 1
         for top in range(4):
             f = monomial_symmetric((top,), 1)
@@ -717,33 +702,71 @@ class TestClearedShiftOperator:
         # (1 - x1 x2 / 2) is not invariant under x2 -> 1/x2, which fixes x1
         P = ParamPoint(sqrt_q=F(1, 2))
         one = LaurentPoly.one(2)
-        generator = ShiftTerm(
-            numer_factors=(one - LaurentPoly(2, {(1, 1): F(1, 2)}),),
-            denom_factors=(
-                one - LaurentPoly(2, {(1, 1): 1}),
-                one - LaurentPoly(2, {(1, -1): 1}),
-            ),
-            var=0,
-            step=1,
-        )
+        numer = [one - LaurentPoly(2, {(1, 1): F(1, 2)})]
+        denom = [one - LaurentPoly(2, {(1, 1): 1}), one - LaurentPoly(2, {(1, -1): 1})]
         with pytest.raises(ValueError, match="generator coefficient is not invariant"):
-            ClearedShiftOperator(P, 2, generator)
+            ClearedShiftOperator(P, 2, numer, denom)
 
     def test_denominator_factors_must_be_binomials(self):
         # 1 + x + x^2 is closed under x -> 1/x up to a unit, but it has
         # three terms, so it has no primitive integer binomial form
         P = ParamPoint(sqrt_q=F(1, 2))
-        generator = ShiftTerm(
-            numer_factors=(LaurentPoly.one(1),),
-            denom_factors=(lp1({(0,): 1, (1,): 1, (2,): 1}),),
-            var=0,
-            step=1,
-        )
         with pytest.raises(ValueError, match="is not a binomial"):
-            ClearedShiftOperator(P, 1, generator)
+            ClearedShiftOperator(
+                P, 1, [LaurentPoly.one(1)], [lp1({(0,): 1, (1,): 1, (2,): 1})]
+            )
+
+
+# -- the triangular solve on a synthetic column map ------------------------------
+
+# an upper-triangular map with the top key first: its diagonal entries 5, 3,
+# 1 and 7 are the eigenvalues, and nothing maps into (0, 0)
+TRIANGULAR = {
+    (2, 0): {(2, 0): F(5), (1, 1): F(2), (1, 0): F(1)},
+    (1, 1): {(1, 1): F(3), (1, 0): F(4)},
+    (1, 0): {(1, 0): F(1)},
+    (0, 0): {(0, 0): F(7)},
+}
+
+
+class TestTriangularSolve:
+    def test_back_substitutes_the_top_eigenvector(self):
+        # c_(1,1) = 2 / (5 - 3) and c_(1,0) = (1 + 4 c_(1,1)) / (5 - 1);
+        # no column above (0, 0) reaches it, so the eigenvector leaves it out
+        basis = list(TRIANGULAR)
+        coeffs = solve_triangular_eigenproblem(basis, TRIANGULAR.__getitem__)
+        assert coeffs == {(2, 0): 1, (1, 1): 1, (1, 0): F(5, 4)}
+        for key in basis:
+            image = sum(c * TRIANGULAR[prev].get(key, 0) for prev, c in coeffs.items())
+            assert image == 5 * coeffs.get(key, 0)
+
+    def test_shared_eigenvalue_names_both_keys(self):
+        columns = {**TRIANGULAR, (1, 0): {(1, 0): F(5)}}
+        with pytest.raises(DegenerateEigenvalues) as info:
+            solve_triangular_eigenproblem(list(columns), columns.__getitem__)
+        assert str(info.value) == "weights (2, 0) and (1, 0) share the eigenvalue 5"
+
+    def test_column_leaving_the_basis_raises(self):
+        # the top column reaches (1, 0), which this basis lacks
+        with pytest.raises(ValueError) as info:
+            solve_triangular_eigenproblem([(2, 0), (1, 1)], TRIANGULAR.__getitem__)
+        assert str(info.value) == (
+            "operator image of (2, 0) leaves the dominance span at (1, 0)"
+        )
 
 
 # -- the explicit operator sum, kept as the reference for the orbit fold -------
+
+
+class _Term(NamedTuple):
+    """One summand coeff(x) (T - 1) of the explicit sum: coeff is the
+    product of numer over the product of denom, and T is the shift
+    x_var -> q^step x_var."""
+
+    numer: tuple
+    denom: tuple
+    var: int
+    step: int
 
 
 def _koorn_terms(P, n):
@@ -765,7 +788,7 @@ def _koorn_terms(P, n):
                 numer.append(one - _mono(n, [(i, step), (j, -1)], t))
                 denom.append(one - _mono(n, [(i, step), (j, 1)], 1))
                 denom.append(one - _mono(n, [(i, step), (j, -1)], 1))
-            terms.append(ShiftTerm(tuple(numer), tuple(denom), i, step))
+            terms.append(_Term(tuple(numer), tuple(denom), i, step))
     return tuple(terms)
 
 
@@ -779,23 +802,14 @@ def _aw_terms(P):
     def affine(u, power):
         return one - LaurentPoly.var(0, 1, power=power) * rat(u)
 
-    up = ShiftTerm(
-        numer_factors=tuple(affine(u, 1) for u in (P.a, P.b, P.c, P.d)),
-        denom_factors=(one - x2, one - x2 * q),
-        var=0,
-        step=1,
-    )
-    down = ShiftTerm(
-        numer_factors=tuple(affine(u, -1) for u in (P.a, P.b, P.c, P.d)),
-        denom_factors=(one - xm2, one - xm2 * q),
-        var=0,
-        step=-1,
-    )
+    params = (P.a, P.b, P.c, P.d)
+    up = _Term(tuple(affine(u, 1) for u in params), (one - x2, one - x2 * q), 0, 1)
+    down = _Term(tuple(affine(u, -1) for u in params), (one - xm2, one - xm2 * q), 0, -1)
     return (up, down)
 
 
 def _b2_terms(P):
-    """The four shift terms of the B2 operator, one per direction."""
+    """The four (T - 1) shift terms of the B2 operator, one per direction."""
     t, T = P.t, P.T
     terms = []
     for step in (1, -1):
@@ -809,14 +823,11 @@ def _b2_terms(P):
                 roots.append(long)
             roots.append(short)
             terms.append(
-                ShiftTerm(
-                    numer_factors=tuple(
-                        _one_minus(u, *e) for u, e in zip((t, t, T), roots)
-                    ),
-                    denom_factors=tuple(_one_minus(1, *e) for e in roots),
-                    var=var,
-                    step=step,
-                    subtract_identity=False,
+                _Term(
+                    tuple(_one_minus(u, *e) for u, e in zip((t, t, T), roots)),
+                    tuple(_one_minus(1, *e) for e in roots),
+                    var,
+                    step,
                 )
             )
     return tuple(terms)
@@ -825,9 +836,7 @@ def _b2_terms(P):
 def _term_pole(P, term, num_vars, scale):
     """The canonical key of 1 - q^step x_var^2, the factor that divides
     T f - f for invariant f (on the scale-2 lattice, 1 - q^(step/2) y^2 in
-    the lattice variable y), or None for a term without the - f."""
-    if not term.subtract_identity:
-        return None
+    the lattice variable y)."""
     power = [0] * num_vars
     power[term.var] = 2
     coeff = P.sqrt_q ** (2 * term.step // scale)
@@ -849,7 +858,7 @@ def _explicit_build(P, num_vars, terms, scale, absorb=False):
         counts: dict = {}
         unit_coeff = F(1)
         unit_shift = None
-        for factor in term.denom_factors:
+        for factor in term.denom:
             canon, lc, lo = algebra._unit_normalize(factor)
             key = canon.key()
             unit_coeff *= lc
@@ -864,7 +873,7 @@ def _explicit_build(P, num_vars, terms, scale, absorb=False):
             if key not in lcd or lcd[key][1] < counts[key]:
                 lcd[key] = (canon, counts[key])
         numer = LaurentPoly.one(num_vars, scale)
-        for f in term.numer_factors:
+        for f in term.numer:
             numer = numer * f
         prepared.append((term, pole, counts, numer, unit_coeff, tuple(unit_shift or ())))
     final = []
@@ -879,7 +888,7 @@ def _explicit_build(P, num_vars, terms, scale, absorb=False):
             cof = cof * LaurentPoly.monomial(inv_shift, 1 / unit_coeff, cof.scale)
         else:
             cof = cof * (1 / unit_coeff)
-        final.append((term.var, term.step, term.subtract_identity, pole, cof))
+        final.append((term.var, term.step, pole, cof))
     return lcd, final
 
 
@@ -889,10 +898,8 @@ def _explicit_apply(P, num_vars, terms, f, scalar=1, scale=1, absorb=False):
     term's T f - f is divided by its pole before its product."""
     lcd, final = _explicit_build(P, num_vars, terms, scale, absorb)
     total = LaurentPoly.zero(f.num_vars, f.scale)
-    for var, step, subtract_identity, pole, cof in final:
-        g = qshift(f, var, step, P)
-        if subtract_identity:
-            g = g - f
+    for var, step, pole, cof in final:
+        g = qshift(f, var, step, P) - f
         if g.is_zero():
             continue
         if pole is not None:
@@ -983,5 +990,5 @@ def test_orbit_fold_matches_explicit_sum(kind, P, n, top, data):
     # each term's T_w f - f by its own, the generator's first; the divisions
     # by the factors of L follow, in the same order on the same inputs
     _, final = _explicit_build(P, n, terms, scale, True)
-    poles = sum(pole is not None for _, _, _, pole, _ in final) if reference else 0
+    poles = sum(pole is not None for _, _, pole, _ in final) if reference else 0
     assert divisions == reference[:poles][:1] + reference[poles:]

@@ -77,12 +77,12 @@ class TestB2Weight:
 
 class TestOperator:
     def test_constant_is_eigenfunction(self):
-        t, T = B2P1.t, B2P1.T
-        img = b2_apply(ONE, B2P1)
-        assert img == ONE * (t * t * T + t * T + t + 1)
+        # every term is coeff (T - 1), so a constant has eigenvalue 0
+        assert b2_apply(ONE, B2P1).is_zero()
 
     def test_matches_direct_substitution(self):
-        # literal four-term action evaluated pointwise, denominators uncleared
+        # literal four-term (T - 1) action evaluated pointwise, denominators
+        # uncleared
         P = B2P2
         f = monomial_symmetric((2, 0), 2, 2) + monomial_symmetric((1, 1), 2, 2) * 3
         u1, u2 = F(2, 3), F(3, 7)
@@ -94,11 +94,12 @@ class TestOperator:
                 (1 - T * y3) / (1 - y3)
             )
 
+        here = eval_doubled(f, u1, u2)
         direct = (
-            coeff(x1 / x2, x1 * x2, x1) * eval_doubled(f, sq * u1, u2)
-            + coeff(x2 / x1, x1 * x2, x2) * eval_doubled(f, u1, sq * u2)
-            + coeff(1 / (x1 * x2), x2 / x1, 1 / x1) * eval_doubled(f, u1 / sq, u2)
-            + coeff(1 / (x1 * x2), x1 / x2, 1 / x2) * eval_doubled(f, u1, u2 / sq)
+            coeff(x1 / x2, x1 * x2, x1) * (eval_doubled(f, sq * u1, u2) - here)
+            + coeff(x2 / x1, x1 * x2, x2) * (eval_doubled(f, u1, sq * u2) - here)
+            + coeff(1 / (x1 * x2), x2 / x1, 1 / x1) * (eval_doubled(f, u1 / sq, u2) - here)
+            + coeff(1 / (x1 * x2), x1 / x2, 1 / x2) * (eval_doubled(f, u1, u2 / sq) - here)
         )
         assert eval_doubled(b2_apply(f, P), u1, u2) == direct
 
@@ -115,20 +116,26 @@ class TestOperator:
             b2_apply(LaurentPoly.one(2, 1), B2P1)
 
 
+def e_zero(P):
+    """t^2 T + t T + t + 1: the eigenvalue at the zero weight of the
+    operator before its (T - 1) form subtracts it."""
+    t, T = P.t, P.T
+    return t * t * T + t * T + t + 1
+
+
 class TestEigenvalue:
     def test_zero_weight(self):
-        t, T = B2P1.t, B2P1.T
-        assert b2_eigenvalue(B2Weight(0, 0), B2P1) == t * t * T + t * T + t + 1
+        assert b2_eigenvalue(B2Weight(0, 0), B2P1) == 0
 
     def test_first_fundamental(self):
         t, T, q = B2P1.t, B2P1.T, B2P1.q
-        expected = t * t * T * q + t * T + t + 1 / q
+        expected = t * t * T * q + t * T + t + 1 / q - e_zero(B2P1)
         assert b2_eigenvalue(B2Weight(1, 0), B2P1) == expected
 
     def test_epsilon_display_agrees(self):
-        # t^2 T q^(3/2) + t T q^(1/2) + t q^(-1/2) + q^(-3/2)
+        # t^2 T q^(3/2) + t T q^(1/2) + t q^(-1/2) + q^(-3/2), less E(0)
         t, T, sq = B2P1.t, B2P1.T, B2P1.sqrt_q
-        expected = t * t * T * sq ** 3 + t * T * sq + t / sq + 1 / sq ** 3
+        expected = t * t * T * sq ** 3 + t * T * sq + t / sq + 1 / sq ** 3 - e_zero(B2P1)
         assert b2_eigenvalue(B2Weight(1, 1), B2P1) == expected
 
     @pytest.mark.parametrize("r1,r2", [(0, 0), (1, 0), (0, 1), (2, 1), (1, 2)])
@@ -136,7 +143,8 @@ class TestEigenvalue:
         w = B2Weight(r1, r2)
         s1, s2 = s_values(w, B2P2)
         t, sT = B2P2.t, B2P2.sqrt_T
-        assert b2_eigenvalue(w, B2P2) == t * sT * (s1 + s2 + 1 / s1 + 1 / s2)
+        expected = t * sT * (s1 + s2 + 1 / s1 + 1 / s2) - e_zero(B2P2)
+        assert b2_eigenvalue(w, B2P2) == expected
 
     @pytest.mark.parametrize("P", [B2P1, B2P2])
     def test_distinct_through_degree_four(self, P):

@@ -172,6 +172,18 @@ class TestVerify:
             "schema": 1,
             "points": {"kernel": [{"sqrt_q": "1/2", "sqrt_t": "1/2", "beta": True}]},
         },
+        "boolean-coordinate": {
+            "schema": 1,
+            "points": {
+                "askey-wilson": [{"sqrt_q": "1/2", "a": True, "b": "5", "c": "7", "d": "11"}]
+            },
+        },
+        "boolean-sqrt-param": {
+            "schema": 1,
+            "points": {
+                "macdonald": [{"sqrt_q": "1/2", "sqrt_t": "1/3", "sqrt_param": True}]
+            },
+        },
     }
 
     @pytest.mark.parametrize("shape", sorted(MALFORMED_CONFIGS))
