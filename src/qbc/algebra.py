@@ -252,7 +252,7 @@ class LaurentPoly:
                 and self.scale == other.scale
                 and self.terms == other.terms
             )
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             other = rat(other)
             if other == 0:
                 return self.is_zero()
@@ -352,20 +352,6 @@ class LaurentPoly:
 
     def coeff(self, exps: Sequence[int]) -> Fraction:
         return self.terms.get(tuple(exps), Fraction(0))
-
-    def exponent_box(self):
-        """Per-variable (min, max) exponent over the support; None if zero."""
-        if not self.terms:
-            return None
-        lo = [None] * self.num_vars
-        hi = [None] * self.num_vars
-        for exps in self.terms:
-            for i, e in enumerate(exps):
-                if lo[i] is None or e < lo[i]:
-                    lo[i] = e
-                if hi[i] is None or e > hi[i]:
-                    hi[i] = e
-        return tuple(lo), tuple(hi)
 
     def leading(self):
         """Lex-largest exponent tuple and its coefficient."""
@@ -535,26 +521,6 @@ def exact_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
         if line[low] != carry:
             raise InexactDivision("remainder is not divisible")
     return LaurentPoly._raw(f.num_vars, quo, f.scale)
-
-
-def qshift(f: LaurentPoly, i: int, k, P: ParamPoint) -> LaurentPoly:
-    """Apply x_i -> q^k x_i: each term picks up q^(k * exponent of x_i).
-
-    k may be a half-integer; the combined power of sqrt_q must land on an
-    integer for every term of f, otherwise the shift does not stay inside the
-    exact lattice and a ValueError is raised.
-    """
-    k = rat(k)
-    sq = P.sqrt_q
-    out = {}
-    for exps, coeff in f.terms.items():
-        power = 2 * k * exps[i] / f.scale
-        if power.denominator != 1:
-            raise ValueError(
-                f"shift by q^{k} on exponent {exps[i]}/{f.scale} leaves the lattice"
-            )
-        out[exps] = coeff * sq ** int(power)
-    return LaurentPoly(f.num_vars, out, f.scale)
 
 
 # -- partitions and dominance -------------------------------------------------
@@ -737,24 +703,6 @@ def compose_symmetric(coeffs: Mapping, n: int, scale: int = 1) -> LaurentPoly:
 # -- cleared-denominator difference operators ----------------------------------
 
 
-def _unit_normalize(p: LaurentPoly):
-    """Split p into unit * canonical where unit is coeff * monomial.
-
-    The canonical factor has all per-variable minimum exponents zero and its
-    lex-leading coefficient equal to one, so factors that differ by a
-    monomial unit (such as 1 - x^2 and 1 - x^-2) share one canonical key.
-    """
-    lo, _ = p.exponent_box()
-    shift = tuple(-e for e in lo)
-    shifted = {
-        tuple(x + y for x, y in zip(exps, shift)): c for exps, c in p.terms.items()
-    }
-    lead = max(shifted)
-    lc = shifted[lead]
-    canon = LaurentPoly(p.num_vars, {e: c / lc for e, c in shifted.items()}, p.scale)
-    return canon, lc, lo
-
-
 def _integer_numerators(p: LaurentPoly):
     """(D p with int coefficients, D) for D the lcm of p's denominators."""
     den = math.lcm(*(c.denominator for c in p.terms.values()))
@@ -771,12 +719,61 @@ def _swap(n: int, var: int, i: int, sign: int):
     return perm, signs
 
 
+def _act(e: tuple, perm, signs) -> tuple:
+    """The exponent of w(x^e) for the signed permutation w of act_signed."""
+    new = [0] * len(e)
+    for i, x in enumerate(e):
+        new[perm[i]] = signs[i] * x
+    return tuple(new)
+
+
+def _lex_negative(e: tuple) -> bool:
+    return next((x < 0 for x in e if x), False)
+
+
+def _negative_part(e: tuple) -> tuple:
+    return tuple([-x if x < 0 else 0 for x in e])
+
+
+def _canonical(u: Fraction, e: tuple) -> tuple:
+    """The record of the factor 1 - u x^e up to a monomial unit: (u, e)
+    for a lex-positive e, else (1/u, -e), as 1 - u x^e is -u x^e times
+    1 - (1/u) x^(-e)."""
+    if _lex_negative(e):
+        return 1 / u, tuple(map(neg, e))
+    return u, e
+
+
+def _sign(u: Fraction, e: tuple) -> int:
+    """The sign s with 1 - u x^e = s B / (r x^(e-)), for B the binomial of
+    the canonical record, u = p/r in lowest terms and e- the negative part
+    of e: r x^(e-) (1 - u x^e) = r x^(e-) - p x^(e+) has its lex-leading
+    term at e- when e is lex-negative, else at e+."""
+    return 1 if u < 0 or _lex_negative(e) else -1
+
+
+def _binomial(key: tuple, scale: int) -> LaurentPoly:
+    """B = |p| x^(e+) - sign(p) r x^(e-) for the canonical record (p/r, e):
+    primitive, with int coefficients, a positive lex-leading coefficient and
+    per-variable minimum exponent zero."""
+    u, e = key
+    p, r = u.numerator, u.denominator
+    plus = tuple([x if x > 0 else 0 for x in e])
+    return LaurentPoly._raw(
+        len(e), {plus: abs(p), _negative_part(e): -r if p > 0 else r}, scale
+    )
+
+
 class ClearedShiftOperator:
     """A q-difference operator summed over the signed-permutation group W.
 
     The generator is one term A_0(x) (T_0 - 1), where T_0 is the shift
-    x_1 -> q x_1 and A_0 is the product of numer_factors over the product
-    of denom_factors.  The operator is
+    x_1 -> q x_1 and A_0 is a product of factors 1 - u x^e over another.
+    Each factor is given as a record (u, e): a nonzero rational u and a
+    nonzero exponent tuple e of length num_vars, on the lattice of the
+    given scale; numer_factors and denom_factors list the records, as the
+    operators' generators (_koorn_generator and its kin) return them.  The
+    operator is
 
         D f = (1/scalar) sum_w w(A_0) (T_w f - f),
 
@@ -787,13 +784,21 @@ class ClearedShiftOperator:
     permutations and inversions of the other variables; the build checks
     this and raises ValueError otherwise.
 
-    The least common denominator L is assembled from the unit-normalized
-    factors of the images' denominators, each to its largest multiplicity
-    in one image.  W permutes these factors up to monomial units (the build
-    checks that too), so L / w(L) = c_w x^(e_w), read off the normalized
-    image of each factor.  With cof_0 = L A_0 and g_0 = T_0 f - f, an
-    invariant f has w(g_0) = T_w f - f, and
-    L w(A_0) w(g_0) = (L / w(L)) w(cof_0 g_0) gives the orbit identity
+    The build runs on ints and exponent tuples.  A factor 1 - u x^e with a
+    lex-negative e is -u x^e (1 - (1/u) x^(-e)), so every factor is a
+    monomial unit times the factor of its canonical record (u, e) with e
+    lex-positive, and the image of a record under w is (u, w(e)).  Each
+    canonical record stands for one primitive integer binomial
+    B = |p| x^(e+) - sign(p) r x^(e-), for u = p/r and e = e+ - e- split into
+    its positive and negative parts, and a factor 1 - u x^e is
+    +-B / (r x^(e-)).  The least common denominator L is the product of the
+    B's of the canonical records of the images' denominators, each to its
+    largest multiplicity in one image.  W permutes these records (the build
+    checks that too), and w(B) is +-x^(w(e-) - w(e)-) times the B of the
+    image record, so L / w(L) is +-1 times a monomial.  With
+    cof_0 = L A_0 and g_0 = T_0 f - f, an invariant f has
+    w(g_0) = T_w f - f, and L w(A_0) w(g_0) = (L / w(L)) w(cof_0 g_0) gives
+    the orbit identity
 
         scalar L D f = sum_w (L / w(L)) w(cof_0 g_0).
 
@@ -805,34 +810,35 @@ class ClearedShiftOperator:
     g_0 = T_0 f - f vanishes where q x_1 = 1/x_1, because f(1/x_1) = f(x_1)
     for invariant f.  So the pole factor 1 - q x_1^2 of A_0 divides g_0 (on
     the scale-2 lattice, with y the lattice variable x_1^(1/2), the factor
-    is 1 - q^(1/2) y^2).  When the build finds that factor, up to a unit,
-    among the denominators, it keeps one copy of it out of L and cof_0, and
-    apply divides g_0 by it before the product.  That one division of a
-    polynomial of a few dozen terms spares L the pole's 2n images, which
-    every application would otherwise multiply in and divide back out.
+    is 1 - q^(1/2) y^2).  When the build finds the pole's record, up to a
+    unit, among the denominators, it keeps one copy of it out of L and
+    cof_0, and apply divides g_0 by its binomial before the product.  That
+    one division of a polynomial of a few dozen terms spares L the pole's
+    2n images, which every application would otherwise multiply in and
+    divide back out.
 
-    An application runs over Python ints from end to end.  Every factor of
-    L must be a binomial x^e1 - c x^e0, as the pole is (the build raises
-    ValueError otherwise), and the build keeps each in primitive integer
-    form r x^e1 - p x^e0 with c = p/r, cof_0 as integer numerators over one
-    denominator, and the units L / w(L) as ints over one denominator.
-    apply clears g_0's denominators, divides it by the pole, folds the int
-    product, divides it by the factors of L, where exact_div stays in ints,
-    and scales once per output term by the product of the r's over all
-    those denominators and the scalar.  After the one division of g_0, the
-    fold equals the explicit sum of the terms, each with its own pole
-    absorbed, up to that integer scaling, so the exact divisions by the
-    factors of L that follow, in the same order, get the same inputs up to
-    integer constants: the same supports, InexactDivision at the same step
-    if the input was not in the operator's polynomial domain.
+    cof_0 is kept as one integer product: the numerators r - p x^e, the B's
+    of L that the kept denominators lack, and the monomial of the
+    denominators' units.  Each factor is primitive, so by Gauss's lemma the
+    product is too, and the r's and signs of all the records and the scalar
+    fold into one rational multiplier.  An application runs
+    over Python ints from end to end: it forms g_0 over a common
+    denominator, divides it by the pole, folds the int product, divides it
+    by the B's of L, where exact_div stays in ints, and scales once per
+    output term by that multiplier over g_0's denominator.  After the one
+    division of g_0, the fold equals the explicit sum of the terms, each
+    with its own pole absorbed, up to that constant, so the exact divisions
+    by the factors of L that follow, in the same order, get the same inputs
+    up to integer constants: the same supports, InexactDivision at the same
+    step if the input was not in the operator's polynomial domain.
     """
 
     def __init__(
         self,
         P: ParamPoint,
         num_vars: int,
-        numer_factors: Sequence[LaurentPoly],
-        denom_factors: Sequence[LaurentPoly],
+        numer_factors: Sequence[tuple],
+        denom_factors: Sequence[tuple],
         scalar=1,
         scale: int = 1,
     ):
@@ -843,61 +849,49 @@ class ClearedShiftOperator:
         if self.scalar == 0:
             raise ParameterDegeneracy("operator scalar prefactor vanishes")
         n = num_vars
+        numer = [(rat(u), tuple(e)) for u, e in numer_factors]
+        denom = [(rat(u), tuple(e)) for u, e in denom_factors]
+        for u, e in numer + denom:
+            if len(e) != n:
+                raise DimensionMismatch(f"exponent tuple {e} does not have {n} entries")
+            if not u or not any(e):
+                raise ValueError(f"factor 1 - ({u}) x^{e} is not a binomial")
         orbit = [_swap(n, 0, i, s) for i in range(n) for s in (1, -1)]
-        # A_0 = numerator / (unit * canonical factors); one copy of the
-        # pole's canonical factor divides g_0 and stays out of L
-        normal = [_unit_normalize(factor) for factor in denom_factors]
-        keys = [canon.key() for canon, _, _ in normal]
-        kept = list(zip(denom_factors, keys))
-        self._pole, pole_radix = None, 1
-        pole = LaurentPoly.one(n, scale) - LaurentPoly.monomial(
-            (2,) + (0,) * (n - 1), P.sqrt_q ** (2 // scale), scale
-        )
-        pole_key = _unit_normalize(pole)[0].key()
-        if pole_key in keys:
-            k = keys.index(pole_key)
-            self._pole, pole_radix = _integer_numerators(normal[k][0])
-            del kept[k]
+        # one copy of the pole's record divides g_0 and stays out of L
+        kept = [_canonical(u, e) for u, e in denom]
+        pole = _canonical(P.sqrt_q ** (2 // scale), (2,) + (0,) * (n - 1))
+        self._pole = None
+        if pole in kept:
+            kept.remove(pole)
+            self._pole = _binomial(pole, scale)
         lcd: dict = {}
         for perm, signs in orbit:
             counts: dict = {}
-            for factor, _ in kept:
-                canon, _, _ = _unit_normalize(factor.act_signed(perm, signs))
-                key = canon.key()
+            for u, e in kept:
+                key = _canonical(u, _act(e, perm, signs))
                 counts[key] = counts.get(key, 0) + 1
-                if key not in lcd or lcd[key][1] < counts[key]:
-                    lcd[key] = (canon, counts[key])
-        self._lcd = lcd
-        # cof_0 = L A_0 (times the absorbed pole factor): the numerator
-        # times the factors of L that the kept denominators lack, over the
-        # units of all the denominators
-        cof = LaurentPoly.one(n, scale)
-        for f in numer_factors:
-            cof = cof * f
-        counts = {}
-        for _, key in kept:
-            counts[key] = counts.get(key, 0) + 1
-        unit_coeff, unit_shift = Fraction(1), (0,) * n
-        for _, lc, lo in normal:
-            unit_coeff *= lc
-            unit_shift = tuple(map(add, unit_shift, lo))
-        for key, (canon, mult) in lcd.items():
-            for _ in range(mult - counts.get(key, 0)):
-                cof = cof * canon
-        self._cof, cof_den = _integer_numerators(
-            cof * LaurentPoly.monomial(tuple(map(neg, unit_shift)), 1 / unit_coeff, scale)
-        )
-        images = [self._image(perm, signs) for perm, signs in orbit]
-        unit_den = math.lcm(*(unit.denominator for _, unit in images))
-        self._images = [(spec, int(unit * unit_den)) for spec, unit in images]
-        self._divisors, radix = [], pole_radix
-        for canon, mult in lcd.values():
-            if len(canon.terms) != 2:
-                raise ValueError(f"denominator factor {canon} is not a binomial")
-            binomial, r = _integer_numerators(canon)
-            self._divisors += [binomial] * mult
-            radix *= r**mult
-        self._unscale = Fraction(radix, cof_den * unit_den) / self.scalar
+                if lcd.get(key, 0) < counts[key]:
+                    lcd[key] = counts[key]
+        self._lcd = {key: (_binomial(key, scale), mult) for key, mult in lcd.items()}
+        self._divisors = [b for b, mult in self._lcd.values() for _ in range(mult)]
+        # cof_0 = L A_0 (times the absorbed pole's B): each numerator
+        # 1 - u x^e is (r - p x^e) / r and each denominator s B / (r x^(e-))
+        shift, multiplier = (0,) * n, Fraction(1)
+        for u, e in denom:
+            shift = tuple(map(add, shift, _negative_part(e)))
+            multiplier *= _sign(u, e) * u.denominator
+        cof = LaurentPoly._raw(n, {shift: 1}, scale)
+        for u, e in numer:
+            multiplier /= u.denominator
+            cof = cof * LaurentPoly._raw(
+                n, {(0,) * n: u.denominator, e: -u.numerator}, scale
+            )
+        for key, (binomial, mult) in self._lcd.items():
+            for _ in range(mult - kept.count(key)):
+                cof = cof * binomial
+        self._cof = cof
+        self._unscale = multiplier / self.scalar
+        self._images = [self._image(perm, signs) for perm, signs in orbit]
         others = list(range(1, n))
         stabilizer = [_swap(n, j, k, 1) for j, k in zip(others, others[1:])]
         if others:
@@ -912,18 +906,25 @@ class ClearedShiftOperator:
     def _image(self, perm, signs):
         """The signed permutation w as a relabelling of exponents,
         ((source variable, sign, unit exponent) per variable, unit
-        coefficient), so that folding h with it gives (L / w(L)) w(h)."""
-        coeff, shift = Fraction(1), (0,) * len(perm)
-        for canon, mult in self._lcd.values():
-            image, lc, lo = _unit_normalize(canon.act_signed(perm, signs))
-            if self._lcd.get(image.key(), (None, 0))[1] != mult:
+        coefficient +-1), so that folding h with it gives (L / w(L)) w(h).
+        For the B of a record (u, e) of L, w(B) is c x^(w(e-) - w(e)-) times
+        the B of the canonical image record, with c = -1 when w(e) is
+        lex-negative and u > 0, else 1."""
+        coeff, shift = 1, (0,) * len(perm)
+        for (u, e), (_, mult) in self._lcd.items():
+            image = _act(e, perm, signs)
+            if self._lcd.get(_canonical(u, image), (None, 0))[1] != mult:
                 raise ValueError("denominators are not closed under signed permutations")
-            coeff *= lc**mult
-            shift = tuple(e - mult * x for e, x in zip(shift, lo))
+            if u > 0 and _lex_negative(image) and mult % 2:
+                coeff = -coeff
+            moved = _act(_negative_part(e), perm, signs)
+            shift = tuple(
+                s - mult * (x - y) for s, x, y in zip(shift, moved, _negative_part(image))
+            )
         source = [None] * len(perm)
         for k, (p, s) in enumerate(zip(perm, signs)):
             source[p] = (k, s)
-        return tuple((k, s, e) for (k, s), e in zip(source, shift)), 1 / coeff
+        return tuple((k, s, e) for (k, s), e in zip(source, shift)), coeff
 
     def _fold(self, h: LaurentPoly, images) -> LaurentPoly:
         """sum over images of (L / w(L)) w(h), in one pass over h's terms."""
@@ -941,13 +942,31 @@ class ClearedShiftOperator:
                     out[e] = cu if acc is None else acc + cu
         return LaurentPoly._raw(h.num_vars, {e: c for e, c in out.items() if c}, h.scale)
 
+    def _difference(self, f: LaurentPoly):
+        """(g, den) with g over ints and g / den = T_0 f - f.  T_0 takes
+        x^e to (a/b)^k x^e for sqrt_q = a/b and k = 2 e_1 / scale, so over
+        the denominator (a b)^K, K the largest |k| on f's support, a term
+        c x^e of f's integer numerators gives c (a^(K + k) b^(K - k) - (a b)^K)."""
+        f, den = _integer_numerators(f)
+        a, b = self.P.sqrt_q.numerator, self.P.sqrt_q.denominator
+        step = 2 // self.scale
+        top = step * max((abs(e[0]) for e in f.terms), default=0)
+        pa = [a**j for j in range(2 * top + 1)]
+        pb = [b**j for j in range(2 * top + 1)]
+        base = pa[top] * pb[top]
+        terms = {}
+        for e, c in f.terms.items():
+            k = step * e[0]
+            if k:
+                terms[e] = c * (pa[top + k] * pb[top - k] - base)
+        return LaurentPoly._raw(f.num_vars, terms, f.scale), den * base
+
     def apply(self, f: LaurentPoly) -> LaurentPoly:
         if not weyl_invariant(f):
             raise ValueError("operator input is not invariant under signed permutations")
-        g = qshift(f, 0, 1, self.P) - f
+        g, g_den = self._difference(f)
         if g.is_zero():
             return LaurentPoly.zero(f.num_vars, f.scale)
-        g, g_den = _integer_numerators(g)
         if self._pole is not None:
             g = exact_div(g, self._pole)
         total = self._fold(self._cof * g, self._images)

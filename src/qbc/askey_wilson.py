@@ -108,19 +108,17 @@ def aw_poly(n: int, P: ParamPoint) -> LaurentPoly:
     return total * (qpoch_multi((a * b, a * c, a * d), q, n) * a ** -n)
 
 
+def _aw_generator(P: ParamPoint) -> tuple:
+    """The records (u, e), each the factor 1 - u x^e, of the up-shift
+    coefficient's numerator and denominator, and the scalar 1; x -> 1/x
+    gives the down-shift."""
+    x, x2 = (1,), (2,)
+    return [(u, x) for u in (P.a, P.b, P.c, P.d)], [(1, x2), (P.q, x2)], 1
+
+
 @lru_cache(maxsize=None)
 def _aw_operator(P: ParamPoint) -> ClearedShiftOperator:
-    """Generated by the up-shift term; x -> 1/x gives the down-shift."""
-    q = P.q
-    one = LaurentPoly.one(1)
-    x = LaurentPoly.var(0, 1)
-    x2 = LaurentPoly.var(0, 1, power=2)
-    return ClearedShiftOperator(
-        P,
-        1,
-        [one - x * rat(u) for u in (P.a, P.b, P.c, P.d)],
-        [one - x2, one - x2 * q],
-    )
+    return ClearedShiftOperator(P, 1, *_aw_generator(P))
 
 
 def aw_apply(f: LaurentPoly, P: ParamPoint) -> LaurentPoly:

@@ -48,32 +48,27 @@ def _mono(e1: int, e2: int, coeff=1) -> LaurentPoly:
     return LaurentPoly.monomial((e1, e2), coeff, 2)
 
 
-def _one_minus(u, e1: int, e2: int) -> LaurentPoly:
-    return LaurentPoly(2, {(0, 0): Fraction(1), (e1, e2): -rat(u)}, 2)
-
-
-@lru_cache(maxsize=None)
-def _b2_operator(P: ParamPoint) -> ClearedShiftOperator:
-    """Generated by the (T - 1) term of the shift x_1 -> q x_1; the signed
+def _b2_generator(P: ParamPoint) -> tuple:
+    """The records (u, e), each the factor 1 - u x^e on the doubled
+    lattice, of the numerator and denominator of the coefficient of the
+    (T - 1) term of the shift x_1 -> q x_1, and the scalar 1; the signed
     permutations give the other three directions.  The coefficients of the
     four shifts add up to the constant E(0) of b2_eigenvalue, so the
     operator is the rank-two operator less E(0), and it annihilates
     constants.
 
-    The generator's factors sit at the two long roots (2, -2) and (2, 2)
-    and at the short root (2, 0) of the doubled lattice; swapping the long
-    roots is the inversion of x_2, so the coefficient is invariant under
-    it.  No denominator is the pole 1 - q^(1/2) y_1^2, so the cleared
-    denominator keeps every factor."""
-    t, T = P.t, P.T
+    The factors sit at the two long roots (2, -2) and (2, 2) and at the
+    short root (2, 0) of the doubled lattice; swapping the long roots is the
+    inversion of x_2, so the coefficient is invariant under it.  No
+    denominator is the pole 1 - q^(1/2) y_1^2, so the cleared denominator
+    keeps every factor."""
     roots = ((2, -2), (2, 2), (2, 0))
-    return ClearedShiftOperator(
-        P,
-        2,
-        [_one_minus(u, *e) for u, e in zip((t, t, T), roots)],
-        [_one_minus(1, *e) for e in roots],
-        scale=2,
-    )
+    return list(zip((P.t, P.t, P.T), roots)), [(1, e) for e in roots], 1
+
+
+@lru_cache(maxsize=None)
+def _b2_operator(P: ParamPoint) -> ClearedShiftOperator:
+    return ClearedShiftOperator(P, 2, *_b2_generator(P), scale=2)
 
 
 def b2_apply(f: LaurentPoly, P: ParamPoint) -> LaurentPoly:

@@ -35,36 +35,39 @@ def cache_root() -> Path:
     return Path(os.environ.get(CACHE_ENV, "cache"))
 
 
-def _mono(n, spots, coeff):
-    exps = [0] * n
-    for i, p in spots:
-        exps[i] += p
-    return LaurentPoly.monomial(exps, coeff)
+def _koorn_generator(P: ParamPoint, n: int) -> tuple:
+    """The records (u, e), each the factor 1 - u x^e, of the numerator and
+    the denominator of the operator's x_1 up-shift coefficient, and its
+    scalar divisor.
+
+    The pair factors couple x_1 to every other variable, and they are
+    invariant under permutations and inversions of those variables; the
+    generator's images under the signed permutations are the 2n terms, an
+    up-shift and a down-shift per variable.  The scalar alpha t^(n-1) keeps
+    the rank-one case aligned with the one-variable operator up to 1/alpha.
+    """
+    P.require("a", "b", "c", "d", "sqrt_t")
+
+    def exps(*spots):
+        e = [0] * n
+        for i, p in spots:
+            e[i] += p
+        return tuple(e)
+
+    numer = [(u, exps((0, 1))) for u in (P.a, P.b, P.c, P.d)]
+    denom = [(1, exps((0, 2))), (P.q, exps((0, 2)))]
+    for j in range(1, n):
+        pairs = [exps((0, 1), (j, 1)), exps((0, 1), (j, -1))]
+        numer += [(P.t, e) for e in pairs]
+        denom += [(1, e) for e in pairs]
+    return numer, denom, P.alpha * P.t ** (n - 1)
 
 
 @lru_cache(maxsize=None)
 def _koorn_operator(P: ParamPoint, n: int) -> ClearedShiftOperator:
-    """The operator in cleared-denominator form, generated by its x_1
-    up-shift term.
-
-    The generator's pair factors couple x_1 to every other variable, and
-    they are invariant under permutations and inversions of those
-    variables; its images under the signed permutations are the 2n terms,
-    an up-shift and a down-shift per variable.  The overall scalar divisor
-    alpha t^(n-1) keeps the rank-one case aligned with the one-variable
-    operator up to 1/alpha.
-    """
-    P.require("a", "b", "c", "d", "sqrt_t")
-    q, t = P.q, P.t
-    one = LaurentPoly.one(n)
-    numer = [one - _mono(n, [(0, 1)], u) for u in (P.a, P.b, P.c, P.d)]
-    denom = [one - _mono(n, [(0, 2)], 1), one - _mono(n, [(0, 2)], q)]
-    for j in range(1, n):
-        numer.append(one - _mono(n, [(0, 1), (j, 1)], t))
-        numer.append(one - _mono(n, [(0, 1), (j, -1)], t))
-        denom.append(one - _mono(n, [(0, 1), (j, 1)], 1))
-        denom.append(one - _mono(n, [(0, 1), (j, -1)], 1))
-    return ClearedShiftOperator(P, n, numer, denom, scalar=P.alpha * t ** (n - 1))
+    """The operator in cleared-denominator form, built from its generator's
+    records."""
+    return ClearedShiftOperator(P, n, *_koorn_generator(P, n))
 
 
 def koorn_apply(f: LaurentPoly, P: ParamPoint, n: int) -> LaurentPoly:

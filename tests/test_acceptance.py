@@ -26,7 +26,6 @@ from qbc.algebra import (
     dominated_partitions,
     exact_div,
     monomial_symmetric,
-    qshift,
     weyl_invariant,
 )
 from qbc.askey_wilson import (
@@ -48,6 +47,7 @@ from qbc.suites import (
     suite_koornwinder,
     suite_lassalle,
 )
+from test_algebra import qshift
 
 CFG = default_config()
 # sha256 of run_suite("all", CFG).to_json(with_timing=False): 366 passing cases

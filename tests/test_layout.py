@@ -1,4 +1,5 @@
-"""Layout checks on src/qbc: no dead definitions, no unused imports.
+"""Layout checks: no dead definitions in src/qbc, no unused imports in
+src/qbc or tests.
 
 A function, class or method that nothing in the package refers to is code
 that `qbc verify` and `qbc compute` never reach; a test that needs one should
@@ -10,7 +11,8 @@ attribute anywhere in the package outside its own definition.
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "qbc"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "qbc"
 
 #: definitions kept although nothing in src/qbc refers to them yet
 UNREFERENCED_ALLOWED = {
@@ -19,8 +21,8 @@ UNREFERENCED_ALLOWED = {
 }
 
 
-def _modules():
-    return {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+def _modules(root=SRC):
+    return {path.name: ast.parse(path.read_text()) for path in sorted(root.glob("*.py"))}
 
 
 def _references(node) -> list:
@@ -55,15 +57,16 @@ def test_every_definition_is_referenced_in_the_package():
 
 def test_every_import_is_used_in_its_module():
     unused = []
-    for filename, tree in _modules().items():
-        used = {name for name, _ in _references(tree)}
-        for node in ast.walk(tree):
-            if not isinstance(node, (ast.Import, ast.ImportFrom)):
-                continue
-            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
-                continue
-            for alias in node.names:
-                bound = (alias.asname or alias.name).split(".")[0]
-                if bound not in used:
-                    unused.append(f"{filename}:{node.lineno} {bound}")
+    for root in (SRC, TESTS):
+        for filename, tree in _modules(root).items():
+            used = {name for name, _ in _references(tree)}
+            for node in ast.walk(tree):
+                if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                    continue
+                if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                    continue
+                for alias in node.names:
+                    bound = (alias.asname or alias.name).split(".")[0]
+                    if bound not in used:
+                        unused.append(f"{root.name}/{filename}:{node.lineno} {bound}")
     assert unused == []

@@ -8,7 +8,6 @@ import pytest
 import qbc.koornwinder
 from qbc import suites
 from qbc.algebra import SKIPPED
-from qbc.reports import VerificationReport
 
 
 class FakeClock:
