@@ -9,6 +9,7 @@ Weights live on the doubled lattice so half-integer entries stay exact.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 from .algebra import (
     SKIPPED,
@@ -20,8 +21,8 @@ from .algebra import (
     rat,
     solve_triangular_eigenproblem,
 )
-from .errors import DimensionMismatch, NonTerminating, ParameterDegeneracy
-from .qseries import qpoch, qpoch_ratio
+from .errors import DimensionMismatch, InexactDivision, NonTerminating, ParameterDegeneracy
+from .qseries import _Pair, qpoch, qpoch_ratio
 
 
 @dataclass(frozen=True)
@@ -126,10 +127,15 @@ def b2_oracle(w: B2Weight, P: ParamPoint) -> LaurentPoly:
 # -- the explicit series ---------------------------------------------------------
 #
 # Every Pochhammer argument is gamma * t^p with gamma free of t, so the same
-# summation code runs over two scalar rings: exact rationals at a generic
-# point, and leading terms of Laurent expansions in v (t = tv (1 + v)) at
-# q = t = T, where the factors pick up zeros and poles that only cancel in the
-# limit.  The second ring tracks one coefficient per value and nothing past
+# summation code runs over two scalar rings: exact rationals, carried as
+# unreduced integer pairs, at a generic point, and leading terms of Laurent
+# expansions in v (t = tv (1 + v)) at q = t = T, where the factors pick up
+# zeros and poles that only cancel in the limit.  The walk hands each ring
+# gamma as an integer _Pair; a ring builds its values with factor and unit,
+# multiplies them, steps a running product by ratio and turns each cell into
+# the value its coefficient accumulates with coefficient.
+#
+# The second ring tracks one coefficient per value and nothing past
 # it: a product or quotient of leading terms is exact, and a sum whose leading
 # terms cancel only knows that it is O(v^(off + 1)).  So a limit it returns
 # is exact, and a coefficient whose terms cancel at order 0 or below raises
@@ -196,25 +202,40 @@ class _LeadTerm:
 _LEAD_ZERO = _LeadTerm(Fraction(0), None)
 
 
+def _power_table(x):
+    """k -> x^k as an integer _Pair, for any integer k and a nonzero
+    rational x; each power is computed once."""
+    x = rat(x)
+    num, den = x.numerator, x.denominator
+    memo = {}
+
+    def power(k: int) -> _Pair:
+        pair = memo.get(k)
+        if pair is None:
+            pair = memo[k] = (
+                _Pair(num ** k, den ** k) if k >= 0 else _Pair(den ** -k, num ** -k)
+            )
+        return pair
+
+    return power
+
+
 class _Scalars:
-    """Shared by both rings: t^p read from one power table."""
+    """Shared by both rings: gamma arrives as an integer _Pair and t^p is
+    read from one power table."""
 
     def __init__(self, t):
-        self.t = rat(t)
-        self._powers = {}
-
-    def power(self, p: int) -> Fraction:
-        value = self._powers.get(p)
-        if value is None:
-            value = self._powers[p] = self.t ** p
-        return value
+        self.power = _power_table(t)
 
 
 class _RationalScalars(_Scalars):
-    """Plain evaluation with a numeric t."""
+    """Plain evaluation with a numeric t, on unreduced integer pairs: a
+    factor 1 - gamma t^p costs integer multiplies only, ratio reduces a
+    running product once per step, and each cell of the series adds one
+    reduced Fraction to its coefficient."""
 
     zero_is_identical = False
-    one = Fraction(1)
+    one = _Pair(1)
     zero = Fraction(0)
 
     def unit(self, gamma, p):
@@ -224,7 +245,17 @@ class _RationalScalars(_Scalars):
         return 1 - gamma * self.power(p)
 
     def dead(self, x) -> bool:
-        return x == 0
+        return x.is_zero()
+
+    def ratio(self, x, num, den):
+        """x num / den, reduced; den is not dead."""
+        top = x.num * num.num * den.den
+        bottom = x.den * num.den * den.num
+        g = gcd(top, bottom)
+        return _Pair(top // g, bottom // g)
+
+    def coefficient(self, x) -> Fraction:
+        return Fraction(x.num, x.den)
 
 
 class _JetScalars(_Scalars):
@@ -236,13 +267,17 @@ class _JetScalars(_Scalars):
     one = _LeadTerm(Fraction(1), 0)
     zero = _LEAD_ZERO
 
+    def _constant(self, gamma, p) -> Fraction:
+        x = gamma * self.power(p)
+        return Fraction(x.num, x.den)
+
     def unit(self, gamma, p):
-        return _LeadTerm(gamma * self.power(p), 0)
+        return _LeadTerm(self._constant(gamma, p), 0)
 
     def factor(self, gamma, p):
         # 1 - gamma tv^p (1 + v)^p; where the constant term vanishes the
         # linear one, -gamma tv^p p v, leads unless p = 0
-        x = gamma * self.power(p)
+        x = self._constant(gamma, p)
         if x != 1:
             return _LeadTerm(1 - x, 0)
         if p == 0:
@@ -252,6 +287,12 @@ class _JetScalars(_Scalars):
     def dead(self, x) -> bool:
         return x.is_exact_zero()
 
+    def ratio(self, x, num, den):
+        return x * num / den
+
+    def coefficient(self, x):
+        return x
+
     def finalize(self, x) -> Fraction:
         return x.value()
 
@@ -259,21 +300,28 @@ class _JetScalars(_Scalars):
 def _series_terms(w: B2Weight, P: ParamPoint, ring, bound: int) -> dict:
     """Doubled-exponent coefficient dict of the terminating fivefold series.
 
-    All t-dependence is routed through the ring; gamma constants come from
-    q, T and the two numeric spectral pieces c1, c2 with s1 = t c1, s2 = c2.
-    Ladder directions stop when a running numerator factor is identically
-    zero; indices past the scan bound raise NonTerminating.
+    All t-dependence is routed through the ring; every other argument is a
+    gamma = q^k T^a c1^b c2^c, an integer _Pair read from per-call power
+    tables, with the two numeric spectral pieces c1, c2 of s1 = t c1,
+    s2 = c2.  Ladder directions stop when a running numerator factor is
+    identically zero; indices past the scan bound raise NonTerminating.
     """
-    q, T = P.q, P.T
     d1, d2 = w.doubled
-    c1 = P.sqrt_T * P.sqrt_q ** d1
-    c2 = P.sqrt_T * P.sqrt_q ** d2
-    cc = c1 * c2
+    qp, Tp = _power_table(P.q), _power_table(P.T)
+    c1p = _power_table(P.sqrt_T * P.sqrt_q ** d1)
+    c2p = _power_table(P.sqrt_T * P.sqrt_q ** d2)
+    q, T = qp(1), Tp(1)
+    inv_cc = c1p(-1) * c2p(-1)
+    T_cc = T * inv_cc
+    c1_c2, c2_c1 = c1p(1) * c2p(-1), c2p(1) * c1p(-1)
+    inv_c1c1, inv_c2c2 = c1p(-2), c2p(-2)
+    T_c1c1, T_c2c2 = T * inv_c1c1, T * inv_c2c2
+    q_T = q * Tp(-1)
 
     def ladder(gamma, p, m):
         prod = ring.one
         for k in range(m):
-            prod = prod * ring.factor(gamma * q ** k, p)
+            prod = prod * ring.factor(gamma * qp(k), p)
         return prod
 
     def guard(x, what):
@@ -300,12 +348,13 @@ def _series_terms(w: B2Weight, P: ParamPoint, ring, bound: int) -> dict:
 
     ladder_memo: dict = {}
 
-    def two_factor_sum(step: int, gamma, label: str):
+    def two_factor_sum(step: int, m: int, const, label: str):
         """Cells (doubled exponent offset, weight) of the sum over one ladder
-        direction stepping (-2, step): cell k + 1 is cell k times
-        (q/t) (1 - q^k t)(1 - gamma q^k) / ((1 - q^(k+1))(1 - gamma q^(k+1) / t)).
-        Memoized per (step, gamma)."""
-        key = (step, gamma)
+        direction stepping (-2, step), with gamma = q^m const: cell k + 1 is
+        cell k times (q/t) (1 - q^k t)(1 - gamma q^k) /
+        ((1 - q^(k+1))(1 - gamma q^(k+1) / t)).  The const is fixed by the
+        step, so the cells are memoized per (step, m)."""
+        key = (step, m)
         if key not in ladder_memo:
             cells = []
             run = ring.one
@@ -314,11 +363,11 @@ def _series_terms(w: B2Weight, P: ParamPoint, ring, bound: int) -> dict:
                 cells.append(((-2 * k, step * k), run))
                 if k > bound:
                     raise overran(label)
-                num = ring.factor(q ** k, 1) * ring.factor(q ** k * gamma, 0)
-                den = ring.factor(q ** (1 + k), 0) * ring.factor(q ** (1 + k) * gamma, -1)
+                num = ring.factor(qp(k), 1) * ring.factor(qp(m + k) * const, 0)
+                den = ring.factor(qp(1 + k), 0) * ring.factor(qp(m + 1 + k) * const, -1)
                 if stop(num, den, "ladder denominator"):
                     break
-                run = run * ring.unit(q, -1) * num / den
+                run = ring.ratio(run * ring.unit(q, -1), num, den)
                 k += 1
             ladder_memo[key] = cells
         return ladder_memo[key]
@@ -334,23 +383,23 @@ def _series_terms(w: B2Weight, P: ParamPoint, ring, bound: int) -> dict:
             ladder(q, -1, n)
             * ladder(T, -1, n)
             * ladder(T, 0, n)
-            * ladder(q / cc, -2, n)
-            * ladder(T / c1 ** 2, -2, 2 * n)
-            * ladder(T / c2 ** 2, 0, 2 * n)
+            * ladder(q * inv_cc, -2, n)
+            * ladder(T_c1c1, -2, 2 * n)
+            * ladder(T_c2c2, 0, 2 * n)
         )
         head_den = (
             ladder(q, 0, n)
-            * ladder(q / c1 ** 2, -2, n)
-            * ladder(q / c2 ** 2, 0, n)
-            * ladder(q * c1 / c2, 1, n)
-            * ladder(q * c2 / c1, -1, n)
-            * ladder(q / cc, -1, n)
-            * ladder(q ** n * T / cc, -1, n)
-            * ladder(q ** n * T / cc, -2, n)
+            * ladder(q * inv_c1c1, -2, n)
+            * ladder(q * inv_c2c2, 0, n)
+            * ladder(q * c1_c2, 1, n)
+            * ladder(q * c2_c1, -1, n)
+            * ladder(q * inv_cc, -1, n)
+            * ladder(qp(n) * T_cc, -1, n)
+            * ladder(qp(n) * T_cc, -2, n)
         )
         if stop(head_num, head_den, "series prefactor denominator"):
             break
-        hterm = ring.unit((q * q / (T * T)) ** n, n) * head_num / head_den
+        hterm = ring.ratio(ring.unit(q_T ** (2 * n), n), head_num, head_den)
 
         b2run = ring.one
         t2 = 0
@@ -367,52 +416,50 @@ def _series_terms(w: B2Weight, P: ParamPoint, ring, bound: int) -> dict:
                 base2 = d2 - 2 * n - 2 * t2
                 # the x2/x1 direction depends on theta3 - theta2 only, the
                 # 1/(x1 x2) direction on 2n + theta2 + theta3
-                skew = two_factor_sum(2, q ** (t3 - t2) * c2 / c1, "skew direction")
-                diagonal = two_factor_sum(
-                    -2, q ** (2 * n + t2 + t3) * T / cc, "diagonal direction"
-                )
+                skew = two_factor_sum(2, t3 - t2, c2_c1, "skew direction")
+                diagonal = two_factor_sum(-2, 2 * n + t2 + t3, T_cc, "diagonal direction")
                 for (e1, e2), w1 in skew:
                     left = cell * w1
                     for (g1, g2), w4 in diagonal:
                         exps = (base1 + e1 + g1, base2 + e2 + g2)
-                        out[exps] = out.get(exps, ring.zero) + left * w4
+                        out[exps] = out.get(exps, ring.zero) + ring.coefficient(left * w4)
                 k = t3
                 num = (
-                    ring.factor(q ** (n + k) * T, 0)
-                    * ring.factor(q ** (2 * n + k) * T / c1 ** 2, -2)
-                    * ring.factor(q ** k * c2 / c1, 0)
-                    * ring.factor(q ** (1 - t2 + k) * c2 / c1, -2)
-                    * ring.factor(q ** (n + k) * T / cc, -1)
-                    * ring.factor(q ** (2 * n + t2 + 1 + k) * T / cc, -2)
+                    ring.factor(qp(n + k) * T, 0)
+                    * ring.factor(qp(2 * n + k) * T_c1c1, -2)
+                    * ring.factor(qp(k) * c2_c1, 0)
+                    * ring.factor(qp(1 - t2 + k) * c2_c1, -2)
+                    * ring.factor(qp(n + k) * T_cc, -1)
+                    * ring.factor(qp(2 * n + t2 + 1 + k) * T_cc, -2)
                 )
                 den = (
-                    ring.factor(q ** (1 + k), 0)
-                    * ring.factor(q ** (n + 1 + k) / c1 ** 2, -2)
-                    * ring.factor(q ** (n + 1 + k) * c2 / c1, -1)
-                    * ring.factor(q ** (k - t2) * c2 / c1, -1)
-                    * ring.factor(q ** (2 * n + 1 + k) * T / cc, -2)
-                    * ring.factor(q ** (2 * n + t2 + k) * T / cc, -1)
+                    ring.factor(qp(1 + k), 0)
+                    * ring.factor(qp(n + 1 + k) * inv_c1c1, -2)
+                    * ring.factor(qp(n + 1 + k) * c2_c1, -1)
+                    * ring.factor(qp(k - t2) * c2_c1, -1)
+                    * ring.factor(qp(2 * n + 1 + k) * T_cc, -2)
+                    * ring.factor(qp(2 * n + t2 + k) * T_cc, -1)
                 )
                 if stop(num, den, "ladder denominator"):
                     break
-                b3run = b3run * ring.unit(q / T, 0) * num / den
+                b3run = ring.ratio(b3run * ring.unit(q_T, 0), num, den)
                 t3 += 1
             k = t2
             num = (
-                ring.factor(q ** (n + k) * T, 0)
-                * ring.factor(q ** (2 * n + k) * T / c2 ** 2, 0)
-                * ring.factor(q ** (n + k) * T / cc, -1)
-                * ring.factor(q ** (1 + k) * c1 / c2, 1)
+                ring.factor(qp(n + k) * T, 0)
+                * ring.factor(qp(2 * n + k) * T_c2c2, 0)
+                * ring.factor(qp(n + k) * T_cc, -1)
+                * ring.factor(qp(1 + k) * c1_c2, 1)
             )
             den = (
-                ring.factor(q ** (1 + k), 0)
-                * ring.factor(q ** (n + 1 + k) / c2 ** 2, 0)
-                * ring.factor(q ** (2 * n + k) * T / cc, -1)
-                * ring.factor(q ** (n + 1 + k) * c1 / c2, 1)
+                ring.factor(qp(1 + k), 0)
+                * ring.factor(qp(n + 1 + k) * inv_c2c2, 0)
+                * ring.factor(qp(2 * n + k) * T_cc, -1)
+                * ring.factor(qp(n + 1 + k) * c1_c2, 1)
             )
             if stop(num, den, "ladder denominator"):
                 break
-            b2run = b2run * ring.unit(q / T, 0) * num / den
+            b2run = ring.ratio(b2run * ring.unit(q_T, 0), num, den)
             t2 += 1
         n += 1
     return out
@@ -514,7 +561,9 @@ def b2_conjecture_check(r1: int, r2: int, P: ParamPoint) -> list:
     triangular eigenpolynomial, and it satisfies the difference equation.
 
     Entries are (id suffix, anchor, degrees, check) and run in order; the
-    last two checks are SKIPPED when the series did not terminate.
+    last two checks are SKIPPED when the series did not terminate, and a
+    series the operator cannot divide back out fails the difference
+    equation.
     """
     w = B2Weight(r1, r2)
     P.require("sqrt_t", "sqrt_T")
@@ -547,7 +596,16 @@ def b2_conjecture_check(r1: int, r2: int, P: ParamPoint) -> list:
         if not series:
             return SKIPPED
         f = series[0]
-        return residual_mismatch(b2_apply(f, P) - f * b2_eigenvalue(w, P))
+        try:
+            image = b2_apply(f, P)
+        except InexactDivision as exc:
+            # the operator's cleared denominator does not divide out: the
+            # series is not in its domain, so it is no eigenpolynomial
+            return {
+                "expected": "series in the operator's domain",
+                "got": f"{type(exc).__name__}: {exc}",
+            }
+        return residual_mismatch(image - f * b2_eigenvalue(w, P))
 
     stem = f"r{r1}{r2}-"
     return [

@@ -21,6 +21,7 @@ from qbc.b2 import (
     _default_bound,
     _dominant_below,
     _JetScalars,
+    _RationalScalars,
     _series_terms,
     b2_apply,
     b2_character_polytope,
@@ -31,8 +32,11 @@ from qbc.b2 import (
     b2_row_threefold,
     f_b2_poly,
 )
+from qbc.cli import main
 from qbc.errors import DimensionMismatch, NonTerminating, ParameterDegeneracy, QbcError
-from qbc.suites import _plan, _run, default_config
+from qbc.koornwinder import CACHE_ENV
+from qbc.qseries import _Pair
+from qbc.suites import _plan, _run, default_config, run_suite
 
 # t, t^2, T, tT, t^2T must stay off integer powers of q, or a denominator
 # ladder pins to 1 at a live index.  Both points were picked for that.
@@ -365,9 +369,11 @@ class _ReferenceJetScalars:
         return coeffs
 
     def unit(self, gamma, p):
+        gamma = F(gamma.num, gamma.den)
         return _ReferenceJet(0, [gamma * c for c in self._tpow(p)], self.PREC)
 
     def factor(self, gamma, p):
+        gamma = F(gamma.num, gamma.den)
         if p == 0:
             return _REFERENCE_ZERO if gamma == 1 else _ReferenceJet(0, (1 - gamma,), self.PREC)
         coeffs = [-gamma * c for c in self._tpow(p)]
@@ -377,8 +383,42 @@ class _ReferenceJetScalars:
     def dead(self, x):
         return x.is_exact_zero()
 
+    def ratio(self, x, num, den):
+        return x * num / den
+
+    def coefficient(self, x):
+        return x
+
     def finalize(self, x):
         return x.value()
+
+
+class _ReferenceRationalScalars:
+    """The Fraction ring the plain series was first computed in, kept as the
+    reference for the integer-pair ring: every value is a reduced Fraction
+    and each gamma is turned into one on arrival."""
+
+    zero_is_identical = False
+    one = F(1)
+    zero = F(0)
+
+    def __init__(self, t):
+        self.t = t
+
+    def unit(self, gamma, p):
+        return F(gamma.num, gamma.den) * self.t ** p
+
+    def factor(self, gamma, p):
+        return 1 - self.unit(gamma, p)
+
+    def dead(self, x):
+        return x == 0
+
+    def ratio(self, x, num, den):
+        return x * num / den
+
+    def coefficient(self, x):
+        return x
 
 
 def _series_outcome(ring, w, P):
@@ -402,19 +442,19 @@ _SIGN = st.sampled_from([F(1), F(-1)])
 
 
 @st.composite
-def _series_inputs(draw):
+def _series_inputs(draw, collapse=True):
     """A point, collapsed (q = t = T, the square roots up to sign) about
-    half the time, and a weight of total at most 3.  Off the collapse
-    sqrt_t and sqrt_T are signed powers of sqrt q or small rationals times
-    them, so that factors pin to 0 and denominators vanish at live
-    indices."""
+    half the time unless collapse is False, and a weight of total at most
+    3.  Off the collapse sqrt_t and sqrt_T are signed powers of sqrt q or
+    small rationals times them, so that factors pin to 0 and denominators
+    vanish at live indices."""
     sq = draw(_SMALL.filter(lambda x: abs(x) != 1))
 
     def coordinate():
         scale = draw(_SIGN | _SMALL)
         return scale * sq ** draw(st.integers(-2, 2))
 
-    if draw(st.booleans()):
+    if collapse and draw(st.booleans()):
         st_, sT = sq * draw(_SIGN), sq * draw(_SIGN)
     else:
         st_, sT = coordinate(), coordinate()
@@ -441,14 +481,14 @@ class TestLeadingTermRing:
     @pytest.mark.parametrize("Ring", RINGS)
     def test_cancellation_at_order_zero_is_zero(self, Ring):
         ring = Ring(F(1, 4))
-        minus_one = ring.factor(F(2), 0)
+        minus_one = ring.factor(_Pair(2), 0)
         assert ring.finalize(ring.one + minus_one) == 0
 
     @pytest.mark.parametrize("Ring", RINGS)
     def test_cancellation_at_order_minus_one_raises(self, Ring):
         ring = Ring(F(1, 4))
-        pole = ring.one / ring.factor(F(4), 1)  # 1 - 4 t vanishes at t = 1/4
-        cancelled = pole + pole * ring.unit(F(-1), 0)
+        pole = ring.one / ring.factor(_Pair(4), 1)  # 1 - 4 t vanishes at t = 1/4
+        cancelled = pole + pole * ring.unit(_Pair(-1), 0)
         # what is left is O(v^0): a constant added to it stays unknown
         for value in (cancelled, cancelled + ring.one, ring.one + cancelled):
             with pytest.raises(ParameterDegeneracy):
@@ -458,16 +498,16 @@ class TestLeadingTermRing:
     def test_surviving_pole_raises(self, Ring):
         ring = Ring(F(1, 4))
         with pytest.raises(ParameterDegeneracy):
-            ring.finalize(ring.one / ring.factor(F(4), 1))
+            ring.finalize(ring.one / ring.factor(_Pair(4), 1))
 
     @pytest.mark.parametrize("Ring", RINGS)
     def test_exact_zero_absorbs_products(self, Ring):
         ring = Ring(F(1, 4))
-        zero = ring.factor(F(1), 0)
-        exhausted = ring.one + ring.factor(F(2), 0)
+        zero = ring.factor(_Pair(1), 0)
+        exhausted = ring.one + ring.factor(_Pair(2), 0)
         assert ring.dead(zero)
         assert not ring.dead(exhausted)
-        for product in (zero * ring.one, exhausted * zero, zero / ring.factor(F(4), 1)):
+        for product in (zero * ring.one, exhausted * zero, zero / ring.factor(_Pair(4), 1)):
             assert ring.dead(product)
             assert ring.finalize(product) == 0
         with pytest.raises(ParameterDegeneracy):
@@ -476,7 +516,7 @@ class TestLeadingTermRing:
     @pytest.mark.parametrize("Ring", RINGS)
     def test_dividing_by_exact_zero_raises(self, Ring):
         ring = Ring(F(1, 4))
-        zero = ring.factor(F(1), 0)
+        zero = ring.factor(_Pair(1), 0)
         for numerator in (ring.one, zero):
             with pytest.raises(ParameterDegeneracy):
                 numerator / zero
@@ -485,7 +525,44 @@ class TestLeadingTermRing:
     def test_vanishing_factor_leads_at_order_one(self, Ring):
         # (1 - 4 t) / (1 - 16 t^2) -> 1/2 as t -> 1/4
         ring = Ring(F(1, 4))
-        assert ring.finalize(ring.factor(F(4), 1) / ring.factor(F(16), 2)) == F(1, 2)
+        assert ring.finalize(ring.factor(_Pair(4), 1) / ring.factor(_Pair(16), 2)) == F(1, 2)
+
+
+def _rational_outcome(Ring, w, P):
+    """The coefficient dict of the plain series on Ring, or the class and
+    message of the error it raised."""
+    try:
+        return _series_terms(w, P, Ring(P.t), _default_bound(w))
+    except QbcError as exc:
+        return type(exc), str(exc)
+
+
+class TestPairRing:
+    """The plain series runs on unreduced integer pairs; it must give what
+    the Fraction ring gave, values and errors alike."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(_series_inputs(collapse=False))
+    def test_series_matches_fraction_reference(self, drawn):
+        P, w = drawn
+        assert _rational_outcome(_RationalScalars, w, P) == _rational_outcome(
+            _ReferenceRationalScalars, w, P
+        )
+
+    @pytest.mark.parametrize("P", [B2P1, B2P2])
+    def test_shipped_points_match_fraction_reference_through_weight_six(self, P):
+        for total in range(7):
+            for r1 in range(total + 1):
+                w = B2Weight(r1, total - r1)
+                terms = _rational_outcome(_ReferenceRationalScalars, w, P)
+                expected = LaurentPoly(2, {e: c for e, c in terms.items() if c}, 2)
+                assert f_b2_poly(w, P) == expected, w
+
+    def test_ratio_reduces_the_running_product(self):
+        ring = _RationalScalars(F(1, 3))
+        run = ring.ratio(_Pair(6, 10), _Pair(4, 9), _Pair(8, 3))
+        assert (run.num, run.den) == (1, 10)
+        assert ring.coefficient(run) == F(1, 10)
 
 
 def _plan_report(r1, r2, P):
@@ -525,3 +602,50 @@ class TestConjectureCheck:
         }
         assert [c.mismatch for c in report.cases[1:]] == [None, None]
         assert not report.passed
+
+    def test_series_outside_the_operator_domain_fails(self, monkeypatch):
+        # a term off the weight's coset leaves the operator's division
+        # inexact: that is the difference equation's fail, not an abort
+        monkeypatch.setattr(qbc.b2, "f_b2_poly", _planted(F(1, 10 ** 9), (1, 0)))
+        report = _plan_report(1, 1, B2P1)
+        assert [c.verdict for c in report.cases] == ["pass", "fail", "fail"]
+        assert report.cases[2].mismatch == {
+            "expected": "series in the operator's domain",
+            "got": "InexactDivision: remainder is not divisible",
+        }
+
+
+def _planted(eps, key):
+    """f_b2_poly with eps times the orbit sum over the signed permutations
+    of the doubled exponent key added at weight (1, 1)."""
+    real = f_b2_poly
+
+    def planted(w, P, bound=None):
+        poly = real(w, P, bound)
+        if w == B2Weight(1, 1):
+            poly = poly + monomial_symmetric(key, 2, 2) * eps
+        return poly
+
+    return planted
+
+
+class TestNegativeControl:
+    """A planted error in the series at weight (1, 1) fails exactly that
+    weight's two comparisons at both points, the suite runs on, and
+    `qbc verify b2` exits 1."""
+
+    @pytest.mark.parametrize("key", [(1, 0), (2, 0)], ids=["off-coset", "even"])
+    def test_planted_error_fails_its_weight_only(self, key, monkeypatch, tmp_path, capsys):
+        monkeypatch.setenv(CACHE_ENV, str(tmp_path / "cache"))
+        monkeypatch.setattr(qbc.b2, "f_b2_poly", _planted(F(1, 10 ** 9), key))
+        report = run_suite("b2", default_config())
+        assert len(report.cases) == 74
+        failed = sorted(c.case_id for c in report.cases if c.verdict == "fail")
+        assert failed == [
+            f"b2-p{i}-r11-{check}"
+            for i in (1, 2)
+            for check in ("difference-equation", "eigenpolynomial")
+        ]
+        assert all(c.verdict == "pass" for c in report.cases if c.case_id not in failed)
+        assert main(["verify", "b2"]) == 1
+        assert capsys.readouterr().out.count("FAIL") == 4
