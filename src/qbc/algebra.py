@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, neg, sub
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import (
     DegenerateEigenvalues,
@@ -33,20 +33,16 @@ from .errors import (
     ParameterDegeneracy,
 )
 
-def rat(value, den=None) -> Fraction:
+def rat(value) -> Fraction:
     """Coerce ints, strings like '3/4', or Fractions to an exact Fraction.
 
     A bool is an int to Python but no number in a configuration, so it
     raises TypeError instead of reading as 0 or 1."""
     if isinstance(value, bool):
         raise TypeError(f"cannot build an exact rational from {value!r}")
-    if den is not None:
-        return Fraction(value, den)
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, str):
-        return Fraction(value)
-    if isinstance(value, int):
+    if isinstance(value, (str, int)):
         return Fraction(value)
     raise TypeError(f"cannot build an exact rational from {value!r}")
 
@@ -102,13 +98,11 @@ class ParamPoint:
         if self.sqrt_q in (0, 1, -1):
             raise ParameterDegeneracy("sqrt_q must avoid 0 and roots of unity")
         for name in ("a", "b", "c", "d"):
-            v = getattr(self, name)
-            if v is not None and v == 0:
+            if getattr(self, name) == 0:
                 raise ParameterDegeneracy(f"parameter {name} must be nonzero")
-        if self.sqrt_t is not None and self.sqrt_t == 0:
-            raise ParameterDegeneracy("sqrt_t must be nonzero")
-        if self.sqrt_T is not None and self.sqrt_T == 0:
-            raise ParameterDegeneracy("sqrt_T must be nonzero")
+        for name in ("sqrt_t", "sqrt_T"):
+            if getattr(self, name) == 0:
+                raise ParameterDegeneracy(f"{name} must be nonzero")
 
     @property
     def q(self) -> Fraction:
@@ -148,14 +142,10 @@ class ParamPoint:
 
     def canonical_key(self) -> str:
         """Deterministic filesystem-safe identifier for this point."""
-        parts = []
-        for name in ("a", "b", "c", "d", "sqrt_q", "sqrt_t", "sqrt_T", "s"):
-            v = getattr(self, name)
-            if v is None:
-                continue
-            txt = format_rational(v).replace("-", "m").replace("/", "d")
-            parts.append(f"{name}{txt}")
-        return "_".join(parts)
+        return "_".join(
+            name + txt.replace("-", "m").replace("/", "d")
+            for name, txt in self.to_json_obj().items()
+        )
 
     def to_json_obj(self) -> dict:
         out = {}
@@ -223,12 +213,6 @@ class LaurentPoly:
     @classmethod
     def monomial(cls, exps: Sequence[int], coeff=1, scale: int = 1) -> "LaurentPoly":
         return cls(len(exps), {tuple(exps): rat(coeff)}, scale)
-
-    @classmethod
-    def var(cls, i: int, num_vars: int, power: int = 1, scale: int = 1) -> "LaurentPoly":
-        exps = [0] * num_vars
-        exps[i] = power
-        return cls.monomial(exps, 1, scale)
 
     # -- basic protocol --------------------------------------------------------
 
@@ -358,29 +342,6 @@ class LaurentPoly:
         e = max(self.terms)
         return e, self.terms[e]
 
-    # -- symmetry actions -------------------------------------------------------
-
-    def act_signed(self, perm: Sequence[int], signs: Sequence[int]) -> "LaurentPoly":
-        """Apply the signed permutation x_i -> x_{perm[i]}^{signs[i]}.
-
-        perm is a permutation of range(num_vars); signs entries are +1 or -1.
-        The new exponent of variable perm[i] is signs[i] times the old
-        exponent of variable i.
-        """
-        out = {}
-        for exps, coeff in self.terms.items():
-            new = [0] * self.num_vars
-            for i, e in enumerate(exps):
-                new[perm[i]] = signs[i] * e
-            out[tuple(new)] = coeff
-        return LaurentPoly(self.num_vars, out, self.scale)
-
-    def invert_var(self, i: int) -> "LaurentPoly":
-        perm = list(range(self.num_vars))
-        signs = [1] * self.num_vars
-        signs[i] = -1
-        return self.act_signed(perm, signs)
-
     # -- serialization ----------------------------------------------------------
 
     def to_json_obj(self) -> dict:
@@ -398,13 +359,12 @@ class LaurentPoly:
         terms = {tuple(t["exps"]): Fraction(t["coeff"]) for t in obj["terms"]}
         return cls(obj["num_vars"], terms, obj.get("lattice_scale", 1))
 
-    def format_human(self, names: Optional[Sequence[str]] = None) -> str:
+    def format_human(self) -> str:
         if not self.terms:
             return "0"
-        if names is None:
-            names = (
-                ["x"] if self.num_vars == 1 else [f"x{i+1}" for i in range(self.num_vars)]
-            )
+        names = (
+            ["x"] if self.num_vars == 1 else [f"x{i+1}" for i in range(self.num_vars)]
+        )
         bits = []
         for exps, coeff in sorted(self.terms.items()):
             factors = []
@@ -526,106 +486,44 @@ def exact_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
 # -- partitions and dominance -------------------------------------------------
 
 
-class Partition:
-    """Weakly decreasing tuple of nonnegative integers, trailing zeros cut."""
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts: Iterable[int]):
-        parts = tuple(int(p) for p in parts)
-        while parts and parts[-1] == 0:
-            parts = parts[:-1]
-        for i, p in enumerate(parts):
-            if p < 0:
-                raise ValueError("partition parts must be nonnegative")
-            if i and parts[i - 1] < p:
-                raise ValueError("partition parts must weakly decrease")
-        self.parts = parts
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __len__(self):
-        return len(self.parts)
-
-    def __getitem__(self, i):
-        return self.parts[i]
-
-    def __eq__(self, other):
-        if isinstance(other, Partition):
-            return self.parts == other.parts
-        if isinstance(other, tuple):
-            while other and other[-1] == 0:
-                other = other[:-1]
-            return self.parts == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.parts)
-
-    def __repr__(self):
-        return f"Partition{self.parts}"
-
-    @property
-    def weight(self) -> int:
-        return sum(self.parts)
-
-    def padded(self, n: int) -> tuple:
-        if len(self.parts) > n:
-            raise LengthError(f"partition {self.parts} has more than {n} parts")
-        return self.parts + (0,) * (n - len(self.parts))
-
-    def partial_sums(self, n: int) -> tuple:
-        out, acc = [], 0
-        for p in self.padded(n):
-            acc += p
-            out.append(acc)
-        return tuple(out)
+def padded_partition(lam: Sequence[int], n: int) -> tuple:
+    """The partition lam as a dominant weight of n variables: its parts,
+    nonnegative and weakly decreasing, padded with zeros to length n."""
+    parts = tuple(int(p) for p in lam)
+    if any(p < 0 for p in parts) or any(a < b for a, b in zip(parts, parts[1:])):
+        raise ValueError(f"partition {parts} has a negative or an increasing part")
+    length = sum(1 for p in parts if p)
+    if length > n:
+        raise LengthError(f"partition {parts} has more than {n} parts")
+    return parts[:length] + (0,) * (n - length)
 
 
-def dominance_leq(mu: Partition, lam: Partition) -> bool:
-    """Partial-sum dominance after padding to a common length.
-
-    For hyperoctahedral weight orbits this is exactly the condition for the
-    dominant weight mu to lie in the convex hull of the orbit of lam, so it
-    also orders partitions of different weights.
-    """
-    n = max(len(mu), len(lam), 1)
-    return all(a <= b for a, b in zip(mu.partial_sums(n), lam.partial_sums(n)))
-
-
-def _weakly_decreasing(maxpart: int, maxlen: int, maxweight: int):
-    """Yield all weakly decreasing nonnegative tuples within the bounds."""
-
-    def rec(prefix, last, budget, slots):
-        yield tuple(prefix)
-        if not slots or budget == 0:
-            return
-        for p in range(min(last, budget), 0, -1):
-            prefix.append(p)
-            yield from rec(prefix, p, budget - p, slots - 1)
-            prefix.pop()
-
-    yield from rec([], maxpart, maxweight, maxlen)
-
-
-def dominated_partitions(lam: Partition, n: int) -> list:
+def dominated_partitions(lam: Sequence[int], n: int) -> list:
     """All partitions mu with at most n parts and mu <= lam in dominance,
-    sorted so the largest (lam itself) comes first.
+    padded to length n, with the largest (lam itself) first.
 
-    The sort key is the padded partial-sum tuple, descending; any strict
-    dominance relation strictly orders the keys, so this is a linear
-    extension of dominance.
+    mu <= lam when every partial sum of mu is at most the same partial sum
+    of lam.  For hyperoctahedral weight orbits this is exactly the condition
+    for the dominant weight mu to lie in the convex hull of the orbit of
+    lam, so it also orders partitions of different weights.  The recursion
+    picks the parts in turn, each at most the one before and keeping the
+    partial sum within lam's, the largest first.  So the list descends in
+    the partial-sum tuples, and any strict dominance relation strictly
+    orders those: a linear extension of dominance.
     """
-    if len(lam) > n:
-        raise LengthError(f"partition {lam.parts} needs more than {n} variables")
-    found = []
-    for parts in _weakly_decreasing(lam[0] if len(lam) else 0, n, lam.weight):
-        mu = Partition(parts)
-        if dominance_leq(mu, lam):
-            found.append(mu)
-    found.sort(key=lambda m: m.partial_sums(n), reverse=True)
-    return found
+    bounds = list(itertools.accumulate(padded_partition(lam, n)))
+
+    def extend(prefix: tuple, total: int):
+        if len(prefix) == n:
+            yield prefix
+            return
+        top = bounds[len(prefix)] - total
+        if prefix:
+            top = min(top, prefix[-1])
+        for p in range(top, -1, -1):
+            yield from extend(prefix + (p,), total + p)
+
+    return list(extend((), 0))
 
 
 # -- hyperoctahedral orbits ---------------------------------------------------
@@ -647,31 +545,29 @@ def signed_orbit(entries: Sequence[int]):
 def monomial_symmetric(entries: Sequence[int], n: int, scale: int = 1) -> LaurentPoly:
     """Orbit sum m_lambda = sum of x^mu over the signed-permutation orbit.
 
-    entries are lattice exponents (already doubled when scale=2) and are
-    padded with zeros to n variables.
+    entries is a dominant weight, a partition of lattice exponents (already
+    doubled when scale=2), and is padded with zeros to n variables.
     """
-    entries = tuple(int(e) for e in entries)
-    if len(entries) > n:
-        raise LengthError(f"{entries} has more than {n} entries")
-    entries = entries + (0,) * (n - len(entries))
-    return LaurentPoly(n, {e: 1 for e in signed_orbit(entries)}, scale)
+    orbit = signed_orbit(padded_partition(entries, n))
+    return LaurentPoly(n, {e: 1 for e in orbit}, scale)
 
 
 def weyl_invariant(f: LaurentPoly) -> bool:
     """True when f is invariant under permutations and inversions x_i -> 1/x_i.
 
-    Checking the standard generators (adjacent transpositions plus one sign
-    flip) suffices because they generate the whole hyperoctahedral group.
+    Checking the standard generators (adjacent transpositions plus the
+    inversion of the last variable) suffices because they generate the
+    whole hyperoctahedral group.  A generator w fixes f when each term
+    c x^e of f has the term c x^(w(e)) too, as w permutes exponents.
     """
-    n = f.num_vars
-    for i in range(n - 1):
-        perm = list(range(n))
-        perm[i], perm[i + 1] = perm[i + 1], perm[i]
-        if f.act_signed(perm, [1] * n) != f:
-            return False
-    if f.invert_var(n - 1) != f:
-        return False
-    return True
+    n, terms = f.num_vars, f.terms
+    generators = [_swap(n, i, i + 1, 1) for i in range(n - 1)]
+    generators.append(_swap(n, n - 1, n - 1, -1))
+    return all(
+        terms.get(_act(e, perm, signs)) == c
+        for perm, signs in generators
+        for e, c in terms.items()
+    )
 
 
 def decompose_symmetric(f: LaurentPoly) -> dict:
@@ -711,7 +607,8 @@ def _integer_numerators(p: LaurentPoly):
 
 
 def _swap(n: int, var: int, i: int, sign: int):
-    """act_signed arguments for x_var -> x_i^sign, x_i -> x_var."""
+    """The signed permutation x_var -> x_i^sign, x_i -> x_var as the
+    (perm, signs) of _act."""
     perm = list(range(n))
     perm[var], perm[i] = i, var
     signs = [1] * n
@@ -720,7 +617,9 @@ def _swap(n: int, var: int, i: int, sign: int):
 
 
 def _act(e: tuple, perm, signs) -> tuple:
-    """The exponent of w(x^e) for the signed permutation w of act_signed."""
+    """The exponent of w(x^e) for the signed permutation w that takes x_i to
+    x_(perm[i])^(signs[i]): the new exponent of variable perm[i] is
+    signs[i] times the old exponent of variable i."""
     new = [0] * len(e)
     for i, x in enumerate(e):
         new[perm[i]] = signs[i] * x

@@ -88,8 +88,8 @@ def aw_poly(n: int, P: ParamPoint) -> LaurentPoly:
             raise ParameterDegeneracy(
                 f"lower Pochhammer ({prod};q)_m vanishes for some m <= {n}"
             )
-    x = LaurentPoly.var(0, 1)
-    xinv = LaurentPoly.var(0, 1, power=-1)
+    x = LaurentPoly.monomial((1,))
+    xinv = LaurentPoly.monomial((-1,))
     one = LaurentPoly.one(1)
     abcd = a * b * c * d
     total = LaurentPoly.zero(1)
@@ -131,44 +131,6 @@ def aw_apply(f: LaurentPoly, P: ParamPoint) -> LaurentPoly:
     """
     P.require("a", "b", "c", "d")
     return _aw_operator(P).apply(f)
-
-
-def coeff_co(m: int, n: int, s, P: ParamPoint) -> Fraction:
-    """Odd-family coefficient c_o(m, n; s): base q with two q^2 ladders.
-
-    The per-term definition, every ladder rebuilt: the running-ratio walk
-    phi_series and fourfold_poly use is tested against it, and
-    odd_sum_check's direct side sums it."""
-    P.require("a", "b", "c", "d")
-    a, b, c, d, q = P.a, P.b, P.c, P.d, P.q
-    s = rat(s)
-    q2 = q * q
-    sac = q * s ** 2 / (a ** 2 * c ** 2)
-    abcd = a * b * c * d
-    qm = q ** m
-    mden = qpoch(q, q, m) * qpoch(q ** 2 * s ** 2 / abcd, q, m) * qpoch(sac, q2, m)
-    nden = (
-        qpoch(q, q, n)
-        * qpoch(qm * q ** 2 * s ** 2 / abcd, q, n)
-        * qpoch(-q * s / (a * c), q, n)
-        * qpoch(qm ** 2 * sac, q2, n)
-    )
-    if mden == 0 or nden == 0:
-        raise ParameterDegeneracy("vanishing lower Pochhammer in the odd family")
-    mnum = (
-        qpoch(-b / a, q, m)
-        * qpoch(s, q, m)
-        * qpoch(q * s / (c * d), q, m)
-        * qpoch(sac, q, m)
-    )
-    nnum = (
-        qpoch(-d / c, q, n)
-        * qpoch(qm * s, q, n)
-        * qpoch(q * s / (a * b), q, n)
-        * qpoch(-qm * q * s / (a * c), q, n)
-        * qpoch(qm * sac, q, n)
-    )
-    return (mnum / mden) * (q / b) ** m * (nnum / nden) * (q / d) ** n
 
 
 def _ladder_walk(tops, outer, inner, what: str):
@@ -548,13 +510,15 @@ def even_sum_forms(s, P: ParamPoint, N: int) -> EvenSumForms:
 
 def odd_sum_check(l: int, s, P: ParamPoint):
     """Pair (direct, closed) for the degree-l odd sum sum_m c_o(m, l-m; s);
-    equality of the two entries is the caller's test."""
+    equality of the two entries is the caller's test.  The direct side is
+    the last anti-diagonal of the odd walk over m + n <= l, the closed side
+    a head factor times a terminating 4phi3."""
     P.require("a", "b", "c", "d")
     a, b, c, d, q = P.a, P.b, P.c, P.d, P.q
     s = rat(s)
     if s == 0:
         raise ParameterDegeneracy("the closed odd form needs s != 0")
-    direct = sum(coeff_co(m, l - m, s, P) for m in range(l + 1))
+    direct = _odd_sums(s, P, [l - m for m in range(l + 1)])[l]
     half = P.sqrt_q * s / (a * c)
     head = qpoch_ratio(
         (-d / c, q * s / (a * b), s, q * s ** 2 / (a ** 2 * c ** 2)),

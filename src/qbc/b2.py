@@ -17,6 +17,7 @@ from .algebra import (
     LaurentPoly,
     ParamPoint,
     compose_symmetric,
+    dominated_partitions,
     format_rational,
     rat,
     solve_triangular_eigenproblem,
@@ -102,17 +103,14 @@ def _dominant_below(w: B2Weight):
 
     mu <= lam iff lam - mu is a nonnegative integer combination of the two
     simple roots, i.e. lam1 - mu1 >= 0 and |lam| - |mu| >= 0 within the same
-    half-integer coset.  Sorted by (total, first) descending, a linear
+    half-integer coset: the partitions dominated by the doubled w whose
+    entries have its parity.  Sorted by (total, first) descending, a linear
     extension of the order with w first.
     """
     D1, D2 = w.doubled
-    out = []
-    for d1 in range(D1 % 2, D1 + 1, 2):
-        for d2 in range(d1 % 2, d1 + 1, 2):
-            if d1 + d2 <= D1 + D2:
-                out.append((d1, d2))
-    out.sort(key=lambda d: (d[0] + d[1], d[0]), reverse=True)
-    return out
+    below = dominated_partitions((D1, D2), 2)
+    below = [d for d in below if d[0] % 2 == d[1] % 2 == D1 % 2]
+    return sorted(below, key=lambda d: (d[0] + d[1], d[0]), reverse=True)
 
 
 def b2_oracle(w: B2Weight, P: ParamPoint) -> LaurentPoly:
@@ -470,17 +468,15 @@ def _default_bound(w: B2Weight) -> int:
 
 
 @lru_cache(maxsize=None)
-def f_b2_poly(w: B2Weight, P: ParamPoint, bound: int = None) -> LaurentPoly:
+def f_b2_poly(w: B2Weight, P: ParamPoint) -> LaurentPoly:
     """The explicit series at the weight's own spectral point, fully expanded.
 
     The conjecture sweep and the threefold rows ask for the same weights,
-    so the result is memoized per (w, P, bound) for the process; it is
-    shared by every caller and must not be mutated."""
+    so the result is memoized per (w, P) for the process; it is shared by
+    every caller and must not be mutated."""
     P.require("sqrt_t", "sqrt_T")
-    if bound is None:
-        bound = _default_bound(w)
     ring = _RationalScalars(P.t)
-    terms = _series_terms(w, P, ring, bound)
+    terms = _series_terms(w, P, ring, _default_bound(w))
     return LaurentPoly(2, {e: c for e, c in terms.items() if c}, 2)
 
 
@@ -501,9 +497,8 @@ def b2_character_series(w: B2Weight, P: ParamPoint) -> LaurentPoly:
 
 
 def b2_character_polytope(r1: int, r2: int) -> LaurentPoly:
-    """Unit-coefficient monomial sum over the character polytope."""
-    if r1 < 0 or r2 < 0:
-        raise ValueError("fundamental-weight multiplicities must be nonnegative")
+    """Unit-coefficient monomial sum over the character polytope; negative
+    multiplicities raise ValueError, as B2Weight does."""
     w = B2Weight(r1, r2)
     d1, d2 = w.doubled
     out: dict = {}

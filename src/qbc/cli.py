@@ -235,11 +235,7 @@ def _cmd_compute(args, cfg: RunConfig) -> int:
 def _cmd_verify(args, cfg: RunConfig) -> int:
     families = (_FAMILY_BY_LETTER[args.family],) if args.family else None
     rows = (args.r,) if args.r is not None else None
-    ranks = None
-    if args.n is not None:
-        if args.n < 1:
-            raise UsageError("--n must be at least 1 here")
-        ranks = (args.n,)
+    ranks = (_rank(args),) if args.n is not None else None
     try:
         report = run_suite(args.suite, cfg, families=families, ranks=ranks, rows=rows)
     except ValueError as exc:
@@ -254,46 +250,27 @@ def _cmd_verify(args, cfg: RunConfig) -> int:
 
 def _cmd_cache(args, cfg: RunConfig) -> int:
     root = cache_root()
-    if args.action == "path":
-        text = (
-            json.dumps({"schema": 1, "cache_dir": str(root)}, sort_keys=True)
-            if args.json
-            else str(root)
-        )
-        _emit(text, args.out)
-        return 0
+    doc = {"schema": 1, "cache_dir": str(root)}
+    text = str(root)
     if args.action == "clear":
-        existed = root.exists()
-        if existed:
+        doc["cleared"] = root.exists()
+        if doc["cleared"]:
             try:
                 shutil.rmtree(root)
             except OSError as exc:
                 raise CacheError.from_os_error(exc, root) from exc
-        text = (
-            json.dumps(
-                {"schema": 1, "cache_dir": str(root), "cleared": existed},
-                sort_keys=True,
-            )
-            if args.json
-            else f"cleared {root}"
-        )
-        _emit(text, args.out)
-        return 0
-    count = 0
-    for _, cp, n, r in koornwinder_rows(cfg):
-        koorn_oracle((r,), cp.point, n)
-        count += 1
-    for _, _, _, Q, n, r in lassalle_rows(cfg):
-        koorn_oracle((r,), Q, n)
-        count += 1
-    text = (
-        json.dumps(
-            {"schema": 1, "cache_dir": str(root), "warmed": count}, sort_keys=True
-        )
-        if args.json
-        else f"warmed {count} oracle entries under {root}"
-    )
-    _emit(text, args.out)
+        text = f"cleared {root}"
+    elif args.action == "warm":
+        count = 0
+        for _, cp, n, r in koornwinder_rows(cfg):
+            koorn_oracle((r,), cp.point, n)
+            count += 1
+        for _, _, _, Q, n, r in lassalle_rows(cfg):
+            koorn_oracle((r,), Q, n)
+            count += 1
+        doc["warmed"] = count
+        text = f"warmed {count} oracle entries under {root}"
+    _emit(json.dumps(doc, sort_keys=True) if args.json else text, args.out)
     return 0
 
 

@@ -5,6 +5,7 @@ the kernel-function identity that ties the n-variable and one-variable
 operators together.
 """
 
+import hashlib
 import json
 import os
 import tempfile
@@ -16,10 +17,10 @@ from .algebra import (
     ClearedShiftOperator,
     LaurentPoly,
     ParamPoint,
-    Partition,
     compose_symmetric,
     dominated_partitions,
     format_rational,
+    padded_partition,
     rat,
     solve_triangular_eigenproblem,
 )
@@ -77,41 +78,48 @@ def koorn_apply(f: LaurentPoly, P: ParamPoint, n: int) -> LaurentPoly:
 
 
 def koorn_eigenvalue(lam, P: ParamPoint, n: int) -> Fraction:
-    lam = lam if isinstance(lam, Partition) else Partition(lam)
     P.require("a", "b", "c", "d", "sqrt_t")
     alpha, q, t = P.alpha, P.q, P.t
     total = Fraction(0)
-    for j, part in enumerate(lam.padded(n), start=1):
+    for j, part in enumerate(padded_partition(lam, n), start=1):
         base = alpha * t ** (n - j)
         shifted = base * q ** part
         total += shifted + 1 / shifted - base - 1 / base
     return total
 
 
-def _cache_path(lam: Partition, P: ParamPoint, n: int) -> Path:
-    name = "-".join(str(p) for p in lam.parts) or "0"
+def _cache_path(lam: tuple, P: ParamPoint, n: int) -> Path:
+    name = "-".join(str(p) for p in lam if p) or "0"
     return cache_root() / "koornwinder" / f"n{n}_lam{name}_{P.canonical_key()}.json"
 
 
-def _cache_header(lam: Partition, P: ParamPoint, n: int) -> dict:
+def _cache_header(lam: tuple, P: ParamPoint, n: int) -> dict:
     """The fields that tie a cache entry to the request it answers."""
     return {
         "schema": 1,
         "n": n,
-        "partition": list(lam.parts),
+        "partition": [p for p in lam if p],
         "point": P.to_json_obj(),
     }
 
 
-def _cache_load(path: Path, lam: Partition, P: ParamPoint, n: int):
+def _checksum(polynomial: dict) -> str:
+    """sha256 of an entry's polynomial body, as json.dump writes it."""
+    return hashlib.sha256(json.dumps(polynomial, sort_keys=True).encode()).hexdigest()
+
+
+def _cache_load(path: Path, lam: tuple, P: ParamPoint, n: int):
     """The cached solution, or None when the file is missing, unreadable as
-    an entry, or an entry for another request (a file copied over another
-    entry's name, say); the caller then solves and overwrites it.  Any other
-    failure to read it is a CacheError."""
+    an entry, an entry for another request (a file copied over another
+    entry's name, say), or one whose polynomial does not match its
+    checksum; the caller then solves and overwrites it.  Any other failure
+    to read it is a CacheError."""
     try:
         with path.open() as fh:
             entry = json.load(fh)
         if any(entry[k] != v for k, v in _cache_header(lam, P, n).items()):
+            return None
+        if entry["sha256"] != _checksum(entry["polynomial"]):
             return None
         return LaurentPoly.from_json_obj(entry["polynomial"])
     except (FileNotFoundError, KeyError, TypeError, ValueError, DimensionMismatch):
@@ -120,9 +128,10 @@ def _cache_load(path: Path, lam: Partition, P: ParamPoint, n: int):
         raise CacheError.from_os_error(exc, path) from exc
 
 
-def _cache_store(path: Path, lam: Partition, P: ParamPoint, n: int, poly: LaurentPoly):
+def _cache_store(path: Path, lam: tuple, P: ParamPoint, n: int, poly: LaurentPoly):
     """Write the entry atomically; a failure to write it is a CacheError."""
-    payload = dict(_cache_header(lam, P, n), polynomial=poly.to_json_obj())
+    body = poly.to_json_obj()
+    payload = dict(_cache_header(lam, P, n), polynomial=body, sha256=_checksum(body))
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
@@ -138,7 +147,7 @@ def _cache_store(path: Path, lam: Partition, P: ParamPoint, n: int, poly: Lauren
         raise CacheError.from_os_error(exc, path) from exc
 
 
-def koorn_oracle(lam, P: ParamPoint, n: int, use_cache: bool = True) -> LaurentPoly:
+def koorn_oracle(lam, P: ParamPoint, n: int) -> LaurentPoly:
     """The monic invariant eigenfunction indexed by a partition.
 
     Solved by back-substitution over the dominance-ordered monomial basis;
@@ -148,21 +157,20 @@ def koorn_oracle(lam, P: ParamPoint, n: int, use_cache: bool = True) -> LaurentP
     within a process the solve's columns are kept too, so solving several
     rows at one point applies the operator once per distinct basis element.
     A cache entry is used only when its schema, rank, partition and point
-    match the request; any other entry, or one that does not parse, is
-    solved again and overwritten.
+    match the request and its polynomial matches its sha256 checksum; any
+    other entry, or one that does not parse, is solved again and
+    overwritten.
     """
-    lam = lam if isinstance(lam, Partition) else Partition(lam)
+    lam = padded_partition(lam, n)
     P.require("a", "b", "c", "d", "sqrt_t")
     path = _cache_path(lam, P, n)
-    if use_cache:
-        cached = _cache_load(path, lam, P, n)
-        if cached is not None:
-            return cached
-    basis = [mu.padded(n) for mu in dominated_partitions(lam, n)]
+    cached = _cache_load(path, lam, P, n)
+    if cached is not None:
+        return cached
+    basis = dominated_partitions(lam, n)
     coeffs = solve_triangular_eigenproblem(basis, _koorn_operator(P, n).column)
     result = compose_symmetric(coeffs, n)
-    if use_cache:
-        _cache_store(path, lam, P, n, result)
+    _cache_store(path, lam, P, n, result)
     return result
 
 

@@ -6,6 +6,15 @@ from qbc import koornwinder
 
 
 @pytest.fixture
+def isolated_cache(tmp_path, monkeypatch):
+    """Point the oracle cache at an empty directory under tmp_path, so the
+    test solves every entry it asks for and writes nothing to ./cache."""
+    root = tmp_path / "cache"
+    monkeypatch.setenv(koornwinder.CACHE_ENV, str(root))
+    return root
+
+
+@pytest.fixture
 def g_builds(monkeypatch):
     """Give g_series_list empty G tables for the test; the returned list
     records each (order, n, P) entry as it is built."""

@@ -21,8 +21,6 @@ import pytest
 from qbc.algebra import (
     LaurentPoly,
     ParamPoint,
-    Partition,
-    dominance_leq,
     dominated_partitions,
     exact_div,
     monomial_symmetric,
@@ -176,7 +174,17 @@ def _random_poly(rng, num_vars, terms=4, span=3):
 
 def _random_partition(rng, max_part=4, max_len=3):
     length = rng.randint(0, max_len)
-    return Partition(tuple(sorted((rng.randint(1, max_part) for _ in range(length)), reverse=True)))
+    return tuple(sorted((rng.randint(1, max_part) for _ in range(length)), reverse=True))
+
+
+def _padded(mu, n=3):
+    return tuple(mu) + (0,) * (n - len(mu))
+
+
+def _dominance_leq(mu, lam, n=3):
+    """Partial-sum dominance of two partitions of at most n parts."""
+    sums = (itertools.accumulate(_padded(p, n)) for p in (mu, lam))
+    return all(a <= b for a, b in zip(*sums))
 
 
 def test_criterion_10_property_suites():
@@ -198,27 +206,31 @@ def test_criterion_10_property_suites():
         k = rng.choice((1, 2))
         assert qshift(qshift(f, i, k, P), i, -k, P) == f
 
-    # dominance is reflexive, antisymmetric, transitive, and matches the
-    # enumerated down-set
+    # the dominated down-sets order partitions reflexively,
+    # antisymmetrically and transitively, and each matches the down-set
+    # enumerated by partial sums
+    def leq(mu, lam):
+        return _padded(mu) in dominated_partitions(lam, 3)
+
     for _ in range(120):
         mu, nu, lam = (_random_partition(rng) for _ in range(3))
-        assert dominance_leq(mu, mu)
-        if dominance_leq(mu, nu) and dominance_leq(nu, mu):
-            assert tuple(mu) == tuple(nu)
-        if dominance_leq(mu, nu) and dominance_leq(nu, lam):
-            assert dominance_leq(mu, lam)
+        assert leq(mu, mu)
+        if leq(mu, nu) and leq(nu, mu):
+            assert mu == nu
+        if leq(mu, nu) and leq(nu, lam):
+            assert leq(mu, lam)
     for _ in range(30):
         lam = _random_partition(rng)
-        listed = {tuple(mu) for mu in dominated_partitions(lam, 3)}
+        listed = set(dominated_partitions(lam, 3))
         top = lam[0] if len(lam) else 0
         everything = set()
         for length in range(4):
             for parts in itertools.product(range(1, top + 1), repeat=length):
                 cand = tuple(sorted(parts, reverse=True))
-                if dominance_leq(Partition(cand), lam):
-                    everything.add(cand)
-        if dominance_leq(Partition(()), lam):
-            everything.add(())
+                if _dominance_leq(cand, lam):
+                    everything.add(_padded(cand))
+        if _dominance_leq((), lam):
+            everything.add(_padded(()))
         assert listed == everything
 
     # exact division by a binomial inverts multiplication; a divisor with
@@ -241,7 +253,7 @@ def test_criterion_10_property_suites():
         P4 = AW_POINTS[rng.randrange(len(AW_POINTS))]
         n = rng.randint(0, 5)
         poly = aw_poly(n, P4)
-        assert poly.invert_var(0) == poly
+        assert weyl_invariant(poly)
 
     # orbit sums and their products are hyperoctahedrally invariant
     for _ in range(40):

@@ -1,6 +1,7 @@
 """Substrate checks: Laurent arithmetic, exact division, partitions, orbits."""
 
 import heapq
+import itertools
 import math
 from fractions import Fraction as F
 from functools import lru_cache
@@ -15,12 +16,12 @@ from qbc.algebra import (
     ClearedShiftOperator,
     LaurentPoly,
     ParamPoint,
-    Partition,
+    compose_symmetric,
     decompose_symmetric,
-    dominance_leq,
     dominated_partitions,
     exact_div,
     monomial_symmetric,
+    padded_partition,
     rat,
     rational_sqrt,
     signed_orbit,
@@ -412,58 +413,96 @@ class TestQShift:
 
 class TestPartitions:
     def test_validation(self):
-        assert Partition([3, 1, 0, 0]).parts == (3, 1)
+        assert padded_partition([3, 1, 0, 0], 2) == (3, 1)
         with pytest.raises(ValueError):
-            Partition([1, 2])
+            padded_partition([1, 2], 2)
         with pytest.raises(ValueError):
-            Partition([2, -1])
+            padded_partition([2, -1], 2)
 
     def test_equality_with_tuples(self):
-        assert Partition([2, 1]) == (2, 1)
-        assert Partition([2, 1]) == (2, 1, 0, 0)
-        assert Partition([]) == ()
-        assert Partition([]) == (0, 0)
-        assert Partition([1]) != (0, 1)
-        assert Partition([1]) != (1, -1)
-        assert not Partition([1]) == (2,)
+        # a partition is its padded tuple, whatever zeros it came with
+        assert padded_partition([2, 1], 2) == (2, 1)
+        assert padded_partition([2, 1], 4) == (2, 1, 0, 0)
+        assert padded_partition([2, 1, 0, 0], 2) == (2, 1)
+        assert padded_partition([], 0) == ()
+        assert padded_partition([], 2) == (0, 0)
+        assert padded_partition([1], 2) != (0, 1)
+        with pytest.raises(ValueError):
+            padded_partition([0, 1], 2)
+        with pytest.raises(ValueError):
+            padded_partition([1, -1], 2)
 
     def test_padding_guard(self):
         with pytest.raises(LengthError):
-            Partition([2, 1, 1]).padded(2)
+            padded_partition([2, 1, 1], 2)
+        with pytest.raises(LengthError):
+            dominated_partitions((2, 1, 1), 2)
 
     def test_dominance_basics(self):
-        assert dominance_leq(Partition([1, 1]), Partition([2]))
-        assert not dominance_leq(Partition([2]), Partition([1, 1]))
-        assert dominance_leq(Partition([2, 1]), Partition([3]))
-        assert dominance_leq(Partition([]), Partition([1]))
+        assert (1, 1) in dominated_partitions((2,), 2)
+        assert (2, 0) not in dominated_partitions((1, 1), 2)
+        assert (2, 1, 0) in dominated_partitions((3,), 3)
+        assert (0,) in dominated_partitions((1,), 1)
 
     def test_dominated_enumeration(self):
-        got = dominated_partitions(Partition([2]), 2)
-        assert got[0] == Partition([2])
-        assert set(p.parts for p in got) == {(2,), (1,), (1, 1), ()}
+        got = dominated_partitions((2,), 2)
+        assert got[0] == (2, 0)
+        assert set(got) == {(2, 0), (1, 0), (1, 1), (0, 0)}
 
     def test_dominated_sorted_descending(self):
-        got = dominated_partitions(Partition([3]), 3)
-        sums = [p.partial_sums(3) for p in got]
+        got = dominated_partitions((3,), 3)
+        sums = [tuple(itertools.accumulate(p)) for p in got]
         assert sums == sorted(sums, reverse=True)
 
 
 @settings(derandomize=True, max_examples=150)
 @given(st.data())
 def test_dominance_partial_order_laws(data):
+    # mu <= lam in dominance exactly when mu is in lam's down-set
     def partition(label):
         parts = data.draw(
             st.lists(st.integers(min_value=0, max_value=5), min_size=0, max_size=4),
             label=label,
         )
-        return Partition(sorted(parts, reverse=True))
+        return tuple(sorted(parts, reverse=True))
+
+    def leq(mu, lam):
+        return padded_partition(mu, 4) in dominated_partitions(lam, 4)
 
     a, b, c = partition("a"), partition("b"), partition("c")
-    assert dominance_leq(a, a)
-    if dominance_leq(a, b) and dominance_leq(b, a):
-        assert a == b
-    if dominance_leq(a, b) and dominance_leq(b, c):
-        assert dominance_leq(a, c)
+    assert leq(a, a)
+    if leq(a, b) and leq(b, a):
+        assert padded_partition(a, 4) == padded_partition(b, 4)
+    if leq(a, b) and leq(b, c):
+        assert leq(a, c)
+
+
+def _dominance_leq(mu: tuple, lam: tuple) -> bool:
+    """Partial-sum dominance of two partitions padded to one length."""
+    return all(a <= b for a, b in zip(itertools.accumulate(mu), itertools.accumulate(lam)))
+
+
+@lru_cache(maxsize=None)
+def _all_partitions(n: int, weight: int) -> tuple:
+    """Every weakly decreasing nonnegative n-tuple of sum at most weight."""
+    return tuple(
+        mu
+        for mu in itertools.product(range(weight, -1, -1), repeat=n)
+        if sum(mu) <= weight and all(a >= b for a, b in zip(mu, mu[1:]))
+    )
+
+
+@settings(derandomize=True, max_examples=200)
+@given(st.data())
+def test_dominated_partitions_match_brute_force(data):
+    # the pruned recursion lists exactly the dominated partitions, in
+    # descending partial-sum order, with or without lam's trailing zeros
+    n = data.draw(st.integers(0, 5), label="n")
+    lam = data.draw(st.sampled_from(_all_partitions(n, 5)), label="lam")
+    want = [mu for mu in _all_partitions(n, 5) if _dominance_leq(mu, lam)]
+    want.sort(key=lambda mu: tuple(itertools.accumulate(mu)), reverse=True)
+    parts = tuple(p for p in lam if p)
+    assert dominated_partitions(lam, n) == dominated_partitions(parts, n) == want
 
 
 @settings(derandomize=True, max_examples=100)
@@ -619,6 +658,57 @@ def test_binomial_division_matches_heap_path(data):
     _check_binomial_division(f, g)
 
 
+def _act_signed(f: LaurentPoly, perm, signs) -> LaurentPoly:
+    """The signed permutation x_i -> x_(perm[i])^(signs[i]) applied to f
+    as a whole polynomial: the new exponent of variable perm[i] is signs[i]
+    times the old exponent of variable i."""
+    out = {}
+    for exps, coeff in f.terms.items():
+        new = [0] * f.num_vars
+        for i, e in enumerate(exps):
+            new[perm[i]] = signs[i] * e
+        out[tuple(new)] = coeff
+    return LaurentPoly(f.num_vars, out, f.scale)
+
+
+def _reference_weyl_invariant(f: LaurentPoly) -> bool:
+    """weyl_invariant as whole-polynomial images of the generators."""
+    n = f.num_vars
+    for i in range(n - 1):
+        perm = list(range(n))
+        perm[i], perm[i + 1] = perm[i + 1], perm[i]
+        if _act_signed(f, perm, [1] * n) != f:
+            return False
+    signs = [1] * n
+    signs[n - 1] = -1
+    return _act_signed(f, list(range(n)), signs) == f
+
+
+@settings(derandomize=True, max_examples=300)
+@given(st.data())
+def test_weyl_invariant_matches_whole_polynomial_images(data):
+    # orbit-sum combinations, the same with one monomial added, and
+    # arbitrary polynomials: the term-by-term check gives the verdict of
+    # comparing each generator's image of f with f
+    n = data.draw(st.integers(1, 3), label="n")
+    scale = data.draw(st.sampled_from((1, 2)), label="scale")
+    exps = st.lists(st.integers(-2, 2), min_size=n, max_size=n).map(tuple)
+    kind = data.draw(st.sampled_from(("invariant", "perturbed", "arbitrary")), label="kind")
+    if kind == "arbitrary":
+        terms = data.draw(st.dictionaries(exps, _nonzero_rationals(), max_size=6), label="f")
+        f = LaurentPoly(n, terms, scale)
+    else:
+        keys = st.lists(st.integers(0, 2), min_size=n, max_size=n).map(
+            lambda e: tuple(sorted(e, reverse=True))
+        )
+        coeffs = data.draw(st.dictionaries(keys, _nonzero_rationals(), max_size=3), label="f")
+        f = compose_symmetric(coeffs, n, scale)
+        if kind == "perturbed":
+            e, c = data.draw(st.tuples(exps, _nonzero_rationals()), label="bump")
+            f = f + LaurentPoly.monomial(e, c, scale)
+    assert weyl_invariant(f) == _reference_weyl_invariant(f)
+
+
 class TestOrbits:
     def test_signed_orbit_counts(self):
         assert len(signed_orbit((1, 0))) == 4
@@ -669,9 +759,9 @@ class TestClearedShiftOperator:
     @pytest.mark.parametrize(
         "apply, point, f",
         [
-            (lambda f, P: koorn_apply(f, P, 2), "koornwinder", LaurentPoly.var(0, 2)),
-            (aw_apply, "askey-wilson", LaurentPoly.var(0, 1)),
-            (b2_apply, "b2", LaurentPoly.var(0, 2, power=2, scale=2)),
+            (lambda f, P: koorn_apply(f, P, 2), "koornwinder", LaurentPoly.monomial((1, 0))),
+            (aw_apply, "askey-wilson", LaurentPoly.monomial((1,))),
+            (b2_apply, "b2", LaurentPoly.monomial((2, 0), 1, 2)),
         ],
     )
     def test_non_invariant_input_raises(self, apply, point, f):
@@ -855,11 +945,11 @@ def _aw_terms(P):
     """The up- and down-shift terms of the Askey-Wilson operator."""
     q = P.q
     one = LaurentPoly.one(1)
-    x2 = LaurentPoly.var(0, 1, power=2)
-    xm2 = LaurentPoly.var(0, 1, power=-2)
+    x2 = LaurentPoly.monomial((2,))
+    xm2 = LaurentPoly.monomial((-2,))
 
     def affine(u, power):
-        return one - LaurentPoly.var(0, 1, power=power) * rat(u)
+        return one - LaurentPoly.monomial((power,), rat(u))
 
     params = (P.a, P.b, P.c, P.d)
     up = _Term(tuple(affine(u, 1) for u in params), (one - x2, one - x2 * q), 0, 1)
@@ -1058,7 +1148,7 @@ def test_orbit_fold_matches_explicit_sum(kind, P, n, top, data):
 
 class _FractionOperator(ClearedShiftOperator):
     """The operator built from LaurentPoly factors over Fraction: every
-    factor image goes through act_signed and _unit_normalize, L is the
+    factor image goes through _act_signed and _unit_normalize, L is the
     product of the lead-one canonical factors, and apply shifts with
     qshift.  It shares _fold and column with the record build.  cof is
     L A_0 times the absorbed pole's canonical factor, and radix the product
@@ -1087,7 +1177,7 @@ class _FractionOperator(ClearedShiftOperator):
         for perm, signs in orbit:
             counts: dict = {}
             for factor, _ in kept:
-                canon, _, _ = _unit_normalize(factor.act_signed(perm, signs))
+                canon, _, _ = _unit_normalize(_act_signed(factor, perm, signs))
                 key = canon.key()
                 counts[key] = counts.get(key, 0) + 1
                 if key not in lcd or lcd[key][1] < counts[key]:
@@ -1131,7 +1221,7 @@ class _FractionOperator(ClearedShiftOperator):
     def _image(self, perm, signs):
         coeff, shift = F(1), (0,) * len(perm)
         for canon, mult in self._lcd.values():
-            image, lc, lo = _unit_normalize(canon.act_signed(perm, signs))
+            image, lc, lo = _unit_normalize(_act_signed(canon, perm, signs))
             if self._lcd.get(image.key(), (None, 0))[1] != mult:
                 raise ValueError("denominators are not closed under signed permutations")
             coeff *= lc**mult
@@ -1183,10 +1273,10 @@ def _check_builds_agree(P, n, numer, denom, scalar, scale, keys):
 def _partitions(n, top):
     """The partitions of weight at most top with at most n parts, padded."""
     return [
-        mu.padded(n)
+        mu
         for w in range(top + 1)
-        for mu in dominated_partitions(Partition((w,)), n)
-        if mu.weight == w
+        for mu in dominated_partitions((w,), n)
+        if sum(mu) == w
     ]
 
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qbc.algebra import LaurentPoly, ParamPoint, monomial_symmetric, rat
+from qbc.algebra import LaurentPoly, ParamPoint, monomial_symmetric, rat, weyl_invariant
 from qbc.askey_wilson import (
     FULL_BASE,
     HALF_BASE,
@@ -21,7 +21,6 @@ from qbc.askey_wilson import (
     aw_apply,
     aw_eigenvalue,
     aw_poly,
-    coeff_co,
     co_recast_sums,
     ce_prime_sums,
     even_sum_closed,
@@ -33,7 +32,7 @@ from qbc.askey_wilson import (
     simplified_series,
 )
 from qbc.errors import ParameterDegeneracy, QbcError
-from qbc.qseries import qpoch, qpoch_multi
+from qbc.qseries import PhiSpec, phi_sum, qpoch, qpoch_multi, qpoch_ratio
 from test_algebra import _exponent_box, qshift
 
 # Parameter values stay away from integer and half-integer powers of q: with
@@ -50,8 +49,7 @@ POINTS = [POINT_A, POINT_B, POINT_C]
 # -- per-term definitions ------------------------------------------------------
 #
 # The coefficient families with every Pochhammer ladder rebuilt per term.  The
-# program sums them only through running-ratio walks (coeff_co stays in
-# askey_wilson, whose odd_sum_check sums it directly); these are the
+# program sums them only through running-ratio walks; these are the
 # definitions the walks are checked against.
 
 
@@ -81,6 +79,43 @@ def coeff_ce(k: int, l: int, s, P: ParamPoint) -> Fraction:
         * qpoch(q ** 2 * s ** 2 / a ** 4, q2, 2 * l)
     )
     return (knum / kden) * (q2 / a ** 2) ** k * (lnum / lden) * (q2 / c ** 2) ** l
+
+
+def coeff_co(m: int, n: int, s, P: ParamPoint) -> Fraction:
+    """Odd-family coefficient c_o(m, n; s): base q with two q^2 ladders.
+
+    The per-term definition, every ladder rebuilt: the running-ratio walk
+    phi_series, fourfold_poly and odd_sum_check use is tested against it."""
+    P.require("a", "b", "c", "d")
+    a, b, c, d, q = P.a, P.b, P.c, P.d, P.q
+    s = rat(s)
+    q2 = q * q
+    sac = q * s ** 2 / (a ** 2 * c ** 2)
+    abcd = a * b * c * d
+    qm = q ** m
+    mden = qpoch(q, q, m) * qpoch(q ** 2 * s ** 2 / abcd, q, m) * qpoch(sac, q2, m)
+    nden = (
+        qpoch(q, q, n)
+        * qpoch(qm * q ** 2 * s ** 2 / abcd, q, n)
+        * qpoch(-q * s / (a * c), q, n)
+        * qpoch(qm ** 2 * sac, q2, n)
+    )
+    if mden == 0 or nden == 0:
+        raise ParameterDegeneracy("vanishing lower Pochhammer in the odd family")
+    mnum = (
+        qpoch(-b / a, q, m)
+        * qpoch(s, q, m)
+        * qpoch(q * s / (c * d), q, m)
+        * qpoch(sac, q, m)
+    )
+    nnum = (
+        qpoch(-d / c, q, n)
+        * qpoch(qm * s, q, n)
+        * qpoch(q * s / (a * b), q, n)
+        * qpoch(-qm * q * s / (a * c), q, n)
+        * qpoch(qm * sac, q, n)
+    )
+    return (mnum / mden) * (q / b) ** m * (nnum / nden) * (q / d) ** n
 
 
 def coeff_co_recast(m: int, n: int, s, P: ParamPoint) -> Fraction:
@@ -173,8 +208,8 @@ class TestAwPoly:
         # a^-1 [(1-ab)(1-ac)(1-ad) - (1-abcd)(1-ax)(1-a/x)]
         P = POINT_A
         a, b, c, d = P.a, P.b, P.c, P.d
-        x = LaurentPoly.var(0, 1)
-        xinv = LaurentPoly.var(0, 1, power=-1)
+        x = LaurentPoly.monomial((1,))
+        xinv = LaurentPoly.monomial((-1,))
         one = LaurentPoly.one(1)
         expected = (
             one * ((1 - a * b) * (1 - a * c) * (1 - a * d))
@@ -184,7 +219,7 @@ class TestAwPoly:
 
     def test_inversion_symmetry(self):
         p = aw_poly(4, POINT_B)
-        assert p.invert_var(0) == p
+        assert weyl_invariant(p)
 
     def test_top_degree_present(self):
         p = aw_poly(5, POINT_A)
@@ -240,7 +275,7 @@ class TestOperator:
         image = aw_apply(monomial_symmetric((2,), 1), P)
         lo, hi = _exponent_box(image)
         assert lo[0] >= -2 and hi[0] <= 2
-        assert image.invert_var(0) == image
+        assert weyl_invariant(image)
 
     @settings(derandomize=True, max_examples=20)
     @given(st.integers(0, 4), st.sampled_from(POINTS))
@@ -357,7 +392,7 @@ class TestSeriesIdentities:
 
     def test_fourfold_palindromic(self):
         p = fourfold_poly(3, POINT_C)
-        assert p.invert_var(0) == p
+        assert weyl_invariant(p)
 
     def test_polyhedron_size(self):
         lam = 3
@@ -389,7 +424,7 @@ class TestSeriesIdentities:
         one = LaurentPoly.one(1, 2)
 
         def xp(p):
-            return LaurentPoly.var(0, 1, power=2 * p, scale=2)
+            return LaurentPoly.monomial((2 * p,), 1, 2)
 
         lcd = (one - xp(2)) * (one - xp(2) * q) * (one - xp(2) * (1 / q))
         gup = one - xp(2) * (1 / q)
@@ -557,6 +592,30 @@ def _odd_first(reference, s, P, N):
     return reference(s, P, N)
 
 
+def _odd_sum_check_reference(l, s, P):
+    """odd_sum_check with its direct side summed term by term through
+    coeff_co, as it was before it read the odd walk."""
+    P.require("a", "b", "c", "d")
+    a, b, c, d, q = P.a, P.b, P.c, P.d, P.q
+    s = rat(s)
+    if s == 0:
+        raise ParameterDegeneracy("the closed odd form needs s != 0")
+    direct = sum(coeff_co(m, l - m, s, P) for m in range(l + 1))
+    half = P.sqrt_q * s / (a * c)
+    head = qpoch_ratio(
+        (-d / c, q * s / (a * b), s, q * s ** 2 / (a ** 2 * c ** 2)),
+        (q, q ** 2 * s ** 2 / (a * b * c * d), half, -half),
+        q, l, "the head factor of the closed odd form",
+    )
+    spec = PhiSpec(
+        uppers=(q ** -l, -(q ** -l) * a * c / s, -b / a, q * s / (c * d)),
+        lowers=(-(q ** (-l + 1)) * c / d, q ** -l * a * b / s, -q * s / (a * c)),
+        base=q,
+        argument=q,
+    )
+    return direct, head * (q / d) ** l * phi_sum(spec, l)
+
+
 def _outcome(fn, *args):
     """The value, or the class and message of the QbcError raised instead."""
     try:
@@ -639,6 +698,16 @@ class TestRunningRatioWalks:
             lambda: [sum(coeff_co_recast(w - n, n, s, P) for n in range(w + 1))
                      for w in range(W + 1)]
         )
+
+    @settings(derandomize=True, max_examples=250, deadline=None)
+    @given(_walk_inputs(), st.integers(0, 6))
+    @example(ODD_POLE, 2)
+    @example(ODD_POLE, 1)
+    def test_odd_sum_check_matches_per_term_sum(self, drawn, l):
+        # the direct side read off the odd walk is the per-term sum, and
+        # it raises exactly where a term of the sum does
+        P, s = drawn
+        assert _outcome(odd_sum_check, l, s, P) == _outcome(_odd_sum_check_reference, l, s, P)
 
     def test_even_walk_stops_at_a_vanishing_lower_ladder(self):
         # q^3 s^2/(a^2 c^2) = q^-2, so (q^3 s^2/(a^2 c^2); q^2)_l vanishes

@@ -234,7 +234,7 @@ class TestExplicitSeries:
 
     def test_tiny_scan_bound_raises(self):
         with pytest.raises(NonTerminating):
-            f_b2_poly(B2Weight(2, 2), B2P1, bound=1)
+            _series_terms(B2Weight(2, 2), B2P1, _RationalScalars(B2P1.t), 1)
 
 
 class TestSingleRowCollapse:
@@ -620,8 +620,8 @@ def _planted(eps, key):
     of the doubled exponent key added at weight (1, 1)."""
     real = f_b2_poly
 
-    def planted(w, P, bound=None):
-        poly = real(w, P, bound)
+    def planted(w, P):
+        poly = real(w, P)
         if w == B2Weight(1, 1):
             poly = poly + monomial_symmetric(key, 2, 2) * eps
         return poly

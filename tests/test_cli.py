@@ -1,20 +1,17 @@
 """End-to-end tests of the command-line interface, in process via main()."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
 from qbc.b2 import B2Weight, f_b2_poly
 from qbc.cli import main
-from qbc.algebra import Partition
 from qbc.koornwinder import CACHE_ENV, _cache_path, koorn_oracle
 from qbc.macdonald_bcd import FAMILY_D, FamilyTag, mac_row
 from qbc.suites import default_config
 
-
-@pytest.fixture(autouse=True)
-def _isolated_cache(tmp_path, monkeypatch):
-    monkeypatch.setenv(CACHE_ENV, str(tmp_path / "cache"))
+pytestmark = pytest.mark.usefixtures("isolated_cache")
 
 
 def _write_config(tmp_path, obj):
@@ -244,7 +241,7 @@ class TestCache:
         assert main(["verify", "koornwinder", "--n", "1"]) == 0
         capsys.readouterr()
         P = default_config().points("koornwinder")[0].point
-        return _cache_path(Partition((1,)), P, 1), _cache_path(Partition((2,)), P, 1)
+        return _cache_path((1,), P, 1), _cache_path((2,), P, 1)
 
     def _assert_solved_again(self, path, capsys):
         assert main(["verify", "koornwinder", "--n", "1", "--json"]) == 0
@@ -277,3 +274,28 @@ class TestCache:
         text = row1.read_text()
         row1.write_text(text[: len(text) // 2])
         self._assert_solved_again(row1, capsys)
+
+    @pytest.mark.parametrize("checksum", ["kept", "missing"])
+    def test_changed_coefficient_is_solved_again(self, checksum, capsys):
+        # a well-formed entry for the right request whose polynomial no
+        # longer matches its checksum, or that has none, is stale: it is
+        # solved again, never read into a verdict
+        row1, _ = self._rank_one_entry(capsys)
+        entry = json.loads(row1.read_text())
+        solved = entry["polynomial"]
+        changed = json.loads(json.dumps(solved))
+        term = changed["terms"][0]
+        term["coeff"] = str(Fraction(term["coeff"]) + 1)
+        entry["polynomial"] = changed
+        if checksum == "missing":
+            del entry["sha256"]
+        row1.write_text(json.dumps(entry, sort_keys=True))
+        self._assert_solved_again(row1, capsys)
+        assert json.loads(row1.read_text())["polynomial"] == solved
+
+    def test_entry_names_use_the_nonzero_parts(self):
+        P = default_config().points("koornwinder")[0].point
+        path = _cache_path((2, 0, 0), P, 3)
+        assert path == _cache_path((2,), P, 3)
+        assert path.name == f"n3_lam2_{P.canonical_key()}.json"
+        assert _cache_path((), P, 3).name == f"n3_lam0_{P.canonical_key()}.json"

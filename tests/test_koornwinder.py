@@ -13,7 +13,6 @@ from qbc.algebra import (
     ClearedShiftOperator,
     LaurentPoly,
     ParamPoint,
-    Partition,
     dominated_partitions,
     monomial_symmetric,
 )
@@ -135,22 +134,26 @@ def _partitions_of_weight(w, length):
 
 
 class TestOracle:
+    @pytest.mark.usefixtures("isolated_cache")
     def test_trivial_partition(self):
-        assert koorn_oracle((), POINT_K1, 2, use_cache=False) == LaurentPoly.one(2)
+        assert koorn_oracle((), POINT_K1, 2) == LaurentPoly.one(2)
 
+    @pytest.mark.usefixtures("isolated_cache")
     def test_rank_one_is_monic_rescale(self):
         P = POINT_K1
         p = aw_poly(2, P)
         monic = p * (1 / p.coeff((2,)))
-        assert koorn_oracle((2,), P, 1, use_cache=False) == monic
+        assert koorn_oracle((2,), P, 1) == monic
 
+    @pytest.mark.usefixtures("isolated_cache")
     def test_eigen_residual_and_monic(self):
         P = POINT_K1
-        poly = koorn_oracle((2, 1), P, 2, use_cache=False)
+        poly = koorn_oracle((2, 1), P, 2)
         assert poly.coeff((2, 1)) == 1
         eig = koorn_eigenvalue((2, 1), P, 2)
         assert koorn_apply(poly, P, 2) == poly * eig
 
+    @pytest.mark.usefixtures("isolated_cache")
     def test_rows_share_operator_columns(self, monkeypatch):
         # the bases of rows 0-3 at rank 3 nest, so four uncached solves
         # apply the operator once per distinct mu, not once per column; the
@@ -166,10 +169,10 @@ class TestOracle:
         monkeypatch.setattr(ClearedShiftOperator, "apply", spy)
         distinct, columns = set(), 0
         for r in range(4):
-            basis = dominated_partitions(Partition((r,)), 3)
+            basis = dominated_partitions((r,), 3)
             distinct.update(basis)
             columns += len(basis)
-            koorn_oracle((r,), POINT_K1, 3, use_cache=False)
+            koorn_oracle((r,), POINT_K1, 3)
         assert columns == 14
         assert len(applied) == len(set(applied)) == len(distinct) == 7
 
@@ -274,11 +277,12 @@ class TestOneRowFormulas:
         assert g_row_sym(0, P, 2) == LaurentPoly.one(2)
         assert g_row_sym(1, P, 2) == g_series(1, 2, P)
 
+    @pytest.mark.usefixtures("isolated_cache")
     def test_row_sym_matches_oracle(self):
         P = POINT_SYM
         for r in range(4):
             head = qpoch(P.t, P.q, r) / qpoch(P.q, P.q, r)
-            expected = koorn_oracle((r,), P, 2, use_cache=False) * head
+            expected = koorn_oracle((r,), P, 2) * head
             assert g_row_sym(r, P, 2) == expected
 
     def test_row_general_collapses_to_sym(self):
@@ -286,18 +290,20 @@ class TestOneRowFormulas:
         for r in range(3):
             assert g_row_general(r, P, 2) == g_row_sym(r, P, 2)
 
+    @pytest.mark.usefixtures("isolated_cache")
     def test_row_general_matches_oracle_rank_one(self):
         P = POINT_K1
         for r in range(4):
             head = qpoch(P.t, P.q, r) / qpoch(P.q, P.q, r)
-            expected = koorn_oracle((r,), P, 1, use_cache=False) * head
+            expected = koorn_oracle((r,), P, 1) * head
             assert g_row_general(r, P, 1) == expected
 
+    @pytest.mark.usefixtures("isolated_cache")
     def test_row_general_matches_oracle_two_vars(self):
         for P in (POINT_K1, POINT_K2):
             for r in range(3):
                 head = qpoch(P.t, P.q, r) / qpoch(P.q, P.q, r)
-                expected = koorn_oracle((r,), P, 2, use_cache=False) * head
+                expected = koorn_oracle((r,), P, 2) * head
                 assert g_row_general(r, P, 2) == expected
 
 

@@ -1,11 +1,14 @@
-"""Layout checks: no dead definitions in src/qbc, no unused imports in
-src/qbc or tests.
+"""Layout checks: no dead definitions and no unset defaulted parameters in
+src/qbc, no unused imports in src/qbc or tests.
 
 A function, class or method that nothing in the package refers to is code
 that `qbc verify` and `qbc compute` never reach; a test that needs one should
-hold its own copy as a reference.  The checks read the source with ast
-only, so a name counts as referenced when it appears as a name or an
-attribute anywhere in the package outside its own definition.
+hold its own copy as a reference.  The same holds for a defaulted parameter
+that no call in the package sets: its other values are reached only from
+tests.  The checks read the source with ast only, so a name counts as
+referenced when it appears as a name or an attribute anywhere in the package
+outside its own definition, and a call is matched to every definition of the
+name or attribute it calls.
 """
 
 import ast
@@ -18,6 +21,18 @@ SRC = TESTS.parent / "src" / "qbc"
 UNREFERENCED_ALLOWED = {
     "koorn_eigenvalue": "the planned point verdict's eigenvalue-distinctness check",
     "lassalle_b_forms": "the paper's type-B rewrite chain, kept for future suite cases",
+}
+
+
+#: defaulted parameters kept although no call in src/qbc sets them
+UNSET_DEFAULT_ALLOWED = {
+    "main(argv)": "the console entry point runs on sys.argv; tests pass their own",
+    "to_json(with_timing)": "the benchmark child and the digest tests ask for the timing-free body",
+    "suite_koornwinder(ranks)": "a narrowing option, passed by run_suite as **narrowed",
+    "suite_koornwinder(rows)": "a narrowing option, passed by run_suite as **narrowed",
+    "suite_lassalle(families)": "a narrowing option, passed by run_suite as **narrowed",
+    "suite_lassalle(ranks)": "a narrowing option, passed by run_suite as **narrowed",
+    "suite_lassalle(rows)": "a narrowing option, passed by run_suite as **narrowed",
 }
 
 
@@ -70,3 +85,66 @@ def test_every_import_is_used_in_its_module():
                     if bound not in used:
                         unused.append(f"{root.name}/{filename}:{node.lineno} {bound}")
     assert unused == []
+
+
+def _functions(modules: dict) -> list:
+    """(filename, def node, names a call to it goes by, whether a call's
+    first argument fills the second parameter) for every function and
+    method; a call of a class, or of cls inside it, goes to its __init__."""
+    out, methods = [], set()
+    for filename, tree in modules.items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    methods.add(node)
+                    static = any(
+                        isinstance(d, ast.Name) and d.id == "staticmethod"
+                        for d in node.decorator_list
+                    )
+                    names = {cls.name, "cls"} if node.name == "__init__" else {node.name}
+                    out.append((filename, node, names, not static))
+    for filename, tree in modules.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node not in methods:
+                out.append((filename, node, {node.name}, False))
+    return out
+
+
+def _sets(call: ast.Call, index, name: str, bound: bool) -> bool:
+    """Whether call may set the parameter name, at position index (None
+    for a keyword-only one), of a function it may call."""
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
+        return True
+    if any(kw.arg is None or kw.arg == name for kw in call.keywords):
+        return True
+    return index is not None and len(call.args) + bound > index
+
+
+def test_every_defaulted_parameter_is_set_somewhere_in_the_package():
+    modules = _modules()
+    calls = [node for tree in modules.values() for node in ast.walk(tree)]
+    calls = [node for node in calls if isinstance(node, ast.Call)]
+    defaulted, unset = set(), []
+    for filename, node, names, bound in _functions(modules):
+        args = node.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        params = [(i, p.arg) for i, p in enumerate(positional) if i >= first]
+        params += [
+            (None, p.arg) for p, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+        ]
+        callers = [
+            call for call in calls
+            if getattr(call.func, "id", getattr(call.func, "attr", None)) in names
+        ]
+        for index, name in params:
+            key = f"{node.name}({name})"
+            defaulted.add(key)
+            if key in UNSET_DEFAULT_ALLOWED:
+                continue
+            if not any(_sets(call, index, name, bound) for call in callers):
+                unset.append(f"{filename}:{node.lineno} {key}")
+    assert unset == []
+    assert set(UNSET_DEFAULT_ALLOWED) <= defaulted
