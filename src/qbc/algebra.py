@@ -37,13 +37,17 @@ def rat(value) -> Fraction:
     """Coerce ints, strings like '3/4', or Fractions to an exact Fraction.
 
     A bool is an int to Python but no number in a configuration, so it
-    raises TypeError instead of reading as 0 or 1."""
+    raises TypeError instead of reading as 0 or 1.  A string with a zero
+    denominator is no number either, and raises ValueError."""
     if isinstance(value, bool):
         raise TypeError(f"cannot build an exact rational from {value!r}")
     if isinstance(value, Fraction):
         return value
     if isinstance(value, (str, int)):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"{value!r} has a zero denominator") from None
     raise TypeError(f"cannot build an exact rational from {value!r}")
 
 
@@ -170,7 +174,7 @@ class LaurentPoly:
     are treated as immutable; operations return new objects.
     """
 
-    __slots__ = ("num_vars", "scale", "terms", "_key")
+    __slots__ = ("num_vars", "scale", "terms")
 
     def __init__(self, num_vars: int, terms: Optional[Mapping] = None, scale: int = 1):
         if scale not in (1, 2):
@@ -190,7 +194,6 @@ class LaurentPoly:
                     )
                 clean[exps] = coeff
         self.terms = clean
-        self._key = None
 
     # -- construction helpers -------------------------------------------------
 
@@ -199,7 +202,7 @@ class LaurentPoly:
         """Wrap a clean terms dict (tuple exponents, nonzero coefficients)
         as it is: no copy, no check, no coercion of its coefficients."""
         res = cls.__new__(cls)
-        res.num_vars, res.scale, res.terms, res._key = num_vars, scale, terms, None
+        res.num_vars, res.scale, res.terms = num_vars, scale, terms
         return res
 
     @classmethod
@@ -207,8 +210,8 @@ class LaurentPoly:
         return cls(num_vars, {}, scale)
 
     @classmethod
-    def one(cls, num_vars: int, scale: int = 1) -> "LaurentPoly":
-        return cls(num_vars, {(0,) * num_vars: Fraction(1)}, scale)
+    def one(cls, num_vars: int) -> "LaurentPoly":
+        return cls(num_vars, {(0,) * num_vars: Fraction(1)})
 
     @classmethod
     def monomial(cls, exps: Sequence[int], coeff=1, scale: int = 1) -> "LaurentPoly":
@@ -218,9 +221,6 @@ class LaurentPoly:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
 
     def _check_compatible(self, other: "LaurentPoly"):
         if self.num_vars != other.num_vars or self.scale != other.scale:
@@ -236,31 +236,9 @@ class LaurentPoly:
                 and self.scale == other.scale
                 and self.terms == other.terms
             )
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            other = rat(other)
-            if other == 0:
-                return self.is_zero()
-            return self.terms == {(0,) * self.num_vars: other}
         return NotImplemented
 
-    def __hash__(self):
-        return hash(self.key())
-
-    def key(self):
-        """Hashable canonical form (num_vars, scale, sorted terms)."""
-        if self._key is None:
-            self._key = (
-                self.num_vars,
-                self.scale,
-                tuple(sorted(self.terms.items())),
-            )
-        return self._key
-
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly(
-                self.num_vars, {(0,) * self.num_vars: rat(other)}, self.scale
-            )
         self._check_compatible(other)
         out = dict(self.terms)
         for exps, coeff in other.terms.items():
@@ -275,20 +253,13 @@ class LaurentPoly:
                     del out[exps]
         return LaurentPoly._raw(self.num_vars, out, self.scale)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return LaurentPoly._raw(
             self.num_vars, {e: -c for e, c in self.terms.items()}, self.scale
         )
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self + (-rat(other))
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -319,18 +290,6 @@ class LaurentPoly:
         return LaurentPoly._raw(self.num_vars, out, self.scale)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative powers are spelled with inverse monomials")
-        result = LaurentPoly.one(self.num_vars, self.scale)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
 
     # -- structure queries ------------------------------------------------------
 
@@ -403,12 +362,13 @@ class LaurentPoly:
 
 
 def exact_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-    """Divide f by a binomial g = a x^e1 + b x^e0, e1 the lex-larger
+    """Divide f, with int coefficients, by a primitive integer binomial
+    g = a x^e1 + b x^e0 (int a and b with gcd 1), e1 the lex-larger
     exponent, insisting the quotient is a Laurent polynomial.
 
-    A zero g raises ZeroDivisionError and any other g that is not a
-    binomial raises ValueError; the operators divide by nothing else.  A
-    quotient that is not a Laurent polynomial raises InexactDivision.
+    Any other f or g raises ValueError; the operators divide by nothing
+    else.  A quotient that is not a Laurent polynomial raises
+    InexactDivision.
 
     The division is synthetic, along each line of exponents parallel to
     d = e1 - e0.  Multiplying by g maps a line into itself, so the lines
@@ -422,33 +382,27 @@ def exact_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     next term of f.  The cost is O(|f| + |q|) coefficient steps, with no
     heap and no box.
 
-    When f has int coefficients and g is a primitive integer binomial
-    (int coefficients with gcd 1), the recurrence stays in ints: by Gauss's
-    lemma an exact quotient of an integer polynomial by a primitive one is
-    itself integral, so a step whose divmod by a leaves a remainder proves
-    the division inexact.  Any other input runs over Fraction, so a
-    non-primitive integer g such as 2x - 2 still gives a rational quotient.
+    The recurrence runs in ints: by Gauss's lemma an exact quotient of an
+    integer polynomial by a primitive one is itself integral, so a step
+    whose divmod by a leaves a remainder proves the division inexact.
     """
     f._check_compatible(g)
-    if g.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
     if len(g.terms) != 2:
         raise ValueError(f"exact_div divides by binomials only, not {g}")
-    if f.is_zero():
-        return LaurentPoly.zero(f.num_vars, f.scale)
     (e1, a), (e0, b) = sorted(g.terms.items(), reverse=True)
-    d = tuple(map(sub, e1, e0))
-    # d is lex-positive, so its first nonzero entry is positive and
-    # e - (e_i // d_i) d picks one base point on each line
-    i = next(k for k, x in enumerate(d) if x)
-    integral = (
+    if not (
         type(a) is int
         and type(b) is int
         and math.gcd(a, b) == 1
         and all(type(c) is int for c in f.terms.values())
-    )
-    if not integral:
-        a = rat(a)
+    ):
+        raise ValueError("exact_div divides int polynomials by primitive int binomials only")
+    if f.is_zero():
+        return LaurentPoly.zero(f.num_vars, f.scale)
+    d = tuple(map(sub, e1, e0))
+    # d is lex-positive, so its first nonzero entry is positive and
+    # e - (e_i // d_i) d picks one base point on each line
+    i = next(k for k, x in enumerate(d) if x)
     position = {e: e[i] // d[i] for e in f.terms}
     lo, hi = min(position.values()), max(position.values())
     steps = {k: tuple([k * x for x in d]) for k in range(lo, hi + 1)}  # k d
@@ -469,12 +423,9 @@ def exact_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
                     nxt += 1
                 k, carry = ks[nxt], 0
                 continue
-            if integral:
-                qc, left = divmod(r, a)
-                if left:
-                    raise InexactDivision("quotient is not integral")
-            else:
-                qc = r / a
+            qc, left = divmod(r, a)
+            if left:
+                raise InexactDivision("quotient is not integral")
             quo[tuple(map(add, origin, steps[k]))] = qc
             carry = b * qc
             k -= 1

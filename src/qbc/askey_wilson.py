@@ -11,7 +11,6 @@ from a ParamPoint that the caller may have rebuilt.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -25,21 +24,6 @@ from .qseries import (
 #: variants of the twofold simplification of the fourfold series
 HALF_BASE = "half-base"
 FULL_BASE = "full-base"
-
-
-@dataclass(frozen=True)
-class SeriesTrunc:
-    """Truncated formal series sum_j coeffs[j] x^j, under the generic-s
-    convention: the symbolic prefactor x^-lambda with s = q^-lambda is
-    never expanded."""
-
-    coeffs: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(rat(c) for c in self.coeffs))
-
-    def coeff(self, j: int) -> Fraction:
-        return self.coeffs[j]
 
 
 class EvenSumForms(NamedTuple):
@@ -347,9 +331,11 @@ def co_recast_sums(s, P: ParamPoint, W: int) -> list:
     )
 
 
-def phi_series(s, P: ParamPoint, N: int) -> SeriesTrunc:
+def phi_series(s, P: ParamPoint, N: int) -> tuple:
     """Coefficients through x^N of the fourfold series
-    sum c_e(k, l; q^(m+n) s) c_o(m, n; s) x^(2k+2l+m+n).
+    sum c_e(k, l; q^(m+n) s) c_o(m, n; s) x^(2k+2l+m+n), a tuple of
+    Fractions indexed by the power of x, under the generic-s convention:
+    the symbolic prefactor x^-lambda with s = q^-lambda is never expanded.
 
     The odd sums over m + n = w come from one walk over m + n <= N; the
     even triangle k + l <= (N - w) / 2 is walked once per w at q^w s."""
@@ -362,10 +348,10 @@ def phi_series(s, P: ParamPoint, N: int) -> SeriesTrunc:
         even = _even_sums(q ** w * s, P, [deg - l for l in range(deg + 1)])
         for K, value in enumerate(even):
             coeffs[w + 2 * K] += value * odd[w]
-    return SeriesTrunc(tuple(coeffs))
+    return tuple(coeffs)
 
 
-def psi_series(s, P: ParamPoint, N: int) -> SeriesTrunc:
+def psi_series(s, P: ParamPoint, N: int) -> tuple:
     """Coefficients through x^N of the single-sum form of the series: the
     binomial prefactor in qx/a times terminating inner sums of length n+1."""
     P.require("a", "b", "c", "d")
@@ -407,7 +393,7 @@ def psi_series(s, P: ParamPoint, N: int) -> SeriesTrunc:
         for i in range(j + 1):
             acc += pref[i] * (q / a) ** i * inner[j - i]
         coeffs.append(acc)
-    return SeriesTrunc(tuple(coeffs))
+    return tuple(coeffs)
 
 
 def fourfold_poly(lam: int, P: ParamPoint) -> LaurentPoly:
@@ -535,7 +521,7 @@ def odd_sum_check(l: int, s, P: ParamPoint):
     return direct, closed
 
 
-def simplified_series(variant: str, s, P: ParamPoint, N: int) -> SeriesTrunc:
+def simplified_series(variant: str, s, P: ParamPoint, N: int) -> tuple:
     """Twofold rewrite of the fourfold series at a chained parameter point.
 
     HALF_BASE expects (a, b, c, d) = (-A, B, -q^(1/2) A, q^(1/2) B) and mixes
@@ -576,4 +562,4 @@ def simplified_series(variant: str, s, P: ParamPoint, N: int) -> SeriesTrunc:
                 (A ** 2, q ** l * s), (q, q ** (l + 1) * s / A ** 2), q, m, "the m ladder"
             )
             coeffs[2 * m + l] += lterm * mterm * (q / A ** 2) ** m
-    return SeriesTrunc(tuple(coeffs))
+    return tuple(coeffs)

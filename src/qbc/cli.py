@@ -205,10 +205,7 @@ def _cmd_compute(args, cfg: RunConfig) -> int:
         cp = _pick_point(cfg, "macdonald", args.point)
         r = _required(args.r, "--r", target)
         n = _rank(args)
-        try:
-            tag = family_tag(_FAMILY_BY_LETTER[target[-1]], cp)
-        except ValueError as exc:
-            raise UsageError(str(exc))
+        tag = family_tag(_FAMILY_BY_LETTER[target[-1]], cp)
         poly = mac_row(tag, r, cp.point, n)
         degrees = {"family": tag.family, "row": r, "rank": n}
     else:

@@ -290,7 +290,7 @@ def simplification_lemma_check(variant: str, s, P: ParamPoint, N: int) -> list:
         }
 
     def series_check(p):
-        return coefficient_check(p, ser.coeff(p), ladder(p, 0))
+        return coefficient_check(p, ser[p], ladder(p, 0))
 
     def twist_check(p):
         want = ladder(p, 0) - (ladder(p - 2, 0) if p >= 2 else Fraction(0))

@@ -61,6 +61,8 @@ CONFIG_FILE = "default_config.json"
 
 # point-group keys that are not ParamPoint fields
 _EXTRA_KEYS = ("beta", "sqrt_param")
+# the extra that every point of a group must carry
+_REQUIRED_EXTRA = {"macdonald": "sqrt_param", "kernel": "beta"}
 
 
 def _json_int(obj: dict, key: str, default):
@@ -122,6 +124,9 @@ class RunConfig:
         for name, pts in self.groups.items():
             if not pts:
                 raise ValueError(f"point group {name!r} is empty")
+            extra = _REQUIRED_EXTRA.get(name)
+            if extra and any(getattr(cp, extra) is None for cp in pts):
+                raise ValueError(f"{name} points must carry {extra}")
 
     def points(self, group: str):
         if group not in self.groups:
@@ -223,11 +228,11 @@ def _value_mismatch(got, want, label) -> Optional[dict]:
 
 def _series_mismatch(got, want, top) -> Optional[dict]:
     for j in range(top + 1):
-        if got.coeff(j) != want.coeff(j):
+        if got[j] != want[j]:
             return {
                 "power": j,
-                "expected": format_rational(want.coeff(j)),
-                "got": format_rational(got.coeff(j)),
+                "expected": format_rational(want[j]),
+                "got": format_rational(got[j]),
             }
     return None
 
@@ -264,18 +269,18 @@ def suite_askey_wilson(cfg: RunConfig):
                 a, q = P.a, P.q
                 ser = psi_series(q**-m, P, 2 * m + 2)
                 for j in range(2 * m + 1, 2 * m + 3):
-                    if ser.coeff(j) != 0:
+                    if ser[j] != 0:
                         return {
                             "power": j,
                             "expected": "0",
-                            "got": format_rational(ser.coeff(j)),
+                            "got": format_rational(ser[j]),
                         }
                 head = qpoch(P.abcd() * q ** (m - 1), q, m) / qpoch_multi(
                     (a * P.b, a * P.c, a * P.d), q, m
                 )
                 rescaled = LaurentPoly(
                     1,
-                    {(j - m,): a**m * head * ser.coeff(j) for j in range(2 * m + 1)},
+                    {(j - m,): a**m * head * ser[j] for j in range(2 * m + 1)},
                 )
                 bare = aw_poly(m, P) * (
                     a**m / qpoch_multi((a * P.b, a * P.c, a * P.d), q, m)
@@ -369,8 +374,6 @@ def koornwinder_rows(cfg: RunConfig, ranks=None, rows=None):
 def family_tag(family: str, cp: ConfiguredPoint) -> FamilyTag:
     if family == FAMILY_D:
         return FamilyTag(FAMILY_D)
-    if cp.sqrt_param is None:
-        raise ValueError(f"family {family} needs sqrt_param on the configured point")
     return FamilyTag(family, cp.sqrt_param)
 
 
@@ -455,8 +458,6 @@ def suite_b2(cfg: RunConfig):
 def suite_kernel(cfg: RunConfig):
     """Truncated kernel-function identity at rank two for each tied point."""
     for i, cp in enumerate(cfg.points("kernel"), 1):
-        if cp.beta is None:
-            raise ValueError("kernel points must carry beta")
         yield from _plan(
             f"kernel-p{i}-", cp.point.to_json_obj(),
             kernel_identity_check(2, cp.beta, 6, cp.point),

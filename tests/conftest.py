@@ -5,6 +5,12 @@ import pytest
 from qbc import koornwinder
 
 
+def poly_key(p):
+    """A hashable canonical form of a LaurentPoly: (num_vars, scale, sorted
+    terms), equal for equal polynomials."""
+    return p.num_vars, p.scale, tuple(sorted(p.terms.items()))
+
+
 @pytest.fixture
 def isolated_cache(tmp_path, monkeypatch):
     """Point the oracle cache at an empty directory under tmp_path, so the

@@ -10,6 +10,7 @@ configuration, so a refactor that changes any verdict or case shows.
 
 import hashlib
 import itertools
+import math
 import os
 import random
 import time
@@ -96,7 +97,7 @@ def test_criterion_03_series_recombination_through_x12():
     for P in AW_POINTS:
         psi = psi_series(P.s, P, 12)
         phi = phi_series(P.s, P, 12)
-        assert all(psi.coeff(j) == phi.coeff(j) for j in range(13))
+        assert all(psi[j] == phi[j] for j in range(13))
     done()
 
 
@@ -106,13 +107,13 @@ def test_criterion_04_terminating_rescale():
         a, q = P.a, P.q
         for m in range(1, 5):
             ser = psi_series(q**-m, P, 2 * m + 2)
-            assert all(ser.coeff(j) == 0 for j in range(2 * m + 1, 2 * m + 3))
+            assert all(ser[j] == 0 for j in range(2 * m + 1, 2 * m + 3))
             head = qpoch(P.abcd() * q ** (m - 1), q, m) / qpoch_multi(
                 (a * P.b, a * P.c, a * P.d), q, m
             )
             rescaled = LaurentPoly(
                 1,
-                {(j - m,): a**m * head * ser.coeff(j) for j in range(2 * m + 1)},
+                {(j - m,): a**m * head * ser[j] for j in range(2 * m + 1)},
             )
             assert rescaled == aw_poly(m, P) * (
                 a**m / qpoch_multi((a * P.b, a * P.c, a * P.d), q, m)
@@ -170,6 +171,16 @@ def _random_poly(rng, num_vars, terms=4, span=3):
         out[exps] = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
     poly = LaurentPoly(num_vars, out)
     return poly
+
+
+def _random_int_poly(rng, num_vars, terms=4, span=3):
+    """A nonzero polynomial with int coefficients, as the operators divide
+    them; the LaurentPoly constructor would coerce them to Fraction."""
+    out = {}
+    for _ in range(terms):
+        exps = tuple(rng.randint(-span, span) for _ in range(num_vars))
+        out[exps] = rng.choice((-5, -4, -3, -2, -1, 1, 2, 3, 4, 5))
+    return LaurentPoly._raw(num_vars, out)
 
 
 def _random_partition(rng, max_part=4, max_len=3):
@@ -233,20 +244,24 @@ def test_criterion_10_property_suites():
             everything.add(_padded(()))
         assert listed == everything
 
-    # exact division by a binomial inverts multiplication; a divisor with
-    # more or fewer terms is refused, and its two lex-largest terms divide
+    # exact division of an integer polynomial by a primitive integer
+    # binomial inverts multiplication; a divisor with more or fewer terms is
+    # refused, and its two lex-largest terms, made primitive, divide; the
+    # same dividend over Fraction is refused
     for _ in range(60):
         nv = rng.randint(1, 2)
-        f = _random_poly(rng, nv)
-        g = _random_poly(rng, nv)
-        if g.is_zero():
-            continue
+        f = _random_int_poly(rng, nv)
+        g = _random_int_poly(rng, nv)
         if len(g.terms) != 2:
             with pytest.raises(ValueError, match="binomials only"):
                 exact_div(f * g, g)
-            g = LaurentPoly(nv, dict(sorted(g.terms.items())[-2:]))
+        top = sorted(g.terms.items())[-2:]
+        content = math.gcd(*(c for _, c in top))
+        g = LaurentPoly._raw(nv, {e: c // content for e, c in top})
         if len(g.terms) == 2:
             assert exact_div(f * g, g) == f
+            with pytest.raises(ValueError, match="primitive int binomials only"):
+                exact_div(LaurentPoly(nv, (f * g).terms), g)
 
     # palindromicity of the terminating one-variable polynomials
     for _ in range(8):

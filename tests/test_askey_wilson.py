@@ -17,7 +17,6 @@ from qbc.askey_wilson import (
     FULL_BASE,
     HALF_BASE,
     EvenSumForms,
-    SeriesTrunc,
     aw_apply,
     aw_eigenvalue,
     aw_poly,
@@ -347,13 +346,13 @@ class TestSeriesIdentities:
         P = POINT_A
         s = Fraction(1, 3)
         ser = phi_series(s, P, 2)
-        assert ser.coeff(0) == 1
-        assert ser.coeff(1) == coeff_co(1, 0, s, P) + coeff_co(0, 1, s, P)
-        assert psi_series(s, P, 0).coeff(0) == 1
+        assert ser[0] == 1
+        assert ser[1] == coeff_co(1, 0, s, P) + coeff_co(0, 1, s, P)
+        assert psi_series(s, P, 0)[0] == 1
 
     def test_single_sum_equals_fourfold_series(self):
         for P, s in [(POINT_A, Fraction(1, 3)), (POINT_B, Fraction(1, 5))]:
-            assert phi_series(s, P, 8).coeffs == psi_series(s, P, 8).coeffs
+            assert phi_series(s, P, 8) == psi_series(s, P, 8)
 
     def test_rescaled_series_at_terminating_s(self):
         # x^m times the series at s = q^-m, times a^m (abcd q^(m-1);q)_m /
@@ -362,14 +361,14 @@ class TestSeriesIdentities:
         a, b, c, d, q = P.a, P.b, P.c, P.d, P.q
         for m in (1, 2, 3):
             ser = psi_series(q ** -m, P, 2 * m + 2)
-            assert all(ser.coeff(j) == 0 for j in range(2 * m + 1, 2 * m + 3))
+            assert all(ser[j] == 0 for j in range(2 * m + 1, 2 * m + 3))
             head = qpoch(a * b * c * d * q ** (m - 1), q, m) / qpoch_multi(
                 (a * b, a * c, a * d), q, m
             )
             rescaled = LaurentPoly(
                 1,
                 {
-                    (j - m,): a ** m * head * ser.coeff(j)
+                    (j - m,): a ** m * head * ser[j]
                     for j in range(2 * m + 1)
                 },
             )
@@ -382,8 +381,8 @@ class TestSeriesIdentities:
         P = POINT_B
         lam = 2
         ser = phi_series(P.q ** -lam, P, 2 * lam + 4)
-        for j in range(2 * lam + 1, len(ser.coeffs)):
-            assert ser.coeff(j) == 0
+        for j in range(2 * lam + 1, len(ser)):
+            assert ser[j] == 0
 
     def test_fourfold_polynomial_matches(self):
         for P in POINTS:
@@ -419,9 +418,9 @@ class TestSeriesIdentities:
         N = 10
         ser = phi_series(s, P, N)
         f = LaurentPoly(
-            1, {(2 * n - 1,): ser.coeff(n) for n in range(N + 1)}, scale=2
+            1, {(2 * n - 1,): ser[n] for n in range(N + 1)}, scale=2
         )
-        one = LaurentPoly.one(1, 2)
+        one = LaurentPoly.monomial((0,), scale=2)
 
         def xp(p):
             return LaurentPoly.monomial((2 * p,), 1, 2)
@@ -431,7 +430,7 @@ class TestSeriesIdentities:
         gdown = (one - xp(2) * q) * (1 / q)
         for u in (P.a, P.b, P.c, P.d):
             gup = gup * (one - xp(1) * u)
-            gdown = gdown * (xp(1) - u)
+            gdown = gdown * (xp(1) - one * u)
         lhs = gup * (qshift(f, 0, 1, P) - f) + gdown * (qshift(f, 0, -1, P) - f)
         rhs = lcd * f * aw_eigenvalue(rat(s), P)
         diff = lhs - rhs
@@ -467,13 +466,13 @@ class TestTransformationSuite:
         A, B, sq = 3, 5, Fraction(1, 2)
         P = ParamPoint(sqrt_q=sq, a=-A, b=B, c=-sq * A, d=sq * B)
         s = Fraction(1, 7)
-        assert simplified_series(HALF_BASE, s, P, 10).coeffs == phi_series(s, P, 10).coeffs
+        assert simplified_series(HALF_BASE, s, P, 10) == phi_series(s, P, 10)
 
     def test_full_base_simplification(self):
         A, B, sq = 3, 5, Fraction(1, 2)
         P = ParamPoint(sqrt_q=sq, a=-A, b=B, c=-sq * A, d=sq * A)
         s = Fraction(1, 7)
-        assert simplified_series(FULL_BASE, s, P, 10).coeffs == phi_series(s, P, 10).coeffs
+        assert simplified_series(FULL_BASE, s, P, 10) == phi_series(s, P, 10)
 
     def test_variant_shape_is_checked(self):
         P = POINT_A  # d is unrelated to the chained pattern
@@ -500,7 +499,7 @@ def _phi_series_reference(s, P, N):
             odd = sum(coeff_co(m, w - m, s, P) for m in range(w + 1))
             acc += even * odd
         coeffs.append(acc)
-    return SeriesTrunc(tuple(coeffs))
+    return tuple(coeffs)
 
 
 def _fourfold_reference(lam, P):

@@ -37,6 +37,7 @@ from qbc.errors import DimensionMismatch, NonTerminating, ParameterDegeneracy, Q
 from qbc.koornwinder import CACHE_ENV
 from qbc.qseries import _Pair
 from qbc.suites import _plan, _run, default_config, run_suite
+from conftest import poly_key
 
 # t, t^2, T, tT, t^2T must stay off integer powers of q, or a denominator
 # ladder pins to 1 at a live index.  Both points were picked for that.
@@ -44,7 +45,7 @@ B2P1 = ParamPoint(sqrt_q=F(1, 2), sqrt_t=F(1, 3), sqrt_T=F(1, 5))
 B2P2 = ParamPoint(sqrt_q=F(1, 3), sqrt_t=F(1, 2), sqrt_T=F(1, 5))
 CHAR_POINT = ParamPoint(sqrt_q=F(1, 2), sqrt_t=F(1, 2), sqrt_T=F(1, 2))
 
-ONE = LaurentPoly.one(2, 2)
+ONE = LaurentPoly.monomial((0, 0), scale=2)
 
 
 def eval_doubled(f, u1, u2):
@@ -117,7 +118,7 @@ class TestOperator:
 
     def test_rejects_unit_lattice_input(self):
         with pytest.raises(DimensionMismatch):
-            b2_apply(LaurentPoly.one(2, 1), B2P1)
+            b2_apply(LaurentPoly.one(2), B2P1)
 
 
 def e_zero(P):
@@ -188,7 +189,7 @@ class TestOracle:
         real_apply = ClearedShiftOperator.apply
 
         def spy(op, f):
-            applied.append(f.key())
+            applied.append(poly_key(f))
             return real_apply(op, f)
 
         _b2_operator.cache_clear()

@@ -181,6 +181,20 @@ class TestVerify:
                 "macdonald": [{"sqrt_q": "1/2", "sqrt_t": "1/3", "sqrt_param": True}]
             },
         },
+        "zero-denominator-coordinate": {
+            "schema": 1,
+            "points": {"b2": [{"sqrt_q": "1/0", "sqrt_t": "1/2", "sqrt_T": "1/3"}]},
+        },
+        "zero-denominator-sqrt-param": {
+            "schema": 1,
+            "points": {
+                "macdonald": [{"sqrt_q": "1/2", "sqrt_t": "1/3", "sqrt_param": "2/0"}]
+            },
+        },
+        "kernel-point-without-beta": {
+            "schema": 1,
+            "points": {"kernel": [{"sqrt_q": "1/2", "sqrt_t": "1/2"}]},
+        },
     }
 
     @pytest.mark.parametrize("shape", sorted(MALFORMED_CONFIGS))
@@ -190,6 +204,22 @@ class TestVerify:
         cfg = _write_config(tmp_path, self.MALFORMED_CONFIGS[shape])
         assert main(["verify", "kernel", "--config", cfg]) == 2
         assert capsys.readouterr().err.startswith("usage error: bad configuration")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["cache", "warm"], ["verify", "lassalle"], ["compute", "macdonald-d", "--r", "1"]],
+    )
+    def test_macdonald_point_without_sqrt_param_is_a_usage_error(self, argv, tmp_path, capsys):
+        # the configuration is refused as it loads, by every command, even
+        # one whose family needs no sqrt_param
+        cfg = _write_config(
+            tmp_path,
+            {"schema": 1, "points": {"macdonald": [{"sqrt_q": "1/2", "sqrt_t": "1/3"}]}},
+        )
+        assert main(argv + ["--config", cfg]) == 2
+        assert capsys.readouterr().err == (
+            "usage error: bad configuration: macdonald points must carry sqrt_param\n"
+        )
 
     def test_config_replaces_group_wholesale(self, tmp_path, capsys):
         cfg = _write_config(

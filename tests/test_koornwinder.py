@@ -31,6 +31,7 @@ from qbc.koornwinder import (
 )
 from qbc.qseries import qbinom_series, qpoch
 from qbc.suites import _plan, _run
+from conftest import poly_key
 
 POINT_K1 = ParamPoint(
     sqrt_q=Fraction(1, 2), sqrt_t=Fraction(1, 3), a=2, b=3, c=5, d=Fraction(5, 6)
@@ -162,7 +163,7 @@ class TestOracle:
         real_apply = ClearedShiftOperator.apply
 
         def spy(op, f):
-            applied.append(f.key())
+            applied.append(poly_key(f))
             return real_apply(op, f)
 
         _koorn_operator.cache_clear()

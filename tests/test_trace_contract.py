@@ -24,6 +24,7 @@ from qbc import algebra
 from qbc.algebra import LaurentPoly, monomial_symmetric
 from qbc.koornwinder import CACHE_ENV, _koorn_operator
 from qbc.suites import default_config
+from conftest import poly_key
 from test_algebra import _mono, _unit_normalize
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -40,7 +41,7 @@ def _unabsorbed_lcd_factors(P, n):
             denom = [one - _mono(n, [(i, 2 * s)], 1), one - _mono(n, [(i, 2 * s)], P.q)]
             for j in set(range(n)) - {i}:
                 denom += [one - _mono(n, [(i, s), (j, e)], 1) for e in (1, -1)]
-            lcd |= Counter(_unit_normalize(f)[0].key() for f in denom)
+            lcd |= Counter(poly_key(_unit_normalize(f)[0]) for f in denom)
     return sum(lcd.values())
 
 
