@@ -2,7 +2,10 @@
 
 Everything downstream works over arbitrary-precision rationals: scalars are
 fractions.Fraction, polynomials are sparse dicts mapping integer exponent
-vectors to nonzero Fractions.  Half-integer exponents (needed for weights of
+vectors to nonzero Fractions.  Inside ClearedShiftOperator the polynomials
+carry nonzero ints instead (its cleared coefficient, the integer numerators
+it applies to, and exact_div's operands and quotients), built through
+LaurentPoly._raw, which does not coerce.  Half-integer exponents (needed for weights of
 the B2 lattice and for x^(-1/2) style prefactors) are handled by a lattice
 scale: a LaurentPoly with scale=2 stores doubled exponents, so the tuple
 (1, 0) on scale 2 means x1^(1/2).
@@ -168,8 +171,9 @@ class ParamPoint:
 class LaurentPoly:
     """Sparse Laurent polynomial over Fraction with an exponent lattice scale.
 
-    terms maps exponent tuples (length num_vars, ints) to nonzero Fractions.
-    scale=1 means the tuple entries are the actual exponents; scale=2 means
+    terms maps exponent tuples (length num_vars, ints) to nonzero Fractions,
+    or to nonzero ints in the polynomials ClearedShiftOperator builds with
+    _raw for its integer arithmetic.  scale=1 means the tuple entries are the actual exponents; scale=2 means
     entries are doubled so half-integer exponents stay integral.  Instances
     are treated as immutable; operations return new objects.
     """

@@ -18,7 +18,7 @@ from typing import NamedTuple
 from .algebra import ClearedShiftOperator, LaurentPoly, ParamPoint, rat
 from .errors import ParameterDegeneracy
 from .qseries import (
-    PhiSpec, _Pair, phi_sum, qbinom_series, qpoch, qpoch_multi, qpoch_ratio,
+    PhiSpec, phi_sum, qbinom_series, qpoch, qpoch_multi, qpoch_ratio,
 )
 
 #: variants of the twofold simplification of the fourfold series
@@ -117,39 +117,69 @@ def aw_apply(f: LaurentPoly, P: ParamPoint) -> LaurentPoly:
     return _aw_operator(P).apply(f)
 
 
-def _ladder_walk(tops, outer, inner, what: str):
+def _ladder_walk(tops, q, outer, inner, what: str):
     """Anti-diagonal sums of a two-index coefficient family, built by running
     ratios over the region 0 <= i < len(tops), 0 <= j <= tops[i].
 
     tops must be non-increasing, so the region is closed downward and each
     term is reached from a neighbour inside it: (i, 0) from (i - 1, 0) by
-    outer(i - 1), and (i, j) from (i, j - 1) by inner(i)(j - 1).  A ratio is
-    a (numerator, denominator) pair of unreduced factor products (_Pair)
-    whose denominator holds exactly the lower Pochhammer factors the step
-    adds; a zero one is a vanishing lower ladder at the term it builds and
-    raises ParameterDegeneracy, as the per-term definitions do.  Each term is
+    the outer step, and (i, j) from (i, j - 1) by the inner one.  A step is
+    (weight, numer, denom), and each factor in numer and denom is a record
+    (C, x, y) for 1 - C q^(x i + y j) at the term (i, j) the step leaves.
+    Outer steps leave a term with j = 0, so their records carry y = 0.
+    denom holds exactly the lower Pochhammer factors the step adds; a zero
+    one is a vanishing lower ladder at the term it builds and raises
+    ParameterDegeneracy, as the per-term definitions do.  Each factor is
+    formed in integers from one table of powers of q, and each term is
     reduced once, into a Fraction.  sums[d] adds the terms with i + j = d.
     """
+    if any(y for _, _, y in outer[1] + outer[2]):
+        raise ValueError("an outer step leaves a term with j = 0; its records carry y = 0")
+    qn, qd = q.numerator, q.denominator
+    powers = {}
 
-    def advance(term: Fraction, ratio) -> Fraction:
-        num, den = ratio
-        if den.is_zero():
-            raise ParameterDegeneracy(f"vanishing lower Pochhammer in {what}")
-        return Fraction(
-            term.numerator * num.num * den.den, term.denominator * num.den * den.num
+    def power(e: int):
+        pair = powers.get(e)
+        if pair is None:
+            pair = powers[e] = (qn ** e, qd ** e) if e >= 0 else (qd ** -e, qn ** -e)
+        return pair
+
+    def compiled(step):
+        weight, numer, denom = step
+        return (
+            weight.numerator, weight.denominator,
+            [(C.numerator, C.denominator, x, y) for C, x, y in numer],
+            [(C.numerator, C.denominator, x, y) for C, x, y in denom],
         )
 
+    def advance(term: Fraction, step, i: int, j: int) -> Fraction:
+        num, den, numer, denom = step
+        low = 1
+        for cn, cd, x, y in numer:
+            pn, pd = power(x * i + y * j)
+            cd *= pd
+            num *= cd - cn * pn
+            den *= cd
+        for cn, cd, x, y in denom:
+            pn, pd = power(x * i + y * j)
+            cd *= pd
+            low *= cd - cn * pn
+            num *= cd
+        if low == 0:
+            raise ParameterDegeneracy(f"vanishing lower Pochhammer in {what}")
+        return Fraction(term.numerator * num, term.denominator * den * low)
+
+    outer, inner = compiled(outer), compiled(inner)
     size = max((i + top for i, top in enumerate(tops)), default=-1) + 1
     sums = [Fraction(0)] * size
     head = Fraction(1)
     for i, top in enumerate(tops):
         if i:
-            head = advance(head, outer(i - 1))
+            head = advance(head, outer, i - 1, 0)
         term = head
-        step = inner(i)
         for j in range(top + 1):
             if j:
-                term = advance(term, step(j - 1))
+                term = advance(term, inner, i, j - 1)
             sums[i + j] += term
     return sums
 
@@ -162,70 +192,41 @@ def _even_sums(s, P: ParamPoint, tops):
     s = rat(s)
     q2 = q * q
     a2, c2, s2 = a * a, c * c, s * s
-    q, q2, s, a2, s2, cq, sa2, sac3, qsa, sa4, lw, kw = map(_Pair.of, (
-        q, q2, s, a2, s2, c2 / q, s2 / a2, q ** 3 * s2 / (a2 * c2), q * s / a2,
-        q2 * s2 / (a2 * a2), q2 / c2, q2 / a2,
-    ))
-
-    def outer(l):
-        x = q2 ** l
-        xx = x * x
-        num = (
-            (1 - cq * x) * (1 - sa2 * x) * (1 - s * x) * (1 - s * x * q)
-            * (1 - sa4 * xx) * (1 - sa4 * xx * q2)
-        )
-        den = (
-            (1 - q2 * x) * (1 - sac3 * x) * (1 - qsa * x) * (1 - qsa * x * q)
-            * (1 - sa2 * xx) * (1 - sa2 * xx * q2)
-        )
-        return num * lw, den
-
-    def inner(l):
-        up = q2 ** (2 * l) * s2
-        down = up * kw
-
-        def step(k):
-            x = q2 ** k
-            return (1 - a2 * x) * (1 - up * x) * kw, (1 - q2 * x) * (1 - down * x)
-
-        return step
-
-    return _ladder_walk(tops, outer, inner, "the even family")
+    sa4 = q2 * s2 / (a2 * a2)
+    outer = (
+        q2 / c2,
+        [(c2 / q, 2, 0), (s2 / a2, 2, 0), (s, 2, 0), (q * s, 2, 0), (sa4, 4, 0), (sa4 * q2, 4, 0)],
+        [
+            (q2, 2, 0), (q ** 3 * s2 / (a2 * c2), 2, 0), (q * s / a2, 2, 0),
+            (q2 * s / a2, 2, 0), (s2 / a2, 4, 0), (q2 * s2 / a2, 4, 0),
+        ],
+    )
+    inner = (q2 / a2, [(a2, 0, 2), (s2, 4, 2)], [(q2, 0, 2), (q2 * s2 / a2, 4, 2)])
+    return _ladder_walk(tops, q, outer, inner, "the even family")
 
 
-def _odd_sums(s, P: ParamPoint, tops):
-    """c_o(m, n; s) summed along m + n over 0 <= m < len(tops),
-    0 <= n <= tops[m]: a walk along m at n = 0, then along n."""
+def odd_sums(s, P: ParamPoint, W: int) -> list:
+    """c_o(m, n; s) summed along m + n = w for w = 0..W: a walk along m at
+    n = 0, then along n.  It also sums the regrouped display, whose ladders
+    in m + n step by the records with x = y: the two walks' inner steps are
+    one, and their outer steps differ by 1 + q^(m+1) s/(ac) over itself."""
     P.require("a", "b", "c", "d")
     a, b, c, d, q = P.a, P.b, P.c, P.d, P.q
     s = rat(s)
-    q, s, sac, sabcd, ba, scd, dc, sab, sacn, mw, nw = map(_Pair.of, (
-        q, s, q * s * s / (a * a * c * c), q * q * s * s / (a * b * c * d),
-        -b / a, q * s / (c * d), -d / c, q * s / (a * b), -q * s / (a * c), q / b, q / d,
-    ))
-
-    def outer(m):
-        x = q ** m
-        num = (1 - ba * x) * (1 - s * x) * (1 - scd * x) * (1 - sac * x)
-        return num * mw, (1 - q * x) * (1 - sabcd * x) * (1 - sac * x * x)
-
-    def inner(m):
-        qm = q ** m
-        up_s, up_sacn, up_sac = qm * s, qm * sacn, qm * sac
-        down_sabcd, down_sac = qm * sabcd, qm * qm * sac
-
-        def step(n):
-            y = q ** n
-            num = (
-                (1 - dc * y) * (1 - sab * y)
-                * (1 - up_s * y) * (1 - up_sacn * y) * (1 - up_sac * y)
-            )
-            den = (1 - q * y) * (1 - down_sabcd * y) * (1 - sacn * y) * (1 - down_sac * y * y)
-            return num * nw, den
-
-        return step
-
-    return _ladder_walk(tops, outer, inner, "the odd family")
+    sac = q * s * s / (a * a * c * c)
+    sabcd = q * q * s * s / (a * b * c * d)
+    sacn = -q * s / (a * c)
+    outer = (
+        q / b,
+        [(-b / a, 1, 0), (s, 1, 0), (q * s / (c * d), 1, 0), (sac, 1, 0)],
+        [(q, 1, 0), (sabcd, 1, 0), (sac, 2, 0)],
+    )
+    inner = (
+        q / d,
+        [(-d / c, 0, 1), (q * s / (a * b), 0, 1), (s, 1, 1), (sacn, 1, 1), (sac, 1, 1)],
+        [(q, 0, 1), (sabcd, 1, 1), (sacn, 0, 1), (sac, 2, 2)],
+    )
+    return _ladder_walk([W - m for m in range(W + 1)], q, outer, inner, "the odd family")
 
 
 def _coupled_sums(s, P: ParamPoint, tops, cu, su, what: str) -> list:
@@ -235,40 +236,27 @@ def _coupled_sums(s, P: ParamPoint, tops, cu, su, what: str) -> list:
         / (q^2, q s/c^2, q^3 s^2/(a^2 c^2); q^2)_k
         * (cu; q)_l (su; q)_(2k+l) (q^2/c^2)^l / ((q; q)_l (q^2 s/c^2; q)_(2k+l)),
 
-    a walk along l at k = 0, then along k.  The coupled even route takes
+    a walk along l at k = 0, then along k; the (.; q)_(2k+l) ladders add
+    two factors per step in k.  The coupled even route takes
     (cu, su) = (c^2/q, s), the primed even family (c^2/q^2, s/q)."""
     P.require("a", "c")
     a, c, q = P.a, P.c, P.q
     q2 = q * q
     a2, c2 = a * a, c * c
-    q, q2, cu, su, q2sc, qac, q3sc, sc4, qsc, sac3, lw, kw = map(_Pair.of, (
-        q, q2, cu, su, q2 * s / c2, q * a2 / c2, q ** 3 * s / c2,
-        q2 * s * s / (c2 * c2), q * s / c2, q ** 3 * s * s / (a2 * c2), q2 / c2, q2 / a2,
-    ))
-
-    def outer(l):
-        x = q ** l
-        return (1 - cu * x) * (1 - su * x) * lw, (1 - q * x) * (1 - q2sc * x)
-
-    def inner(l):
-        ql = q ** l
-
-        def step(k):
-            x = q2 ** k
-            y = x * ql  # q^(2k+l): the (.; q)_(2k+l) ladders add two factors per step in k
-            num = (
-                (1 - qac * x) * (1 - q3sc * x) * (1 - sc4 * x)
-                * (1 - su * y) * (1 - su * y * q)
-            )
-            den = (
-                (1 - q2 * x) * (1 - qsc * x) * (1 - sac3 * x)
-                * (1 - q2sc * y) * (1 - q2sc * y * q)
-            )
-            return num * kw, den
-
-        return step
-
-    return _ladder_walk(tops, outer, inner, what)
+    q2sc = q2 * s / c2
+    outer = (q2 / c2, [(cu, 1, 0), (su, 1, 0)], [(q, 1, 0), (q2sc, 1, 0)])
+    inner = (
+        q2 / a2,
+        [
+            (q * a2 / c2, 0, 2), (q ** 3 * s / c2, 0, 2), (q2 * s * s / (c2 * c2), 0, 2),
+            (su, 1, 2), (su * q, 1, 2),
+        ],
+        [
+            (q2, 0, 2), (q * s / c2, 0, 2), (q ** 3 * s * s / (a2 * c2), 0, 2),
+            (q2sc, 1, 2), (q2sc * q, 1, 2),
+        ],
+    )
+    return _ladder_walk(tops, q, outer, inner, what)
 
 
 def ce_prime_sums(s, P: ParamPoint, D: int) -> list:
@@ -290,47 +278,6 @@ def ce_prime_sums(s, P: ParamPoint, D: int) -> list:
     ]
 
 
-def co_recast_sums(s, P: ParamPoint, W: int) -> list:
-    """c_o(m, n; s), regrouped so the parameter-symmetric part ladders in
-    m + n, summed along m + n = w for w = 0..W: a walk along m at n = 0,
-    then along n; each step also adds one factor to the ladders in m + n.
-    Two of the grouped lower ladders, (q^(1/2) s/(ac), -q^(1/2) s/(ac); q),
-    sit at a half power of q."""
-    P.require("a", "b", "c", "d")
-    a, b, c, d, q = P.a, P.b, P.c, P.d, P.q
-    s = rat(s)
-    q, s, sabcd, sacn, sac, ba, scd, dc, sab, mw, nw = map(_Pair.of, (
-        q, s, q * q * s * s / (a * b * c * d), -q * s / (a * c), q * s * s / (a * a * c * c),
-        -b / a, q * s / (c * d), -d / c, q * s / (a * b), q / b, q / d,
-    ))
-
-    def diagonal(w):
-        # the lower pair (half, -half; q)_w, half = q^(1/2) s/(a c), steps
-        # by (1 - half x)(1 + half x) = 1 - sac x^2
-        x = q ** w
-        num = (1 - s * x) * (1 - sacn * x) * (1 - sac * x)
-        return num, (1 - sabcd * x) * (1 - sac * x * x)
-
-    def outer(m):
-        x = q ** m
-        num, den = diagonal(m)
-        num *= (1 - ba * x) * (1 - scd * x) * mw
-        return num, den * (1 - q * x) * (1 - sacn * x)
-
-    def inner(m):
-        def step(n):
-            y = q ** n
-            num, den = diagonal(m + n)
-            num *= (1 - dc * y) * (1 - sab * y) * nw
-            return num, den * (1 - q * y) * (1 - sacn * y)
-
-        return step
-
-    return _ladder_walk(
-        [W - m for m in range(W + 1)], outer, inner, "the regrouped odd family"
-    )
-
-
 def phi_series(s, P: ParamPoint, N: int) -> tuple:
     """Coefficients through x^N of the fourfold series
     sum c_e(k, l; q^(m+n) s) c_o(m, n; s) x^(2k+2l+m+n), a tuple of
@@ -341,7 +288,7 @@ def phi_series(s, P: ParamPoint, N: int) -> tuple:
     even triangle k + l <= (N - w) / 2 is walked once per w at q^w s."""
     s = rat(s)
     q = P.q
-    odd = _odd_sums(s, P, [N - m for m in range(N + 1)])
+    odd = odd_sums(s, P, N)
     coeffs = [Fraction(0)] * (N + 1)
     for w in range(N + 1):
         deg = (N - w) // 2
@@ -409,7 +356,7 @@ def fourfold_poly(lam: int, P: ParamPoint) -> LaurentPoly:
     if lam < 0:
         raise ValueError("lam must be nonnegative")
     q = P.q
-    odd = _odd_sums(q ** -lam, P, [lam - m for m in range(lam + 1)])
+    odd = odd_sums(q ** -lam, P, lam)
     terms: dict = {}
     for w in range(lam + 1):
         if not odd[w]:
@@ -453,27 +400,14 @@ def _split_sums(s, P: ParamPoint, tops) -> list:
     a, c, q = P.a, P.c, P.q
     q2 = q * q
     a2, c2, s2 = a * a, c * c, s * s
-    q, q2, s, s2, cq, qac, sac3, sa4, qsa, q3ac, lw, kw = map(_Pair.of, (
-        q, q2, s, s2, c2 / q, q * a2 / c2, q ** 3 * s2 / (a2 * c2), q2 * s2 / (a2 * a2),
-        q * s / a2, q ** 3 / (a2 * c2), q2 / c2, q2 / a2,
-    ))
-
-    def outer(l):
-        x = q ** l
-        num = (1 - cq * x) * (1 - s * x) * (1 - sa4 * x * x)
-        return num * lw, (1 - q * x) * (1 - qsa * x) * (1 - sac3 * x * x)
-
-    def inner(l):
-        up = q ** (2 * l) * s2
-        down = up * q3ac
-
-        def step(k):
-            x = q2 ** k
-            return (1 - qac * x) * (1 - up * x) * kw, (1 - q2 * x) * (1 - down * x)
-
-        return step
-
-    return _ladder_walk(tops, outer, inner, "the split form")
+    sac3 = q ** 3 * s2 / (a2 * c2)
+    outer = (
+        q2 / c2,
+        [(c2 / q, 1, 0), (s, 1, 0), (q2 * s2 / (a2 * a2), 2, 0)],
+        [(q, 1, 0), (q * s / a2, 1, 0), (sac3, 2, 0)],
+    )
+    inner = (q2 / a2, [(q * a2 / c2, 0, 2), (s2, 2, 2)], [(q2, 0, 2), (sac3, 2, 2)])
+    return _ladder_walk(tops, q, outer, inner, "the split form")
 
 
 def even_sum_forms(s, P: ParamPoint, N: int) -> EvenSumForms:
@@ -504,7 +438,7 @@ def odd_sum_check(l: int, s, P: ParamPoint):
     s = rat(s)
     if s == 0:
         raise ParameterDegeneracy("the closed odd form needs s != 0")
-    direct = _odd_sums(s, P, [l - m for m in range(l + 1)])[l]
+    direct = odd_sums(s, P, l)[l]
     half = P.sqrt_q * s / (a * c)
     head = qpoch_ratio(
         (-d / c, q * s / (a * b), s, q * s ** 2 / (a ** 2 * c ** 2)),

@@ -23,7 +23,7 @@ from .algebra import (
     solve_triangular_eigenproblem,
 )
 from .errors import DimensionMismatch, InexactDivision, NonTerminating, ParameterDegeneracy
-from .qseries import _Pair, qpoch, qpoch_ratio
+from .qseries import qpoch, qpoch_ratio
 
 
 @dataclass(frozen=True)
@@ -198,6 +198,43 @@ class _LeadTerm:
 
 
 _LEAD_ZERO = _LeadTerm(Fraction(0), None)
+
+
+class _Pair:
+    """An unreduced quotient num / den of two Python integers: a gamma of
+    the series, or a value of the rational ring.
+
+    A product of ladder factors built on pairs costs integer multiplies
+    only; the ring reduces it once a step, in ratio.  Only the operators
+    the series needs exist: pair * pair, int - pair and pair ** k for
+    k >= 0.  A step never divides: ratio gets its numerator and denominator
+    apart, after the series checks the denominator, so pair / pair is a
+    TypeError.  == and bool() raise TypeError too, so a zero test has to
+    say what it reads: is_zero, the numerator."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: int, den: int = 1):
+        self.num = num
+        self.den = den
+
+    def is_zero(self) -> bool:
+        return self.num == 0
+
+    def __mul__(self, other: "_Pair") -> "_Pair":
+        return _Pair(self.num * other.num, self.den * other.den)
+
+    def __rsub__(self, other: int) -> "_Pair":
+        return _Pair(other * self.den - self.num, self.den)
+
+    def __pow__(self, k: int) -> "_Pair":
+        return _Pair(self.num ** k, self.den ** k)
+
+    def __eq__(self, other):
+        raise TypeError("a pair has no value equality; test is_zero()")
+
+    def __bool__(self):
+        raise TypeError("a pair has no truth value; test is_zero()")
 
 
 def _power_table(x):

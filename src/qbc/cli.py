@@ -11,14 +11,13 @@ exact arithmetic hit a degenerate point.
 import argparse
 import json
 import os
-import shutil
 import sys
 from dataclasses import replace
 
 from .askey_wilson import aw_poly, fourfold_poly
 from .b2 import B2Weight, f_b2_poly
 from .errors import CacheError, QbcError
-from .koornwinder import CACHE_ENV, cache_root, g_series, koorn_oracle
+from .koornwinder import CACHE_ENV, cache_root, clear_cache, g_series, koorn_oracle
 from .macdonald_bcd import FAMILY_B, FAMILY_C, FAMILY_D, mac_row
 from .suites import (
     SUITE_NAMES,
@@ -250,12 +249,7 @@ def _cmd_cache(args, cfg: RunConfig) -> int:
     doc = {"schema": 1, "cache_dir": str(root)}
     text = str(root)
     if args.action == "clear":
-        doc["cleared"] = root.exists()
-        if doc["cleared"]:
-            try:
-                shutil.rmtree(root)
-            except OSError as exc:
-                raise CacheError.from_os_error(exc, root) from exc
+        doc["cleared"] = clear_cache()
         text = f"cleared {root}"
     elif args.action == "warm":
         count = 0

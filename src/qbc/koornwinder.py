@@ -24,7 +24,7 @@ from .algebra import (
     rat,
     solve_triangular_eigenproblem,
 )
-from .askey_wilson import ce_prime_sums, co_recast_sums
+from .askey_wilson import ce_prime_sums, odd_sums
 from .errors import CacheError, DimensionMismatch, ParameterDegeneracy
 from .qseries import qbinom_series
 
@@ -147,6 +147,28 @@ def _cache_store(path: Path, lam: tuple, P: ParamPoint, n: int, poly: LaurentPol
         raise CacheError.from_os_error(exc, path) from exc
 
 
+def clear_cache() -> bool:
+    """Delete what _cache_store writes under cache_root(): the entries
+    koornwinder/*.json and leftover koornwinder/*.tmp, then each of the two
+    directories if that leaves it empty.  Nothing else is touched.  Returns
+    whether the cache directory existed; a failure is a CacheError."""
+    root = cache_root()
+    if not root.exists():
+        return False
+    if not root.is_dir():
+        raise CacheError(f"{root}: Not a directory")
+    store = root / "koornwinder"
+    try:
+        for path in [*store.glob("*.json"), *store.glob("*.tmp")]:
+            path.unlink()
+        for directory in (store, root):
+            if directory.is_dir() and not any(directory.iterdir()):
+                directory.rmdir()
+    except OSError as exc:
+        raise CacheError.from_os_error(exc, root) from exc
+    return True
+
+
 def koorn_oracle(lam, P: ParamPoint, n: int) -> LaurentPoly:
     """The monic invariant eigenfunction indexed by a partition.
 
@@ -256,10 +278,10 @@ def g_row_sym(r: int, P: ParamPoint, n: int) -> LaurentPoly:
 def g_row_general(r: int, P: ParamPoint, n: int) -> LaurentPoly:
     """One-row sum for general (a,b,c,d), layered over g_row_sym.
 
-    The i,j weights are the regrouped odd-family coefficients at the same
-    rescaled point and spectral value, carrying sqrt(t/q) per step and
-    summed along i + j; both ladders collapse to the (0,0) term when b=-a
-    and d=-c.
+    The i,j weights are the odd-family coefficients (the paper writes them
+    regrouped, with ladders in i + j) at the same rescaled point and
+    spectral value, carrying sqrt(t/q) per step and summed along i + j;
+    both ladders collapse to the (0,0) term when b=-a and d=-c.
     """
     P.require("a", "b", "c", "d", "sqrt_t")
     q, t = P.q, P.t
@@ -268,7 +290,7 @@ def g_row_general(r: int, P: ParamPoint, n: int) -> LaurentPoly:
     shat = q ** (1 - r) * t ** -n
     half = P.sqrt_t / P.sqrt_q
     syms = [g_row_sym(k, P, n) for k in range(r + 1)]
-    sums = co_recast_sums(shat, Phat, r)
+    sums = odd_sums(shat, Phat, r)
     return row_sum(n, syms, ((r - w, value * half ** w) for w, value in enumerate(sums)))
 
 

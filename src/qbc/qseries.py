@@ -18,49 +18,6 @@ from .algebra import rat
 from .errors import DivergentSpec, ParameterDegeneracy, PoleInLower
 
 
-class _Pair:
-    """An unreduced quotient num / den of two Python integers.
-
-    A product of ladder factors built on pairs costs integer multiplies
-    only; its user reduces it once, in the one Fraction it builds per term.
-    Only the operators the ladder steps need exist: pair * pair,
-    int - pair and pair ** k for k >= 0.  A step never divides: it returns
-    its numerator and denominator products apart, and the walk checks the
-    denominator before it reduces, so pair / pair is a TypeError.  == and
-    bool() raise TypeError too, so a zero test has to say what it reads:
-    is_zero, the numerator.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: int, den: int = 1):
-        self.num = num
-        self.den = den
-
-    @classmethod
-    def of(cls, x) -> "_Pair":
-        x = rat(x)
-        return cls(x.numerator, x.denominator)
-
-    def is_zero(self) -> bool:
-        return self.num == 0
-
-    def __mul__(self, other: "_Pair") -> "_Pair":
-        return _Pair(self.num * other.num, self.den * other.den)
-
-    def __rsub__(self, other: int) -> "_Pair":
-        return _Pair(other * self.den - self.num, self.den)
-
-    def __pow__(self, k: int) -> "_Pair":
-        return _Pair(self.num ** k, self.den ** k)
-
-    def __eq__(self, other):
-        raise TypeError("a pair has no value equality; test is_zero()")
-
-    def __bool__(self):
-        raise TypeError("a pair has no truth value; test is_zero()")
-
-
 def _ladder(params: Sequence, q, n: int):
     """Integers (num, den) with num / den the product of (u; q)_n over
     params; num is 0 exactly when some factor 1 - u q^i is.  A negative n

@@ -127,6 +127,13 @@ class RunConfig:
             extra = _REQUIRED_EXTRA.get(name)
             if extra and any(getattr(cp, extra) is None for cp in pts):
                 raise ValueError(f"{name} points must carry {extra}")
+            # faults the suites would otherwise meet mid-run, as exit 3
+            if name == "macdonald" and any(cp.sqrt_param == 0 for cp in pts):
+                raise ValueError("macdonald points must have a nonzero sqrt_param")
+            if name == "kernel" and any(
+                cp.beta < 1 or cp.point.sqrt_t != cp.point.sqrt_q ** cp.beta for cp in pts
+            ):
+                raise ValueError("kernel points must have sqrt_t = sqrt_q^beta, beta >= 1")
 
     def points(self, group: str):
         if group not in self.groups:

@@ -20,12 +20,12 @@ from qbc.askey_wilson import (
     aw_apply,
     aw_eigenvalue,
     aw_poly,
-    co_recast_sums,
     ce_prime_sums,
     even_sum_closed,
     even_sum_forms,
     fourfold_poly,
     odd_sum_check,
+    odd_sums,
     phi_series,
     psi_series,
     simplified_series,
@@ -121,8 +121,8 @@ def coeff_co_recast(m: int, n: int, s, P: ParamPoint) -> Fraction:
     """c_o(m, n; s) regrouped so the parameter-symmetric part ladders in m+n.
 
     Two of the grouped denominators sit at a half power, so the point must
-    carry sqrt_q (every ParamPoint does).  The walk co_recast_sums is tested
-    against it.
+    carry sqrt_q (every ParamPoint does).  The odd walk odd_sums, which
+    g_row_general reads as this display, is tested against it.
     """
     P.require("a", "b", "c", "d")
     a, b, c, d, q = P.a, P.b, P.c, P.d, P.q
@@ -137,7 +137,7 @@ def coeff_co_recast(m: int, n: int, s, P: ParamPoint) -> Fraction:
         * qpoch(-q * s / (a * c), q, n)
     )
     if den == 0:
-        raise ParameterDegeneracy("vanishing lower Pochhammer in the regrouped odd family")
+        raise ParameterDegeneracy("vanishing lower Pochhammer in the odd family")
     num = (
         qpoch(-b / a, q, m)
         * qpoch(q * s / (c * d), q, m)
@@ -650,13 +650,17 @@ def _walk_inputs(draw):
 # Points where a family's lower ladder first vanishes at degree 2, past the
 # first step of its walk: the triangle of degree 1 is fine, degree 2 raises.
 # EVEN_POLE: q^3 s^2/(a^2 c^2) = q^-2.  ODD_POLE: q^2 s^2/abcd = q^-1, which
-# also starts (q^2 s^2/abcd; q)_(m+n) of the regrouped family.  COUPLED_POLE:
+# also starts (q^2 s^2/abcd; q)_(m+n) of the regrouped display.  RECAST_POLE:
+# -q s/(ac) = q^-1, so the regrouped display's (-q s/(ac); q)_m vanishes at
+# m = 2, and the odd walk meets the same factor in (-q s/(ac); q)_n of its
+# row 0.  COUPLED_POLE:
 # q^2 s/c^2 = q^-2, so (q^2 s/c^2; q)_(2k+l) vanishes at 2k + l = 3, in the
 # coupled route and the primed family alike.  The split route has no such
 # point: each of its lower factors vanishes only where a lower factor of the
 # raw route, which runs first, vanishes at the same or a lower degree.
 EVEN_POLE = (POINT_A, Fraction(672))
 ODD_POLE = (POINT_A.replace(d=105), Fraction(840))
+RECAST_POLE = (POINT_A, -POINT_A.a * POINT_A.c / POINT_A.q ** 2)
 COUPLED_POLE = (POINT_A, Fraction(12544))
 
 
@@ -686,6 +690,7 @@ class TestRunningRatioWalks:
     @given(_walk_inputs(), st.integers(0, 4), st.integers(0, 6))
     @example(COUPLED_POLE, 2, 0)
     @example(ODD_POLE, 0, 2)
+    @example(RECAST_POLE, 0, 2)
     def test_koornwinder_weight_walks_match_per_term_sums(self, drawn, D, W):
         # g_row_sym and g_row_general weigh their terms by these sums
         P, s = drawn
@@ -693,7 +698,7 @@ class TestRunningRatioWalks:
             lambda: [sum(coeff_ce_prime(K - l, l, s, P) for l in range(K + 1))
                      for K in range(D + 1)]
         )
-        assert _outcome(co_recast_sums, s, P, W) == _outcome(
+        assert _outcome(odd_sums, s, P, W) == _outcome(
             lambda: [sum(coeff_co_recast(w - n, n, s, P) for n in range(w + 1))
                      for w in range(W + 1)]
         )
@@ -741,7 +746,8 @@ class TestRunningRatioWalks:
             (phi_series, ODD_POLE, "the odd family"),
             (even_sum_forms, COUPLED_POLE, "the coupled form"),
             (ce_prime_sums, COUPLED_POLE, "the primed even family"),
-            (co_recast_sums, ODD_POLE, "the regrouped odd family"),
+            (odd_sums, ODD_POLE, "the odd family"),
+            (odd_sums, RECAST_POLE, "the odd family"),
         ],
     )
     def test_pole_points_raise_at_degree_two(self, walk, point, family):

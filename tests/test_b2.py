@@ -21,6 +21,7 @@ from qbc.b2 import (
     _default_bound,
     _dominant_below,
     _JetScalars,
+    _Pair,
     _RationalScalars,
     _series_terms,
     b2_apply,
@@ -35,7 +36,6 @@ from qbc.b2 import (
 from qbc.cli import main
 from qbc.errors import DimensionMismatch, NonTerminating, ParameterDegeneracy, QbcError
 from qbc.koornwinder import CACHE_ENV
-from qbc.qseries import _Pair
 from qbc.suites import _plan, _run, default_config, run_suite
 from conftest import poly_key
 
@@ -536,6 +536,38 @@ def _rational_outcome(Ring, w, P):
         return _series_terms(w, P, Ring(P.t), _default_bound(w))
     except QbcError as exc:
         return type(exc), str(exc)
+
+
+class TestPair:
+    """The unreduced pair of the series' ladder steps has no value
+    equality, no truth value and no division, so a stray zero test or
+    division fails loudly instead of reading False or skipping the series'
+    pole check."""
+
+    def test_equality_and_truth_raise(self):
+        zero, one = _Pair(0, 3), _Pair(2, 2)
+        with pytest.raises(TypeError):
+            zero == 0
+        with pytest.raises(TypeError):
+            one != one
+        with pytest.raises(TypeError):
+            bool(zero)
+        with pytest.raises(TypeError):
+            hash(one)
+        assert zero.is_zero() and not one.is_zero()
+
+    def test_no_division(self):
+        # a step keeps its denominator apart for the series' zero test, so
+        # a division, by a zero pair or any other, is an error
+        with pytest.raises(TypeError):
+            _Pair(1, 2) / _Pair(0, 5)
+        with pytest.raises(TypeError):
+            _Pair(1, 2) / _Pair(3, 5)
+
+    def test_operators(self):
+        x, y = _Pair(-2, 3), _Pair(6, 4)
+        for pair, value in ((x * y, F(-1)), (1 - x, F(5, 3)), (x ** 3, F(-8, 27))):
+            assert F(pair.num, pair.den) == value
 
 
 class TestPairRing:

@@ -157,7 +157,9 @@ class TestVerify:
         assert main(["verify", "kernel", "--config", cfg]) == 2
 
     # each shape is a usage error, exit 2: not a traceback with exit 1, the
-    # code of a formula FAIL, and not a degree silently truncated to 12
+    # code of a formula FAIL, not an exit 3 from inside a suite, and not a
+    # degree silently truncated to 12
+    KERNEL_ABCD = {"a": "3", "b": "5", "c": "7", "d": "21/5"}
     MALFORMED_CONFIGS = {
         "points-array": {"schema": 1, "points": []},
         "point-not-object": {"schema": 1, "points": {"b2": [5]}},
@@ -194,6 +196,20 @@ class TestVerify:
         "kernel-point-without-beta": {
             "schema": 1,
             "points": {"kernel": [{"sqrt_q": "1/2", "sqrt_t": "1/2"}]},
+        },
+        "zero-sqrt-param": {
+            "schema": 1,
+            "points": {
+                "macdonald": [{"sqrt_q": "1/2", "sqrt_t": "1/3", "sqrt_param": "0"}]
+            },
+        },
+        "kernel-beta-zero": {
+            "schema": 1,
+            "points": {"kernel": [dict(KERNEL_ABCD, sqrt_q="1/2", sqrt_t="1", beta=0)]},
+        },
+        "kernel-sqrt-t-untied": {
+            "schema": 1,
+            "points": {"kernel": [dict(KERNEL_ABCD, sqrt_q="1/2", sqrt_t="1/3", beta=1)]},
         },
     }
 
@@ -249,6 +265,23 @@ class TestCache:
         assert root.exists() and any(root.iterdir())
         assert main(["cache", "clear"]) == 0
         assert not root.exists()
+
+    def test_clear_keeps_what_the_cache_did_not_write(self, tmp_path, capsys):
+        # a cache path pointed at a directory that holds other files removes
+        # the oracle entries and a leftover temporary file, nothing else
+        victim = tmp_path / "victim"
+        store = victim / "koornwinder"
+        store.mkdir(parents=True)
+        (victim / "notes.txt").write_text("keep")
+        (store / "notes.txt").write_text("keep")
+        (store / "left-over.tmp").write_text("")
+        argv = ["--cache-dir", str(victim)]
+        assert main(["compute", "koornwinder", "--r", "1", "--n", "1"] + argv) == 0
+        assert any(store.glob("*.json"))
+        assert main(["cache", "clear"] + argv) == 0
+        assert sorted(p.relative_to(victim).as_posix() for p in victim.rglob("*")) == [
+            "koornwinder", "koornwinder/notes.txt", "notes.txt",
+        ]
 
     def test_warm_solves_exactly_what_the_suites_request(self, tmp_path, capsys):
         assert main(["cache", "warm", "--json"]) == 0

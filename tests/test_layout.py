@@ -20,8 +20,7 @@ from collections import Counter
 from pathlib import Path
 
 from qbc.algebra import LaurentPoly
-from qbc.b2 import _LeadTerm
-from qbc.qseries import _Pair
+from qbc.b2 import _LeadTerm, _Pair
 from qbc.suites import default_config, run_suite
 from test_memos import _clear_memos
 

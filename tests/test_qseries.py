@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from qbc.qseries import (
     PhiSpec,
-    _Pair,
     phi_sum,
     power_of_base,
     qbinom_series,
@@ -343,34 +342,3 @@ def test_kernel_matches_fraction_loops(data):
     )
     assert _result(phi_sum, spec, N) == _result(_terminating_reference, spec, N)
     assert _result(qbinom_series, a, q, N) == _result(_qbinom_series_reference, a, q, N)
-
-
-class TestPair:
-    """The unreduced pair of the ladder steps has no value equality, no
-    truth value and no division, so a stray zero test or division fails
-    loudly instead of reading False or skipping the walk's pole check."""
-
-    def test_equality_and_truth_raise(self):
-        zero, one = _Pair(0, 3), _Pair(2, 2)
-        with pytest.raises(TypeError):
-            zero == 0
-        with pytest.raises(TypeError):
-            one != one
-        with pytest.raises(TypeError):
-            bool(zero)
-        with pytest.raises(TypeError):
-            hash(one)
-        assert zero.is_zero() and not one.is_zero()
-
-    def test_no_division(self):
-        # a step keeps its denominator apart for the walk's zero test, so a
-        # division, by a zero pair or any other, is an error
-        with pytest.raises(TypeError):
-            _Pair(1, 2) / _Pair(0, 5)
-        with pytest.raises(TypeError):
-            _Pair(1, 2) / _Pair(3, 5)
-
-    def test_operators(self):
-        x, y = _Pair.of(F(-2, 3)), _Pair(6, 4)
-        for pair, value in ((x * y, F(-1)), (1 - x, F(5, 3)), (x ** 3, F(-8, 27))):
-            assert F(pair.num, pair.den) == value
