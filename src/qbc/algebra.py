@@ -3,12 +3,13 @@
 Everything downstream works over arbitrary-precision rationals: scalars are
 fractions.Fraction, polynomials are sparse dicts mapping integer exponent
 vectors to nonzero Fractions.  Inside ClearedShiftOperator the polynomials
-carry nonzero ints instead (its cleared coefficient, the integer numerators
-it applies to, and exact_div's operands and quotients), built through
-LaurentPoly._raw, which does not coerce.  Half-integer exponents (needed for weights of
-the B2 lattice and for x^(-1/2) style prefactors) are handled by a lattice
-scale: a LaurentPoly with scale=2 stores doubled exponents, so the tuple
-(1, 0) on scale 2 means x1^(1/2).
+carry nonzero ints instead (its cleared coefficient and the integer
+numerators it applies to), built through LaurentPoly._raw, which does not
+coerce, and exact_div's operands and quotients are PackedPoly, with int
+coefficients on exponent tuples packed into ints.  Half-integer exponents
+(needed for weights of the B2 lattice and for x^(-1/2) style prefactors)
+are handled by a lattice scale: a LaurentPoly with scale=2 stores doubled
+exponents, so the tuple (1, 0) on scale 2 means x1^(1/2).
 
 Parameters that occur under square roots in formulas (q, t, T) are supplied
 via their exact square roots so every half power stays rational.  The four
@@ -24,7 +25,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, neg, sub
+from operator import add, mul, neg, sub
 from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import (
@@ -365,14 +366,82 @@ class LaurentPoly:
         return f"LaurentPoly({self.num_vars} vars, scale {self.scale}: {body})"
 
 
-def exact_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-    """Divide f, with int coefficients, by a primitive integer binomial
-    g = a x^e1 + b x^e0 (int a and b with gcd 1), e1 the lex-larger
-    exponent, insisting the quotient is a Laurent polynomial.
+class PackedPoly:
+    """A Laurent polynomial with int coefficients whose exponent tuples are
+    packed into ints, for exact_div's chains of divisions.
 
-    Any other f or g raises ValueError; the operators divide by nothing
-    else.  A quotient that is not a Laurent polynomial raises
-    InexactDivision.
+    The packing is Kronecker's substitution of the exponent lattice: with
+    radix B = 2 half + 1, the tuple e of n entries, each of absolute value
+    at most half, is the key sum_i (e_i + half) B^(n-1-i).  Every digit lies
+    in [0, B), so a key decodes to exactly one tuple, and the lex order of
+    the tuples is the order of their keys.  The packing is linear: so long
+    as every tuple involved stays within half, the key of e + k d is the
+    key of e plus k times sum_i d_i B^(n-1-i).
+
+    reach bounds the absolute value of every exponent entry of the terms;
+    half is fixed when the dividend of a chain is packed (see pack), and
+    every quotient of the chain keeps it.  terms maps keys to nonzero ints.
+    Instances are treated as immutable.
+    """
+
+    __slots__ = ("num_vars", "scale", "half", "reach", "terms")
+
+    def __init__(self, num_vars: int, scale: int, half: int, reach: int, terms: dict):
+        self.num_vars, self.scale = num_vars, scale
+        self.half, self.reach, self.terms = half, reach, terms
+
+    @classmethod
+    def pack(cls, p: LaurentPoly, divisors: Sequence[LaurentPoly]) -> "PackedPoly":
+        """p, with int coefficients, packed for dividing by the binomials of
+        divisors in turn.
+
+        For R, the largest absolute exponent entry of p plus the sum over
+        the divisors of the largest absolute entry of the lex-larger
+        exponent e1, and delta the largest absolute entry of any divisor's
+        d = e1 - e0, half is R (1 + delta); exact_div's docstring shows why
+        that suffices."""
+        reach = max(max(map(max, p.terms)), -min(map(min, p.terms))) if p.terms else 0
+        lead = delta = 0
+        for g in divisors:
+            e1, e0 = max(g.terms), min(g.terms)
+            lead += max(map(abs, e1))
+            delta = max(delta, *map(abs, map(sub, e1, e0)))
+        half = (reach + lead) * (1 + delta)
+        places = _places(p.num_vars, half)
+        offset = half * sum(places)
+        terms = {sum(map(mul, e, places)) + offset: c for e, c in p.terms.items()}
+        return cls(p.num_vars, p.scale, half, reach, terms)
+
+    def unpack(self) -> LaurentPoly:
+        """The polynomial with its exponent tuples decoded, terms in the same
+        order."""
+        n, radix, half = self.num_vars, 2 * self.half + 1, self.half
+        out = {}
+        for key, c in self.terms.items():
+            e = [0] * n
+            for i in range(n - 1, -1, -1):
+                key, digit = divmod(key, radix)
+                e[i] = digit - half
+            out[tuple(e)] = c
+        return LaurentPoly._raw(n, out, self.scale)
+
+
+def _places(num_vars: int, half: int) -> list:
+    """The place values B^(n-1-i) of the packing with radix B = 2 half + 1."""
+    radix = 2 * half + 1
+    return [radix ** (num_vars - 1 - i) for i in range(num_vars)]
+
+
+def exact_div(f: PackedPoly, g: LaurentPoly) -> PackedPoly:
+    """Divide f, packed with int coefficients, by a primitive integer
+    binomial g = a x^e1 + b x^e0 (int a and b with gcd 1), e1 the lex-larger
+    exponent, insisting the quotient is a Laurent polynomial; the quotient
+    comes back packed like f.
+
+    Any other g, or an f with other coefficients, raises ValueError, and so
+    does a g beyond the reach f was packed for (below); the operators
+    divide by nothing else.  A quotient that is not a Laurent polynomial
+    raises InexactDivision.
 
     The division is synthetic, along each line of exponents parallel to
     d = e1 - e0.  Multiplying by g maps a line into itself, so the lines
@@ -384,13 +453,30 @@ def exact_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     raises InexactDivision exactly when no Laurent quotient exists.  Where a
     q_k vanishes nothing carries below it, and the recurrence jumps to the
     next term of f.  The cost is O(|f| + |q|) coefficient steps, with no
-    heap and no box.
+    heap.
 
     The recurrence runs in ints: by Gauss's lemma an exact quotient of an
     integer polynomial by a primitive one is itself integral, so a step
     whose divmod by a leaves a remainder proves the division inexact.
+
+    It runs on packed keys: d's first nonzero entry d_i is positive, so
+    e - k d with k = e_i // d_i is one base point on each line, and its key
+    is the key of e minus k D, for D the packed d; the quotient term on that
+    line at step k has the key of the base, minus the packed e1, plus k D.
+    These are sound while every tuple they stand for stays within half, so
+    each key decodes to exactly one tuple and distinct lines keep distinct
+    base keys.  With r = f.reach: |k| <= r as d_i >= 1, so a base entry is
+    at most r (1 + |d|max) in absolute value; a quotient term lies on a
+    segment between two terms of f, shifted by -e1, so its entries are at
+    most r + |e1|max, which is the quotient's reach.  exact_div checks both
+    bounds against half and raises ValueError where either fails, rather
+    than group lines wrongly.  Along a chain of divisions each reach is at
+    most the R of pack, and R (1 + delta) covers both bounds at every step.
     """
-    f._check_compatible(g)
+    if (f.num_vars, f.scale) != (g.num_vars, g.scale):
+        raise DimensionMismatch(
+            f"({f.num_vars} vars, scale {f.scale}) vs ({g.num_vars} vars, scale {g.scale})"
+        )
     if len(g.terms) != 2:
         raise ValueError(f"exact_div divides by binomials only, not {g}")
     (e1, a), (e0, b) = sorted(g.terms.items(), reverse=True)
@@ -398,25 +484,34 @@ def exact_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
         type(a) is int
         and type(b) is int
         and math.gcd(a, b) == 1
-        and all(type(c) is int for c in f.terms.values())
+        and set(map(type, f.terms.values())) <= {int}
     ):
         raise ValueError("exact_div divides int polynomials by primitive int binomials only")
-    if f.is_zero():
-        return LaurentPoly.zero(f.num_vars, f.scale)
     d = tuple(map(sub, e1, e0))
-    # d is lex-positive, so its first nonzero entry is positive and
-    # e - (e_i // d_i) d picks one base point on each line
-    i = next(k for k, x in enumerate(d) if x)
-    position = {e: e[i] // d[i] for e in f.terms}
-    lo, hi = min(position.values()), max(position.values())
-    steps = {k: tuple([k * x for x in d]) for k in range(lo, hi + 1)}  # k d
-    lines: dict = {}
-    for e, c in f.terms.items():
-        k = position[e]
-        lines.setdefault(tuple(map(sub, e, steps[k])), {})[k] = c
+    half, reach = f.half, f.reach
+    lead = max(map(abs, e1))
+    if reach * (1 + max(map(abs, d))) > half or reach + lead > half:
+        raise ValueError(f"divisor {g} is beyond the reach of the packed dividend")
     quo: dict = {}
+    quotient = PackedPoly(f.num_vars, f.scale, half, reach + lead, quo)
+    if not f.terms:
+        return quotient
+    places = _places(f.num_vars, half)
+    i = next(k for k, x in enumerate(d) if x)
+    di, place, radix = d[i], places[i], 2 * half + 1
+    step = sum(map(mul, d, places))
+    lines: dict = {}
+    for key, c in f.terms.items():
+        k = (key // place % radix - half) // di
+        base = key - k * step
+        line = lines.get(base)
+        if line is None:
+            lines[base] = {k: c}
+        else:
+            line[k] = c
+    shift = sum(map(mul, e1, places))
     for base, line in lines.items():
-        origin = tuple(map(sub, base, e1))
+        origin = base - shift
         ks = sorted(line, reverse=True)
         low = ks[-1]
         k, nxt, carry = ks[0], 1, 0
@@ -430,12 +525,12 @@ def exact_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
             qc, left = divmod(r, a)
             if left:
                 raise InexactDivision("quotient is not integral")
-            quo[tuple(map(add, origin, steps[k]))] = qc
+            quo[origin + k * step] = qc
             carry = b * qc
             k -= 1
         if line[low] != carry:
             raise InexactDivision("remainder is not divisible")
-    return LaurentPoly._raw(f.num_vars, quo, f.scale)
+    return quotient
 
 
 # -- partitions and dominance -------------------------------------------------
@@ -678,8 +773,12 @@ class ClearedShiftOperator:
     fold into one rational multiplier.  An application runs
     over Python ints from end to end: it forms g_0 over a common
     denominator, divides it by the pole, folds the int product, divides it
-    by the B's of L, where exact_div stays in ints, and scales once per
-    output term by that multiplier over g_0's denominator.  After the one
+    by the B's of L, and scales once per output term by that multiplier
+    over g_0's denominator.  Both divisions run on PackedPoly, exponent
+    tuples packed into int keys: g_0 is packed for the pole and unpacked
+    for the product, and the fold is packed once for the whole chain of
+    divisions by the B's of L, whose quotient is unpacked once, at the
+    end.  After the one
     division of g_0, the fold equals the explicit sum of the terms, each
     with its own pole absorbed, up to that constant, so the exact divisions
     by the factors of L that follow, in the same order, get the same inputs
@@ -822,15 +921,16 @@ class ClearedShiftOperator:
         if g.is_zero():
             return LaurentPoly.zero(f.num_vars, f.scale)
         if self._pole is not None:
-            g = exact_div(g, self._pole)
+            g = exact_div(PackedPoly.pack(g, [self._pole]), self._pole).unpack()
         total = self._fold(self._cof * g, self._images)
         if total.is_zero():
             return total
+        total = PackedPoly.pack(total, self._divisors)
         for divisor in self._divisors:
             total = exact_div(total, divisor)
         unscale = self._unscale / g_den
         return LaurentPoly._raw(
-            f.num_vars, {e: c * unscale for e, c in total.terms.items()}, f.scale
+            f.num_vars, {e: c * unscale for e, c in total.unpack().terms.items()}, f.scale
         )
 
     def column(self, key: tuple) -> dict:
