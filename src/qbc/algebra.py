@@ -5,8 +5,9 @@ fractions.Fraction, polynomials are sparse dicts mapping integer exponent
 vectors to nonzero Fractions.  Inside ClearedShiftOperator the polynomials
 carry nonzero ints instead (its cleared coefficient and the integer
 numerators it applies to), built through LaurentPoly._raw, which does not
-coerce, and exact_div's operands and quotients are PackedPoly, with int
-coefficients on exponent tuples packed into ints.  Half-integer exponents
+coerce.  An application forms its product and orbit sum straight as a
+PackedPoly, int coefficients on exponent tuples packed into ints, and
+exact_div's operands and quotients are PackedPoly too.  Half-integer exponents
 (needed for weights of the B2 lattice and for x^(-1/2) style prefactors)
 are handled by a lattice scale: a LaurentPoly with scale=2 stores doubled
 exponents, so the tuple (1, 0) on scale 2 means x1^(1/2).
@@ -395,18 +396,10 @@ class PackedPoly:
         """p, with int coefficients, packed for dividing by the binomials of
         divisors in turn.
 
-        For R, the largest absolute exponent entry of p plus the sum over
-        the divisors of the largest absolute entry of the lex-larger
-        exponent e1, and delta the largest absolute entry of any divisor's
-        d = e1 - e0, half is R (1 + delta); exact_div's docstring shows why
-        that suffices."""
+        half is _half of p's largest absolute exponent entry and the
+        divisors; exact_div's docstring shows why that suffices."""
         reach = max(max(map(max, p.terms)), -min(map(min, p.terms))) if p.terms else 0
-        lead = delta = 0
-        for g in divisors:
-            e1, e0 = max(g.terms), min(g.terms)
-            lead += max(map(abs, e1))
-            delta = max(delta, *map(abs, map(sub, e1, e0)))
-        half = (reach + lead) * (1 + delta)
+        half = _half(reach, divisors)
         places = _places(p.num_vars, half)
         offset = half * sum(places)
         terms = {sum(map(mul, e, places)) + offset: c for e, c in p.terms.items()}
@@ -424,6 +417,21 @@ class PackedPoly:
                 e[i] = digit - half
             out[tuple(e)] = c
         return LaurentPoly._raw(n, out, self.scale)
+
+
+def _half(reach: int, divisors: Sequence[LaurentPoly]) -> int:
+    """The half of a packing for dividing a polynomial whose exponent
+    entries are at most reach in absolute value by the binomials of
+    divisors in turn.  For R, reach plus the sum over the divisors of the
+    largest absolute entry of the lex-larger exponent e1, and delta the
+    largest absolute entry of any divisor's d = e1 - e0, half is
+    R (1 + delta)."""
+    lead = delta = 0
+    for g in divisors:
+        e1, e0 = max(g.terms), min(g.terms)
+        lead += max(map(abs, e1))
+        delta = max(delta, *map(abs, map(sub, e1, e0)))
+    return (reach + lead) * (1 + delta)
 
 
 def _places(num_vars: int, half: int) -> list:
@@ -471,7 +479,7 @@ def exact_div(f: PackedPoly, g: LaurentPoly) -> PackedPoly:
     most r + |e1|max, which is the quotient's reach.  exact_div checks both
     bounds against half and raises ValueError where either fails, rather
     than group lines wrongly.  Along a chain of divisions each reach is at
-    most the R of pack, and R (1 + delta) covers both bounds at every step.
+    most the R of _half, and R (1 + delta) covers both bounds at every step.
     """
     if (f.num_vars, f.scale) != (g.num_vars, g.scale):
         raise DimensionMismatch(
@@ -752,9 +760,15 @@ class ClearedShiftOperator:
         scalar L D f = sum_w (L / w(L)) w(cof_0 g_0).
 
     An application forms the one product cof_0 g_0 and adds up its 2n
-    relabelled images in one pass, where summing the terms explicitly
-    needs 2n cofactors L w(A_0) and 2n products.  The identity holds only
-    for invariant input, so apply raises ValueError for any other.
+    relabelled images, where summing the terms explicitly needs 2n
+    cofactors L w(A_0) and 2n products.  An image takes a term c x^e to
+    +-c x^(w(e) + s_w), for x^(s_w) the monomial of L / w(L).  The product
+    is taken once, and each of its terms keeps the first pair (a, b) of a
+    cof_0 exponent and a g_0 exponent that reached it; since
+    w(a + b) + s_w = (w(a) + s_w) + w(b), the image of the term under w is
+    read off that pair's images, without relabelling the term itself.  The
+    identity holds only for invariant input, so apply raises ValueError
+    for any other.
 
     g_0 = T_0 f - f vanishes where q x_1 = 1/x_1, because f(1/x_1) = f(x_1)
     for invariant f.  So the pole factor 1 - q x_1^2 of A_0 divides g_0 (on
@@ -770,20 +784,37 @@ class ClearedShiftOperator:
     of L that the kept denominators lack, and the monomial of the
     denominators' units.  Each factor is primitive, so by Gauss's lemma the
     product is too, and the r's and signs of all the records and the scalar
-    fold into one rational multiplier.  An application runs
-    over Python ints from end to end: it forms g_0 over a common
-    denominator, divides it by the pole, folds the int product, divides it
+    fold into one rational multiplier.  An application runs over Python
+    ints from end to end: it forms g_0 over a common denominator, divides
+    it by the pole, forms the int product and its orbit sum, divides that
     by the B's of L, and scales once per output term by that multiplier
     over g_0's denominator.  Both divisions run on PackedPoly, exponent
     tuples packed into int keys: g_0 is packed for the pole and unpacked
-    for the product, and the fold is packed once for the whole chain of
-    divisions by the B's of L, whose quotient is unpacked once, at the
-    end.  After the one
-    division of g_0, the fold equals the explicit sum of the terms, each
-    with its own pole absorbed, up to that constant, so the exact divisions
-    by the factors of L that follow, in the same order, get the same inputs
-    up to integer constants: the same supports, InexactDivision at the same
-    step if the input was not in the operator's polynomial domain.
+    after it, and the product and the orbit sum are formed straight in the
+    packed keys of the whole chain of divisions by the B's of L, whose
+    quotient is unpacked once, at the end.
+
+    The radix of those keys is fixed before the product.  Let R be the
+    largest absolute exponent entry of cof_0, plus that of g_0 after the
+    pole, plus the largest absolute entry of any s_w.  A signed
+    permutation keeps the largest absolute entry of a tuple, so every
+    entry of every image term w(a) + s_w + w(b), and of every product term
+    a + b (the identity's image), is at most R in absolute value.  With
+    half = _half(R, the B's of L), every key the product and the orbit sum
+    form therefore decodes to exactly one exponent tuple, and a sum of
+    keys is the key of the sum of their tuples.  So the orbit sum is a
+    PackedPoly of reach R, and exact_div's reach checks run on it as on any
+    packed dividend.  The operator keeps cof_0's keys, for the identity
+    and for each image, at the largest half an application has asked for
+    so far, and packs them again only when one asks for a larger half: a
+    larger radix is always sound.
+
+    After the one division of g_0, the orbit sum equals the explicit sum
+    of the terms, each with its own pole absorbed, up to that constant, so
+    the exact divisions by the factors of L that follow, in the same
+    order, get the same inputs up to integer constants: the same supports,
+    InexactDivision at the same step if the input was not in the
+    operator's polynomial domain.
     """
 
     def __init__(
@@ -849,17 +880,25 @@ class ClearedShiftOperator:
         stabilizer = [_swap(n, j, k, 1) for j, k in zip(others, others[1:])]
         if others:
             stabilizer.append(_swap(n, others[-1], others[-1], -1))
+        terms = cof.terms
         for perm, signs in stabilizer:
-            if self._fold(self._cof, [self._image(perm, signs)]) != self._cof:
-                raise ValueError(
-                    "generator coefficient is not invariant under permutations "
-                    "and inversions of the other variables"
-                )
+            spec, unit = self._image(perm, signs)
+            for e, c in terms.items():
+                if terms.get(tuple([s * e[k] + u for k, s, u in spec])) != c * unit:
+                    raise ValueError(
+                        "generator coefficient is not invariant under permutations "
+                        "and inversions of the other variables"
+                    )
+        # R of an application, less the reach of its g_0
+        self._reach = max(map(abs, itertools.chain(*terms))) + max(
+            abs(u) for spec, _ in self._images for _, _, u in spec
+        )
+        self._layout = None
 
     def _image(self, perm, signs):
         """The signed permutation w as a relabelling of exponents,
         ((source variable, sign, unit exponent) per variable, unit
-        coefficient +-1), so that folding h with it gives (L / w(L)) w(h).
+        coefficient +-1), so that relabelling h with it gives (L / w(L)) w(h).
         For the B of a record (u, e) of L, w(B) is c x^(w(e-) - w(e)-) times
         the B of the canonical image record, with c = -1 when w(e) is
         lex-negative and u > 0, else 1."""
@@ -879,21 +918,69 @@ class ClearedShiftOperator:
             source[p] = (k, s)
         return tuple((k, s, e) for (k, s), e in zip(source, shift)), coeff
 
-    def _fold(self, h: LaurentPoly, images) -> LaurentPoly:
-        """sum over images of (L / w(L)) w(h), in one pass over h's terms."""
-        by_unit: dict = {}
-        for spec, unit in images:
-            by_unit.setdefault(unit, []).append(spec)
-        groups = list(by_unit.items())
+    def _pack_cof(self, half: int):
+        """Keep cof_0 packed at half: half, and per image w the place values
+        that take an exponent b to the linear part of the key of w(b), the
+        keys of w(a) + s_w for cof_0's exponents a in order, and w's unit.
+        The first image is the identity's."""
+        places = _places(self.num_vars, half)
+        offset = half * sum(places)
+        exps = list(self._cof.terms)
+        images = []
+        for spec, unit in self._images:
+            signed, base = [0] * self.num_vars, offset
+            for place, (k, s, u) in zip(places, spec):
+                signed[k] = s * place
+                base += u * place
+            images.append((signed, [base + sum(map(mul, e, signed)) for e in exps], unit))
+        self._layout = half, images
+
+    def _orbit_sum(self, g: LaurentPoly) -> PackedPoly:
+        """sum over the images w of (L / w(L)) w(cof_0 g), packed for the
+        chain of divisions by the B's of L at a half sized for the reach R
+        of the class docstring."""
+        reach = self._reach + max(map(abs, itertools.chain(*g.terms)))
+        half = _half(reach, self._divisors)
+        if self._layout is None or self._layout[0] < half:
+            self._pack_cof(half)
+        half, images = self._layout
+        places, ids, _ = images[0]
+        width = len(ids)
+        # the product on identity keys, with the first pair behind each key
+        # as the flat index j |cof_0| + i of cof_0's term i and g's term j
+        prod: dict = {}
+        first: dict = {}
+        cofs = list(zip(itertools.count(), ids, self._cof.terms.values()))
+        for j, (e, gc) in enumerate(g.terms.items()):
+            gkey, row = sum(map(mul, e, places)), j * width
+            for i, ckey, cc in cofs:
+                key = ckey + gkey
+                acc = prod.get(key)
+                if acc is None:
+                    prod[key] = cc * gc
+                    first[key] = row + i
+                else:
+                    acc += cc * gc
+                    if acc:
+                        prod[key] = acc
+                    else:
+                        del prod[key], first[key]
+        plus, minus = [], []
+        for signed, keys, unit in images:
+            gkeys = [sum(map(mul, e, signed)) for e in g.terms]
+            (plus if unit == 1 else minus).append((keys, gkeys))
         out: dict = {}
-        for exps, c in h.terms.items():
-            for unit, specs in groups:
-                cu = c * unit
-                for spec in specs:
-                    e = tuple([s * exps[k] + u for k, s, u in spec])
-                    acc = out.get(e)
-                    out[e] = cu if acc is None else acc + cu
-        return LaurentPoly._raw(h.num_vars, {e: c for e, c in out.items() if c}, h.scale)
+        for key, c in prod.items():
+            j, i = divmod(first[key], width)
+            for cu, group in ((c, plus), (-c, minus)):
+                for keys, gkeys in group:
+                    k = keys[i] + gkeys[j]
+                    acc = out.get(k, 0) + cu
+                    if acc:
+                        out[k] = acc
+                    else:
+                        del out[k]
+        return PackedPoly(self.num_vars, self.scale, half, reach, out)
 
     def _difference(self, f: LaurentPoly):
         """(g, den) with g over ints and g / den = T_0 f - f.  T_0 takes
@@ -922,10 +1009,9 @@ class ClearedShiftOperator:
             return LaurentPoly.zero(f.num_vars, f.scale)
         if self._pole is not None:
             g = exact_div(PackedPoly.pack(g, [self._pole]), self._pole).unpack()
-        total = self._fold(self._cof * g, self._images)
-        if total.is_zero():
-            return total
-        total = PackedPoly.pack(total, self._divisors)
+        total = self._orbit_sum(g)
+        if not total.terms:
+            return LaurentPoly.zero(f.num_vars, f.scale)
         for divisor in self._divisors:
             total = exact_div(total, divisor)
         unscale = self._unscale / g_den

@@ -212,10 +212,9 @@ def _suite(name: str):
 
 
 def _poly_mismatch(got, want) -> Optional[dict]:
-    diff = got - want
-    if diff.is_zero():
+    if got == want:
         return None
-    exps, _ = diff.leading()
+    exps, _ = (got - want).leading()
     return {
         "monomial": list(exps),
         "expected": format_rational(want.coeff(exps)),

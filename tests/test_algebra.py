@@ -1046,6 +1046,16 @@ class TestClearedShiftOperator:
         with pytest.raises(ValueError, match="generator coefficient is not invariant"):
             _FractionOperator(P, 2, numer, denom)
 
+    def test_generator_coefficients_must_be_invariant_under_its_stabilizer(self):
+        # (1 - 2 x1 x2) (1 - 3 x1 / x2) keeps its support under x2 -> 1/x2,
+        # but swaps the coefficients 2 and 3
+        P = ParamPoint(sqrt_q=F(1, 2))
+        numer = [(2, (1, 1)), (3, (1, -1))]
+        denom = [(1, (1, 1)), (1, (1, -1))]
+        for build in (ClearedShiftOperator, _FractionOperator):
+            with pytest.raises(ValueError, match="generator coefficient is not invariant"):
+                build(P, 2, numer, denom)
+
     def test_records_must_match_the_variables(self):
         P = ParamPoint(sqrt_q=F(1, 2))
         with pytest.raises(DimensionMismatch):
@@ -1330,12 +1340,16 @@ def _monic_key(p):
 
 def _traced_outcome(apply, f):
     """apply(f), or InexactDivision, with the (dividend, divisor) of every
-    exact division it made, each up to a constant factor."""
+    exact division it made, each up to a constant factor.  Every packed
+    dividend must keep its exponent entries within its reach, which the
+    division's radix checks rely on."""
     divisions = []
     real_div = algebra.exact_div
 
     def recording_div(num, den):
-        divisions.append((_monic_key(num.unpack()), _monic_key(den)))
+        dividend = num.unpack()
+        assert max(map(abs, itertools.chain(*dividend.terms)), default=0) <= num.reach
+        divisions.append((_monic_key(dividend), _monic_key(den)))
         return real_div(num, den)
 
     with mock.patch.object(algebra, "exact_div", recording_div):
@@ -1382,11 +1396,33 @@ def test_orbit_fold_matches_explicit_sum(kind, P, n, top, data):
 # -- the Fraction build, kept as the reference for the record build -----------
 
 
+def _fold(h, images):
+    """sum over images (spec, unit) of unit times the relabelled h, on
+    exponent tuples: the spec's (source variable, sign, unit exponent) per
+    variable takes x^e to the exponent tuple with entries s e_k + u, so an
+    image of the operator gives (L / w(L)) w(h).  The reference for the
+    packed product and fold of ClearedShiftOperator.apply."""
+    by_unit: dict = {}
+    for spec, unit in images:
+        by_unit.setdefault(unit, []).append(spec)
+    groups = list(by_unit.items())
+    out: dict = {}
+    for exps, c in h.terms.items():
+        for unit, specs in groups:
+            cu = c * unit
+            for spec in specs:
+                e = tuple([s * exps[k] + u for k, s, u in spec])
+                acc = out.get(e)
+                out[e] = cu if acc is None else acc + cu
+    return LaurentPoly._raw(h.num_vars, {e: c for e, c in out.items() if c}, h.scale)
+
+
 class _FractionOperator(ClearedShiftOperator):
     """The operator built from LaurentPoly factors over Fraction: every
     factor image goes through _act_signed and _unit_normalize, L is the
     product of the lead-one canonical factors, and apply shifts with
-    qshift.  It shares _fold and column with the record build.  cof is
+    qshift, multiplies and folds on exponent tuples (_fold) and packs the
+    fold for the divisions.  It shares column with the record build.  cof is
     L A_0 times the absorbed pole's canonical factor, and radix the product
     of the denominators that clear the pole's and L's factors to primitive
     integer binomials, so the record build's cof_0 is radix * cof."""
@@ -1448,7 +1484,7 @@ class _FractionOperator(ClearedShiftOperator):
         if others:
             stabilizer.append(algebra._swap(n, others[-1], others[-1], -1))
         for perm, signs in stabilizer:
-            if self._fold(self._cof, [self._image(perm, signs)]) != self._cof:
+            if _fold(self._cof, [self._image(perm, signs)]) != self._cof:
                 raise ValueError(
                     "generator coefficient is not invariant under permutations "
                     "and inversions of the other variables"
@@ -1476,7 +1512,7 @@ class _FractionOperator(ClearedShiftOperator):
         g, g_den = algebra._integer_numerators(g)
         if self._pole is not None:
             g = packed_div(g, self._pole)
-        total = self._fold(self._cof * g, self._images)
+        total = _fold(self._cof * g, self._images)
         if total.is_zero():
             return total
         total = PackedPoly.pack(total, self._divisors)
@@ -1577,3 +1613,41 @@ def test_record_build_matches_fraction_build_on_drawn_generators(data):
         # 1 - x_1^-2 / q is a unit times the pole 1 - q x_1^2
         denom.append((1 / P.sqrt_q ** (2 // scale), (-2,) + (0,) * (n - 1)))
     _check_builds_agree(P, n, numer, denom, F(2, 3), scale, _partitions(n, 2))
+
+
+KOORN_POINTS = [
+    pytest.param(cp.point, id=f"p{i}")
+    for i, cp in enumerate(default_config().points("koornwinder"), 1)
+]
+
+
+@pytest.mark.parametrize("n, row", [(3, 3), (4, 2)])
+@pytest.mark.parametrize("P", KOORN_POINTS)
+def test_packed_cofactor_grows_with_the_orbit_sums(P, n, row, monkeypatch):
+    # smallest orbit sum first, an operator repacks cof_0 once at each half
+    # larger than the one it keeps, and reuses the kept one otherwise; top
+    # first, a fresh operator packs it once, at the largest half; both give
+    # the same columns
+    packed = []
+    real = ClearedShiftOperator._pack_cof
+
+    def spy(self, half):
+        packed.append((self, half))
+        real(self, half)
+
+    monkeypatch.setattr(ClearedShiftOperator, "_pack_cof", spy)
+    basis = dominated_partitions((row,), n)
+    growing = ClearedShiftOperator(P, n, *_koorn_generator(P, n))
+    columns, kept = {}, []
+    for key in reversed(basis):
+        columns[key] = growing.column(key)
+        if growing._layout is not None:
+            kept.append(growing._layout[0])
+    halves = [half for op, half in packed]
+    assert {op for op, _ in packed} == {growing}
+    assert kept == sorted(kept) and halves == sorted(set(kept)) and len(halves) > 1
+    packed.clear()
+    top_first = ClearedShiftOperator(P, n, *_koorn_generator(P, n))
+    for key in basis:
+        assert top_first.column(key) == columns[key]
+    assert packed == [(top_first, halves[-1])]

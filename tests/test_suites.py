@@ -1,13 +1,14 @@
 """The case pipeline: how suites run their case entries and time them."""
 
 from dataclasses import replace
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
 import qbc.koornwinder
 from qbc import suites
-from qbc.algebra import SKIPPED
+from qbc.algebra import SKIPPED, monomial_symmetric
 
 
 class FakeClock:
@@ -118,3 +119,36 @@ def test_lassalle_suite_builds_each_g_list_once_and_takes_one_oracle_per_row(
     assert len(calls) == 60
     assert isinstance(qbc.koornwinder.g_series_list(1, 1, calls[0][1]), tuple)
 
+
+
+def test_poly_mismatch_names_the_leading_monomial_of_a_planted_error(tmp_path, monkeypatch):
+    # g_row_general + 10^-9 m_(1): the difference leads at x1, where the
+    # mismatch reports the scaled oracle's coefficient and the planted one
+    monkeypatch.setenv(qbc.koornwinder.CACHE_ENV, str(tmp_path))
+    real = suites.g_row_general
+
+    def planted(r, P, n):
+        return real(r, P, n) + monomial_symmetric((1,), n) * Fraction(1, 10**9)
+
+    monkeypatch.setattr(suites, "g_row_general", planted)
+    report = suites.run_suite("koornwinder", suites.default_config(), ranks=[2], rows=[2])
+    assert [(c.case_id, c.verdict, c.mismatch) for c in report.cases] == [
+        (
+            "koorn-p1-n2-r02",
+            "fail",
+            {
+                "monomial": [1, 0],
+                "expected": "-41447360/2779677",
+                "got": "-41447359997220323/2779677000000000",
+            },
+        ),
+        (
+            "koorn-p2-n2-r02",
+            "fail",
+            {
+                "monomial": [1, 0],
+                "expected": "-11583/2048",
+                "got": "-22623046871/4000000000",
+            },
+        ),
+    ]
