@@ -16,10 +16,8 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .algebra import ClearedShiftOperator, LaurentPoly, ParamPoint, rat
-from .errors import ParameterDegeneracy
-from .qseries import (
-    PhiSpec, phi_sum, qbinom_series, qpoch, qpoch_multi, qpoch_ratio,
-)
+from .errors import ParameterDegeneracy, PoleInLower
+from .qseries import PhiSpec, phi_sum, qbinom_series, qpoch, qpoch_ratio
 
 #: variants of the twofold simplification of the fourfold series
 HALF_BASE = "half-base"
@@ -67,29 +65,45 @@ def aw_poly(n: int, P: ParamPoint) -> LaurentPoly:
     if n < 0:
         raise ValueError("n must be nonnegative")
     a, b, c, d, q = P.a, P.b, P.c, P.d, P.q
+    pref = a ** -n
     for prod in (a * b, a * c, a * d):
-        if qpoch(prod, q, n) == 0:
+        low = qpoch(prod, q, n)
+        if low == 0:
             raise ParameterDegeneracy(
                 f"lower Pochhammer ({prod};q)_m vanishes for some m <= {n}"
             )
-    x = LaurentPoly.monomial((1,))
-    xinv = LaurentPoly.monomial((-1,))
-    one = LaurentPoly.one(1)
-    abcd = a * b * c * d
-    total = LaurentPoly.zero(1)
-    scalar = Fraction(1)
-    pair = one
-    qm = Fraction(1)
-    for m in range(n + 1):
-        total = total + pair * scalar
-        if m == n:
-            break
-        ratio = (1 - q ** -n * qm) * (1 - abcd * q ** (n - 1) * qm) * q
-        ratio /= (1 - q * qm) * (1 - a * b * qm) * (1 - a * c * qm) * (1 - a * d * qm)
-        scalar *= ratio
-        pair = pair * (one - x * (a * qm)) * (one - xinv * (a * qm))
-        qm *= q
-    return total * (qpoch_multi((a * b, a * c, a * d), q, n) * a ** -n)
+        pref *= low
+    # r_m, the scalar term ratio from m to m + 1
+    powers = _Powers(q)
+    step = _compiled(
+        (q, [(q ** -n, 1, 0), (P.abcd() * q ** (n - 1), 1, 0)],
+         [(q, 1, 0), (a * b, 1, 0), (a * c, 1, 0), (a * d, 1, 0)]),
+        powers,
+    )
+    # The sum is T_0 by Horner's rule: T_n = 1, T_m = 1 + r_m f_m T_(m+1),
+    # where f_m = (1 - a q^m x)(1 - a q^m/x) = ((ud^2 + un^2) - ud un
+    # (x + 1/x)) / ud^2 for a q^m = un/ud.  Each T_m is symmetric under
+    # x -> 1/x, and half[e] / den is its coefficient of x^(+-e).
+    half, den = [1], 1
+    for m in reversed(range(n)):
+        num, rden, low = _factors(step, powers, m, 0)
+        ratio = Fraction(num, rden * low)
+        aqm = a * q ** m
+        un, ud = aqm.numerator, aqm.denominator
+        mid, side = ud * ud + un * un, ud * un
+        padded = (half[1:2] or [0]) + half + [0, 0]  # padded[e + 1] goes with x^e
+        half = [
+            ratio.numerator * (mid * padded[e + 1] - side * (padded[e] + padded[e + 2]))
+            for e in range(len(half) + 1)
+        ]
+        den *= ratio.denominator * ud * ud
+        half[0] += den
+    pn, pd = pref.numerator, den * pref.denominator
+    terms = {}
+    for e, value in enumerate(half):
+        if value:
+            terms[(e,)] = terms[(-e,)] = Fraction(value * pn, pd)
+    return LaurentPoly._raw(1, terms)
 
 
 def _aw_generator(P: ParamPoint) -> tuple:
@@ -117,7 +131,60 @@ def aw_apply(f: LaurentPoly, P: ParamPoint) -> LaurentPoly:
     return _aw_operator(P).apply(f)
 
 
-def _ladder_walk(tops, q, outer, inner, what: str):
+class _Powers(dict):
+    """The integer pairs (num, den) of q^e by exponent e, made on first use."""
+
+    def __init__(self, q: Fraction):
+        super().__init__()
+        self.qn, self.qd = q.numerator, q.denominator
+
+    def __missing__(self, e: int):
+        qn, qd = self.qn, self.qd
+        pair = self[e] = (qn ** e, qd ** e) if e >= 0 else (qd ** -e, qn ** -e)
+        return pair
+
+
+def _compiled(step, powers: _Powers, shift: int = 0):
+    """The integer form (num, den, numer, denom) of a step (weight, numer,
+    denom), each record (C, x, y) in numer and denom made (cn, cd, x, y).
+    A record (C, x, y, p) has a C that carries s^p; the step is taken at
+    s -> q^shift s, which multiplies that C by q^(p shift)."""
+    weight, numer, denom = step
+
+    def ints(records):
+        out = []
+        for C, x, y, *degree in records:
+            cn, cd = C.numerator, C.denominator
+            if degree and shift:
+                pn, pd = powers[degree[0] * shift]
+                cn, cd = cn * pn, cd * pd
+            out.append((cn, cd, x, y))
+        return out
+
+    return weight.numerator, weight.denominator, ints(numer), ints(denom)
+
+
+def _factors(step, powers: _Powers, i: int, j: int):
+    """Integers (num, den, low) with num / (den low) the ratio a compiled
+    step multiplies the term at (i, j) by.  low is the product of the lower
+    factors' numerators, 0 exactly when one of them vanishes; num is 0
+    exactly when an upper factor (or the weight) does."""
+    num, den, numer, denom = step
+    low = 1
+    for cn, cd, x, y in numer:
+        pn, pd = powers[x * i + y * j]
+        cd *= pd
+        num *= cd - cn * pn
+        den *= cd
+    for cn, cd, x, y in denom:
+        pn, pd = powers[x * i + y * j]
+        cd *= pd
+        low *= cd - cn * pn
+        num *= cd
+    return num, den, low
+
+
+def _ladder_walk(tops, powers: _Powers, outer, inner, what: str, shift: int = 0):
     """Anti-diagonal sums of a two-index coefficient family, built by running
     ratios over the region 0 <= i < len(tops), 0 <= j <= tops[i].
 
@@ -125,51 +192,26 @@ def _ladder_walk(tops, q, outer, inner, what: str):
     term is reached from a neighbour inside it: (i, 0) from (i - 1, 0) by
     the outer step, and (i, j) from (i, j - 1) by the inner one.  A step is
     (weight, numer, denom), and each factor in numer and denom is a record
-    (C, x, y) for 1 - C q^(x i + y j) at the term (i, j) the step leaves.
+    (C, x, y) for 1 - C q^(x i + y j) at the term (i, j) the step leaves,
+    or (C, x, y, p) for a C carrying s^p, taken at q^shift s.
     Outer steps leave a term with j = 0, so their records carry y = 0.
     denom holds exactly the lower Pochhammer factors the step adds; a zero
     one is a vanishing lower ladder at the term it builds and raises
     ParameterDegeneracy, as the per-term definitions do.  Each factor is
-    formed in integers from one table of powers of q, and each term is
-    reduced once, into a Fraction.  sums[d] adds the terms with i + j = d.
+    formed in integers from powers, the caller's table of powers of q, and
+    each term is reduced once, into a Fraction.  sums[d] adds the terms
+    with i + j = d.
     """
-    if any(y for _, _, y in outer[1] + outer[2]):
+    if any(record[2] for record in outer[1] + outer[2]):
         raise ValueError("an outer step leaves a term with j = 0; its records carry y = 0")
-    qn, qd = q.numerator, q.denominator
-    powers = {}
-
-    def power(e: int):
-        pair = powers.get(e)
-        if pair is None:
-            pair = powers[e] = (qn ** e, qd ** e) if e >= 0 else (qd ** -e, qn ** -e)
-        return pair
-
-    def compiled(step):
-        weight, numer, denom = step
-        return (
-            weight.numerator, weight.denominator,
-            [(C.numerator, C.denominator, x, y) for C, x, y in numer],
-            [(C.numerator, C.denominator, x, y) for C, x, y in denom],
-        )
 
     def advance(term: Fraction, step, i: int, j: int) -> Fraction:
-        num, den, numer, denom = step
-        low = 1
-        for cn, cd, x, y in numer:
-            pn, pd = power(x * i + y * j)
-            cd *= pd
-            num *= cd - cn * pn
-            den *= cd
-        for cn, cd, x, y in denom:
-            pn, pd = power(x * i + y * j)
-            cd *= pd
-            low *= cd - cn * pn
-            num *= cd
+        num, den, low = _factors(step, powers, i, j)
         if low == 0:
             raise ParameterDegeneracy(f"vanishing lower Pochhammer in {what}")
         return Fraction(term.numerator * num, term.denominator * den * low)
 
-    outer, inner = compiled(outer), compiled(inner)
+    outer, inner = _compiled(outer, powers, shift), _compiled(inner, powers, shift)
     size = max((i + top for i, top in enumerate(tops)), default=-1) + 1
     sums = [Fraction(0)] * size
     head = Fraction(1)
@@ -184,25 +226,28 @@ def _ladder_walk(tops, q, outer, inner, what: str):
     return sums
 
 
-def _even_sums(s, P: ParamPoint, tops):
-    """c_e(k, l; s) summed along k + l over 0 <= l < len(tops),
-    0 <= k <= tops[l]: a walk along l at k = 0, then along k."""
+def _even_steps(s, P: ParamPoint) -> tuple:
+    """The outer and inner steps of c_e(k, l; s), a walk along l at k = 0,
+    then along k; each record (C, x, y, p) has a C carrying s^p, so one
+    compiled family serves every shift s -> q^w s."""
     P.require("a", "c")
     a, c, q = P.a, P.c, P.q
-    s = rat(s)
     q2 = q * q
     a2, c2, s2 = a * a, c * c, s * s
     sa4 = q2 * s2 / (a2 * a2)
     outer = (
         q2 / c2,
-        [(c2 / q, 2, 0), (s2 / a2, 2, 0), (s, 2, 0), (q * s, 2, 0), (sa4, 4, 0), (sa4 * q2, 4, 0)],
         [
-            (q2, 2, 0), (q ** 3 * s2 / (a2 * c2), 2, 0), (q * s / a2, 2, 0),
-            (q2 * s / a2, 2, 0), (s2 / a2, 4, 0), (q2 * s2 / a2, 4, 0),
+            (c2 / q, 2, 0, 0), (s2 / a2, 2, 0, 2), (s, 2, 0, 1), (q * s, 2, 0, 1),
+            (sa4, 4, 0, 2), (sa4 * q2, 4, 0, 2),
+        ],
+        [
+            (q2, 2, 0, 0), (q ** 3 * s2 / (a2 * c2), 2, 0, 2), (q * s / a2, 2, 0, 1),
+            (q2 * s / a2, 2, 0, 1), (s2 / a2, 4, 0, 2), (q2 * s2 / a2, 4, 0, 2),
         ],
     )
-    inner = (q2 / a2, [(a2, 0, 2), (s2, 4, 2)], [(q2, 0, 2), (q2 * s2 / a2, 4, 2)])
-    return _ladder_walk(tops, q, outer, inner, "the even family")
+    inner = (q2 / a2, [(a2, 0, 2, 0), (s2, 4, 2, 2)], [(q2, 0, 2, 0), (q2 * s2 / a2, 4, 2, 2)])
+    return outer, inner
 
 
 def odd_sums(s, P: ParamPoint, W: int) -> list:
@@ -226,7 +271,9 @@ def odd_sums(s, P: ParamPoint, W: int) -> list:
         [(-d / c, 0, 1), (q * s / (a * b), 0, 1), (s, 1, 1), (sacn, 1, 1), (sac, 1, 1)],
         [(q, 0, 1), (sabcd, 1, 1), (sacn, 0, 1), (sac, 2, 2)],
     )
-    return _ladder_walk([W - m for m in range(W + 1)], q, outer, inner, "the odd family")
+    return _ladder_walk(
+        [W - m for m in range(W + 1)], _Powers(q), outer, inner, "the odd family"
+    )
 
 
 def _coupled_sums(s, P: ParamPoint, tops, cu, su, what: str) -> list:
@@ -256,7 +303,7 @@ def _coupled_sums(s, P: ParamPoint, tops, cu, su, what: str) -> list:
             (q2sc, 1, 2), (q2sc * q, 1, 2),
         ],
     )
-    return _ladder_walk(tops, q, outer, inner, what)
+    return _ladder_walk(tops, _Powers(q), outer, inner, what)
 
 
 def ce_prime_sums(s, P: ParamPoint, D: int) -> list:
@@ -285,22 +332,49 @@ def phi_series(s, P: ParamPoint, N: int) -> tuple:
     the symbolic prefactor x^-lambda with s = q^-lambda is never expanded.
 
     The odd sums over m + n = w come from one walk over m + n <= N; the
-    even triangle k + l <= (N - w) / 2 is walked once per w at q^w s."""
+    even triangle k + l <= (N - w) / 2 is walked once per w at q^w s, from
+    one even family built at s and one table of powers of q."""
     s = rat(s)
-    q = P.q
     odd = odd_sums(s, P, N)
+    outer, inner = _even_steps(s, P)
+    powers = _Powers(P.q)
     coeffs = [Fraction(0)] * (N + 1)
     for w in range(N + 1):
         deg = (N - w) // 2
-        even = _even_sums(q ** w * s, P, [deg - l for l in range(deg + 1)])
+        tops = [deg - l for l in range(deg + 1)]
+        even = _ladder_walk(tops, powers, outer, inner, "the even family", w)
         for K, value in enumerate(even):
             coeffs[w + 2 * K] += value * odd[w]
     return tuple(coeffs)
 
 
+def _psi_spec(s, P: ParamPoint, n: int) -> PhiSpec:
+    """The terminating 6phi5 of psi_series at x^n, as phi_sum would take it."""
+    a, b, c, d, q = P.a, P.b, P.c, P.d, P.q
+    sq = P.sqrt_q
+    return PhiSpec(
+        uppers=(
+            q ** -n, q ** (n + 1) * s ** 2 / a ** 2, s,
+            q * s / (a * b), q * s / (a * c), q * s / (a * d),
+        ),
+        lowers=(
+            q ** 2 * s ** 2 / (a * b * c * d), sq * s / a, -sq * s / a, q * s / a, -q * s / a,
+        ),
+        base=q,
+        argument=q,
+    )
+
+
 def psi_series(s, P: ParamPoint, N: int) -> tuple:
     """Coefficients through x^N of the single-sum form of the series: the
-    binomial prefactor in qx/a times terminating inner sums of length n+1."""
+    binomial prefactor in qx/a times terminating inner sums of length n+1.
+
+    The inner sums are the rows of one walk over the triangle
+    0 <= k <= n <= N, whose term (n, k) is the k-th term of the n-th
+    terminating 6phi5 times its outer factor.  A row stops at its first
+    zero upper factor, before that step's lower factors are tested, as
+    phi_sum stops at its first cutoff; a vanishing lower factor inside a
+    row raises phi_sum's PoleInLower."""
     P.require("a", "b", "c", "d")
     a, b, c, d, q = P.a, P.b, P.c, P.d, P.q
     sq = P.sqrt_q
@@ -308,39 +382,54 @@ def psi_series(s, P: ParamPoint, N: int) -> tuple:
     if s == 0:
         raise ParameterDegeneracy("the series needs s != 0")
     pref = qbinom_series(a ** 2 / q, q, N)
-    inner = []
-    outer = Fraction(1)
-    qn = Fraction(1)
+    powers = _Powers(q)
+    s2a2 = s * s / (a * a)
+    # outer: the factor (q s^2/a^2; q)_n (a/s)^n / (q; q)_n, from n to n + 1;
+    # its lower (q; q)_n never vanishes, as q > 0 and q != 1
+    outer = _compiled((a / s, [(q * s2a2, 1, 0)], [(q, 1, 0)]), powers)
+    # inner: the 6phi5 term ratio from k to k + 1 in row n
+    inner = _compiled(
+        (
+            q,
+            [
+                (Fraction(1), -1, 1), (q * s2a2, 1, 1), (s, 0, 1),
+                (q * s / (a * b), 0, 1), (q * s / (a * c), 0, 1), (q * s / (a * d), 0, 1),
+            ],
+            [
+                (q, 0, 1), (q * q * s * s / P.abcd(), 0, 1), (sq * s / a, 0, 1),
+                (-sq * s / a, 0, 1), (q * s / a, 0, 1), (-q * s / a, 0, 1),
+            ],
+        ),
+        powers,
+    )
+    rows = []
+    head = Fraction(1)
     for n in range(N + 1):
-        spec = PhiSpec(
-            uppers=(
-                q ** -n,
-                q ** (n + 1) * s ** 2 / a ** 2,
-                s,
-                q * s / (a * b),
-                q * s / (a * c),
-                q * s / (a * d),
-            ),
-            lowers=(
-                q ** 2 * s ** 2 / (a * b * c * d),
-                sq * s / a,
-                -sq * s / a,
-                q * s / a,
-                -q * s / a,
-            ),
-            base=q,
-            argument=q,
-        )
-        inner.append(outer * phi_sum(spec, n))
-        outer *= (1 - q * s ** 2 / a ** 2 * qn) / (1 - q * qn) * (a / s)
-        qn *= q
-    coeffs = []
-    for j in range(N + 1):
-        acc = Fraction(0)
-        for i in range(j + 1):
-            acc += pref[i] * (q / a) ** i * inner[j - i]
-        coeffs.append(acc)
-    return tuple(coeffs)
+        if n:
+            num, den, low = _factors(outer, powers, n - 1, 0)
+            head = Fraction(head.numerator * num, head.denominator * den * low)
+        ratios = []
+        for k in range(n):
+            num, den, low = _factors(inner, powers, n, k)
+            if num == 0:
+                break
+            if low == 0:
+                raise PoleInLower(
+                    f"lower parameter ladder vanished at term {k + 1} of {_psi_spec(s, P, n)}"
+                )
+            ratios.append((num, den * low))
+        # the row sum 1 + r_0 (1 + r_1 (1 + ...)) in integers, reduced once
+        total_n = total_d = 1
+        for num, den in reversed(ratios):
+            total_n, total_d = total_d * den + num * total_n, total_d * den
+        rows.append(head * Fraction(total_n, total_d))
+    # the prefactor's coefficients of x^i, (a^2/q; q)_i / (q; q)_i (q/a)^i
+    qa = q / a
+    weights = [value * qa ** i for i, value in enumerate(pref)]
+    return tuple(
+        sum((weights[i] * rows[j - i] for i in range(j + 1)), Fraction(0))
+        for j in range(N + 1)
+    )
 
 
 def fourfold_poly(lam: int, P: ParamPoint) -> LaurentPoly:
@@ -356,13 +445,16 @@ def fourfold_poly(lam: int, P: ParamPoint) -> LaurentPoly:
     if lam < 0:
         raise ValueError("lam must be nonnegative")
     q = P.q
-    odd = odd_sums(q ** -lam, P, lam)
+    s = q ** -lam
+    odd = odd_sums(s, P, lam)
+    outer, inner = _even_steps(s, P)
+    powers = _Powers(q)
     terms: dict = {}
     for w in range(lam + 1):
         if not odd[w]:
             continue
         tops = [lam - w - 2 * l for l in range((lam - w) // 2 + 1)]
-        even = _even_sums(q ** (w - lam), P, tops)
+        even = _ladder_walk(tops, powers, outer, inner, "the even family", w)
         for K, value in enumerate(even):
             e = (-lam + 2 * K + w,)
             terms[e] = terms.get(e, Fraction(0)) + odd[w] * value
@@ -407,7 +499,7 @@ def _split_sums(s, P: ParamPoint, tops) -> list:
         [(q, 1, 0), (q * s / a2, 1, 0), (sac3, 2, 0)],
     )
     inner = (q2 / a2, [(q * a2 / c2, 0, 2), (s2, 2, 2)], [(q2, 0, 2), (sac3, 2, 2)])
-    return _ladder_walk(tops, q, outer, inner, "the split form")
+    return _ladder_walk(tops, _Powers(q), outer, inner, "the split form")
 
 
 def even_sum_forms(s, P: ParamPoint, N: int) -> EvenSumForms:
@@ -421,7 +513,7 @@ def even_sum_forms(s, P: ParamPoint, N: int) -> EvenSumForms:
     P.require("a", "c")
     s = rat(s)
     tops = [N - l for l in range(N + 1)]
-    raw = _even_sums(s, P, tops)
+    raw = _ladder_walk(tops, _Powers(P.q), *_even_steps(s, P), "the even family")
     closed = even_sum_closed(s, P, N)
     split = _split_sums(s, P, tops)
     coupled = _coupled_sums(s, P, tops, P.c ** 2 / P.q, s, "the coupled form")

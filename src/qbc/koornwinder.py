@@ -340,16 +340,17 @@ def kernel_identity_check(n: int, beta: int, deg: int, P: ParamPoint) -> list:
     shift = beta * n
 
     def residual_check(e):
+        # y^j of the cleared y-side meets W[e - j] through one scalar weight
         residual = LaurentPoly.zero(n)
         for j in range(min(e, 6) + 1):
-            w = W[e - j]
-            if lcd[j]:
-                residual = residual + (DW[e - j] + w * const) * lcd[j]
             power = shift + e - j
-            if gup[j]:
-                residual = residual - w * (gup[j] * (q ** power - 1) / alpha_tilde)
-            if gdown[j]:
-                residual = residual - w * (gdown[j] * (q ** -power - 1) / alpha_tilde)
+            weight = lcd[j] * const - (
+                gup[j] * (q ** power - 1) + gdown[j] * (q ** -power - 1)
+            ) / alpha_tilde
+            if lcd[j]:
+                residual = residual + DW[e - j] * lcd[j]
+            if weight:
+                residual = residual + W[e - j] * weight
         if residual.is_zero():
             return None
         exps, value = residual.leading()

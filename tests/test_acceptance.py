@@ -51,6 +51,8 @@ CFG = default_config()
 # sha256 of run_suite("all", CFG).to_json(with_timing=False): 366 passing cases
 ALL_DIGEST = "6b7ebdcef175f4677fd3ee0e192a48b85406d93d7424bfa3ccb1586728377d14"
 AW_POINTS = [cp.point for cp in CFG.points("askey-wilson")]
+# criteria 1 and 3 check the one-variable layer through this degree
+AW_MAX_DEGREE = 24
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -77,7 +79,7 @@ def _timed(limit):
 def test_criterion_01_fourfold_matches_terminating_sum():
     done = _timed(10)
     for P in AW_POINTS:
-        for lam in range(7):
+        for lam in range(AW_MAX_DEGREE + 1):
             assert fourfold_poly(lam, P) == aw_poly(lam, P)
     done()
 
@@ -94,9 +96,10 @@ def test_criterion_02_difference_equation():
 def test_criterion_03_series_recombination_through_x12():
     done = _timed(10)
     for P in AW_POINTS:
-        psi = psi_series(P.s, P, 12)
-        phi = phi_series(P.s, P, 12)
-        assert all(psi[j] == phi[j] for j in range(13))
+        # through x^12, and on to the fourfold sweep's degree
+        psi = psi_series(P.s, P, AW_MAX_DEGREE)
+        phi = phi_series(P.s, P, AW_MAX_DEGREE)
+        assert all(psi[j] == phi[j] for j in range(AW_MAX_DEGREE + 1))
     done()
 
 

@@ -30,8 +30,8 @@ from qbc.askey_wilson import (
     psi_series,
     simplified_series,
 )
-from qbc.errors import ParameterDegeneracy, QbcError
-from qbc.qseries import PhiSpec, phi_sum, qpoch, qpoch_multi, qpoch_ratio
+from qbc.errors import ParameterDegeneracy, PoleInLower, QbcError
+from qbc.qseries import PhiSpec, phi_sum, qbinom_series, qpoch, qpoch_multi, qpoch_ratio
 from test_algebra import _exponent_box, qshift
 
 # Parameter values stay away from integer and half-integer powers of q: with
@@ -581,6 +581,83 @@ def _even_sum_forms_reference(s, P, N):
     return EvenSumForms(raw, closed, _split_reference(s, P, N), _coupled_reference(s, P, N))
 
 
+# References for the one-variable layer's integer-record paths: each is the
+# body the program ran before it moved onto integer records, with its
+# ladders built in Fraction arithmetic.
+
+
+def _aw_poly_reference(n, P):
+    """aw_poly by products of Fraction Laurent polynomials: the pair ladder
+    (ax, a/x; q)_m multiplied out one factor pair at a time."""
+    a, b, c, d, q = P.a, P.b, P.c, P.d, P.q
+    for prod in (a * b, a * c, a * d):
+        if qpoch(prod, q, n) == 0:
+            raise ParameterDegeneracy(
+                f"lower Pochhammer ({prod};q)_m vanishes for some m <= {n}"
+            )
+    x = LaurentPoly.monomial((1,))
+    xinv = LaurentPoly.monomial((-1,))
+    one = LaurentPoly.one(1)
+    abcd = a * b * c * d
+    total = LaurentPoly.zero(1)
+    scalar = Fraction(1)
+    pair = one
+    qm = Fraction(1)
+    for m in range(n + 1):
+        total = total + pair * scalar
+        if m == n:
+            break
+        ratio = (1 - q ** -n * qm) * (1 - abcd * q ** (n - 1) * qm) * q
+        ratio /= (1 - q * qm) * (1 - a * b * qm) * (1 - a * c * qm) * (1 - a * d * qm)
+        scalar *= ratio
+        pair = pair * (one - x * (a * qm)) * (one - xinv * (a * qm))
+        qm *= q
+    return total * (qpoch_multi((a * b, a * c, a * d), q, n) * a ** -n)
+
+
+def _psi_series_reference(s, P, N):
+    """psi_series with each inner 6phi5 summed by phi_sum from its PhiSpec."""
+    a, b, c, d, q = P.a, P.b, P.c, P.d, P.q
+    sq = P.sqrt_q
+    s = rat(s)
+    if s == 0:
+        raise ParameterDegeneracy("the series needs s != 0")
+    pref = qbinom_series(a ** 2 / q, q, N)
+    inner = []
+    outer = Fraction(1)
+    qn = Fraction(1)
+    for n in range(N + 1):
+        spec = PhiSpec(
+            uppers=(
+                q ** -n,
+                q ** (n + 1) * s ** 2 / a ** 2,
+                s,
+                q * s / (a * b),
+                q * s / (a * c),
+                q * s / (a * d),
+            ),
+            lowers=(
+                q ** 2 * s ** 2 / (a * b * c * d),
+                sq * s / a,
+                -sq * s / a,
+                q * s / a,
+                -q * s / a,
+            ),
+            base=q,
+            argument=q,
+        )
+        inner.append(outer * phi_sum(spec, n))
+        outer *= (1 - q * s ** 2 / a ** 2 * qn) / (1 - q * qn) * (a / s)
+        qn *= q
+    coeffs = []
+    for j in range(N + 1):
+        acc = Fraction(0)
+        for i in range(j + 1):
+            acc += pref[i] * (q / a) ** i * inner[j - i]
+        coeffs.append(acc)
+    return tuple(coeffs)
+
+
 def _odd_first(reference, s, P, N):
     """reference(s, P, N) after every c_o(m, n; s) with m + n <= N, which
     the walks build before any even term: a point degenerate in both
@@ -757,3 +834,45 @@ class TestRunningRatioWalks:
         with pytest.raises(ParameterDegeneracy) as info:
             walk(s, P, 2)
         assert str(info.value) == f"vanishing lower Pochhammer in {family}"
+
+
+# PSI_POLE: q s/a = q^-1, so the lower (q s/a; q)_k of the inner 6phi5
+# vanishes at its second term; rows 2 and 3 stop first at a zero upper
+# q^(n+1) s^2/a^2 q^k, and row 4 raises.  PSI_CUTOFF: the upper s = q^-2
+# ends every row from n = 3 on before q^-n does.  AW_POLE: ab = q^-1, so
+# (ab; q)_n vanishes from n = 2 on.
+PSI_POLE = (POINT_A, POINT_A.a / POINT_A.q ** 2)
+PSI_CUTOFF = (POINT_B, POINT_B.q ** -2)
+AW_POLE = (ParamPoint(sqrt_q=Fraction(1, 2), a=2, b=2, c=5, d=7), Fraction(1, 3))
+
+
+class TestIntegerRecordPaths:
+    """psi_series and aw_poly run on integer records; each must agree with
+    its reference exactly, or raise the same error with the same message."""
+
+    @settings(derandomize=True, max_examples=250, deadline=None)
+    @given(_walk_inputs(), st.integers(0, 8), st.integers(0, 6))
+    @example(PSI_POLE, 6, 0)
+    @example(PSI_CUTOFF, 6, 0)
+    @example(AW_POLE, 0, 3)
+    def test_psi_series_and_aw_poly_match_references(self, drawn, N, n):
+        P, s = drawn
+        assert _outcome(psi_series, s, P, N) == _outcome(_psi_series_reference, s, P, N)
+        assert _outcome(aw_poly, n, P) == _outcome(_aw_poly_reference, n, P)
+
+    @pytest.mark.parametrize(
+        "call, degree, error, message",
+        [
+            (lambda k: psi_series(PSI_POLE[1], PSI_POLE[0], k), 4, PoleInLower,
+             "lower parameter ladder vanished at term 2 of "),
+            (lambda k: aw_poly(k, AW_POLE[0]), 2, ParameterDegeneracy,
+             "lower Pochhammer (4;q)_m vanishes for some m <= 2"),
+        ],
+        ids=["psi", "aw"],
+    )
+    def test_pole_points_raise_at_their_degree(self, call, degree, error, message):
+        # the @example points above are degenerate where they claim to be
+        call(degree - 1)
+        with pytest.raises(error) as info:
+            call(degree)
+        assert str(info.value).startswith(message)

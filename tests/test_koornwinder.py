@@ -14,12 +14,15 @@ from qbc.algebra import (
     LaurentPoly,
     ParamPoint,
     dominated_partitions,
+    format_rational,
     monomial_symmetric,
 )
 from qbc.askey_wilson import aw_apply, aw_eigenvalue, aw_poly
 from qbc.errors import ParameterDegeneracy
+from qbc import koornwinder
 from qbc.koornwinder import (
     _koorn_operator,
+    _poly_mul,
     g_row_general,
     g_row_sym,
     g_series,
@@ -308,6 +311,38 @@ class TestOneRowFormulas:
                 assert g_row_general(r, P, 2) == expected
 
 
+def _kernel_residuals_reference(n, beta, deg, P):
+    """kernel_identity_check's residuals, one per y-degree e, each summed
+    from five polynomial scalings per j as the check did before it formed
+    one scalar weight per j."""
+    q, t, alpha, st = P.q, P.t, P.alpha, P.sqrt_t
+    ratio = P.sqrt_q / st
+    W = [g * ratio ** r for r, g in enumerate(g_series_list(deg, n, P))]
+    DW = [koornwinder.koorn_apply(w, P, n) for w in W]
+    const = (st ** n - st ** -n) * (alpha * st ** (n - 2) - 1 / (alpha * st ** (n - 2)))
+    alpha_tilde = t / alpha
+    lcd = _poly_mul(_poly_mul([1, 0, -1], [1, 0, -q]), [-q, 0, 1])
+    gup, gdown = [-q, 0, 1], [1, 0, -q]
+    for u in (P.sqrt_q * st / u for u in (P.a, P.b, P.c, P.d)):
+        gup = _poly_mul(gup, [1, -u])
+        gdown = _poly_mul(gdown, [-u, 1])
+    gdown = [-v for v in gdown]
+    residuals = []
+    for e in range(deg + 1):
+        residual = LaurentPoly.zero(n)
+        for j in range(min(e, 6) + 1):
+            w = W[e - j]
+            if lcd[j]:
+                residual = residual + (DW[e - j] + w * const) * lcd[j]
+            power = beta * n + e - j
+            if gup[j]:
+                residual = residual - w * (gup[j] * (q ** power - 1) / alpha_tilde)
+            if gdown[j]:
+                residual = residual - w * (gdown[j] * (q ** -power - 1) / alpha_tilde)
+        residuals.append(residual)
+    return residuals
+
+
 def _kernel_report(n, beta, deg, P):
     return _run("kernel", _plan("", P.to_json_obj(), kernel_identity_check(n, beta, deg, P)))
 
@@ -326,3 +361,28 @@ class TestKernelIdentity:
     def test_requires_matching_t(self):
         with pytest.raises(ParameterDegeneracy):
             kernel_identity_check(2, 1, 4, POINT_K1)
+
+    @pytest.mark.parametrize("beta, P", [(1, POINT_KER1), (2, POINT_KER2)])
+    def test_residuals_match_reference_with_a_planted_error(self, beta, P, monkeypatch):
+        # koorn_apply off by 10^-9 x_1 makes the identity fail; each
+        # y-degree must report the mismatch the per-term residual gives
+        exact = koornwinder.koorn_apply
+        planted = LaurentPoly.monomial((1, 0), Fraction(1, 10 ** 9))
+        monkeypatch.setattr(
+            koornwinder, "koorn_apply", lambda f, P, n: exact(f, P, n) + planted
+        )
+        reference = _kernel_residuals_reference(2, beta, 6, P)
+        got = [check() for *_, check in kernel_identity_check(2, beta, 6, P)]
+        want = []
+        for e, residual in enumerate(reference):
+            if residual.is_zero():
+                want.append(None)
+                continue
+            exps, value = residual.leading()
+            want.append({
+                "coefficient": f"y^{2 * beta + e} x^{list(exps)}",
+                "expected": "0",
+                "got": format_rational(value),
+            })
+        assert any(want)
+        assert got == want
