@@ -216,10 +216,6 @@ class LaurentPoly:
         return cls(num_vars, {}, scale)
 
     @classmethod
-    def one(cls, num_vars: int) -> "LaurentPoly":
-        return cls(num_vars, {(0,) * num_vars: Fraction(1)})
-
-    @classmethod
     def monomial(cls, exps: Sequence[int], coeff=1, scale: int = 1) -> "LaurentPoly":
         return cls(len(exps), {tuple(exps): rat(coeff)}, scale)
 

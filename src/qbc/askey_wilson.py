@@ -184,7 +184,7 @@ def _factors(step, powers: _Powers, i: int, j: int):
     return num, den, low
 
 
-def _ladder_walk(tops, powers: _Powers, outer, inner, what: str, shift: int = 0):
+def _ladder_walk(tops, powers: _Powers, outer, inner, what: str, shift: int = 0, stride: int = 1):
     """Anti-diagonal sums of a two-index coefficient family, built by running
     ratios over the region 0 <= i < len(tops), 0 <= j <= tops[i].
 
@@ -200,7 +200,8 @@ def _ladder_walk(tops, powers: _Powers, outer, inner, what: str, shift: int = 0)
     ParameterDegeneracy, as the per-term definitions do.  Each factor is
     formed in integers from powers, the caller's table of powers of q, and
     each term is reduced once, into a Fraction.  sums[d] adds the terms
-    with i + j = d.
+    with i + stride j = d: stride is the x-degree of one inner step, 1 for
+    the c_e / c_o families and 2 for the tied-point collapses.
     """
     if any(record[2] for record in outer[1] + outer[2]):
         raise ValueError("an outer step leaves a term with j = 0; its records carry y = 0")
@@ -212,7 +213,7 @@ def _ladder_walk(tops, powers: _Powers, outer, inner, what: str, shift: int = 0)
         return Fraction(term.numerator * num, term.denominator * den * low)
 
     outer, inner = _compiled(outer, powers, shift), _compiled(inner, powers, shift)
-    size = max((i + top for i, top in enumerate(tops)), default=-1) + 1
+    size = max((i + stride * top for i, top in enumerate(tops)), default=-1) + 1
     sums = [Fraction(0)] * size
     head = Fraction(1)
     for i, top in enumerate(tops):
@@ -222,7 +223,7 @@ def _ladder_walk(tops, powers: _Powers, outer, inner, what: str, shift: int = 0)
         for j in range(top + 1):
             if j:
                 term = advance(term, inner, i, j - 1)
-            sums[i + j] += term
+            sums[i + stride * j] += term
     return sums
 
 
@@ -520,17 +521,15 @@ def even_sum_forms(s, P: ParamPoint, N: int) -> EvenSumForms:
     return EvenSumForms(raw, closed, split, coupled)
 
 
-def odd_sum_check(l: int, s, P: ParamPoint):
-    """Pair (direct, closed) for the degree-l odd sum sum_m c_o(m, l-m; s);
-    equality of the two entries is the caller's test.  The direct side is
-    the last anti-diagonal of the odd walk over m + n <= l, the closed side
-    a head factor times a terminating 4phi3."""
+def odd_sum_closed(l: int, s, P: ParamPoint) -> Fraction:
+    """The degree-l odd sum sum_m c_o(m, l-m; s) by its closed form: a head
+    factor times a terminating 4phi3.  odd_sums(s, P, L)[l], L >= l, is the
+    direct side it is checked against."""
     P.require("a", "b", "c", "d")
     a, b, c, d, q = P.a, P.b, P.c, P.d, P.q
     s = rat(s)
     if s == 0:
         raise ParameterDegeneracy("the closed odd form needs s != 0")
-    direct = odd_sums(s, P, l)[l]
     half = P.sqrt_q * s / (a * c)
     head = qpoch_ratio(
         (-d / c, q * s / (a * b), s, q * s ** 2 / (a ** 2 * c ** 2)),
@@ -543,8 +542,7 @@ def odd_sum_check(l: int, s, P: ParamPoint):
         base=q,
         argument=q,
     )
-    closed = head * (q / d) ** l * phi_sum(spec, l)
-    return direct, closed
+    return head * (q / d) ** l * phi_sum(spec, l)
 
 
 def simplified_series(variant: str, s, P: ParamPoint, N: int) -> tuple:
@@ -556,36 +554,48 @@ def simplified_series(variant: str, s, P: ParamPoint, N: int) -> tuple:
     """
     P.require("a", "b", "c", "d")
     sq = P.sqrt_q
-    q = P.q
-    s = rat(s)
     A = -P.a
-    B = P.b
     if P.c != -sq * A:
         raise ParameterDegeneracy("variant needs c = -q^(1/2) a chained to a")
     if variant == HALF_BASE:
-        if P.d != sq * B:
+        if P.d != sq * P.b:
             raise ParameterDegeneracy("half-base variant needs d = q^(1/2) b")
     elif variant == FULL_BASE:
         if P.d != sq * A:
             raise ParameterDegeneracy("full-base variant needs d = q^(1/2) a")
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    coeffs = [Fraction(0)] * (N + 1)
-    for l in range(N + 1):
-        if variant == HALF_BASE:
-            lterm = (
-                qpoch_ratio((B / A, s / A ** 2), (sq, sq * s / (A * B)), sq, l, "the l ladder")
-                * qpoch_ratio((s,), (s / A ** 2,), q, l, "the l ladder")
-                * (sq / B) ** l
-            )
-        else:
-            lterm = qpoch_ratio(
-                (B / A, s ** 2 / A ** 4, s), (q, q * s ** 2 / (A ** 3 * B), s / A ** 2),
-                q, l, "the l ladder",
-            ) * (q / B) ** l
-        for m in range((N - l) // 2 + 1):
-            mterm = qpoch_ratio(
-                (A ** 2, q ** l * s), (q, q ** (l + 1) * s / A ** 2), q, m, "the m ladder"
-            )
-            coeffs[2 * m + l] += lterm * mterm * (q / A ** 2) ** m
-    return tuple(coeffs)
+    tops = [(N - l) // 2 for l in range(N + 1)]
+    return tuple(collapse_sums(variant, s, P, tops, f"the {variant} collapse"))
+
+
+def collapse_sums(variant: str, s, P: ParamPoint, tops, what: str, twist: int = 0) -> list:
+    """Sums along 2m + l, over 0 <= l < len(tops), 0 <= m <= tops[l], of a
+    tied-point collapse at A = -a, B = b, a point the caller has checked: an
+    l-block times (A^2 q^-twist; q)_m (s q^-twist; q)_(l+m) (q/A^2)^m
+    / ((q; q)_m (q s/A^2; q)_(l+m)).  FULL_BASE's l-block is
+    (B/A, s^2/A^4, q s/A^2; q)_l (q/B)^l / (q, q s^2/(A^3 B), s/A^2; q)_l,
+    walked uncancelled to meet every lower factor of the quadratic-pair
+    lemma's ladders; HALF_BASE's, (B/A, s/A^2; q^(1/2))_l (q s/A^2; q)_l
+    (q^(1/2)/B)^l / ((q^(1/2), q^(1/2) s/(A B); q^(1/2))_l (s/A^2; q)_l), is
+    walked on powers of q^(1/2), every base-q exponent doubled."""
+    A, B, q, s = -P.a, P.b, P.q, rat(s)
+    A2 = A * A
+    qs, su = q * s / A2, s / q ** twist
+    if variant == FULL_BASE:
+        powers, e = _Powers(q), 1
+        outer = (
+            q / B,
+            [(B / A, 1, 0), (s * s / (A2 * A2), 1, 0), (su, 1, 0), (qs, 1, 0)],
+            [(q, 1, 0), (q * s * s / (A2 * A * B), 1, 0), (s / A2, 1, 0), (qs, 1, 0)],
+        )
+    else:
+        sq = P.sqrt_q
+        powers, e = _Powers(sq), 2
+        outer = (
+            sq / B,
+            [(B / A, 1, 0), (s / A2, 1, 0), (su, 2, 0)],
+            [(sq, 1, 0), (sq * s / (A * B), 1, 0), (s / A2, 2, 0)],
+        )
+    inner = (q / A2, [(A2 / q ** twist, 0, e), (su, e, e)], [(q, 0, e), (qs, e, e)])
+    return _ladder_walk(tops, powers, outer, inner, what, stride=2)

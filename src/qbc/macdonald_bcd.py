@@ -9,7 +9,7 @@ from functools import partial
 from typing import Optional
 
 from .algebra import LaurentPoly, ParamPoint, format_rational, rat
-from .askey_wilson import phi_series
+from .askey_wilson import FULL_BASE, collapse_sums, phi_series
 from .errors import MissingSquareRoot, ParameterDegeneracy
 from .koornwinder import g_series_list, row_sum
 from .qseries import qpoch, qpoch_ratio
@@ -245,38 +245,22 @@ def simplification_lemma_check(variant: str, s, P: ParamPoint, N: int) -> list:
         )
     if variant == TYPE_C and P.b != a:
         raise ParameterDegeneracy("variant C ties the second parameter to the first")
-    b = P.b
     if s == q:
         raise ParameterDegeneracy("twisted ladder has a pole at s = q")
-    a2 = a * a
-
-    def iblock(i):
-        return qpoch_ratio(
-            (b / a, s * s / a2 ** 2, q * s / a2), (q, q * s * s / (a2 * a * b), s / a2),
-            q, i, "the collapsed ladder",
-        ) * (q / b) ** i
 
     def ladder(p, twist):
-        # coefficient of x^p over 2j + i = p; twist = 1 gives the ladder that
-        # absorbs the (1 - x^2) prefactor.  Variant C keeps only i = 0: its
-        # i-blocks vanish (b = a), but their longer lower ladders could raise
+        # coefficient of x^p; twist = 1 gives the ladder that absorbs the
+        # (1 - x^2) prefactor.  The walk covers only the degrees <= p: a
+        # lower factor that vanishes at a term vanishes a step up in i or j
+        # too, so the walk raises exactly when a term of degree p has one.
+        # Variant C walks only i = 0: its i-blocks vanish (b = a), but their
+        # longer lower ladders could raise
+        if variant == TYPE_C and p % 2:
+            return Fraction(0)
+        tops = [(p - i) // 2 for i in range(1 if variant == TYPE_C else p + 1)]
         what = "the twisted ladder" if twist else "the collapsed ladder"
-        shift = q ** -twist
-        total = Fraction(0)
-        for j in range(p // 2 + 1):
-            i = p - 2 * j
-            if variant == TYPE_C and i:
-                continue
-            w = (
-                qpoch_ratio((a2 * shift,), (q,), q, j, what)
-                * qpoch_ratio((s * shift,), (q * s / a2,), q, i + j, what)
-                * iblock(i)
-                * (q / a2) ** j
-            )
-            if twist:
-                w *= _pivot(s / q, q ** (i + 2 * j), what)
-            total += w
-        return total
+        value = collapse_sums(FULL_BASE, s, P, tops, what, twist)[p]
+        return value * (1 - q ** (p - 1) * s) / (1 - s / q) if twist else value
 
     ser = phi_series(s, P, N)
 

@@ -24,7 +24,7 @@ from qbc.askey_wilson import (
     even_sum_closed,
     even_sum_forms,
     fourfold_poly,
-    odd_sum_check,
+    odd_sum_closed,
     odd_sums,
     phi_series,
     psi_series,
@@ -84,7 +84,8 @@ def coeff_co(m: int, n: int, s, P: ParamPoint) -> Fraction:
     """Odd-family coefficient c_o(m, n; s): base q with two q^2 ladders.
 
     The per-term definition, every ladder rebuilt: the running-ratio walk
-    phi_series, fourfold_poly and odd_sum_check use is tested against it."""
+    phi_series, fourfold_poly and the bibasic suite's odd sums use is tested
+    against it."""
     P.require("a", "b", "c", "d")
     a, b, c, d, q = P.a, P.b, P.c, P.d, P.q
     s = rat(s)
@@ -201,7 +202,7 @@ class TestEigenvalue:
 
 class TestAwPoly:
     def test_degree_zero(self):
-        assert aw_poly(0, POINT_A) == LaurentPoly.one(1)
+        assert aw_poly(0, POINT_A) == LaurentPoly.monomial((0,))
 
     def test_degree_one_two_term_expansion(self):
         # a^-1 [(1-ab)(1-ac)(1-ad) - (1-abcd)(1-ax)(1-a/x)]
@@ -209,7 +210,7 @@ class TestAwPoly:
         a, b, c, d = P.a, P.b, P.c, P.d
         x = LaurentPoly.monomial((1,))
         xinv = LaurentPoly.monomial((-1,))
-        one = LaurentPoly.one(1)
+        one = LaurentPoly.monomial((0,))
         expected = (
             one * ((1 - a * b) * (1 - a * c) * (1 - a * d))
             - (one - x * a) * (one - xinv * a) * (1 - a * b * c * d)
@@ -243,7 +244,7 @@ class TestAwPoly:
 
 class TestOperator:
     def test_kills_constants(self):
-        assert aw_apply(LaurentPoly.one(1), POINT_A).is_zero()
+        assert aw_apply(LaurentPoly.monomial((0,)), POINT_A).is_zero()
 
     def test_matches_direct_substitution(self):
         # independent route: evaluate the two rational coefficients of the
@@ -457,10 +458,10 @@ class TestTransformationSuite:
     def test_odd_sum_closed_form(self):
         P = POINT_A
         s = Fraction(1, 3)
-        assert odd_sum_check(0, s, P) == (1, 1)
+        direct = odd_sums(s, P, 6)
+        assert direct[0] == odd_sum_closed(0, s, P) == 1
         for l in range(1, 7):
-            direct, closed = odd_sum_check(l, s, P)
-            assert direct == closed
+            assert direct[l] == odd_sum_closed(l, s, P)
 
     def test_half_base_simplification(self):
         A, B, sq = 3, 5, Fraction(1, 2)
@@ -597,7 +598,7 @@ def _aw_poly_reference(n, P):
             )
     x = LaurentPoly.monomial((1,))
     xinv = LaurentPoly.monomial((-1,))
-    one = LaurentPoly.one(1)
+    one = LaurentPoly.monomial((0,))
     abcd = a * b * c * d
     total = LaurentPoly.zero(1)
     scalar = Fraction(1)
@@ -669,8 +670,8 @@ def _odd_first(reference, s, P, N):
 
 
 def _odd_sum_check_reference(l, s, P):
-    """odd_sum_check with its direct side summed term by term through
-    coeff_co, as it was before it read the odd walk."""
+    """The direct side and the closed form of the degree-l odd sum, the
+    direct side summed term by term through coeff_co."""
     P.require("a", "b", "c", "d")
     a, b, c, d, q = P.a, P.b, P.c, P.d, P.q
     s = rat(s)
@@ -788,7 +789,9 @@ class TestRunningRatioWalks:
         # the direct side read off the odd walk is the per-term sum, and
         # it raises exactly where a term of the sum does
         P, s = drawn
-        assert _outcome(odd_sum_check, l, s, P) == _outcome(_odd_sum_check_reference, l, s, P)
+        assert _outcome(lambda: (odd_sums(s, P, l)[l], odd_sum_closed(l, s, P))) == _outcome(
+            _odd_sum_check_reference, l, s, P
+        )
 
     def test_even_walk_stops_at_a_vanishing_lower_ladder(self):
         # q^3 s^2/(a^2 c^2) = q^-2, so (q^3 s^2/(a^2 c^2); q^2)_l vanishes
@@ -876,3 +879,114 @@ class TestIntegerRecordPaths:
         with pytest.raises(error) as info:
             call(degree)
         assert str(info.value).startswith(message)
+
+
+def _simplified_series_reference(variant, s, P, N):
+    """simplified_series with its l and m ladders rebuilt by qpoch_ratio at
+    every degree, as it was before it walked them."""
+    P.require("a", "b", "c", "d")
+    sq = P.sqrt_q
+    q = P.q
+    s = rat(s)
+    A = -P.a
+    B = P.b
+    if P.c != -sq * A:
+        raise ParameterDegeneracy("variant needs c = -q^(1/2) a chained to a")
+    if variant == HALF_BASE:
+        if P.d != sq * B:
+            raise ParameterDegeneracy("half-base variant needs d = q^(1/2) b")
+    elif variant == FULL_BASE:
+        if P.d != sq * A:
+            raise ParameterDegeneracy("full-base variant needs d = q^(1/2) a")
+    else:
+        raise ValueError(f"unknown variant {variant!r}")
+    coeffs = [Fraction(0)] * (N + 1)
+    for l in range(N + 1):
+        if variant == HALF_BASE:
+            lterm = (
+                qpoch_ratio((B / A, s / A ** 2), (sq, sq * s / (A * B)), sq, l, "the l ladder")
+                * qpoch_ratio((s,), (s / A ** 2,), q, l, "the l ladder")
+                * (sq / B) ** l
+            )
+        else:
+            lterm = qpoch_ratio(
+                (B / A, s ** 2 / A ** 4, s), (q, q * s ** 2 / (A ** 3 * B), s / A ** 2),
+                q, l, "the l ladder",
+            ) * (q / B) ** l
+        for m in range((N - l) // 2 + 1):
+            mterm = qpoch_ratio(
+                (A ** 2, q ** l * s), (q, q ** (l + 1) * s / A ** 2), q, m, "the m ladder"
+            )
+            coeffs[2 * m + l] += lterm * mterm * (q / A ** 2) ** m
+    return tuple(coeffs)
+
+
+@st.composite
+def _tied_inputs(draw):
+    """A tied point of either simplified_series variant and an s that is 1,
+    A^2, A B or A^3 B times a small rational times a power of sqrt(q), so
+    lower factors such as s/A^2, q^(1/2) s/(A B) and q s^2/(A^3 B) hit
+    q^-k too."""
+    sq = draw(_SQRT_Q)
+
+    def coordinate(lo, hi):
+        return draw(_SMALL) * sq ** draw(st.integers(lo, hi))
+
+    variant = draw(st.sampled_from((HALF_BASE, FULL_BASE)))
+    A, B = coordinate(-2, 2), coordinate(-2, 2)
+    d = sq * (B if variant == HALF_BASE else A)
+    P = ParamPoint(sqrt_q=sq, a=-A, b=B, c=-sq * A, d=d)
+    scale = draw(st.sampled_from((1, A * A, A * B, A ** 3 * B)))
+    return variant, scale * coordinate(-8, 8), P
+
+
+# FULL_LAST_POLE: s/A^2 = q^-N at N = 4.  The full-base walk keeps the
+# quadratic-pair lemma's lower ladder (q s/A^2; q)_l uncancelled, so it
+# raises at l = N, where the per-degree ladders cancel that factor and stay
+# finite.  phi_series raises there as well from N = 2 on, at the even
+# family's lower factor 1 - q^N s/A^2 of w = N - 2, l = 1; the suites
+# truncate at N >= 4.
+_FULL = ParamPoint(sqrt_q=Fraction(1, 2), a=-3, b=5, c=-Fraction(3, 2), d=Fraction(3, 2))
+FULL_LAST_POLE = (FULL_BASE, 9 * _FULL.q ** -4, _FULL)
+
+
+def _raised(fn, *args):
+    """The value, or the class of the QbcError raised instead."""
+    try:
+        return fn(*args)
+    except QbcError as exc:
+        return type(exc)
+
+
+class TestTiedCollapseWalks:
+    """simplified_series walks both collapses as stride-2 record tables; it
+    gives the per-degree reference's coefficients, or raises
+    ParameterDegeneracy where the reference does."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(_tied_inputs(), st.integers(0, 8))
+    @example(FULL_LAST_POLE, 4)
+    def test_collapses_match_per_degree_reference(self, drawn, N):
+        variant, s, P = drawn
+        got = _raised(simplified_series, variant, s, P, N)
+        want = _raised(_simplified_series_reference, variant, s, P, N)
+        if got is ParameterDegeneracy and want is not ParameterDegeneracy:
+            # only the uncancelled lower factor 1 - q^N s/A^2 at l = N
+            assert variant == FULL_BASE and s / P.a ** 2 == P.q ** -N
+            if N >= 2:
+                assert _raised(phi_series, s, P, N) is ParameterDegeneracy
+        else:
+            assert got == want
+
+    def test_full_base_raises_at_its_last_lower_factor(self):
+        # the @example point is degenerate only for the walk, and only at N
+        variant, s, P = FULL_LAST_POLE
+        assert simplified_series(variant, s, P, 3) == _simplified_series_reference(
+            variant, s, P, 3
+        )
+        _simplified_series_reference(variant, s, P, 4)
+        with pytest.raises(ParameterDegeneracy) as info:
+            simplified_series(variant, s, P, 4)
+        assert str(info.value) == "vanishing lower Pochhammer in the full-base collapse"
+        with pytest.raises(ParameterDegeneracy):
+            phi_series(s, P, 4)

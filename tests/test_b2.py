@@ -118,7 +118,7 @@ class TestOperator:
 
     def test_rejects_unit_lattice_input(self):
         with pytest.raises(DimensionMismatch):
-            b2_apply(LaurentPoly.one(2), B2P1)
+            b2_apply(LaurentPoly.monomial((0, 0)), B2P1)
 
 
 def e_zero(P):

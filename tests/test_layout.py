@@ -8,9 +8,11 @@ hold its own copy as a reference.  The same holds for a defaulted parameter
 that no call in the package sets: its other values are reached only from
 tests.  The checks read the source with ast only, so a name counts as
 referenced when it appears as a name or an attribute anywhere in the package
-outside its own definition, and a call is matched to every definition of the
-name or attribute it calls.  The language calls special methods, not a name,
-so those are counted while verify all runs instead.
+outside its own definition, a classmethod only as ClassName.attr or cls.attr
+(so an attribute of the same name elsewhere does not hide it), and a call is
+matched to every definition of the name or attribute it calls.  The language
+calls special methods, not a name, so those are counted while verify all runs
+instead.
 """
 
 import ast
@@ -69,11 +71,34 @@ def _references(node) -> list:
     return out
 
 
+def _classmethod_bases(tree) -> dict:
+    """The names a classmethod below tree is read through, its class and
+    cls, by node."""
+    return {
+        node: {cls.name, "cls"}
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+        and any(isinstance(d, ast.Name) and d.id == "classmethod" for d in node.decorator_list)
+    }
+
+
+def _through(sub, bases) -> bool:
+    """Whether sub is an attribute read base.attr for a name base in bases."""
+    return (
+        isinstance(sub, ast.Attribute)
+        and isinstance(sub.value, ast.Name)
+        and sub.value.id in bases
+    )
+
+
 def test_every_definition_is_referenced_in_the_package():
     modules = _modules()
     references = [ref for tree in modules.values() for ref in _references(tree)]
     defined, unreferenced = set(), []
     for filename, tree in modules.items():
+        classmethods = _classmethod_bases(tree)
         for node in ast.walk(tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 continue
@@ -82,7 +107,11 @@ def test_every_definition_is_referenced_in_the_package():
             if name in UNREFERENCED_ALLOWED or name.startswith("__") and name.endswith("__"):
                 continue  # allowed, or called by the language, not by name
             own = {id(sub) for sub in ast.walk(node)}
-            if not any(ref == name and id(sub) not in own for ref, sub in references):
+            bases = classmethods.get(node)
+            if not any(
+                ref == name and id(sub) not in own and (bases is None or _through(sub, bases))
+                for ref, sub in references
+            ):
                 unreferenced.append(f"{filename}:{node.lineno} {name}")
     assert unreferenced == []
     assert set(UNREFERENCED_ALLOWED) <= defined

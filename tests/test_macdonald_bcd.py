@@ -84,7 +84,7 @@ class TestMacRow:
     def test_row_zero_is_one(self):
         for tag in ALL_TAGS:
             poly = mac_row(tag, 0, MAC1, 2)
-            assert poly == LaurentPoly.one(2)
+            assert poly == LaurentPoly.monomial((0, 0))
 
     def test_row_is_monic(self):
         for tag in ALL_TAGS:

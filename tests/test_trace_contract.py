@@ -34,7 +34,7 @@ def _unabsorbed_lcd_factors(P, n):
     """The factor count of the least common denominator of the 2n terms of
     the rank-n operator, none absorbed: each denominator factor, up to a
     monomial unit, to its largest multiplicity in one term."""
-    one = LaurentPoly.one(n)
+    one = LaurentPoly.monomial((0,) * n)
     lcd = Counter()
     for i in range(n):
         for s in (1, -1):
