@@ -61,11 +61,6 @@ def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-# A check in a verification plan returns None for a pass, a mismatch dict for
-# a fail, or SKIPPED when an earlier check left it nothing to compare.
-SKIPPED = "skipped"
-
-
 def rational_sqrt(x: Fraction) -> Fraction:
     """Exact nonnegative square root of a rational, or MissingSquareRoot."""
     if x < 0:

@@ -12,18 +12,17 @@ from functools import lru_cache
 from math import gcd
 
 from .algebra import (
-    SKIPPED,
     ClearedShiftOperator,
     LaurentPoly,
     ParamPoint,
     compose_symmetric,
     dominated_partitions,
-    format_rational,
     rat,
     solve_triangular_eigenproblem,
 )
 from .errors import DimensionMismatch, InexactDivision, NonTerminating, ParameterDegeneracy
 from .qseries import qpoch, qpoch_ratio
+from .reports import SKIPPED, poly_mismatch
 
 
 @dataclass(frozen=True)
@@ -609,20 +608,10 @@ def b2_conjecture_check(r1: int, r2: int, P: ParamPoint) -> list:
             return {"expected": "terminating series", "got": str(exc)}
         return None
 
-    def residual_mismatch(residual):
-        if residual.is_zero():
-            return None
-        exps, value = residual.leading()
-        return {
-            "coefficient": f"x^{list(exps)}/2",
-            "expected": "0",
-            "got": format_rational(value),
-        }
-
     def eigenpolynomial():
         if not series:
             return SKIPPED
-        return residual_mismatch(series[0] - b2_oracle(w, P))
+        return poly_mismatch(series[0], b2_oracle(w, P))
 
     def difference_equation():
         if not series:
@@ -637,7 +626,7 @@ def b2_conjecture_check(r1: int, r2: int, P: ParamPoint) -> list:
                 "expected": "series in the operator's domain",
                 "got": f"{type(exc).__name__}: {exc}",
             }
-        return residual_mismatch(image - f * b2_eigenvalue(w, P))
+        return poly_mismatch(image, f * b2_eigenvalue(w, P))
 
     stem = f"r{r1}{r2}-"
     return [

@@ -19,7 +19,6 @@ from .algebra import (
     ParamPoint,
     compose_symmetric,
     dominated_partitions,
-    format_rational,
     padded_partition,
     rat,
     solve_triangular_eigenproblem,
@@ -27,6 +26,7 @@ from .algebra import (
 from .askey_wilson import ce_prime_sums, odd_sums
 from .errors import CacheError, DimensionMismatch, ParameterDegeneracy
 from .qseries import qbinom_series
+from .reports import nonzero
 
 CACHE_ENV = "QBC_CACHE_DIR"
 
@@ -354,11 +354,7 @@ def kernel_identity_check(n: int, beta: int, deg: int, P: ParamPoint) -> list:
         if residual.is_zero():
             return None
         exps, value = residual.leading()
-        return {
-            "coefficient": f"y^{shift + e} x^{list(exps)}",
-            "expected": "0",
-            "got": format_rational(value),
-        }
+        return nonzero(value, coefficient=f"y^{shift + e} x^{list(exps)}")
 
     return [
         (

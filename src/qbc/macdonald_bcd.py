@@ -5,7 +5,7 @@ equivalent rewritten displays those expansions were first conjectured in.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from typing import Optional
 
 from .algebra import LaurentPoly, ParamPoint, format_rational, rat
@@ -13,6 +13,7 @@ from .askey_wilson import FULL_BASE, collapse_sums, phi_series
 from .errors import MissingSquareRoot, ParameterDegeneracy
 from .koornwinder import g_series_list, row_sum
 from .qseries import qpoch, qpoch_ratio
+from .reports import mismatch
 
 FAMILY_B = "B"
 FAMILY_C = "C"
@@ -248,6 +249,7 @@ def simplification_lemma_check(variant: str, s, P: ParamPoint, N: int) -> list:
     if s == q:
         raise ParameterDegeneracy("twisted ladder has a pole at s = q")
 
+    @cache  # for the life of the plan; a walk that raises is not kept
     def ladder(p, twist):
         # coefficient of x^p; twist = 1 gives the ladder that absorbs the
         # (1 - x^2) prefactor.  The walk covers only the degrees <= p: a
@@ -264,21 +266,12 @@ def simplification_lemma_check(variant: str, s, P: ParamPoint, N: int) -> list:
 
     ser = phi_series(s, P, N)
 
-    def coefficient_check(p, got, want):
-        if got == want:
-            return None
-        return {
-            "coefficient": f"x^{p}",
-            "expected": format_rational(want),
-            "got": format_rational(got),
-        }
-
     def series_check(p):
-        return coefficient_check(p, ser[p], ladder(p, 0))
+        return mismatch(ser[p], ladder(p, 0), coefficient=f"x^{p}")
 
     def twist_check(p):
         want = ladder(p, 0) - (ladder(p - 2, 0) if p >= 2 else Fraction(0))
-        return coefficient_check(p, ladder(p, 1), want)
+        return mismatch(ladder(p, 1), want, coefficient=f"x^{p}")
 
     tag = variant.lower()
     s_text = format_rational(s)

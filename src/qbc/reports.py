@@ -1,17 +1,51 @@
-"""Structured results for verification runs.
+"""Structured results for verification runs, and the check protocol.
 
-A report is a flat list of per-case outcomes.  Serialization is deterministic:
-cases are sorted by id and timing can be excluded, so repeated runs with the
-same configuration produce byte-identical documents.
+A check returns None for a pass, a mismatch dict for a fail, or SKIPPED when
+an earlier check left it nothing to compare; every mismatch is built by the
+comparators below, so each names where the sides differ and both values as
+exact text.  A report is a flat list of per-case outcomes.  Serialization is
+deterministic: cases are sorted by id and timing can be excluded, so repeated
+runs with the same configuration produce byte-identical documents.
 """
 
 import json
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .algebra import format_rational
+
 SCHEMA_VERSION = 1
 
 VERDICTS = ("pass", "fail", "skipped")
+
+SKIPPED = "skipped"
+
+
+def mismatch(got, want, **where) -> Optional[dict]:
+    """None when got == want, else where plus both values."""
+    if got == want:
+        return None
+    return {**where, "expected": format_rational(want), "got": format_rational(got)}
+
+
+def nonzero(got, **where) -> Optional[dict]:
+    """None when got vanishes, else where, expected "0" and got."""
+    if not got:
+        return None
+    return {**where, "expected": "0", "got": format_rational(got)}
+
+
+def poly_mismatch(got, want) -> Optional[dict]:
+    """The mismatch at the leading monomial of got - want."""
+    if got == want:
+        return None
+    exps, _ = (got - want).leading()
+    return mismatch(got.coeff(exps), want.coeff(exps), monomial=list(exps))
+
+
+def first_mismatch(mismatches) -> Optional[dict]:
+    """The first mismatch of a lazy sequence of comparisons, or None."""
+    return next((m for m in mismatches if m is not None), None)
 
 
 @dataclass

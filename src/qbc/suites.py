@@ -18,7 +18,7 @@ from fractions import Fraction
 from importlib import resources
 from typing import Optional
 
-from .algebra import SKIPPED, LaurentPoly, ParamPoint, format_rational, rat
+from .algebra import LaurentPoly, ParamPoint, format_rational, rat
 from .askey_wilson import (
     FULL_BASE,
     HALF_BASE,
@@ -56,7 +56,15 @@ from .macdonald_bcd import (
     specialize_params,
 )
 from .qseries import qpoch, qpoch_multi
-from .reports import CaseResult, VerificationReport
+from .reports import (
+    SKIPPED,
+    CaseResult,
+    VerificationReport,
+    first_mismatch,
+    mismatch,
+    nonzero,
+    poly_mismatch,
+)
 
 CONFIG_FILE = "default_config.json"
 
@@ -148,17 +156,18 @@ class RunConfig:
         points = obj.get("points", {})
         if not isinstance(points, dict):
             raise ValueError("points must map group names to lists of points")
-        groups = dict(base.groups) if base is not None else {}
+        base = base or cls()
+        groups = dict(base.groups)
         for name, pts in points.items():
             if not isinstance(pts, list):
                 raise ValueError(f"point group {name!r} must be a list")
             groups[name] = tuple(ConfiguredPoint.from_json_obj(p) for p in pts)
-        cache_dir = obj.get("cache_dir", base.cache_dir if base else None)
+        cache_dir = obj.get("cache_dir", base.cache_dir)
         if cache_dir is not None and not isinstance(cache_dir, str):
             raise ValueError(f"cache_dir must be a string, got {cache_dir!r}")
         return cls(
-            degree=_json_int(obj, "degree", base.degree if base else 12),
-            max_weight=_json_int(obj, "max_weight", base.max_weight if base else 3),
+            degree=_json_int(obj, "degree", base.degree),
+            max_weight=_json_int(obj, "max_weight", base.max_weight),
             groups=groups,
             cache_dir=cache_dir,
         )
@@ -212,38 +221,6 @@ def _suite(name: str):
     return decorate
 
 
-def _poly_mismatch(got, want) -> Optional[dict]:
-    if got == want:
-        return None
-    exps, _ = (got - want).leading()
-    return {
-        "monomial": list(exps),
-        "expected": format_rational(want.coeff(exps)),
-        "got": format_rational(got.coeff(exps)),
-    }
-
-
-def _value_mismatch(got, want, label) -> Optional[dict]:
-    if got == want:
-        return None
-    return {
-        "value": label,
-        "expected": format_rational(want),
-        "got": format_rational(got),
-    }
-
-
-def _series_mismatch(got, want, top) -> Optional[dict]:
-    for j in range(top + 1):
-        if got[j] != want[j]:
-            return {
-                "power": j,
-                "expected": format_rational(want[j]),
-                "got": format_rational(got[j]),
-            }
-    return None
-
-
 @_suite("askey-wilson")
 def suite_askey_wilson(cfg: RunConfig):
     """Fourfold expansion, difference equation, series recombination, and
@@ -254,20 +231,22 @@ def suite_askey_wilson(cfg: RunConfig):
         for lam in range(7):
             yield (
                 f"aw-fourfold-p{i}-l{lam}", "fourfold-expansion", pj, {"weight": lam},
-                lambda: _poly_mismatch(fourfold_poly(lam, P), aw_poly(lam, P)),
+                lambda: poly_mismatch(fourfold_poly(lam, P), aw_poly(lam, P)),
             )
         for n in range(7):
 
             def eigen_check():
                 poly = aw_poly(n, P)
-                return _poly_mismatch(aw_apply(poly, P), aw_eigenvalue(n, P) * poly)
+                return poly_mismatch(aw_apply(poly, P), aw_eigenvalue(n, P) * poly)
 
             yield f"aw-eigen-p{i}-n{n}", "difference-equation", pj, {"weight": n}, eigen_check
         P.require("s")
         yield (
             f"aw-series-p{i}", "series-recombination", pj, {"truncation": cfg.degree},
-            lambda: _series_mismatch(
-                psi_series(P.s, P, cfg.degree), phi_series(P.s, P, cfg.degree), cfg.degree
+            lambda: first_mismatch(
+                mismatch(got, want, power=j) for j, (got, want) in enumerate(zip(
+                    psi_series(P.s, P, cfg.degree), phi_series(P.s, P, cfg.degree), strict=True
+                ))
             ),
         )
         for m in range(1, 5):
@@ -275,13 +254,9 @@ def suite_askey_wilson(cfg: RunConfig):
             def rescale_check():
                 a, q = P.a, P.q
                 ser = psi_series(q**-m, P, 2 * m + 2)
-                for j in range(2 * m + 1, 2 * m + 3):
-                    if ser[j] != 0:
-                        return {
-                            "power": j,
-                            "expected": "0",
-                            "got": format_rational(ser[j]),
-                        }
+                tail = first_mismatch(nonzero(ser[j], power=j) for j in (2 * m + 1, 2 * m + 2))
+                if tail:
+                    return tail
                 head = qpoch(P.abcd() * q ** (m - 1), q, m) / qpoch_multi(
                     (a * P.b, a * P.c, a * P.d), q, m
                 )
@@ -292,7 +267,7 @@ def suite_askey_wilson(cfg: RunConfig):
                 bare = aw_poly(m, P) * (
                     a**m / qpoch_multi((a * P.b, a * P.c, a * P.d), q, m)
                 )
-                return _poly_mismatch(rescaled, bare)
+                return poly_mismatch(rescaled, bare)
 
             yield f"aw-rescale-p{i}-m{m}", "terminating-rescale", pj, {"weight": m}, rescale_check
 
@@ -314,16 +289,11 @@ def suite_bibasic(cfg: RunConfig):
                 ("bibasic-split", forms.bibasic_split),
                 ("bibasic-coupled", forms.bibasic_coupled),
             )
-            for K in range(half + 1):
-                for name, vals in routes:
-                    if vals[K] != forms.raw[K]:
-                        return {
-                            "power": 2 * K,
-                            "route": name,
-                            "expected": format_rational(forms.raw[K]),
-                            "got": format_rational(vals[K]),
-                        }
-            return None
+            return first_mismatch(
+                mismatch(vals[K], forms.raw[K], power=2 * K, route=name)
+                for K in range(half + 1)
+                for name, vals in routes
+            )
 
         yield f"bib-even-p{i}", "even-sum-forms", pj, {"max_power": 2 * half}, even_check
 
@@ -331,22 +301,17 @@ def suite_bibasic(cfg: RunConfig):
             swapped = P.replace(a=P.c, c=P.a)
             first = even_sum_closed(P.s, P, half)
             second = even_sum_closed(P.s, swapped, half)
-            for K in range(half + 1):
-                if first[K] != second[K]:
-                    return {
-                        "power": 2 * K,
-                        "expected": format_rational(first[K]),
-                        "got": format_rational(second[K]),
-                    }
-            return None
+            return first_mismatch(
+                mismatch(second[K], first[K], power=2 * K) for K in range(half + 1)
+            )
 
         yield f"bib-watson-p{i}", "watson-symmetry", pj, {"max_power": 2 * half}, watson_check
         direct = odd_sums(P.s, P, 6)
         for l in range(7):
             yield (
                 f"bib-odd-p{i}-l{l}", "odd-sum-closed", pj, {"degree": l},
-                lambda: _value_mismatch(
-                    direct[l], odd_sum_closed(l, P.s, P), f"odd sum, degree {l}"
+                lambda: mismatch(
+                    direct[l], odd_sum_closed(l, P.s, P), value=f"odd sum, degree {l}"
                 ),
             )
     for variant, group, anchor in (
@@ -357,10 +322,12 @@ def suite_bibasic(cfg: RunConfig):
             P = cp.point.require("s")
             yield (
                 f"bib-{group}-p{i}", anchor, P.to_json_obj(), {"truncation": simp_deg},
-                lambda: _series_mismatch(
-                    simplified_series(variant, P.s, P, simp_deg),
-                    phi_series(P.s, P, simp_deg),
-                    simp_deg,
+                lambda: first_mismatch(
+                    mismatch(got, want, power=j) for j, (got, want) in enumerate(zip(
+                        simplified_series(variant, P.s, P, simp_deg),
+                        phi_series(P.s, P, simp_deg),
+                        strict=True,
+                    ))
                 ),
             )
     for variant, group in ((TYPE_C, "lemma-c"), (TYPE_B, "lemma-b")):
@@ -409,7 +376,7 @@ def suite_koornwinder(cfg: RunConfig, ranks=None, rows=None):
         yield (
             f"koorn-p{i}-n{n}-r{r:02d}", "row-head-ratio", P.to_json_obj(),
             {"rank": n, "row": r},
-            lambda: _poly_mismatch(
+            lambda: poly_mismatch(
                 g_row_general(r, P, n),
                 koorn_oracle((r,), P, n) * (qpoch(P.t, P.q, r) / qpoch(P.q, P.q, r)),
             ),
@@ -430,7 +397,7 @@ def suite_lassalle(cfg: RunConfig, families=None, ranks=None, rows=None):
         ):
             yield (
                 stem + suffix, anchor, cp.to_json_obj(), degrees,
-                lambda: _poly_mismatch(display(tag, r, cp.point, n), want),
+                lambda: poly_mismatch(display(tag, r, cp.point, n), want),
             )
 
 
@@ -448,7 +415,7 @@ def suite_b2(cfg: RunConfig):
         for r in range(bound + 1):
             yield (
                 f"b2-p{i}-threefold-r{r}", "threefold-row", pj, {"row": r},
-                lambda: _poly_mismatch(b2_row_threefold(r, P), f_b2_poly(B2Weight(r, 0), P)),
+                lambda: poly_mismatch(b2_row_threefold(r, P), f_b2_poly(B2Weight(r, 0), P)),
             )
     for i, cp in enumerate(cfg.points("b2-character"), 1):
         P = cp.point
@@ -458,7 +425,7 @@ def suite_b2(cfg: RunConfig):
                 yield (
                     f"b2-char-c{i}-r{r1}{r2}", "character-collapse", P.to_json_obj(),
                     {"weight": [r1, r2]},
-                    lambda: _poly_mismatch(
+                    lambda: poly_mismatch(
                         b2_character_series(B2Weight(r1, r2), P), b2_character_polytope(r1, r2)
                     ),
                 )

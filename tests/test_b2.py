@@ -647,6 +647,25 @@ class TestConjectureCheck:
             "got": "InexactDivision: remainder is not divisible",
         }
 
+    def test_planted_error_reports_its_leading_monomial(self, monkeypatch):
+        # an even orbit sum off by 10^-9 leads the difference at the doubled
+        # exponent (2, 0): the oracle has no term there, and the operator's
+        # image and E times the series differ in both coefficients
+        monkeypatch.setattr(qbc.b2, "f_b2_poly", _planted(F(1, 10 ** 9), (2, 0)))
+        report = _plan_report(1, 1, B2P1)
+        assert [(c.verdict, c.mismatch) for c in report.cases] == [
+            ("pass", None),
+            ("fail", {"monomial": [2, 0], "expected": "0/1", "got": "1/1000000000"}),
+            (
+                "fail",
+                {
+                    "monomial": [2, 0],
+                    "expected": "115157/16200000000000",
+                    "got": "8099/2700000000000",
+                },
+            ),
+        ]
+
 
 def _planted(eps, key):
     """f_b2_poly with eps times the orbit sum over the signed permutations

@@ -6,8 +6,9 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import qbc.macdonald_bcd
 from qbc.algebra import LaurentPoly, ParamPoint, format_rational, rat, weyl_invariant
-from qbc.askey_wilson import phi_series
+from qbc.askey_wilson import collapse_sums, phi_series
 from qbc.errors import MissingSquareRoot, ParameterDegeneracy, QbcError
 from qbc.koornwinder import g_series_list, koorn_oracle
 from qbc.macdonald_bcd import (
@@ -162,6 +163,21 @@ class TestSimplificationLemma:
         P = ParamPoint(sqrt_q=F(1, 2), a=-2, b=3, c=-1, d=1)
         report = _lemma_report(TYPE_B, F(1, 7), P, 10)
         assert report.passed
+
+    def test_plan_walks_each_ladder_once(self, monkeypatch):
+        # series x^p and twist x^p share the plain walk to p, and twist x^p
+        # reads the plain walk to p - 2 from the plan's memo: one plain and
+        # one twisted walk per degree
+        walks = []
+
+        def counted(*args):
+            walks.append((args[-1], len(args[3])))
+            return collapse_sums(*args)
+
+        monkeypatch.setattr(qbc.macdonald_bcd, "collapse_sums", counted)
+        P = ParamPoint(sqrt_q=F(1, 2), a=-2, b=3, c=-1, d=1)
+        assert _lemma_report(TYPE_B, F(1, 7), P, 10).passed
+        assert sorted(walks) == [(twist, p + 1) for twist in (0, 1) for p in range(11)]
 
     def test_second_point(self):
         P = ParamPoint(sqrt_q=F(1, 3), a=-3, b=5, c=-1, d=1)

@@ -8,7 +8,8 @@ import pytest
 
 import qbc.koornwinder
 from qbc import suites
-from qbc.algebra import SKIPPED, monomial_symmetric
+from qbc.algebra import monomial_symmetric
+from qbc.reports import SKIPPED
 
 
 class FakeClock:
@@ -151,4 +152,135 @@ def test_poly_mismatch_names_the_leading_monomial_of_a_planted_error(tmp_path, m
                 "got": "-22623046871/4000000000",
             },
         ),
+    ]
+
+
+EPS = Fraction(1, 10**9)
+
+
+def _one_point_failures(suite, monkeypatch, name, planted):
+    """(case id, mismatch) of every failing case of suite at the first point
+    of each group, with suites.name replaced by planted(real)."""
+    cfg = suites.default_config()
+    cfg = replace(cfg, groups={g: pts[:1] for g, pts in cfg.groups.items()})
+    monkeypatch.setattr(suites, name, planted(getattr(suites, name)))
+    report = suites.run_suite(suite, cfg)
+    return [(c.case_id, c.mismatch) for c in report.cases if c.verdict == "fail"]
+
+
+def _plus_eps(real, index, when=lambda N: True):
+    """A series builder whose entry at index(N) is off by EPS when when(N)."""
+
+    def planted(*args):
+        ser = list(real(*args))
+        N = args[-1]
+        if when(N):
+            ser[index(N)] += EPS
+        return tuple(ser)
+
+    return planted
+
+
+def test_odd_sum_mismatch_names_the_value(monkeypatch):
+    def planted(real):
+        return lambda l, s, P: real(l, s, P) + (EPS if l == 1 else 0)
+
+    assert _one_point_failures("bibasic", monkeypatch, "odd_sum_closed", planted) == [
+        (
+            "bib-odd-p1-l1",
+            {
+                "value": "odd sum, degree 1",
+                "expected": "198256000905519/905519000000000",
+                "got": "198256/905519",
+            },
+        ),
+    ]
+
+
+def test_even_sum_mismatch_names_the_power_and_route(monkeypatch):
+    def planted(real):
+        def forms(s, P, N):
+            out = real(s, P, N)
+            coupled = list(out.bibasic_coupled)
+            coupled[1] += EPS
+            return out._replace(bibasic_coupled=tuple(coupled))
+
+        return forms
+
+    assert _one_point_failures("bibasic", monkeypatch, "even_sum_forms", planted) == [
+        (
+            "bib-even-p1",
+            {
+                "power": 2,
+                "route": "bibasic-coupled",
+                "expected": "-175048/628625",
+                "got": "-1400383994971/5029000000000",
+            },
+        ),
+    ]
+
+
+def test_watson_mismatch_names_the_power(monkeypatch):
+    # an error of EPS * a is not symmetric under the a/c swap
+    def planted(real):
+        def closed(s, P, N):
+            out = list(real(s, P, N))
+            out[1] += P.a * EPS
+            return tuple(out)
+
+        return closed
+
+    assert _one_point_failures("bibasic", monkeypatch, "even_sum_closed", planted) == [
+        (
+            "bib-watson-p1",
+            {
+                "power": 2,
+                "expected": "-1400383984913/5029000000000",
+                "got": "-1400383964797/5029000000000",
+            },
+        ),
+    ]
+
+
+def test_series_recombination_mismatch_names_the_power(monkeypatch):
+    # only the series case truncates at the configured degree 12
+    def planted(real):
+        return _plus_eps(real, lambda N: 1, lambda N: N == 12)
+
+    assert _one_point_failures("askey-wilson", monkeypatch, "psi_series", planted) == [
+        (
+            "aw-series-p1",
+            {
+                "power": 1,
+                "expected": "198256/905519",
+                "got": "198256000905519/905519000000000",
+            },
+        ),
+    ]
+
+
+def test_tied_collapse_mismatch_names_the_power(monkeypatch):
+    def planted(real):
+        return _plus_eps(real, lambda N: 1)
+
+    assert _one_point_failures("bibasic", monkeypatch, "simplified_series", planted) == [
+        (
+            "bib-tied-half-p1",
+            {"power": 1, "expected": "-24/209", "got": "-23999999791/209000000000"},
+        ),
+        (
+            "bib-tied-full-p1",
+            {"power": 1, "expected": "-1024/26459", "got": "-1023999973541/26459000000000"},
+        ),
+    ]
+
+
+def test_rescale_tail_mismatch_expects_zero(monkeypatch):
+    # the rescale case m truncates at 2m + 2; its x^(2m+1) must vanish
+    def planted(real):
+        return _plus_eps(real, lambda N: N - 1, lambda N: N < 12)
+
+    assert _one_point_failures("askey-wilson", monkeypatch, "psi_series", planted) == [
+        (f"aw-rescale-p1-m{m}", {"power": 2 * m + 1, "expected": "0", "got": "1/1000000000"})
+        for m in range(1, 5)
     ]
