@@ -22,6 +22,7 @@ and it is an error if it is irrational at the supplied point.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -108,11 +109,14 @@ class ParamPoint:
             if getattr(self, name) == 0:
                 raise ParameterDegeneracy(f"{name} must be nonzero")
 
-    @property
+    # q and t are read thousands of times a run, so each is computed once
+    # per point; replace() builds a new point, with nothing cached, and ==
+    # and hash read only the fields
+    @functools.cached_property
     def q(self) -> Fraction:
         return self.sqrt_q * self.sqrt_q
 
-    @property
+    @functools.cached_property
     def t(self) -> Fraction:
         if self.sqrt_t is None:
             raise ParameterDegeneracy("point has no t value")

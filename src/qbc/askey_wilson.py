@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import NamedTuple
 
 from .algebra import ClearedShiftOperator, LaurentPoly, ParamPoint, rat
@@ -199,32 +200,48 @@ def _ladder_walk(tops, powers: _Powers, outer, inner, what: str, shift: int = 0,
     one is a vanishing lower ladder at the term it builds and raises
     ParameterDegeneracy, as the per-term definitions do.  Each factor is
     formed in integers from powers, the caller's table of powers of q, and
-    each term is reduced once, into a Fraction.  sums[d] adds the terms
-    with i + stride j = d: stride is the x-degree of one inner step, 1 for
-    the c_e / c_o families and 2 for the tied-point collapses.
+    each term is kept as a reduced integer pair (num, den), with no Fraction
+    made per step; a sign may sit on either integer, every operation being
+    exact.  sums[d] adds the terms with i + stride j = d as an integer
+    numerator over the lcm of their denominators, and becomes one Fraction
+    at the end: stride is the x-degree of one inner step, 1 for the c_e /
+    c_o families and 2 for the tied-point collapses.
     """
     if any(record[2] for record in outer[1] + outer[2]):
         raise ValueError("an outer step leaves a term with j = 0; its records carry y = 0")
 
-    def advance(term: Fraction, step, i: int, j: int) -> Fraction:
+    def advance(tn: int, td: int, step, i: int, j: int):
         num, den, low = _factors(step, powers, i, j)
         if low == 0:
             raise ParameterDegeneracy(f"vanishing lower Pochhammer in {what}")
-        return Fraction(term.numerator * num, term.denominator * den * low)
+        # the step's ratio reduced first, then crossed with the term as
+        # Fraction multiplies: big-by-small gcds instead of one big one
+        den *= low
+        g = gcd(num, den)
+        num, den = num // g, den // g
+        g1, g2 = gcd(tn, den), gcd(num, td)
+        return (tn // g1) * (num // g2), (td // g2) * (den // g1)
 
     outer, inner = _compiled(outer, powers, shift), _compiled(inner, powers, shift)
     size = max((i + stride * top for i, top in enumerate(tops)), default=-1) + 1
-    sums = [Fraction(0)] * size
-    head = Fraction(1)
+    nums, dens = [0] * size, [1] * size
+    hn = hd = 1
     for i, top in enumerate(tops):
         if i:
-            head = advance(head, outer, i - 1, 0)
-        term = head
+            hn, hd = advance(hn, hd, outer, i - 1, 0)
+        tn, td = hn, hd
         for j in range(top + 1):
             if j:
-                term = advance(term, inner, i, j - 1)
-            sums[i + stride * j] += term
-    return sums
+                tn, td = advance(tn, td, inner, i, j - 1)
+            d = i + stride * j
+            sd = dens[d]
+            if sd % td:
+                g = gcd(sd, td)
+                nums[d] = nums[d] * (td // g) + tn * (sd // g)
+                dens[d] = sd // g * td
+            else:
+                nums[d] += tn * (sd // td)
+    return [Fraction(n, d) for n, d in zip(nums, dens)]
 
 
 def _even_steps(s, P: ParamPoint) -> tuple:

@@ -11,6 +11,7 @@ import os
 import tempfile
 from fractions import Fraction
 from functools import lru_cache, partial
+from math import lcm
 from pathlib import Path
 
 from .algebra import (
@@ -242,14 +243,31 @@ def g_series(r: int, n: int, P: ParamPoint) -> LaurentPoly:
     return g_series_list(r, n, P)[r]
 
 
-def row_sum(n: int, gs, terms) -> LaurentPoly:
-    """Sum of gs[k] * w over the (k, w) pairs of terms; an entry of gs is
-    read only where its weight is nonzero."""
-    total = LaurentPoly.zero(n)
-    for k, w in terms:
-        if w:
-            total = total + gs[k] * w
-    return total
+def row_sum(n: int, terms) -> LaurentPoly:
+    """Sum of p * w over the (p, w) pairs of terms, each p a LaurentPoly in
+    n variables and all on one lattice scale, as one integer linear
+    combination.  Each p with w != 0 is cleared on the fly to integer
+    numerators over the lcm D of its denominators, and scaled by w over the
+    lcm L of every product D times the denominator of w; the integers are
+    added per exponent, and each output coefficient is one Fraction over L.
+    """
+    ops, scale = [], None
+    for p, w in terms:
+        if not w:
+            continue
+        if p.num_vars != n or scale not in (None, p.scale):
+            raise DimensionMismatch(f"operand ({p.num_vars} vars, scale {p.scale}) of a row sum")
+        scale = p.scale
+        den = lcm(*(c.denominator for c in p.terms.values()))
+        ops.append((p.terms, den, w.numerator, den * w.denominator))
+    common = lcm(*(product for *_, product in ops))
+    total: dict = {}
+    for coeffs, den, wn, product in ops:
+        mult = wn * (common // product)
+        for e, c in coeffs.items():
+            total[e] = total.get(e, 0) + c.numerator * (den // c.denominator) * mult
+    terms = {e: Fraction(v, common) for e, v in total.items() if v}
+    return LaurentPoly._raw(n, terms, scale or 1)
 
 
 @lru_cache(maxsize=None)
@@ -272,7 +290,7 @@ def g_row_sym(r: int, P: ParamPoint, n: int) -> LaurentPoly:
     shat = q ** (1 - r) * t ** -n
     gs = g_series_list(r, n, P)
     sums = ce_prime_sums(shat, Phat, r // 2)
-    return row_sum(n, gs, ((r - 2 * K, value * (t / q) ** K) for K, value in enumerate(sums)))
+    return row_sum(n, ((gs[r - 2 * K], value * (t / q) ** K) for K, value in enumerate(sums)))
 
 
 def g_row_general(r: int, P: ParamPoint, n: int) -> LaurentPoly:
@@ -291,7 +309,7 @@ def g_row_general(r: int, P: ParamPoint, n: int) -> LaurentPoly:
     half = P.sqrt_t / P.sqrt_q
     syms = [g_row_sym(k, P, n) for k in range(r + 1)]
     sums = odd_sums(shat, Phat, r)
-    return row_sum(n, syms, ((r - w, value * half ** w) for w, value in enumerate(sums)))
+    return row_sum(n, ((syms[r - w], value * half ** w) for w, value in enumerate(sums)))
 
 
 def _poly_mul(u, v):
@@ -340,17 +358,16 @@ def kernel_identity_check(n: int, beta: int, deg: int, P: ParamPoint) -> list:
     shift = beta * n
 
     def residual_check(e):
-        # y^j of the cleared y-side meets W[e - j] through one scalar weight
-        residual = LaurentPoly.zero(n)
+        # y^j of the cleared y-side meets DW[e - j] through lcd[j] and
+        # W[e - j] through one scalar weight
+        operands = []
         for j in range(min(e, 6) + 1):
             power = shift + e - j
             weight = lcd[j] * const - (
                 gup[j] * (q ** power - 1) + gdown[j] * (q ** -power - 1)
             ) / alpha_tilde
-            if lcd[j]:
-                residual = residual + DW[e - j] * lcd[j]
-            if weight:
-                residual = residual + W[e - j] * weight
+            operands += [(DW[e - j], lcd[j]), (W[e - j], weight)]
+        residual = row_sum(n, operands)
         if residual.is_zero():
             return None
         exps, value = residual.leading()

@@ -5,7 +5,7 @@ equivalent rewritten displays those expansions were first conjectured in.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache, lru_cache, partial
 from typing import Optional
 
 from .algebra import LaurentPoly, ParamPoint, format_rational, rat
@@ -115,34 +115,37 @@ def _weight_b(i: int, j: int, r: int, a: Fraction, P: ParamPoint, n: int) -> Fra
     )
 
 
-def _cd_row(r: int, b: Fraction, P: ParamPoint, n: int) -> LaurentPoly:
+def _cd_row(r: int, b: Fraction, P: ParamPoint, n: int, head) -> LaurentPoly:
     """The single-ladder G-sum of families C (parameter b) and D (b = 1),
-    without the monic head."""
-    terms = ((r - 2 * j, _weight_cd(j, r, b, P, n)) for j in range(r // 2 + 1))
-    return row_sum(n, g_series_list(r, n, P), terms)
+    each weight times head."""
+    gs = g_series_list(r, n, P)
+    terms = ((gs[r - 2 * j], _weight_cd(j, r, b, P, n) * head) for j in range(r // 2 + 1))
+    return row_sum(n, terms)
 
 
 def mac_row(tag: FamilyTag, r: int, P: ParamPoint, n: int) -> LaurentPoly:
-    """Monic one-row polynomial for the family, via the explicit G-sum."""
+    """Monic one-row polynomial for the family, via the explicit G-sum with
+    the monic head folded into its weights."""
     if r < 0:
         raise ValueError("row length must be nonnegative")
     P.require("sqrt_t")
     head = _head(r, P)
     if tag.family in (FAMILY_C, FAMILY_D):
         b = Fraction(1) if tag.family == FAMILY_D else tag.param
-        return _cd_row(r, b, P, n) * head
+        return _cd_row(r, b, P, n, head)
     a = tag.param
+    gs = g_series_list(r, n, P)
     terms = (
-        (r - i - 2 * j, _weight_b(i, j, r, a, P, n))
+        (gs[r - i - 2 * j], _weight_b(i, j, r, a, P, n) * head)
         for i in range(r + 1)
         for j in range((r - i) // 2 + 1)
     )
-    return row_sum(n, g_series_list(r, n, P), terms) * head
+    return row_sum(n, terms)
 
 
-def _lassalle_cd_sum(r: int, b: Fraction, P: ParamPoint, n: int) -> LaurentPoly:
-    # positive-power display; the shifted pivot 1 - t^n q^(r-i) replaces the
-    # boundary factor of the numerator ladder
+def _lassalle_cd_sum(r: int, b: Fraction, P: ParamPoint, n: int, head) -> LaurentPoly:
+    # positive-power display, each weight times head; the shifted pivot
+    # 1 - t^n q^(r-i) replaces the boundary factor of the numerator ladder
     q, t = P.q, P.t
     what = "the conjectured weight"
 
@@ -151,8 +154,17 @@ def _lassalle_cd_sum(r: int, b: Fraction, P: ParamPoint, n: int) -> LaurentPoly:
         ratio = qpoch_ratio((b / t, x), (q, b * t ** (n - 1) * q ** (r - i)), q, i, what)
         return t ** i * ratio * _pivot(x, q ** -i, what)
 
-    terms = ((r - 2 * i, weight(i)) for i in range(r // 2 + 1))
-    return row_sum(n, g_series_list(r, n, P), terms)
+    gs = g_series_list(r, n, P)
+    return row_sum(n, ((gs[r - 2 * i], weight(i) * head) for i in range(r // 2 + 1)))
+
+
+@lru_cache(maxsize=None)
+def _lassalle_d_row(r: int, P: ParamPoint, n: int) -> LaurentPoly:
+    """Family D's positive-power row without its head.  Every type-B
+    display reads rows 0..r of it and family D's display reads row r, so
+    the rows are memoized per (r, P, n) for the process; a row is shared by
+    every caller and must not be mutated."""
+    return _lassalle_cd_sum(r, Fraction(1), P, n, 1)
 
 
 def lassalle_form(tag: FamilyTag, r: int, P: ParamPoint, n: int) -> LaurentPoly:
@@ -166,11 +178,13 @@ def lassalle_form(tag: FamilyTag, r: int, P: ParamPoint, n: int) -> LaurentPoly:
         raise ValueError("row length must be nonnegative")
     P.require("sqrt_t")
     q, t = P.q, P.t
-    if tag.family in (FAMILY_C, FAMILY_D):
-        b = Fraction(1) if tag.family == FAMILY_D else tag.param
-        return _lassalle_cd_sum(r, b, P, n) * _head(r, P)
+    head = _head(r, P)
+    if tag.family == FAMILY_C:
+        return _lassalle_cd_sum(r, tag.param, P, n, head)
+    if tag.family == FAMILY_D:
+        return row_sum(n, [(_lassalle_d_row(r, P, n), head)])
     a = tag.param
-    inner = [_lassalle_cd_sum(k, Fraction(1), P, n) for k in range(r + 1)]
+    inner = [_lassalle_d_row(k, P, n) for k in range(r + 1)]
     t2 = t ** (2 * n - 2)
 
     def weight(i):
@@ -180,7 +194,7 @@ def lassalle_form(tag: FamilyTag, r: int, P: ParamPoint, n: int) -> LaurentPoly:
             q, i, "the conjectured weight",
         )
 
-    return row_sum(n, inner, ((r - i, weight(i)) for i in range(r + 1))) * _head(r, P)
+    return row_sum(n, ((inner[r - i], weight(i) * head) for i in range(r + 1)))
 
 
 def lassalle_b_forms(tag: FamilyTag, r: int, P: ParamPoint, n: int):
@@ -205,23 +219,22 @@ def lassalle_b_forms(tag: FamilyTag, r: int, P: ParamPoint, n: int):
             q, i, "the rewritten weight",
         ) * (t / a) ** i
 
-    # (row left to the family-D sum, its weight); the first display sums the
-    # family-D rows, the second expands them into the same G terms
-    outer = [(r - i, iblock(i)) for i in range(r + 1)]
-    d_rows = {k: _cd_row(k, Fraction(1), P, n) for k, w in outer if w}
-    first = row_sum(n, d_rows, outer)
+    # (row left to the family-D sum, its weight with the monic head); the
+    # first display sums the family-D rows, the second expands them into
+    # the same G terms
+    outer = [(r - i, iblock(i) * head) for i in range(r + 1)]
+    first = row_sum(n, ((_cd_row(k, Fraction(1), P, n, 1), w) for k, w in outer if w))
+    gs = g_series_list(r, n, P)
     second = row_sum(
         n,
-        g_series_list(r, n, P),
         (
-            (k - 2 * j, w * _weight_cd(j, k, Fraction(1), P, n))
+            (gs[k - 2 * j], w * _weight_cd(j, k, Fraction(1), P, n))
             for k, w in outer
             if w
             for j in range(k // 2 + 1)
         ),
     )
-    third = mac_row(tag, r, P, n)
-    return first * head, second * head, third
+    return first, second, mac_row(tag, r, P, n)
 
 
 def simplification_lemma_check(variant: str, s, P: ParamPoint, N: int) -> list:

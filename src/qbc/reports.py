@@ -29,10 +29,8 @@ def mismatch(got, want, **where) -> Optional[dict]:
 
 
 def nonzero(got, **where) -> Optional[dict]:
-    """None when got vanishes, else where, expected "0" and got."""
-    if not got:
-        return None
-    return {**where, "expected": "0", "got": format_rational(got)}
+    """mismatch(got, 0, **where): None when got vanishes."""
+    return mismatch(got, 0, **where)
 
 
 def poly_mismatch(got, want) -> Optional[dict]:

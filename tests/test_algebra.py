@@ -319,6 +319,24 @@ class TestParamPoint:
         with pytest.raises(ParameterDegeneracy):
             P.t
 
+    def test_q_and_t_are_computed_once_per_point(self):
+        # the squares are kept on the point; replace() gives a point with
+        # fresh ones, and == and hash still read only the fields
+        P = ParamPoint(sqrt_q=F(1, 2), sqrt_t=F(1, 3))
+        assert P.q is P.q and P.t is P.t
+        Q = P.replace(sqrt_q=F(1, 5), sqrt_t=F(2, 7))
+        assert (Q.q, Q.t) == (F(1, 25), F(4, 49))
+        assert (P.q, P.t) == (F(1, 4), F(1, 9))
+        fresh = ParamPoint(sqrt_q=F(1, 2), sqrt_t=F(1, 3))
+        assert fresh == P and hash(fresh) == hash(P)
+        assert P.replace(sqrt_t=F(1, 3)) == P
+        assert {P: 1}[fresh] == 1
+        bare = ParamPoint(sqrt_q=F(1, 2))
+        for _ in range(2):
+            with pytest.raises(ParameterDegeneracy):
+                bare.t
+        assert bare.replace(sqrt_t=F(1, 2)).t == F(1, 4)
+
     def test_json_roundtrip(self):
         P = ParamPoint(sqrt_q=F(1, 2), a=-2, b=F(5, 3), s=F(1, 7))
         assert ParamPoint.from_json_obj(P.to_json_obj()) == P

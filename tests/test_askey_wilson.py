@@ -12,11 +12,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from qbc import askey_wilson
 from qbc.algebra import LaurentPoly, ParamPoint, monomial_symmetric, rat, weyl_invariant
 from qbc.askey_wilson import (
     FULL_BASE,
     HALF_BASE,
     EvenSumForms,
+    _Powers,
     aw_apply,
     aw_eigenvalue,
     aw_poly,
@@ -32,6 +34,7 @@ from qbc.askey_wilson import (
 )
 from qbc.errors import ParameterDegeneracy, PoleInLower, QbcError
 from qbc.qseries import PhiSpec, phi_sum, qbinom_series, qpoch, qpoch_multi, qpoch_ratio
+from qbc.suites import default_config
 from test_algebra import _exponent_box, qshift
 
 # Parameter values stay away from integer and half-integer powers of q: with
@@ -990,3 +993,145 @@ class TestTiedCollapseWalks:
         assert str(info.value) == "vanishing lower Pochhammer in the full-base collapse"
         with pytest.raises(ParameterDegeneracy):
             phi_series(s, P, 4)
+
+
+# -- the record walker's integer sums ------------------------------------------
+
+
+def _ladder_walk_reference(tops, powers, outer, inner, what, shift=0, stride=1):
+    """_ladder_walk as it was before it summed in integers: each term one
+    reduced Fraction, added to its anti-diagonal by one Fraction addition."""
+    if any(record[2] for record in outer[1] + outer[2]):
+        raise ValueError("an outer step leaves a term with j = 0; its records carry y = 0")
+
+    def advance(term, step, i, j):
+        num, den, low = askey_wilson._factors(step, powers, i, j)
+        if low == 0:
+            raise ParameterDegeneracy(f"vanishing lower Pochhammer in {what}")
+        return Fraction(term.numerator * num, term.denominator * den * low)
+
+    outer = askey_wilson._compiled(outer, powers, shift)
+    inner = askey_wilson._compiled(inner, powers, shift)
+    size = max((i + stride * top for i, top in enumerate(tops)), default=-1) + 1
+    sums = [Fraction(0)] * size
+    head = Fraction(1)
+    for i, top in enumerate(tops):
+        if i:
+            head = advance(head, outer, i - 1, 0)
+        term = head
+        for j in range(top + 1):
+            if j:
+                term = advance(term, inner, i, j - 1)
+            sums[i + stride * j] += term
+    return sums
+
+
+def _walk_log(walk, tops, base, outer, inner, shift, stride):
+    """The walk's sums, or the class and message of the QbcError it raises
+    with the number of steps it formed and the last of them."""
+    steps = []
+    factors = askey_wilson._factors
+
+    def logged(step, powers, i, j):
+        steps.append((step, i, j))
+        return factors(step, powers, i, j)
+
+    askey_wilson._factors = logged
+    try:
+        return walk(tops, _Powers(base), outer, inner, "the drawn family", shift, stride)
+    except QbcError as exc:
+        return type(exc), str(exc), len(steps), steps[-1]
+    finally:
+        askey_wilson._factors = factors
+
+
+@st.composite
+def _walk_tables(draw):
+    """(tops, base, outer, inner, shift, stride) for _ladder_walk.  The
+    base may be negative, as the half-base collapse's q^(1/2) may be; each
+    record's C is a small rational times a power of it, and may carry s^p,
+    so upper and lower factors vanish at reachable terms, and factors
+    1 - C with C > 1 make negative lower products."""
+    base = draw(_SQRT_Q)
+
+    def step(outer):
+        def record():
+            C = draw(_SMALL) * base ** draw(st.integers(-4, 4))
+            x, y = draw(st.integers(0, 2)), 0 if outer else draw(st.integers(0, 2))
+            return (C, x, y) + tuple(draw(st.lists(st.integers(0, 2), max_size=1)))
+
+        weight = draw(_SMALL) * base ** draw(st.integers(-2, 2))
+        numer = [record() for _ in range(draw(st.integers(0, 3)))]
+        denom = [record() for _ in range(draw(st.integers(0, 3)))]
+        return weight, numer, denom
+
+    tops = sorted(draw(st.lists(st.integers(0, 6), min_size=1, max_size=6)), reverse=True)
+    return tops, base, step(True), step(False), draw(st.integers(0, 3)), draw(st.sampled_from((1, 2)))
+
+
+_H = Fraction(1, 2)
+# UPPER_ZERO: 1 - 4 (1/2)^j vanishes at j = 2, so every row ends in zero
+# terms from j = 3 on.  NEGATIVE_LOW: the inner lower factor 1 - 3 is -2
+# at every step and the outer one 1 - 7 (1/2)^i is negative for i <= 2.
+# LOWER_ZERO: 1 - 2 (1/2)^j vanishes at j = 1, so the walk raises on the
+# step that leaves (0, 1).  SHIFTED_POLE: with base -1/2 and shift 2, the
+# lower record (-8, 1, 1, 1) is 1 - (-2)(-1/2)^(i + j), zero where
+# i + j = 1; the stride-2 walk raises on the step that leaves (0, 1).
+UPPER_ZERO = (
+    [5, 3, 1], _H, (Fraction(1, 3), [(Fraction(3), 1, 0)], [(Fraction(5), 1, 0)]),
+    (Fraction(2), [(Fraction(4), 0, 1)], [(Fraction(7), 0, 1)]), 0, 1,
+)
+NEGATIVE_LOW = (
+    [4, 4, 2], _H, (Fraction(1, 3), [(Fraction(3), 1, 0)], [(Fraction(7), 1, 0)]),
+    (Fraction(2), [(Fraction(5), 1, 1)], [(Fraction(3), 0, 0), (Fraction(1, 3), 0, 1)]), 0, 1,
+)
+LOWER_ZERO = (
+    [3, 3], _H, (Fraction(1, 3), [(Fraction(3), 1, 0)], [(Fraction(5), 1, 0)]),
+    (Fraction(2), [(Fraction(5), 0, 1)], [(Fraction(2), 0, 1)]), 0, 1,
+)
+SHIFTED_POLE = (
+    [3, 2], -_H, (Fraction(1, 3), [(Fraction(3), 1, 0)], [(Fraction(5), 1, 0)]),
+    (Fraction(2), [(Fraction(5), 0, 1, 1)], [(Fraction(-8), 1, 1, 1)]), 2, 2,
+)
+
+
+class TestIntegerDiagonalSums:
+    """_ladder_walk keeps its terms as reduced integer pairs and its sums as
+    integer numerators over a running lcm; it must give the Fraction
+    walker's sums, or raise its error, with its message, at its step."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(_walk_tables())
+    @example(UPPER_ZERO)
+    @example(NEGATIVE_LOW)
+    @example(LOWER_ZERO)
+    @example(SHIFTED_POLE)
+    def test_walker_matches_the_fraction_walker(self, table):
+        assert _walk_log(askey_wilson._ladder_walk, *table) == _walk_log(
+            _ladder_walk_reference, *table
+        )
+
+    def test_example_tables_are_what_they_claim(self):
+        tops, base, outer, inner, shift, stride = UPPER_ZERO
+        sums = askey_wilson._ladder_walk(tops, _Powers(base), outer, inner, "", shift, stride)
+        cut = askey_wilson._ladder_walk([2, 2, 1], _Powers(base), outer, inner, "", shift, stride)
+        assert sums == cut + [0] * (len(sums) - len(cut)) and all(sums[:4])
+        tops, base, outer, inner, shift, stride = NEGATIVE_LOW
+        powers = _Powers(base)
+        step = askey_wilson._compiled(inner, powers)
+        assert all(askey_wilson._factors(step, powers, 0, j)[2] < 0 for j in range(4))
+        for table, steps, last in ((LOWER_ZERO, 2, (0, 1)), (SHIFTED_POLE, 2, (0, 1))):
+            error, message, count, (_, i, j) = _walk_log(askey_wilson._ladder_walk, *table)
+            assert (error, message) == (
+                ParameterDegeneracy, "vanishing lower Pochhammer in the drawn family"
+            )
+            assert (count, (i, j)) == (steps, last)
+
+    @pytest.mark.parametrize("cp", default_config().points("askey-wilson"), ids=["p1", "p2", "p3"])
+    def test_degree_24_sums_match_the_fraction_walker(self, cp, monkeypatch):
+        # the suites' extended degree: fourfold_poly at lambda = 24 and
+        # phi_series through x^24 at the shipped s
+        P = cp.point
+        got = fourfold_poly(24, P), phi_series(P.s, P, 24)
+        monkeypatch.setattr(askey_wilson, "_ladder_walk", _ladder_walk_reference)
+        assert (fourfold_poly(24, P), phi_series(P.s, P, 24)) == got

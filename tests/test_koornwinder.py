@@ -8,6 +8,7 @@ the operator, the rank-one reduction, and eigenvalue distinctness scans.
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qbc.algebra import (
     ClearedShiftOperator,
@@ -18,7 +19,7 @@ from qbc.algebra import (
     monomial_symmetric,
 )
 from qbc.askey_wilson import aw_apply, aw_eigenvalue, aw_poly
-from qbc.errors import ParameterDegeneracy
+from qbc.errors import DimensionMismatch, ParameterDegeneracy
 from qbc import koornwinder
 from qbc.koornwinder import (
     _koorn_operator,
@@ -31,6 +32,7 @@ from qbc.koornwinder import (
     koorn_apply,
     koorn_eigenvalue,
     koorn_oracle,
+    row_sum,
 )
 from qbc.qseries import qbinom_series, qpoch
 from qbc.suites import _plan, _run
@@ -381,8 +383,87 @@ class TestKernelIdentity:
             exps, value = residual.leading()
             want.append({
                 "coefficient": f"y^{2 * beta + e} x^{list(exps)}",
-                "expected": "0",
+                "expected": "0/1",
                 "got": format_rational(value),
             })
         assert any(want)
         assert got == want
+
+
+def _row_sum_reference(n, terms, scale=1):
+    """row_sum as it was before it summed in integers: one Fraction product
+    and one Fraction sum per term.  It always started from the zero of
+    scale 1; the scale is a parameter here so scale-2 operands compare."""
+    total = LaurentPoly.zero(n, scale)
+    for g, w in terms:
+        if w:
+            total = total + g * w
+    return total
+
+
+_BIG = st.builds(Fraction, st.integers(-(10 ** 20), 10 ** 20), st.integers(1, 10 ** 30))
+_WEIGHTS = st.one_of(
+    st.just(0), st.just(Fraction(0)), st.integers(-5, 5),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)), _BIG,
+)
+
+
+@st.composite
+def _row_terms(draw):
+    """(n, scale, (operand, weight) pairs): coefficients and weights with
+    denominators up to 10^30, zero weights, and now and then an operand
+    repeated with the opposite weight, so whole terms cancel."""
+    n, scale = draw(st.integers(1, 3)), draw(st.sampled_from((1, 2)))
+    exps = st.tuples(*[st.integers(-3, 3)] * n)
+    coeffs = st.one_of(st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)), _BIG)
+    polys = st.dictionaries(exps, coeffs, max_size=6).map(lambda t: LaurentPoly(n, t, scale))
+    terms = draw(st.lists(st.tuples(polys, _WEIGHTS), max_size=6))
+    if terms and draw(st.booleans()):
+        p, w = terms[0]
+        terms.append((p, -w))
+    return n, scale, terms
+
+
+class TestRowSum:
+    """row_sum forms one integer linear combination; it must equal the
+    Fraction sum term for term, on the operands' lattice scale."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(_row_terms())
+    def test_matches_the_fraction_sum(self, drawn):
+        # a sum with no nonzero weight is the zero of scale 1, as before
+        n, scale, terms = drawn
+        got = row_sum(n, iter(terms))
+        assert got == _row_sum_reference(n, terms, scale if any(w for _, w in terms) else 1)
+        assert all(type(c) is Fraction and c for c in got.terms.values())
+
+    def test_mismatched_operands_raise(self):
+        one = LaurentPoly.monomial((1, 0), Fraction(1, 3))
+        for other in (LaurentPoly.monomial((1,)), LaurentPoly.monomial((1, 0), scale=2)):
+            with pytest.raises(DimensionMismatch):
+                row_sum(2, [(one, 1), (other, 2)])
+            with pytest.raises(DimensionMismatch):
+                _row_sum_reference(2, [(one, 1), (other, 2)])
+        assert row_sum(2, [(one, 1), (LaurentPoly.monomial((1,)), 0)]) == one
+
+    @pytest.mark.parametrize("beta, P", [(1, POINT_KER1), (2, POINT_KER2)])
+    def test_kernel_residuals_equal_the_reference(self, beta, P, monkeypatch):
+        # each y-degree's residual, exact and with koorn_apply off by
+        # 10^-9 x_1, is the per-term reference's polynomial
+        exact, summed = koornwinder.koorn_apply, koornwinder.row_sum
+        residuals = []
+
+        def recorded(n, terms):
+            residuals.append(summed(n, terms))
+            return residuals[-1]
+
+        monkeypatch.setattr(koornwinder, "row_sum", recorded)
+        for planted in (LaurentPoly.zero(2), LaurentPoly.monomial((1, 0), Fraction(1, 10 ** 9))):
+            monkeypatch.setattr(
+                koornwinder, "koorn_apply", lambda f, P, n: exact(f, P, n) + planted
+            )
+            residuals.clear()
+            for *_, check in kernel_identity_check(2, beta, 6, P):
+                check()
+            assert residuals == _kernel_residuals_reference(2, beta, 6, P)
+            assert any(not r.is_zero() for r in residuals) == (not planted.is_zero())

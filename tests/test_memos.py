@@ -1,7 +1,8 @@
 """Per-process memos: what verify all builds once and shares.
 
 The operator columns, the G tables and the memoized builders (aw_poly,
-f_b2_poly, g_row_sym) hand the same object to every caller.  A caller that
+f_b2_poly, g_row_sym, _lassalle_d_row) hand the same object to every
+caller.  A caller that
 mutated one would corrupt every later check at that point, so these tests
 compare the memoized values, after a full run has read them many times,
 with a fresh computation on cleared memos: the slow path is the reference.
@@ -11,7 +12,7 @@ import hashlib
 
 import pytest
 
-from qbc import askey_wilson, b2, koornwinder
+from qbc import askey_wilson, b2, koornwinder, macdonald_bcd
 from qbc.b2 import B2Weight
 from qbc.suites import default_config, run_suite
 
@@ -23,7 +24,7 @@ ALL_DIGEST = "6b7ebdcef175f4677fd3ee0e192a48b85406d93d7424bfa3ccb1586728377d14"
 def _clear_memos():
     for memo in (
         askey_wilson.aw_poly, askey_wilson._aw_operator, b2.f_b2_poly, b2._b2_operator,
-        koornwinder.g_row_sym, koornwinder._koorn_operator,
+        koornwinder.g_row_sym, koornwinder._koorn_operator, macdonald_bcd._lassalle_d_row,
     ):
         memo.cache_clear()
     koornwinder._G_TABLES.clear()
@@ -46,6 +47,10 @@ def _requests():
             (koornwinder.g_row_sym, (r, cp.point, n))
             for n in (1, 2, 3)
             for r in range(5 if n < 3 else 4)
+        ]
+    for cp in CFG.points("macdonald"):
+        out += [
+            (macdonald_bcd._lassalle_d_row, (r, cp.point, n)) for n in (1, 2) for r in range(5)
         ]
     return out
 
@@ -75,7 +80,7 @@ def test_a_second_run_on_warm_memos_gives_the_same_body(warm):
 
 def test_memoized_builders_equal_a_fresh_computation(warm):
     _, values, _ = warm
-    assert len(values) == 3 * 7 + 2 * 10 + 2 * 14
+    assert len(values) == 3 * 7 + 2 * 10 + 2 * 14 + 2 * 10
     _clear_memos()
     for fn, args, memoized in values:
         assert fn(*args) == memoized, (fn.__name__, args)

@@ -281,6 +281,6 @@ def test_rescale_tail_mismatch_expects_zero(monkeypatch):
         return _plus_eps(real, lambda N: N - 1, lambda N: N < 12)
 
     assert _one_point_failures("askey-wilson", monkeypatch, "psi_series", planted) == [
-        (f"aw-rescale-p1-m{m}", {"power": 2 * m + 1, "expected": "0", "got": "1/1000000000"})
+        (f"aw-rescale-p1-m{m}", {"power": 2 * m + 1, "expected": "0/1", "got": "1/1000000000"})
         for m in range(1, 5)
     ]
