@@ -316,7 +316,13 @@ class LaurentPoly:
 
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "LaurentPoly":
-        terms = {tuple(t["exps"]): Fraction(t["coeff"]) for t in obj["terms"]}
+        """Inverse of to_json_obj: a coefficient rat rejects, or an exponent
+        that is no JSON int (1.5, or a bool), raises instead of misreading."""
+        terms = {}
+        for t in obj["terms"]:
+            if any(type(e) is not int for e in t["exps"]):
+                raise ValueError(f"exponents {t['exps']} are not all integers")
+            terms[tuple(t["exps"])] = rat(t["coeff"])
         return cls(obj["num_vars"], terms, obj.get("lattice_scale", 1))
 
     def format_human(self) -> str:

@@ -6,7 +6,9 @@ Everything is exact: series are truncated coefficient lists over Fraction and
 polynomial identities are checked by the callers at explicit rational points.
 The same coefficient families reappear in the several-variable layers with
 rescaled parameters, so the c_e / c_o style functions read their parameters
-from a ParamPoint that the caller may have rebuilt.
+from a ParamPoint that the caller may have rebuilt.  The walks here run on
+the integer step of qseries (_Powers, _compiled, _factors), and psi_series
+sums its rows with qseries' terminating-row kernel.
 """
 
 from __future__ import annotations
@@ -17,8 +19,11 @@ from math import gcd
 from typing import NamedTuple
 
 from .algebra import ClearedShiftOperator, LaurentPoly, ParamPoint, rat
-from .errors import ParameterDegeneracy, PoleInLower
-from .qseries import PhiSpec, phi_sum, qbinom_series, qpoch, qpoch_ratio
+from .errors import ParameterDegeneracy
+from .qseries import (
+    PhiSpec, _Powers, _compiled, _factors, _terminating_row, phi_sum, qbinom_series, qpoch,
+    qpoch_ratio,
+)
 
 #: variants of the twofold simplification of the fourfold series
 HALF_BASE = "half-base"
@@ -130,59 +135,6 @@ def aw_apply(f: LaurentPoly, P: ParamPoint) -> LaurentPoly:
     """
     P.require("a", "b", "c", "d")
     return _aw_operator(P).apply(f)
-
-
-class _Powers(dict):
-    """The integer pairs (num, den) of q^e by exponent e, made on first use."""
-
-    def __init__(self, q: Fraction):
-        super().__init__()
-        self.qn, self.qd = q.numerator, q.denominator
-
-    def __missing__(self, e: int):
-        qn, qd = self.qn, self.qd
-        pair = self[e] = (qn ** e, qd ** e) if e >= 0 else (qd ** -e, qn ** -e)
-        return pair
-
-
-def _compiled(step, powers: _Powers, shift: int = 0):
-    """The integer form (num, den, numer, denom) of a step (weight, numer,
-    denom), each record (C, x, y) in numer and denom made (cn, cd, x, y).
-    A record (C, x, y, p) has a C that carries s^p; the step is taken at
-    s -> q^shift s, which multiplies that C by q^(p shift)."""
-    weight, numer, denom = step
-
-    def ints(records):
-        out = []
-        for C, x, y, *degree in records:
-            cn, cd = C.numerator, C.denominator
-            if degree and shift:
-                pn, pd = powers[degree[0] * shift]
-                cn, cd = cn * pn, cd * pd
-            out.append((cn, cd, x, y))
-        return out
-
-    return weight.numerator, weight.denominator, ints(numer), ints(denom)
-
-
-def _factors(step, powers: _Powers, i: int, j: int):
-    """Integers (num, den, low) with num / (den low) the ratio a compiled
-    step multiplies the term at (i, j) by.  low is the product of the lower
-    factors' numerators, 0 exactly when one of them vanishes; num is 0
-    exactly when an upper factor (or the weight) does."""
-    num, den, numer, denom = step
-    low = 1
-    for cn, cd, x, y in numer:
-        pn, pd = powers[x * i + y * j]
-        cd *= pd
-        num *= cd - cn * pn
-        den *= cd
-    for cn, cd, x, y in denom:
-        pn, pd = powers[x * i + y * j]
-        cd *= pd
-        low *= cd - cn * pn
-        num *= cd
-    return num, den, low
 
 
 def _ladder_walk(tops, powers: _Powers, outer, inner, what: str, shift: int = 0, stride: int = 1):
@@ -389,10 +341,10 @@ def psi_series(s, P: ParamPoint, N: int) -> tuple:
 
     The inner sums are the rows of one walk over the triangle
     0 <= k <= n <= N, whose term (n, k) is the k-th term of the n-th
-    terminating 6phi5 times its outer factor.  A row stops at its first
-    zero upper factor, before that step's lower factors are tested, as
-    phi_sum stops at its first cutoff; a vanishing lower factor inside a
-    row raises phi_sum's PoleInLower."""
+    terminating 6phi5 times its outer factor.  Each row is summed by
+    _terminating_row, phi_sum's kernel, on one compiled step: it stops at
+    its first zero upper factor, as phi_sum stops at its first cutoff, and
+    a vanishing lower factor inside it raises phi_sum's PoleInLower."""
     P.require("a", "b", "c", "d")
     a, b, c, d, q = P.a, P.b, P.c, P.d, P.q
     sq = P.sqrt_q
@@ -426,21 +378,8 @@ def psi_series(s, P: ParamPoint, N: int) -> tuple:
         if n:
             num, den, low = _factors(outer, powers, n - 1, 0)
             head = Fraction(head.numerator * num, head.denominator * den * low)
-        ratios = []
-        for k in range(n):
-            num, den, low = _factors(inner, powers, n, k)
-            if num == 0:
-                break
-            if low == 0:
-                raise PoleInLower(
-                    f"lower parameter ladder vanished at term {k + 1} of {_psi_spec(s, P, n)}"
-                )
-            ratios.append((num, den * low))
-        # the row sum 1 + r_0 (1 + r_1 (1 + ...)) in integers, reduced once
-        total_n = total_d = 1
-        for num, den in reversed(ratios):
-            total_n, total_d = total_d * den + num * total_n, total_d * den
-        rows.append(head * Fraction(total_n, total_d))
+        total = _terminating_row(inner, powers, n, n + 1, lambda: _psi_spec(s, P, n))
+        rows.append(head * Fraction(*total))
     # the prefactor's coefficients of x^i, (a^2/q; q)_i / (q; q)_i (q/a)^i
     qa = q / a
     weights = [value * qa ** i for i, value in enumerate(pref)]
@@ -568,6 +507,9 @@ def simplified_series(variant: str, s, P: ParamPoint, N: int) -> tuple:
     HALF_BASE expects (a, b, c, d) = (-A, B, -q^(1/2) A, q^(1/2) B) and mixes
     bases q^(1/2) and q; FULL_BASE expects (-A, B, -q^(1/2) A, q^(1/2) A) and
     stays in base q.  Coefficients are indexed by the true x power 2m + l.
+    FULL_BASE needs N >= 2, else ValueError: its walk keeps the lower
+    (q s/A^2; q)_l, which vanishes at s/A^2 = q^-1 from N = 1 on, where the
+    fourfold series meets that factor only from N = 2 on.
     """
     P.require("a", "b", "c", "d")
     sq = P.sqrt_q
@@ -580,6 +522,8 @@ def simplified_series(variant: str, s, P: ParamPoint, N: int) -> tuple:
     elif variant == FULL_BASE:
         if P.d != sq * A:
             raise ParameterDegeneracy("full-base variant needs d = q^(1/2) a")
+        if N < 2:
+            raise ValueError(f"the full-base walk needs N >= 2, not {N}")
     else:
         raise ValueError(f"unknown variant {variant!r}")
     tops = [(N - l) // 2 for l in range(N + 1)]

@@ -1,11 +1,13 @@
 """q-Pochhammer symbols and terminating basic hypergeometric sums.
 
-All evaluation is exact.  A ladder multiplies integer numerators and
-denominators and reduces once, into the Fraction it returns or the next
-term of its sum.  A basic hypergeometric sum must terminate: the caller
-passes an N for which some upper parameter equals base^-N, and the sum
-stops at the first cutoff at or below N.  Cutoffs are found by at most
-N + 1 exact multiplications per upper parameter, never by floating point.
+All evaluation is exact, in integers reduced once per result.  Ladders
+multiply integer numerators and denominators; a term ratio is a compiled
+step of records 1 - C q^(x i + y j) on a table of powers of q (_Powers,
+_compiled, _factors, which the askey_wilson walks share), and every
+terminating row, phi_sum's and psi_series', is summed by _terminating_row.
+A basic hypergeometric sum must terminate: the caller passes an N for which
+some upper parameter equals base^-N, and the sum stops at the first cutoff
+at or below N, found by exact multiplications, never by floating point.
 """
 
 from __future__ import annotations
@@ -72,6 +74,80 @@ def power_of_base(u, q, cap: int) -> Optional[int]:
     return None
 
 
+class _Powers(dict):
+    """The integer pairs (num, den) of q^e by exponent e, made on first use."""
+
+    def __init__(self, q: Fraction):
+        super().__init__()
+        self.qn, self.qd = q.numerator, q.denominator
+
+    def __missing__(self, e: int):
+        qn, qd = self.qn, self.qd
+        pair = self[e] = (qn ** e, qd ** e) if e >= 0 else (qd ** -e, qn ** -e)
+        return pair
+
+
+def _compiled(step, powers: _Powers, shift: int = 0):
+    """The integer form (num, den, numer, denom) of a step (weight, numer,
+    denom), each record (C, x, y) in numer and denom made (cn, cd, x, y).
+    A record (C, x, y, p) has a C that carries s^p; the step is taken at
+    s -> q^shift s, which multiplies that C by q^(p shift)."""
+    weight, numer, denom = step
+
+    def ints(records):
+        out = []
+        for C, x, y, *degree in records:
+            cn, cd = C.numerator, C.denominator
+            if degree and shift:
+                pn, pd = powers[degree[0] * shift]
+                cn, cd = cn * pn, cd * pd
+            out.append((cn, cd, x, y))
+        return out
+
+    return weight.numerator, weight.denominator, ints(numer), ints(denom)
+
+
+def _factors(step, powers: _Powers, i: int, j: int):
+    """Integers (num, den, low) with num / (den low) the ratio a compiled
+    step multiplies the term at (i, j) by.  low is the product of the lower
+    factors' numerators, 0 exactly when one of them vanishes; num is 0
+    exactly when an upper factor (or the weight) does."""
+    num, den, numer, denom = step
+    low = 1
+    for cn, cd, x, y in numer:
+        pn, pd = powers[x * i + y * j]
+        cd *= pd
+        num *= cd - cn * pn
+        den *= cd
+    for cn, cd, x, y in denom:
+        pn, pd = powers[x * i + y * j]
+        cd *= pd
+        low *= cd - cn * pn
+        num *= cd
+    return num, den, low
+
+
+def _terminating_row(step, powers: _Powers, i: int, length: int, spec):
+    """Integers (num, den), num / den the sum 1 + r_0 + r_0 r_1 + ... of at
+    most length terms, r_j the ratio of a compiled step at (i, j).  The row
+    stops at its first zero upper factor before testing that step's lower
+    ones; a zero lower factor before it raises PoleInLower naming spec(),
+    the row's PhiSpec, built only then.  A zero weight stops the row only
+    after the first step's lower factors are tested."""
+    term = total = den = 1  # the terms so far sum to total / den
+    for j in range(length - 1):
+        num, rden, low = _factors(step, powers, i, j)
+        if low == 0 and (num or not step[0]):  # step[0]: the weight's numerator
+            raise PoleInLower(f"lower parameter ladder vanished at term {j + 1} of {spec()}")
+        if num == 0:
+            break
+        rden *= low
+        term *= num
+        total = total * rden + term
+        den *= rden
+    return total, den
+
+
 @dataclass(frozen=True)
 class PhiSpec:
     """Parameter block of an r+1 phi r style series.
@@ -107,37 +183,11 @@ def phi_sum(spec: PhiSpec, N: int) -> Fraction:
     cutoffs = [n for n in cutoffs if n is not None]
     if not cutoffs:
         raise DivergentSpec(f"no upper parameter in {spec.uppers} is a q^-M with M <= {N}")
-    length = min(cutoffs) + 1
-    qn, qd = q.numerator, q.denominator
-    zn, zd = spec.argument.numerator, spec.argument.denominator
-    uppers = [(u.numerator, u.denominator) for u in spec.uppers]
-    lowers = [(qn, qd)] + [(v.numerator, v.denominator) for v in spec.lowers]
-    total = Fraction(0)
-    term = Fraction(1)
-    pn = pd = 1  # q^m = pn / pd
-    for m in range(length):
-        total += term
-        if m + 1 == length:
-            break
-        # the term ratio z prod(1 - u q^m) / ((1 - q^(m+1)) prod(1 - v q^m))
-        # as num / den, with the lower factors' numerators apart in low
-        num, den, low = zn, zd, 1
-        for un, ud in uppers:
-            num *= ud * pd - un * pn
-            den *= ud * pd
-        for vn, vd in lowers:
-            low *= vd * pd - vn * pn
-            num *= vd * pd
-        if low == 0:
-            raise PoleInLower(
-                f"lower parameter ladder vanished at term {m + 1} of {spec}"
-            )
-        term = Fraction(term.numerator * num, term.denominator * den * low)
-        if term == 0:
-            break  # a numerator factor hit zero; every later term is zero too
-        pn *= qn
-        pd *= qd
-    return total
+    # the term ratio z prod(1 - u q^m) / ((1 - q^(m+1)) prod(1 - v q^m))
+    powers = _Powers(q)
+    records = [[(u, 0, 1) for u in us] for us in (spec.uppers, (q,) + spec.lowers)]
+    step = _compiled((spec.argument, *records), powers)
+    return Fraction(*_terminating_row(step, powers, 0, min(cutoffs) + 1, lambda: spec))
 
 
 def qbinom_series(aparam, q, N: int) -> list:
@@ -146,19 +196,15 @@ def qbinom_series(aparam, q, N: int) -> list:
     The q-binomial theorem gives c_n = (a; q)_n / (q; q)_n; coefficients are
     built by running ratios, one integer quotient and one reduction a step.
     """
-    aparam, q = rat(aparam), rat(q)
-    an, ad = aparam.numerator, aparam.denominator
-    qn, qd = q.numerator, q.denominator
+    q = rat(q)
+    powers = _Powers(q)
+    # (1 - a q^n) / (1 - q^(n+1)), the ratio from c_n to c_(n+1)
+    step = _compiled((1, [(rat(aparam), 0, 1)], [(q, 0, 1)]), powers)
     out = [Fraction(1)]
-    c = Fraction(1)
-    pn = pd = 1  # q^n = pn / pd
     for n in range(N):
-        # (1 - a q^n) / (1 - q^(n+1)) = (ad pd - an pn) qd / (ad (qd pd - qn pn))
-        low = qd * pd - qn * pn
+        num, den, low = _factors(step, powers, 0, n)
         if low == 0:
             raise PoleInLower(f"(q;q)_{n + 1} vanished; base {q} is a root of unity")
-        c = Fraction(c.numerator * (ad * pd - an * pn) * qd, c.denominator * ad * low)
-        out.append(c)
-        pn *= qn
-        pd *= qd
+        c = out[-1]
+        out.append(Fraction(c.numerator * num, c.denominator * den * low))
     return out

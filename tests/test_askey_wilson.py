@@ -18,7 +18,6 @@ from qbc.askey_wilson import (
     FULL_BASE,
     HALF_BASE,
     EvenSumForms,
-    _Powers,
     aw_apply,
     aw_eigenvalue,
     aw_poly,
@@ -33,7 +32,9 @@ from qbc.askey_wilson import (
     simplified_series,
 )
 from qbc.errors import ParameterDegeneracy, PoleInLower, QbcError
-from qbc.qseries import PhiSpec, phi_sum, qbinom_series, qpoch, qpoch_multi, qpoch_ratio
+from qbc.qseries import (
+    PhiSpec, _Powers, _compiled, _factors, phi_sum, qbinom_series, qpoch, qpoch_multi, qpoch_ratio,
+)
 from qbc.suites import default_config
 from test_algebra import _exponent_box, qshift
 
@@ -951,6 +952,13 @@ def _tied_inputs(draw):
 # truncate at N >= 4.
 _FULL = ParamPoint(sqrt_q=Fraction(1, 2), a=-3, b=5, c=-Fraction(3, 2), d=Fraction(3, 2))
 FULL_LAST_POLE = (FULL_BASE, 9 * _FULL.q ** -4, _FULL)
+# FULL_Q_POLE: s/A^2 = q^-1, so the walk's lower (q s/A^2; q)_1 vanishes
+# from N = 1 on, while phi_series is finite at N = 1 and raises from N = 2
+# on; below N = 2 the full-base walk is no longer defined.
+_FULL_Q = ParamPoint(
+    sqrt_q=Fraction(1, 2), a=-Fraction(1, 4), b=5, c=-Fraction(1, 8), d=Fraction(1, 8)
+)
+FULL_Q_POLE = (FULL_BASE, Fraction(1, 4), _FULL_Q)
 
 
 def _raised(fn, *args):
@@ -964,20 +972,26 @@ def _raised(fn, *args):
 class TestTiedCollapseWalks:
     """simplified_series walks both collapses as stride-2 record tables; it
     gives the per-degree reference's coefficients, or raises
-    ParameterDegeneracy where the reference does."""
+    ParameterDegeneracy where the reference does.  The full-base walk is
+    defined from N = 2 on and raises ValueError below."""
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(_tied_inputs(), st.integers(0, 8))
     @example(FULL_LAST_POLE, 4)
+    @example(FULL_Q_POLE, 1)
+    @example(FULL_Q_POLE, 2)
     def test_collapses_match_per_degree_reference(self, drawn, N):
         variant, s, P = drawn
+        if variant == FULL_BASE and N < 2:
+            with pytest.raises(ValueError):
+                simplified_series(variant, s, P, N)
+            return
         got = _raised(simplified_series, variant, s, P, N)
         want = _raised(_simplified_series_reference, variant, s, P, N)
         if got is ParameterDegeneracy and want is not ParameterDegeneracy:
             # only the uncancelled lower factor 1 - q^N s/A^2 at l = N
             assert variant == FULL_BASE and s / P.a ** 2 == P.q ** -N
-            if N >= 2:
-                assert _raised(phi_series, s, P, N) is ParameterDegeneracy
+            assert _raised(phi_series, s, P, N) is ParameterDegeneracy
         else:
             assert got == want
 
@@ -1010,8 +1024,8 @@ def _ladder_walk_reference(tops, powers, outer, inner, what, shift=0, stride=1):
             raise ParameterDegeneracy(f"vanishing lower Pochhammer in {what}")
         return Fraction(term.numerator * num, term.denominator * den * low)
 
-    outer = askey_wilson._compiled(outer, powers, shift)
-    inner = askey_wilson._compiled(inner, powers, shift)
+    outer = _compiled(outer, powers, shift)
+    inner = _compiled(inner, powers, shift)
     size = max((i + stride * top for i, top in enumerate(tops)), default=-1) + 1
     sums = [Fraction(0)] * size
     head = Fraction(1)
@@ -1028,7 +1042,9 @@ def _ladder_walk_reference(tops, powers, outer, inner, what, shift=0, stride=1):
 
 def _walk_log(walk, tops, base, outer, inner, shift, stride):
     """The walk's sums, or the class and message of the QbcError it raises
-    with the number of steps it formed and the last of them."""
+    with the number of steps it formed and the last of them.  Steps are
+    logged at askey_wilson._factors, the name the walker (and the
+    reference above) reads qseries._factors by."""
     steps = []
     factors = askey_wilson._factors
 
@@ -1118,8 +1134,8 @@ class TestIntegerDiagonalSums:
         assert sums == cut + [0] * (len(sums) - len(cut)) and all(sums[:4])
         tops, base, outer, inner, shift, stride = NEGATIVE_LOW
         powers = _Powers(base)
-        step = askey_wilson._compiled(inner, powers)
-        assert all(askey_wilson._factors(step, powers, 0, j)[2] < 0 for j in range(4))
+        step = _compiled(inner, powers)
+        assert all(_factors(step, powers, 0, j)[2] < 0 for j in range(4))
         for table, steps, last in ((LOWER_ZERO, 2, (0, 1)), (SHIFTED_POLE, 2, (0, 1))):
             error, message, count, (_, i, j) = _walk_log(askey_wilson._ladder_walk, *table)
             assert (error, message) == (

@@ -5,6 +5,7 @@ it gets its own independent checks first: direct rational substitution for
 the operator, the rank-one reduction, and eigenvalue distinctness scans.
 """
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -189,6 +190,26 @@ class TestOracle:
         assert len(files) == 1
         second = koorn_oracle((2,), POINT_K2, 2)
         assert first == second
+
+    @pytest.mark.parametrize(
+        "field, bad", [("coeff", "1/0"), ("exps", 1.5)],
+        ids=["zero-denominator", "fractional-exponent"],
+    )
+    def test_malformed_entry_is_solved_again(self, field, bad, tmp_path, monkeypatch):
+        # the entry's checksum matches, but its first term holds the
+        # coefficient 1/0 or the exponent 1.5: the reader must reject it,
+        # not raise ZeroDivisionError or truncate 1.5 to 1, and the oracle
+        # solves again and rewrites the entry
+        monkeypatch.setenv("QBC_CACHE_DIR", str(tmp_path))
+        solved = koorn_oracle((2,), POINT_K2, 2)
+        (path,) = (tmp_path / "koornwinder").glob("*.json")
+        entry = json.loads(path.read_text())
+        term = entry["polynomial"]["terms"][0]
+        term[field] = bad if field == "coeff" else [bad] + term["exps"][1:]
+        entry["sha256"] = koornwinder._checksum(entry["polynomial"])
+        path.write_text(json.dumps(entry))
+        assert koorn_oracle((2,), POINT_K2, 2) == solved
+        assert json.loads(path.read_text())["polynomial"] == solved.to_json_obj()
 
 
 def _g_list_reference(rmax, n, P):

@@ -15,10 +15,9 @@ import pytest
 from qbc import askey_wilson, b2, koornwinder, macdonald_bcd
 from qbc.b2 import B2Weight
 from qbc.suites import default_config, run_suite
+from test_acceptance import ALL_DIGEST
 
 CFG = default_config()
-# sha256 of run_suite("all", CFG).to_json(with_timing=False): 366 passing cases
-ALL_DIGEST = "6b7ebdcef175f4677fd3ee0e192a48b85406d93d7424bfa3ccb1586728377d14"
 
 
 def _clear_memos():

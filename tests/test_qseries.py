@@ -5,6 +5,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qbc import askey_wilson, qseries
+from qbc.algebra import ParamPoint
 from qbc.qseries import (
     PhiSpec,
     phi_sum,
@@ -342,3 +344,32 @@ def test_kernel_matches_fraction_loops(data):
     )
     assert _result(phi_sum, spec, N) == _result(_terminating_reference, spec, N)
     assert _result(qbinom_series, a, q, N) == _result(_qbinom_series_reference, a, q, N)
+
+
+def test_every_terminating_row_steps_through_one_kernel(monkeypatch):
+    # the askey_wilson walks run on the step primitives of qseries, and
+    # phi_sum, qbinom_series and the 6phi5 rows of psi_series form every
+    # term ratio with qseries._factors: one call per step at a generic point
+    assert (askey_wilson._Powers, askey_wilson._compiled, askey_wilson._factors) == (
+        qseries._Powers, qseries._compiled, qseries._factors
+    )
+    steps = []
+    factors = qseries._factors
+
+    def counted(step, powers, i, j):
+        steps.append((i, j))
+        return factors(step, powers, i, j)
+
+    monkeypatch.setattr(qseries, "_factors", counted)
+    q = F(1, 2)
+    spec = PhiSpec(uppers=(q ** -3, F(1, 3)), lowers=(F(1, 7),), base=q, argument=F(2, 5))
+    P = ParamPoint(sqrt_q=F(1, 2), a=3, b=5, c=7, d=11)
+    phi_sum(spec, 3)
+    assert steps == [(0, 0), (0, 1), (0, 2)]
+    steps.clear()
+    qbinom_series(F(1, 4), q, 3)
+    assert steps == [(0, 0), (0, 1), (0, 2)]
+    steps.clear()
+    askey_wilson.psi_series(F(1, 7), P, 3)
+    # three prefactor steps, then row n's steps (n, 0)..(n, n - 1)
+    assert steps == [(0, 0), (0, 1), (0, 2), (1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)]
