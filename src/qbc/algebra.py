@@ -5,9 +5,10 @@ fractions.Fraction, polynomials are sparse dicts mapping integer exponent
 vectors to nonzero Fractions.  Inside ClearedShiftOperator the polynomials
 carry nonzero ints instead (its cleared coefficient and the integer
 numerators it applies to), built through LaurentPoly._raw, which does not
-coerce.  An application forms its product and orbit sum straight as a
-PackedPoly, int coefficients on exponent tuples packed into ints, and
-exact_div's operands and quotients are PackedPoly too.  Half-integer exponents
+coerce.  Its build forms the cleared coefficient on exponent tuples packed
+into ints; an application forms its product and orbit sum straight as a
+PackedPoly, int coefficients on packed keys, and exact_div's operands and
+quotients are PackedPoly too.  Half-integer exponents
 (needed for weights of the B2 lattice and for x^(-1/2) style prefactors)
 are handled by a lattice scale: a LaurentPoly with scale=2 stores doubled
 exponents, so the tuple (1, 0) on scale 2 means x1^(1/2).
@@ -27,7 +28,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, mul, neg, sub
+from operator import add, mul, ne, neg, sub
 from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import (
@@ -316,14 +317,27 @@ class LaurentPoly:
 
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "LaurentPoly":
-        """Inverse of to_json_obj: a coefficient rat rejects, or an exponent
-        that is no JSON int (1.5, or a bool), raises instead of misreading."""
+        """Inverse of to_json_obj.  A coefficient that is no "p/q" text of
+        two ints with q nonzero, an exponent that is no JSON int (1.5, or a
+        bool) or a tuple of the wrong length raises instead of misreading;
+        a zero coefficient is dropped."""
+        num_vars, scale = obj["num_vars"], obj.get("lattice_scale", 1)
+        if scale not in (1, 2):
+            raise ValueError("lattice scale must be 1 or 2")
         terms = {}
         for t in obj["terms"]:
-            if any(type(e) is not int for e in t["exps"]):
-                raise ValueError(f"exponents {t['exps']} are not all integers")
-            terms[tuple(t["exps"])] = rat(t["coeff"])
-        return cls(obj["num_vars"], terms, obj.get("lattice_scale", 1))
+            exps, coeff = tuple(t["exps"]), t["coeff"]
+            if len(exps) != num_vars or any(type(e) is not int for e in exps):
+                raise ValueError(f"exponents {t['exps']} are not {num_vars} integers")
+            if type(coeff) is not str:
+                raise TypeError(f"coefficient {coeff!r} is not p/q text")
+            num, slash, den = coeff.partition("/")
+            num, den = int(num), int(den) if slash else 0
+            if not den:
+                raise ValueError(f"{coeff!r} is no p/q text with q nonzero")
+            if num:
+                terms[exps] = Fraction(num, den)
+        return cls._raw(num_vars, terms, scale)
 
     def format_human(self) -> str:
         if not self.terms:
@@ -439,6 +453,43 @@ def _places(num_vars: int, half: int) -> list:
     """The place values B^(n-1-i) of the packing with radix B = 2 half + 1."""
     radix = 2 * half + 1
     return [radix ** (num_vars - 1 - i) for i in range(num_vars)]
+
+
+def _linear_keys(columns: Sequence, weights: Sequence[int], base: int, size: int) -> list:
+    """base + sum_i weights[i] e_i for each of size exponent tuples e,
+    given as the columns of their entries (zip(*tuples)): formed a variable
+    at a time, one pass over each column."""
+    keys = [base] * size
+    for w, column in zip(weights, columns):
+        keys = [k + w * x for k, x in zip(keys, column)]
+    return keys
+
+
+def _binomial_product(num_vars: int, scale: int, shift: tuple, factors: Sequence) -> LaurentPoly:
+    """x^shift times the product of factors, each the terms dict of a
+    binomial with int coefficients, formed on packed keys and unpacked once.
+
+    The entries of a product term are sums of one entry from each factor
+    and from shift, so with half the largest absolute entry of shift plus,
+    summed over the factors, each factor's largest absolute entry, every
+    entry of every partial product is at most half in absolute value: each
+    key decodes to exactly one tuple, and a sum of keys is the key of the
+    sum of their tuples."""
+    half = max(map(abs, shift)) + sum(max(map(abs, itertools.chain(*f))) for f in factors)
+    places = _places(num_vars, half)
+    prod = {sum(map(mul, shift, places)) + half * sum(places): 1}
+    for factor in factors:
+        (k0, c0), (k1, c1) = [(sum(map(mul, e, places)), c) for e, c in factor.items()]
+        out = {key + k0: c * c0 for key, c in prod.items()}
+        for key, c in prod.items():
+            key += k1
+            acc = out.get(key, 0) + c * c1
+            if acc:
+                out[key] = acc
+            else:
+                del out[key]
+        prod = out
+    return PackedPoly(num_vars, scale, half, half, prod).unpack()
 
 
 def exact_div(f: PackedPoly, g: LaurentPoly) -> PackedPoly:
@@ -633,17 +684,17 @@ def decompose_symmetric(f: LaurentPoly) -> dict:
     """Write an invariant Laurent polynomial in the monomial-orbit basis.
 
     Returns a dict mapping dominant exponent tuples (weakly decreasing,
-    nonnegative, zero-padded) to coefficients.  Completeness is verified by
-    rebuilding the orbit sums, so a non-invariant input raises.
+    nonnegative, zero-padded) to coefficients: the coefficients of f at
+    its dominant exponents.  Those determine an invariant f, and
+    weyl_invariant checks that f is one, so a non-invariant input raises.
     """
-    out = {}
-    for exps, coeff in f.terms.items():
-        dominant = tuple(sorted((abs(e) for e in exps), reverse=True))
-        if dominant == exps:
-            out[dominant] = coeff
-    if compose_symmetric(out, f.num_vars, f.scale) != f:
+    if not weyl_invariant(f):
         raise ValueError("polynomial is not invariant under the signed-permutation group")
-    return out
+    return {
+        exps: coeff
+        for exps, coeff in f.terms.items()
+        if exps == tuple(sorted((abs(e) for e in exps), reverse=True))
+    }
 
 
 def compose_symmetric(coeffs: Mapping, n: int, scale: int = 1) -> LaurentPoly:
@@ -708,6 +759,12 @@ def _sign(u: Fraction, e: tuple) -> int:
     of e: r x^(e-) (1 - u x^e) = r x^(e-) - p x^(e+) has its lex-leading
     term at e- when e is lex-negative, else at e+."""
     return 1 if u < 0 or _lex_negative(e) else -1
+
+
+def _span(g: LaurentPoly) -> int:
+    """The number of variables a binomial g = a x^e1 + b x^e0 moves: the
+    entries where e1 and e0 differ."""
+    return sum(map(ne, *g.terms))
 
 
 def _binomial(key: tuple, scale: int) -> LaurentPoly:
@@ -785,15 +842,28 @@ class ClearedShiftOperator:
     of L that the kept denominators lack, and the monomial of the
     denominators' units.  Each factor is primitive, so by Gauss's lemma the
     product is too, and the r's and signs of all the records and the scalar
-    fold into one rational multiplier.  An application runs over Python
-    ints from end to end: it forms g_0 over a common denominator, divides
-    it by the pole, forms the int product and its orbit sum, divides that
-    by the B's of L, and scales once per output term by that multiplier
-    over g_0's denominator.  Both divisions run on PackedPoly, exponent
-    tuples packed into int keys: g_0 is packed for the pole and unpacked
-    after it, and the product and the orbit sum are formed straight in the
-    packed keys of the whole chain of divisions by the B's of L, whose
-    quotient is unpacked once, at the end.
+    fold into one rational multiplier.  The build forms that product in
+    one pass on packed keys (_binomial_product), at a half that bounds
+    every partial product, and unpacks it once.  An application runs over
+    Python ints from end to end: it forms g_0 over a common denominator,
+    divides it by the pole, forms the int product and its orbit sum,
+    divides that by the B's of L, and scales once per output term by that
+    multiplier over g_0's denominator.  Both divisions run on PackedPoly,
+    exponent tuples packed into int keys: g_0 is packed for the pole and
+    unpacked after it, and the product and the orbit sum are formed
+    straight in the packed keys of the whole chain of divisions by the B's
+    of L, whose quotient is unpacked once, at the end.
+
+    The chain divides by the B's of L ordered by the number of variables
+    each moves, the one-variable ones first: the n factors 1 - x_i^2 of
+    the Koornwinder operator (on b2's doubled lattice, the short-root
+    factors) come before the two-variable pair factors.  On the
+    Koornwinder operators that keeps the chain's dividends smaller than
+    the pair factors first, or the order in which the orbit meets the
+    factors; on b2 it costs a few percent more dividend terms.  Exact
+    division by a product does not depend on the order of its factors, so
+    any order gives the same quotient, and InexactDivision exactly when
+    no Laurent quotient exists.
 
     The radix of those keys is fixed before the product.  Let R be the
     largest absolute exponent entry of cof_0, plus that of g_0 after the
@@ -858,30 +928,30 @@ class ClearedShiftOperator:
                 if lcd.get(key, 0) < counts[key]:
                     lcd[key] = counts[key]
         self._lcd = {key: (_binomial(key, scale), mult) for key, mult in lcd.items()}
-        self._divisors = [b for b, mult in self._lcd.values() for _ in range(mult)]
+        # the one-variable B's divide first (see the class docstring)
+        self._divisors = sorted(
+            (b for b, mult in self._lcd.values() for _ in range(mult)), key=_span
+        )
         # cof_0 = L A_0 (times the absorbed pole's B): each numerator
         # 1 - u x^e is (r - p x^e) / r and each denominator s B / (r x^(e-))
         shift, multiplier = (0,) * n, Fraction(1)
         for u, e in denom:
             shift = tuple(map(add, shift, _negative_part(e)))
             multiplier *= _sign(u, e) * u.denominator
-        cof = LaurentPoly._raw(n, {shift: 1}, scale)
+        factors = []
         for u, e in numer:
             multiplier /= u.denominator
-            cof = cof * LaurentPoly._raw(
-                n, {(0,) * n: u.denominator, e: -u.numerator}, scale
-            )
+            factors.append({(0,) * n: u.denominator, e: -u.numerator})
         for key, (binomial, mult) in self._lcd.items():
-            for _ in range(mult - kept.count(key)):
-                cof = cof * binomial
-        self._cof = cof
+            factors += [binomial.terms] * (mult - kept.count(key))
+        self._cof = _binomial_product(n, scale, shift, factors)
         self._unscale = multiplier / self.scalar
         self._images = [self._image(perm, signs) for perm, signs in orbit]
         others = list(range(1, n))
         stabilizer = [_swap(n, j, k, 1) for j, k in zip(others, others[1:])]
         if others:
             stabilizer.append(_swap(n, others[-1], others[-1], -1))
-        terms = cof.terms
+        terms = self._cof.terms
         for perm, signs in stabilizer:
             spec, unit = self._image(perm, signs)
             for e, c in terms.items():
@@ -926,14 +996,14 @@ class ClearedShiftOperator:
         The first image is the identity's."""
         places = _places(self.num_vars, half)
         offset = half * sum(places)
-        exps = list(self._cof.terms)
+        columns, size = list(zip(*self._cof.terms)), len(self._cof.terms)
         images = []
         for spec, unit in self._images:
             signed, base = [0] * self.num_vars, offset
             for place, (k, s, u) in zip(places, spec):
                 signed[k] = s * place
                 base += u * place
-            images.append((signed, [base + sum(map(mul, e, signed)) for e in exps], unit))
+            images.append((signed, _linear_keys(columns, signed, base, size), unit))
         self._layout = half, images
 
     def _orbit_sum(self, g: LaurentPoly) -> PackedPoly:
@@ -952,8 +1022,10 @@ class ClearedShiftOperator:
         prod: dict = {}
         first: dict = {}
         cofs = list(zip(itertools.count(), ids, self._cof.terms.values()))
-        for j, (e, gc) in enumerate(g.terms.items()):
-            gkey, row = sum(map(mul, e, places)), j * width
+        columns, size = list(zip(*g.terms)), len(g.terms)
+        gkeys = _linear_keys(columns, places, 0, size)
+        for j, (gkey, gc) in enumerate(zip(gkeys, g.terms.values())):
+            row = j * width
             for i, ckey, cc in cofs:
                 key = ckey + gkey
                 acc = prod.get(key)
@@ -968,7 +1040,7 @@ class ClearedShiftOperator:
                         del prod[key], first[key]
         plus, minus = [], []
         for signed, keys, unit in images:
-            gkeys = [sum(map(mul, e, signed)) for e in g.terms]
+            gkeys = _linear_keys(columns, signed, 0, size)
             (plus if unit == 1 else minus).append((keys, gkeys))
         out: dict = {}
         for key, c in prod.items():

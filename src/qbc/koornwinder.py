@@ -26,7 +26,7 @@ from .algebra import (
 )
 from .askey_wilson import ce_prime_sums, odd_sums
 from .errors import CacheError, DimensionMismatch, ParameterDegeneracy
-from .qseries import qbinom_series
+from .qseries import qbinom_terms
 from .reports import nonzero
 
 CACHE_ENV = "QBC_CACHE_DIR"
@@ -105,7 +105,7 @@ def _cache_header(lam: tuple, P: ParamPoint, n: int) -> dict:
 
 
 def _checksum(polynomial: dict) -> str:
-    """sha256 of an entry's polynomial body, as json.dump writes it."""
+    """sha256 of an entry's polynomial body, as _cache_store writes it."""
     return hashlib.sha256(json.dumps(polynomial, sort_keys=True).encode()).hexdigest()
 
 
@@ -138,7 +138,9 @@ def _cache_store(path: Path, lam: tuple, P: ParamPoint, n: int, poly: LaurentPol
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as fh:
-                json.dump(payload, fh, sort_keys=True)
+                # json.dumps encodes in C; json.dump streams through the
+                # pure-Python encoder, into the same bytes
+                fh.write(json.dumps(payload, sort_keys=True))
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
@@ -200,6 +202,22 @@ def koorn_oracle(lam, P: ParamPoint, n: int) -> LaurentPoly:
 #: the G table (G_0, ..., G_m) of each (n, P) for the process
 _G_TABLES: dict = {}
 
+#: per point P, the list h_0, ..., h_m that the G tables at P have read so
+#: far, h_j = (t;q)_j/(q;q)_j, and the qbinom_terms iterator that continues it
+_HEADS: dict = {}
+
+
+def _heads(m: int, P: ParamPoint) -> list:
+    """P's list of the h_j, grown to hold h_0..h_m at least.  Each h_j is
+    computed once per point, whatever order the tables grow in.  The list
+    is shared by every caller and must not be mutated."""
+    if P not in _HEADS:
+        _HEADS[P] = [], qbinom_terms(P.t, P.q)
+    h, rest = _HEADS[P]
+    while len(h) <= m:
+        h.append(next(rest))
+    return h
+
 
 def g_series_list(rmax: int, n: int, P: ParamPoint) -> tuple:
     """Coefficients (G_0, ..., G_rmax) of the generating function
@@ -222,7 +240,7 @@ def _g_entry(m: int, n: int, P: ParamPoint) -> LaurentPoly:
     of G'_(m - j) H_j(x_n), with G' the rank-(n - 1) table at P (the series
     1 at rank 0) and H_j = sum_(a + b = j) h_a h_b x_n^(a - b) for
     h_j = (t;q)_j/(q;q)_j."""
-    h = qbinom_series(P.t, P.q, m)
+    h = _heads(m, P)
     if n > 1:
         lower = [g.terms for g in g_series_list(m, n - 1, P)]
     else:

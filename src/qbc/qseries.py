@@ -12,9 +12,10 @@ at or below N, found by exact multiplications, never by floating point.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .algebra import rat
 from .errors import DivergentSpec, ParameterDegeneracy, PoleInLower
@@ -190,8 +191,9 @@ def phi_sum(spec: PhiSpec, N: int) -> Fraction:
     return Fraction(*_terminating_row(step, powers, 0, min(cutoffs) + 1, lambda: spec))
 
 
-def qbinom_series(aparam, q, N: int) -> list:
-    """Coefficients c_0..c_N of (a z; q)_inf / (z; q)_inf = sum c_n z^n.
+def qbinom_terms(aparam, q) -> Iterator[Fraction]:
+    """The coefficients c_0, c_1, ... of (a z; q)_inf / (z; q)_inf =
+    sum c_n z^n, without end.
 
     The q-binomial theorem gives c_n = (a; q)_n / (q; q)_n; coefficients are
     built by running ratios, one integer quotient and one reduction a step.
@@ -200,11 +202,16 @@ def qbinom_series(aparam, q, N: int) -> list:
     powers = _Powers(q)
     # (1 - a q^n) / (1 - q^(n+1)), the ratio from c_n to c_(n+1)
     step = _compiled((1, [(rat(aparam), 0, 1)], [(q, 0, 1)]), powers)
-    out = [Fraction(1)]
-    for n in range(N):
+    c = Fraction(1)
+    for n in itertools.count():
+        yield c
         num, den, low = _factors(step, powers, 0, n)
         if low == 0:
             raise PoleInLower(f"(q;q)_{n + 1} vanished; base {q} is a root of unity")
-        c = out[-1]
-        out.append(Fraction(c.numerator * num, c.denominator * den * low))
-    return out
+        c = Fraction(c.numerator * num, c.denominator * den * low)
+
+
+def qbinom_series(aparam, q, N: int) -> list:
+    """Coefficients c_0..c_N of (a z; q)_inf / (z; q)_inf = sum c_n z^n, the
+    first N + 1 of qbinom_terms."""
+    return list(itertools.islice(qbinom_terms(aparam, q), N + 1))

@@ -901,6 +901,33 @@ def test_packing_round_trip_keeps_the_terms_their_order_and_lex_order():
     assert sorted(keys, key=keys.get) == sorted(f.terms)
 
 
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.data())
+def test_packed_binomial_product_matches_the_tuple_product(data):
+    # the cleared operator's cof_0 product, formed on packed keys with a
+    # half that only just bounds every partial product, against the chain
+    # of LaurentPoly products on exponent tuples that formed it before
+    n = data.draw(st.integers(1, 3), label="num_vars")
+    scale = data.draw(st.sampled_from((1, 2)), label="scale")
+    exps = st.tuples(*[st.integers(-3, 3)] * n)
+    coeff = st.integers(-4, 4).filter(bool)
+    shift = data.draw(exps, label="shift")
+    factors = data.draw(
+        st.lists(
+            st.tuples(exps, exps, coeff, coeff).filter(lambda f: f[0] != f[1]),
+            max_size=6,
+        ),
+        label="factors",
+    )
+    binomials = [_int_poly(n, {e1: a, e0: b}, scale) for e1, e0, a, b in factors]
+    want = _int_poly(n, {shift: 1}, scale)
+    for g in binomials:
+        want = want * g
+    got = algebra._binomial_product(n, scale, shift, [g.terms for g in binomials])
+    assert got == want
+    assert set(map(type, got.terms.values())) <= {int}
+
+
 def _act_signed(f: LaurentPoly, perm, signs) -> LaurentPoly:
     """The signed permutation x_i -> x_(perm[i])^(signs[i]) applied to f
     as a whole polynomial: the new exponent of variable perm[i] is signs[i]
@@ -980,6 +1007,25 @@ class TestOrbits:
         with pytest.raises(ValueError):
             decompose_symmetric(LaurentPoly(2, {(1, 0): 1}))
 
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            # x1 + 1/x1 + x2 + 1/x2: fixed by swapping x1 and x2 and by
+            # inverting x3, moved by swapping x2 and x3
+            pytest.param(
+                {(1, 0, 0): 1, (-1, 0, 0): 1, (0, 1, 0): 1, (0, -1, 0): 1},
+                id="transposition",
+            ),
+            # x1 x2 x3: fixed by every permutation, moved by inverting x3
+            pytest.param({(1, 1, 1): 1}, id="last-inversion"),
+        ],
+    )
+    def test_decompose_rejects_one_broken_generator(self, terms):
+        with pytest.raises(
+            ValueError, match="^polynomial is not invariant under the signed-permutation group$"
+        ):
+            decompose_symmetric(LaurentPoly(3, terms))
+
 
 class TestClearedShiftOperator:
     def test_forward_difference_style(self):
@@ -1032,13 +1078,11 @@ class TestClearedShiftOperator:
         P = default_config().points("b2")[0].point
         op = _b2_operator(P)
         lcd, _ = _explicit_build("b2", P, 2, 2)
-        want = [
-            algebra._integer_numerators(canon)[0]
-            for canon, mult in lcd.values()
-            for _ in range(mult)
-        ]
+        want = [algebra._integer_numerators(canon)[0] for canon in _division_chain(lcd)]
         assert op._pole is None
         assert op._divisors == want
+        # the short-root factors, in one lattice variable each, come first
+        assert [len(_moved(g)) for g in want] == [1, 1, 2, 2]
 
     def test_half_lattice_pole_is_absorbed(self):
         # on the scale-2 lattice with y = x^(1/2), x -> q x is y -> q^(1/2) y
@@ -1305,6 +1349,22 @@ def _explicit_build(kind, P, num_vars, scale, absorb=False):
     return lcd, final
 
 
+def _moved(p: LaurentPoly) -> set:
+    """The variables with a nonzero exponent in some term of p."""
+    return {i for e in p.terms for i, x in enumerate(e) if x}
+
+
+def _division_chain(lcd):
+    """The factors of an LCD, a dict of (canonical factor, multiplicity),
+    each repeated to its multiplicity, in the order of the cleared
+    operator's division chain: by the number of variables they move, the
+    one-variable factors first, and in the dict's order among equals.  A
+    canonical factor has per-variable minimum exponent zero, so the
+    variables it moves are those of _moved."""
+    chain = [canon for canon, mult in lcd.values() for _ in range(mult)]
+    return sorted(chain, key=lambda g: len(_moved(g)))
+
+
 def _explicit_apply(kind, P, num_vars, f, scalar=1, scale=1, absorb=False):
     """The operator applied as the explicit sum of its terms: one product
     per term, summed, then divided by the LCD factors.  With absorb, each
@@ -1320,9 +1380,8 @@ def _explicit_apply(kind, P, num_vars, f, scalar=1, scale=1, absorb=False):
         total = total + cof * g
     if total.is_zero():
         return total
-    for canon, mult in lcd.values():
-        for _ in range(mult):
-            total = _divide(total, canon)
+    for canon in _division_chain(lcd):
+        total = _divide(total, canon)
     if scalar != 1:
         total = total * (1 / rat(scalar))
     return total
@@ -1492,10 +1551,10 @@ class _FractionOperator(ClearedShiftOperator):
         unit_den = math.lcm(*(unit.denominator for _, unit in images))
         self._images = [(spec, int(unit * unit_den)) for spec, unit in images]
         self._divisors, self.radix = [], pole_radix
-        for canon, mult in lcd.values():
+        for canon in _division_chain(lcd):
             binomial, r = algebra._integer_numerators(canon)
-            self._divisors += [binomial] * mult
-            self.radix *= r**mult
+            self._divisors.append(binomial)
+            self.radix *= r
         self._unscale = F(self.radix, cof_den * unit_den) / self.scalar
         others = list(range(1, n))
         stabilizer = [algebra._swap(n, j, k, 1) for j, k in zip(others, others[1:])]

@@ -5,6 +5,7 @@ it gets its own independent checks first: direct rational substitution for
 the operator, the rank-one reduction, and eigenvalue distinctness scans.
 """
 
+import io
 import json
 from fractions import Fraction
 
@@ -192,24 +193,62 @@ class TestOracle:
         assert first == second
 
     @pytest.mark.parametrize(
-        "field, bad", [("coeff", "1/0"), ("exps", 1.5)],
-        ids=["zero-denominator", "fractional-exponent"],
+        "field, bad",
+        [
+            ("coeff", "1/0"),
+            ("coeff", "1.5/1"),
+            ("coeff", "3"),
+            ("coeff", 3),
+            ("exps", 1.5),
+            ("exps", True),
+            ("exps", None),
+        ],
+        ids=[
+            "zero-denominator", "fractional-numerator", "no-denominator",
+            "coefficient-not-text", "fractional-exponent", "bool-exponent",
+            "extra-exponent",
+        ],
     )
     def test_malformed_entry_is_solved_again(self, field, bad, tmp_path, monkeypatch):
-        # the entry's checksum matches, but its first term holds the
-        # coefficient 1/0 or the exponent 1.5: the reader must reject it,
-        # not raise ZeroDivisionError or truncate 1.5 to 1, and the oracle
-        # solves again and rewrites the entry
+        # the entry's checksum matches, but its first term holds a
+        # coefficient that is no p/q text with q nonzero, an exponent that is
+        # no int (1.5, or a bool), or one exponent too many (None): the
+        # reader must reject it, not raise ZeroDivisionError, truncate 1.5 to
+        # 1 or read True as 1, and the oracle solves again and rewrites the
+        # entry
         monkeypatch.setenv("QBC_CACHE_DIR", str(tmp_path))
         solved = koorn_oracle((2,), POINT_K2, 2)
         (path,) = (tmp_path / "koornwinder").glob("*.json")
         entry = json.loads(path.read_text())
         term = entry["polynomial"]["terms"][0]
-        term[field] = bad if field == "coeff" else [bad] + term["exps"][1:]
+        if field == "coeff":
+            term["coeff"] = bad
+        elif bad is None:
+            term["exps"] = term["exps"] + [0]
+        else:
+            term["exps"] = [bad] + term["exps"][1:]
         entry["sha256"] = koornwinder._checksum(entry["polynomial"])
         path.write_text(json.dumps(entry))
         assert koorn_oracle((2,), POINT_K2, 2) == solved
         assert json.loads(path.read_text())["polynomial"] == solved.to_json_obj()
+
+
+    def test_entry_bytes_are_json_dump_bytes(self, tmp_path, monkeypatch):
+        # the entry is the header, the polynomial and its checksum, written
+        # in the bytes json.dump with sorted keys gives them
+        monkeypatch.setenv("QBC_CACHE_DIR", str(tmp_path))
+        lam = (2, 1)
+        solved = koorn_oracle(lam, POINT_K1, 2)
+        (path,) = (tmp_path / "koornwinder").glob("*.json")
+        body = solved.to_json_obj()
+        payload = dict(
+            koornwinder._cache_header(lam, POINT_K1, 2),
+            polynomial=body,
+            sha256=koornwinder._checksum(body),
+        )
+        want = io.StringIO()
+        json.dump(payload, want, sort_keys=True)
+        assert path.read_bytes() == want.getvalue().encode()
 
 
 def _g_list_reference(rmax, n, P):
@@ -252,6 +291,21 @@ class TestGeneratingFamily:
         # the rank-2 entries and the rank-1 entries they grow from, once each
         assert len(g_builds) == 12
         assert set(g_builds) == {(j, k, POINT_K2) for j in range(6) for k in (1, 2)}
+
+    def test_heads_grow_once_with_the_tables(self, g_builds, monkeypatch):
+        # every G table at a point reads one list of h_j = (t;q)_j/(q;q)_j:
+        # growing tables at ranks 1-3 to order 6 extends that list in place
+        # to h_0..h_6, equal to qbinom_series, without building it again
+        monkeypatch.setattr(koornwinder, "_HEADS", {})
+        for rmax in range(7):
+            for n in (1, 3, 2):
+                g_series_list(rmax, n, POINT_K1)
+        h, _ = koornwinder._HEADS[POINT_K1]
+        assert list(koornwinder._HEADS) == [POINT_K1]
+        assert h == qbinom_series(POINT_K1.t, POINT_K1.q, 6)
+        assert koornwinder._heads(3, POINT_K1) is h and len(h) == 7
+        assert koornwinder._heads(9, POINT_K1) is h
+        assert h == qbinom_series(POINT_K1.t, POINT_K1.q, 9)
 
     def test_order_zero(self):
         assert g_series(0, 2, POINT_K1) == LaurentPoly.monomial((0, 0))

@@ -27,6 +27,7 @@ def _clear_memos():
     ):
         memo.cache_clear()
     koornwinder._G_TABLES.clear()
+    koornwinder._HEADS.clear()
 
 
 def _requests():

@@ -66,11 +66,18 @@ def test_one_apply_divides_once_per_lcd_factor(n, orbit_factors, monkeypatch):
     op.apply(monomial_symmetric((1,), n))
     assert len(divisors) == 1 + factors
     assert divisors[0] is op._pole
+    # the chain divides by the n one-variable binomials 1 - x_i^2 right
+    # after the pole, and by the n(n - 1) pair factors after them
+    moved = [{i for e in g.terms for i, x in enumerate(e) if x} for g in divisors[1:]]
+    assert sorted(len(m) for m in moved[:n]) == [1] * n
+    assert set().union(*moved[:n]) == set(range(n))
+    assert all(len(m) == 2 for m in moved[n:])
 
 
 def test_perfbench_traces_exact_div_on_oracle_rank3():
     # one rank-3, row-2 solve applies the operator to the three non-constant
-    # orbit sums of its basis: 3 x (1 + 9) divisions
+    # orbit sums of its basis: 3 x (1 + 9) divisions, whose dividends hold
+    # 2,233 terms in all when the one-variable factors divide first
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "oracle_rank3",
          "--seed", "0", "--seconds", "0.5", "--trace", "1"],
@@ -81,7 +88,7 @@ def test_perfbench_traces_exact_div_on_oracle_rank3():
     assert result["correct"] is True
     metrics = {name: m["value"] for name, m in result["metrics"].items()}
     assert metrics["algebra.exact_div.calls"] == 30
-    assert metrics["algebra.exact_div.terms_in"] == 2_558
+    assert metrics["algebra.exact_div.terms_in"] == 2_233
     assert metrics["algebra.exact_div.s"] > 0
 
 
