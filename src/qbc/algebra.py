@@ -3,12 +3,12 @@
 Everything downstream works over arbitrary-precision rationals: scalars are
 fractions.Fraction, polynomials are sparse dicts mapping integer exponent
 vectors to nonzero Fractions.  Inside ClearedShiftOperator the polynomials
-carry nonzero ints instead (its cleared coefficient and the integer
+carry nonzero ints instead (the product of its numerators and the integer
 numerators it applies to), built through LaurentPoly._raw, which does not
-coerce.  Its build forms the cleared coefficient on exponent tuples packed
-into ints; an application forms its product and orbit sum straight as a
-PackedPoly, int coefficients on packed keys, and exact_div's operands and
-quotients are PackedPoly too.  Half-integer exponents
+coerce.  An application straightens its alternating sum against the Weyl
+denominator over ints; its one division, by the pole, goes through
+exact_div, whose operands and quotients are PackedPoly, int coefficients on
+exponent tuples packed into ints.  Half-integer exponents
 (needed for weights of the B2 lattice and for x^(-1/2) style prefactors)
 are handled by a lattice scale: a LaurentPoly with scale=2 stores doubled
 exponents, so the tuple (1, 0) on scale 2 means x1^(1/2).
@@ -24,11 +24,12 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, mul, ne, neg, sub
+from operator import add, lt, mul, neg, sub
 from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import (
@@ -455,43 +456,6 @@ def _places(num_vars: int, half: int) -> list:
     return [radix ** (num_vars - 1 - i) for i in range(num_vars)]
 
 
-def _linear_keys(columns: Sequence, weights: Sequence[int], base: int, size: int) -> list:
-    """base + sum_i weights[i] e_i for each of size exponent tuples e,
-    given as the columns of their entries (zip(*tuples)): formed a variable
-    at a time, one pass over each column."""
-    keys = [base] * size
-    for w, column in zip(weights, columns):
-        keys = [k + w * x for k, x in zip(keys, column)]
-    return keys
-
-
-def _binomial_product(num_vars: int, scale: int, shift: tuple, factors: Sequence) -> LaurentPoly:
-    """x^shift times the product of factors, each the terms dict of a
-    binomial with int coefficients, formed on packed keys and unpacked once.
-
-    The entries of a product term are sums of one entry from each factor
-    and from shift, so with half the largest absolute entry of shift plus,
-    summed over the factors, each factor's largest absolute entry, every
-    entry of every partial product is at most half in absolute value: each
-    key decodes to exactly one tuple, and a sum of keys is the key of the
-    sum of their tuples."""
-    half = max(map(abs, shift)) + sum(max(map(abs, itertools.chain(*f))) for f in factors)
-    places = _places(num_vars, half)
-    prod = {sum(map(mul, shift, places)) + half * sum(places): 1}
-    for factor in factors:
-        (k0, c0), (k1, c1) = [(sum(map(mul, e, places)), c) for e, c in factor.items()]
-        out = {key + k0: c * c0 for key, c in prod.items()}
-        for key, c in prod.items():
-            key += k1
-            acc = out.get(key, 0) + c * c1
-            if acc:
-                out[key] = acc
-            else:
-                del out[key]
-        prod = out
-    return PackedPoly(num_vars, scale, half, half, prod).unpack()
-
-
 def exact_div(f: PackedPoly, g: LaurentPoly) -> PackedPoly:
     """Divide f, packed with int coefficients, by a primitive integer
     binomial g = a x^e1 + b x^e0 (int a and b with gcd 1), e1 the lex-larger
@@ -761,12 +725,6 @@ def _sign(u: Fraction, e: tuple) -> int:
     return 1 if u < 0 or _lex_negative(e) else -1
 
 
-def _span(g: LaurentPoly) -> int:
-    """The number of variables a binomial g = a x^e1 + b x^e0 moves: the
-    entries where e1 and e0 differ."""
-    return sum(map(ne, *g.terms))
-
-
 def _binomial(key: tuple, scale: int) -> LaurentPoly:
     """B = |p| x^(e+) - sign(p) r x^(e-) for the canonical record (p/r, e):
     primitive, with int coefficients, a positive lex-leading coefficient and
@@ -777,6 +735,120 @@ def _binomial(key: tuple, scale: int) -> LaurentPoly:
     return LaurentPoly._raw(
         len(e), {plus: abs(p), _negative_part(e): -r if p > 0 else r}, scale
     )
+
+
+def _straighten(e: tuple):
+    """(mu, sign) for the strictly dominant image mu = w(e) of e under the
+    signed permutations and the sign of w, or None when e lies on a wall.
+
+    mu is e's absolute values in decreasing order.  It is strictly dominant,
+    mu_1 > ... > mu_n > 0, exactly when no entry of e is 0 and no two have
+    one absolute value; otherwise a reflection (a sign flip or a signed
+    transposition) fixes e.  w flips the negative entries and then sorts,
+    so its sign, the determinant of its matrix, is -1 to the number of
+    negative entries plus the number of pairs i < j with |e_i| < |e_j|."""
+    a = list(map(abs, e))
+    if 0 in a or len(set(a)) < len(a):
+        return None
+    flips = sum(x < y for x, y in itertools.combinations(a, 2))
+    flips += sum(x < 0 for x in e)
+    return tuple(sorted(a, reverse=True)), -1 if flips % 2 else 1
+
+
+def _positive_roots(n: int, kept: Sequence[tuple]) -> list:
+    """The positive roots of the B_n or C_n system whose roots alpha with
+    alpha_1 > 0 are exactly kept, the exponents of distinct lex-positive
+    records; ValueError when kept is no such set.
+
+    On the lattice the system is {+-a e_i} and {+-b e_i +- b e_j} with
+    a = b (B_n) or a = 2 b (C_n); in rank 1 it is {+-a e_1}, any a.  Its
+    roots with alpha_1 > 0 are a e_1 and b (e_1 +- e_j), and its positive
+    roots, the lex-positive ones, are a e_i and b (e_i +- e_j) for i < j.
+    Its Weyl group is the signed permutations, and its dominant chamber is
+    mu_1 >= ... >= mu_n >= 0."""
+
+    def vector(spots):
+        return tuple(spots.get(k, 0) for k in range(n))
+
+    a = next((e[0] for e in kept if not any(e[1:])), None)
+    b = next((e[0] for e in kept if any(e[1:])), a)
+    positive = []
+    if a is not None and (n == 1 or a in (b, 2 * b)):
+        for i in range(n):
+            positive.append(vector({i: a}))
+            for j, s in itertools.product(range(i + 1, n), (b, -b)):
+                positive.append(vector({i: b, j: s}))
+    if not positive or sorted(kept) != sorted(e for e in positive if e[0] > 0):
+        raise ValueError(
+            "the denominators besides the pole are not the factors 1 - x^alpha "
+            "over the roots alpha with alpha_1 > 0 of a B_n or C_n system"
+        )
+    return positive
+
+
+#: per (nu, rho), the straightened alternants of Delta m_nu but its top,
+#: which is A_(nu + rho) once (see _orbit_coefficients); for the process
+_STRAIGHTENED: dict = {}
+
+
+def _straightened(nu: tuple, rho: tuple) -> dict:
+    """Delta m_nu = sum over e in the orbit of nu of the alternant of
+    x^(e + rho), as {mu: coefficient} over strictly dominant mu, less its
+    top term A_(nu + rho).  It depends on nu and rho only, not on the
+    point, so it is kept per (nu, rho) for the process; the dict is shared
+    and must not be mutated."""
+    out = _STRAIGHTENED.get((nu, rho))
+    if out is None:
+        out = {}
+        for e in signed_orbit(nu):
+            image = _straighten(tuple(map(add, e, rho)))
+            if image is not None:
+                mu, sign = image
+                out[mu] = out.get(mu, 0) + sign
+        del out[tuple(map(add, nu, rho))]
+        out = _STRAIGHTENED[nu, rho] = {mu: c for mu, c in out.items() if c}
+    return out
+
+
+def _orbit_coefficients(alternant: dict, rho: tuple) -> dict:
+    """{nu: b_nu} for the invariant Laurent polynomial P = sum b_nu m_nu
+    with Delta P = sum_mu alternant[mu] A_mu, or InexactDivision when there
+    is none.
+
+    Delta m_nu, for nu dominant, has the top A_(nu + rho) once, and every
+    other alternant in it lies below nu + rho in dominance, so lower in lex
+    order.  The A_mu are linearly independent, so Delta P, for P an
+    invariant Laurent polynomial, has the top A_(nu + rho) of P's lex-top
+    m_nu, and P exists exactly when peeling succeeds: the coefficient of
+    the lex-top A_mu left is b_nu for nu = mu - rho, which must be
+    dominant, and subtracting it times Delta m_nu leaves only lower
+    alternants.  A heap of negated exponents keeps the lex-top; an
+    alternant a subtraction creates is lower than the one just taken, so
+    it was never taken before."""
+    alternant = dict(alternant)
+    heap = [tuple(map(neg, mu)) for mu in alternant]
+    heapq.heapify(heap)
+    out = {}
+    while heap:
+        mu = tuple(map(neg, heapq.heappop(heap)))
+        b = alternant.pop(mu)
+        if not b:
+            continue
+        nu = tuple(map(sub, mu, rho))
+        if nu[-1] < 0 or any(map(lt, nu, nu[1:])):
+            raise InexactDivision(
+                f"the image is no Laurent polynomial: A_{mu} is left over, "
+                f"and mu - rho = {nu} is not dominant"
+            )
+        out[nu] = b
+        for lower, c in _straightened(nu, rho).items():
+            acc = alternant.get(lower)
+            if acc is None:
+                alternant[lower] = -b * c
+                heapq.heappush(heap, tuple(map(neg, lower)))
+            else:
+                alternant[lower] = acc - b * c
+    return out
 
 
 class ClearedShiftOperator:
@@ -793,99 +865,57 @@ class ClearedShiftOperator:
         D f = (1/scalar) sum_w w(A_0) (T_w f - f),
 
     summed over one representative w of each of the 2n cosets of the
-    stabilizer of x_1 in W: w takes x_1 to x_i^s (s = +1 or -1), and T_w is
-    the shift x_i -> q^s x_i.  So D annihilates constants.  The sum is well
-    defined only if A_0 is invariant under that stabilizer, the
-    permutations and inversions of the other variables; the build checks
-    this and raises ValueError otherwise.
-
-    The build runs on ints and exponent tuples.  A factor 1 - u x^e with a
-    lex-negative e is -u x^e (1 - (1/u) x^(-e)), so every factor is a
-    monomial unit times the factor of its canonical record (u, e) with e
-    lex-positive, and the image of a record under w is (u, w(e)).  Each
-    canonical record stands for one primitive integer binomial
-    B = |p| x^(e+) - sign(p) r x^(e-), for u = p/r and e = e+ - e- split into
-    its positive and negative parts, and a factor 1 - u x^e is
-    +-B / (r x^(e-)).  The least common denominator L is the product of the
-    B's of the canonical records of the images' denominators, each to its
-    largest multiplicity in one image.  W permutes these records (the build
-    checks that too), and w(B) is +-x^(w(e-) - w(e)-) times the B of the
-    image record, so L / w(L) is +-1 times a monomial.  With
-    cof_0 = L A_0 and g_0 = T_0 f - f, an invariant f has
-    w(g_0) = T_w f - f, and L w(A_0) w(g_0) = (L / w(L)) w(cof_0 g_0) gives
-    the orbit identity
-
-        scalar L D f = sum_w (L / w(L)) w(cof_0 g_0).
-
-    An application forms the one product cof_0 g_0 and adds up its 2n
-    relabelled images, where summing the terms explicitly needs 2n
-    cofactors L w(A_0) and 2n products.  An image takes a term c x^e to
-    +-c x^(w(e) + s_w), for x^(s_w) the monomial of L / w(L).  The product
-    is taken once, and each of its terms keeps the first pair (a, b) of a
-    cof_0 exponent and a g_0 exponent that reached it; since
-    w(a + b) + s_w = (w(a) + s_w) + w(b), the image of the term under w is
-    read off that pair's images, without relabelling the term itself.  The
-    identity holds only for invariant input, so apply raises ValueError
-    for any other.
+    stabilizer W_1 of x_1 in W: w takes x_1 to x_i^s (s = +1 or -1), and
+    T_w is the shift x_i -> q^s x_i.  So D annihilates constants.
 
     g_0 = T_0 f - f vanishes where q x_1 = 1/x_1, because f(1/x_1) = f(x_1)
     for invariant f.  So the pole factor 1 - q x_1^2 of A_0 divides g_0 (on
     the scale-2 lattice, with y the lattice variable x_1^(1/2), the factor
     is 1 - q^(1/2) y^2).  When the build finds the pole's record, up to a
-    unit, among the denominators, it keeps one copy of it out of L and
-    cof_0, and apply divides g_0 by its binomial before the product.  That
-    one division of a polynomial of a few dozen terms spares L the pole's
-    2n images, which every application would otherwise multiply in and
-    divide back out.
+    unit, among the denominators, it keeps it out of what follows, and
+    apply divides g_0 by its binomial (exact_div, through the module
+    global) before anything else.
 
-    cof_0 is kept as one integer product: the numerators r - p x^e, the B's
-    of L that the kept denominators lack, and the monomial of the
-    denominators' units.  Each factor is primitive, so by Gauss's lemma the
-    product is too, and the r's and signs of all the records and the scalar
-    fold into one rational multiplier.  The build forms that product in
-    one pass on packed keys (_binomial_product), at a half that bounds
-    every partial product, and unpacks it once.  An application runs over
-    Python ints from end to end: it forms g_0 over a common denominator,
-    divides it by the pole, forms the int product and its orbit sum,
-    divides that by the B's of L, and scales once per output term by that
-    multiplier over g_0's denominator.  Both divisions run on PackedPoly,
-    exponent tuples packed into int keys: g_0 is packed for the pole and
-    unpacked after it, and the product and the orbit sum are formed
-    straight in the packed keys of the whole chain of divisions by the B's
-    of L, whose quotient is unpacked once, at the end.
+    The other denominators must be the factors 1 - x^alpha over the roots
+    alpha with alpha_1 > 0 of a B_n or C_n root system Phi, each once (up
+    to a monomial unit): for the Koornwinder operator 1 - x_1^2 and
+    1 - x_1 x_j^(+-1), for b2's doubled lattice its two long and one short
+    root, for Askey-Wilson 1 - x^2.  Then the denominators of all the
+    terms w(A_0) together are the Weyl denominator
+    Delta = x^rho prod_(alpha > 0) (1 - x^(-alpha)) of Phi, rho half the
+    sum of the positive roots, and the sum over the cosets is one
+    alternating sum over W.  With N the product of the numerators, each
+    1 - u x^e as the int binomial r - p x^e for u = p/r (times the inverse
+    of the denominators' units), g the int g_0 after the pole and K the
+    kept roots, every factor 1 - x^alpha of A_0 is -x^alpha (1 - x^-alpha),
+    and the roots of Phi with alpha_1 = 0 give the Weyl denominator of W_1,
+    an alternating sum over W_1 itself.  That gives
 
-    The chain divides by the B's of L ordered by the number of variables
-    each moves, the one-variable ones first: the n factors 1 - x_i^2 of
-    the Koornwinder operator (on b2's doubled lattice, the short-root
-    factors) come before the two-variable pair factors.  On the
-    Koornwinder operators that keeps the chain's dividends smaller than
-    the pair factors first, or the order in which the orbit meets the
-    factors; on b2 it costs a few percent more dividend terms.  Exact
-    division by a product does not depend on the order of its factors, so
-    any order gives the same quotient, and InexactDivision exactly when
-    no Laurent quotient exists.
+        D f = c sum_(u in W) sgn(u) u(H) / Delta,   H = x^(rho - sum K) N g,
 
-    The radix of those keys is fixed before the product.  Let R be the
-    largest absolute exponent entry of cof_0, plus that of g_0 after the
-    pole, plus the largest absolute entry of any s_w.  A signed
-    permutation keeps the largest absolute entry of a tuple, so every
-    entry of every image term w(a) + s_w + w(b), and of every product term
-    a + b (the identity's image), is at most R in absolute value.  With
-    half = _half(R, the B's of L), every key the product and the orbit sum
-    form therefore decodes to exactly one exponent tuple, and a sum of
-    keys is the key of the sum of their tuples.  So the orbit sum is a
-    PackedPoly of reach R, and exact_div's reach checks run on it as on any
-    packed dividend.  The operator keeps cof_0's keys, for the identity
-    and for each image, at the largest half an application has asked for
-    so far, and packs them again only when one asks for a larger half: a
-    larger radix is always sound.
+    for the constant c of the build and g_0's denominator.  The prefix
+    rho - sum K is (-n, n-1, ..., 1) for the Koornwinder operator, (-3, 1)
+    for b2 and (-1) for Askey-Wilson.  The alternating sum of a term x^e is
+    zero when e lies on a wall of the Weyl chambers, and otherwise
+    sgn(w) A_mu for the signed permutation w that takes e to the strictly
+    dominant mu = w(e) (_straighten).  By the Weyl character formula,
+    A_(lambda + rho) / Delta is the character sp_lambda of a dominant
+    weight lambda, a Laurent polynomial, so on the weight lattice D f is
+    c sum a_lambda sp_lambda.  apply converts the alternating sum to the
+    orbit basis by peeling off its lex-top alternant against Delta m_nu
+    (_orbit_coefficients), with no division at all.  The peel divides the
+    whole sum by Delta at once, so it also serves a lattice larger than the
+    weight lattice (b2's doubled one), where a single A_mu off the weights
+    has no Laurent quotient but a sum of them may; and it raises
+    InexactDivision exactly when D f is no Laurent polynomial, the input
+    then not being in the operator's polynomial domain.
 
-    After the one division of g_0, the orbit sum equals the explicit sum
-    of the terms, each with its own pole absorbed, up to that constant, so
-    the exact divisions by the factors of L that follow, in the same
-    order, get the same inputs up to integer constants: the same supports,
-    InexactDivision at the same step if the input was not in the
-    operator's polynomial domain.
+    The build checks what the identity needs and raises ValueError when
+    any of it fails: the records are binomials in num_vars variables, N is
+    invariant under W_1 (else the sum over cosets is not defined), the kept
+    denominators are distinct factors 1 - x^alpha whose W-orbit is a B_n
+    or C_n system, and rho is on the lattice.  An input f that is not
+    invariant raises ValueError in apply.
     """
 
     def __init__(
@@ -911,149 +941,57 @@ class ClearedShiftOperator:
                 raise DimensionMismatch(f"exponent tuple {e} does not have {n} entries")
             if not u or not any(e):
                 raise ValueError(f"factor 1 - ({u}) x^{e} is not a binomial")
-        orbit = [_swap(n, 0, i, s) for i in range(n) for s in (1, -1)]
-        # one copy of the pole's record divides g_0 and stays out of L
+        # 1 - u x^e with e lex-negative is -u x^e (1 - (1/u) x^(-e)): N takes
+        # the inverse of that unit's monomial, the constant its coefficient
+        shift, unscale = (0,) * n, 1 / self.scalar
+        for u, e in denom:
+            if _lex_negative(e):
+                shift = tuple(map(sub, shift, e))
+                unscale /= -u
+        head = {shift: 1}
+        for u, e in numer:
+            r, p = u.denominator, u.numerator
+            unscale /= r
+            out = {k: c * r for k, c in head.items()}
+            for k, c in head.items():
+                k = tuple(map(add, k, e))
+                acc = out.get(k, 0) - c * p
+                if acc:
+                    out[k] = acc
+                else:
+                    del out[k]
+            head = out
+        others = list(range(1, n))
+        stabilizer = [_swap(n, j, k, 1) for j, k in zip(others, others[1:])]
+        if others:
+            stabilizer.append(_swap(n, others[-1], others[-1], -1))
+        for perm, signs in stabilizer:
+            if any(head.get(_act(e, perm, signs)) != c for e, c in head.items()):
+                raise ValueError(
+                    "generator coefficient is not invariant under permutations "
+                    "and inversions of the other variables"
+                )
         kept = [_canonical(u, e) for u, e in denom]
         pole = _canonical(P.sqrt_q ** (2 // scale), (2,) + (0,) * (n - 1))
         self._pole = None
         if pole in kept:
             kept.remove(pole)
             self._pole = _binomial(pole, scale)
-        lcd: dict = {}
-        for perm, signs in orbit:
-            counts: dict = {}
-            for u, e in kept:
-                key = _canonical(u, _act(e, perm, signs))
-                counts[key] = counts.get(key, 0) + 1
-                if lcd.get(key, 0) < counts[key]:
-                    lcd[key] = counts[key]
-        self._lcd = {key: (_binomial(key, scale), mult) for key, mult in lcd.items()}
-        # the one-variable B's divide first (see the class docstring)
-        self._divisors = sorted(
-            (b for b, mult in self._lcd.values() for _ in range(mult)), key=_span
-        )
-        # cof_0 = L A_0 (times the absorbed pole's B): each numerator
-        # 1 - u x^e is (r - p x^e) / r and each denominator s B / (r x^(e-))
-        shift, multiplier = (0,) * n, Fraction(1)
-        for u, e in denom:
-            shift = tuple(map(add, shift, _negative_part(e)))
-            multiplier *= _sign(u, e) * u.denominator
-        factors = []
-        for u, e in numer:
-            multiplier /= u.denominator
-            factors.append({(0,) * n: u.denominator, e: -u.numerator})
-        for key, (binomial, mult) in self._lcd.items():
-            factors += [binomial.terms] * (mult - kept.count(key))
-        self._cof = _binomial_product(n, scale, shift, factors)
-        self._unscale = multiplier / self.scalar
-        self._images = [self._image(perm, signs) for perm, signs in orbit]
-        others = list(range(1, n))
-        stabilizer = [_swap(n, j, k, 1) for j, k in zip(others, others[1:])]
-        if others:
-            stabilizer.append(_swap(n, others[-1], others[-1], -1))
-        terms = self._cof.terms
-        for perm, signs in stabilizer:
-            spec, unit = self._image(perm, signs)
-            for e, c in terms.items():
-                if terms.get(tuple([s * e[k] + u for k, s, u in spec])) != c * unit:
-                    raise ValueError(
-                        "generator coefficient is not invariant under permutations "
-                        "and inversions of the other variables"
-                    )
-        # R of an application, less the reach of its g_0
-        self._reach = max(map(abs, itertools.chain(*terms))) + max(
-            abs(u) for spec, _ in self._images for _, _, u in spec
-        )
-        self._layout = None
-
-    def _image(self, perm, signs):
-        """The signed permutation w as a relabelling of exponents,
-        ((source variable, sign, unit exponent) per variable, unit
-        coefficient +-1), so that relabelling h with it gives (L / w(L)) w(h).
-        For the B of a record (u, e) of L, w(B) is c x^(w(e-) - w(e)-) times
-        the B of the canonical image record, with c = -1 when w(e) is
-        lex-negative and u > 0, else 1."""
-        coeff, shift = 1, (0,) * len(perm)
-        for (u, e), (_, mult) in self._lcd.items():
-            image = _act(e, perm, signs)
-            if self._lcd.get(_canonical(u, image), (None, 0))[1] != mult:
-                raise ValueError("denominators are not closed under signed permutations")
-            if u > 0 and _lex_negative(image) and mult % 2:
-                coeff = -coeff
-            moved = _act(_negative_part(e), perm, signs)
-            shift = tuple(
-                s - mult * (x - y) for s, x, y in zip(shift, moved, _negative_part(image))
+            # 1 - u x^e is sign B / r for u = p/r and the pole's binomial B
+            unscale *= _sign(*pole) * pole[0].denominator
+        if any(u != 1 for u, _ in kept) or len(set(kept)) != len(kept):
+            raise ValueError(
+                "the denominators besides the pole are not distinct factors 1 - x^alpha"
             )
-        source = [None] * len(perm)
-        for k, (p, s) in enumerate(zip(perm, signs)):
-            source[p] = (k, s)
-        return tuple((k, s, e) for (k, s), e in zip(source, shift)), coeff
-
-    def _pack_cof(self, half: int):
-        """Keep cof_0 packed at half: half, and per image w the place values
-        that take an exponent b to the linear part of the key of w(b), the
-        keys of w(a) + s_w for cof_0's exponents a in order, and w's unit.
-        The first image is the identity's."""
-        places = _places(self.num_vars, half)
-        offset = half * sum(places)
-        columns, size = list(zip(*self._cof.terms)), len(self._cof.terms)
-        images = []
-        for spec, unit in self._images:
-            signed, base = [0] * self.num_vars, offset
-            for place, (k, s, u) in zip(places, spec):
-                signed[k] = s * place
-                base += u * place
-            images.append((signed, _linear_keys(columns, signed, base, size), unit))
-        self._layout = half, images
-
-    def _orbit_sum(self, g: LaurentPoly) -> PackedPoly:
-        """sum over the images w of (L / w(L)) w(cof_0 g), packed for the
-        chain of divisions by the B's of L at a half sized for the reach R
-        of the class docstring."""
-        reach = self._reach + max(map(abs, itertools.chain(*g.terms)))
-        half = _half(reach, self._divisors)
-        if self._layout is None or self._layout[0] < half:
-            self._pack_cof(half)
-        half, images = self._layout
-        places, ids, _ = images[0]
-        width = len(ids)
-        # the product on identity keys, with the first pair behind each key
-        # as the flat index j |cof_0| + i of cof_0's term i and g's term j
-        prod: dict = {}
-        first: dict = {}
-        cofs = list(zip(itertools.count(), ids, self._cof.terms.values()))
-        columns, size = list(zip(*g.terms)), len(g.terms)
-        gkeys = _linear_keys(columns, places, 0, size)
-        for j, (gkey, gc) in enumerate(zip(gkeys, g.terms.values())):
-            row = j * width
-            for i, ckey, cc in cofs:
-                key = ckey + gkey
-                acc = prod.get(key)
-                if acc is None:
-                    prod[key] = cc * gc
-                    first[key] = row + i
-                else:
-                    acc += cc * gc
-                    if acc:
-                        prod[key] = acc
-                    else:
-                        del prod[key], first[key]
-        plus, minus = [], []
-        for signed, keys, unit in images:
-            gkeys = _linear_keys(columns, signed, 0, size)
-            (plus if unit == 1 else minus).append((keys, gkeys))
-        out: dict = {}
-        for key, c in prod.items():
-            j, i = divmod(first[key], width)
-            for cu, group in ((c, plus), (-c, minus)):
-                for keys, gkeys in group:
-                    k = keys[i] + gkeys[j]
-                    acc = out.get(k, 0) + cu
-                    if acc:
-                        out[k] = acc
-                    else:
-                        del out[k]
-        return PackedPoly(self.num_vars, self.scale, half, reach, out)
+        roots = [e for _, e in kept]
+        twice_rho = [sum(column) for column in zip(*_positive_roots(n, roots))]
+        if any(x % 2 for x in twice_rho):
+            raise ValueError("half the sum of the positive roots is off the lattice")
+        self._rho = tuple(x // 2 for x in twice_rho)
+        prefix = tuple(map(sub, self._rho, map(sum, zip(*roots))))
+        self._head = {tuple(map(add, e, prefix)): c for e, c in head.items()}
+        # each 1 - x^alpha of K is -x^alpha (1 - x^-alpha)
+        self._unscale = unscale * (-1) ** len(kept)
 
     def _difference(self, f: LaurentPoly):
         """(g, den) with g over ints and g / den = T_0 f - f.  T_0 takes
@@ -1074,6 +1012,24 @@ class ClearedShiftOperator:
                 terms[e] = c * (pa[top + k] * pb[top - k] - base)
         return LaurentPoly._raw(f.num_vars, terms, f.scale), den * base
 
+    def _alternant(self, g: LaurentPoly) -> dict:
+        """sum over u in W of sgn(u) u(H), H = x^(rho - sum K) N g, as
+        {mu: coefficient} over the strictly dominant mu of its alternants
+        A_mu: the product H merged first, then each of its terms
+        straightened."""
+        product: dict = {}
+        for e, c in self._head.items():
+            for d, cd in g.terms.items():
+                key = tuple(map(add, e, d))
+                product[key] = product.get(key, 0) + c * cd
+        out: dict = {}
+        for e, c in product.items():
+            image = _straighten(e) if c else None
+            if image is not None:
+                mu, sign = image
+                out[mu] = out.get(mu, 0) + sign * c
+        return {mu: c for mu, c in out.items() if c}
+
     def apply(self, f: LaurentPoly) -> LaurentPoly:
         if not weyl_invariant(f):
             raise ValueError("operator input is not invariant under signed permutations")
@@ -1082,14 +1038,10 @@ class ClearedShiftOperator:
             return LaurentPoly.zero(f.num_vars, f.scale)
         if self._pole is not None:
             g = exact_div(PackedPoly.pack(g, [self._pole]), self._pole).unpack()
-        total = self._orbit_sum(g)
-        if not total.terms:
-            return LaurentPoly.zero(f.num_vars, f.scale)
-        for divisor in self._divisors:
-            total = exact_div(total, divisor)
         unscale = self._unscale / g_den
-        return LaurentPoly._raw(
-            f.num_vars, {e: c * unscale for e, c in total.unpack().terms.items()}, f.scale
+        coeffs = _orbit_coefficients(self._alternant(g), self._rho)
+        return compose_symmetric(
+            {nu: c * unscale for nu, c in coeffs.items()}, f.num_vars, f.scale
         )
 
     def column(self, key: tuple) -> dict:

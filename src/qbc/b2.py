@@ -61,8 +61,9 @@ def _b2_generator(P: ParamPoint) -> tuple:
     The factors sit at the two long roots (2, -2) and (2, 2) and at the
     short root (2, 0) of the doubled lattice; swapping the long roots is the
     inversion of x_2, so the coefficient is invariant under it.  No
-    denominator is the pole 1 - q^(1/2) y_1^2, so the cleared denominator
-    keeps every factor."""
+    denominator is the pole 1 - q^(1/2) y_1^2; the three are the roots
+    alpha with alpha_1 > 0 of B_2 on the doubled lattice, whose rho is
+    (3, 1), so the operator applies by Weyl straightening."""
     roots = ((2, -2), (2, 2), (2, 0))
     return list(zip((P.t, P.t, P.T), roots)), [(1, e) for e in roots], 1
 
@@ -620,8 +621,9 @@ def b2_conjecture_check(r1: int, r2: int, P: ParamPoint) -> list:
         try:
             image = b2_apply(f, P)
         except InexactDivision as exc:
-            # the operator's cleared denominator does not divide out: the
-            # series is not in its domain, so it is no eigenpolynomial
+            # the operator's alternating sum has no Laurent quotient by the
+            # Weyl denominator, as a term off the weight's coset leaves:
+            # the series is not in its domain, so it is no eigenpolynomial
             return {
                 "expected": "series in the operator's domain",
                 "got": f"{type(exc).__name__}: {exc}",

@@ -43,6 +43,7 @@ from qbc.b2 import _b2_generator, _b2_operator, b2_apply
 from qbc.koornwinder import _koorn_generator, _koorn_operator, koorn_apply
 from qbc.suites import default_config
 from conftest import poly_key
+from dividing_operator import DividingShiftOperator, _binomial_product
 
 
 def lp1(terms):
@@ -463,7 +464,7 @@ class TestExactDivision:
         P = ParamPoint(sqrt_q=F(1, 2), sqrt_t=F(1, 3), a=2, b=3, c=5, d=F(5, 6))
         factors = [
             canon
-            for canon, mult in _koorn_operator(P, 3)._lcd.values()
+            for canon, mult in DividingShiftOperator(P, 3, *_koorn_generator(P, 3))._lcd.values()
             for _ in range(mult)
         ]
         # the 6 pole factors 1 - q x_i^2 and x_i^2 - q divide T f - f
@@ -877,11 +878,11 @@ def test_packed_lines_at_the_bound_stay_apart(r, delta):
     [pytest.param(cp.point, id=f"p{i}") for i, cp in enumerate(default_config().points("koornwinder"), 1)],
 )
 def test_rank4_columns_match_the_tuple_reference(P):
-    # the rank-4 operator's columns over the basis below (2), each an
-    # application with its 17 divisions, against a fresh build of the same
-    # operator whose divisions all run through the tuple reference
+    # the rank-4 operator's columns over the basis below (2) against the
+    # dividing reference, each of whose applications makes 17 divisions,
+    # all run through the tuple reference
     basis = dominated_partitions((2,), 4)
-    reference = ClearedShiftOperator(P, 4, *_koorn_generator(P, 4))
+    reference = DividingShiftOperator(P, 4, *_koorn_generator(P, 4))
 
     def reference_div(f, g):
         return PackedPoly.pack(_tuple_div(f.unpack(), g), [])
@@ -904,7 +905,7 @@ def test_packing_round_trip_keeps_the_terms_their_order_and_lex_order():
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(st.data())
 def test_packed_binomial_product_matches_the_tuple_product(data):
-    # the cleared operator's cof_0 product, formed on packed keys with a
+    # the dividing reference's cof_0 product, formed on packed keys with a
     # half that only just bounds every partial product, against the chain
     # of LaurentPoly products on exponent tuples that formed it before
     n = data.draw(st.integers(1, 3), label="num_vars")
@@ -923,7 +924,7 @@ def test_packed_binomial_product_matches_the_tuple_product(data):
     want = _int_poly(n, {shift: 1}, scale)
     for g in binomials:
         want = want * g
-    got = algebra._binomial_product(n, scale, shift, [g.terms for g in binomials])
+    got = _binomial_product(n, scale, shift, [g.terms for g in binomials])
     assert got == want
     assert set(map(type, got.terms.values())) <= {int}
 
@@ -1031,19 +1032,29 @@ class TestClearedShiftOperator:
     def test_forward_difference_style(self):
         # generator (1-x)^2 / ((1-x)(1-1/x)) (T - 1) = -x (T - 1); its image
         # under x -> 1/x is -(1/x) (T^-1 - 1).  On f = x + 1/x the operator
-        # gives -x((q-1)x + (1/q-1)/x) - (1/x)((1/q-1)x + (q-1)/x).
+        # gives -x((q-1)x + (1/q-1)/x) - (1/x)((1/q-1)x + (q-1)/x).  Its
+        # two denominators are one root 1 - x twice, up to a unit, so they
+        # are no Weyl denominator and the straightening build refuses them
         P = ParamPoint(sqrt_q=F(1, 2))
-        op = ClearedShiftOperator(P, 1, [(1, (1,))] * 2, [(1, (1,)), (1, (-1,))])
+        numer, denom = [(1, (1,))] * 2, [(1, (1,)), (1, (-1,))]
+        op = DividingShiftOperator(P, 1, numer, denom)
         f = lp1({(1,): 1, (-1,): 1})
         q = P.q
         assert op.apply(f) == lp1({(2,): 1 - q, (0,): 2 * (1 - 1 / q), (-2,): 1 - q})
+        with pytest.raises(ValueError, match="not distinct factors"):
+            ClearedShiftOperator(P, 1, numer, denom)
 
     def test_unit_sharing_in_lcd(self):
         # the generator denominator 1 - x^2 and its image 1 - 1/x^2 differ by
-        # a unit and must collapse to one canonical factor of the LCD
+        # a unit and must collapse to one canonical factor of the LCD; the
+        # straightening build reads the one root 2 and applies the same
         P = ParamPoint(sqrt_q=F(1, 2))
-        op = ClearedShiftOperator(P, 1, [(1, (-2,))], [(1, (2,))])
+        op = DividingShiftOperator(P, 1, [(1, (-2,))], [(1, (2,))])
         assert len(op._lcd) == 1
+        straight = ClearedShiftOperator(P, 1, [(1, (-2,))], [(1, (2,))])
+        for top in range(4):
+            f = monomial_symmetric((top,), 1)
+            assert straight.apply(f) == op.apply(f)
 
     @pytest.mark.parametrize(
         "apply, point, f",
@@ -1076,7 +1087,8 @@ class TestClearedShiftOperator:
     def test_b2_divisors_are_the_full_lcd(self):
         # no B2 denominator is the pole 1 - q^(1/2) y_1^2: nothing is absorbed
         P = default_config().points("b2")[0].point
-        op = _b2_operator(P)
+        op = DividingShiftOperator(P, 2, *_b2_generator(P), scale=2)
+        assert _b2_operator(P)._pole is None
         lcd, _ = _explicit_build("b2", P, 2, 2)
         want = [algebra._integer_numerators(canon)[0] for canon in _division_chain(lcd)]
         assert op._pole is None
@@ -1092,11 +1104,14 @@ class TestClearedShiftOperator:
         base = ParamPoint(sqrt_q=F(1, 2), a=3, b=5, c=7, d=11)
         numer, denom, _ = _aw_generator(base)
         op = ClearedShiftOperator(P, 1, numer, denom, scale=2)
-        assert op._pole is not None and len(op._divisors) == 1
+        dividing = DividingShiftOperator(P, 1, numer, denom, scale=2)
+        assert op._pole is not None and dividing._pole == op._pole
+        assert len(dividing._divisors) == 1
         for top in range(4):
             f = monomial_symmetric((top,), 1)
             got = op.apply(monomial_symmetric((top,), 1, 2))
             assert got.terms == _aw_operator(base).apply(f).terms
+            assert dividing.apply(monomial_symmetric((top,), 1, 2)) == got
 
     def test_generator_must_be_invariant_under_its_stabilizer(self):
         # (1 - x1 x2 / 2) is not invariant under x2 -> 1/x2, which fixes x1
@@ -1388,12 +1403,14 @@ def _explicit_apply(kind, P, num_vars, f, scalar=1, scale=1, absorb=False):
 
 
 def _orbit_case(kind, P, n):
-    """(operator, scalar, lattice scale)."""
+    """(shipped operator, its dividing reference, scalar, lattice scale)."""
     if kind == "koornwinder":
-        return _koorn_operator(P, n), P.alpha * P.t ** (n - 1), 1
-    if kind == "askey-wilson":
-        return _aw_operator(P), 1, 1
-    return _b2_operator(P), 1, 2
+        op, generator, scale = _koorn_operator(P, n), _koorn_generator(P, n), 1
+    elif kind == "askey-wilson":
+        op, generator, scale = _aw_operator(P), _aw_generator(P), 1
+    else:
+        op, generator, scale = _b2_operator(P), _b2_generator(P), 2
+    return op, DividingShiftOperator(P, n, *generator, scale), generator[2], scale
 
 
 # (kind, point, num_vars, largest input exponent) for every shipped operator
@@ -1437,11 +1454,10 @@ def _traced_outcome(apply, f):
     return result, divisions
 
 
-@pytest.mark.parametrize("kind, P, n, top", ORBIT_CASES)
-@settings(derandomize=True, max_examples=6, deadline=None)
-@given(data=st.data())
-def test_orbit_fold_matches_explicit_sum(kind, P, n, top, data):
-    op, scalar, scale = _orbit_case(kind, P, n)
+def _drawn_invariant(data, n, scale, top):
+    """A sum of up to three orbit sums with nonzero rational coefficients,
+    each of a dominant tuple with entries at most top; on the doubled
+    lattice the entries' parities mix, so b2's cosets mix too."""
     orbits = data.draw(
         st.dictionaries(
             st.lists(st.integers(0, top), min_size=n, max_size=n).map(
@@ -1456,12 +1472,24 @@ def test_orbit_fold_matches_explicit_sum(kind, P, n, top, data):
     f = LaurentPoly.zero(n, scale)
     for dominant, coeff in orbits.items():
         f = f + coeff * monomial_symmetric(dominant, n, scale)
+    return f
+
+
+@pytest.mark.parametrize("kind, P, n, top", ORBIT_CASES)
+@settings(derandomize=True, max_examples=6, deadline=None)
+@given(data=st.data())
+def test_orbit_fold_matches_explicit_sum(kind, P, n, top, data):
+    shipped, op, scalar, scale = _orbit_case(kind, P, n)
+    f = _drawn_invariant(data, n, scale, top)
     got, divisions = _traced_outcome(op.apply, f)
     want, _ = _traced_outcome(lambda f: _explicit_apply(kind, P, n, f, scalar, scale), f)
     absorbed, reference = _traced_outcome(
         lambda f: _explicit_apply(kind, P, n, f, scalar, scale, absorb=True), f
     )
     assert got == want == absorbed
+    # the shipped operator straightens instead, dividing by the pole alone;
+    # on b2's lattice the drawn orbits mix its weight cosets
+    assert _traced_outcome(shipped.apply, f)[0] == got
     # the fold divides g_0 by its pole once, where the explicit sum divides
     # each term's T_w f - f by its own, the generator's first; the divisions
     # by the factors of L follow, in the same order on the same inputs
@@ -1478,7 +1506,7 @@ def _fold(h, images):
     exponent tuples: the spec's (source variable, sign, unit exponent) per
     variable takes x^e to the exponent tuple with entries s e_k + u, so an
     image of the operator gives (L / w(L)) w(h).  The reference for the
-    packed product and fold of ClearedShiftOperator.apply."""
+    packed product and fold of DividingShiftOperator.apply."""
     by_unit: dict = {}
     for spec, unit in images:
         by_unit.setdefault(unit, []).append(spec)
@@ -1494,7 +1522,7 @@ def _fold(h, images):
     return LaurentPoly._raw(h.num_vars, {e: c for e, c in out.items() if c}, h.scale)
 
 
-class _FractionOperator(ClearedShiftOperator):
+class _FractionOperator(DividingShiftOperator):
     """The operator built from LaurentPoly factors over Fraction: every
     factor image goes through _act_signed and _unit_normalize, L is the
     product of the lead-one canonical factors, and apply shifts with
@@ -1605,7 +1633,7 @@ def _check_builds_agree(P, n, numer, denom, scalar, scale, keys):
     _unscale is put back (the record build's cof_0 being primitive), and, at
     each key, the same application: the same result or InexactDivision,
     after the same divisions up to constants."""
-    op = ClearedShiftOperator(P, n, numer, denom, scalar, scale)
+    op = DividingShiftOperator(P, n, numer, denom, scalar, scale)
     ref = _FractionOperator(P, n, numer, denom, scalar, scale)
     assert list(op._lcd.values()) == [
         (algebra._integer_numerators(c)[0], m) for c, m in ref._lcd.values()
@@ -1650,8 +1678,9 @@ def test_record_build_matches_fraction_build(kind, P, n):
         keys = [(2 * r1 + r2, r2) for r1 in range(4) for r2 in range(4 - r1)]
         generator, scale = _b2_generator(P), 2
     op, ref = _check_builds_agree(P, n, *generator, scale, keys)
+    shipped = ClearedShiftOperator(P, n, *generator, scale)
     for key in keys:
-        assert op.column(key) == ref.column(key)
+        assert op.column(key) == ref.column(key) == shipped.column(key)
 
 
 def _records(data, n, label):
@@ -1692,6 +1721,114 @@ def test_record_build_matches_fraction_build_on_drawn_generators(data):
     _check_builds_agree(P, n, numer, denom, F(2, 3), scale, _partitions(n, 2))
 
 
+# -- the straightening operator against the dividing reference ----------------
+
+
+def _kept_roots(n, a, b):
+    """The roots alpha with alpha_1 > 0 of the system {+-a e_i} and
+    {+-b e_i +- b e_j}: a e_1 and b (e_1 +- e_j)."""
+    roots = [(a,) + (0,) * (n - 1)]
+    for j in range(1, n):
+        for s in (b, -b):
+            roots.append(tuple({0: b, j: s}.get(k, 0) for k in range(n)))
+    return roots
+
+
+def _drawn_root_generator(data, n, scale, P):
+    """(numerator records, denominator records, whether rho is on the
+    lattice) of a drawn B_n or C_n system: its roots alpha with alpha_1 > 0
+    as the denominators 1 - x^alpha, maybe written as the unit multiples
+    1 - x^-alpha, maybe the pole too, and a numerator invariant under the
+    signed permutations of x_2..x_n, each drawn record with its images."""
+    b = data.draw(st.sampled_from((1, 2)), label="b")
+    if n == 1:
+        a = data.draw(st.sampled_from((1, 2, 3, 4)), label="a")
+    else:
+        a = data.draw(st.sampled_from((b, 2 * b)), label="a")
+    # rho is a (n - 1/2, ..., 1/2) for B_n, b (n, ..., 1) for C_n, a / 2 in rank 1
+    integral = (a if n == 1 or a == b else 2) % 2 == 0
+    # a root's unit form brings the unit -x^alpha into A_0, so the short
+    # root and the pair roots, the two orbits of the stabilizer, each
+    # change form as a whole
+    flip = [data.draw(st.booleans(), label="unit form")] * 2
+    flip[1:] = [data.draw(st.booleans(), label="pair unit form")] * (2 * n - 2)
+    denom = [
+        (1, tuple(map(neg, e))) if flipped else (1, e)
+        for e, flipped in zip(_kept_roots(n, a, b), flip)
+    ]
+    if data.draw(st.booleans(), label="pole"):
+        u = P.sqrt_q ** (2 // scale)
+        first = (2,) + (0,) * (n - 1)
+        if data.draw(st.booleans(), label="pole unit form"):
+            u, first = 1 / u, tuple(map(neg, first))
+        denom.append((u, first))
+    denom = data.draw(st.permutations(denom), label="denominator order")
+    numer = []
+    for u, e in data.draw(
+        st.lists(
+            st.tuples(
+                _nonzero_rationals(),
+                st.tuples(st.integers(-2, 2), *[st.integers(-1, 1)] * (n - 1)).filter(any),
+            ),
+            max_size=2,
+        ),
+        label="numerator records",
+    ):
+        numer += [(u, e[:1] + rest) for rest in sorted(signed_orbit(e[1:]))]
+    return numer, denom, integral
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(data=st.data())
+def test_straightening_matches_the_dividing_reference_on_drawn_root_systems(data):
+    # ranks 1-3 on both lattices, with and without the pole, over drawn
+    # stabilizer-invariant numerators: on every drawn invariant input the
+    # two builds give one polynomial, or both raise InexactDivision; a
+    # system whose rho is off the lattice is refused
+    n = data.draw(st.integers(1, 3), label="n")
+    scale = data.draw(st.sampled_from((1, 2)), label="scale")
+    P = ParamPoint(sqrt_q=data.draw(st.sampled_from((F(1, 2), F(-2, 3), F(3))), label="sqrt_q"))
+    numer, denom, integral = _drawn_root_generator(data, n, scale, P)
+    if not integral:
+        with pytest.raises(ValueError, match="off the lattice"):
+            ClearedShiftOperator(P, n, numer, denom, F(2, 3), scale)
+        return
+    op = ClearedShiftOperator(P, n, numer, denom, F(2, 3), scale)
+    ref = DividingShiftOperator(P, n, numer, denom, F(2, 3), scale)
+    assert (op._pole is None) == (ref._pole is None)
+    for _ in range(3):
+        f = _drawn_invariant(data, n, scale, 3)
+        assert _traced_outcome(op.apply, f)[0] == _traced_outcome(ref.apply, f)[0]
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(data=st.data())
+def test_straightening_build_refuses_denominators_off_a_root_system(data):
+    # the kept roots of a B_n or C_n system with one of them dropped,
+    # repeated, given a u other than 1 or joined by a vector that is no
+    # root, or the short and long roots in a ratio other than 1 or 2
+    n = data.draw(st.integers(1, 3), label="n")
+    b = data.draw(st.sampled_from((1, 2)), label="b")
+    roots = _kept_roots(n, 2 * b, b)
+    records = [(1, e) for e in roots]
+    k = data.draw(st.integers(0, len(records) - 1), label="which")
+    breaks = ["drop", "repeat", "scale", "extra"] + (["ratio"] if n > 1 else [])
+    kind = data.draw(st.sampled_from(breaks), label="break")
+    if kind == "drop":
+        del records[k]
+    elif kind == "repeat":
+        records.append((1, roots[k]))
+    elif kind == "scale":
+        records[k] = (F(1, 2), roots[k])
+    elif kind == "extra":
+        records.append((1, (1,) * n))
+    else:
+        records = [(1, e) for e in _kept_roots(n, 3 * b, b)]
+    P = ParamPoint(sqrt_q=F(1, 2))
+    with pytest.raises(ValueError, match="denominators besides the pole"):
+        ClearedShiftOperator(P, n, [], records)
+
+
 KOORN_POINTS = [
     pytest.param(cp.point, id=f"p{i}")
     for i, cp in enumerate(default_config().points("koornwinder"), 1)
@@ -1706,15 +1843,15 @@ def test_packed_cofactor_grows_with_the_orbit_sums(P, n, row, monkeypatch):
     # first, a fresh operator packs it once, at the largest half; both give
     # the same columns
     packed = []
-    real = ClearedShiftOperator._pack_cof
+    real = DividingShiftOperator._pack_cof
 
     def spy(self, half):
         packed.append((self, half))
         real(self, half)
 
-    monkeypatch.setattr(ClearedShiftOperator, "_pack_cof", spy)
+    monkeypatch.setattr(DividingShiftOperator, "_pack_cof", spy)
     basis = dominated_partitions((row,), n)
-    growing = ClearedShiftOperator(P, n, *_koorn_generator(P, n))
+    growing = DividingShiftOperator(P, n, *_koorn_generator(P, n))
     columns, kept = {}, []
     for key in reversed(basis):
         columns[key] = growing.column(key)
@@ -1724,7 +1861,7 @@ def test_packed_cofactor_grows_with_the_orbit_sums(P, n, row, monkeypatch):
     assert {op for op, _ in packed} == {growing}
     assert kept == sorted(kept) and halves == sorted(set(kept)) and len(halves) > 1
     packed.clear()
-    top_first = ClearedShiftOperator(P, n, *_koorn_generator(P, n))
+    top_first = DividingShiftOperator(P, n, *_koorn_generator(P, n))
     for key in basis:
         assert top_first.column(key) == columns[key]
     assert packed == [(top_first, halves[-1])]

@@ -637,14 +637,18 @@ class TestConjectureCheck:
         assert not report.passed
 
     def test_series_outside_the_operator_domain_fails(self, monkeypatch):
-        # a term off the weight's coset leaves the operator's division
-        # inexact: that is the difference equation's fail, not an abort
+        # a term off the weight's coset leaves the operator's image with no
+        # Laurent quotient by the Weyl denominator: that is the difference
+        # equation's fail, not an abort
         monkeypatch.setattr(qbc.b2, "f_b2_poly", _planted(F(1, 10 ** 9), (1, 0)))
         report = _plan_report(1, 1, B2P1)
         assert [c.verdict for c in report.cases] == ["pass", "fail", "fail"]
         assert report.cases[2].mismatch == {
             "expected": "series in the operator's domain",
-            "got": "InexactDivision: remainder is not divisible",
+            "got": (
+                "InexactDivision: the image is no Laurent polynomial: "
+                "A_(3, 2) is left over, and mu - rho = (0, 1) is not dominant"
+            ),
         }
 
     def test_planted_error_reports_its_leading_monomial(self, monkeypatch):

@@ -37,7 +37,7 @@ from qbc.koornwinder import (
     row_sum,
 )
 from qbc.qseries import qbinom_series, qpoch
-from qbc.suites import _plan, _run
+from qbc.suites import _plan, _run, default_config
 from conftest import poly_key
 
 POINT_K1 = ParamPoint(
@@ -386,6 +386,19 @@ class TestOneRowFormulas:
                 head = qpoch(P.t, P.q, r) / qpoch(P.q, P.q, r)
                 expected = koorn_oracle((r,), P, 2) * head
                 assert g_row_general(r, P, 2) == expected
+
+
+@pytest.mark.usefixtures("isolated_cache")
+@pytest.mark.parametrize("n, r", [(5, 3), (6, 3)])
+@pytest.mark.parametrize(
+    "P",
+    [pytest.param(cp.point, id=f"p{i}") for i, cp in enumerate(default_config().points("koornwinder"), 1)],
+)
+def test_row_general_matches_the_uncached_oracle_past_the_suite_ranks(P, n, r):
+    # the frontier the suite does not reach: each oracle a fresh solve on
+    # an empty cache, over the basis below (r) at ranks 5 and 6
+    head = qpoch(P.t, P.q, r) / qpoch(P.q, P.q, r)
+    assert g_row_general(r, P, n) == koorn_oracle((r,), P, n) * head
 
 
 def _kernel_residuals_reference(n, beta, deg, P):

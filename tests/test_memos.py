@@ -1,6 +1,7 @@
 """Per-process memos: what verify all builds once and shares.
 
-The operator columns, the G tables and the memoized builders (aw_poly,
+The operator columns, the G tables, the straightened orbits of the
+operators' Weyl denominator peel and the memoized builders (aw_poly,
 f_b2_poly, g_row_sym, _lassalle_d_row) hand the same object to every
 caller.  A caller that
 mutated one would corrupt every later check at that point, so these tests
@@ -12,7 +13,7 @@ import hashlib
 
 import pytest
 
-from qbc import askey_wilson, b2, koornwinder, macdonald_bcd
+from qbc import algebra, askey_wilson, b2, koornwinder, macdonald_bcd
 from qbc.b2 import B2Weight
 from qbc.suites import default_config, run_suite
 from test_acceptance import ALL_DIGEST
@@ -28,6 +29,7 @@ def _clear_memos():
         memo.cache_clear()
     koornwinder._G_TABLES.clear()
     koornwinder._HEADS.clear()
+    algebra._STRAIGHTENED.clear()
 
 
 def _requests():
@@ -58,8 +60,9 @@ def _requests():
 @pytest.fixture(scope="module")
 def warm(tmp_path_factory):
     """Two runs of every suite on cleared memos and an empty oracle cache,
-    the second on the memos the first filled; returns both bodies and the
-    memoized values as they stand after both runs."""
+    the second on the memos the first filled; returns both bodies, the
+    memoized values, the G tables and the straightened orbits as they stand
+    after both runs."""
     mp = pytest.MonkeyPatch()
     mp.setenv(koornwinder.CACHE_ENV, str(tmp_path_factory.mktemp("oracle-cache")))
     try:
@@ -67,7 +70,7 @@ def warm(tmp_path_factory):
         bodies = [run_suite("all", CFG).to_json(with_timing=False) for _ in range(2)]
         values = [(fn, args, fn(*args)) for fn, args in _requests()]
         tables = {key: tuple(table) for key, table in koornwinder._G_TABLES.items()}
-        yield bodies, values, tables
+        yield bodies, values, tables, dict(algebra._STRAIGHTENED)
     finally:
         mp.undo()
 
@@ -79,7 +82,7 @@ def test_a_second_run_on_warm_memos_gives_the_same_body(warm):
 
 
 def test_memoized_builders_equal_a_fresh_computation(warm):
-    _, values, _ = warm
+    _, values, _, _ = warm
     assert len(values) == 3 * 7 + 2 * 10 + 2 * 14 + 2 * 10
     _clear_memos()
     for fn, args, memoized in values:
@@ -92,8 +95,19 @@ def test_g_tables_equal_a_fresh_computation(warm):
     # point and rank it reads, and at every rank below, which a table grows
     # from: the rank-2 kernel tables add a rank-1 table at each kernel
     # point; the lists a fresh table builds match it
-    _, _, tables = warm
+    _, _, tables, _ = warm
     assert len(tables) == 14
     koornwinder._G_TABLES.clear()
     for (n, P), entries in tables.items():
         assert koornwinder.g_series_list(len(entries) - 1, n, P) == entries
+
+
+def test_straightened_orbits_equal_a_fresh_computation(warm):
+    # every (nu, rho) the full run's operator columns peeled with, at the
+    # koornwinder ranks 1-3 (rho = (n, ..., 1), Askey-Wilson's (1,) among
+    # them) and b2's doubled (3, 1), straightened again from nothing
+    _, _, _, straightened = warm
+    assert {rho for _, rho in straightened} == {(1,), (2, 1), (3, 2, 1), (3, 1)}
+    algebra._STRAIGHTENED.clear()
+    for (nu, rho), entry in straightened.items():
+        assert algebra._straightened(nu, rho) == entry

@@ -2,12 +2,15 @@
 
 perfbench wraps ``algebra.exact_div`` at its module global and counts the
 calls and the dividend terms.  Those counts compare two commits only while
-one operator application still divides once by its absorbed pole and once
-per factor of its cleared denominator, through that global.  It also wraps ``qseries.power_of_base``,
-each suite function, whose span must enclose the suite's cases, the
-series ``phi_series``, ``fourfold_poly`` and ``even_sum_forms`` at the
-``suites`` and ``macdonald_bcd`` globals that call them, and the rank-two
-series: ``b2._series_terms`` at its module global and
+one operator application still divides once by its absorbed pole, through
+that global, and nowhere else: the cleared operator reads the rest of its
+image off the Weyl character formula.  The dividing reference the tests
+keep (``dividing_operator``) divides once more per factor of its cleared
+denominator, through the same global.  perfbench also wraps
+``qseries.power_of_base``, each suite function, whose span must enclose
+the suite's cases, the series ``phi_series``, ``fourfold_poly`` and
+``even_sum_forms`` at the ``suites`` and ``macdonald_bcd`` globals that
+call them, and the rank-two series: ``b2._series_terms`` at its module global and
 ``b2_character_series`` at the ``suites`` global.
 """
 
@@ -22,9 +25,10 @@ import pytest
 
 from qbc import algebra
 from qbc.algebra import LaurentPoly, monomial_symmetric
-from qbc.koornwinder import CACHE_ENV, _koorn_operator
+from qbc.koornwinder import CACHE_ENV, _koorn_generator, _koorn_operator
 from qbc.suites import default_config
 from conftest import poly_key
+from dividing_operator import DividingShiftOperator
 from test_algebra import _mono, _unit_normalize
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -49,9 +53,10 @@ def _unabsorbed_lcd_factors(P, n):
 def test_one_apply_divides_once_per_lcd_factor(n, orbit_factors, monkeypatch):
     # the 2n terms' denominators take orbit_factors factors, none absorbed;
     # the pole 1 - q x_1^2 divides T f - f first, and its 2n images stay out
-    # of the LCD, which keeps n factors 1 - x_i^2 and n(n - 1) pair factors
+    # of the dividing reference's LCD, which keeps n factors 1 - x_i^2 and
+    # n(n - 1) pair factors; the shipped operator divides by the pole alone
     P = default_config().points("koornwinder")[0].point
-    op = _koorn_operator(P, n)
+    op = DividingShiftOperator(P, n, *_koorn_generator(P, n))
     assert _unabsorbed_lcd_factors(P, n) == orbit_factors
     factors = orbit_factors - 2 * n
     assert sum(mult for _, mult in op._lcd.values()) == factors
@@ -72,12 +77,16 @@ def test_one_apply_divides_once_per_lcd_factor(n, orbit_factors, monkeypatch):
     assert sorted(len(m) for m in moved[:n]) == [1] * n
     assert set().union(*moved[:n]) == set(range(n))
     assert all(len(m) == 2 for m in moved[n:])
+    divisors.clear()
+    shipped = _koorn_operator(P, n)
+    shipped.apply(monomial_symmetric((1,), n))
+    assert len(divisors) == 1 and divisors[0] is shipped._pole
 
 
 def test_perfbench_traces_exact_div_on_oracle_rank3():
     # one rank-3, row-2 solve applies the operator to the three non-constant
-    # orbit sums of its basis: 3 x (1 + 9) divisions, whose dividends hold
-    # 2,233 terms in all when the one-variable factors divide first
+    # orbit sums of its basis: one pole division each, whose dividends,
+    # T f - f of m_(1), m_(1,1) and m_(2), hold 2 + 8 + 2 = 12 terms
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "oracle_rank3",
          "--seed", "0", "--seconds", "0.5", "--trace", "1"],
@@ -87,8 +96,8 @@ def test_perfbench_traces_exact_div_on_oracle_rank3():
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
     metrics = {name: m["value"] for name, m in result["metrics"].items()}
-    assert metrics["algebra.exact_div.calls"] == 30
-    assert metrics["algebra.exact_div.terms_in"] == 2_233
+    assert metrics["algebra.exact_div.calls"] == 3
+    assert metrics["algebra.exact_div.terms_in"] == 12
     assert metrics["algebra.exact_div.s"] > 0
 
 
