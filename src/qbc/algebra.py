@@ -1,17 +1,17 @@
 """Exact scalar and Laurent-polynomial substrate.
 
 Everything downstream works over arbitrary-precision rationals: scalars are
-fractions.Fraction, polynomials are sparse dicts mapping integer exponent
-vectors to nonzero Fractions.  Inside ClearedShiftOperator the polynomials
-carry nonzero ints instead (the product of its numerators and the integer
-numerators it applies to), built through LaurentPoly._raw, which does not
-coerce.  An application straightens its alternating sum against the Weyl
-denominator over ints; its one division, by the pole, goes through
-exact_div, whose operands and quotients are PackedPoly, int coefficients on
-exponent tuples packed into ints.  Half-integer exponents
-(needed for weights of the B2 lattice and for x^(-1/2) style prefactors)
-are handled by a lattice scale: a LaurentPoly with scale=2 stores doubled
-exponents, so the tuple (1, 0) on scale 2 means x1^(1/2).
+fractions.Fraction, polynomials are LaurentPoly, sparse dicts mapping
+integer exponent tuples to nonzero Fractions.  Inside ClearedShiftOperator
+the polynomials carry nonzero ints instead (the product of its numerators
+and the integer numerators it applies to), built through LaurentPoly._raw,
+which does not coerce, and multiplied by LaurentPoly.__mul__ like any
+other.  An application straightens its alternating sum against the Weyl
+denominator over ints; its one division, by the pole, is exact_div's.
+Half-integer exponents (needed for weights of the B2 lattice and for
+x^(-1/2) style prefactors) are handled by a lattice scale: a LaurentPoly
+with scale=2 stores doubled exponents, so the tuple (1, 0) on scale 2
+means x1^(1/2).
 
 Parameters that occur under square roots in formulas (q, t, T) are supplied
 via their exact square roots so every half power stays rational.  The four
@@ -29,7 +29,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, lt, mul, neg, sub
+from operator import add, lt, neg, sub
 from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import (
@@ -176,9 +176,10 @@ class LaurentPoly:
 
     terms maps exponent tuples (length num_vars, ints) to nonzero Fractions,
     or to nonzero ints in the polynomials ClearedShiftOperator builds with
-    _raw for its integer arithmetic.  scale=1 means the tuple entries are the actual exponents; scale=2 means
-    entries are doubled so half-integer exponents stay integral.  Instances
-    are treated as immutable; operations return new objects.
+    _raw for its integer arithmetic.  scale=1 means the tuple entries are
+    the actual exponents; scale=2 means entries are doubled so half-integer
+    exponents stay integral.  Instances are treated as immutable;
+    operations return new objects.
     """
 
     __slots__ = ("num_vars", "scale", "terms")
@@ -383,124 +384,33 @@ class LaurentPoly:
         return f"LaurentPoly({self.num_vars} vars, scale {self.scale}: {body})"
 
 
-class PackedPoly:
-    """A Laurent polynomial with int coefficients whose exponent tuples are
-    packed into ints, for exact_div's chains of divisions.
+def exact_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
+    """Divide f, with int coefficients, by a primitive integer binomial
+    g = a x^e1 + b x^e0 (int a and b with gcd 1), e1 the lex-larger
+    exponent, insisting the quotient is a Laurent polynomial.
 
-    The packing is Kronecker's substitution of the exponent lattice: with
-    radix B = 2 half + 1, the tuple e of n entries, each of absolute value
-    at most half, is the key sum_i (e_i + half) B^(n-1-i).  Every digit lies
-    in [0, B), so a key decodes to exactly one tuple, and the lex order of
-    the tuples is the order of their keys.  The packing is linear: so long
-    as every tuple involved stays within half, the key of e + k d is the
-    key of e plus k times sum_i d_i B^(n-1-i).
-
-    reach bounds the absolute value of every exponent entry of the terms;
-    half is fixed when the dividend of a chain is packed (see pack), and
-    every quotient of the chain keeps it.  terms maps keys to nonzero ints.
-    Instances are treated as immutable.
-    """
-
-    __slots__ = ("num_vars", "scale", "half", "reach", "terms")
-
-    def __init__(self, num_vars: int, scale: int, half: int, reach: int, terms: dict):
-        self.num_vars, self.scale = num_vars, scale
-        self.half, self.reach, self.terms = half, reach, terms
-
-    @classmethod
-    def pack(cls, p: LaurentPoly, divisors: Sequence[LaurentPoly]) -> "PackedPoly":
-        """p, with int coefficients, packed for dividing by the binomials of
-        divisors in turn.
-
-        half is _half of p's largest absolute exponent entry and the
-        divisors; exact_div's docstring shows why that suffices."""
-        reach = max(max(map(max, p.terms)), -min(map(min, p.terms))) if p.terms else 0
-        half = _half(reach, divisors)
-        places = _places(p.num_vars, half)
-        offset = half * sum(places)
-        terms = {sum(map(mul, e, places)) + offset: c for e, c in p.terms.items()}
-        return cls(p.num_vars, p.scale, half, reach, terms)
-
-    def unpack(self) -> LaurentPoly:
-        """The polynomial with its exponent tuples decoded, terms in the same
-        order."""
-        n, radix, half = self.num_vars, 2 * self.half + 1, self.half
-        out = {}
-        for key, c in self.terms.items():
-            e = [0] * n
-            for i in range(n - 1, -1, -1):
-                key, digit = divmod(key, radix)
-                e[i] = digit - half
-            out[tuple(e)] = c
-        return LaurentPoly._raw(n, out, self.scale)
-
-
-def _half(reach: int, divisors: Sequence[LaurentPoly]) -> int:
-    """The half of a packing for dividing a polynomial whose exponent
-    entries are at most reach in absolute value by the binomials of
-    divisors in turn.  For R, reach plus the sum over the divisors of the
-    largest absolute entry of the lex-larger exponent e1, and delta the
-    largest absolute entry of any divisor's d = e1 - e0, half is
-    R (1 + delta)."""
-    lead = delta = 0
-    for g in divisors:
-        e1, e0 = max(g.terms), min(g.terms)
-        lead += max(map(abs, e1))
-        delta = max(delta, *map(abs, map(sub, e1, e0)))
-    return (reach + lead) * (1 + delta)
-
-
-def _places(num_vars: int, half: int) -> list:
-    """The place values B^(n-1-i) of the packing with radix B = 2 half + 1."""
-    radix = 2 * half + 1
-    return [radix ** (num_vars - 1 - i) for i in range(num_vars)]
-
-
-def exact_div(f: PackedPoly, g: LaurentPoly) -> PackedPoly:
-    """Divide f, packed with int coefficients, by a primitive integer
-    binomial g = a x^e1 + b x^e0 (int a and b with gcd 1), e1 the lex-larger
-    exponent, insisting the quotient is a Laurent polynomial; the quotient
-    comes back packed like f.
-
-    Any other g, or an f with other coefficients, raises ValueError, and so
-    does a g beyond the reach f was packed for (below); the operators
-    divide by nothing else.  A quotient that is not a Laurent polynomial
-    raises InexactDivision.
+    Any other g, or an f with other coefficients, raises ValueError; the
+    operators divide by nothing else.  A quotient that is not a Laurent
+    polynomial raises InexactDivision.
 
     The division is synthetic, along each line of exponents parallel to
     d = e1 - e0.  Multiplying by g maps a line into itself, so the lines
-    divide independently.  On the line of f through base, write f_k for the
-    coefficient at base + k d; the quotient term at base + k d - e1 is
-    q_k = (f_k - b q_(k+1)) / a, taken from the top of the line down to one
-    step above its lowest term f_low, which must equal b q_(low+1): that
-    line remainder is zero exactly when the line divides, so a division
-    raises InexactDivision exactly when no Laurent quotient exists.  Where a
-    q_k vanishes nothing carries below it, and the recurrence jumps to the
-    next term of f.  The cost is O(|f| + |q|) coefficient steps, with no
-    heap.
+    divide independently.  d's first nonzero entry d_i is positive, so
+    e - k d with k = e_i // d_i is one base point on each line.  On the
+    line of f through base, write f_k for the coefficient at base + k d;
+    the quotient term at base + k d - e1 is q_k = (f_k - b q_(k+1)) / a,
+    taken from the top of the line down to one step above its lowest term
+    f_low, which must equal b q_(low+1): that line remainder is zero
+    exactly when the line divides, so a division raises InexactDivision
+    exactly when no Laurent quotient exists.  Where a q_k vanishes nothing
+    carries below it, and the recurrence jumps to the next term of f.  The
+    cost is O(|f| + |q|) coefficient steps, with no heap.
 
     The recurrence runs in ints: by Gauss's lemma an exact quotient of an
     integer polynomial by a primitive one is itself integral, so a step
     whose divmod by a leaves a remainder proves the division inexact.
-
-    It runs on packed keys: d's first nonzero entry d_i is positive, so
-    e - k d with k = e_i // d_i is one base point on each line, and its key
-    is the key of e minus k D, for D the packed d; the quotient term on that
-    line at step k has the key of the base, minus the packed e1, plus k D.
-    These are sound while every tuple they stand for stays within half, so
-    each key decodes to exactly one tuple and distinct lines keep distinct
-    base keys.  With r = f.reach: |k| <= r as d_i >= 1, so a base entry is
-    at most r (1 + |d|max) in absolute value; a quotient term lies on a
-    segment between two terms of f, shifted by -e1, so its entries are at
-    most r + |e1|max, which is the quotient's reach.  exact_div checks both
-    bounds against half and raises ValueError where either fails, rather
-    than group lines wrongly.  Along a chain of divisions each reach is at
-    most the R of _half, and R (1 + delta) covers both bounds at every step.
     """
-    if (f.num_vars, f.scale) != (g.num_vars, g.scale):
-        raise DimensionMismatch(
-            f"({f.num_vars} vars, scale {f.scale}) vs ({g.num_vars} vars, scale {g.scale})"
-        )
+    f._check_compatible(g)
     if len(g.terms) != 2:
         raise ValueError(f"exact_div divides by binomials only, not {g}")
     (e1, a), (e0, b) = sorted(g.terms.items(), reverse=True)
@@ -512,30 +422,19 @@ def exact_div(f: PackedPoly, g: LaurentPoly) -> PackedPoly:
     ):
         raise ValueError("exact_div divides int polynomials by primitive int binomials only")
     d = tuple(map(sub, e1, e0))
-    half, reach = f.half, f.reach
-    lead = max(map(abs, e1))
-    if reach * (1 + max(map(abs, d))) > half or reach + lead > half:
-        raise ValueError(f"divisor {g} is beyond the reach of the packed dividend")
-    quo: dict = {}
-    quotient = PackedPoly(f.num_vars, f.scale, half, reach + lead, quo)
-    if not f.terms:
-        return quotient
-    places = _places(f.num_vars, half)
     i = next(k for k, x in enumerate(d) if x)
-    di, place, radix = d[i], places[i], 2 * half + 1
-    step = sum(map(mul, d, places))
     lines: dict = {}
-    for key, c in f.terms.items():
-        k = (key // place % radix - half) // di
-        base = key - k * step
+    for e, c in f.terms.items():
+        k = e[i] // d[i]
+        base = tuple([x - k * y for x, y in zip(e, d)])
         line = lines.get(base)
         if line is None:
             lines[base] = {k: c}
         else:
             line[k] = c
-    shift = sum(map(mul, e1, places))
+    quo: dict = {}
     for base, line in lines.items():
-        origin = base - shift
+        origin = tuple(map(sub, base, e1))
         ks = sorted(line, reverse=True)
         low = ks[-1]
         k, nxt, carry = ks[0], 1, 0
@@ -549,12 +448,12 @@ def exact_div(f: PackedPoly, g: LaurentPoly) -> PackedPoly:
             qc, left = divmod(r, a)
             if left:
                 raise InexactDivision("quotient is not integral")
-            quo[origin + k * step] = qc
+            quo[tuple([x + k * y for x, y in zip(origin, d)])] = qc
             carry = b * qc
             k -= 1
         if line[low] != carry:
             raise InexactDivision("remainder is not divisible")
-    return quotient
+    return LaurentPoly._raw(f.num_vars, quo, f.scale)
 
 
 # -- partitions and dominance -------------------------------------------------
@@ -948,25 +847,18 @@ class ClearedShiftOperator:
             if _lex_negative(e):
                 shift = tuple(map(sub, shift, e))
                 unscale /= -u
-        head = {shift: 1}
+        head = LaurentPoly._raw(n, {shift: 1}, scale)
         for u, e in numer:
             r, p = u.denominator, u.numerator
             unscale /= r
-            out = {k: c * r for k, c in head.items()}
-            for k, c in head.items():
-                k = tuple(map(add, k, e))
-                acc = out.get(k, 0) - c * p
-                if acc:
-                    out[k] = acc
-                else:
-                    del out[k]
-            head = out
+            head = head * LaurentPoly._raw(n, {(0,) * n: r, e: -p}, scale)
+        terms = head.terms
         others = list(range(1, n))
         stabilizer = [_swap(n, j, k, 1) for j, k in zip(others, others[1:])]
         if others:
             stabilizer.append(_swap(n, others[-1], others[-1], -1))
         for perm, signs in stabilizer:
-            if any(head.get(_act(e, perm, signs)) != c for e, c in head.items()):
+            if any(terms.get(_act(e, perm, signs)) != c for e, c in terms.items()):
                 raise ValueError(
                     "generator coefficient is not invariant under permutations "
                     "and inversions of the other variables"
@@ -989,7 +881,9 @@ class ClearedShiftOperator:
             raise ValueError("half the sum of the positive roots is off the lattice")
         self._rho = tuple(x // 2 for x in twice_rho)
         prefix = tuple(map(sub, self._rho, map(sum, zip(*roots))))
-        self._head = {tuple(map(add, e, prefix)): c for e, c in head.items()}
+        self._head = LaurentPoly._raw(
+            n, {tuple(map(add, e, prefix)): c for e, c in terms.items()}, scale
+        )
         # each 1 - x^alpha of K is -x^alpha (1 - x^-alpha)
         self._unscale = unscale * (-1) ** len(kept)
 
@@ -1015,16 +909,11 @@ class ClearedShiftOperator:
     def _alternant(self, g: LaurentPoly) -> dict:
         """sum over u in W of sgn(u) u(H), H = x^(rho - sum K) N g, as
         {mu: coefficient} over the strictly dominant mu of its alternants
-        A_mu: the product H merged first, then each of its terms
+        A_mu: the product H formed first, then each of its terms
         straightened."""
-        product: dict = {}
-        for e, c in self._head.items():
-            for d, cd in g.terms.items():
-                key = tuple(map(add, e, d))
-                product[key] = product.get(key, 0) + c * cd
         out: dict = {}
-        for e, c in product.items():
-            image = _straighten(e) if c else None
+        for e, c in (self._head * g).terms.items():
+            image = _straighten(e)
             if image is not None:
                 mu, sign = image
                 out[mu] = out.get(mu, 0) + sign * c
@@ -1037,7 +926,7 @@ class ClearedShiftOperator:
         if g.is_zero():
             return LaurentPoly.zero(f.num_vars, f.scale)
         if self._pole is not None:
-            g = exact_div(PackedPoly.pack(g, [self._pole]), self._pole).unpack()
+            g = exact_div(g, self._pole)
         unscale = self._unscale / g_den
         coeffs = _orbit_coefficients(self._alternant(g), self._rho)
         return compose_symmetric(

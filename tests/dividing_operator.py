@@ -18,16 +18,13 @@ from typing import Sequence
 from qbc import algebra
 from qbc.algebra import (
     LaurentPoly,
-    PackedPoly,
     ParamPoint,
     _act,
     _binomial,
     _canonical,
-    _half,
     _integer_numerators,
     _lex_negative,
     _negative_part,
-    _places,
     _sign,
     _swap,
     decompose_symmetric,
@@ -36,6 +33,31 @@ from qbc.algebra import (
     weyl_invariant,
 )
 from qbc.errors import DimensionMismatch, ParameterDegeneracy
+
+
+def _places(num_vars: int, half: int) -> list:
+    """The place values B^(n-1-i) of Kronecker's packing of the exponent
+    lattice with radix B = 2 half + 1: the tuple e of n entries, each of
+    absolute value at most half, is the key sum_i (e_i + half) B^(n-1-i).
+    Every digit lies in [0, B), so a key decodes to exactly one tuple.  The
+    packing is linear: so long as every tuple involved stays within half,
+    the key of e + e' is the key of e plus sum_i e'_i B^(n-1-i)."""
+    radix = 2 * half + 1
+    return [radix ** (num_vars - 1 - i) for i in range(num_vars)]
+
+
+def _unpack(num_vars: int, scale: int, half: int, terms: dict) -> LaurentPoly:
+    """The polynomial whose terms are keyed by the packing at half, with its
+    exponent tuples decoded, terms in the same order."""
+    radix = 2 * half + 1
+    out = {}
+    for key, c in terms.items():
+        e = [0] * num_vars
+        for i in range(num_vars - 1, -1, -1):
+            key, digit = divmod(key, radix)
+            e[i] = digit - half
+        out[tuple(e)] = c
+    return LaurentPoly._raw(num_vars, out, scale)
 
 
 def _linear_keys(columns: Sequence, weights: Sequence[int], base: int, size: int) -> list:
@@ -72,7 +94,7 @@ def _binomial_product(num_vars: int, scale: int, shift: tuple, factors: Sequence
             else:
                 del out[key]
         prod = out
-    return PackedPoly(num_vars, scale, half, half, prod).unpack()
+    return _unpack(num_vars, scale, half, prod)
 
 
 def _span(g: LaurentPoly) -> int:
@@ -150,11 +172,10 @@ class DividingShiftOperator:
     Python ints from end to end: it forms g_0 over a common denominator,
     divides it by the pole, forms the int product and its orbit sum,
     divides that by the B's of L, and scales once per output term by that
-    multiplier over g_0's denominator.  Both divisions run on PackedPoly,
-    exponent tuples packed into int keys: g_0 is packed for the pole and
-    unpacked after it, and the product and the orbit sum are formed
-    straight in the packed keys of the whole chain of divisions by the B's
-    of L, whose quotient is unpacked once, at the end.
+    multiplier over g_0's denominator.  The product and the orbit sum are
+    formed on exponent tuples packed into int keys (_places) and decoded
+    once (_unpack); both divisions run on exponent tuples, through
+    algebra.exact_div.
 
     The chain divides by the B's of L ordered by the number of variables
     each moves, the one-variable ones first: the n factors 1 - x_i^2 of
@@ -173,14 +194,12 @@ class DividingShiftOperator:
     permutation keeps the largest absolute entry of a tuple, so every
     entry of every image term w(a) + s_w + w(b), and of every product term
     a + b (the identity's image), is at most R in absolute value.  With
-    half = _half(R, the B's of L), every key the product and the orbit sum
-    form therefore decodes to exactly one exponent tuple, and a sum of
-    keys is the key of the sum of their tuples.  So the orbit sum is a
-    PackedPoly of reach R, and exact_div's reach checks run on it as on any
-    packed dividend.  The operator keeps cof_0's keys, for the identity
-    and for each image, at the largest half an application has asked for
-    so far, and packs them again only when one asks for a larger half: a
-    larger radix is always sound.
+    half at least R, every key the product and the orbit sum form
+    therefore decodes to exactly one exponent tuple, and a sum of keys is
+    the key of the sum of their tuples.  The operator keeps cof_0's keys,
+    for the identity and for each image, at the largest half an
+    application has asked for so far, and packs them again only when one
+    asks for a larger half: a larger radix is always sound.
 
     After the one division of g_0, the orbit sum equals the explicit sum
     of the terms, each with its own pole absorbed, up to that constant, so
@@ -308,12 +327,11 @@ class DividingShiftOperator:
             images.append((signed, _linear_keys(columns, signed, base, size), unit))
         self._layout = half, images
 
-    def _orbit_sum(self, g: LaurentPoly) -> PackedPoly:
-        """sum over the images w of (L / w(L)) w(cof_0 g), packed for the
-        chain of divisions by the B's of L at a half sized for the reach R
-        of the class docstring."""
-        reach = self._reach + max(map(abs, itertools.chain(*g.terms)))
-        half = _half(reach, self._divisors)
+    def _orbit_sum(self, g: LaurentPoly) -> LaurentPoly:
+        """sum over the images w of (L / w(L)) w(cof_0 g), formed on keys
+        packed at a half of at least the reach R of the class docstring and
+        decoded once."""
+        half = self._reach + max(map(abs, itertools.chain(*g.terms)))
         if self._layout is None or self._layout[0] < half:
             self._pack_cof(half)
         half, images = self._layout
@@ -355,7 +373,7 @@ class DividingShiftOperator:
                         out[k] = acc
                     else:
                         del out[k]
-        return PackedPoly(self.num_vars, self.scale, half, reach, out)
+        return _unpack(self.num_vars, self.scale, half, out)
 
     def _difference(self, f: LaurentPoly):
         """(g, den) with g over ints and g / den = T_0 f - f.  T_0 takes
@@ -383,7 +401,7 @@ class DividingShiftOperator:
         if g.is_zero():
             return LaurentPoly.zero(f.num_vars, f.scale)
         if self._pole is not None:
-            g = algebra.exact_div(PackedPoly.pack(g, [self._pole]), self._pole).unpack()
+            g = algebra.exact_div(g, self._pole)
         total = self._orbit_sum(g)
         if not total.terms:
             return LaurentPoly.zero(f.num_vars, f.scale)
@@ -391,7 +409,7 @@ class DividingShiftOperator:
             total = algebra.exact_div(total, divisor)
         unscale = self._unscale / g_den
         return LaurentPoly._raw(
-            f.num_vars, {e: c * unscale for e, c in total.unpack().terms.items()}, f.scale
+            f.num_vars, {e: c * unscale for e, c in total.terms.items()}, f.scale
         )
 
     def column(self, key: tuple) -> dict:

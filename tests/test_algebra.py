@@ -5,7 +5,7 @@ import itertools
 import math
 from fractions import Fraction as F
 from functools import lru_cache
-from operator import add, neg, sub
+from operator import add, neg
 from typing import NamedTuple
 from unittest import mock
 
@@ -16,7 +16,6 @@ from qbc import algebra
 from qbc.algebra import (
     ClearedShiftOperator,
     LaurentPoly,
-    PackedPoly,
     ParamPoint,
     compose_symmetric,
     decompose_symmetric,
@@ -168,66 +167,6 @@ def _heap_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     return LaurentPoly(f.num_vars, quo, f.scale)
 
 
-def _tuple_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-    """Reference for exact_div on exponent tuples: the same synthetic
-    division along the lines parallel to d = e1 - e0, with the same
-    refusals, on an unpacked int dividend.  Each line base is the tuple
-    e - (e_i // d_i) d, and each quotient exponent a tuple sum."""
-    f._check_compatible(g)
-    if len(g.terms) != 2:
-        raise ValueError(f"exact_div divides by binomials only, not {g}")
-    (e1, a), (e0, b) = sorted(g.terms.items(), reverse=True)
-    if not (
-        type(a) is int
-        and type(b) is int
-        and math.gcd(a, b) == 1
-        and all(type(c) is int for c in f.terms.values())
-    ):
-        raise ValueError("exact_div divides int polynomials by primitive int binomials only")
-    if f.is_zero():
-        return LaurentPoly.zero(f.num_vars, f.scale)
-    d = tuple(map(sub, e1, e0))
-    # d is lex-positive, so its first nonzero entry is positive and
-    # e - (e_i // d_i) d picks one base point on each line
-    i = next(k for k, x in enumerate(d) if x)
-    position = {e: e[i] // d[i] for e in f.terms}
-    lo, hi = min(position.values()), max(position.values())
-    steps = {k: tuple([k * x for x in d]) for k in range(lo, hi + 1)}  # k d
-    lines: dict = {}
-    for e, c in f.terms.items():
-        k = position[e]
-        lines.setdefault(tuple(map(sub, e, steps[k])), {})[k] = c
-    quo: dict = {}
-    for base, line in lines.items():
-        origin = tuple(map(sub, base, e1))
-        ks = sorted(line, reverse=True)
-        low = ks[-1]
-        k, nxt, carry = ks[0], 1, 0
-        while k > low:
-            r = line.get(k, 0) - carry
-            if not r:
-                while ks[nxt] >= k:
-                    nxt += 1
-                k, carry = ks[nxt], 0
-                continue
-            qc, left = divmod(r, a)
-            if left:
-                raise InexactDivision("quotient is not integral")
-            quo[tuple(map(add, origin, steps[k]))] = qc
-            carry = b * qc
-            k -= 1
-        if line[low] != carry:
-            raise InexactDivision("remainder is not divisible")
-    return LaurentPoly._raw(f.num_vars, quo, f.scale)
-
-
-def packed_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-    """exact_div on a LaurentPoly dividend: f packed for the one division
-    by g (a zero g, which exact_div refuses, sizes nothing), divided
-    through the algebra module global, and unpacked."""
-    return algebra.exact_div(PackedPoly.pack(f, [g] if g.terms else []), g).unpack()
-
-
 def qshift(f: LaurentPoly, i: int, k, P: ParamPoint) -> LaurentPoly:
     """Reference shift x_i -> q^k x_i: each term picks up q^(k * exponent
     of x_i).
@@ -252,15 +191,15 @@ def qshift(f: LaurentPoly, i: int, k, P: ParamPoint) -> LaurentPoly:
 
 def _divide(f, g):
     """f / g: for a binomial g, exact_div of f's integer numerators by the
-    primitive part of g's, rescaled by the constants that cleared them; for
-    any other g, the heap reference."""
+    primitive part of g's, through the algebra module global, rescaled by
+    the constants that cleared them; for any other g, the heap reference."""
     if len(g.terms) != 2:
         return _heap_div(f, g)
     f_int, f_den = algebra._integer_numerators(f)
     g_int, g_den = algebra._integer_numerators(g)
     content = math.gcd(*g_int.terms.values())
     primitive = _int_poly(g.num_vars, {e: c // content for e, c in g_int.terms.items()}, g.scale)
-    return packed_div(f_int, primitive) * F(g_den, f_den * content)
+    return algebra.exact_div(f_int, primitive) * F(g_den, f_den * content)
 
 
 def _division_outcome(divide, f, g):
@@ -405,12 +344,12 @@ class TestExactDivision:
             _heap_div(f, g)
 
     def test_zero_dividend(self):
-        assert packed_div(LaurentPoly.zero(1), _int_poly(1, {(1,): 1, (0,): -1})).is_zero()
+        assert exact_div(_int_poly(1, {}), _int_poly(1, {(1,): 1, (0,): -1})).is_zero()
         assert _heap_div(LaurentPoly.zero(1), lp1({(1,): 1})).is_zero()
 
     def test_division_by_zero(self):
         with pytest.raises(ValueError, match="binomials only"):
-            packed_div(_int_poly(1, {(0,): 1}), LaurentPoly.zero(1))
+            exact_div(_int_poly(1, {(0,): 1}), LaurentPoly.zero(1))
 
     def test_laurent_units_divide(self):
         f = lp1({(-3,): F(5, 2)})
@@ -423,7 +362,7 @@ class TestExactDivision:
     )
     def test_non_binomial_divisor_raises(self, g):
         with pytest.raises(ValueError, match="binomials only"):
-            packed_div(g * g, g)
+            exact_div(g * g, g)
 
     def test_cancelled_then_recreated_term_is_consumed_once(self, monkeypatch):
         # (x^4 + x^2 + 1) / (x^2 - x + 1): the first step cancels the x^2 of
@@ -474,7 +413,7 @@ class TestExactDivision:
         for canon in factors:
             total = total * canon
         for canon in factors:
-            quotient = packed_div(total, canon)
+            quotient = exact_div(total, canon)
             assert quotient == _peel_div(total, canon)
             total = quotient
         assert total == LaurentPoly.monomial((0, 0, 0))
@@ -658,14 +597,14 @@ def test_exact_division_matches_peel_reference(data):
     assert _division_outcome(_divide, f, g) == _division_outcome(_peel_div, f, g)
     if len(g.terms) != 2:
         with pytest.raises(ValueError, match="binomials only"):
-            packed_div(f, g)
+            exact_div(f, g)
 
 
 def _check_binomial_division(f, g):
     """exact_div against the heap reference on an int dividend and a
     primitive int binomial: equal quotients, with int coefficients, or
     InexactDivision from both."""
-    got = _division_outcome(packed_div, f, g)
+    got = _division_outcome(exact_div, f, g)
     assert got == _division_outcome(_heap_div, f, g)
     if got is not InexactDivision:
         assert all(type(c) is int for c in got.terms.values())
@@ -673,7 +612,11 @@ def _check_binomial_division(f, g):
 
 
 # (num_vars, scale, dividend, divisor, quotient, InexactDivision or
-# ValueError for a divisor that is not primitive)
+# ValueError for a divisor that is not primitive).  The last four rows are
+# inexact: x1^2 x2^-2 by a divisor with |d|max = 3 and by one whose
+# lex-larger exponent has an entry 5, and two dividends whose terms lie on
+# distinct lines of 1 - x^-d, each line then a lone term, which no binomial
+# divides
 BINOMIAL_CASES = [
     pytest.param(1, 1, {(1,): 1, (0,): -1}, {(1,): 2, (0,): -2}, ValueError,
                  id="non-primitive"),
@@ -691,6 +634,14 @@ BINOMIAL_CASES = [
                  {(2,): 1, (0,): 1, (-2,): 1}, id="negative-exponents"),
     pytest.param(2, 2, {(3, 1): 2, (1, 1): 1, (-1, 1): -1}, {(2, 0): 2, (0, 0): -1},
                  {(1, 1): 1, (-1, 1): 1}, id="scale-2"),
+    pytest.param(2, 1, {(2, -2): 1}, {(1, -3): 1, (0, 0): -1}, InexactDivision,
+                 id="long-direction"),
+    pytest.param(2, 1, {(2, -2): 1}, {(5, 0): 1, (4, 1): -1}, InexactDivision,
+                 id="lifted-lead"),
+    pytest.param(3, 1, {(-1, 0, 1): -1, (1, 1, 0): 1}, {(0, 0, 0): 1, (-1, 0, -1): -1},
+                 InexactDivision, id="lone-terms-near"),
+    pytest.param(3, 1, {(-2, 0, 2): -1, (2, 1, -1): 1}, {(0, 0, 0): 1, (-1, 0, -3): -1},
+                 InexactDivision, id="lone-terms-far"),
 ]
 
 
@@ -702,7 +653,7 @@ def test_binomial_division_cases(make, num_vars, scale, f, g, want):
     f, g = make(num_vars, f, scale), make(num_vars, g, scale)
     if make is LaurentPoly or want is ValueError:
         with pytest.raises(ValueError, match="primitive int binomials only"):
-            packed_div(f, g)
+            exact_div(f, g)
         return
     if want is not InexactDivision:
         want = LaurentPoly(num_vars, want, scale)
@@ -749,64 +700,27 @@ def _chain_outcome(divide, f, divisors):
     return f
 
 
-def _delta(g: LaurentPoly) -> int:
-    """|d|max for the binomial g, d the difference of its exponents."""
-    return max(map(abs, map(sub, *g.terms)))
-
-
-def _drawn_binomial(data, n, tight, label, first=None):
-    """A primitive int binomial in n variables with |d|max <= 3.  A tight
-    one is a + b x^(-d) for a lex-positive d: its lex-larger exponent is 0,
-    so it adds nothing to the reach of a packing, whose half is then the
-    dividend's reach times 1 + |d|max.  Given first, d's first nonzero
-    entry is a 1 at that index."""
-    entry = st.integers(-3, 3)
-    if first is None:
-        d = data.draw(st.tuples(*[entry] * n).filter(any), label=label + "_d")
-    else:
-        rest = data.draw(st.tuples(*[entry] * (n - 1 - first)), label=label + "_d")
-        d = (0,) * first + (1,) + rest
-    if tight:
-        e1 = (0,) * n
-        e0 = tuple(map(neg, d)) if d > e1 else d
-    else:
-        e0 = data.draw(st.tuples(*[st.integers(-2, 2)] * n), label=label + "_e0")
-        e1 = tuple(map(add, e0, d))
+def _drawn_binomial(data, n, label):
+    """A primitive int binomial in n variables with |d|max <= 3."""
+    d = data.draw(st.tuples(*[st.integers(-3, 3)] * n).filter(any), label=label + "_d")
+    e0 = data.draw(st.tuples(*[st.integers(-2, 2)] * n), label=label + "_e0")
     a, b = data.draw(st.tuples(*[st.integers(-4, 4).filter(bool)] * 2), label=label + "_c")
     content = math.gcd(a, b)
-    return _int_poly(n, {e1: a // content, e0: b // content})
+    return _int_poly(n, {tuple(map(add, e0, d)): a // content, e0: b // content})
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(st.data())
 def test_packed_division_chain_matches_tuple_reference(data):
-    # one packing for a whole chain of divisions, as an application runs
-    # them, against the tuple reference divided step by step: the same
-    # quotient, or the same exception class at the same divisor.  A tight
-    # chain starts with its largest |d|max and adds nothing to the reach,
-    # so the packing's half is R (1 + delta) for R the dividend's own
-    # reach; in an arbitrary dividend, a term at the corner that the first
-    # line direction reaches furthest can have its line base at +-half
+    # a chain of divisions, as the dividing reference runs them, against
+    # the heap reference divided step by step: the same quotient, or the
+    # same exception class at the same divisor
     n = data.draw(st.integers(1, 5), label="num_vars")
-    tight = data.draw(st.booleans(), label="tight")
     count = data.draw(st.integers(1, 6), label="chain")
-    first = data.draw(st.integers(0, n - 1), label="first") if tight else None
-    divisors = [_drawn_binomial(data, n, tight, "g0", first)]
-    divisors += [_drawn_binomial(data, n, tight, f"g{k}") for k in range(1, count)]
-    exps = st.tuples(*[st.integers(-2, 2)] * n)
+    divisors = [_drawn_binomial(data, n, f"g{k}") for k in range(count)]
+    exps = st.tuples(*[st.integers(-3, 3)] * n)
     coeffs = st.integers(-5, 5).filter(bool)
-    q = _int_poly(n, data.draw(st.dictionaries(exps, coeffs, min_size=1, max_size=4), label="q"))
-    if tight:
-        # the first divisor leads with a 1 at index first and keeps the
-        # largest |d|max; the corner term e, -r at index first and r signed
-        # like d elsewhere, has k = -r, and its line base e - k d has the
-        # entries r (1 + |d_j|)
-        head = divisors[0]
-        divisors = [g for g in divisors if _delta(g) <= _delta(head)]
-        d = tuple(map(sub, *sorted(head.terms, reverse=True)))
-        r = data.draw(st.integers(2, 3), label="corner")
-        corner = tuple(-r if k == first else (-r if x < 0 else r) for k, x in enumerate(d))
-        q = q + _int_poly(n, {corner: data.draw(coeffs, label="corner_c")})
+    q = _int_poly(n, data.draw(st.dictionaries(exps, coeffs, min_size=1, max_size=5), label="q"))
     kind = data.draw(st.sampled_from(("exact", "prefix", "bumped", "arbitrary")), label="kind")
     f = q
     if kind != "arbitrary":
@@ -819,58 +733,12 @@ def test_packed_division_chain_matches_tuple_reference(data):
         # an exact product with its leading coefficient off by one
         lead, c = f.leading()
         f = _int_poly(n, {**f.terms, lead: c + 1})
-    want = _chain_outcome(_tuple_div, f, divisors)
-    got = _chain_outcome(exact_div, PackedPoly.pack(f, divisors), divisors)
-    if isinstance(got, PackedPoly):
-        got = got.unpack()
+    got = _chain_outcome(exact_div, f, divisors)
+    assert got == _chain_outcome(_heap_div, f, divisors)
+    if isinstance(got, LaurentPoly):
         assert all(type(c) is int for c in got.terms.values())
-    assert got == want
     if kind == "exact":
         assert got == q
-
-
-def test_packed_division_refuses_a_divisor_beyond_its_reach():
-    # x1^2 x2^-2 packed for 1 - x1 x2^-1 has reach 2 and half
-    # (2 + 1) (1 + 1) = 6.  A divisor with |d|max = 3 may form a line base
-    # entry of 2 (1 + 3) = 8, and one whose lex-larger exponent has an entry
-    # 5 a quotient entry of 2 + 5 = 7: exact_div refuses both rather than
-    # form keys that may decode to other tuples
-    f = _int_poly(2, {(2, -2): 1})
-    near = _int_poly(2, {(1, -1): 1, (0, 0): -1})
-    far = _int_poly(2, {(1, -3): 1, (0, 0): -1})
-    lifted = _int_poly(2, {(5, 0): 1, (4, 1): -1})
-    packed = PackedPoly.pack(f, [near])
-    assert (packed.reach, packed.half) == (2, 6)
-    with pytest.raises(InexactDivision):
-        exact_div(packed, near)
-    for g in (far, lifted):
-        with pytest.raises(ValueError, match="beyond the reach"):
-            exact_div(packed, g)
-        # packed for that divisor, the division runs, inexact as the
-        # reference finds it
-        assert PackedPoly.pack(f, [g]).half > 6
-        with pytest.raises(InexactDivision):
-            exact_div(PackedPoly.pack(f, [g]), g)
-        with pytest.raises(InexactDivision):
-            _tuple_div(f, g)
-
-
-@pytest.mark.parametrize("r, delta", [(1, 1), (2, 3)])
-def test_packed_lines_at_the_bound_stay_apart(r, delta):
-    # by 1 - x^-d with d = (1, 0, delta), the terms x^(-r, 0, r) and
-    # x^(r, 1, 1 - r) have the line bases (0, 0, h) and (0, 1, 1 - h) for
-    # h = r (1 + delta), the packing's half.  One radix lower their keys
-    # would be equal, and the merged line w^-r - w^r, w = x^-d, would divide
-    # by 1 - w; apart, each line is a lone term and the division is inexact
-    d = (1, 0, delta)
-    g = _int_poly(3, {(0, 0, 0): 1, tuple(map(neg, d)): -1})
-    f = _int_poly(3, {(-r, 0, r): -1, (r, 1, 1 - r): 1})
-    packed = PackedPoly.pack(f, [g])
-    assert packed.half == r * (1 + delta)
-    with pytest.raises(InexactDivision):
-        exact_div(packed, g)
-    with pytest.raises(InexactDivision):
-        _tuple_div(f, g)
 
 
 @pytest.mark.parametrize(
@@ -879,27 +747,11 @@ def test_packed_lines_at_the_bound_stay_apart(r, delta):
 )
 def test_rank4_columns_match_the_tuple_reference(P):
     # the rank-4 operator's columns over the basis below (2) against the
-    # dividing reference, each of whose applications makes 17 divisions,
-    # all run through the tuple reference
+    # dividing reference, each of whose applications makes 17 divisions
     basis = dominated_partitions((2,), 4)
     reference = DividingShiftOperator(P, 4, *_koorn_generator(P, 4))
-
-    def reference_div(f, g):
-        return PackedPoly.pack(_tuple_div(f.unpack(), g), [])
-
-    with mock.patch.object(algebra, "exact_div", reference_div):
-        want = [reference.column(key) for key in basis]
+    want = [reference.column(key) for key in basis]
     assert [_koorn_operator(P, 4).column(key) for key in basis] == want
-
-
-def test_packing_round_trip_keeps_the_terms_their_order_and_lex_order():
-    f = _int_poly(3, {(2, -1, 0): 3, (-2, 2, 1): -1, (0, 0, -2): 7})
-    packed = PackedPoly.pack(f, [])
-    assert (packed.reach, packed.half) == (2, 2)
-    back = packed.unpack()
-    assert back == f and list(back.terms) == list(f.terms)
-    keys = dict(zip(f.terms, packed.terms))
-    assert sorted(keys, key=keys.get) == sorted(f.terms)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -1434,16 +1286,12 @@ def _monic_key(p):
 
 def _traced_outcome(apply, f):
     """apply(f), or InexactDivision, with the (dividend, divisor) of every
-    exact division it made, each up to a constant factor.  Every packed
-    dividend must keep its exponent entries within its reach, which the
-    division's radix checks rely on."""
+    exact division it made, each up to a constant factor."""
     divisions = []
     real_div = algebra.exact_div
 
     def recording_div(num, den):
-        dividend = num.unpack()
-        assert max(map(abs, itertools.chain(*dividend.terms)), default=0) <= num.reach
-        divisions.append((_monic_key(dividend), _monic_key(den)))
+        divisions.append((_monic_key(num), _monic_key(den)))
         return real_div(num, den)
 
     with mock.patch.object(algebra, "exact_div", recording_div):
@@ -1616,14 +1464,13 @@ class _FractionOperator(DividingShiftOperator):
             return LaurentPoly.zero(f.num_vars, f.scale)
         g, g_den = algebra._integer_numerators(g)
         if self._pole is not None:
-            g = packed_div(g, self._pole)
+            g = algebra.exact_div(g, self._pole)
         total = _fold(self._cof * g, self._images)
         if total.is_zero():
             return total
-        total = PackedPoly.pack(total, self._divisors)
         for divisor in self._divisors:
             total = algebra.exact_div(total, divisor)
-        return total.unpack() * (self._unscale / g_den)
+        return total * (self._unscale / g_den)
 
 
 def _check_builds_agree(P, n, numer, denom, scalar, scale, keys):

@@ -1,7 +1,8 @@
 """The benchmark's trace contract: layers it reports.
 
 perfbench wraps ``algebra.exact_div`` at its module global and counts the
-calls and the dividend terms.  Those counts compare two commits only while
+calls and the dividend terms, and ``LaurentPoly.__mul__``, which forms the
+cleared operator's products, on the class.  Those counts compare two commits only while
 one operator application still divides once by its absorbed pole, through
 that global, and nowhere else: the cleared operator reads the rest of its
 image off the Weyl character formula.  The dividing reference the tests
@@ -86,7 +87,11 @@ def test_one_apply_divides_once_per_lcd_factor(n, orbit_factors, monkeypatch):
 def test_perfbench_traces_exact_div_on_oracle_rank3():
     # one rank-3, row-2 solve applies the operator to the three non-constant
     # orbit sums of its basis: one pole division each, whose dividends,
-    # T f - f of m_(1), m_(1,1) and m_(2), hold 2 + 8 + 2 = 12 terms
+    # T f - f of m_(1), m_(1,1) and m_(2), hold 2 + 8 + 2 = 12 terms.  The
+    # operator's products are LaurentPoly products: the build multiplies in
+    # the generator's 8 numerator binomials, each application forms one
+    # H = x^(rho - sum K) N g, and suite_koornwinder scales the oracle by
+    # the row head once: 8 + 3 + 1 = 12 in all
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "oracle_rank3",
          "--seed", "0", "--seconds", "0.5", "--trace", "1"],
@@ -99,6 +104,7 @@ def test_perfbench_traces_exact_div_on_oracle_rank3():
     assert metrics["algebra.exact_div.calls"] == 3
     assert metrics["algebra.exact_div.terms_in"] == 12
     assert metrics["algebra.exact_div.s"] > 0
+    assert metrics["algebra.laurent_mul.calls"] == 12
 
 
 BIBASIC_TRACE = """
