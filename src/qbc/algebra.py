@@ -8,6 +8,10 @@ and the integer numerators it applies to), built through LaurentPoly._raw,
 which does not coerce, and multiplied by LaurentPoly.__mul__ like any
 other.  An application straightens its alternating sum against the Weyl
 denominator over ints; its one division, by the pole, is exact_div's.
+A polynomial invariant under the signed permutations can be held as an
+OrbitPoly, by its coefficients on the orbit sums m_nu, keyed by dominant
+weights nu: the cleared operators take and return those, and the
+Koornwinder layer holds all its invariant polynomials that way.
 Half-integer exponents (needed for weights of the B2 lattice and for
 x^(-1/2) style prefactors) are handled by a lattice scale: a LaurentPoly
 with scale=2 stores doubled exponents, so the tuple (1, 0) on scale 2
@@ -111,9 +115,19 @@ class ParamPoint:
             if getattr(self, name) == 0:
                 raise ParameterDegeneracy(f"{name} must be nonzero")
 
-    # q and t are read thousands of times a run, so each is computed once
-    # per point; replace() builds a new point, with nothing cached, and ==
-    # and hash read only the fields
+    # q and t are read thousands of times a run, and the hash once per memo
+    # lookup keyed by the point, so each is computed once per point;
+    # replace() builds a new point, with nothing cached, and == and the
+    # hash read only the fields
+    @functools.cached_property
+    def _hash(self) -> int:
+        return hash(
+            (self.sqrt_q, self.a, self.b, self.c, self.d, self.sqrt_t, self.sqrt_T, self.s)
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
     @functools.cached_property
     def q(self) -> Fraction:
         return self.sqrt_q * self.sqrt_q
@@ -171,62 +185,44 @@ class ParamPoint:
         return cls(**kw)
 
 
-class LaurentPoly:
-    """Sparse Laurent polynomial over Fraction with an exponent lattice scale.
-
-    terms maps exponent tuples (length num_vars, ints) to nonzero Fractions,
-    or to nonzero ints in the polynomials ClearedShiftOperator builds with
-    _raw for its integer arithmetic.  scale=1 means the tuple entries are
-    the actual exponents; scale=2 means entries are doubled so half-integer
-    exponents stay integral.  Instances are treated as immutable;
-    operations return new objects.
-    """
+class _TermForm:
+    """What LaurentPoly and OrbitPoly share: terms maps exponent tuples of
+    length num_vars, on the lattice of scale 1 or 2, to nonzero
+    coefficients.  Forms of two classes never compare equal and never add:
+    an orbit form's terms are not the terms of the polynomial it stands
+    for.  Instances are treated as immutable; operations return new
+    objects."""
 
     __slots__ = ("num_vars", "scale", "terms")
 
     def __init__(self, num_vars: int, terms: Optional[Mapping] = None, scale: int = 1):
+        """A form from any mapping of keys to coefficients: each coefficient
+        is made an exact Fraction (rat), zeros are dropped and each key is
+        checked by the class's _key."""
         if scale not in (1, 2):
             raise ValueError("lattice scale must be 1 or 2")
-        self.num_vars = num_vars
-        self.scale = scale
+        self.num_vars, self.scale = num_vars, scale
         clean = {}
-        if terms:
-            for exps, coeff in terms.items():
-                coeff = rat(coeff)
-                if coeff == 0:
-                    continue
-                exps = tuple(int(e) for e in exps)
-                if len(exps) != num_vars:
-                    raise DimensionMismatch(
-                        f"exponent tuple {exps} does not have {num_vars} entries"
-                    )
-                clean[exps] = coeff
+        for key, coeff in (terms or {}).items():
+            coeff = rat(coeff)
+            if coeff:
+                clean[self._key(key)] = coeff
         self.terms = clean
 
-    # -- construction helpers -------------------------------------------------
-
     @classmethod
-    def _raw(cls, num_vars: int, terms: dict, scale: int = 1) -> "LaurentPoly":
+    def _raw(cls, num_vars: int, terms: dict, scale: int = 1):
         """Wrap a clean terms dict (tuple exponents, nonzero coefficients)
         as it is: no copy, no check, no coercion of its coefficients."""
         res = cls.__new__(cls)
         res.num_vars, res.scale, res.terms = num_vars, scale, terms
         return res
 
-    @classmethod
-    def zero(cls, num_vars: int, scale: int = 1) -> "LaurentPoly":
-        return cls(num_vars, {}, scale)
-
-    @classmethod
-    def monomial(cls, exps: Sequence[int], coeff=1, scale: int = 1) -> "LaurentPoly":
-        return cls(len(exps), {tuple(exps): rat(coeff)}, scale)
-
-    # -- basic protocol --------------------------------------------------------
-
     def is_zero(self) -> bool:
         return not self.terms
 
-    def _check_compatible(self, other: "LaurentPoly"):
+    def _check_compatible(self, other):
+        if type(other) is not type(self):
+            raise TypeError(f"a {type(self).__name__} does not combine with {other!r}")
         if self.num_vars != other.num_vars or self.scale != other.scale:
             raise DimensionMismatch(
                 f"({self.num_vars} vars, scale {self.scale}) vs "
@@ -234,7 +230,7 @@ class LaurentPoly:
             )
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, LaurentPoly):
+        if type(other) is type(self):
             return (
                 self.num_vars == other.num_vars
                 and self.scale == other.scale
@@ -255,24 +251,76 @@ class LaurentPoly:
                     out[exps] = acc
                 else:
                     del out[exps]
-        return LaurentPoly._raw(self.num_vars, out, self.scale)
+        return self._raw(self.num_vars, out, self.scale)
 
     def __neg__(self):
-        return LaurentPoly._raw(
-            self.num_vars, {e: -c for e, c in self.terms.items()}, self.scale
-        )
+        return self._raw(self.num_vars, {e: -c for e, c in self.terms.items()}, self.scale)
 
     def __sub__(self, other):
         return self + (-other)
 
+    def _times(self, scalar):
+        """The form times an int or Fraction scalar; NotImplemented for
+        anything else, so a product with another form raises TypeError."""
+        if not isinstance(scalar, (int, Fraction)):
+            return NotImplemented
+        scalar = rat(scalar)
+        if scalar == 0:
+            return self._raw(self.num_vars, {}, self.scale)
+        return self._raw(
+            self.num_vars, {e: c * scalar for e, c in self.terms.items()}, self.scale
+        )
+
+    def coeff(self, exps: Sequence[int]) -> Fraction:
+        return self.terms.get(tuple(exps), Fraction(0))
+
+    def leading(self):
+        """Lex-largest exponent tuple and its coefficient."""
+        e = max(self.terms)
+        return e, self.terms[e]
+
+    def to_json_obj(self) -> dict:
+        return {
+            "num_vars": self.num_vars,
+            "lattice_scale": self.scale,
+            "terms": [
+                {"exps": list(e), "coeff": format_rational(c)}
+                for e, c in sorted(self.terms.items())
+            ],
+        }
+
+
+class LaurentPoly(_TermForm):
+    """Sparse Laurent polynomial over Fraction with an exponent lattice scale.
+
+    terms maps exponent tuples (length num_vars, ints) to nonzero Fractions,
+    or to nonzero ints in the polynomials ClearedShiftOperator builds with
+    _raw for its integer arithmetic.  scale=1 means the tuple entries are
+    the actual exponents; scale=2 means entries are doubled so half-integer
+    exponents stay integral.
+    """
+
+    __slots__ = ()
+
+    def _key(self, exps) -> tuple:
+        exps = tuple(int(e) for e in exps)
+        if len(exps) != self.num_vars:
+            raise DimensionMismatch(f"exponent tuple {exps} does not have {self.num_vars} entries")
+        return exps
+
+    @classmethod
+    def zero(cls, num_vars: int, scale: int = 1) -> "LaurentPoly":
+        return cls(num_vars, {}, scale)
+
+    @classmethod
+    def monomial(cls, exps: Sequence[int], coeff=1, scale: int = 1) -> "LaurentPoly":
+        return cls(len(exps), {tuple(exps): rat(coeff)}, scale)
+
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = rat(other)
-            if other == 0:
-                return LaurentPoly.zero(self.num_vars, self.scale)
-            return LaurentPoly._raw(
-                self.num_vars, {e: c * other for e, c in self.terms.items()}, self.scale
-            )
+        # a LaurentPoly is tested first: the scalar check behind _times goes
+        # through the numbers ABC, and most products are of two polynomials
+        if not isinstance(other, LaurentPoly):
+            return self._times(other)
         self._check_compatible(other)
         a, b = self.terms, other.terms
         if len(a) > len(b):
@@ -294,52 +342,6 @@ class LaurentPoly:
         return LaurentPoly._raw(self.num_vars, out, self.scale)
 
     __rmul__ = __mul__
-
-    # -- structure queries ------------------------------------------------------
-
-    def coeff(self, exps: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
-
-    def leading(self):
-        """Lex-largest exponent tuple and its coefficient."""
-        e = max(self.terms)
-        return e, self.terms[e]
-
-    # -- serialization ----------------------------------------------------------
-
-    def to_json_obj(self) -> dict:
-        return {
-            "num_vars": self.num_vars,
-            "lattice_scale": self.scale,
-            "terms": [
-                {"exps": list(e), "coeff": format_rational(c)}
-                for e, c in sorted(self.terms.items())
-            ],
-        }
-
-    @classmethod
-    def from_json_obj(cls, obj: Mapping) -> "LaurentPoly":
-        """Inverse of to_json_obj.  A coefficient that is no "p/q" text of
-        two ints with q nonzero, an exponent that is no JSON int (1.5, or a
-        bool) or a tuple of the wrong length raises instead of misreading;
-        a zero coefficient is dropped."""
-        num_vars, scale = obj["num_vars"], obj.get("lattice_scale", 1)
-        if scale not in (1, 2):
-            raise ValueError("lattice scale must be 1 or 2")
-        terms = {}
-        for t in obj["terms"]:
-            exps, coeff = tuple(t["exps"]), t["coeff"]
-            if len(exps) != num_vars or any(type(e) is not int for e in exps):
-                raise ValueError(f"exponents {t['exps']} are not {num_vars} integers")
-            if type(coeff) is not str:
-                raise TypeError(f"coefficient {coeff!r} is not p/q text")
-            num, slash, den = coeff.partition("/")
-            num, den = int(num), int(den) if slash else 0
-            if not den:
-                raise ValueError(f"{coeff!r} is no p/q text with q nonzero")
-            if num:
-                terms[exps] = Fraction(num, den)
-        return cls._raw(num_vars, terms, scale)
 
     def format_human(self) -> str:
         if not self.terms:
@@ -382,6 +384,91 @@ class LaurentPoly:
         if len(body) > 120:
             body = body[:117] + "..."
         return f"LaurentPoly({self.num_vars} vars, scale {self.scale}: {body})"
+
+
+def _dominant(e: tuple) -> bool:
+    """Whether the exponent tuple e is a dominant weight: nonnegative and
+    weakly decreasing."""
+    return not e or e[-1] >= 0 and not any(map(lt, e, e[1:]))
+
+
+class OrbitPoly(_TermForm):
+    """A polynomial invariant under the signed permutations W, held by its
+    coefficients on the orbit sums: terms maps dominant weights nu
+    (nonnegative, weakly decreasing, length num_vars, on the lattice of the
+    given scale) to nonzero Fractions c_nu, for the polynomial
+    sum_nu c_nu m_nu.
+
+    An invariant polynomial's coefficients at its dominant exponents fix
+    it, and an orbit form is invariant by construction, so nothing built
+    from one needs its invariance checked again.  The lex-top term of an
+    invariant polynomial lies at a dominant exponent (sorting the absolute
+    values of an exponent in decreasing order never lowers it in lex
+    order), so leading() and coeff() of an orbit form name the monomial and
+    the coefficient those of its expansion do.  Orbit forms add and
+    subtract, and multiply by a scalar on the right only.
+    """
+
+    __slots__ = ()
+
+    def _key(self, nu) -> tuple:
+        nu = tuple(nu)
+        if len(nu) != self.num_vars or any(type(e) is not int for e in nu):
+            raise DimensionMismatch(f"weight {nu} is not {self.num_vars} integers")
+        if not _dominant(nu):
+            raise ValueError(f"weight {nu} is not dominant")
+        return nu
+
+    @classmethod
+    def zero(cls, num_vars: int, scale: int = 1) -> "OrbitPoly":
+        return cls(num_vars, {}, scale)
+
+    @classmethod
+    def from_poly(cls, f: LaurentPoly) -> "OrbitPoly":
+        """The orbit form of an invariant LaurentPoly: its coefficients at
+        its dominant exponents.  weyl_invariant checks that f is invariant,
+        so any other f raises ValueError."""
+        if not weyl_invariant(f):
+            raise ValueError("polynomial is not invariant under the signed-permutation group")
+        return cls._raw(
+            f.num_vars, {e: c for e, c in f.terms.items() if _dominant(e)}, f.scale
+        )
+
+    @classmethod
+    def from_json_obj(cls, obj: Mapping) -> "OrbitPoly":
+        """Inverse of to_json_obj.  A coefficient that is no "p/q" text of
+        two ints with q nonzero, or a weight that _key refuses (an entry
+        that is no JSON int, such as 1.5 or a bool, the wrong length, or
+        not dominant), raises instead of misreading; a zero coefficient is
+        dropped."""
+        terms = {}
+        for t in obj["terms"]:
+            coeff = t["coeff"]
+            if type(coeff) is not str:
+                raise TypeError(f"coefficient {coeff!r} is not p/q text")
+            num, slash, den = coeff.partition("/")
+            num, den = int(num), int(den) if slash else 0
+            if not den:
+                raise ValueError(f"{coeff!r} is no p/q text with q nonzero")
+            terms[tuple(t["exps"])] = Fraction(num, den)
+        return cls(obj["num_vars"], terms, obj.get("lattice_scale", 1))
+
+    def expand(self) -> LaurentPoly:
+        """The polynomial with all its terms.  Distinct dominant weights
+        have disjoint orbits, so each term is written once."""
+        return LaurentPoly._raw(
+            self.num_vars,
+            {e: c for nu, c in self.terms.items() for e in signed_orbit(nu)},
+            self.scale,
+        )
+
+    __mul__ = _TermForm._times
+
+    def __repr__(self):
+        body = ", ".join(f"{list(nu)}: {c}" for nu, c in sorted(self.terms.items()))
+        if len(body) > 120:
+            body = body[:117] + "..."
+        return f"OrbitPoly({self.num_vars} vars, scale {self.scale}: {{{body}}})"
 
 
 def exact_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
@@ -502,27 +589,30 @@ def dominated_partitions(lam: Sequence[int], n: int) -> list:
 # -- hyperoctahedral orbits ---------------------------------------------------
 
 
-def signed_orbit(entries: Sequence[int]):
-    """Distinct images of an exponent tuple under permutations and sign flips."""
-    seen = set()
-    for perm in set(itertools.permutations(entries)):
-        nonzero = [i for i, e in enumerate(perm) if e != 0]
-        for flips in itertools.product((1, -1), repeat=len(nonzero)):
-            image = list(perm)
-            for idx, sgn in zip(nonzero, flips):
-                image[idx] = sgn * image[idx]
-            seen.add(tuple(image))
-    return seen
+def signed_orbit(entries: Sequence[int]) -> set:
+    """Distinct images of an exponent tuple under permutations and sign
+    flips: each distinct arrangement of its absolute values, with each
+    nonzero entry of either sign.  The arrangements are built a place at a
+    time from the values left, so the cost is the orbit's size, not n!."""
+    left: dict = {}
+    for x in entries:
+        left[abs(x)] = left.get(abs(x), 0) + 1
 
+    def arrange(size: int):
+        if not size:
+            yield ()
+            return
+        for x in [x for x, k in left.items() if k]:
+            left[x] -= 1
+            for rest in arrange(size - 1):
+                yield (x,) + rest
+            left[x] += 1
 
-def monomial_symmetric(entries: Sequence[int], n: int, scale: int = 1) -> LaurentPoly:
-    """Orbit sum m_lambda = sum of x^mu over the signed-permutation orbit.
-
-    entries is a dominant weight, a partition of lattice exponents (already
-    doubled when scale=2), and is padded with zeros to n variables.
-    """
-    orbit = signed_orbit(padded_partition(entries, n))
-    return LaurentPoly(n, {e: 1 for e in orbit}, scale)
+    return {
+        image
+        for arrangement in arrange(len(entries))
+        for image in itertools.product(*[(x, -x) if x else (0,) for x in arrangement])
+    }
 
 
 def weyl_invariant(f: LaurentPoly) -> bool:
@@ -540,32 +630,6 @@ def weyl_invariant(f: LaurentPoly) -> bool:
         terms.get(_act(e, perm, signs)) == c
         for perm, signs in generators
         for e, c in terms.items()
-    )
-
-
-def decompose_symmetric(f: LaurentPoly) -> dict:
-    """Write an invariant Laurent polynomial in the monomial-orbit basis.
-
-    Returns a dict mapping dominant exponent tuples (weakly decreasing,
-    nonnegative, zero-padded) to coefficients: the coefficients of f at
-    its dominant exponents.  Those determine an invariant f, and
-    weyl_invariant checks that f is one, so a non-invariant input raises.
-    """
-    if not weyl_invariant(f):
-        raise ValueError("polynomial is not invariant under the signed-permutation group")
-    return {
-        exps: coeff
-        for exps, coeff in f.terms.items()
-        if exps == tuple(sorted((abs(e) for e in exps), reverse=True))
-    }
-
-
-def compose_symmetric(coeffs: Mapping, n: int, scale: int = 1) -> LaurentPoly:
-    """The sum of coeff * m_key over a dict from dominant exponent tuples of
-    length n, as decompose_symmetric gives it, to coefficients.  Distinct
-    dominant tuples have disjoint orbits, so each term is written once."""
-    return LaurentPoly(
-        n, {e: c for key, c in coeffs.items() for e in signed_orbit(key)}, scale
     )
 
 
@@ -802,7 +866,8 @@ class ClearedShiftOperator:
     weight lambda, a Laurent polynomial, so on the weight lattice D f is
     c sum a_lambda sp_lambda.  apply converts the alternating sum to the
     orbit basis by peeling off its lex-top alternant against Delta m_nu
-    (_orbit_coefficients), with no division at all.  The peel divides the
+    (_orbit_coefficients), with no division at all, and returns the
+    coefficients it peels as an orbit form.  The peel divides the
     whole sum by Delta at once, so it also serves a lattice larger than the
     weight lattice (b2's doubled one), where a single A_mu off the weights
     has no Laurent quotient but a sum of them may; and it raises
@@ -813,8 +878,9 @@ class ClearedShiftOperator:
     any of it fails: the records are binomials in num_vars variables, N is
     invariant under W_1 (else the sum over cosets is not defined), the kept
     denominators are distinct factors 1 - x^alpha whose W-orbit is a B_n
-    or C_n system, and rho is on the lattice.  An input f that is not
-    invariant raises ValueError in apply.
+    or C_n system, and rho is on the lattice.  apply takes orbit forms
+    only, which are invariant by construction; any other input raises
+    TypeError.
     """
 
     def __init__(
@@ -919,23 +985,32 @@ class ClearedShiftOperator:
                 out[mu] = out.get(mu, 0) + sign * c
         return {mu: c for mu, c in out.items() if c}
 
-    def apply(self, f: LaurentPoly) -> LaurentPoly:
-        if not weyl_invariant(f):
-            raise ValueError("operator input is not invariant under signed permutations")
-        g, g_den = self._difference(f)
+    def apply(self, f: OrbitPoly) -> OrbitPoly:
+        """D f for an orbit form f in the operator's variables and lattice,
+        as an orbit form: T_0 f - f is formed on f's expansion, and the peel
+        gives D f's orbit coefficients.  InexactDivision when D f is no
+        Laurent polynomial."""
+        if type(f) is not OrbitPoly:
+            raise TypeError(f"the operator applies to orbit forms, not {f!r}")
+        if (f.num_vars, f.scale) != (self.num_vars, self.scale):
+            raise DimensionMismatch(
+                f"operator on ({self.num_vars} vars, scale {self.scale}) applied to "
+                f"({f.num_vars} vars, scale {f.scale})"
+            )
+        g, g_den = self._difference(f.expand())
         if g.is_zero():
-            return LaurentPoly.zero(f.num_vars, f.scale)
+            return OrbitPoly.zero(f.num_vars, f.scale)
         if self._pole is not None:
             g = exact_div(g, self._pole)
         unscale = self._unscale / g_den
         coeffs = _orbit_coefficients(self._alternant(g), self._rho)
-        return compose_symmetric(
-            {nu: c * unscale for nu, c in coeffs.items()}, f.num_vars, f.scale
+        return OrbitPoly._raw(
+            f.num_vars, {nu: c * unscale for nu, c in coeffs.items()}, f.scale
         )
 
     def column(self, key: tuple) -> dict:
-        """The image of the orbit sum m_key over the orbit basis, as
-        decompose_symmetric gives it: one column of the operator's matrix.
+        """The image of the orbit sum m_key over the orbit basis, as the
+        terms of its orbit form: one column of the operator's matrix.
 
         A triangular operator's image of m_key does not depend on the weight
         being solved, so the columns are kept per operator for the process
@@ -943,8 +1018,8 @@ class ClearedShiftOperator:
         caller and must not be mutated."""
         col = self._columns.get(key)
         if col is None:
-            image = self.apply(monomial_symmetric(key, self.num_vars, self.scale))
-            col = self._columns[key] = decompose_symmetric(image)
+            m_key = OrbitPoly._raw(self.num_vars, {key: Fraction(1)}, self.scale)
+            col = self._columns[key] = self.apply(m_key).terms
         return col
 
 

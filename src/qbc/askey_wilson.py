@@ -18,7 +18,7 @@ from functools import lru_cache
 from math import gcd
 from typing import NamedTuple
 
-from .algebra import ClearedShiftOperator, LaurentPoly, ParamPoint, rat
+from .algebra import ClearedShiftOperator, LaurentPoly, OrbitPoly, ParamPoint, rat
 from .errors import ParameterDegeneracy
 from .qseries import (
     PhiSpec, _Powers, _compiled, _factors, _terminating_row, phi_sum, qbinom_series, qpoch,
@@ -129,12 +129,12 @@ def aw_apply(f: LaurentPoly, P: ParamPoint) -> LaurentPoly:
     """Apply the q-difference operator to a symmetric Laurent polynomial.
 
     f must be invariant under x -> 1/x; any other input raises ValueError.
-    Denominators are cleared against their least common multiple and divided
-    back out exactly, so a result is produced only when the input really lies
-    in the operator's polynomial domain.
+    The operator applies to f's orbit form and the image is expanded; a
+    result is produced only when the input really lies in the operator's
+    polynomial domain, else InexactDivision.
     """
     P.require("a", "b", "c", "d")
-    return _aw_operator(P).apply(f)
+    return _aw_operator(P).apply(OrbitPoly.from_poly(f)).expand()
 
 
 def _ladder_walk(tops, powers: _Powers, outer, inner, what: str, shift: int = 0, stride: int = 1):

@@ -14,8 +14,8 @@ from math import gcd
 from .algebra import (
     ClearedShiftOperator,
     LaurentPoly,
+    OrbitPoly,
     ParamPoint,
-    compose_symmetric,
     dominated_partitions,
     rat,
     solve_triangular_eigenproblem,
@@ -77,11 +77,12 @@ def b2_apply(f: LaurentPoly, P: ParamPoint) -> LaurentPoly:
     """Act with the rank-two difference operator on the doubled lattice.
 
     f must be invariant under permutations and inversions of the two
-    variables; any other input raises ValueError."""
+    variables; any other input raises ValueError.  The operator applies to
+    f's orbit form and the image is expanded."""
     P.require("sqrt_t", "sqrt_T")
     if f.num_vars != 2 or f.scale != 2:
         raise DimensionMismatch("operator acts on two variables at lattice scale 2")
-    return _b2_operator(P).apply(f)
+    return _b2_operator(P).apply(OrbitPoly.from_poly(f)).expand()
 
 
 def b2_eigenvalue(w: B2Weight, P: ParamPoint) -> Fraction:
@@ -119,7 +120,7 @@ def b2_oracle(w: B2Weight, P: ParamPoint) -> LaurentPoly:
     weights at one point apply it once per distinct dominant weight."""
     P.require("sqrt_t", "sqrt_T")
     coeffs = solve_triangular_eigenproblem(_dominant_below(w), _b2_operator(P).column)
-    return compose_symmetric(coeffs, 2, 2)
+    return OrbitPoly._raw(2, coeffs, 2).expand()
 
 
 # -- the explicit series ---------------------------------------------------------

@@ -196,16 +196,16 @@ def _cmd_compute(args, cfg: RunConfig) -> int:
         r = _required(args.r, "--r", target)
         n = _rank(args)
         if target == "koornwinder":
-            poly = koorn_oracle((r,), cp.point, n)
+            poly = koorn_oracle((r,), cp.point, n).expand()
         else:
-            poly = g_series(r, n, cp.point)
+            poly = g_series(r, n, cp.point).expand()
         degrees = {"row": r, "rank": n}
     elif target.startswith("macdonald-"):
         cp = _pick_point(cfg, "macdonald", args.point)
         r = _required(args.r, "--r", target)
         n = _rank(args)
         tag = family_tag(_FAMILY_BY_LETTER[target[-1]], cp)
-        poly = mac_row(tag, r, cp.point, n)
+        poly = mac_row(tag, r, cp.point, n).expand()
         degrees = {"family": tag.family, "row": r, "rank": n}
     else:
         cp = _pick_point(cfg, "b2", args.point)

@@ -3,6 +3,11 @@ triangular eigen-solver for its monic invariant eigenfunctions, the
 generating family entering the one-row expansion, and a truncated check of
 the kernel-function identity that ties the n-variable and one-variable
 operators together.
+
+Every polynomial here is invariant under the signed permutations, so each
+is held as an OrbitPoly, by its coefficients on the orbit sums: the G
+tables, the row sums, the operator's images, the oracle's solutions and
+its cache entries.
 """
 
 import hashlib
@@ -16,9 +21,8 @@ from pathlib import Path
 
 from .algebra import (
     ClearedShiftOperator,
-    LaurentPoly,
+    OrbitPoly,
     ParamPoint,
-    compose_symmetric,
     dominated_partitions,
     padded_partition,
     rat,
@@ -72,9 +76,8 @@ def _koorn_operator(P: ParamPoint, n: int) -> ClearedShiftOperator:
     return ClearedShiftOperator(P, n, *_koorn_generator(P, n))
 
 
-def koorn_apply(f: LaurentPoly, P: ParamPoint, n: int) -> LaurentPoly:
-    """Apply the operator to an invariant Laurent polynomial in n variables;
-    any other input raises ValueError."""
+def koorn_apply(f: OrbitPoly, P: ParamPoint, n: int) -> OrbitPoly:
+    """Apply the operator to an orbit form in n variables."""
     return _koorn_operator(P, n).apply(f)
 
 
@@ -97,7 +100,7 @@ def _cache_path(lam: tuple, P: ParamPoint, n: int) -> Path:
 def _cache_header(lam: tuple, P: ParamPoint, n: int) -> dict:
     """The fields that tie a cache entry to the request it answers."""
     return {
-        "schema": 1,
+        "schema": 2,
         "n": n,
         "partition": [p for p in lam if p],
         "point": P.to_json_obj(),
@@ -105,16 +108,18 @@ def _cache_header(lam: tuple, P: ParamPoint, n: int) -> dict:
 
 
 def _checksum(polynomial: dict) -> str:
-    """sha256 of an entry's polynomial body, as _cache_store writes it."""
+    """sha256 of an entry's orbit-form body, as _cache_store writes it."""
     return hashlib.sha256(json.dumps(polynomial, sort_keys=True).encode()).hexdigest()
 
 
 def _cache_load(path: Path, lam: tuple, P: ParamPoint, n: int):
     """The cached solution, or None when the file is missing, unreadable as
     an entry, an entry for another request (a file copied over another
-    entry's name, say), or one whose polynomial does not match its
-    checksum; the caller then solves and overwrites it.  Any other failure
-    to read it is a CacheError."""
+    entry's name, say) or of another schema, one whose polynomial does not
+    match its checksum, or one with a weight that is not in the solve's
+    basis: not a dominant weight of length n (OrbitPoly.from_json_obj
+    refuses those), or not dominated by lam.  The caller then solves and
+    overwrites it.  Any other failure to read it is a CacheError."""
     try:
         with path.open() as fh:
             entry = json.load(fh)
@@ -122,14 +127,19 @@ def _cache_load(path: Path, lam: tuple, P: ParamPoint, n: int):
             return None
         if entry["sha256"] != _checksum(entry["polynomial"]):
             return None
-        return LaurentPoly.from_json_obj(entry["polynomial"])
+        poly = OrbitPoly.from_json_obj(entry["polynomial"])
+        if (poly.num_vars, poly.scale) != (n, 1) or not set(poly.terms) <= set(
+            dominated_partitions(lam, n)
+        ):
+            return None
+        return poly
     except (FileNotFoundError, KeyError, TypeError, ValueError, DimensionMismatch):
         return None
     except OSError as exc:
         raise CacheError.from_os_error(exc, path) from exc
 
 
-def _cache_store(path: Path, lam: tuple, P: ParamPoint, n: int, poly: LaurentPoly):
+def _cache_store(path: Path, lam: tuple, P: ParamPoint, n: int, poly: OrbitPoly):
     """Write the entry atomically; a failure to write it is a CacheError."""
     body = poly.to_json_obj()
     payload = dict(_cache_header(lam, P, n), polynomial=body, sha256=_checksum(body))
@@ -172,19 +182,22 @@ def clear_cache() -> bool:
     return True
 
 
-def koorn_oracle(lam, P: ParamPoint, n: int) -> LaurentPoly:
-    """The monic invariant eigenfunction indexed by a partition.
+def koorn_oracle(lam, P: ParamPoint, n: int) -> OrbitPoly:
+    """The monic invariant eigenfunction indexed by a partition, as the
+    orbit form the solve gives: its coefficients on the orbit sums of the
+    weights dominated by lam.
 
     Solved by back-substitution over the dominance-ordered monomial basis;
     nothing about the closed one-row formulas enters here, which is what
-    makes the result usable as a reference value for them.  Solutions are
-    cached on disk because the triangular solve dominates verification time;
-    within a process the solve's columns are kept too, so solving several
-    rows at one point applies the operator once per distinct basis element.
-    A cache entry is used only when its schema, rank, partition and point
-    match the request and its polynomial matches its sha256 checksum; any
-    other entry, or one that does not parse, is solved again and
-    overwritten.
+    makes the result usable as a reference value for them.  A solve builds
+    the rank's operator once per process and applies it once per distinct
+    basis element, the operator keeping its columns, so solving several
+    rows at one point shares them.  Solutions are cached on disk, so a
+    later run reads each one instead of building and applying the operator
+    again.  A cache entry is used only when its schema, rank, partition and
+    point match the request, its body matches its sha256 checksum and its
+    weights lie in the solve's basis; any other entry, or one that does not
+    parse, is solved again and overwritten.
     """
     lam = padded_partition(lam, n)
     P.require("a", "b", "c", "d", "sqrt_t")
@@ -194,7 +207,7 @@ def koorn_oracle(lam, P: ParamPoint, n: int) -> LaurentPoly:
         return cached
     basis = dominated_partitions(lam, n)
     coeffs = solve_triangular_eigenproblem(basis, _koorn_operator(P, n).column)
-    result = compose_symmetric(coeffs, n)
+    result = OrbitPoly._raw(n, coeffs)
     _cache_store(path, lam, P, n, result)
     return result
 
@@ -221,7 +234,8 @@ def _heads(m: int, P: ParamPoint) -> list:
 
 def g_series_list(rmax: int, n: int, P: ParamPoint) -> tuple:
     """Coefficients (G_0, ..., G_rmax) of the generating function
-    prod_i (t u x_i^(+-1); q)_inf / (u x_i^(+-1); q)_inf in u.
+    prod_i (t u x_i^(+-1); q)_inf / (u x_i^(+-1); q)_inf in u, as orbit
+    forms: the product is invariant, and so is each G_j.
 
     Entry j does not depend on rmax, so one table per (n, P) is kept for
     the process and extended on demand: each entry is built once, however
@@ -234,12 +248,22 @@ def g_series_list(rmax: int, n: int, P: ParamPoint) -> tuple:
     return tuple(table[: rmax + 1])
 
 
-def _g_entry(m: int, n: int, P: ParamPoint) -> LaurentPoly:
-    """G_m at rank n, grown from the rank below: the rank-n product is the
-    rank-(n - 1) one times the two factors in x_n, so G_m is the sum over j
-    of G'_(m - j) H_j(x_n), with G' the rank-(n - 1) table at P (the series
-    1 at rank 0) and H_j = sum_(a + b = j) h_a h_b x_n^(a - b) for
-    h_j = (t;q)_j/(q;q)_j."""
+def _g_entry(m: int, n: int, P: ParamPoint) -> OrbitPoly:
+    """G_m at rank n on its dominant weights, grown from the rank below.
+
+    The rank-n product is the rank-(n - 1) one times the two factors in
+    x_n, so G_m is the sum over j of G'_(m - j) H_j(x_n), with G' the
+    rank-(n - 1) table at P (the series 1 at rank 0) and
+    H_j = sum_(a + b = j) h_a h_b x_n^(a - b) for h_j = (t;q)_j/(q;q)_j.
+    The coefficient of x_n^k in H_j is h_((j + k)/2) h_((j - k)/2) for
+    |k| <= j with k = j mod 2, and the first n - 1 entries of a dominant
+    weight kappa are a dominant weight of rank n - 1.  So
+
+        G_m[kappa] = sum_j G'_(m - j)[kappa_1..kappa_(n-1)]
+                     h_((j + kappa_n)/2) h_((j - kappa_n)/2)
+
+    over the j with 0 <= kappa_n <= min(j, kappa_(n-1)) and
+    kappa_n = j mod 2."""
     h = _heads(m, P)
     if n > 1:
         lower = [g.terms for g in g_series_list(m, n - 1, P)]
@@ -247,32 +271,34 @@ def _g_entry(m: int, n: int, P: ParamPoint) -> LaurentPoly:
         lower = [{(): 1}] + [{}] * m
     terms: dict = {}
     for j in range(m + 1):
-        H = [(2 * a - j, h[a] * h[j - a]) for a in range(j + 1)]
-        for exps, c in lower[m - j].items():
-            for e, w in H:
-                key = exps + (e,)
-                terms[key] = terms.get(key, 0) + c * w
-    return LaurentPoly(n, terms)
+        for head, c in lower[m - j].items():
+            for k in range(j % 2, min(j, head[-1] if head else j) + 1, 2):
+                key = head + (k,)
+                terms[key] = terms.get(key, 0) + c * h[(j + k) // 2] * h[(j - k) // 2]
+    return OrbitPoly(n, terms)
 
 
-def g_series(r: int, n: int, P: ParamPoint) -> LaurentPoly:
+def g_series(r: int, n: int, P: ParamPoint) -> OrbitPoly:
     if r < 0:
         raise ValueError("series order must be nonnegative")
     return g_series_list(r, n, P)[r]
 
 
-def row_sum(n: int, terms) -> LaurentPoly:
-    """Sum of p * w over the (p, w) pairs of terms, each p a LaurentPoly in
+def row_sum(n: int, terms) -> OrbitPoly:
+    """Sum of p * w over the (p, w) pairs of terms, each p an orbit form in
     n variables and all on one lattice scale, as one integer linear
-    combination.  Each p with w != 0 is cleared on the fly to integer
-    numerators over the lcm D of its denominators, and scaled by w over the
-    lcm L of every product D times the denominator of w; the integers are
-    added per exponent, and each output coefficient is one Fraction over L.
+    combination of their orbit coefficients.  Each p with w != 0 is cleared
+    on the fly to integer numerators over the lcm D of its denominators,
+    and scaled by w over the lcm L of every product D times the denominator
+    of w; the integers are added per weight, and each output coefficient is
+    one Fraction over L.
     """
     ops, scale = [], None
     for p, w in terms:
         if not w:
             continue
+        if type(p) is not OrbitPoly:
+            raise TypeError(f"a row sum adds orbit forms, not {p!r}")
         if p.num_vars != n or scale not in (None, p.scale):
             raise DimensionMismatch(f"operand ({p.num_vars} vars, scale {p.scale}) of a row sum")
         scale = p.scale
@@ -285,11 +311,11 @@ def row_sum(n: int, terms) -> LaurentPoly:
         for e, c in coeffs.items():
             total[e] = total.get(e, 0) + c.numerator * (den // c.denominator) * mult
     terms = {e: Fraction(v, common) for e, v in total.items() if v}
-    return LaurentPoly._raw(n, terms, scale or 1)
+    return OrbitPoly._raw(n, terms, scale or 1)
 
 
 @lru_cache(maxsize=None)
-def g_row_sym(r: int, P: ParamPoint, n: int) -> LaurentPoly:
+def g_row_sym(r: int, P: ParamPoint, n: int) -> OrbitPoly:
     """One-row sum for the chained parameter family (a, -a, c, -c).
 
     The k,l weights are the primed even-family coefficients evaluated at a
@@ -311,7 +337,7 @@ def g_row_sym(r: int, P: ParamPoint, n: int) -> LaurentPoly:
     return row_sum(n, ((gs[r - 2 * K], value * (t / q) ** K) for K, value in enumerate(sums)))
 
 
-def g_row_general(r: int, P: ParamPoint, n: int) -> LaurentPoly:
+def g_row_general(r: int, P: ParamPoint, n: int) -> OrbitPoly:
     """One-row sum for general (a,b,c,d), layered over g_row_sym.
 
     The i,j weights are the odd-family coefficients (the paper writes them
@@ -388,6 +414,7 @@ def kernel_identity_check(n: int, beta: int, deg: int, P: ParamPoint) -> list:
         residual = row_sum(n, operands)
         if residual.is_zero():
             return None
+        # an orbit form leads at the monomial its expansion leads at
         exps, value = residual.leading()
         return nonzero(value, coefficient=f"y^{shift + e} x^{list(exps)}")
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 from functools import cache, lru_cache, partial
 from typing import Optional
 
-from .algebra import LaurentPoly, ParamPoint, format_rational, rat
+from .algebra import OrbitPoly, ParamPoint, format_rational, rat
 from .askey_wilson import FULL_BASE, collapse_sums, phi_series
 from .errors import MissingSquareRoot, ParameterDegeneracy
 from .koornwinder import g_series_list, row_sum
@@ -115,7 +115,7 @@ def _weight_b(i: int, j: int, r: int, a: Fraction, P: ParamPoint, n: int) -> Fra
     )
 
 
-def _cd_row(r: int, b: Fraction, P: ParamPoint, n: int, head) -> LaurentPoly:
+def _cd_row(r: int, b: Fraction, P: ParamPoint, n: int, head) -> OrbitPoly:
     """The single-ladder G-sum of families C (parameter b) and D (b = 1),
     each weight times head."""
     gs = g_series_list(r, n, P)
@@ -123,7 +123,7 @@ def _cd_row(r: int, b: Fraction, P: ParamPoint, n: int, head) -> LaurentPoly:
     return row_sum(n, terms)
 
 
-def mac_row(tag: FamilyTag, r: int, P: ParamPoint, n: int) -> LaurentPoly:
+def mac_row(tag: FamilyTag, r: int, P: ParamPoint, n: int) -> OrbitPoly:
     """Monic one-row polynomial for the family, via the explicit G-sum with
     the monic head folded into its weights."""
     if r < 0:
@@ -143,7 +143,7 @@ def mac_row(tag: FamilyTag, r: int, P: ParamPoint, n: int) -> LaurentPoly:
     return row_sum(n, terms)
 
 
-def _lassalle_cd_sum(r: int, b: Fraction, P: ParamPoint, n: int, head) -> LaurentPoly:
+def _lassalle_cd_sum(r: int, b: Fraction, P: ParamPoint, n: int, head) -> OrbitPoly:
     # positive-power display, each weight times head; the shifted pivot
     # 1 - t^n q^(r-i) replaces the boundary factor of the numerator ladder
     q, t = P.q, P.t
@@ -159,7 +159,7 @@ def _lassalle_cd_sum(r: int, b: Fraction, P: ParamPoint, n: int, head) -> Lauren
 
 
 @lru_cache(maxsize=None)
-def _lassalle_d_row(r: int, P: ParamPoint, n: int) -> LaurentPoly:
+def _lassalle_d_row(r: int, P: ParamPoint, n: int) -> OrbitPoly:
     """Family D's positive-power row without its head.  Every type-B
     display reads rows 0..r of it and family D's display reads row r, so
     the rows are memoized per (r, P, n) for the process; a row is shared by
@@ -167,7 +167,7 @@ def _lassalle_d_row(r: int, P: ParamPoint, n: int) -> LaurentPoly:
     return _lassalle_cd_sum(r, Fraction(1), P, n, 1)
 
 
-def lassalle_form(tag: FamilyTag, r: int, P: ParamPoint, n: int) -> LaurentPoly:
+def lassalle_form(tag: FamilyTag, r: int, P: ParamPoint, n: int) -> OrbitPoly:
     """One-row polynomial through the conjectured positive-power displays.
 
     The type-B display is printed with the denominator ladder starting at

@@ -1,8 +1,20 @@
-"""Fixtures shared by several test modules."""
+"""Fixtures and helpers shared by several test modules."""
 
 import pytest
 
 from qbc import koornwinder
+from qbc.algebra import OrbitPoly, padded_partition
+
+
+def monomial_symmetric(entries, n: int, scale: int = 1):
+    """The orbit sum m_entries as a LaurentPoly with all its terms: entries
+    is a partition of lattice exponents, padded with zeros to n variables."""
+    return orbit_sum(entries, n, scale).expand()
+
+
+def orbit_sum(entries, n: int, scale: int = 1, coeff=1) -> OrbitPoly:
+    """coeff times the orbit sum m_entries as an orbit form."""
+    return OrbitPoly(n, {padded_partition(entries, n): coeff}, scale)
 
 
 def poly_key(p):

@@ -27,12 +27,12 @@ from qbc.algebra import (
     _negative_part,
     _sign,
     _swap,
-    decompose_symmetric,
-    monomial_symmetric,
+    OrbitPoly,
     rat,
     weyl_invariant,
 )
 from qbc.errors import DimensionMismatch, ParameterDegeneracy
+from conftest import monomial_symmetric
 
 
 def _places(num_vars: int, half: int) -> list:
@@ -413,8 +413,8 @@ class DividingShiftOperator:
         )
 
     def column(self, key: tuple) -> dict:
-        """The image of the orbit sum m_key over the orbit basis, as
-        decompose_symmetric gives it: one column of the operator's matrix.
+        """The image of the orbit sum m_key over the orbit basis, as the
+        terms of its orbit form: one column of the operator's matrix.
 
         A triangular operator's image of m_key does not depend on the weight
         being solved, so the columns are kept per operator for the process
@@ -423,5 +423,5 @@ class DividingShiftOperator:
         col = self._columns.get(key)
         if col is None:
             image = self.apply(monomial_symmetric(key, self.num_vars, self.scale))
-            col = self._columns[key] = decompose_symmetric(image)
+            col = self._columns[key] = OrbitPoly.from_poly(image).terms
         return col

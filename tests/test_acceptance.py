@@ -23,7 +23,6 @@ from qbc.algebra import (
     ParamPoint,
     dominated_partitions,
     exact_div,
-    monomial_symmetric,
     weyl_invariant,
 )
 from qbc.askey_wilson import (
@@ -45,6 +44,7 @@ from qbc.suites import (
     suite_koornwinder,
     suite_lassalle,
 )
+from conftest import monomial_symmetric
 from test_algebra import qshift
 
 CFG = default_config()

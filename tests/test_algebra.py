@@ -16,12 +16,10 @@ from qbc import algebra
 from qbc.algebra import (
     ClearedShiftOperator,
     LaurentPoly,
+    OrbitPoly,
     ParamPoint,
-    compose_symmetric,
-    decompose_symmetric,
     dominated_partitions,
     exact_div,
-    monomial_symmetric,
     padded_partition,
     rat,
     rational_sqrt,
@@ -40,8 +38,9 @@ from qbc.errors import (
 from qbc.askey_wilson import _aw_generator, _aw_operator, aw_apply
 from qbc.b2 import _b2_generator, _b2_operator, b2_apply
 from qbc.koornwinder import _koorn_generator, _koorn_operator, koorn_apply
+from qbc.reports import poly_mismatch
 from qbc.suites import default_config
-from conftest import poly_key
+from conftest import monomial_symmetric, orbit_sum, poly_key
 from dividing_operator import DividingShiftOperator, _binomial_product
 
 
@@ -277,6 +276,22 @@ class TestParamPoint:
                 bare.t
         assert bare.replace(sqrt_t=F(1, 2)).t == F(1, 4)
 
+    def test_hash_is_computed_once_per_point(self):
+        # the hash is the hash of the fields, as the dataclass computed it,
+        # kept on the point after its first read: the fields' hashes are
+        # not read again.  replace() gives a point that hashes afresh, and
+        # points equal field by field hash alike
+        P = ParamPoint(sqrt_q=F(1, 2), a=-2, b=F(5, 3), sqrt_t=F(1, 3))
+        want = hash((P.sqrt_q, P.a, P.b, P.c, P.d, P.sqrt_t, P.sqrt_T, P.s))
+        assert hash(P) == want
+        with mock.patch.object(F, "__hash__", side_effect=AssertionError("hashed again")):
+            assert hash(P) == want and {P: 1}[P] == 1
+        Q = P.replace(b=F(7, 3))
+        assert "_hash" not in vars(Q)
+        assert hash(Q) == hash(ParamPoint(sqrt_q=F(1, 2), a=-2, b=F(7, 3), sqrt_t=F(1, 3)))
+        assert Q != P and Q.replace(b=F(5, 3)) == P
+        assert hash(Q.replace(b=F(5, 3))) == hash(P)
+
     def test_json_roundtrip(self):
         P = ParamPoint(sqrt_q=F(1, 2), a=-2, b=F(5, 3), s=F(1, 7))
         assert ParamPoint.from_json_obj(P.to_json_obj()) == P
@@ -327,7 +342,7 @@ class TestLaurentArithmetic:
         f = LaurentPoly(2, {(1, -2): F(3, 7), (-1, 0): 2})
         obj = f.to_json_obj()
         assert obj["terms"] == sorted(obj["terms"], key=lambda t: t["exps"])
-        assert LaurentPoly.from_json_obj(obj) == f
+        assert LaurentPoly(2, {tuple(t["exps"]): t["coeff"] for t in obj["terms"]}) == f
 
 
 class TestExactDivision:
@@ -825,11 +840,104 @@ def test_weyl_invariant_matches_whole_polynomial_images(data):
             lambda e: tuple(sorted(e, reverse=True))
         )
         coeffs = data.draw(st.dictionaries(keys, _nonzero_rationals(), max_size=3), label="f")
-        f = compose_symmetric(coeffs, n, scale)
+        f = OrbitPoly(n, coeffs, scale).expand()
         if kind == "perturbed":
             e, c = data.draw(st.tuples(exps, _nonzero_rationals()), label="bump")
             f = f + LaurentPoly.monomial(e, c, scale)
     assert weyl_invariant(f) == _reference_weyl_invariant(f)
+
+
+def _signed_orbit_reference(entries):
+    """signed_orbit as it was: every permutation of the entries, each with
+    every sign flip of its nonzero entries, deduplicated."""
+    seen = set()
+    for perm in set(itertools.permutations(entries)):
+        nonzero = [i for i, e in enumerate(perm) if e != 0]
+        for flips in itertools.product((1, -1), repeat=len(nonzero)):
+            image = list(perm)
+            for idx, sgn in zip(nonzero, flips):
+                image[idx] = sgn * image[idx]
+            seen.add(tuple(image))
+    return seen
+
+
+@settings(derandomize=True, max_examples=200)
+@given(st.lists(st.integers(-3, 3), max_size=5).map(tuple))
+def test_signed_orbit_matches_every_permutation_and_flip(entries):
+    assert signed_orbit(entries) == _signed_orbit_reference(entries)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.data())
+def test_orbit_forms_act_as_their_expansions(data):
+    # sums, scalings and the mismatch a check reports are those of the
+    # expansions: the lex-top term of an invariant polynomial sits at a
+    # dominant exponent, so leading() and coeff() agree on both forms
+    n = data.draw(st.integers(1, 3), label="n")
+    scale = data.draw(st.sampled_from((1, 2)), label="scale")
+    a, b = (_drawn_orbit_form(data, n, scale, 3) for _ in range(2))
+    if data.draw(st.booleans(), label="share a weight"):
+        nu, c = next(iter(a.terms.items()))
+        b = b + OrbitPoly(n, {nu: c - b.coeff(nu)}, scale)
+    w = data.draw(st.one_of(st.just(0), _nonzero_rationals()), label="w")
+    assert OrbitPoly.from_poly(a.expand()) == a
+    assert (a + b).expand() == a.expand() + b.expand()
+    assert (a - b).expand() == a.expand() - b.expand()
+    assert (a * w).expand() == a.expand() * w
+    assert a.leading() == a.expand().leading()
+    assert poly_mismatch(a, b) == poly_mismatch(a.expand(), b.expand())
+
+
+class TestOrbitPoly:
+    def test_never_equal_to_a_laurent_poly(self):
+        one = OrbitPoly(1, {(0,): 1})
+        assert one.terms == LaurentPoly.monomial((0,)).terms
+        assert one != LaurentPoly.monomial((0,)) and LaurentPoly.monomial((0,)) != one
+
+    def test_never_combines_with_a_laurent_poly(self):
+        m1 = orbit_sum((1,), 2)
+        full = m1.expand()
+        for combine in (
+            lambda: m1 + full, lambda: full + m1, lambda: m1 - full, lambda: full - m1,
+            lambda: m1 * full, lambda: full * m1, lambda: m1 * m1,
+        ):
+            with pytest.raises(TypeError):
+                combine()
+
+    @pytest.mark.parametrize(
+        "weight, error",
+        [
+            ((0, -1), ValueError),
+            ((0, 1), ValueError),
+            ((1,), DimensionMismatch),
+            ((1, 0, 0), DimensionMismatch),
+            ((True, 0), DimensionMismatch),
+        ],
+        ids=["negative", "increasing", "short", "long", "bool"],
+    )
+    def test_weights_must_be_dominant(self, weight, error):
+        with pytest.raises(error):
+            OrbitPoly(2, {weight: 1})
+        body = OrbitPoly(2, {(1, 0): 1}).to_json_obj()
+        body["terms"][0]["exps"] = list(weight)
+        with pytest.raises((ValueError, DimensionMismatch)):
+            OrbitPoly.from_json_obj(body)
+
+    def test_construction_drops_zeros_and_coerces(self):
+        f = OrbitPoly(2, {(1, 0): 0, (1, 1): 3, (0, 0): "1/2"})
+        assert f.terms == {(1, 1): F(3), (0, 0): F(1, 2)}
+        assert all(type(c) is F for c in f.terms.values())
+        assert OrbitPoly.from_json_obj(f.to_json_obj()) == f
+
+    def test_expansion_writes_each_orbit_once(self):
+        f = OrbitPoly(2, {(1, 0): 2, (1, 1): 3})
+        assert f.expand() == LaurentPoly(
+            2,
+            {
+                (1, 0): 2, (-1, 0): 2, (0, 1): 2, (0, -1): 2,
+                (1, 1): 3, (1, -1): 3, (-1, 1): 3, (-1, -1): 3,
+            },
+        )
 
 
 class TestOrbits:
@@ -852,13 +960,16 @@ class TestOrbits:
         assert not weyl_invariant(LaurentPoly(2, {(1, 0): 1, (0, 1): 1}))
 
     def test_decompose_symmetric(self):
+        # the orbit form of an invariant polynomial: its coefficients on
+        # the orbit sums, which expand back to it
         f = 3 * monomial_symmetric((2, 1), 2) + F(1, 2) * monomial_symmetric((1,), 2)
-        got = decompose_symmetric(f)
-        assert got == {(2, 1): F(3), (1, 0): F(1, 2)}
+        got = OrbitPoly.from_poly(f)
+        assert got.terms == {(2, 1): F(3), (1, 0): F(1, 2)}
+        assert got.expand() == f
 
     def test_decompose_rejects_non_invariant(self):
         with pytest.raises(ValueError):
-            decompose_symmetric(LaurentPoly(2, {(1, 0): 1}))
+            OrbitPoly.from_poly(LaurentPoly(2, {(1, 0): 1}))
 
     @pytest.mark.parametrize(
         "terms",
@@ -877,7 +988,7 @@ class TestOrbits:
         with pytest.raises(
             ValueError, match="^polynomial is not invariant under the signed-permutation group$"
         ):
-            decompose_symmetric(LaurentPoly(3, terms))
+            OrbitPoly.from_poly(LaurentPoly(3, terms))
 
 
 class TestClearedShiftOperator:
@@ -905,21 +1016,39 @@ class TestClearedShiftOperator:
         assert len(op._lcd) == 1
         straight = ClearedShiftOperator(P, 1, [(1, (-2,))], [(1, (2,))])
         for top in range(4):
-            f = monomial_symmetric((top,), 1)
-            assert straight.apply(f) == op.apply(f)
+            assert straight.apply(orbit_sum((top,), 1)).expand() == op.apply(
+                monomial_symmetric((top,), 1)
+            )
 
     @pytest.mark.parametrize(
         "apply, point, f",
         [
-            (lambda f, P: koorn_apply(f, P, 2), "koornwinder", LaurentPoly.monomial((1, 0))),
+            (
+                lambda f, P: koorn_apply(OrbitPoly.from_poly(f), P, 2),
+                "koornwinder",
+                LaurentPoly.monomial((1, 0)),
+            ),
             (aw_apply, "askey-wilson", LaurentPoly.monomial((1,))),
             (b2_apply, "b2", LaurentPoly.monomial((2, 0), 1, 2)),
         ],
     )
     def test_non_invariant_input_raises(self, apply, point, f):
+        # a full-term polynomial reaches an operator as its orbit form,
+        # which exists only for an invariant one; the one- and two-variable
+        # layers form it at their apply calls
         P = default_config().points(point)[0].point
-        with pytest.raises(ValueError, match="input is not invariant"):
+        with pytest.raises(ValueError, match="is not invariant"):
             apply(f, P)
+
+    def test_operator_takes_orbit_forms_of_its_own_lattice(self):
+        P = default_config().points("koornwinder")[0].point
+        op = _koorn_operator(P, 2)
+        with pytest.raises(TypeError, match="applies to orbit forms"):
+            op.apply(monomial_symmetric((1,), 2))
+        for f in (orbit_sum((1,), 3), orbit_sum((2,), 2, 2)):
+            with pytest.raises(DimensionMismatch):
+                op.apply(f)
+        assert koorn_apply(orbit_sum((1,), 2), P, 2) == op.apply(orbit_sum((1,), 2))
 
     @pytest.mark.parametrize(
         "kind, build, absorbs",
@@ -933,7 +1062,7 @@ class TestClearedShiftOperator:
         # every term is A_w (T_w - 1), so D 1 = 0; the shift pole
         # 1 - q x_1^2 is a denominator of the first two generators only
         op = build(default_config().points(kind)[0].point)
-        assert op.apply(LaurentPoly.monomial((0,) * op.num_vars, scale=op.scale)).is_zero()
+        assert op.apply(orbit_sum((), op.num_vars, op.scale)).is_zero()
         assert (op._pole is not None) == absorbs
 
     def test_b2_divisors_are_the_full_lcd(self):
@@ -960,10 +1089,9 @@ class TestClearedShiftOperator:
         assert op._pole is not None and dividing._pole == op._pole
         assert len(dividing._divisors) == 1
         for top in range(4):
-            f = monomial_symmetric((top,), 1)
-            got = op.apply(monomial_symmetric((top,), 1, 2))
-            assert got.terms == _aw_operator(base).apply(f).terms
-            assert dividing.apply(monomial_symmetric((top,), 1, 2)) == got
+            got = op.apply(orbit_sum((top,), 1, 2))
+            assert got.terms == _aw_operator(base).apply(orbit_sum((top,), 1)).terms
+            assert dividing.apply(monomial_symmetric((top,), 1, 2)) == got.expand()
 
     def test_generator_must_be_invariant_under_its_stabilizer(self):
         # (1 - x1 x2 / 2) is not invariant under x2 -> 1/x2, which fixes x1
@@ -1302,10 +1430,10 @@ def _traced_outcome(apply, f):
     return result, divisions
 
 
-def _drawn_invariant(data, n, scale, top):
+def _drawn_orbit_form(data, n, scale, top) -> OrbitPoly:
     """A sum of up to three orbit sums with nonzero rational coefficients,
-    each of a dominant tuple with entries at most top; on the doubled
-    lattice the entries' parities mix, so b2's cosets mix too."""
+    each of a dominant tuple with entries at most top, as an orbit form; on
+    the doubled lattice the entries' parities mix, so b2's cosets mix too."""
     orbits = data.draw(
         st.dictionaries(
             st.lists(st.integers(0, top), min_size=n, max_size=n).map(
@@ -1317,10 +1445,7 @@ def _drawn_invariant(data, n, scale, top):
         ),
         label="orbit sums",
     )
-    f = LaurentPoly.zero(n, scale)
-    for dominant, coeff in orbits.items():
-        f = f + coeff * monomial_symmetric(dominant, n, scale)
-    return f
+    return OrbitPoly(n, orbits, scale)
 
 
 @pytest.mark.parametrize("kind, P, n, top", ORBIT_CASES)
@@ -1328,7 +1453,7 @@ def _drawn_invariant(data, n, scale, top):
 @given(data=st.data())
 def test_orbit_fold_matches_explicit_sum(kind, P, n, top, data):
     shipped, op, scalar, scale = _orbit_case(kind, P, n)
-    f = _drawn_invariant(data, n, scale, top)
+    f = _drawn_orbit_form(data, n, scale, top).expand()
     got, divisions = _traced_outcome(op.apply, f)
     want, _ = _traced_outcome(lambda f: _explicit_apply(kind, P, n, f, scalar, scale), f)
     absorbed, reference = _traced_outcome(
@@ -1337,7 +1462,7 @@ def test_orbit_fold_matches_explicit_sum(kind, P, n, top, data):
     assert got == want == absorbed
     # the shipped operator straightens instead, dividing by the pole alone;
     # on b2's lattice the drawn orbits mix its weight cosets
-    assert _traced_outcome(shipped.apply, f)[0] == got
+    assert _traced_outcome(lambda f: shipped.apply(OrbitPoly.from_poly(f)).expand(), f)[0] == got
     # the fold divides g_0 by its pole once, where the explicit sum divides
     # each term's T_w f - f by its own, the generator's first; the divisions
     # by the factors of L follow, in the same order on the same inputs
@@ -1629,8 +1754,9 @@ def _drawn_root_generator(data, n, scale, P):
 @given(data=st.data())
 def test_straightening_matches_the_dividing_reference_on_drawn_root_systems(data):
     # ranks 1-3 on both lattices, with and without the pole, over drawn
-    # stabilizer-invariant numerators: on every drawn invariant input the
-    # two builds give one polynomial, or both raise InexactDivision; a
+    # stabilizer-invariant numerators: on every drawn orbit form the
+    # straightening operator's image is the orbit form of the dividing
+    # reference's image of its expansion, or both raise InexactDivision; a
     # system whose rho is off the lattice is refused
     n = data.draw(st.integers(1, 3), label="n")
     scale = data.draw(st.sampled_from((1, 2)), label="scale")
@@ -1644,8 +1770,11 @@ def test_straightening_matches_the_dividing_reference_on_drawn_root_systems(data
     ref = DividingShiftOperator(P, n, numer, denom, F(2, 3), scale)
     assert (op._pole is None) == (ref._pole is None)
     for _ in range(3):
-        f = _drawn_invariant(data, n, scale, 3)
-        assert _traced_outcome(op.apply, f)[0] == _traced_outcome(ref.apply, f)[0]
+        f = _drawn_orbit_form(data, n, scale, 3)
+        want = _traced_outcome(ref.apply, f.expand())[0]
+        if want is not InexactDivision:
+            want = OrbitPoly.from_poly(want)
+        assert _traced_outcome(op.apply, f)[0] == want
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)

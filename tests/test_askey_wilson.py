@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qbc import askey_wilson
-from qbc.algebra import LaurentPoly, ParamPoint, monomial_symmetric, rat, weyl_invariant
+from qbc.algebra import LaurentPoly, ParamPoint, rat, weyl_invariant
 from qbc.askey_wilson import (
     FULL_BASE,
     HALF_BASE,
@@ -36,6 +36,7 @@ from qbc.qseries import (
     PhiSpec, _Powers, _compiled, _factors, phi_sum, qbinom_series, qpoch, qpoch_multi, qpoch_ratio,
 )
 from qbc.suites import default_config
+from conftest import monomial_symmetric
 from test_algebra import _exponent_box, qshift
 
 # Parameter values stay away from integer and half-integer powers of q: with

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface, in process via main()."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -12,6 +13,50 @@ from qbc.macdonald_bcd import FAMILY_D, FamilyTag, mac_row
 from qbc.suites import default_config
 
 pytestmark = pytest.mark.usefixtures("isolated_cache")
+
+#: (target, rank, row, --json, byte count, sha256) of compute outputs
+COMPUTE_PINS = [
+    ("koornwinder", 2, 3, False, 528,
+     "a6ea6c20ee16d5b64cc501fd415bef190b9fa9d7ef1ff87b45df99a9a9295bb5"),
+    ("koornwinder", 2, 3, True, 2897,
+     "c0795eeacb8dc7a04dd76c91cc014ef96312a47dee4f257bb6684d5986c15551"),
+    ("koornwinder", 3, 2, False, 370,
+     "ece47021180b0c4243dfe175bb883471e70d2faefc682b904f166ba453093874"),
+    ("koornwinder", 3, 2, True, 3079,
+     "ebff4c5cb0d5790920525ca456f868f57a33ed0e6c3f85991f4a09b117468a58"),
+    ("g-series", 2, 3, False, 338,
+     "ecbef06edecbafb21cb66772688442e25c5263c48f14b8cd887dcf4bc3f76c9a"),
+    ("g-series", 2, 3, True, 1939,
+     "a10973f5ac5409c4abd30a6065510d4de28769408090ea6e877a03f0231411f7"),
+    ("g-series", 3, 2, False, 342,
+     "29d710369576109395cd501ffade3c84693b4b670e45b085a47494963e11de8d"),
+    ("g-series", 3, 2, True, 2436,
+     "fe685cd38852097f64d49443de689df15560a5782d53411aadb880be8ab826e7"),
+    ("macdonald-b", 2, 3, False, 558,
+     "6031a04c0d40a22ba05ba2390ec3dff73c45af9c2a5706a4750027ba5387620c"),
+    ("macdonald-b", 2, 3, True, 2907,
+     "2586b6966e785edcbd331496da2ffb808a8efc1b88d31a5d066134730add7a8c"),
+    ("macdonald-b", 3, 2, False, 398,
+     "5044d48494f4a1d7371598df18a3e62684c70de4f991013ebbcb3f30e4476d7e"),
+    ("macdonald-b", 3, 2, True, 3087,
+     "60fc07bc6f4f873d8b34bb65fe564e4b7a18bdc1bab66c1b32d62bcea73555af"),
+    ("macdonald-c", 2, 3, False, 250,
+     "47933ef56766ccb7b16e80d24121811acc48c80a3e1daf41bd538f05526529d7"),
+    ("macdonald-c", 2, 3, True, 1854,
+     "21268122f5790ee217410d984220e4998bbddf1dda0111b96c08ad1e8e1d921f"),
+    ("macdonald-c", 3, 2, False, 231,
+     "8acaf1df9e364807ee1781c5e049cffb8fde29a93d301f5e2076b213ae9571fb"),
+    ("macdonald-c", 3, 2, True, 2332,
+     "865d122e8ce1cd50ea79324c1e432f5dffd3a25cb22b5b7c405135edea71691c"),
+    ("macdonald-d", 2, 3, False, 262,
+     "b4a716f10aa851b2f0724aa8750206721f4f2c73ab3ed036ad778e05c780891e"),
+    ("macdonald-d", 2, 3, True, 1862,
+     "c164eb67f9c530f9b1b1adf9d5ad2dbae52ce903fef177b78a659575f0734a09"),
+    ("macdonald-d", 3, 2, False, 235,
+     "62580f4fa8ac57bd88555af227ac8b3bab46dedefbb8f86bece5d885dd495b3c"),
+    ("macdonald-d", 3, 2, True, 2336,
+     "aeebabb45a9ebabb400d21a405e3d71fe18240520af11615f3c4b43b29b15152"),
+]
 
 
 def _write_config(tmp_path, obj):
@@ -38,13 +83,25 @@ class TestCompute:
         want = mac_row(FamilyTag(FAMILY_D), 2, P, 2)
         assert doc["schema"] == 1
         assert doc["target"] == "macdonald-d"
-        assert doc["polynomial"] == want.to_json_obj()
+        assert doc["polynomial"] == want.expand().to_json_obj()
 
     def test_koornwinder_target_is_oracle(self, capsys):
         assert main(["compute", "koornwinder", "--r", "1", "--n", "2", "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         P = default_config().points("koornwinder")[0].point
-        assert doc["polynomial"] == koorn_oracle((1,), P, 2).to_json_obj()
+        assert doc["polynomial"] == koorn_oracle((1,), P, 2).expand().to_json_obj()
+
+    @pytest.mark.parametrize("target, n, r, as_json, size, digest", COMPUTE_PINS)
+    def test_invariant_targets_print_the_full_polynomial(
+        self, target, n, r, as_json, size, digest, capsys
+    ):
+        # the targets the Koornwinder layer holds as orbit forms print their
+        # expansions: the bytes of each output, text and --json, are those
+        # the full-term layer printed
+        argv = ["compute", target, "--n", str(n), "--r", str(r)] + ["--json"] * as_json
+        assert main(argv) == 0
+        out = capsys.readouterr().out.encode()
+        assert (len(out), hashlib.sha256(out).hexdigest()) == (size, digest)
 
     def test_rank_two_weight(self, capsys):
         assert main(["compute", "b2", "--r1", "1", "--r2", "0"]) == 0

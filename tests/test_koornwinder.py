@@ -15,10 +15,10 @@ from hypothesis import given, settings, strategies as st
 from qbc.algebra import (
     ClearedShiftOperator,
     LaurentPoly,
+    OrbitPoly,
     ParamPoint,
     dominated_partitions,
     format_rational,
-    monomial_symmetric,
 )
 from qbc.askey_wilson import aw_apply, aw_eigenvalue, aw_poly
 from qbc.errors import DimensionMismatch, ParameterDegeneracy
@@ -38,7 +38,8 @@ from qbc.koornwinder import (
 )
 from qbc.qseries import qbinom_series, qpoch
 from qbc.suites import _plan, _run, default_config
-from conftest import poly_key
+from conftest import monomial_symmetric, orbit_sum, poly_key
+import full_terms
 
 POINT_K1 = ParamPoint(
     sqrt_q=Fraction(1, 2), sqrt_t=Fraction(1, 3), a=2, b=3, c=5, d=Fraction(5, 6)
@@ -69,13 +70,14 @@ def eval_two_vars(f, x1, x2):
 
 class TestOperator:
     def test_kills_constants(self):
-        assert koorn_apply(LaurentPoly.monomial((0, 0)), POINT_K1, 2).is_zero()
+        assert koorn_apply(orbit_sum((), 2), POINT_K1, 2).is_zero()
 
     def test_rank_one_reduction(self):
         # the n=1 operator is the one-variable operator divided by alpha
         P = POINT_K1
         f = aw_poly(2, P)
-        assert koorn_apply(f, P, 1) == aw_apply(f, P) * (1 / P.alpha)
+        image = koorn_apply(OrbitPoly.from_poly(f), P, 1)
+        assert image.expand() == aw_apply(f, P) * (1 / P.alpha)
 
     def test_matches_direct_substitution(self):
         P = POINT_K1
@@ -109,7 +111,8 @@ class TestOperator:
             direct += up_coeff(i) * (eval_two_vars(f, *shift_up) - fx)
             direct += down_coeff(i) * (eval_two_vars(f, *shift_dn) - fx)
         direct /= P.alpha * t
-        assert eval_two_vars(koorn_apply(f, P, 2), *x) == direct
+        image = koorn_apply(OrbitPoly.from_poly(f), P, 2)
+        assert eval_two_vars(image.expand(), *x) == direct
 
 
 class TestEigenvalue:
@@ -144,14 +147,14 @@ def _partitions_of_weight(w, length):
 class TestOracle:
     @pytest.mark.usefixtures("isolated_cache")
     def test_trivial_partition(self):
-        assert koorn_oracle((), POINT_K1, 2) == LaurentPoly.monomial((0, 0))
+        assert koorn_oracle((), POINT_K1, 2) == orbit_sum((), 2)
 
     @pytest.mark.usefixtures("isolated_cache")
     def test_rank_one_is_monic_rescale(self):
         P = POINT_K1
         p = aw_poly(2, P)
         monic = p * (1 / p.coeff((2,)))
-        assert koorn_oracle((2,), P, 1) == monic
+        assert koorn_oracle((2,), P, 1) == OrbitPoly.from_poly(monic)
 
     @pytest.mark.usefixtures("isolated_cache")
     def test_eigen_residual_and_monic(self):
@@ -185,10 +188,16 @@ class TestOracle:
         assert len(applied) == len(set(applied)) == len(distinct) == 7
 
     def test_cache_round_trip(self, tmp_path, monkeypatch):
+        # a schema-2 entry holds the solve's orbit coefficients, on the
+        # weights dominated by (2)
         monkeypatch.setenv("QBC_CACHE_DIR", str(tmp_path))
         first = koorn_oracle((2,), POINT_K2, 2)
         files = list((tmp_path / "koornwinder").glob("*.json"))
         assert len(files) == 1
+        entry = json.loads(files[0].read_text())
+        assert entry["schema"] == 2
+        weights = [tuple(term["exps"]) for term in entry["polynomial"]["terms"]]
+        assert sorted(weights) == sorted(first.terms) == [(0, 0), (1, 0), (1, 1), (2, 0)]
         second = koorn_oracle((2,), POINT_K2, 2)
         assert first == second
 
@@ -202,20 +211,29 @@ class TestOracle:
             ("exps", 1.5),
             ("exps", True),
             ("exps", None),
+            ("weight", [0, -1]),
+            ("weight", [0, 1]),
+            ("weight", [0]),
+            ("weight", [3, 0]),
+            ("schema", 1),
         ],
         ids=[
             "zero-denominator", "fractional-numerator", "no-denominator",
             "coefficient-not-text", "fractional-exponent", "bool-exponent",
-            "extra-exponent",
+            "extra-exponent", "negative-weight", "increasing-weight", "short-weight",
+            "weight-outside-the-basis", "schema-1",
         ],
     )
     def test_malformed_entry_is_solved_again(self, field, bad, tmp_path, monkeypatch):
         # the entry's checksum matches, but its first term holds a
         # coefficient that is no p/q text with q nonzero, an exponent that is
-        # no int (1.5, or a bool), or one exponent too many (None): the
-        # reader must reject it, not raise ZeroDivisionError, truncate 1.5 to
-        # 1 or read True as 1, and the oracle solves again and rewrites the
-        # entry
+        # no int (1.5, or a bool), one exponent too many (None) or a weight
+        # that is not in the solve's basis: negative, increasing, short, or
+        # dominant but not dominated by (2); or the entry is of schema 1,
+        # whose terms were the full polynomial's.  The reader must reject
+        # it, not raise ZeroDivisionError, truncate 1.5 to 1, read True as 1
+        # or take a weight off the basis, and the oracle solves again and
+        # rewrites the entry
         monkeypatch.setenv("QBC_CACHE_DIR", str(tmp_path))
         solved = koorn_oracle((2,), POINT_K2, 2)
         (path,) = (tmp_path / "koornwinder").glob("*.json")
@@ -223,6 +241,10 @@ class TestOracle:
         term = entry["polynomial"]["terms"][0]
         if field == "coeff":
             term["coeff"] = bad
+        elif field == "weight":
+            term["exps"] = bad
+        elif field == "schema":
+            entry["schema"] = bad
         elif bad is None:
             term["exps"] = term["exps"] + [0]
         else:
@@ -230,8 +252,9 @@ class TestOracle:
         entry["sha256"] = koornwinder._checksum(entry["polynomial"])
         path.write_text(json.dumps(entry))
         assert koorn_oracle((2,), POINT_K2, 2) == solved
-        assert json.loads(path.read_text())["polynomial"] == solved.to_json_obj()
-
+        rewritten = json.loads(path.read_text())
+        assert rewritten["schema"] == 2
+        assert rewritten["polynomial"] == solved.to_json_obj()
 
     def test_entry_bytes_are_json_dump_bytes(self, tmp_path, monkeypatch):
         # the entry is the header, the polynomial and its checksum, written
@@ -273,13 +296,31 @@ class TestGeneratingFamily:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_growing_table_matches_per_rmax_convolution(self, n, g_builds):
         # orders requested in increasing order grow the table one entry at
-        # a time; every prefix equals the convolution truncated there.  The
-        # rank-n table grows from the rank-(n - 1) one, so orders 0..6 are
-        # built once at each of the n ranks and 2 points
+        # a time; every prefix is the orbit form of the convolution
+        # truncated there.  The rank-n table grows from the rank-(n - 1)
+        # one, so orders 0..6 are built once at each of the n ranks and 2
+        # points
         for P in (POINT_K1, POINT_K2):
             for rmax in range(7):
-                assert list(g_series_list(rmax, n, P)) == _g_list_reference(rmax, n, P)
+                want = [OrbitPoly.from_poly(g) for g in _g_list_reference(rmax, n, P)]
+                assert list(g_series_list(rmax, n, P)) == want
         assert len(g_builds) == len(set(g_builds)) == 14 * n
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize(
+        "P",
+        [
+            pytest.param(POINT_K1, id="koornwinder-1"),
+            pytest.param(POINT_K2, id="koornwinder-2"),
+            pytest.param(default_config().points("macdonald")[0].point, id="macdonald-1"),
+        ],
+    )
+    def test_orbit_table_is_the_full_term_table_on_dominant_weights(self, P, n, g_builds):
+        # the orbit recursion against the full-term recursion it replaced:
+        # orders 0..6 at ranks 1-4, the full-term G_m invariant and its
+        # coefficients at the dominant exponents those of the orbit form
+        want = [OrbitPoly.from_poly(g) for g in full_terms.g_series_list(6, n, P)]
+        assert list(g_series_list(6, n, P)) == want
 
     def test_table_serves_any_request_order_from_one_build(self, g_builds):
         full = g_series_list(5, 2, POINT_K2)
@@ -308,13 +349,13 @@ class TestGeneratingFamily:
         assert h == qbinom_series(POINT_K1.t, POINT_K1.q, 9)
 
     def test_order_zero(self):
-        assert g_series(0, 2, POINT_K1) == LaurentPoly.monomial((0, 0))
+        assert g_series(0, 2, POINT_K1) == orbit_sum((), 2)
 
     def test_order_one(self):
         P = POINT_K1
         head = (1 - P.t) / (1 - P.q)
-        assert g_series(1, 1, P) == monomial_symmetric((1,), 1) * head
-        assert g_series(1, 2, P) == monomial_symmetric((1,), 2) * head
+        assert g_series(1, 1, P) == orbit_sum((1,), 1, coeff=head)
+        assert g_series(1, 2, P) == orbit_sum((1,), 2, coeff=head)
 
     def test_top_monomial_weight(self):
         P = POINT_K2
@@ -325,7 +366,7 @@ class TestGeneratingFamily:
         # the product satisfies F(u) prod(1-u x_i^{+-1}) = F(qu) prod(1-tu x_i^{+-1})
         P = POINT_K1
         q, t, n, rmax = P.q, P.t, 2, 5
-        gs = g_series_list(rmax, n, P)
+        gs = [g.expand() for g in g_series_list(rmax, n, P)]
 
         def elementary(scalar):
             polys = [LaurentPoly.monomial((0,) * n)]
@@ -355,7 +396,7 @@ class TestGeneratingFamily:
 class TestOneRowFormulas:
     def test_row_sym_low_orders(self):
         P = POINT_SYM
-        assert g_row_sym(0, P, 2) == LaurentPoly.monomial((0, 0))
+        assert g_row_sym(0, P, 2) == orbit_sum((), 2)
         assert g_row_sym(1, P, 2) == g_series(1, 2, P)
 
     @pytest.mark.usefixtures("isolated_cache")
@@ -401,14 +442,31 @@ def test_row_general_matches_the_uncached_oracle_past_the_suite_ranks(P, n, r):
     assert g_row_general(r, P, n) == koorn_oracle((r,), P, n) * head
 
 
+@pytest.mark.parametrize("n, r", [(8, 4), (16, 3)])
+@pytest.mark.parametrize(
+    "P",
+    [pytest.param(cp.point, id=f"p{i}") for i, cp in enumerate(default_config().points("koornwinder"), 1)],
+)
+def test_row_general_is_the_full_term_row_past_the_suite_ranks(P, n, r, monkeypatch):
+    # the row on orbit forms against the same row summed over the full-term
+    # G tables, 3,649 terms at (8, 4) and 6,017 at (16, 3), where the orbit
+    # form holds 12 and 7 coefficients
+    got = g_row_general(r, P, n)
+    full_terms.use_full_terms(monkeypatch)
+    want = g_row_general(r, P, n)
+    assert type(want) is LaurentPoly
+    assert OrbitPoly.from_poly(want) == got
+    assert len(got.terms) == len(dominated_partitions((r,), n))
+
+
 def _kernel_residuals_reference(n, beta, deg, P):
-    """kernel_identity_check's residuals, one per y-degree e, each summed
-    from five polynomial scalings per j as the check did before it formed
-    one scalar weight per j."""
+    """kernel_identity_check's residuals with all their terms, one per
+    y-degree e, each summed from five polynomial scalings per j as the
+    check did before it formed one scalar weight per j."""
     q, t, alpha, st = P.q, P.t, P.alpha, P.sqrt_t
     ratio = P.sqrt_q / st
-    W = [g * ratio ** r for r, g in enumerate(g_series_list(deg, n, P))]
-    DW = [koornwinder.koorn_apply(w, P, n) for w in W]
+    W = [g.expand() * ratio ** r for r, g in enumerate(g_series_list(deg, n, P))]
+    DW = [koornwinder.koorn_apply(OrbitPoly.from_poly(w), P, n).expand() for w in W]
     const = (st ** n - st ** -n) * (alpha * st ** (n - 2) - 1 / (alpha * st ** (n - 2)))
     alpha_tilde = t / alpha
     lcd = _poly_mul(_poly_mul([1, 0, -1], [1, 0, -q]), [-q, 0, 1])
@@ -454,10 +512,11 @@ class TestKernelIdentity:
 
     @pytest.mark.parametrize("beta, P", [(1, POINT_KER1), (2, POINT_KER2)])
     def test_residuals_match_reference_with_a_planted_error(self, beta, P, monkeypatch):
-        # koorn_apply off by 10^-9 x_1 makes the identity fail; each
-        # y-degree must report the mismatch the per-term residual gives
+        # koorn_apply off by 10^-9 m_(1) makes the identity fail; each
+        # y-degree must report the mismatch the full-term residual gives at
+        # its lex-leading monomial
         exact = koornwinder.koorn_apply
-        planted = LaurentPoly.monomial((1, 0), Fraction(1, 10 ** 9))
+        planted = orbit_sum((1,), 2, coeff=Fraction(1, 10 ** 9))
         monkeypatch.setattr(
             koornwinder, "koorn_apply", lambda f, P, n: exact(f, P, n) + planted
         )
@@ -482,7 +541,7 @@ def _row_sum_reference(n, terms, scale=1):
     """row_sum as it was before it summed in integers: one Fraction product
     and one Fraction sum per term.  It always started from the zero of
     scale 1; the scale is a parameter here so scale-2 operands compare."""
-    total = LaurentPoly.zero(n, scale)
+    total = OrbitPoly.zero(n, scale)
     for g, w in terms:
         if w:
             total = total + g * w
@@ -498,13 +557,16 @@ _WEIGHTS = st.one_of(
 
 @st.composite
 def _row_terms(draw):
-    """(n, scale, (operand, weight) pairs): coefficients and weights with
-    denominators up to 10^30, zero weights, and now and then an operand
-    repeated with the opposite weight, so whole terms cancel."""
+    """(n, scale, (operand, weight) pairs): orbit forms with coefficients
+    and weights with denominators up to 10^30, zero weights, and now and
+    then an operand repeated with the opposite weight, so whole terms
+    cancel."""
     n, scale = draw(st.integers(1, 3)), draw(st.sampled_from((1, 2)))
-    exps = st.tuples(*[st.integers(-3, 3)] * n)
+    weights = st.lists(st.integers(0, 3), min_size=n, max_size=n).map(
+        lambda e: tuple(sorted(e, reverse=True))
+    )
     coeffs = st.one_of(st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)), _BIG)
-    polys = st.dictionaries(exps, coeffs, max_size=6).map(lambda t: LaurentPoly(n, t, scale))
+    polys = st.dictionaries(weights, coeffs, max_size=6).map(lambda t: OrbitPoly(n, t, scale))
     terms = draw(st.lists(st.tuples(polys, _WEIGHTS), max_size=6))
     if terms and draw(st.booleans()):
         p, w = terms[0]
@@ -513,8 +575,8 @@ def _row_terms(draw):
 
 
 class TestRowSum:
-    """row_sum forms one integer linear combination; it must equal the
-    Fraction sum term for term, on the operands' lattice scale."""
+    """row_sum forms one integer linear combination of orbit forms; it must
+    equal the Fraction sum term for term, on the operands' lattice scale."""
 
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(_row_terms())
@@ -526,13 +588,18 @@ class TestRowSum:
         assert all(type(c) is Fraction and c for c in got.terms.values())
 
     def test_mismatched_operands_raise(self):
-        one = LaurentPoly.monomial((1, 0), Fraction(1, 3))
-        for other in (LaurentPoly.monomial((1,)), LaurentPoly.monomial((1, 0), scale=2)):
+        one = orbit_sum((1,), 2, coeff=Fraction(1, 3))
+        for other in (orbit_sum((1,), 1), orbit_sum((1,), 2, 2)):
             with pytest.raises(DimensionMismatch):
                 row_sum(2, [(one, 1), (other, 2)])
             with pytest.raises(DimensionMismatch):
                 _row_sum_reference(2, [(one, 1), (other, 2)])
-        assert row_sum(2, [(one, 1), (LaurentPoly.monomial((1,)), 0)]) == one
+        assert row_sum(2, [(one, 1), (orbit_sum((1,), 1), 0)]) == one
+        # a full-term polynomial is no orbit form, even an invariant one
+        with pytest.raises(TypeError, match="adds orbit forms"):
+            row_sum(2, [(one, 1), (monomial_symmetric((1,), 2), 2)])
+        with pytest.raises(TypeError):
+            _row_sum_reference(2, [(one, 1), (monomial_symmetric((1,), 2), 2)])
 
     @pytest.mark.parametrize("beta, P", [(1, POINT_KER1), (2, POINT_KER2)])
     def test_kernel_residuals_equal_the_reference(self, beta, P, monkeypatch):
@@ -546,12 +613,13 @@ class TestRowSum:
             return residuals[-1]
 
         monkeypatch.setattr(koornwinder, "row_sum", recorded)
-        for planted in (LaurentPoly.zero(2), LaurentPoly.monomial((1, 0), Fraction(1, 10 ** 9))):
+        for planted in (OrbitPoly.zero(2), orbit_sum((1,), 2, coeff=Fraction(1, 10 ** 9))):
             monkeypatch.setattr(
                 koornwinder, "koorn_apply", lambda f, P, n: exact(f, P, n) + planted
             )
             residuals.clear()
             for *_, check in kernel_identity_check(2, beta, 6, P):
                 check()
-            assert residuals == _kernel_residuals_reference(2, beta, 6, P)
+            reference = _kernel_residuals_reference(2, beta, 6, P)
+            assert residuals == [OrbitPoly.from_poly(r) for r in reference]
             assert any(not r.is_zero() for r in residuals) == (not planted.is_zero())

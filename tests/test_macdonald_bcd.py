@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import qbc.macdonald_bcd
-from qbc.algebra import LaurentPoly, ParamPoint, format_rational, rat, weyl_invariant
+from qbc.algebra import LaurentPoly, OrbitPoly, ParamPoint, format_rational, rat, weyl_invariant
 from qbc.askey_wilson import collapse_sums, phi_series
 from qbc.errors import MissingSquareRoot, ParameterDegeneracy, QbcError
 from qbc.koornwinder import g_series_list, koorn_oracle
@@ -26,6 +26,7 @@ from qbc.macdonald_bcd import (
 )
 from qbc.qseries import qpoch, qpoch_multi
 from qbc.suites import _plan, _run
+import full_terms
 
 # base points carry only (q, t); the family parameter lives on the tag.
 # sqrt_param values keep b/t, the squared ladders, and the shifted lower
@@ -85,7 +86,7 @@ class TestMacRow:
     def test_row_zero_is_one(self):
         for tag in ALL_TAGS:
             poly = mac_row(tag, 0, MAC1, 2)
-            assert poly == LaurentPoly.monomial((0, 0))
+            assert poly == OrbitPoly(2, {(0, 0): 1})
 
     def test_row_is_monic(self):
         for tag in ALL_TAGS:
@@ -95,7 +96,7 @@ class TestMacRow:
 
     def test_inversion_invariance(self):
         poly = mac_row(TAG_B, 4, MAC1, 1)
-        assert weyl_invariant(poly)
+        assert weyl_invariant(poly.expand())
 
     @pytest.mark.usefixtures("isolated_cache")
     @pytest.mark.parametrize("tag", ALL_TAGS, ids=lambda t: t.family)
@@ -126,6 +127,20 @@ class TestMacRow:
     def test_negative_row_rejected(self):
         with pytest.raises(ValueError):
             mac_row(TAG_D, -1, MAC1, 1)
+
+
+@pytest.mark.parametrize("n, r", [(8, 4), (16, 3)])
+@pytest.mark.parametrize("tag", ALL_TAGS, ids=lambda t: t.family)
+def test_displays_are_the_full_term_displays_past_the_suite_ranks(tag, n, r, monkeypatch):
+    # both displays on orbit forms against the same displays summed over
+    # the full-term G tables, at the frontier of the lassalle suite
+    got = [display(tag, r, MAC1, n) for display in (mac_row, lassalle_form)]
+    assert got[0] == got[1]
+    full_terms.use_full_terms(monkeypatch)
+    for display, orbit in zip((mac_row, lassalle_form), got):
+        want = display(tag, r, MAC1, n)
+        assert type(want) is LaurentPoly
+        assert OrbitPoly.from_poly(want) == orbit
 
 
 class TestLassalleForms:
@@ -261,13 +276,13 @@ def _weight_b_ref(i: int, j: int, r: int, a: Fraction, P: ParamPoint, n: int) ->
     return num / den * ratio * (t / a) ** i * (t * t / q) ** j
 
 
-def _mac_row_ref(tag: FamilyTag, r: int, P: ParamPoint, n: int) -> LaurentPoly:
+def _mac_row_ref(tag: FamilyTag, r: int, P: ParamPoint, n: int) -> OrbitPoly:
     if r < 0:
         raise ValueError("row length must be nonnegative")
     P.require("sqrt_t")
     head = _head_ref(r, P)
     gs = g_series_list(r, n, P)
-    total = LaurentPoly.zero(n)
+    total = OrbitPoly.zero(n)
     if tag.family in (FAMILY_C, FAMILY_D):
         b = Fraction(1) if tag.family == FAMILY_D else tag.param
         for j in range(r // 2 + 1):
@@ -284,11 +299,11 @@ def _mac_row_ref(tag: FamilyTag, r: int, P: ParamPoint, n: int) -> LaurentPoly:
     return total * head
 
 
-def _lassalle_cd_sum_ref(r: int, b: Fraction, P: ParamPoint, n: int, gs) -> LaurentPoly:
+def _lassalle_cd_sum_ref(r: int, b: Fraction, P: ParamPoint, n: int, gs) -> OrbitPoly:
     # positive-power display; the shifted pivot 1 - t^n q^(r-i) replaces the
     # boundary factor of the numerator ladder
     q, t = P.q, P.t
-    total = LaurentPoly.zero(n)
+    total = OrbitPoly.zero(n)
     for i in range(r // 2 + 1):
         num = qpoch(b / t, q, i) * qpoch(t ** n * q ** (r - i), q, i)
         den = qpoch(q, q, i) * qpoch(b * t ** (n - 1) * q ** (r - i), q, i)
@@ -300,7 +315,7 @@ def _lassalle_cd_sum_ref(r: int, b: Fraction, P: ParamPoint, n: int, gs) -> Laur
     return total
 
 
-def _lassalle_form_ref(tag: FamilyTag, r: int, P: ParamPoint, n: int) -> LaurentPoly:
+def _lassalle_form_ref(tag: FamilyTag, r: int, P: ParamPoint, n: int) -> OrbitPoly:
     if r < 0:
         raise ValueError("row length must be nonnegative")
     P.require("sqrt_t")
@@ -311,7 +326,7 @@ def _lassalle_form_ref(tag: FamilyTag, r: int, P: ParamPoint, n: int) -> Laurent
         return _lassalle_cd_sum_ref(r, b, P, n, gs) * _head_ref(r, P)
     a = tag.param
     inner = [_lassalle_cd_sum_ref(k, Fraction(1), P, n, gs) for k in range(r + 1)]
-    total = LaurentPoly.zero(n)
+    total = OrbitPoly.zero(n)
     for i in range(r + 1):
         num = (
             qpoch(a, q, i)
@@ -364,7 +379,7 @@ def _lassalle_b_forms_ref(tag: FamilyTag, r: int, P: ParamPoint, n: int):
 
     def d_row(k):
         # rewritten family-D display for a single row, no monic head
-        out = LaurentPoly.zero(n)
+        out = OrbitPoly.zero(n)
         for j in range(k // 2 + 1):
             num = qpoch(1 / t, q, j) * qpoch(t ** -n * q ** -k, q, j)
             den = qpoch(q, q, j) * qpoch(t ** (1 - n) * q ** (1 - k), q, j)
@@ -375,13 +390,13 @@ def _lassalle_b_forms_ref(tag: FamilyTag, r: int, P: ParamPoint, n: int):
                 out = out + gs[k - 2 * j] * wj
         return out
 
-    first = LaurentPoly.zero(n)
+    first = OrbitPoly.zero(n)
     for i in range(r + 1):
         wi = iblock(i)
         if wi:
             first = first + d_row(r - i) * wi
 
-    second = LaurentPoly.zero(n)
+    second = OrbitPoly.zero(n)
     for i in range(r + 1):
         wi = iblock(i)
         if not wi:

@@ -8,7 +8,7 @@ import pytest
 
 import qbc.koornwinder
 from qbc import suites
-from qbc.algebra import monomial_symmetric
+from conftest import orbit_sum
 from qbc.reports import SKIPPED
 
 
@@ -129,7 +129,7 @@ def test_poly_mismatch_names_the_leading_monomial_of_a_planted_error(tmp_path, m
     real = suites.g_row_general
 
     def planted(r, P, n):
-        return real(r, P, n) + monomial_symmetric((1,), n) * Fraction(1, 10**9)
+        return real(r, P, n) + orbit_sum((1,), n, coeff=Fraction(1, 10**9))
 
     monkeypatch.setattr(suites, "g_row_general", planted)
     report = suites.run_suite("koornwinder", suites.default_config(), ranks=[2], rows=[2])
@@ -166,6 +166,52 @@ def _one_point_failures(suite, monkeypatch, name, planted):
     monkeypatch.setattr(suites, name, planted(getattr(suites, name)))
     report = suites.run_suite(suite, cfg)
     return [(c.case_id, c.mismatch) for c in report.cases if c.verdict == "fail"]
+
+
+@pytest.mark.parametrize("name, suffix", [("mac_row", "row"), ("lassalle_form", "positive")])
+def test_lassalle_mismatch_names_the_leading_monomial_of_a_planted_error(
+    name, suffix, tmp_path, monkeypatch
+):
+    # either display of row 2 at rank 2 off by EPS m_(1), as an orbit form:
+    # each family's case fails at x1 with the values the full-term rows gave
+    monkeypatch.setenv(qbc.koornwinder.CACHE_ENV, str(tmp_path))
+
+    def planted(real):
+        def display(tag, r, P, n):
+            poly = real(tag, r, P, n)
+            return poly + orbit_sum((1,), n, coeff=EPS) if (r, n) == (2, 2) else poly
+
+        return display
+
+    b_row = {"expected": "-234175/145089", "got": "-234174999854911/145089000000000"}
+    cd_row = {"expected": "0/1", "got": "1/1000000000"}
+    assert _one_point_failures("lassalle", monkeypatch, name, planted) == [
+        (f"las-{family}-p1-n2-r2-{suffix}", {"monomial": [1, 0], **values})
+        for family, values in (("b", b_row), ("c", cd_row), ("d", cd_row))
+    ]
+
+
+def test_kernel_mismatch_names_the_leading_monomial_of_a_planted_error(tmp_path, monkeypatch):
+    # koorn_apply off by EPS m_(1), as an orbit form: every y-degree's
+    # residual at the first kernel point leads at x1, with the values the
+    # full-term residuals gave
+    monkeypatch.setenv(qbc.koornwinder.CACHE_ENV, str(tmp_path))
+    exact = qbc.koornwinder.koorn_apply
+    monkeypatch.setattr(
+        qbc.koornwinder, "koorn_apply",
+        lambda f, P, n: exact(f, P, n) + orbit_sum((1,), n, coeff=EPS),
+    )
+    cfg = suites.default_config()
+    report = suites.run_suite("kernel", replace(cfg, groups={"kernel": cfg.points("kernel")[:1]}))
+    got = ["-1/4000000000", "-1/4000000000", "17/16000000000", "17/16000000000"]
+    got += ["-1/4000000000", "-1/4000000000"]
+    assert [(c.case_id, c.mismatch) for c in report.cases if c.verdict == "fail"] == [
+        (
+            f"kernel-p1-n2-beta1-y{e:02d}",
+            {"coefficient": f"y^{e + 2} x^[1, 0]", "expected": "0/1", "got": value},
+        )
+        for e, value in enumerate(got)
+    ]
 
 
 def _plus_eps(real, index, when=lambda N: True):
