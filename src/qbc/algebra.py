@@ -550,7 +550,7 @@ def padded_partition(lam: Sequence[int], n: int) -> tuple:
     """The partition lam as a dominant weight of n variables: its parts,
     nonnegative and weakly decreasing, padded with zeros to length n."""
     parts = tuple(int(p) for p in lam)
-    if any(p < 0 for p in parts) or any(a < b for a, b in zip(parts, parts[1:])):
+    if not _dominant(parts):
         raise ValueError(f"partition {parts} has a negative or an increasing part")
     length = sum(1 for p in parts if p)
     if length > n:
@@ -615,17 +615,19 @@ def signed_orbit(entries: Sequence[int]) -> set:
     }
 
 
-def weyl_invariant(f: LaurentPoly) -> bool:
-    """True when f is invariant under permutations and inversions x_i -> 1/x_i.
+def weyl_invariant(f: LaurentPoly, first: int = 0) -> bool:
+    """True when f is invariant under permutations and inversions x_i -> 1/x_i
+    of its variables first..n-1 (all of them by default).
 
     Checking the standard generators (adjacent transpositions plus the
-    inversion of the last variable) suffices because they generate the
+    inversion of the last variable) suffices because they generate that
     whole hyperoctahedral group.  A generator w fixes f when each term
     c x^e of f has the term c x^(w(e)) too, as w permutes exponents.
     """
     n, terms = f.num_vars, f.terms
-    generators = [_swap(n, i, i + 1, 1) for i in range(n - 1)]
-    generators.append(_swap(n, n - 1, n - 1, -1))
+    generators = [_swap(n, i, i + 1, 1) for i in range(first, n - 1)]
+    if first < n:
+        generators.append(_swap(n, n - 1, n - 1, -1))
     return all(
         terms.get(_act(e, perm, signs)) == c
         for perm, signs in generators
@@ -798,7 +800,7 @@ def _orbit_coefficients(alternant: dict, rho: tuple) -> dict:
         if not b:
             continue
         nu = tuple(map(sub, mu, rho))
-        if nu[-1] < 0 or any(map(lt, nu, nu[1:])):
+        if not _dominant(nu):
             raise InexactDivision(
                 f"the image is no Laurent polynomial: A_{mu} is left over, "
                 f"and mu - rho = {nu} is not dominant"
@@ -895,8 +897,8 @@ class ClearedShiftOperator:
         self.P = P
         self.num_vars, self.scale = num_vars, scale
         self._columns: dict = {}
-        self.scalar = rat(scalar)
-        if self.scalar == 0:
+        scalar = rat(scalar)
+        if scalar == 0:
             raise ParameterDegeneracy("operator scalar prefactor vanishes")
         n = num_vars
         numer = [(rat(u), tuple(e)) for u, e in numer_factors]
@@ -908,7 +910,7 @@ class ClearedShiftOperator:
                 raise ValueError(f"factor 1 - ({u}) x^{e} is not a binomial")
         # 1 - u x^e with e lex-negative is -u x^e (1 - (1/u) x^(-e)): N takes
         # the inverse of that unit's monomial, the constant its coefficient
-        shift, unscale = (0,) * n, 1 / self.scalar
+        shift, unscale = (0,) * n, 1 / scalar
         for u, e in denom:
             if _lex_negative(e):
                 shift = tuple(map(sub, shift, e))
@@ -918,17 +920,11 @@ class ClearedShiftOperator:
             r, p = u.denominator, u.numerator
             unscale /= r
             head = head * LaurentPoly._raw(n, {(0,) * n: r, e: -p}, scale)
-        terms = head.terms
-        others = list(range(1, n))
-        stabilizer = [_swap(n, j, k, 1) for j, k in zip(others, others[1:])]
-        if others:
-            stabilizer.append(_swap(n, others[-1], others[-1], -1))
-        for perm, signs in stabilizer:
-            if any(terms.get(_act(e, perm, signs)) != c for e, c in terms.items()):
-                raise ValueError(
-                    "generator coefficient is not invariant under permutations "
-                    "and inversions of the other variables"
-                )
+        if not weyl_invariant(head, 1):
+            raise ValueError(
+                "generator coefficient is not invariant under permutations "
+                "and inversions of the other variables"
+            )
         kept = [_canonical(u, e) for u, e in denom]
         pole = _canonical(P.sqrt_q ** (2 // scale), (2,) + (0,) * (n - 1))
         self._pole = None
@@ -948,7 +944,7 @@ class ClearedShiftOperator:
         self._rho = tuple(x // 2 for x in twice_rho)
         prefix = tuple(map(sub, self._rho, map(sum, zip(*roots))))
         self._head = LaurentPoly._raw(
-            n, {tuple(map(add, e, prefix)): c for e, c in terms.items()}, scale
+            n, {tuple(map(add, e, prefix)): c for e, c in head.terms.items()}, scale
         )
         # each 1 - x^alpha of K is -x^alpha (1 - x^-alpha)
         self._unscale = unscale * (-1) ** len(kept)

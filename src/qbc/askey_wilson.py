@@ -318,23 +318,6 @@ def phi_series(s, P: ParamPoint, N: int) -> tuple:
     return tuple(coeffs)
 
 
-def _psi_spec(s, P: ParamPoint, n: int) -> PhiSpec:
-    """The terminating 6phi5 of psi_series at x^n, as phi_sum would take it."""
-    a, b, c, d, q = P.a, P.b, P.c, P.d, P.q
-    sq = P.sqrt_q
-    return PhiSpec(
-        uppers=(
-            q ** -n, q ** (n + 1) * s ** 2 / a ** 2, s,
-            q * s / (a * b), q * s / (a * c), q * s / (a * d),
-        ),
-        lowers=(
-            q ** 2 * s ** 2 / (a * b * c * d), sq * s / a, -sq * s / a, q * s / a, -q * s / a,
-        ),
-        base=q,
-        argument=q,
-    )
-
-
 def psi_series(s, P: ParamPoint, N: int) -> tuple:
     """Coefficients through x^N of the single-sum form of the series: the
     binomial prefactor in qx/a times terminating inner sums of length n+1.
@@ -344,7 +327,8 @@ def psi_series(s, P: ParamPoint, N: int) -> tuple:
     terminating 6phi5 times its outer factor.  Each row is summed by
     _terminating_row, phi_sum's kernel, on one compiled step: it stops at
     its first zero upper factor, as phi_sum stops at its first cutoff, and
-    a vanishing lower factor inside it raises phi_sum's PoleInLower."""
+    a vanishing lower factor inside it raises phi_sum's PoleInLower, naming
+    the row n and the term."""
     P.require("a", "b", "c", "d")
     a, b, c, d, q = P.a, P.b, P.c, P.d, P.q
     sq = P.sqrt_q
@@ -378,7 +362,7 @@ def psi_series(s, P: ParamPoint, N: int) -> tuple:
         if n:
             num, den, low = _factors(outer, powers, n - 1, 0)
             head = Fraction(head.numerator * num, head.denominator * den * low)
-        total = _terminating_row(inner, powers, n, n + 1, lambda: _psi_spec(s, P, n))
+        total = _terminating_row(inner, powers, n, n + 1, f"row {n} of the inner 6phi5")
         rows.append(head * Fraction(*total))
     # the prefactor's coefficients of x^i, (a^2/q; q)_i / (q; q)_i (q/a)^i
     qa = q / a

@@ -19,6 +19,7 @@ from .algebra import (
     dominated_partitions,
     rat,
     solve_triangular_eigenproblem,
+    weyl_invariant,
 )
 from .errors import DimensionMismatch, InexactDivision, NonTerminating, ParameterDegeneracy
 from .qseries import qpoch, qpoch_ratio
@@ -596,7 +597,7 @@ def b2_conjecture_check(r1: int, r2: int, P: ParamPoint) -> list:
     Entries are (id suffix, anchor, degrees, check) and run in order; the
     last two checks are SKIPPED when the series did not terminate, and a
     series the operator cannot divide back out fails the difference
-    equation.
+    equation, as does a series that is not invariant.
     """
     w = B2Weight(r1, r2)
     P.require("sqrt_t", "sqrt_T")
@@ -619,6 +620,13 @@ def b2_conjecture_check(r1: int, r2: int, P: ParamPoint) -> list:
         if not series:
             return SKIPPED
         f = series[0]
+        if not weyl_invariant(f):
+            # b2_apply takes invariant polynomials only; this one is no
+            # eigenpolynomial of the operator, so it fails here
+            return {
+                "expected": "series invariant under the signed permutations",
+                "got": "a term whose image under a signed permutation is missing",
+            }
         try:
             image = b2_apply(f, P)
         except InexactDivision as exc:

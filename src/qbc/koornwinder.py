@@ -81,17 +81,6 @@ def koorn_apply(f: OrbitPoly, P: ParamPoint, n: int) -> OrbitPoly:
     return _koorn_operator(P, n).apply(f)
 
 
-def koorn_eigenvalue(lam, P: ParamPoint, n: int) -> Fraction:
-    P.require("a", "b", "c", "d", "sqrt_t")
-    alpha, q, t = P.alpha, P.q, P.t
-    total = Fraction(0)
-    for j, part in enumerate(padded_partition(lam, n), start=1):
-        base = alpha * t ** (n - j)
-        shifted = base * q ** part
-        total += shifted + 1 / shifted - base - 1 / base
-    return total
-
-
 def _cache_path(lam: tuple, P: ParamPoint, n: int) -> Path:
     name = "-".join(str(p) for p in lam if p) or "0"
     return cache_root() / "koornwinder" / f"n{n}_lam{name}_{P.canonical_key()}.json"

@@ -128,18 +128,18 @@ def _factors(step, powers: _Powers, i: int, j: int):
     return num, den, low
 
 
-def _terminating_row(step, powers: _Powers, i: int, length: int, spec):
+def _terminating_row(step, powers: _Powers, i: int, length: int, row):
     """Integers (num, den), num / den the sum 1 + r_0 + r_0 r_1 + ... of at
     most length terms, r_j the ratio of a compiled step at (i, j).  The row
     stops at its first zero upper factor before testing that step's lower
-    ones; a zero lower factor before it raises PoleInLower naming spec(),
-    the row's PhiSpec, built only then.  A zero weight stops the row only
-    after the first step's lower factors are tested."""
+    ones; a zero lower factor before it raises PoleInLower naming row, any
+    object that names the row, formatted only then.  A zero weight stops
+    the row only after the first step's lower factors are tested."""
     term = total = den = 1  # the terms so far sum to total / den
     for j in range(length - 1):
         num, rden, low = _factors(step, powers, i, j)
         if low == 0 and (num or not step[0]):  # step[0]: the weight's numerator
-            raise PoleInLower(f"lower parameter ladder vanished at term {j + 1} of {spec()}")
+            raise PoleInLower(f"lower parameter ladder vanished at term {j + 1} of {row}")
         if num == 0:
             break
         rden *= low
@@ -188,7 +188,7 @@ def phi_sum(spec: PhiSpec, N: int) -> Fraction:
     powers = _Powers(q)
     records = [[(u, 0, 1) for u in us] for us in (spec.uppers, (q,) + spec.lowers)]
     step = _compiled((spec.argument, *records), powers)
-    return Fraction(*_terminating_row(step, powers, 0, min(cutoffs) + 1, lambda: spec))
+    return Fraction(*_terminating_row(step, powers, 0, min(cutoffs) + 1, spec))
 
 
 def qbinom_terms(aparam, q) -> Iterator[Fraction]:

@@ -5,8 +5,9 @@ returns a VerificationReport.  A suite is written as a generator of case
 entries; _run alone calls their checks, times them and records the
 verdicts.  The default point set ships as package data
 (default_config.json); a user configuration may replace any point group
-wholesale, but every group it keeps must stay nonempty and the truncation
-degree must stay at least 4.
+it names wholesale, but every group it keeps must stay nonempty and the
+truncation degree must stay at least 4.  A key or group name the packaged
+configuration does not know is refused, not ignored.
 """
 
 import functools
@@ -67,6 +68,8 @@ from .reports import (
 )
 
 CONFIG_FILE = "default_config.json"
+# the top-level keys of a configuration
+_CONFIG_KEYS = ("schema", "degree", "max_weight", "points", "cache_dir")
 
 # point-group keys that are not ParamPoint fields
 _EXTRA_KEYS = ("beta", "sqrt_param")
@@ -151,14 +154,22 @@ class RunConfig:
 
     @classmethod
     def from_json_obj(cls, obj, base: "RunConfig" = None) -> "RunConfig":
+        """The configuration obj, its fields over base's.  A key other than
+        _CONFIG_KEYS, or a point group the packaged configuration does not
+        name, raises ValueError rather than being ignored."""
         if not isinstance(obj, dict) or obj.get("schema") != 1:
             raise ValueError("configuration must be an object that declares schema 1")
+        unknown = sorted(set(obj) - set(_CONFIG_KEYS))
+        if unknown:
+            raise ValueError(f"unknown configuration key {unknown[0]!r}")
         points = obj.get("points", {})
         if not isinstance(points, dict):
             raise ValueError("points must map group names to lists of points")
         base = base or cls()
         groups = dict(base.groups)
         for name, pts in points.items():
+            if name not in _packaged()["points"]:
+                raise ValueError(f"unknown point group {name!r}")
             if not isinstance(pts, list):
                 raise ValueError(f"point group {name!r} must be a list")
             groups[name] = tuple(ConfiguredPoint.from_json_obj(p) for p in pts)
@@ -173,9 +184,15 @@ class RunConfig:
         )
 
 
+@functools.lru_cache(maxsize=None)
+def _packaged() -> dict:
+    """The packaged configuration as parsed JSON, read once per process; the
+    dict is shared and must not be mutated."""
+    return json.loads(resources.files(__package__).joinpath(CONFIG_FILE).read_text())
+
+
 def default_config() -> RunConfig:
-    text = resources.files(__package__).joinpath(CONFIG_FILE).read_text()
-    return RunConfig.from_json_obj(json.loads(text))
+    return RunConfig.from_json_obj(_packaged())
 
 
 def _run(name: str, entries) -> VerificationReport:

@@ -622,7 +622,8 @@ def _aw_poly_reference(n, P):
 
 
 def _psi_series_reference(s, P, N):
-    """psi_series with each inner 6phi5 summed by phi_sum from its PhiSpec."""
+    """psi_series with each inner 6phi5 summed by phi_sum from its PhiSpec;
+    a pole in row n is reported at the same term of that row."""
     a, b, c, d, q = P.a, P.b, P.c, P.d, P.q
     sq = P.sqrt_q
     s = rat(s)
@@ -652,7 +653,11 @@ def _psi_series_reference(s, P, N):
             base=q,
             argument=q,
         )
-        inner.append(outer * phi_sum(spec, n))
+        try:
+            inner.append(outer * phi_sum(spec, n))
+        except PoleInLower as err:
+            at_term = str(err).partition(" of ")[0]
+            raise PoleInLower(f"{at_term} of row {n} of the inner 6phi5") from None
         outer *= (1 - q * s ** 2 / a ** 2 * qn) / (1 - q * qn) * (a / s)
         qn *= q
     coeffs = []

@@ -639,7 +639,7 @@ class TestConjectureCheck:
         # a term off the weight's coset leaves the operator's image with no
         # Laurent quotient by the Weyl denominator: that is the difference
         # equation's fail, not an abort
-        monkeypatch.setattr(qbc.b2, "f_b2_poly", _planted(F(1, 10 ** 9), (1, 0)))
+        monkeypatch.setattr(qbc.b2, "f_b2_poly", _planted(_orbit_error((1, 0))))
         report = _plan_report(1, 1, B2P1)
         assert [c.verdict for c in report.cases] == ["pass", "fail", "fail"]
         assert report.cases[2].mismatch == {
@@ -650,11 +650,22 @@ class TestConjectureCheck:
             ),
         }
 
+    def test_series_that_is_not_invariant_fails(self, monkeypatch):
+        # the operator takes invariant polynomials only: a series with x_1
+        # alone added fails both comparisons instead of raising ValueError
+        monkeypatch.setattr(qbc.b2, "f_b2_poly", _planted(X1))
+        report = _plan_report(1, 1, B2P1)
+        assert [c.verdict for c in report.cases] == ["pass", "fail", "fail"]
+        assert report.cases[2].mismatch == {
+            "expected": "series invariant under the signed permutations",
+            "got": "a term whose image under a signed permutation is missing",
+        }
+
     def test_planted_error_reports_its_leading_monomial(self, monkeypatch):
         # an even orbit sum off by 10^-9 leads the difference at the doubled
         # exponent (2, 0): the oracle has no term there, and the operator's
         # image and E times the series differ in both coefficients
-        monkeypatch.setattr(qbc.b2, "f_b2_poly", _planted(F(1, 10 ** 9), (2, 0)))
+        monkeypatch.setattr(qbc.b2, "f_b2_poly", _planted(_orbit_error((2, 0))))
         report = _plan_report(1, 1, B2P1)
         assert [(c.verdict, c.mismatch) for c in report.cases] == [
             ("pass", None),
@@ -670,15 +681,23 @@ class TestConjectureCheck:
         ]
 
 
-def _planted(eps, key):
-    """f_b2_poly with eps times the orbit sum over the signed permutations
-    of the doubled exponent key added at weight (1, 1)."""
+#: x_1 on the doubled lattice, a term no invariant series can have alone
+X1 = LaurentPoly.monomial((2, 0), 1, 2)
+
+
+def _orbit_error(key):
+    """10^-9 times the orbit sum of the doubled exponent key."""
+    return monomial_symmetric(key, 2, 2) * F(1, 10 ** 9)
+
+
+def _planted(error):
+    """f_b2_poly with the polynomial error added at weight (1, 1)."""
     real = f_b2_poly
 
     def planted(w, P):
         poly = real(w, P)
         if w == B2Weight(1, 1):
-            poly = poly + monomial_symmetric(key, 2, 2) * eps
+            poly = poly + error
         return poly
 
     return planted
@@ -687,12 +706,17 @@ def _planted(eps, key):
 class TestNegativeControl:
     """A planted error in the series at weight (1, 1) fails exactly that
     weight's two comparisons at both points, the suite runs on, and
-    `qbc verify b2` exits 1."""
+    `qbc verify b2` exits 1.  The errors are an orbit sum off the weight's
+    coset or on it, and x_1 alone, which the operator cannot take."""
 
-    @pytest.mark.parametrize("key", [(1, 0), (2, 0)], ids=["off-coset", "even"])
-    def test_planted_error_fails_its_weight_only(self, key, monkeypatch, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "error",
+        [_orbit_error((1, 0)), _orbit_error((2, 0)), X1],
+        ids=["off-coset", "even", "not-invariant"],
+    )
+    def test_planted_error_fails_its_weight_only(self, error, monkeypatch, tmp_path, capsys):
         monkeypatch.setenv(CACHE_ENV, str(tmp_path / "cache"))
-        monkeypatch.setattr(qbc.b2, "f_b2_poly", _planted(F(1, 10 ** 9), key))
+        monkeypatch.setattr(qbc.b2, "f_b2_poly", _planted(error))
         report = run_suite("b2", default_config())
         assert len(report.cases) == 74
         failed = sorted(c.case_id for c in report.cases if c.verdict == "fail")

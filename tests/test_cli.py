@@ -278,6 +278,26 @@ class TestVerify:
         assert main(["verify", "kernel", "--config", cfg]) == 2
         assert capsys.readouterr().err.startswith("usage error: bad configuration")
 
+    # a misspelt key or group would otherwise leave the defaults in force
+    # and exit 0; the top-level keys are checked first
+    MISSPELT_CONFIGS = {
+        "key-and-group": (
+            {"schema": 1, "degre": 30, "points": {"koornwiner": [{"sqrt_q": "1/2"}]}},
+            "unknown configuration key 'degre'",
+        ),
+        "group": (
+            {"schema": 1, "points": {"koornwiner": [{"sqrt_q": "1/2"}]}},
+            "unknown point group 'koornwiner'",
+        ),
+    }
+
+    @pytest.mark.parametrize("shape", sorted(MISSPELT_CONFIGS))
+    def test_misspelt_config_key_is_refused(self, shape, tmp_path, capsys):
+        obj, reason = self.MISSPELT_CONFIGS[shape]
+        cfg = _write_config(tmp_path, obj)
+        assert main(["verify", "kernel", "--config", cfg]) == 2
+        assert capsys.readouterr().err == f"usage error: bad configuration: {reason}\n"
+
     @pytest.mark.parametrize(
         "argv",
         [["cache", "warm"], ["verify", "lassalle"], ["compute", "macdonald-d", "--r", "1"]],

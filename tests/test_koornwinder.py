@@ -19,6 +19,7 @@ from qbc.algebra import (
     ParamPoint,
     dominated_partitions,
     format_rational,
+    padded_partition,
 )
 from qbc.askey_wilson import aw_apply, aw_eigenvalue, aw_poly
 from qbc.errors import DimensionMismatch, ParameterDegeneracy
@@ -32,12 +33,11 @@ from qbc.koornwinder import (
     g_series_list,
     kernel_identity_check,
     koorn_apply,
-    koorn_eigenvalue,
     koorn_oracle,
     row_sum,
 )
 from qbc.qseries import qbinom_series, qpoch
-from qbc.suites import _plan, _run, default_config
+from qbc.suites import RunConfig, _plan, _run, default_config, run_suite
 from conftest import monomial_symmetric, orbit_sum, poly_key
 import full_terms
 
@@ -59,6 +59,11 @@ POINT_KER1 = ParamPoint(
     sqrt_q=Fraction(1, 2), sqrt_t=Fraction(1, 2), a=3, b=5, c=7, d=Fraction(21, 5)
 )
 POINT_KER2 = POINT_KER1.replace(sqrt_t=Fraction(1, 4))
+# both shipped koornwinder points have a^2 q = 1, where a and 1/(q a) agree;
+# this one has a^2 q = 4/9 (abcd/q = 900, alpha = 30)
+POINT_K3 = ParamPoint(
+    sqrt_q=Fraction(1, 3), sqrt_t=Fraction(1, 2), a=2, b=3, c=5, d=Fraction(10, 3)
+)
 
 
 def eval_two_vars(f, x1, x2):
@@ -113,6 +118,20 @@ class TestOperator:
         direct /= P.alpha * t
         image = koorn_apply(OrbitPoly.from_poly(f), P, 2)
         assert eval_two_vars(image.expand(), *x) == direct
+
+
+def koorn_eigenvalue(lam, P: ParamPoint, n: int) -> Fraction:
+    """The operator's eigenvalue on P_lam: the sum over j of
+    e_j + 1/e_j - b_j - 1/b_j for b_j = alpha t^(n - j) and e_j = b_j q^(lam_j),
+    the reference the solve's residual is checked against."""
+    P.require("a", "b", "c", "d", "sqrt_t")
+    alpha, q, t = P.alpha, P.q, P.t
+    total = Fraction(0)
+    for j, part in enumerate(padded_partition(lam, n), start=1):
+        base = alpha * t ** (n - j)
+        shifted = base * q ** part
+        total += shifted + 1 / shifted - base - 1 / base
+    return total
 
 
 class TestEigenvalue:
@@ -459,6 +478,16 @@ def test_row_general_is_the_full_term_row_past_the_suite_ranks(P, n, r, monkeypa
     assert len(got.terms) == len(dominated_partitions((r,), n))
 
 
+@pytest.mark.usefixtures("isolated_cache")
+def test_row_general_matches_the_oracle_where_a_squared_q_is_not_one():
+    # the koornwinder suite's 14 cases, ranks 1-3, at POINT_K3: a wrong
+    # rescaled a in g_row_general that the shipped points hide fails here
+    points = {"koornwinder": [POINT_K3.to_json_obj()]}
+    cfg = RunConfig.from_json_obj({"schema": 1, "points": points}, default_config())
+    report = run_suite("koornwinder", cfg)
+    assert [c.verdict for c in report.cases] == ["pass"] * 14
+
+
 def _kernel_residuals_reference(n, beta, deg, P):
     """kernel_identity_check's residuals with all their terms, one per
     y-degree e, each summed from five polynomial scalings per j as the
@@ -505,6 +534,16 @@ class TestKernelIdentity:
 
     def test_beta_two(self):
         assert _kernel_report(2, 2, 4, POINT_KER2).passed
+
+    @pytest.mark.parametrize(
+        "cp",
+        [pytest.param(cp, id=f"p{i}") for i, cp in enumerate(default_config().points("kernel"), 1)],
+    )
+    def test_rank_three_at_the_shipped_points(self, cp):
+        # the constant's factor st^(n - 2) is 1 at the suite's rank 2, so
+        # only a higher rank tells alpha st^(n - 2) from alpha / st^(n - 2)
+        report = _kernel_report(3, cp.beta, 6, cp.point)
+        assert [c.verdict for c in report.cases] == ["pass"] * 7
 
     def test_requires_matching_t(self):
         with pytest.raises(ParameterDegeneracy):

@@ -31,7 +31,6 @@ SRC = TESTS.parent / "src" / "qbc"
 
 #: definitions kept although nothing in src/qbc refers to them yet
 UNREFERENCED_ALLOWED = {
-    "koorn_eigenvalue": "the planned point verdict's eigenvalue-distinctness check",
     "lassalle_b_forms": "the paper's type-B rewrite chain, kept for future suite cases",
 }
 

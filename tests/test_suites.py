@@ -27,6 +27,24 @@ def clock(monkeypatch):
     return fake
 
 
+def test_packaged_configuration_is_read_once(monkeypatch):
+    # default_config and the check of a configuration's group names share
+    # one read of the packaged file
+    reads = []
+    files = suites.resources.files
+    monkeypatch.setattr(suites.resources, "files", lambda pkg: reads.append(pkg) or files(pkg))
+    suites._packaged.cache_clear()
+    b2 = {"sqrt_q": "1/2", "sqrt_t": "1/3", "sqrt_T": "1/5"}
+    for _ in range(3):
+        suites.RunConfig.from_json_obj({"schema": 1, "points": {"b2": [b2]}})
+        suites.default_config()
+    assert len(reads) == 1
+    known = set(suites._packaged()["points"])
+    assert known == set(suites.default_config().groups)
+    with pytest.raises(ValueError, match="unknown point group 'b3'"):
+        suites.RunConfig.from_json_obj({"schema": 1, "points": {"b3": [b2]}})
+
+
 def test_plan_verdicts_ids_and_setup_time(clock):
     def spend(seconds, outcome):
         clock.now += seconds
