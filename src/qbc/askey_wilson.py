@@ -220,79 +220,117 @@ def _even_steps(s, P: ParamPoint) -> tuple:
     return outer, inner
 
 
-def odd_sums(s, P: ParamPoint, W: int) -> list:
-    """c_o(m, n; s) summed along m + n = w for w = 0..W: a walk along m at
-    n = 0, then along n.  It also sums the regrouped display, whose ladders
-    in m + n step by the records with x = y: the two walks' inner steps are
-    one, and their outer steps differ by 1 + q^(m+1) s/(ac) over itself."""
+def _odd_steps(s, P: ParamPoint) -> tuple:
+    """The outer and inner steps of c_o(m, n; s), a walk along m at n = 0,
+    then along n; each record (C, x, y, p) has a C carrying s^p, so one
+    family serves every shift s -> q^w s.  The walk also sums the regrouped
+    display, whose ladders in m + n step by the records with x = y: the two
+    walks' inner steps are one, and their outer steps differ by
+    1 + q^(m+1) s/(ac) over itself."""
     P.require("a", "b", "c", "d")
     a, b, c, d, q = P.a, P.b, P.c, P.d, P.q
-    s = rat(s)
     sac = q * s * s / (a * a * c * c)
     sabcd = q * q * s * s / (a * b * c * d)
     sacn = -q * s / (a * c)
     outer = (
         q / b,
-        [(-b / a, 1, 0), (s, 1, 0), (q * s / (c * d), 1, 0), (sac, 1, 0)],
-        [(q, 1, 0), (sabcd, 1, 0), (sac, 2, 0)],
+        [(-b / a, 1, 0, 0), (s, 1, 0, 1), (q * s / (c * d), 1, 0, 1), (sac, 1, 0, 2)],
+        [(q, 1, 0, 0), (sabcd, 1, 0, 2), (sac, 2, 0, 2)],
     )
     inner = (
         q / d,
-        [(-d / c, 0, 1), (q * s / (a * b), 0, 1), (s, 1, 1), (sacn, 1, 1), (sac, 1, 1)],
-        [(q, 0, 1), (sabcd, 1, 1), (sacn, 0, 1), (sac, 2, 2)],
+        [
+            (-d / c, 0, 1, 0), (q * s / (a * b), 0, 1, 1), (s, 1, 1, 1), (sacn, 1, 1, 1),
+            (sac, 1, 1, 2),
+        ],
+        [(q, 0, 1, 0), (sabcd, 1, 1, 2), (sacn, 0, 1, 1), (sac, 2, 2, 2)],
     )
-    return _ladder_walk(
-        [W - m for m in range(W + 1)], _Powers(q), outer, inner, "the odd family"
-    )
+    return outer, inner
 
 
-def _coupled_sums(s, P: ParamPoint, tops, cu, su, what: str) -> list:
-    """Sums along k + l, over 0 <= l < len(tops), 0 <= k <= tops[l], of
+def _odd_walk(steps, powers: _Powers, W: int, shift: int) -> list:
+    """c_o(m, n) summed along m + n = w for w = 0..W, from the odd family's
+    steps taken at q^shift s."""
+    return _ladder_walk([W - m for m in range(W + 1)], powers, *steps, "the odd family", shift)
+
+
+def odd_sums(s, P: ParamPoint, W: int) -> list:
+    """c_o(m, n; s) summed along m + n = w for w = 0..W: a walk along m at
+    n = 0, then along n."""
+    return _odd_walk(_odd_steps(rat(s), P), _Powers(P.q), W, 0)
+
+
+def _coupled_steps(s, P: ParamPoint, twist: int) -> tuple:
+    """The outer and inner steps of
 
         (q a^2/c^2, q^3 s/c^2, q^2 s^2/c^4; q^2)_k (q^2/a^2)^k
         / (q^2, q s/c^2, q^3 s^2/(a^2 c^2); q^2)_k
         * (cu; q)_l (su; q)_(2k+l) (q^2/c^2)^l / ((q; q)_l (q^2 s/c^2; q)_(2k+l)),
 
-    a walk along l at k = 0, then along k; the (.; q)_(2k+l) ladders add
-    two factors per step in k.  The coupled even route takes
-    (cu, su) = (c^2/q, s), the primed even family (c^2/q^2, s/q)."""
+    with cu = c^2/q^(1 + twist) and su = s/q^twist, a walk along l at
+    k = 0, then along k; the (.; q)_(2k+l) ladders add two factors per step
+    in k.  The coupled even route takes twist 0, the primed even family
+    twist 1.  Each record (C, x, y, p) has a C carrying s^p."""
     P.require("a", "c")
     a, c, q = P.a, P.c, P.q
     q2 = q * q
     a2, c2 = a * a, c * c
     q2sc = q2 * s / c2
-    outer = (q2 / c2, [(cu, 1, 0), (su, 1, 0)], [(q, 1, 0), (q2sc, 1, 0)])
+    cu, su = c2 / q ** (1 + twist), s / q ** twist
+    outer = (q2 / c2, [(cu, 1, 0, 0), (su, 1, 0, 1)], [(q, 1, 0, 0), (q2sc, 1, 0, 1)])
     inner = (
         q2 / a2,
         [
-            (q * a2 / c2, 0, 2), (q ** 3 * s / c2, 0, 2), (q2 * s * s / (c2 * c2), 0, 2),
-            (su, 1, 2), (su * q, 1, 2),
+            (q * a2 / c2, 0, 2, 0), (q ** 3 * s / c2, 0, 2, 1),
+            (q2 * s * s / (c2 * c2), 0, 2, 2), (su, 1, 2, 1), (su * q, 1, 2, 1),
         ],
         [
-            (q2, 0, 2), (q * s / c2, 0, 2), (q ** 3 * s * s / (a2 * c2), 0, 2),
-            (q2sc, 1, 2), (q2sc * q, 1, 2),
+            (q2, 0, 2, 0), (q * s / c2, 0, 2, 1), (q ** 3 * s * s / (a2 * c2), 0, 2, 2),
+            (q2sc, 1, 2, 1), (q2sc * q, 1, 2, 1),
         ],
     )
-    return _ladder_walk(tops, _Powers(q), outer, inner, what)
+    return outer, inner
 
 
-def ce_prime_sums(s, P: ParamPoint, D: int) -> list:
-    """c'_e(k, l; s) summed along k + l = K for K = 0..D, where c'_e
-    absorbs a (1 - x^2) prefactor:
-    (1 - x^2) sum c_e(k,l;s) x^(2k+2l) = sum c'_e(k,l;s) x^(2k+2l).
-    The coupled walk covers every factor but the ratio
-    (1 - q^(2k+2l-1) s) / (1 - s/q), which depends on k + l alone and
-    multiplies each sum."""
-    P.require("a", "c")
-    q, s = P.q, rat(s)
+def _primed_walk(steps, powers: _Powers, s, D: int, shift: int) -> list:
+    """c'_e(k, l) summed along k + l = K for K = 0..D, from the primed even
+    family's steps built at s and taken at q^shift s.  The coupled walk
+    covers every factor but the ratio (1 - q^(2k+2l-1) s) / (1 - s/q),
+    which depends on k + l alone and multiplies each sum."""
+    q = powers.q
+    s = s * q ** shift
     if s == q:
         raise ParameterDegeneracy("the ratio factor needs s != q")
-    sums = _coupled_sums(
-        s, P, [D - l for l in range(D + 1)], P.c ** 2 / q ** 2, s / q, "the primed even family"
+    sums = _ladder_walk(
+        [D - l for l in range(D + 1)], powers, *steps, "the primed even family", shift
     )
     return [
         value * (1 - q ** (2 * K - 1) * s) / (1 - s / q) for K, value in enumerate(sums)
     ]
+
+
+def _convolve(outer, rows, size: int, scale=1) -> list:
+    """Entry e, for e < size, the sum of outer[w] row[K] over the (w, row)
+    pairs of rows and the K with w + 2K = e, times scale.  Each product is
+    crossed in integers and each sum runs over the lcm of its denominators,
+    as _ladder_walk's diagonal sums do: no Fraction is made per pair, and
+    one per entry at the end."""
+    nums, dens = [0] * size, [1] * size
+    for w, row in rows:
+        on, od = outer[w].numerator, outer[w].denominator
+        for K, value in enumerate(row):
+            vn, vd = value.numerator, value.denominator
+            g1, g2 = gcd(on, vd), gcd(vn, od)
+            tn, td = (on // g1) * (vn // g2), (od // g2) * (vd // g1)
+            e, sd = w + 2 * K, dens[w + 2 * K]
+            if sd % td:
+                g = gcd(sd, td)
+                nums[e] = nums[e] * (td // g) + tn * (sd // g)
+                dens[e] = sd // g * td
+            else:
+                nums[e] += tn * (sd // td)
+    sn, sd = scale.numerator, scale.denominator
+    return [Fraction(n * sn, d * sd) for n, d in zip(nums, dens)]
 
 
 def phi_series(s, P: ParamPoint, N: int) -> tuple:
@@ -305,17 +343,17 @@ def phi_series(s, P: ParamPoint, N: int) -> tuple:
     even triangle k + l <= (N - w) / 2 is walked once per w at q^w s, from
     one even family built at s and one table of powers of q."""
     s = rat(s)
-    odd = odd_sums(s, P, N)
-    outer, inner = _even_steps(s, P)
     powers = _Powers(P.q)
-    coeffs = [Fraction(0)] * (N + 1)
-    for w in range(N + 1):
-        deg = (N - w) // 2
-        tops = [deg - l for l in range(deg + 1)]
-        even = _ladder_walk(tops, powers, outer, inner, "the even family", w)
-        for K, value in enumerate(even):
-            coeffs[w + 2 * K] += value * odd[w]
-    return tuple(coeffs)
+    odd = _odd_walk(_odd_steps(s, P), powers, N, 0)
+    steps = _even_steps(s, P)
+    walks = (
+        (w, _ladder_walk(
+            [(N - w) // 2 - l for l in range((N - w) // 2 + 1)], powers, *steps,
+            "the even family", w,
+        ))
+        for w in range(N + 1)
+    )
+    return tuple(_convolve(odd, walks, N + 1))
 
 
 def psi_series(s, P: ParamPoint, N: int) -> tuple:
@@ -373,10 +411,21 @@ def psi_series(s, P: ParamPoint, N: int) -> tuple:
     )
 
 
+@lru_cache(maxsize=None)
+def _unit_families(P: ParamPoint) -> tuple:
+    """The odd and even families' steps built at s = 1: fourfold_poly takes
+    them at s = q^-lam for every lam.  Memoized per point for the process;
+    shared, and must not be mutated."""
+    one = Fraction(1)
+    return _odd_steps(one, P), _even_steps(one, P)
+
+
 def fourfold_poly(lam: int, P: ParamPoint) -> LaurentPoly:
     """One-row polynomial as a finite sum over the lattice polyhedron
     0 <= m <= lam, 0 <= n <= lam-m, 0 <= 2l <= lam-m-n, 0 <= k <= lam-2l-m-n,
-    with s pinned to q^-lam.
+    with s pinned to q^-lam: the odd family walked at shift -lam, the even
+    one at w - lam, and the prefactor folded into each coefficient's
+    one Fraction.
 
     The even walk at m + n = w is skipped when the odd sum there is zero.
     That cannot hide a degenerate point: every lower factor the even family
@@ -385,22 +434,22 @@ def fourfold_poly(lam: int, P: ParamPoint) -> LaurentPoly:
     P.require("a", "b", "c", "d")
     if lam < 0:
         raise ValueError("lam must be nonnegative")
+    odd_steps, even_steps = _unit_families(P)
+    powers = _Powers(P.q)
+    odd = _odd_walk(odd_steps, powers, lam, -lam)
+    walks = (
+        (w, _ladder_walk(
+            [lam - w - 2 * l for l in range((lam - w) // 2 + 1)], powers, *even_steps,
+            "the even family", w - lam,
+        ))
+        for w in range(lam + 1)
+        if odd[w]
+    )
     q = P.q
-    s = q ** -lam
-    odd = odd_sums(s, P, lam)
-    outer, inner = _even_steps(s, P)
-    powers = _Powers(q)
-    terms: dict = {}
-    for w in range(lam + 1):
-        if not odd[w]:
-            continue
-        tops = [lam - w - 2 * l for l in range((lam - w) // 2 + 1)]
-        even = _ladder_walk(tops, powers, outer, inner, "the even family", w)
-        for K, value in enumerate(even):
-            e = (-lam + 2 * K + w,)
-            terms[e] = terms.get(e, Fraction(0)) + odd[w] * value
     pref = qpoch(P.abcd() * q ** (lam - 1), q, lam)
-    return LaurentPoly(1, terms) * pref
+    coeffs = _convolve(odd, walks, 2 * lam + 1, pref)
+    terms = {(e - lam,): c for e, c in enumerate(coeffs) if c}
+    return LaurentPoly._raw(1, terms)
 
 
 def even_sum_closed(s, P: ParamPoint, N: int) -> list:
@@ -449,15 +498,16 @@ def even_sum_forms(s, P: ParamPoint, N: int) -> EvenSumForms:
     bibasic rewrites (split ladders, and ladders coupled through 2k+l).
 
     Every route but the closed one walks the triangle k + l <= N by running
-    ratios, along l at k = 0 and then along k; the coupled route is the walk
-    ce_prime_sums takes at shifted ladders."""
+    ratios, along l at k = 0 and then along k; the coupled route walks the
+    family whose shifted ladders are the primed even family g_row_sym
+    reads."""
     P.require("a", "c")
     s = rat(s)
     tops = [N - l for l in range(N + 1)]
     raw = _ladder_walk(tops, _Powers(P.q), *_even_steps(s, P), "the even family")
     closed = even_sum_closed(s, P, N)
     split = _split_sums(s, P, tops)
-    coupled = _coupled_sums(s, P, tops, P.c ** 2 / P.q, s, "the coupled form")
+    coupled = _ladder_walk(tops, _Powers(P.q), *_coupled_steps(s, P, 0), "the coupled form")
     return EvenSumForms(raw, closed, split, coupled)
 
 

@@ -8,6 +8,11 @@ Every polynomial here is invariant under the signed permutations, so each
 is held as an OrbitPoly, by its coefficients on the orbit sums: the G
 tables, the row sums, the operator's images, the oracle's solutions and
 its cache entries.
+
+The one-row sum is one weight vector on the G table, entry d the scalar
+weight on G_(r-d), summed by one row_sum.  Its weights come from
+coefficient families built once per (P, n) at one spectral value and
+walked, for row r, at the shift q^-r of it.
 """
 
 import hashlib
@@ -28,9 +33,9 @@ from .algebra import (
     rat,
     solve_triangular_eigenproblem,
 )
-from .askey_wilson import ce_prime_sums, odd_sums
+from .askey_wilson import _convolve, _coupled_steps, _odd_steps, _odd_walk, _primed_walk
 from .errors import CacheError, DimensionMismatch, ParameterDegeneracy
-from .qseries import qbinom_terms
+from .qseries import _Powers, qbinom_terms
 from .reports import nonzero
 
 CACHE_ENV = "QBC_CACHE_DIR"
@@ -304,45 +309,74 @@ def row_sum(n: int, terms) -> OrbitPoly:
 
 
 @lru_cache(maxsize=None)
-def g_row_sym(r: int, P: ParamPoint, n: int) -> OrbitPoly:
-    """One-row sum for the chained parameter family (a, -a, c, -c).
+def _primed_family(P: ParamPoint, n: int) -> tuple:
+    """g_row_sym's coefficient family: the primed even family's steps at the
+    point rescaled by sqrt(q/t), built at s0 = q t^(-n), and s0; row r
+    takes them at q^(-r) s0.  Memoized per (P, n) for the process; shared,
+    and must not be mutated."""
+    hat = P.sqrt_q / P.sqrt_t
+    s0 = P.q * P.t ** -n
+    return _coupled_steps(s0, P.replace(a=hat * P.a, c=hat * P.c), 1), s0
+
+
+@lru_cache(maxsize=None)
+def _odd_family(P: ParamPoint, n: int) -> tuple:
+    """g_row_general's coefficient family: the odd family's steps at the
+    point rescaled by sqrt(q/t), built at s0 = q t^(-n); row r takes them
+    at q^(-r) s0.  Memoized per (P, n) for the process; shared, and must not
+    be mutated."""
+    hat = P.sqrt_q / P.sqrt_t
+    Phat = P.replace(a=hat * P.a, b=hat * P.b, c=hat * P.c, d=hat * P.d)
+    return _odd_steps(P.q * P.t ** -n, Phat)
+
+
+@lru_cache(maxsize=None)
+def g_row_sym(r: int, P: ParamPoint, n: int) -> tuple:
+    """Weights of the one-row sum for the chained parameter family
+    (a, -a, c, -c): entry d is the weight on G_(r-d).
 
     The k,l weights are the primed even-family coefficients evaluated at a
     point rescaled by sqrt(q/t) and at the pinned spectral value
     q^(1-r) t^(-n), carrying one factor t/q per lattice step; they enter
-    summed along k + l.
+    summed along k + l = d/2.
 
-    g_row_general reads rows 0..r of it for row r, so the rows are memoized
-    per (r, P, n) for the process.  The result is shared by every caller
-    and must not be mutated.
+    g_row_general reads rows 0..r of them for row r, so the weights are
+    memoized per (r, P, n) for the process.
     """
     P.require("a", "c", "sqrt_t")
-    q, t = P.q, P.t
-    hat = P.sqrt_q / P.sqrt_t
-    Phat = P.replace(a=hat * P.a, c=hat * P.c)
-    shat = q ** (1 - r) * t ** -n
-    gs = g_series_list(r, n, P)
-    sums = ce_prime_sums(shat, Phat, r // 2)
-    return row_sum(n, ((gs[r - 2 * K], value * (t / q) ** K) for K, value in enumerate(sums)))
+    steps, s0 = _primed_family(P, n)
+    tq = P.t / P.q
+    weights = [Fraction(0)] * (r + 1)
+    for K, value in enumerate(_primed_walk(steps, _Powers(P.q), s0, r // 2, -r)):
+        weights[2 * K] = value * tq ** K
+    return tuple(weights)
 
 
-def g_row_general(r: int, P: ParamPoint, n: int) -> OrbitPoly:
-    """One-row sum for general (a,b,c,d), layered over g_row_sym.
+def g_row_weights(r: int, P: ParamPoint, n: int) -> list:
+    """Weights of the one-row sum for general (a,b,c,d): entry d is the
+    weight on G_(r-d).
 
     The i,j weights are the odd-family coefficients (the paper writes them
     regrouped, with ladders in i + j) at the same rescaled point and
-    spectral value, carrying sqrt(t/q) per step and summed along i + j;
-    both ladders collapse to the (0,0) term when b=-a and d=-c.
+    spectral value as g_row_sym's, carrying sqrt(t/q) per step and summed
+    along i + j = w; the sum at w weighs row r - w of g_row_sym, so the
+    weights are the odd sums convolved with g_row_sym's.  Both ladders
+    collapse to the (0,0) term when b=-a and d=-c.
     """
     P.require("a", "b", "c", "d", "sqrt_t")
-    q, t = P.q, P.t
-    hat = P.sqrt_q / P.sqrt_t
-    Phat = P.replace(a=hat * P.a, b=hat * P.b, c=hat * P.c, d=hat * P.d)
-    shat = q ** (1 - r) * t ** -n
-    half = P.sqrt_t / P.sqrt_q
     syms = [g_row_sym(k, P, n) for k in range(r + 1)]
-    sums = odd_sums(shat, Phat, r)
-    return row_sum(n, ((syms[r - w], value * half ** w) for w, value in enumerate(sums)))
+    half = P.sqrt_t / P.sqrt_q
+    odd = _odd_walk(_odd_family(P, n), _Powers(P.q), r, -r)
+    odd = [value * half ** w for w, value in enumerate(odd)]
+    return _convolve(odd, ((w, syms[r - w][::2]) for w in range(r + 1) if odd[w]), r + 1)
+
+
+def g_row_general(r: int, P: ParamPoint, n: int) -> OrbitPoly:
+    """One-row sum for general (a,b,c,d): g_row_weights on the G table,
+    summed by one row_sum."""
+    weights = g_row_weights(r, P, n)
+    gs = g_series_list(r, n, P)
+    return row_sum(n, ((gs[r - d], c) for d, c in enumerate(weights)))
 
 
 def _poly_mul(u, v):

@@ -1,6 +1,12 @@
 """Specializations of the five-parameter layer to the three classical
 one-parameter families, their explicit one-row expansions, and the
 equivalent rewritten displays those expansions were first conjectured in.
+
+Each display is one weight vector on the G table, entry d the scalar weight
+on G_(r-d), summed by one row_sum.  The weights are walked once, by running
+ratios in integers (askey_wilson._ladder_walk): type B's over the triangle
+i + 2j <= r, the others along one index, and type B's positive-power
+display as its walk convolved with family D's weights.
 """
 
 from dataclasses import dataclass
@@ -9,10 +15,10 @@ from functools import cache, lru_cache, partial
 from typing import Optional
 
 from .algebra import OrbitPoly, ParamPoint, format_rational, rat
-from .askey_wilson import FULL_BASE, collapse_sums, phi_series
+from .askey_wilson import FULL_BASE, _convolve, _ladder_walk, collapse_sums, phi_series
 from .errors import MissingSquareRoot, ParameterDegeneracy
 from .koornwinder import g_series_list, row_sum
-from .qseries import qpoch, qpoch_ratio
+from .qseries import _Powers, qpoch, qpoch_ratio
 from .reports import mismatch
 
 FAMILY_B = "B"
@@ -79,92 +85,169 @@ def _head(r: int, P: ParamPoint) -> Fraction:
     return qpoch_ratio((P.q,), (P.t,), P.q, r, "the one-row prefactor")
 
 
-def _pivot(x: Fraction, qk: Fraction, what: str) -> Fraction:
-    # the well-poised factor (1 - x q^k) / (1 - x), given q^k: a quotient of
-    # length-one ladders, whose base plays no part
-    return qpoch_ratio((x * qk,), (x,), qk, 1, what)
+#: the step of a walk that runs along one index only
+_NO_STEP = (1, [], [])
+
+_TAG_D = FamilyTag(FAMILY_D)
+
+_ONE_ROW = "the one-row weight"
+_CONJECTURED = "the conjectured weight"
 
 
-def _weight_cd(j: int, r: int, b: Fraction, P: ParamPoint, n: int) -> Fraction:
-    # family D is the b = 1 case of the same single-ladder weight
+@lru_cache(maxsize=None)
+def _mac_steps(tag: FamilyTag, P: ParamPoint, n: int) -> tuple:
+    """The outer and inner steps of mac_row's weights for the family at
+    rank n, built at row 0: each record (C, x, y, p) has a C carrying
+    q^(-p r), so row r takes them at shift -r.  Family B walks the triangle
+    i + 2j <= r, along i at j = 0 and then along j; the two (i+j)-ladders
+    share the base t^(1-n) q^(1-r), so the numerator i-ladder is cancelled
+    against the denominator head, leaving only the tail of length j (the
+    uncancelled form is 0/0 at n = 1, i + j = r).  Families C (parameter b)
+    and D (b = 1) walk along j alone.  Memoized per (tag, P, n) for the
+    process; shared, and must not be mutated."""
     q, t = P.q, P.t
-    x = t ** -n * q ** -r
-    what = "the one-row weight"
-    return (
-        qpoch_ratio((b / t, x), (q, t ** (1 - n) * q ** (1 - r) / b), q, j, what)
-        * _pivot(x, q ** (2 * j), what)
-        * (t * t / (q * b)) ** j
+    x = t ** -n  # t^-n q^-r at row r
+    if tag.family == FAMILY_B:
+        a = tag.param
+        t2 = t ** (2 - 2 * n)
+        outer = (
+            t / a,
+            [(a, 1, 0, 0), (t2, 1, 0, 2), (x, 1, 0, 1)],
+            [(q, 1, 0, 0), (t * x, 1, 0, 1), (t2 * q / a, 1, 0, 2)],
+        )
+        inner = (t * t / q, [(1 / t, 0, 1, 0), (x, 1, 1, 1)], [(q, 0, 1, 0), (t * x * q, 1, 1, 1)])
+        return outer, inner
+    b = Fraction(1) if tag.family == FAMILY_D else tag.param
+    inner = (
+        t * t / (q * b),
+        [(b / t, 0, 1, 0), (x, 0, 1, 1)],
+        [(q, 0, 1, 0), (t * x * q / b, 0, 1, 1)],
     )
+    return _NO_STEP, inner
 
 
-def _weight_b(i: int, j: int, r: int, a: Fraction, P: ParamPoint, n: int) -> Fraction:
-    # the two (i+j)-ladders share the base t^(1-n) q^(1-r), so the numerator
-    # i-ladder is cancelled against the denominator head, leaving only the
-    # tail of length j; the uncancelled form is 0/0 at n = 1, i + j = r
-    q, t = P.q, P.t
-    x = t ** -n * q ** -r
-    t2 = t ** (2 - 2 * n)
-    what = "the one-row weight"
-    return (
-        qpoch(x, q, i + j)
-        * qpoch_ratio((a, t2 * q ** (-2 * r)), (q, t * x, t2 * q ** (1 - 2 * r) / a), q, i, what)
-        * qpoch_ratio((1 / t,), (q, t ** (1 - n) * q ** (1 - r + i)), q, j, what)
-        * _pivot(x, q ** (i + 2 * j), what)
-        * (t / a) ** i
-        * (t * t / q) ** j
-    )
+def _mac_weights(tag: FamilyTag, r: int, P: ParamPoint, n: int, scale) -> list:
+    """mac_row's weights for row r, each times scale: entry d is the weight
+    on G_(r-d), with d = i + 2j, the walk's sum times the well-poised factor
+    (1 - x q^d) / (1 - x) at x = t^-n q^-r.  A zero 1 - x raises, whatever
+    the sums: it is the lower ladder (x; q)_1 of the display's first term."""
+    q = P.q
+    powers = _Powers(q)
+    tops = [(r - i) // 2 for i in range(r + 1)] if tag.family == FAMILY_B else [r // 2]
+    sums = _ladder_walk(tops, powers, *_mac_steps(tag, P, n), _ONE_ROW, shift=-r, stride=2)
+    x = P.t ** -n * q ** -r
+    base = qpoch(x, q, 1)
+    if not base:
+        raise ParameterDegeneracy(f"vanishing lower Pochhammer in {_ONE_ROW}")
+    xn, xd = x.numerator, x.denominator
+    sn, sd = scale.numerator * base.denominator, scale.denominator * base.numerator
+    for d, value in enumerate(sums):
+        if value:
+            qn, qd = powers[d]
+            sums[d] = Fraction(value.numerator * (xd * qd - xn * qn) * sn,
+                               value.denominator * xd * qd * sd)
+    return sums
 
 
-def _cd_row(r: int, b: Fraction, P: ParamPoint, n: int, head) -> OrbitPoly:
-    """The single-ladder G-sum of families C (parameter b) and D (b = 1),
-    each weight times head."""
+def _row(weights, r: int, P: ParamPoint, n: int) -> OrbitPoly:
+    """The G-sum with weights[d] on G_(r-d), by one row_sum."""
     gs = g_series_list(r, n, P)
-    terms = ((gs[r - 2 * j], _weight_cd(j, r, b, P, n) * head) for j in range(r // 2 + 1))
-    return row_sum(n, terms)
+    return row_sum(n, ((gs[r - d], w) for d, w in enumerate(weights)))
+
+
+def mac_row_weights(tag: FamilyTag, r: int, P: ParamPoint, n: int) -> list:
+    """The weights of mac_row's G-sum, the monic head folded in: entry d
+    is the weight on G_(r-d)."""
+    if r < 0:
+        raise ValueError("row length must be nonnegative")
+    P.require("sqrt_t")
+    return _mac_weights(tag, r, P, n, _head(r, P))
 
 
 def mac_row(tag: FamilyTag, r: int, P: ParamPoint, n: int) -> OrbitPoly:
     """Monic one-row polynomial for the family, via the explicit G-sum with
     the monic head folded into its weights."""
+    return _row(mac_row_weights(tag, r, P, n), r, P, n)
+
+
+@lru_cache(maxsize=None)
+def _lassalle_steps(tag: FamilyTag, P: ParamPoint, n: int) -> tuple:
+    """The outer and inner steps of lassalle_form's walks for the family at
+    rank n, built at row 0: each record (C, x, y, p) has a C carrying
+    q^(p r), so row r takes them at shift r.  The ladders' bases, such as
+    t^n q^(r-i), move down a power of q per step, so each step adds its
+    factor at the bottom, a record with x or y = -1.  Families C (parameter
+    b) and D (b = 1) walk along i as the inner index; family B's i-weights
+    walk along i as the outer one.  Memoized per (tag, P, n) for the
+    process; shared, and must not be mutated."""
+    q, t = P.q, P.t
+    tn = t ** n / q  # t^n q^(r-1) at row r
+    if tag.family == FAMILY_B:
+        a = tag.param
+        t2 = t ** (2 * n - 2)
+        outer = (
+            1,
+            [(a, 1, 0, 0), (tn, -1, 0, 1), (t2, -1, 0, 2)],
+            [(q, 1, 0, 0), (tn * q / t, -1, 0, 1), (a * t2 / q, -1, 0, 2)],
+        )
+        return outer, _NO_STEP
+    b = Fraction(1) if tag.family == FAMILY_D else tag.param
+    inner = (t, [(b / t, 0, 1, 0), (tn, 0, -1, 1)], [(q, 0, 1, 0), (b * tn / t, 0, -1, 1)])
+    return _NO_STEP, inner
+
+
+def _lassalle_cd_weights(tag: FamilyTag, r: int, P: ParamPoint, n: int, scale) -> list:
+    """The positive-power weights of family C or D for row r, each times
+    scale: entry d = 2i is the weight on G_(r-d), the walk's sum times the
+    shifted pivot (1 - x q^-2i) / (1 - x q^-i) at x = t^n q^r.  A zero
+    1 - x q^-i raises at every i <= r/2, whatever the sums."""
+    q = P.q
+    powers = _Powers(q)
+    sums = _ladder_walk(
+        [r // 2], powers, *_lassalle_steps(tag, P, n), _CONJECTURED, shift=r, stride=2
+    )
+    x = P.t ** n * q ** r
+    xn, xd = x.numerator, x.denominator
+    sn, sd = scale.numerator, scale.denominator
+    for i in range(r // 2 + 1):
+        pn, pd = powers[-i]
+        low = xd * pd - xn * pn
+        if not low:
+            raise ParameterDegeneracy(f"vanishing lower Pochhammer in {_CONJECTURED}")
+        value = sums[2 * i]
+        if value:
+            p2n, p2d = powers[-2 * i]
+            sums[2 * i] = Fraction(value.numerator * (xd * p2d - xn * p2n) * pd * sn,
+                                   value.denominator * p2d * low * sd)
+    return sums
+
+
+@lru_cache(maxsize=None)
+def _lassalle_d_weights(r: int, P: ParamPoint, n: int) -> tuple:
+    """Family D's positive-power weights for row r, without the head.
+    Every type-B display reads rows 0..r of them and family D's display
+    reads row r, so they are memoized per (r, P, n) for the process."""
+    return tuple(_lassalle_cd_weights(_TAG_D, r, P, n, 1))
+
+
+def lassalle_weights(tag: FamilyTag, r: int, P: ParamPoint, n: int) -> list:
+    """The weights of lassalle_form's G-sum, the monic head folded in:
+    entry d is the weight on G_(r-d).  Type B's are one walk along i, each
+    weighing family D's row r - i: the walk convolved with family D's
+    weights."""
     if r < 0:
         raise ValueError("row length must be nonnegative")
     P.require("sqrt_t")
     head = _head(r, P)
-    if tag.family in (FAMILY_C, FAMILY_D):
-        b = Fraction(1) if tag.family == FAMILY_D else tag.param
-        return _cd_row(r, b, P, n, head)
-    a = tag.param
-    gs = g_series_list(r, n, P)
-    terms = (
-        (gs[r - i - 2 * j], _weight_b(i, j, r, a, P, n) * head)
-        for i in range(r + 1)
-        for j in range((r - i) // 2 + 1)
-    )
-    return row_sum(n, terms)
-
-
-def _lassalle_cd_sum(r: int, b: Fraction, P: ParamPoint, n: int, head) -> OrbitPoly:
-    # positive-power display, each weight times head; the shifted pivot
-    # 1 - t^n q^(r-i) replaces the boundary factor of the numerator ladder
-    q, t = P.q, P.t
-    what = "the conjectured weight"
-
-    def weight(i):
-        x = t ** n * q ** (r - i)
-        ratio = qpoch_ratio((b / t, x), (q, b * t ** (n - 1) * q ** (r - i)), q, i, what)
-        return t ** i * ratio * _pivot(x, q ** -i, what)
-
-    gs = g_series_list(r, n, P)
-    return row_sum(n, ((gs[r - 2 * i], weight(i) * head) for i in range(r // 2 + 1)))
-
-
-@lru_cache(maxsize=None)
-def _lassalle_d_row(r: int, P: ParamPoint, n: int) -> OrbitPoly:
-    """Family D's positive-power row without its head.  Every type-B
-    display reads rows 0..r of it and family D's display reads row r, so
-    the rows are memoized per (r, P, n) for the process; a row is shared by
-    every caller and must not be mutated."""
-    return _lassalle_cd_sum(r, Fraction(1), P, n, 1)
+    if tag.family == FAMILY_C:
+        return _lassalle_cd_weights(tag, r, P, n, head)
+    if tag.family == FAMILY_D:
+        return [w * head for w in _lassalle_d_weights(r, P, n)]
+    inner = [_lassalle_d_weights(k, P, n) for k in range(r + 1)]
+    steps = _lassalle_steps(tag, P, n)
+    sums = _ladder_walk([0] * (r + 1), _Powers(P.q), *steps, _CONJECTURED, shift=r)
+    rows = ((i, inner[r - i][::2]) for i in range(r + 1) if sums[i])
+    return _convolve(sums, rows, r + 1, head)
 
 
 def lassalle_form(tag: FamilyTag, r: int, P: ParamPoint, n: int) -> OrbitPoly:
@@ -174,27 +257,7 @@ def lassalle_form(tag: FamilyTag, r: int, P: ParamPoint, n: int) -> OrbitPoly:
     t^(n-1) q^(r-i); matching the other members of the rewrite chain needs
     q^(r-i+1), and that reading is the one verified here.
     """
-    if r < 0:
-        raise ValueError("row length must be nonnegative")
-    P.require("sqrt_t")
-    q, t = P.q, P.t
-    head = _head(r, P)
-    if tag.family == FAMILY_C:
-        return _lassalle_cd_sum(r, tag.param, P, n, head)
-    if tag.family == FAMILY_D:
-        return row_sum(n, [(_lassalle_d_row(r, P, n), head)])
-    a = tag.param
-    inner = [_lassalle_d_row(k, P, n) for k in range(r + 1)]
-    t2 = t ** (2 * n - 2)
-
-    def weight(i):
-        return qpoch_ratio(
-            (a, t ** n * q ** (r - i), t2 * q ** (2 * r - i + 1)),
-            (q, t ** (n - 1) * q ** (r - i + 1), a * t2 * q ** (2 * r - i)),
-            q, i, "the conjectured weight",
-        )
-
-    return row_sum(n, ((inner[r - i], weight(i) * head) for i in range(r + 1)))
+    return _row(lassalle_weights(tag, r, P, n), r, P, n)
 
 
 def lassalle_b_forms(tag: FamilyTag, r: int, P: ParamPoint, n: int):
@@ -211,29 +274,20 @@ def lassalle_b_forms(tag: FamilyTag, r: int, P: ParamPoint, n: int):
     a = tag.param
     head = _head(r, P)
     t2 = t ** (2 - 2 * n)
-
-    def iblock(i):
-        return qpoch_ratio(
-            (a, t ** -n * q ** (1 - r), t2 * q ** (-2 * r)),
-            (q, t ** (1 - n) * q ** -r, t2 * q ** (1 - 2 * r) / a),
-            q, i, "the rewritten weight",
-        ) * (t / a) ** i
-
-    # (row left to the family-D sum, its weight with the monic head); the
-    # first display sums the family-D rows, the second expands them into
-    # the same G terms
-    outer = [(r - i, iblock(i) * head) for i in range(r + 1)]
-    first = row_sum(n, ((_cd_row(k, Fraction(1), P, n, 1), w) for k, w in outer if w))
-    gs = g_series_list(r, n, P)
-    second = row_sum(
-        n,
-        (
-            (gs[k - 2 * j], w * _weight_cd(j, k, Fraction(1), P, n))
-            for k, w in outer
-            if w
-            for j in range(k // 2 + 1)
-        ),
+    iblock = (
+        t / a,
+        [(a, 1, 0), (t ** -n * q ** (1 - r), 1, 0), (t2 * q ** (-2 * r), 1, 0)],
+        [(q, 1, 0), (t ** (1 - n) * q ** -r, 1, 0), (t2 * q ** (1 - 2 * r) / a, 1, 0)],
     )
+    sums = _ladder_walk([0] * (r + 1), _Powers(q), iblock, _NO_STEP, "the rewritten weight")
+    # (row left to the family-D sum, its weight with the monic head, the
+    # family-D weights of that row); the first display sums the family-D
+    # rows, the second expands them into the same G terms
+    outer = [(r - i, w * head) for i, w in enumerate(sums)]
+    outer = [(k, w, _mac_weights(_TAG_D, k, P, n, 1)) for k, w in outer if w]
+    first = row_sum(n, ((_row(cd, k, P, n), w) for k, w, cd in outer))
+    gs = g_series_list(r, n, P)
+    second = row_sum(n, ((gs[k - d], w * c) for k, w, cd in outer for d, c in enumerate(cd)))
     return first, second, mac_row(tag, r, P, n)
 
 

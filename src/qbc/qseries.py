@@ -76,10 +76,12 @@ def power_of_base(u, q, cap: int) -> Optional[int]:
 
 
 class _Powers(dict):
-    """The integer pairs (num, den) of q^e by exponent e, made on first use."""
+    """The integer pairs (num, den) of q^e by exponent e, made on first use;
+    q itself is kept as the attribute q."""
 
     def __init__(self, q: Fraction):
         super().__init__()
+        self.q = q
         self.qn, self.qd = q.numerator, q.denominator
 
     def __missing__(self, e: int):

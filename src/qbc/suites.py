@@ -14,7 +14,7 @@ import functools
 import inspect
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from importlib import resources
 from typing import Optional
@@ -73,6 +73,8 @@ _CONFIG_KEYS = ("schema", "degree", "max_weight", "points", "cache_dir")
 
 # point-group keys that are not ParamPoint fields
 _EXTRA_KEYS = ("beta", "sqrt_param")
+# every key a configured point may carry
+_POINT_KEYS = tuple(f.name for f in fields(ParamPoint)) + _EXTRA_KEYS
 # the extra that every point of a group must carry
 _REQUIRED_EXTRA = {"macdonald": "sqrt_param", "kernel": "beta"}
 
@@ -99,13 +101,18 @@ class ConfiguredPoint:
     sqrt_param: Optional[Fraction] = None
 
     @classmethod
-    def from_json_obj(cls, obj) -> "ConfiguredPoint":
+    def from_json_obj(cls, obj, group: str) -> "ConfiguredPoint":
+        """The point obj of the named group; a key that is no ParamPoint
+        field and no extra raises ValueError naming it and the group."""
         if not isinstance(obj, dict):
             raise ValueError(f"a configured point must be an object, got {obj!r}")
-        fields = {k: v for k, v in obj.items() if k not in _EXTRA_KEYS}
+        unknown = sorted(set(obj) - set(_POINT_KEYS))
+        if unknown:
+            raise ValueError(f"unknown field {unknown[0]!r} in a {group!r} point")
+        params = {k: v for k, v in obj.items() if k not in _EXTRA_KEYS}
         sqrt_param = obj.get("sqrt_param")
         return cls(
-            ParamPoint.from_json_obj(fields),
+            ParamPoint.from_json_obj(params),
             beta=_json_int(obj, "beta", None),
             sqrt_param=None if sqrt_param is None else rat(sqrt_param),
         )
@@ -172,7 +179,7 @@ class RunConfig:
                 raise ValueError(f"unknown point group {name!r}")
             if not isinstance(pts, list):
                 raise ValueError(f"point group {name!r} must be a list")
-            groups[name] = tuple(ConfiguredPoint.from_json_obj(p) for p in pts)
+            groups[name] = tuple(ConfiguredPoint.from_json_obj(p, name) for p in pts)
         cache_dir = obj.get("cache_dir", base.cache_dir)
         if cache_dir is not None and not isinstance(cache_dir, str):
             raise ValueError(f"cache_dir must be a string, got {cache_dir!r}")

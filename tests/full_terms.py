@@ -58,10 +58,8 @@ def row_sum(n, terms) -> LaurentPoly:
 def use_full_terms(monkeypatch):
     """Run the one-row displays on full terms for the rest of the test: the
     G tables and row sums above at the koornwinder and macdonald_bcd
-    globals, and the memoized rows (g_row_sym, _lassalle_d_row) unmemoized,
-    so no row of one form is kept and read as the other."""
+    globals.  The displays' memos hold scalar weights, which do not depend
+    on the form the G table takes."""
     for module in (koornwinder, macdonald_bcd):
         monkeypatch.setattr(module, "g_series_list", g_series_list)
         monkeypatch.setattr(module, "row_sum", row_sum)
-    for module, name in ((koornwinder, "g_row_sym"), (macdonald_bcd, "_lassalle_d_row")):
-        monkeypatch.setattr(module, name, getattr(module, name).__wrapped__)

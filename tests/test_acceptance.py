@@ -5,7 +5,9 @@ clock bounds are generous and only guard against complexity regressions.
 Criterion 8 sweeps the rank-two conjecture up to the shipped total weight
 bound of 3; `qbc verify b2 --max-weight 11` runs the extended sweep.
 A last test pins the timing-free report of every suite at the default
-configuration, so a refactor that changes any verdict or case shows.
+configuration, so a refactor that changes any verdict or case shows, and
+one more pins the report of the 366 legacy cases alone, so coverage can
+grow without hiding a change to an old verdict.
 """
 
 import hashlib
@@ -15,6 +17,7 @@ import os
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -35,6 +38,7 @@ from qbc.askey_wilson import (
 )
 from qbc.koornwinder import CACHE_ENV
 from qbc.qseries import qpoch, qpoch_multi
+from qbc.reports import VerificationReport
 from qbc.suites import (
     default_config,
     run_suite,
@@ -50,6 +54,10 @@ from test_algebra import qshift
 CFG = default_config()
 # sha256 of run_suite("all", CFG).to_json(with_timing=False): 366 passing cases
 ALL_DIGEST = "6b7ebdcef175f4677fd3ee0e192a48b85406d93d7424bfa3ccb1586728377d14"
+# the ids of those 366 cases, frozen, and the sha256 of their report alone;
+# both stay fixed when later cases move ALL_DIGEST
+LEGACY_IDS = Path(__file__).resolve().parent / "data" / "legacy_case_ids.txt"
+LEGACY_DIGEST = "6b7ebdcef175f4677fd3ee0e192a48b85406d93d7424bfa3ccb1586728377d14"
 AW_POINTS = [cp.point for cp in CFG.points("askey-wilson")]
 # criteria 1 and 3 check the one-variable layer through this degree
 AW_MAX_DEGREE = 24
@@ -289,3 +297,17 @@ def test_all_suites_timing_free_body_is_unchanged():
     body = report.to_json(with_timing=False)
     assert report.counts() == {"pass": 366, "fail": 0, "skipped": 0}
     assert hashlib.sha256(body.encode()).hexdigest() == ALL_DIGEST
+
+
+def test_legacy_cases_keep_their_digest():
+    # every legacy case still runs, and the report of those cases alone,
+    # rebuilt as verify all reports them, is byte for byte the legacy one
+    ids = set(LEGACY_IDS.read_text().split())
+    assert len(ids) == 366
+    legacy = VerificationReport("all")
+    for case in run_suite("all", CFG).cases:
+        if case.case_id in ids:
+            legacy.add(case)
+    assert sorted(c.case_id for c in legacy.cases) == sorted(ids)
+    body = legacy.to_json(with_timing=False)
+    assert hashlib.sha256(body.encode()).hexdigest() == LEGACY_DIGEST

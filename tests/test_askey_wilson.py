@@ -21,7 +21,6 @@ from qbc.askey_wilson import (
     aw_apply,
     aw_eigenvalue,
     aw_poly,
-    ce_prime_sums,
     even_sum_closed,
     even_sum_forms,
     fourfold_poly,
@@ -37,6 +36,7 @@ from qbc.qseries import (
 )
 from qbc.suites import default_config
 from conftest import monomial_symmetric
+import per_term
 from test_algebra import _exponent_box, qshift
 
 # Parameter values stay away from integer and half-integer powers of q: with
@@ -160,7 +160,8 @@ def coeff_ce_prime(k: int, l: int, s, P: ParamPoint) -> Fraction:
     """Even-family coefficient absorbing a (1 - x^2) prefactor:
     (1 - x^2) sum c_e(k,l;s) x^(2k+2l) = sum c'_e(k,l;s) x^(2k+2l).
 
-    The walk ce_prime_sums is tested against it."""
+    The walk ce_prime_sums (kept in per_term, since the Koornwinder rows
+    take the same family at shifts) is tested against it."""
     P.require("a", "c")
     a, c, q = P.a, P.c, P.q
     s = rat(s)
@@ -774,6 +775,16 @@ class TestRunningRatioWalks:
             _even_sum_forms_reference, s, P, N
         )
 
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(_walk_inputs(), st.integers(0, 12))
+    @example(ODD_POLE, 2)
+    def test_fourfold_matches_the_per_lam_walk(self, drawn, lam):
+        # the families built once per point at s = 1 and walked at shifts
+        # -lam and w - lam, combined in integers, against both built at
+        # s = q^-lam and combined one Fraction product at a time
+        P, _ = drawn
+        assert _outcome(fourfold_poly, lam, P) == _outcome(per_term.fourfold_poly, lam, P)
+
     @settings(derandomize=True, max_examples=250, deadline=None)
     @given(_walk_inputs(), st.integers(0, 4), st.integers(0, 6))
     @example(COUPLED_POLE, 2, 0)
@@ -782,7 +793,7 @@ class TestRunningRatioWalks:
     def test_koornwinder_weight_walks_match_per_term_sums(self, drawn, D, W):
         # g_row_sym and g_row_general weigh their terms by these sums
         P, s = drawn
-        assert _outcome(ce_prime_sums, s, P, D) == _outcome(
+        assert _outcome(per_term.ce_prime_sums, s, P, D) == _outcome(
             lambda: [sum(coeff_ce_prime(K - l, l, s, P) for l in range(K + 1))
                      for K in range(D + 1)]
         )
@@ -835,7 +846,7 @@ class TestRunningRatioWalks:
             (even_sum_forms, EVEN_POLE, "the even family"),
             (phi_series, ODD_POLE, "the odd family"),
             (even_sum_forms, COUPLED_POLE, "the coupled form"),
-            (ce_prime_sums, COUPLED_POLE, "the primed even family"),
+            (per_term.ce_prime_sums, COUPLED_POLE, "the primed even family"),
             (odd_sums, ODD_POLE, "the odd family"),
             (odd_sums, RECAST_POLE, "the odd family"),
         ],

@@ -279,7 +279,9 @@ class TestVerify:
         assert capsys.readouterr().err.startswith("usage error: bad configuration")
 
     # a misspelt key or group would otherwise leave the defaults in force
-    # and exit 0; the top-level keys are checked first
+    # and exit 0; the top-level keys are checked first.  A misspelt field
+    # inside a point is named with its group, not as a constructor's
+    # unexpected keyword
     MISSPELT_CONFIGS = {
         "key-and-group": (
             {"schema": 1, "degre": 30, "points": {"koornwiner": [{"sqrt_q": "1/2"}]}},
@@ -288,6 +290,17 @@ class TestVerify:
         "group": (
             {"schema": 1, "points": {"koornwiner": [{"sqrt_q": "1/2"}]}},
             "unknown point group 'koornwiner'",
+        ),
+        "kernel-point-field": (
+            {
+                "schema": 1,
+                "points": {"kernel": [dict(KERNEL_ABCD, sqrt_q="1/2", sqrt_t="1/2", bta=1)]},
+            },
+            "unknown field 'bta' in a 'kernel' point",
+        ),
+        "b2-point-field": (
+            {"schema": 1, "points": {"b2": [{"sqrt_q": "1/2", "sqrt_t": "1/3", "sqrt_TT": "1/5"}]}},
+            "unknown field 'sqrt_TT' in a 'b2' point",
         ),
     }
 

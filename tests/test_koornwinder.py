@@ -22,7 +22,7 @@ from qbc.algebra import (
     padded_partition,
 )
 from qbc.askey_wilson import aw_apply, aw_eigenvalue, aw_poly
-from qbc.errors import DimensionMismatch, ParameterDegeneracy
+from qbc.errors import DimensionMismatch, ParameterDegeneracy, QbcError
 from qbc import koornwinder
 from qbc.koornwinder import (
     _koorn_operator,
@@ -40,6 +40,7 @@ from qbc.qseries import qbinom_series, qpoch
 from qbc.suites import RunConfig, _plan, _run, default_config, run_suite
 from conftest import monomial_symmetric, orbit_sum, poly_key
 import full_terms
+import per_term
 
 POINT_K1 = ParamPoint(
     sqrt_q=Fraction(1, 2), sqrt_t=Fraction(1, 3), a=2, b=3, c=5, d=Fraction(5, 6)
@@ -412,11 +413,17 @@ class TestGeneratingFamily:
             assert lhs == rhs
 
 
+def _sym_row(r, P, n):
+    """The chained family's row: g_row_sym's weights on the G table."""
+    gs = g_series_list(r, n, P)
+    return row_sum(n, ((gs[r - d], w) for d, w in enumerate(g_row_sym(r, P, n))))
+
+
 class TestOneRowFormulas:
     def test_row_sym_low_orders(self):
         P = POINT_SYM
-        assert g_row_sym(0, P, 2) == orbit_sum((), 2)
-        assert g_row_sym(1, P, 2) == g_series(1, 2, P)
+        assert _sym_row(0, P, 2) == orbit_sum((), 2)
+        assert _sym_row(1, P, 2) == g_series(1, 2, P)
 
     @pytest.mark.usefixtures("isolated_cache")
     def test_row_sym_matches_oracle(self):
@@ -424,12 +431,12 @@ class TestOneRowFormulas:
         for r in range(4):
             head = qpoch(P.t, P.q, r) / qpoch(P.q, P.q, r)
             expected = koorn_oracle((r,), P, 2) * head
-            assert g_row_sym(r, P, 2) == expected
+            assert _sym_row(r, P, 2) == expected
 
     def test_row_general_collapses_to_sym(self):
         P = POINT_SYM
         for r in range(3):
-            assert g_row_general(r, P, 2) == g_row_sym(r, P, 2)
+            assert g_row_general(r, P, 2) == _sym_row(r, P, 2)
 
     @pytest.mark.usefixtures("isolated_cache")
     def test_row_general_matches_oracle_rank_one(self):
@@ -662,3 +669,40 @@ class TestRowSum:
             reference = _kernel_residuals_reference(2, beta, 6, P)
             assert residuals == [OrbitPoly.from_poly(r) for r in reference]
             assert any(not r.is_zero() for r in residuals) == (not planted.is_zero())
+
+
+_SMALL = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 3))
+_SQRT_Q = _SMALL.filter(lambda x: abs(x) != 1)
+
+
+@st.composite
+def _row_points(draw):
+    """A point whose coordinates are a small rational times a power of
+    sqrt(q), so the rescaled families' lower ladders and the primed
+    family's ratio factor s = q vanish on a fair share of rows."""
+    sq = draw(_SQRT_Q)
+
+    def coordinate():
+        return draw(_SMALL) * sq ** draw(st.integers(-3, 3))
+
+    return ParamPoint(
+        sqrt_q=sq, sqrt_t=coordinate(), a=coordinate(), b=coordinate(), c=coordinate(),
+        d=coordinate(),
+    )
+
+
+def _raised(fn, *args):
+    """The value, or the class and message of the QbcError raised instead."""
+    try:
+        return fn(*args)
+    except QbcError as exc:
+        return type(exc), str(exc)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_row_points(), st.integers(1, 5), st.integers(0, 4))
+def test_row_general_matches_the_layered_row(P, n, r):
+    # one weight vector from the families built once per (P, n) and walked
+    # at shift -r, against the row layered over the g_row_sym rows, each
+    # built at its own spectral value
+    assert _raised(g_row_general, r, P, n) == _raised(per_term.g_row_general, r, P, n)

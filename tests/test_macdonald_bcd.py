@@ -27,6 +27,7 @@ from qbc.macdonald_bcd import (
 from qbc.qseries import qpoch, qpoch_multi
 from qbc.suites import _plan, _run
 import full_terms
+import per_term
 
 # base points carry only (q, t); the family parameter lives on the tag.
 # sqrt_param values keep b/t, the squared ladders, and the shifted lower
@@ -597,3 +598,66 @@ class TestAgainstPerTermReferences:
             return [(suffix, _outcome(check)) for suffix, _, _, check in plan]
 
         assert _outcome(outcomes) == _outcome(_lemma_outcomes_ref, variant, s, P, N)
+
+
+def _raised(fn, *args):
+    """The value, or the class and message of the QbcError raised instead."""
+    try:
+        return fn(*args)
+    except QbcError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def _pivot_inputs(draw):
+    """A family tag and a (q, t) point.  In about one draw in three t is
+    q^-1 or q^-2, so t^n q^k = 1 at k = n or 2n and the displays' pivots
+    1 - t^-n q^-r and 1 - t^n q^(r-i) vanish on rows 0-6; otherwise sqrt_t
+    and the family root are drawn as in _display_inputs."""
+    sq = draw(_SQRT_Q)
+
+    def coordinate():
+        return draw(_SMALL) * sq ** draw(st.integers(-3, 3))
+
+    if draw(st.integers(0, 2)):
+        sqrt_t = coordinate()
+    else:
+        sqrt_t = draw(st.sampled_from((1, -1))) * sq ** -draw(st.integers(1, 2))
+    family = draw(st.sampled_from((FAMILY_B, FAMILY_C, FAMILY_D)))
+    tag = FamilyTag(family, None if family == FAMILY_D else coordinate())
+    return tag, ParamPoint(sqrt_q=sq, sqrt_t=sqrt_t)
+
+
+# t q = 1, so at rank 1, row 1 the pivot 1 - t^-1 q^-1 of the first term of
+# mac_row vanishes: a walk that formed the weights only from its ladders
+# would never meet it, as the row's longer ladders vanish with it.
+PIVOT_POINT = ParamPoint(sqrt_q=F(1, 2), sqrt_t=2)
+PIVOT_DRAWS = [(tag, PIVOT_POINT) for tag in (TAG_C, TAG_B, TAG_D)]
+
+
+class TestWalkedDisplays:
+    """Each display, one weight vector walked on the G table, gives the
+    per-term display's orbit form exactly, or raises the same error class
+    with the same message."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(_pivot_inputs(), st.integers(1, 4), st.integers(0, 6))
+    @example(PIVOT_DRAWS[0], 1, 1)
+    @example(PIVOT_DRAWS[1], 1, 1)
+    @example(PIVOT_DRAWS[2], 1, 1)
+    @example(B_ZERO_WEIGHTS, 2, 2)
+    def test_displays_match_the_per_term_displays(self, drawn, n, r):
+        tag, P = drawn
+        names = ["mac_row", "lassalle_form"]
+        if tag.family == FAMILY_B:
+            names.append("lassalle_b_forms")
+        for name in names:
+            walked = getattr(qbc.macdonald_bcd, name)
+            assert _raised(walked, tag, r, P, n) == _raised(getattr(per_term, name), tag, r, P, n)
+
+    @pytest.mark.parametrize("drawn", PIVOT_DRAWS, ids=lambda d: d[0].family)
+    def test_pivot_draws_raise_at_the_first_term(self, drawn):
+        tag, P = drawn
+        with pytest.raises(ParameterDegeneracy) as info:
+            mac_row(tag, 1, P, 1)
+        assert str(info.value) == "vanishing lower Pochhammer in the one-row weight"

@@ -2,8 +2,10 @@
 
 The operator columns, the G tables, the straightened orbits of the
 operators' Weyl denominator peel and the memoized builders (aw_poly,
-f_b2_poly, g_row_sym, _lassalle_d_row) hand the same object to every
-caller.  A caller that
+f_b2_poly, the displays' weights g_row_sym and _lassalle_d_weights, and the
+coefficient families the walks take at shifts: _unit_families,
+_primed_family, _odd_family, _mac_steps and _lassalle_steps) hand the same
+object to every caller.  A caller that
 mutated one would corrupt every later check at that point, so these tests
 compare the memoized values, after a full run has read them many times,
 with a fresh computation on cleared memos: the slow path is the reference.
@@ -15,7 +17,8 @@ import pytest
 
 from qbc import algebra, askey_wilson, b2, koornwinder, macdonald_bcd
 from qbc.b2 import B2Weight
-from qbc.suites import default_config, run_suite
+from qbc.macdonald_bcd import FAMILY_B, FAMILY_C, FAMILY_D
+from qbc.suites import default_config, family_tag, run_suite
 from test_acceptance import ALL_DIGEST
 
 CFG = default_config()
@@ -23,8 +26,10 @@ CFG = default_config()
 
 def _clear_memos():
     for memo in (
-        askey_wilson.aw_poly, askey_wilson._aw_operator, b2.f_b2_poly, b2._b2_operator,
-        koornwinder.g_row_sym, koornwinder._koorn_operator, macdonald_bcd._lassalle_d_row,
+        askey_wilson.aw_poly, askey_wilson._aw_operator, askey_wilson._unit_families,
+        b2.f_b2_poly, b2._b2_operator, koornwinder.g_row_sym, koornwinder._koorn_operator,
+        koornwinder._primed_family, koornwinder._odd_family, macdonald_bcd._lassalle_d_weights,
+        macdonald_bcd._mac_steps, macdonald_bcd._lassalle_steps,
     ):
         memo.cache_clear()
     koornwinder._G_TABLES.clear()
@@ -38,6 +43,7 @@ def _requests():
     out = []
     for cp in CFG.points("askey-wilson"):
         out += [(askey_wilson.aw_poly, (n, cp.point)) for n in range(7)]
+        out.append((askey_wilson._unit_families, (cp.point,)))
     for cp in CFG.points("b2"):
         out += [
             (b2.f_b2_poly, (B2Weight(r1, total - r1), cp.point))
@@ -50,9 +56,22 @@ def _requests():
             for n in (1, 2, 3)
             for r in range(5 if n < 3 else 4)
         ]
+        out += [
+            (family, (cp.point, n))
+            for family in (koornwinder._primed_family, koornwinder._odd_family)
+            for n in (1, 2, 3)
+        ]
     for cp in CFG.points("macdonald"):
         out += [
-            (macdonald_bcd._lassalle_d_row, (r, cp.point, n)) for n in (1, 2) for r in range(5)
+            (macdonald_bcd._lassalle_d_weights, (r, cp.point, n))
+            for n in (1, 2)
+            for r in range(5)
+        ]
+        out += [
+            (steps, (family_tag(family, cp), cp.point, n))
+            for steps in (macdonald_bcd._mac_steps, macdonald_bcd._lassalle_steps)
+            for family in (FAMILY_B, FAMILY_C, FAMILY_D)
+            for n in (1, 2)
         ]
     return out
 
@@ -83,7 +102,7 @@ def test_a_second_run_on_warm_memos_gives_the_same_body(warm):
 
 def test_memoized_builders_equal_a_fresh_computation(warm):
     _, values, _, _ = warm
-    assert len(values) == 3 * 7 + 2 * 10 + 2 * 14 + 2 * 10
+    assert len(values) == 3 * (7 + 1) + 2 * 10 + 2 * (14 + 6) + 2 * (10 + 12)
     _clear_memos()
     for fn, args, memoized in values:
         assert fn(*args) == memoized, (fn.__name__, args)
