@@ -6,23 +6,22 @@ Everything is exact: series are truncated coefficient lists over Fraction and
 polynomial identities are checked by the callers at explicit rational points.
 The same coefficient families reappear in the several-variable layers with
 rescaled parameters, so the c_e / c_o style functions read their parameters
-from a ParamPoint that the caller may have rebuilt.  The walks here run on
-the integer step of qseries (_Powers, _compiled, _factors), and psi_series
-sums its rows with qseries' terminating-row kernel.
+from a ParamPoint that the caller may have rebuilt.  The families are
+summed by qseries' integer walk kernel: walk and convolve for the two-index
+families, and its terminating-row kernel for psi_series' rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 from typing import NamedTuple
 
 from .algebra import ClearedShiftOperator, LaurentPoly, OrbitPoly, ParamPoint, rat
 from .errors import ParameterDegeneracy
 from .qseries import (
-    PhiSpec, _Powers, _compiled, _factors, _terminating_row, phi_sum, qbinom_series, qpoch,
-    qpoch_ratio,
+    PhiSpec, _compiled, _factors, _terminating_row, convolve, phi_sum, qbinom_series, qpoch,
+    qpoch_ratio, walk,
 )
 
 #: variants of the twofold simplification of the fourfold series
@@ -80,11 +79,10 @@ def aw_poly(n: int, P: ParamPoint) -> LaurentPoly:
             )
         pref *= low
     # r_m, the scalar term ratio from m to m + 1
-    powers = _Powers(q)
-    step = _compiled(
+    [step] = _compiled(
+        q,
         (q, [(q ** -n, 1, 0), (P.abcd() * q ** (n - 1), 1, 0)],
          [(q, 1, 0), (a * b, 1, 0), (a * c, 1, 0), (a * d, 1, 0)]),
-        powers,
     )
     # The sum is T_0 by Horner's rule: T_n = 1, T_m = 1 + r_m f_m T_(m+1),
     # where f_m = (1 - a q^m x)(1 - a q^m/x) = ((ud^2 + un^2) - ud un
@@ -92,7 +90,7 @@ def aw_poly(n: int, P: ParamPoint) -> LaurentPoly:
     # x -> 1/x, and half[e] / den is its coefficient of x^(+-e).
     half, den = [1], 1
     for m in reversed(range(n)):
-        num, rden, low = _factors(step, powers, m, 0)
+        num, rden, low = _factors(step, m, 0)
         ratio = Fraction(num, rden * low)
         aqm = a * q ** m
         un, ud = aqm.numerator, aqm.denominator
@@ -135,65 +133,6 @@ def aw_apply(f: LaurentPoly, P: ParamPoint) -> LaurentPoly:
     """
     P.require("a", "b", "c", "d")
     return _aw_operator(P).apply(OrbitPoly.from_poly(f)).expand()
-
-
-def _ladder_walk(tops, powers: _Powers, outer, inner, what: str, shift: int = 0, stride: int = 1):
-    """Anti-diagonal sums of a two-index coefficient family, built by running
-    ratios over the region 0 <= i < len(tops), 0 <= j <= tops[i].
-
-    tops must be non-increasing, so the region is closed downward and each
-    term is reached from a neighbour inside it: (i, 0) from (i - 1, 0) by
-    the outer step, and (i, j) from (i, j - 1) by the inner one.  A step is
-    (weight, numer, denom), and each factor in numer and denom is a record
-    (C, x, y) for 1 - C q^(x i + y j) at the term (i, j) the step leaves,
-    or (C, x, y, p) for a C carrying s^p, taken at q^shift s.
-    Outer steps leave a term with j = 0, so their records carry y = 0.
-    denom holds exactly the lower Pochhammer factors the step adds; a zero
-    one is a vanishing lower ladder at the term it builds and raises
-    ParameterDegeneracy, as the per-term definitions do.  Each factor is
-    formed in integers from powers, the caller's table of powers of q, and
-    each term is kept as a reduced integer pair (num, den), with no Fraction
-    made per step; a sign may sit on either integer, every operation being
-    exact.  sums[d] adds the terms with i + stride j = d as an integer
-    numerator over the lcm of their denominators, and becomes one Fraction
-    at the end: stride is the x-degree of one inner step, 1 for the c_e /
-    c_o families and 2 for the tied-point collapses.
-    """
-    if any(record[2] for record in outer[1] + outer[2]):
-        raise ValueError("an outer step leaves a term with j = 0; its records carry y = 0")
-
-    def advance(tn: int, td: int, step, i: int, j: int):
-        num, den, low = _factors(step, powers, i, j)
-        if low == 0:
-            raise ParameterDegeneracy(f"vanishing lower Pochhammer in {what}")
-        # the step's ratio reduced first, then crossed with the term as
-        # Fraction multiplies: big-by-small gcds instead of one big one
-        den *= low
-        g = gcd(num, den)
-        num, den = num // g, den // g
-        g1, g2 = gcd(tn, den), gcd(num, td)
-        return (tn // g1) * (num // g2), (td // g2) * (den // g1)
-
-    outer, inner = _compiled(outer, powers, shift), _compiled(inner, powers, shift)
-    size = max((i + stride * top for i, top in enumerate(tops)), default=-1) + 1
-    nums, dens = [0] * size, [1] * size
-    hn = hd = 1
-    for i, top in enumerate(tops):
-        if i:
-            hn, hd = advance(hn, hd, outer, i - 1, 0)
-        tn, td = hn, hd
-        for j in range(top + 1):
-            if j:
-                tn, td = advance(tn, td, inner, i, j - 1)
-            d = i + stride * j
-            sd = dens[d]
-            if sd % td:
-                g = gcd(sd, td)
-                nums[d] = nums[d] * (td // g) + tn * (sd // g)
-                dens[d] = sd // g * td
-            else:
-                nums[d] += tn * (sd // td)
-    return [Fraction(n, d) for n, d in zip(nums, dens)]
 
 
 def _even_steps(s, P: ParamPoint) -> tuple:
@@ -248,16 +187,16 @@ def _odd_steps(s, P: ParamPoint) -> tuple:
     return outer, inner
 
 
-def _odd_walk(steps, powers: _Powers, W: int, shift: int) -> list:
+def _odd_walk(steps, q, W: int, shift: int) -> list:
     """c_o(m, n) summed along m + n = w for w = 0..W, from the odd family's
     steps taken at q^shift s."""
-    return _ladder_walk([W - m for m in range(W + 1)], powers, *steps, "the odd family", shift)
+    return walk([W - m for m in range(W + 1)], q, *steps, "the odd family", shift)
 
 
 def odd_sums(s, P: ParamPoint, W: int) -> list:
     """c_o(m, n; s) summed along m + n = w for w = 0..W: a walk along m at
     n = 0, then along n."""
-    return _odd_walk(_odd_steps(rat(s), P), _Powers(P.q), W, 0)
+    return _odd_walk(_odd_steps(rat(s), P), P.q, W, 0)
 
 
 def _coupled_steps(s, P: ParamPoint, twist: int) -> tuple:
@@ -292,45 +231,18 @@ def _coupled_steps(s, P: ParamPoint, twist: int) -> tuple:
     return outer, inner
 
 
-def _primed_walk(steps, powers: _Powers, s, D: int, shift: int) -> list:
+def _primed_walk(steps, q, s, D: int, shift: int) -> list:
     """c'_e(k, l) summed along k + l = K for K = 0..D, from the primed even
     family's steps built at s and taken at q^shift s.  The coupled walk
     covers every factor but the ratio (1 - q^(2k+2l-1) s) / (1 - s/q),
     which depends on k + l alone and multiplies each sum."""
-    q = powers.q
     s = s * q ** shift
     if s == q:
         raise ParameterDegeneracy("the ratio factor needs s != q")
-    sums = _ladder_walk(
-        [D - l for l in range(D + 1)], powers, *steps, "the primed even family", shift
-    )
+    sums = walk([D - l for l in range(D + 1)], q, *steps, "the primed even family", shift)
     return [
         value * (1 - q ** (2 * K - 1) * s) / (1 - s / q) for K, value in enumerate(sums)
     ]
-
-
-def _convolve(outer, rows, size: int, scale=1) -> list:
-    """Entry e, for e < size, the sum of outer[w] row[K] over the (w, row)
-    pairs of rows and the K with w + 2K = e, times scale.  Each product is
-    crossed in integers and each sum runs over the lcm of its denominators,
-    as _ladder_walk's diagonal sums do: no Fraction is made per pair, and
-    one per entry at the end."""
-    nums, dens = [0] * size, [1] * size
-    for w, row in rows:
-        on, od = outer[w].numerator, outer[w].denominator
-        for K, value in enumerate(row):
-            vn, vd = value.numerator, value.denominator
-            g1, g2 = gcd(on, vd), gcd(vn, od)
-            tn, td = (on // g1) * (vn // g2), (od // g2) * (vd // g1)
-            e, sd = w + 2 * K, dens[w + 2 * K]
-            if sd % td:
-                g = gcd(sd, td)
-                nums[e] = nums[e] * (td // g) + tn * (sd // g)
-                dens[e] = sd // g * td
-            else:
-                nums[e] += tn * (sd // td)
-    sn, sd = scale.numerator, scale.denominator
-    return [Fraction(n * sn, d * sd) for n, d in zip(nums, dens)]
 
 
 def phi_series(s, P: ParamPoint, N: int) -> tuple:
@@ -341,19 +253,17 @@ def phi_series(s, P: ParamPoint, N: int) -> tuple:
 
     The odd sums over m + n = w come from one walk over m + n <= N; the
     even triangle k + l <= (N - w) / 2 is walked once per w at q^w s, from
-    one even family built at s and one table of powers of q."""
-    s = rat(s)
-    powers = _Powers(P.q)
-    odd = _odd_walk(_odd_steps(s, P), powers, N, 0)
+    one even family built at s."""
+    s, q = rat(s), P.q
+    odd = _odd_walk(_odd_steps(s, P), q, N, 0)
     steps = _even_steps(s, P)
     walks = (
-        (w, _ladder_walk(
-            [(N - w) // 2 - l for l in range((N - w) // 2 + 1)], powers, *steps,
-            "the even family", w,
+        (w, walk(
+            [(N - w) // 2 - l for l in range((N - w) // 2 + 1)], q, *steps, "the even family", w
         ))
         for w in range(N + 1)
     )
-    return tuple(_convolve(odd, walks, N + 1))
+    return tuple(convolve(odd, walks, N + 1))
 
 
 def psi_series(s, P: ParamPoint, N: int) -> tuple:
@@ -374,13 +284,13 @@ def psi_series(s, P: ParamPoint, N: int) -> tuple:
     if s == 0:
         raise ParameterDegeneracy("the series needs s != 0")
     pref = qbinom_series(a ** 2 / q, q, N)
-    powers = _Powers(q)
     s2a2 = s * s / (a * a)
     # outer: the factor (q s^2/a^2; q)_n (a/s)^n / (q; q)_n, from n to n + 1;
-    # its lower (q; q)_n never vanishes, as q > 0 and q != 1
-    outer = _compiled((a / s, [(q * s2a2, 1, 0)], [(q, 1, 0)]), powers)
-    # inner: the 6phi5 term ratio from k to k + 1 in row n
-    inner = _compiled(
+    # its lower (q; q)_n never vanishes, as q > 0 and q != 1.  inner: the
+    # 6phi5 term ratio from k to k + 1 in row n
+    outer, inner = _compiled(
+        q,
+        (a / s, [(q * s2a2, 1, 0)], [(q, 1, 0)]),
         (
             q,
             [
@@ -392,15 +302,14 @@ def psi_series(s, P: ParamPoint, N: int) -> tuple:
                 (-sq * s / a, 0, 1), (q * s / a, 0, 1), (-q * s / a, 0, 1),
             ],
         ),
-        powers,
     )
     rows = []
     head = Fraction(1)
     for n in range(N + 1):
         if n:
-            num, den, low = _factors(outer, powers, n - 1, 0)
+            num, den, low = _factors(outer, n - 1, 0)
             head = Fraction(head.numerator * num, head.denominator * den * low)
-        total = _terminating_row(inner, powers, n, n + 1, f"row {n} of the inner 6phi5")
+        total = _terminating_row(inner, n, n + 1, f"row {n} of the inner 6phi5")
         rows.append(head * Fraction(*total))
     # the prefactor's coefficients of x^i, (a^2/q; q)_i / (q; q)_i (q/a)^i
     qa = q / a
@@ -435,19 +344,18 @@ def fourfold_poly(lam: int, P: ParamPoint) -> LaurentPoly:
     if lam < 0:
         raise ValueError("lam must be nonnegative")
     odd_steps, even_steps = _unit_families(P)
-    powers = _Powers(P.q)
-    odd = _odd_walk(odd_steps, powers, lam, -lam)
+    q = P.q
+    odd = _odd_walk(odd_steps, q, lam, -lam)
     walks = (
-        (w, _ladder_walk(
-            [lam - w - 2 * l for l in range((lam - w) // 2 + 1)], powers, *even_steps,
+        (w, walk(
+            [lam - w - 2 * l for l in range((lam - w) // 2 + 1)], q, *even_steps,
             "the even family", w - lam,
         ))
         for w in range(lam + 1)
         if odd[w]
     )
-    q = P.q
     pref = qpoch(P.abcd() * q ** (lam - 1), q, lam)
-    coeffs = _convolve(odd, walks, 2 * lam + 1, pref)
+    coeffs = convolve(odd, walks, 2 * lam + 1, pref)
     terms = {(e - lam,): c for e, c in enumerate(coeffs) if c}
     return LaurentPoly._raw(1, terms)
 
@@ -489,7 +397,7 @@ def _split_sums(s, P: ParamPoint, tops) -> list:
         [(q, 1, 0), (q * s / a2, 1, 0), (sac3, 2, 0)],
     )
     inner = (q2 / a2, [(q * a2 / c2, 0, 2), (s2, 2, 2)], [(q2, 0, 2), (sac3, 2, 2)])
-    return _ladder_walk(tops, _Powers(q), outer, inner, "the split form")
+    return walk(tops, q, outer, inner, "the split form")
 
 
 def even_sum_forms(s, P: ParamPoint, N: int) -> EvenSumForms:
@@ -504,10 +412,10 @@ def even_sum_forms(s, P: ParamPoint, N: int) -> EvenSumForms:
     P.require("a", "c")
     s = rat(s)
     tops = [N - l for l in range(N + 1)]
-    raw = _ladder_walk(tops, _Powers(P.q), *_even_steps(s, P), "the even family")
+    raw = walk(tops, P.q, *_even_steps(s, P), "the even family")
     closed = even_sum_closed(s, P, N)
     split = _split_sums(s, P, tops)
-    coupled = _ladder_walk(tops, _Powers(P.q), *_coupled_steps(s, P, 0), "the coupled form")
+    coupled = walk(tops, P.q, *_coupled_steps(s, P, 0), "the coupled form")
     return EvenSumForms(raw, closed, split, coupled)
 
 
@@ -578,7 +486,7 @@ def collapse_sums(variant: str, s, P: ParamPoint, tops, what: str, twist: int = 
     A2 = A * A
     qs, su = q * s / A2, s / q ** twist
     if variant == FULL_BASE:
-        powers, e = _Powers(q), 1
+        base, e = q, 1
         outer = (
             q / B,
             [(B / A, 1, 0), (s * s / (A2 * A2), 1, 0), (su, 1, 0), (qs, 1, 0)],
@@ -586,11 +494,11 @@ def collapse_sums(variant: str, s, P: ParamPoint, tops, what: str, twist: int = 
         )
     else:
         sq = P.sqrt_q
-        powers, e = _Powers(sq), 2
+        base, e = sq, 2
         outer = (
             sq / B,
             [(B / A, 1, 0), (s / A2, 1, 0), (su, 2, 0)],
             [(sq, 1, 0), (sq * s / (A * B), 1, 0), (s / A2, 2, 0)],
         )
     inner = (q / A2, [(A2 / q ** twist, 0, e), (su, e, e)], [(q, 0, e), (qs, e, e)])
-    return _ladder_walk(tops, powers, outer, inner, what, stride=2)
+    return walk(tops, base, outer, inner, what, stride=2)

@@ -10,9 +10,9 @@ tables, the row sums, the operator's images, the oracle's solutions and
 its cache entries.
 
 The one-row sum is one weight vector on the G table, entry d the scalar
-weight on G_(r-d), summed by one row_sum.  Its weights come from
-coefficient families built once per (P, n) at one spectral value and
-walked, for row r, at the shift q^-r of it.
+weight on G_(r-d), summed by g_row.  Its weights come from coefficient
+families built once per (P, n) at one spectral value and walked, for row
+r, at the shift q^-r of it.
 """
 
 import hashlib
@@ -33,9 +33,9 @@ from .algebra import (
     rat,
     solve_triangular_eigenproblem,
 )
-from .askey_wilson import _convolve, _coupled_steps, _odd_steps, _odd_walk, _primed_walk
+from .askey_wilson import _coupled_steps, _odd_steps, _odd_walk, _primed_walk
 from .errors import CacheError, DimensionMismatch, ParameterDegeneracy
-from .qseries import _Powers, qbinom_terms
+from .qseries import convolve, qbinom_series
 from .reports import nonzero
 
 CACHE_ENV = "QBC_CACHE_DIR"
@@ -209,22 +209,6 @@ def koorn_oracle(lam, P: ParamPoint, n: int) -> OrbitPoly:
 #: the G table (G_0, ..., G_m) of each (n, P) for the process
 _G_TABLES: dict = {}
 
-#: per point P, the list h_0, ..., h_m that the G tables at P have read so
-#: far, h_j = (t;q)_j/(q;q)_j, and the qbinom_terms iterator that continues it
-_HEADS: dict = {}
-
-
-def _heads(m: int, P: ParamPoint) -> list:
-    """P's list of the h_j, grown to hold h_0..h_m at least.  Each h_j is
-    computed once per point, whatever order the tables grow in.  The list
-    is shared by every caller and must not be mutated."""
-    if P not in _HEADS:
-        _HEADS[P] = [], qbinom_terms(P.t, P.q)
-    h, rest = _HEADS[P]
-    while len(h) <= m:
-        h.append(next(rest))
-    return h
-
 
 def g_series_list(rmax: int, n: int, P: ParamPoint) -> tuple:
     """Coefficients (G_0, ..., G_rmax) of the generating function
@@ -237,18 +221,20 @@ def g_series_list(rmax: int, n: int, P: ParamPoint) -> tuple:
     must not be mutated."""
     P.require("sqrt_t")
     table = _G_TABLES.setdefault((n, P), [])
-    while len(table) <= rmax:
-        table.append(_g_entry(len(table), n, P))
+    if len(table) <= rmax:
+        h = qbinom_series(P.t, P.q, rmax)
+        while len(table) <= rmax:
+            table.append(_g_entry(len(table), n, P, h))
     return tuple(table[: rmax + 1])
 
 
-def _g_entry(m: int, n: int, P: ParamPoint) -> OrbitPoly:
+def _g_entry(m: int, n: int, P: ParamPoint, h: list) -> OrbitPoly:
     """G_m at rank n on its dominant weights, grown from the rank below.
 
     The rank-n product is the rank-(n - 1) one times the two factors in
     x_n, so G_m is the sum over j of G'_(m - j) H_j(x_n), with G' the
     rank-(n - 1) table at P (the series 1 at rank 0) and
-    H_j = sum_(a + b = j) h_a h_b x_n^(a - b) for h_j = (t;q)_j/(q;q)_j.
+    H_j = sum_(a + b = j) h_a h_b x_n^(a - b), h[j] = (t;q)_j/(q;q)_j.
     The coefficient of x_n^k in H_j is h_((j + k)/2) h_((j - k)/2) for
     |k| <= j with k = j mod 2, and the first n - 1 entries of a dominant
     weight kappa are a dominant weight of rank n - 1.  So
@@ -258,7 +244,6 @@ def _g_entry(m: int, n: int, P: ParamPoint) -> OrbitPoly:
 
     over the j with 0 <= kappa_n <= min(j, kappa_(n-1)) and
     kappa_n = j mod 2."""
-    h = _heads(m, P)
     if n > 1:
         lower = [g.terms for g in g_series_list(m, n - 1, P)]
     else:
@@ -308,6 +293,12 @@ def row_sum(n: int, terms) -> OrbitPoly:
     return OrbitPoly._raw(n, terms, scale or 1)
 
 
+def g_row(weights, r: int, P: ParamPoint, n: int) -> OrbitPoly:
+    """The G-table sum of every one-row display: weights[d] on G_(r-d)."""
+    gs = g_series_list(r, n, P)
+    return row_sum(n, ((gs[r - d], w) for d, w in enumerate(weights)))
+
+
 @lru_cache(maxsize=None)
 def _primed_family(P: ParamPoint, n: int) -> tuple:
     """g_row_sym's coefficient family: the primed even family's steps at the
@@ -347,7 +338,7 @@ def g_row_sym(r: int, P: ParamPoint, n: int) -> tuple:
     steps, s0 = _primed_family(P, n)
     tq = P.t / P.q
     weights = [Fraction(0)] * (r + 1)
-    for K, value in enumerate(_primed_walk(steps, _Powers(P.q), s0, r // 2, -r)):
+    for K, value in enumerate(_primed_walk(steps, P.q, s0, r // 2, -r)):
         weights[2 * K] = value * tq ** K
     return tuple(weights)
 
@@ -366,17 +357,14 @@ def g_row_weights(r: int, P: ParamPoint, n: int) -> list:
     P.require("a", "b", "c", "d", "sqrt_t")
     syms = [g_row_sym(k, P, n) for k in range(r + 1)]
     half = P.sqrt_t / P.sqrt_q
-    odd = _odd_walk(_odd_family(P, n), _Powers(P.q), r, -r)
+    odd = _odd_walk(_odd_family(P, n), P.q, r, -r)
     odd = [value * half ** w for w, value in enumerate(odd)]
-    return _convolve(odd, ((w, syms[r - w][::2]) for w in range(r + 1) if odd[w]), r + 1)
+    return convolve(odd, ((w, syms[r - w][::2]) for w in range(r + 1) if odd[w]), r + 1)
 
 
 def g_row_general(r: int, P: ParamPoint, n: int) -> OrbitPoly:
-    """One-row sum for general (a,b,c,d): g_row_weights on the G table,
-    summed by one row_sum."""
-    weights = g_row_weights(r, P, n)
-    gs = g_series_list(r, n, P)
-    return row_sum(n, ((gs[r - d], c) for d, c in enumerate(weights)))
+    """One-row sum for general (a,b,c,d): g_row_weights on the G table."""
+    return g_row(g_row_weights(r, P, n), r, P, n)
 
 
 def _poly_mul(u, v):

@@ -3,8 +3,8 @@ one-parameter families, their explicit one-row expansions, and the
 equivalent rewritten displays those expansions were first conjectured in.
 
 Each display is one weight vector on the G table, entry d the scalar weight
-on G_(r-d), summed by one row_sum.  The weights are walked once, by running
-ratios in integers (askey_wilson._ladder_walk): type B's over the triangle
+on G_(r-d), summed by koornwinder.g_row.  The weights are walked once, by
+running ratios in integers (qseries.walk): type B's over the triangle
 i + 2j <= r, the others along one index, and type B's positive-power
 display as its walk convolved with family D's weights.
 """
@@ -15,10 +15,10 @@ from functools import cache, lru_cache, partial
 from typing import Optional
 
 from .algebra import OrbitPoly, ParamPoint, format_rational, rat
-from .askey_wilson import FULL_BASE, _convolve, _ladder_walk, collapse_sums, phi_series
+from .askey_wilson import FULL_BASE, collapse_sums, phi_series
 from .errors import MissingSquareRoot, ParameterDegeneracy
-from .koornwinder import g_series_list, row_sum
-from .qseries import _Powers, qpoch, qpoch_ratio
+from .koornwinder import g_row, g_series_list, row_sum
+from .qseries import convolve, qpoch, qpoch_ratio, walk
 from .reports import mismatch
 
 FAMILY_B = "B"
@@ -132,9 +132,8 @@ def _mac_weights(tag: FamilyTag, r: int, P: ParamPoint, n: int, scale) -> list:
     (1 - x q^d) / (1 - x) at x = t^-n q^-r.  A zero 1 - x raises, whatever
     the sums: it is the lower ladder (x; q)_1 of the display's first term."""
     q = P.q
-    powers = _Powers(q)
     tops = [(r - i) // 2 for i in range(r + 1)] if tag.family == FAMILY_B else [r // 2]
-    sums = _ladder_walk(tops, powers, *_mac_steps(tag, P, n), _ONE_ROW, shift=-r, stride=2)
+    sums = walk(tops, q, *_mac_steps(tag, P, n), _ONE_ROW, shift=-r, stride=2)
     x = P.t ** -n * q ** -r
     base = qpoch(x, q, 1)
     if not base:
@@ -143,16 +142,10 @@ def _mac_weights(tag: FamilyTag, r: int, P: ParamPoint, n: int, scale) -> list:
     sn, sd = scale.numerator * base.denominator, scale.denominator * base.numerator
     for d, value in enumerate(sums):
         if value:
-            qn, qd = powers[d]
+            qn, qd = q.numerator ** d, q.denominator ** d
             sums[d] = Fraction(value.numerator * (xd * qd - xn * qn) * sn,
                                value.denominator * xd * qd * sd)
     return sums
-
-
-def _row(weights, r: int, P: ParamPoint, n: int) -> OrbitPoly:
-    """The G-sum with weights[d] on G_(r-d), by one row_sum."""
-    gs = g_series_list(r, n, P)
-    return row_sum(n, ((gs[r - d], w) for d, w in enumerate(weights)))
 
 
 def mac_row_weights(tag: FamilyTag, r: int, P: ParamPoint, n: int) -> list:
@@ -167,7 +160,7 @@ def mac_row_weights(tag: FamilyTag, r: int, P: ParamPoint, n: int) -> list:
 def mac_row(tag: FamilyTag, r: int, P: ParamPoint, n: int) -> OrbitPoly:
     """Monic one-row polynomial for the family, via the explicit G-sum with
     the monic head folded into its weights."""
-    return _row(mac_row_weights(tag, r, P, n), r, P, n)
+    return g_row(mac_row_weights(tag, r, P, n), r, P, n)
 
 
 @lru_cache(maxsize=None)
@@ -202,21 +195,18 @@ def _lassalle_cd_weights(tag: FamilyTag, r: int, P: ParamPoint, n: int, scale) -
     shifted pivot (1 - x q^-2i) / (1 - x q^-i) at x = t^n q^r.  A zero
     1 - x q^-i raises at every i <= r/2, whatever the sums."""
     q = P.q
-    powers = _Powers(q)
-    sums = _ladder_walk(
-        [r // 2], powers, *_lassalle_steps(tag, P, n), _CONJECTURED, shift=r, stride=2
-    )
+    sums = walk([r // 2], q, *_lassalle_steps(tag, P, n), _CONJECTURED, shift=r, stride=2)
     x = P.t ** n * q ** r
     xn, xd = x.numerator, x.denominator
     sn, sd = scale.numerator, scale.denominator
     for i in range(r // 2 + 1):
-        pn, pd = powers[-i]
+        pn, pd = q.denominator ** i, q.numerator ** i  # q^-i
         low = xd * pd - xn * pn
         if not low:
             raise ParameterDegeneracy(f"vanishing lower Pochhammer in {_CONJECTURED}")
         value = sums[2 * i]
         if value:
-            p2n, p2d = powers[-2 * i]
+            p2n, p2d = pn * pn, pd * pd
             sums[2 * i] = Fraction(value.numerator * (xd * p2d - xn * p2n) * pd * sn,
                                    value.denominator * p2d * low * sd)
     return sums
@@ -245,9 +235,9 @@ def lassalle_weights(tag: FamilyTag, r: int, P: ParamPoint, n: int) -> list:
         return [w * head for w in _lassalle_d_weights(r, P, n)]
     inner = [_lassalle_d_weights(k, P, n) for k in range(r + 1)]
     steps = _lassalle_steps(tag, P, n)
-    sums = _ladder_walk([0] * (r + 1), _Powers(P.q), *steps, _CONJECTURED, shift=r)
+    sums = walk([0] * (r + 1), P.q, *steps, _CONJECTURED, shift=r)
     rows = ((i, inner[r - i][::2]) for i in range(r + 1) if sums[i])
-    return _convolve(sums, rows, r + 1, head)
+    return convolve(sums, rows, r + 1, head)
 
 
 def lassalle_form(tag: FamilyTag, r: int, P: ParamPoint, n: int) -> OrbitPoly:
@@ -257,7 +247,7 @@ def lassalle_form(tag: FamilyTag, r: int, P: ParamPoint, n: int) -> OrbitPoly:
     t^(n-1) q^(r-i); matching the other members of the rewrite chain needs
     q^(r-i+1), and that reading is the one verified here.
     """
-    return _row(lassalle_weights(tag, r, P, n), r, P, n)
+    return g_row(lassalle_weights(tag, r, P, n), r, P, n)
 
 
 def lassalle_b_forms(tag: FamilyTag, r: int, P: ParamPoint, n: int):
@@ -279,13 +269,13 @@ def lassalle_b_forms(tag: FamilyTag, r: int, P: ParamPoint, n: int):
         [(a, 1, 0), (t ** -n * q ** (1 - r), 1, 0), (t2 * q ** (-2 * r), 1, 0)],
         [(q, 1, 0), (t ** (1 - n) * q ** -r, 1, 0), (t2 * q ** (1 - 2 * r) / a, 1, 0)],
     )
-    sums = _ladder_walk([0] * (r + 1), _Powers(q), iblock, _NO_STEP, "the rewritten weight")
+    sums = walk([0] * (r + 1), q, iblock, _NO_STEP, "the rewritten weight")
     # (row left to the family-D sum, its weight with the monic head, the
     # family-D weights of that row); the first display sums the family-D
     # rows, the second expands them into the same G terms
     outer = [(r - i, w * head) for i, w in enumerate(sums)]
     outer = [(k, w, _mac_weights(_TAG_D, k, P, n, 1)) for k, w in outer if w]
-    first = row_sum(n, ((_row(cd, k, P, n), w) for k, w, cd in outer))
+    first = row_sum(n, ((g_row(cd, k, P, n), w) for k, w, cd in outer))
     gs = g_series_list(r, n, P)
     second = row_sum(n, ((gs[k - d], w * c) for k, w, cd in outer for d, c in enumerate(cd)))
     return first, second, mac_row(tag, r, P, n)

@@ -1,10 +1,10 @@
 """q-Pochhammer symbols and terminating basic hypergeometric sums.
 
-All evaluation is exact, in integers reduced once per result.  Ladders
-multiply integer numerators and denominators; a term ratio is a compiled
-step of records 1 - C q^(x i + y j) on a table of powers of q (_Powers,
-_compiled, _factors, which the askey_wilson walks share), and every
-terminating row, phi_sum's and psi_series', is summed by _terminating_row.
+All evaluation is exact, in integers reduced once per result.  This is the
+one integer walk kernel: a term ratio is a step of records
+1 - C q^(x i + y j), compiled in a base q with its own table of powers
+(_compiled, _factors); walk and convolve sum the two-index families, and
+_terminating_row every terminating row, phi_sum's and psi_series'.
 A basic hypergeometric sum must terminate: the caller passes an N for which
 some upper parameter equals base^-N, and the sum stops at the first cutoff
 at or below N, found by exact multiplications, never by floating point.
@@ -12,10 +12,10 @@ at or below N, found by exact multiplications, never by floating point.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from math import gcd
+from typing import Optional, Sequence
 
 from .algebra import rat
 from .errors import DivergentSpec, ParameterDegeneracy, PoleInLower
@@ -76,12 +76,10 @@ def power_of_base(u, q, cap: int) -> Optional[int]:
 
 
 class _Powers(dict):
-    """The integer pairs (num, den) of q^e by exponent e, made on first use;
-    q itself is kept as the attribute q."""
+    """The integer pairs (num, den) of q^e by exponent e, made on first use."""
 
     def __init__(self, q: Fraction):
         super().__init__()
-        self.q = q
         self.qn, self.qd = q.numerator, q.denominator
 
     def __missing__(self, e: int):
@@ -90,12 +88,13 @@ class _Powers(dict):
         return pair
 
 
-def _compiled(step, powers: _Powers, shift: int = 0):
-    """The integer form (num, den, numer, denom) of a step (weight, numer,
-    denom), each record (C, x, y) in numer and denom made (cn, cd, x, y).
-    A record (C, x, y, p) has a C that carries s^p; the step is taken at
-    s -> q^shift s, which multiplies that C by q^(p shift)."""
-    weight, numer, denom = step
+def _compiled(q: Fraction, *steps, shift: int = 0) -> list:
+    """The integer forms (num, den, numer, denom, powers) of steps (weight,
+    numer, denom) in base q, each record (C, x, y) in numer and denom made
+    (cn, cd, x, y); powers is one table of powers of q that the steps
+    share.  A record (C, x, y, p) has a C that carries s^p; a step is taken
+    at s -> q^shift s, which multiplies that C by q^(p shift)."""
+    powers = _Powers(q)
 
     def ints(records):
         out = []
@@ -107,15 +106,18 @@ def _compiled(step, powers: _Powers, shift: int = 0):
             out.append((cn, cd, x, y))
         return out
 
-    return weight.numerator, weight.denominator, ints(numer), ints(denom)
+    return [
+        (weight.numerator, weight.denominator, ints(numer), ints(denom), powers)
+        for weight, numer, denom in steps
+    ]
 
 
-def _factors(step, powers: _Powers, i: int, j: int):
+def _factors(step, i: int, j: int):
     """Integers (num, den, low) with num / (den low) the ratio a compiled
     step multiplies the term at (i, j) by.  low is the product of the lower
     factors' numerators, 0 exactly when one of them vanishes; num is 0
     exactly when an upper factor (or the weight) does."""
-    num, den, numer, denom = step
+    num, den, numer, denom, powers = step
     low = 1
     for cn, cd, x, y in numer:
         pn, pd = powers[x * i + y * j]
@@ -130,7 +132,7 @@ def _factors(step, powers: _Powers, i: int, j: int):
     return num, den, low
 
 
-def _terminating_row(step, powers: _Powers, i: int, length: int, row):
+def _terminating_row(step, i: int, length: int, row):
     """Integers (num, den), num / den the sum 1 + r_0 + r_0 r_1 + ... of at
     most length terms, r_j the ratio of a compiled step at (i, j).  The row
     stops at its first zero upper factor before testing that step's lower
@@ -139,7 +141,7 @@ def _terminating_row(step, powers: _Powers, i: int, length: int, row):
     the row only after the first step's lower factors are tested."""
     term = total = den = 1  # the terms so far sum to total / den
     for j in range(length - 1):
-        num, rden, low = _factors(step, powers, i, j)
+        num, rden, low = _factors(step, i, j)
         if low == 0 and (num or not step[0]):  # step[0]: the weight's numerator
             raise PoleInLower(f"lower parameter ladder vanished at term {j + 1} of {row}")
         if num == 0:
@@ -149,6 +151,89 @@ def _terminating_row(step, powers: _Powers, i: int, length: int, row):
         total = total * rden + term
         den *= rden
     return total, den
+
+
+def walk(tops, q, outer, inner, what: str, shift: int = 0, stride: int = 1) -> list:
+    """Anti-diagonal sums of a two-index coefficient family, built by running
+    ratios over the region 0 <= i < len(tops), 0 <= j <= tops[i].
+
+    tops must be non-increasing, so the region is closed downward and each
+    term is reached from a neighbour inside it: (i, 0) from (i - 1, 0) by
+    the outer step, and (i, j) from (i, j - 1) by the inner one.  A step is
+    (weight, numer, denom), and each factor in numer and denom is a record
+    (C, x, y) for 1 - C q^(x i + y j) at the term (i, j) the step leaves,
+    or (C, x, y, p) for a C carrying s^p, taken at q^shift s.
+    Outer steps leave a term with j = 0, so their records carry y = 0.
+    denom holds exactly the lower Pochhammer factors the step adds; a zero
+    one is a vanishing lower ladder at the term it builds and raises
+    ParameterDegeneracy, as the per-term definitions do.  Each factor is
+    formed in integers from one table of powers of the base q, and each
+    term is kept as a reduced integer pair (num, den), with no Fraction
+    made per step; a sign may sit on either integer, every operation being
+    exact.  sums[d] adds the terms with i + stride j = d as an integer
+    numerator over the lcm of their denominators, and becomes one Fraction
+    at the end: stride is the x-degree of one inner step, 1 for the c_e /
+    c_o families and 2 for the tied-point collapses.
+    """
+    if any(record[2] for record in outer[1] + outer[2]):
+        raise ValueError("an outer step leaves a term with j = 0; its records carry y = 0")
+
+    def advance(tn: int, td: int, step, i: int, j: int):
+        num, den, low = _factors(step, i, j)
+        if low == 0:
+            raise ParameterDegeneracy(f"vanishing lower Pochhammer in {what}")
+        # the step's ratio reduced first, then crossed with the term as
+        # Fraction multiplies: big-by-small gcds instead of one big one
+        den *= low
+        g = gcd(num, den)
+        num, den = num // g, den // g
+        g1, g2 = gcd(tn, den), gcd(num, td)
+        return (tn // g1) * (num // g2), (td // g2) * (den // g1)
+
+    outer, inner = _compiled(q, outer, inner, shift=shift)
+    size = max((i + stride * top for i, top in enumerate(tops)), default=-1) + 1
+    nums, dens = [0] * size, [1] * size
+    hn = hd = 1
+    for i, top in enumerate(tops):
+        if i:
+            hn, hd = advance(hn, hd, outer, i - 1, 0)
+        tn, td = hn, hd
+        for j in range(top + 1):
+            if j:
+                tn, td = advance(tn, td, inner, i, j - 1)
+            d = i + stride * j
+            sd = dens[d]
+            if sd % td:
+                g = gcd(sd, td)
+                nums[d] = nums[d] * (td // g) + tn * (sd // g)
+                dens[d] = sd // g * td
+            else:
+                nums[d] += tn * (sd // td)
+    return [Fraction(n, d) for n, d in zip(nums, dens)]
+
+
+def convolve(outer, rows, size: int, scale=1) -> list:
+    """Entry e, for e < size, the sum of outer[w] row[K] over the (w, row)
+    pairs of rows and the K with w + 2K = e, times scale.  Each product is
+    crossed in integers and each sum runs over the lcm of its denominators,
+    as walk's diagonal sums do: no Fraction is made per pair, and one per
+    entry at the end."""
+    nums, dens = [0] * size, [1] * size
+    for w, row in rows:
+        on, od = outer[w].numerator, outer[w].denominator
+        for K, value in enumerate(row):
+            vn, vd = value.numerator, value.denominator
+            g1, g2 = gcd(on, vd), gcd(vn, od)
+            tn, td = (on // g1) * (vn // g2), (od // g2) * (vd // g1)
+            e, sd = w + 2 * K, dens[w + 2 * K]
+            if sd % td:
+                g = gcd(sd, td)
+                nums[e] = nums[e] * (td // g) + tn * (sd // g)
+                dens[e] = sd // g * td
+            else:
+                nums[e] += tn * (sd // td)
+    sn, sd = scale.numerator, scale.denominator
+    return [Fraction(n * sn, d * sd) for n, d in zip(nums, dens)]
 
 
 @dataclass(frozen=True)
@@ -187,33 +272,26 @@ def phi_sum(spec: PhiSpec, N: int) -> Fraction:
     if not cutoffs:
         raise DivergentSpec(f"no upper parameter in {spec.uppers} is a q^-M with M <= {N}")
     # the term ratio z prod(1 - u q^m) / ((1 - q^(m+1)) prod(1 - v q^m))
-    powers = _Powers(q)
     records = [[(u, 0, 1) for u in us] for us in (spec.uppers, (q,) + spec.lowers)]
-    step = _compiled((spec.argument, *records), powers)
-    return Fraction(*_terminating_row(step, powers, 0, min(cutoffs) + 1, spec))
+    [step] = _compiled(q, (spec.argument, *records))
+    return Fraction(*_terminating_row(step, 0, min(cutoffs) + 1, spec))
 
 
-def qbinom_terms(aparam, q) -> Iterator[Fraction]:
-    """The coefficients c_0, c_1, ... of (a z; q)_inf / (z; q)_inf =
-    sum c_n z^n, without end.
+def qbinom_series(aparam, q, N: int) -> list:
+    """Coefficients c_0..c_N of (a z; q)_inf / (z; q)_inf = sum c_n z^n.
 
     The q-binomial theorem gives c_n = (a; q)_n / (q; q)_n; coefficients are
     built by running ratios, one integer quotient and one reduction a step.
     """
     q = rat(q)
-    powers = _Powers(q)
     # (1 - a q^n) / (1 - q^(n+1)), the ratio from c_n to c_(n+1)
-    step = _compiled((1, [(rat(aparam), 0, 1)], [(q, 0, 1)]), powers)
-    c = Fraction(1)
-    for n in itertools.count():
-        yield c
-        num, den, low = _factors(step, powers, 0, n)
-        if low == 0:
-            raise PoleInLower(f"(q;q)_{n + 1} vanished; base {q} is a root of unity")
-        c = Fraction(c.numerator * num, c.denominator * den * low)
-
-
-def qbinom_series(aparam, q, N: int) -> list:
-    """Coefficients c_0..c_N of (a z; q)_inf / (z; q)_inf = sum c_n z^n, the
-    first N + 1 of qbinom_terms."""
-    return list(itertools.islice(qbinom_terms(aparam, q), N + 1))
+    [step] = _compiled(q, (1, [(rat(aparam), 0, 1)], [(q, 0, 1)]))
+    c, out = Fraction(1), []
+    for n in range(N + 1):
+        if n:
+            num, den, low = _factors(step, 0, n - 1)
+            if low == 0:
+                raise PoleInLower(f"(q;q)_{n} vanished; base {q} is a root of unity")
+            c = Fraction(c.numerator * num, c.denominator * den * low)
+        out.append(c)
+    return out

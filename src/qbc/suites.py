@@ -75,8 +75,20 @@ _CONFIG_KEYS = ("schema", "degree", "max_weight", "points", "cache_dir")
 _EXTRA_KEYS = ("beta", "sqrt_param")
 # every key a configured point may carry
 _POINT_KEYS = tuple(f.name for f in fields(ParamPoint)) + _EXTRA_KEYS
-# the extra that every point of a group must carry
-_REQUIRED_EXTRA = {"macdonald": "sqrt_param", "kernel": "beta"}
+# the fields every point of a group must carry, for the suites that read it
+_ABCDS = ("a", "b", "c", "d", "s")
+_REQUIRED = {
+    "askey-wilson": _ABCDS,
+    "tied-half": _ABCDS,
+    "tied-full": _ABCDS,
+    "lemma-c": _ABCDS,
+    "lemma-b": _ABCDS,
+    "koornwinder": ("a", "b", "c", "d", "sqrt_t"),
+    "kernel": ("a", "b", "c", "d", "sqrt_t", "beta"),
+    "macdonald": ("sqrt_t", "sqrt_param"),
+    "b2": ("sqrt_t", "sqrt_T"),
+    "b2-character": ("sqrt_t", "sqrt_T"),
+}
 
 
 def _json_int(obj: dict, key: str, default):
@@ -143,9 +155,9 @@ class RunConfig:
         for name, pts in self.groups.items():
             if not pts:
                 raise ValueError(f"point group {name!r} is empty")
-            extra = _REQUIRED_EXTRA.get(name)
-            if extra and any(getattr(cp, extra) is None for cp in pts):
-                raise ValueError(f"{name} points must carry {extra}")
+            for key in _REQUIRED.get(name, ()):
+                if any(getattr(cp if key in _EXTRA_KEYS else cp.point, key) is None for cp in pts):
+                    raise ValueError(f"{name} points must carry {key}")
             # faults the suites would otherwise meet mid-run, as exit 3
             if name == "macdonald" and any(cp.sqrt_param == 0 for cp in pts):
                 raise ValueError("macdonald points must have a nonzero sqrt_param")
@@ -164,7 +176,7 @@ class RunConfig:
         """The configuration obj, its fields over base's.  A key other than
         _CONFIG_KEYS, or a point group the packaged configuration does not
         name, raises ValueError rather than being ignored."""
-        if not isinstance(obj, dict) or obj.get("schema") != 1:
+        if not isinstance(obj, dict) or _json_int(obj, "schema", None) != 1:
             raise ValueError("configuration must be an object that declares schema 1")
         unknown = sorted(set(obj) - set(_CONFIG_KEYS))
         if unknown:

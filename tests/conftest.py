@@ -39,9 +39,9 @@ def g_builds(monkeypatch):
     built = []
     real_entry = koornwinder._g_entry
 
-    def spy(m, n, P):
+    def spy(m, n, P, h):
         built.append((m, n, P))
-        return real_entry(m, n, P)
+        return real_entry(m, n, P, h)
 
     monkeypatch.setattr(koornwinder, "_g_entry", spy)
     monkeypatch.setattr(koornwinder, "_G_TABLES", {})

@@ -11,6 +11,7 @@ orbit form.
 
 from qbc import koornwinder, macdonald_bcd
 from qbc.algebra import LaurentPoly
+from qbc.qseries import qbinom_series
 
 #: the full-term G table of each (n, P), for the test process
 _TABLES: dict = {}
@@ -22,7 +23,7 @@ def g_entry(m, n, P) -> LaurentPoly:
     G_m is the sum over j of G'_(m - j) H_j(x_n), with G' the rank-(n - 1)
     table (the series 1 at rank 0) and H_j = sum_(a + b = j) h_a h_b
     x_n^(a - b) for h_j = (t;q)_j/(q;q)_j."""
-    h = koornwinder._heads(m, P)
+    h = qbinom_series(P.t, P.q, m)
     if n > 1:
         lower = [g.terms for g in g_series_list(m, n - 1, P)]
     else:

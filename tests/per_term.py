@@ -15,7 +15,7 @@ from fractions import Fraction
 from qbc import askey_wilson, koornwinder
 from qbc.algebra import LaurentPoly, OrbitPoly, ParamPoint, rat
 from qbc.macdonald_bcd import FAMILY_B, FAMILY_C, FAMILY_D, FamilyTag
-from qbc.qseries import _Powers, qpoch, qpoch_ratio
+from qbc.qseries import qpoch, qpoch_ratio, walk
 
 
 def _head(r: int, P: ParamPoint) -> Fraction:
@@ -162,9 +162,7 @@ def ce_prime_sums(s, P: ParamPoint, D: int) -> list:
     (1 - x^2) sum c_e(k,l;s) x^(2k+2l) = sum c'_e(k,l;s) x^(2k+2l); the
     primed even family built at s and walked there."""
     s = rat(s)
-    return askey_wilson._primed_walk(
-        askey_wilson._coupled_steps(s, P, 1), _Powers(P.q), s, D, 0
-    )
+    return askey_wilson._primed_walk(askey_wilson._coupled_steps(s, P, 1), P.q, s, D, 0)
 
 
 def g_row_sym(r: int, P: ParamPoint, n: int) -> OrbitPoly:
@@ -208,13 +206,12 @@ def fourfold_poly(lam: int, P: ParamPoint) -> LaurentPoly:
     s = q ** -lam
     odd = askey_wilson.odd_sums(s, P, lam)
     outer, inner = askey_wilson._even_steps(s, P)
-    powers = _Powers(q)
     terms: dict = {}
     for w in range(lam + 1):
         if not odd[w]:
             continue
         tops = [lam - w - 2 * l for l in range((lam - w) // 2 + 1)]
-        even = askey_wilson._ladder_walk(tops, powers, outer, inner, "the even family", w)
+        even = walk(tops, q, outer, inner, "the even family", w)
         for K, value in enumerate(even):
             e = (-lam + 2 * K + w,)
             terms[e] = terms.get(e, Fraction(0)) + odd[w] * value

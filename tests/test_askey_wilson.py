@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qbc import askey_wilson
+from qbc import askey_wilson, qseries
 from qbc.algebra import LaurentPoly, ParamPoint, rat, weyl_invariant
 from qbc.askey_wilson import (
     FULL_BASE,
@@ -32,7 +32,7 @@ from qbc.askey_wilson import (
 )
 from qbc.errors import ParameterDegeneracy, PoleInLower, QbcError
 from qbc.qseries import (
-    PhiSpec, _Powers, _compiled, _factors, phi_sum, qbinom_series, qpoch, qpoch_multi, qpoch_ratio,
+    PhiSpec, _compiled, _factors, phi_sum, qbinom_series, qpoch, qpoch_multi, qpoch_ratio,
 )
 from qbc.suites import default_config
 from conftest import monomial_symmetric
@@ -1029,20 +1029,19 @@ class TestTiedCollapseWalks:
 # -- the record walker's integer sums ------------------------------------------
 
 
-def _ladder_walk_reference(tops, powers, outer, inner, what, shift=0, stride=1):
-    """_ladder_walk as it was before it summed in integers: each term one
+def _walk_reference(tops, q, outer, inner, what, shift=0, stride=1):
+    """qseries.walk as it was before it summed in integers: each term one
     reduced Fraction, added to its anti-diagonal by one Fraction addition."""
     if any(record[2] for record in outer[1] + outer[2]):
         raise ValueError("an outer step leaves a term with j = 0; its records carry y = 0")
 
     def advance(term, step, i, j):
-        num, den, low = askey_wilson._factors(step, powers, i, j)
+        num, den, low = qseries._factors(step, i, j)
         if low == 0:
             raise ParameterDegeneracy(f"vanishing lower Pochhammer in {what}")
         return Fraction(term.numerator * num, term.denominator * den * low)
 
-    outer = _compiled(outer, powers, shift)
-    inner = _compiled(inner, powers, shift)
+    outer, inner = _compiled(q, outer, inner, shift=shift)
     size = max((i + stride * top for i, top in enumerate(tops)), default=-1) + 1
     sums = [Fraction(0)] * size
     head = Fraction(1)
@@ -1060,27 +1059,27 @@ def _ladder_walk_reference(tops, powers, outer, inner, what, shift=0, stride=1):
 def _walk_log(walk, tops, base, outer, inner, shift, stride):
     """The walk's sums, or the class and message of the QbcError it raises
     with the number of steps it formed and the last of them.  Steps are
-    logged at askey_wilson._factors, the name the walker (and the
-    reference above) reads qseries._factors by."""
+    logged at qseries._factors, the name the walker (and the reference
+    above) reads it by."""
     steps = []
-    factors = askey_wilson._factors
+    factors = qseries._factors
 
-    def logged(step, powers, i, j):
+    def logged(step, i, j):
         steps.append((step, i, j))
-        return factors(step, powers, i, j)
+        return factors(step, i, j)
 
-    askey_wilson._factors = logged
+    qseries._factors = logged
     try:
-        return walk(tops, _Powers(base), outer, inner, "the drawn family", shift, stride)
+        return walk(tops, base, outer, inner, "the drawn family", shift, stride)
     except QbcError as exc:
         return type(exc), str(exc), len(steps), steps[-1]
     finally:
-        askey_wilson._factors = factors
+        qseries._factors = factors
 
 
 @st.composite
 def _walk_tables(draw):
-    """(tops, base, outer, inner, shift, stride) for _ladder_walk.  The
+    """(tops, base, outer, inner, shift, stride) for qseries.walk.  The
     base may be negative, as the half-base collapse's q^(1/2) may be; each
     record's C is a small rational times a power of it, and may carry s^p,
     so upper and lower factors vanish at reachable terms, and factors
@@ -1129,7 +1128,7 @@ SHIFTED_POLE = (
 
 
 class TestIntegerDiagonalSums:
-    """_ladder_walk keeps its terms as reduced integer pairs and its sums as
+    """qseries.walk keeps its terms as reduced integer pairs and its sums as
     integer numerators over a running lcm; it must give the Fraction
     walker's sums, or raise its error, with its message, at its step."""
 
@@ -1140,21 +1139,18 @@ class TestIntegerDiagonalSums:
     @example(LOWER_ZERO)
     @example(SHIFTED_POLE)
     def test_walker_matches_the_fraction_walker(self, table):
-        assert _walk_log(askey_wilson._ladder_walk, *table) == _walk_log(
-            _ladder_walk_reference, *table
-        )
+        assert _walk_log(qseries.walk, *table) == _walk_log(_walk_reference, *table)
 
     def test_example_tables_are_what_they_claim(self):
         tops, base, outer, inner, shift, stride = UPPER_ZERO
-        sums = askey_wilson._ladder_walk(tops, _Powers(base), outer, inner, "", shift, stride)
-        cut = askey_wilson._ladder_walk([2, 2, 1], _Powers(base), outer, inner, "", shift, stride)
+        sums = qseries.walk(tops, base, outer, inner, "", shift, stride)
+        cut = qseries.walk([2, 2, 1], base, outer, inner, "", shift, stride)
         assert sums == cut + [0] * (len(sums) - len(cut)) and all(sums[:4])
         tops, base, outer, inner, shift, stride = NEGATIVE_LOW
-        powers = _Powers(base)
-        step = _compiled(inner, powers)
-        assert all(_factors(step, powers, 0, j)[2] < 0 for j in range(4))
+        [step] = _compiled(base, inner)
+        assert all(_factors(step, 0, j)[2] < 0 for j in range(4))
         for table, steps, last in ((LOWER_ZERO, 2, (0, 1)), (SHIFTED_POLE, 2, (0, 1))):
-            error, message, count, (_, i, j) = _walk_log(askey_wilson._ladder_walk, *table)
+            error, message, count, (_, i, j) = _walk_log(qseries.walk, *table)
             assert (error, message) == (
                 ParameterDegeneracy, "vanishing lower Pochhammer in the drawn family"
             )
@@ -1166,5 +1162,5 @@ class TestIntegerDiagonalSums:
         # phi_series through x^24 at the shipped s
         P = cp.point
         got = fourfold_poly(24, P), phi_series(P.s, P, 24)
-        monkeypatch.setattr(askey_wilson, "_ladder_walk", _ladder_walk_reference)
+        monkeypatch.setattr(askey_wilson, "walk", _walk_reference)
         assert (fourfold_poly(24, P), phi_series(P.s, P, 24)) == got

@@ -252,7 +252,7 @@ class TestVerify:
         },
         "kernel-point-without-beta": {
             "schema": 1,
-            "points": {"kernel": [{"sqrt_q": "1/2", "sqrt_t": "1/2"}]},
+            "points": {"kernel": [dict(KERNEL_ABCD, sqrt_q="1/2", sqrt_t="1/2")]},
         },
         "zero-sqrt-param": {
             "schema": 1,
@@ -268,6 +268,26 @@ class TestVerify:
             "schema": 1,
             "points": {"kernel": [dict(KERNEL_ABCD, sqrt_q="1/2", sqrt_t="1/3", beta=1)]},
         },
+        # schema 1 is the JSON integer 1, not a value that equals it
+        "boolean-schema": {"schema": True, "degree": 5},
+        "fractional-schema": {"schema": 1.0},
+        # a point without a field its group's suites read
+        "b2-point-without-sqrt-T": {
+            "schema": 1,
+            "points": {"b2": [{"sqrt_q": "1/2", "sqrt_t": "1/3"}]},
+        },
+        "askey-wilson-point-without-s": {
+            "schema": 1,
+            "points": {
+                "askey-wilson": [{"sqrt_q": "1/2", "a": "3", "b": "5", "c": "7", "d": "11"}]
+            },
+        },
+        "koornwinder-point-without-sqrt-t": {
+            "schema": 1,
+            "points": {
+                "koornwinder": [{"sqrt_q": "1/2", "a": "2", "b": "3", "c": "5", "d": "5/6"}]
+            },
+        },
     }
 
     @pytest.mark.parametrize("shape", sorted(MALFORMED_CONFIGS))
@@ -277,6 +297,24 @@ class TestVerify:
         cfg = _write_config(tmp_path, self.MALFORMED_CONFIGS[shape])
         assert main(["verify", "kernel", "--config", cfg]) == 2
         assert capsys.readouterr().err.startswith("usage error: bad configuration")
+
+    @pytest.mark.parametrize(
+        "shape, reason",
+        [
+            ("boolean-schema", "schema must be an integer, got True"),
+            ("fractional-schema", "schema must be an integer, got 1.0"),
+            ("b2-point-without-sqrt-T", "b2 points must carry sqrt_T"),
+            ("askey-wilson-point-without-s", "askey-wilson points must carry s"),
+            ("koornwinder-point-without-sqrt-t", "koornwinder points must carry sqrt_t"),
+            ("kernel-point-without-beta", "kernel points must carry beta"),
+        ],
+    )
+    def test_config_fault_is_named_as_it_loads(self, shape, reason, tmp_path, capsys):
+        # refused before any suite runs, not met mid-run as a degenerate
+        # point (exit 3) or let through
+        cfg = _write_config(tmp_path, self.MALFORMED_CONFIGS[shape])
+        assert main(["verify", "all", "--config", cfg]) == 2
+        assert capsys.readouterr().err == f"usage error: bad configuration: {reason}\n"
 
     # a misspelt key or group would otherwise leave the defaults in force
     # and exit 0; the top-level keys are checked first.  A misspelt field

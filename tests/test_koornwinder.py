@@ -353,21 +353,6 @@ class TestGeneratingFamily:
         assert len(g_builds) == 12
         assert set(g_builds) == {(j, k, POINT_K2) for j in range(6) for k in (1, 2)}
 
-    def test_heads_grow_once_with_the_tables(self, g_builds, monkeypatch):
-        # every G table at a point reads one list of h_j = (t;q)_j/(q;q)_j:
-        # growing tables at ranks 1-3 to order 6 extends that list in place
-        # to h_0..h_6, equal to qbinom_series, without building it again
-        monkeypatch.setattr(koornwinder, "_HEADS", {})
-        for rmax in range(7):
-            for n in (1, 3, 2):
-                g_series_list(rmax, n, POINT_K1)
-        h, _ = koornwinder._HEADS[POINT_K1]
-        assert list(koornwinder._HEADS) == [POINT_K1]
-        assert h == qbinom_series(POINT_K1.t, POINT_K1.q, 6)
-        assert koornwinder._heads(3, POINT_K1) is h and len(h) == 7
-        assert koornwinder._heads(9, POINT_K1) is h
-        assert h == qbinom_series(POINT_K1.t, POINT_K1.q, 9)
-
     def test_order_zero(self):
         assert g_series(0, 2, POINT_K1) == orbit_sum((), 2)
 

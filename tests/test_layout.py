@@ -136,6 +136,25 @@ def test_every_import_is_used_in_its_module():
     assert unused == []
 
 
+def test_only_qseries_holds_a_table_of_powers():
+    # the integer walk kernel takes a base: a table of powers of it is made
+    # and read inside qseries alone, so no other module names _Powers or
+    # takes a powers parameter
+    found = []
+    for filename, tree in _modules().items():
+        if filename == "qseries.py":
+            continue
+        found += [
+            f"{filename}:{sub.lineno} {name}" for name, sub in _references(tree)
+            if name == "_Powers"
+        ]
+        found += [
+            f"{filename}:{sub.lineno} {sub.arg}" for sub in ast.walk(tree)
+            if isinstance(sub, ast.arg) and sub.arg == "powers"
+        ]
+    assert found == []
+
+
 def _functions(modules: dict) -> list:
     """(filename, def node, names a call to it goes by, whether a call's
     first argument fills the second parameter) for every function and

@@ -33,7 +33,6 @@ def _clear_memos():
     ):
         memo.cache_clear()
     koornwinder._G_TABLES.clear()
-    koornwinder._HEADS.clear()
     algebra._STRAIGHTENED.clear()
 
 

@@ -347,18 +347,21 @@ def test_kernel_matches_fraction_loops(data):
 
 
 def test_every_terminating_row_steps_through_one_kernel(monkeypatch):
-    # the askey_wilson walks run on the step primitives of qseries, and
-    # phi_sum, qbinom_series and the 6phi5 rows of psi_series form every
-    # term ratio with qseries._factors: one call per step at a generic point
-    assert (askey_wilson._Powers, askey_wilson._compiled, askey_wilson._factors) == (
-        qseries._Powers, qseries._compiled, qseries._factors
-    )
+    # the askey_wilson walks run on qseries' integer walk kernel, which
+    # alone holds the tables of powers, and phi_sum, qbinom_series and the
+    # 6phi5 rows of psi_series form every term ratio with qseries._factors:
+    # one call per step at a generic point
+    kernel = ("walk", "convolve", "_compiled", "_factors", "_terminating_row")
+    assert [getattr(askey_wilson, name) for name in kernel] == [
+        getattr(qseries, name) for name in kernel
+    ]
+    assert not {"_Powers", "_ladder_walk", "_convolve"} & set(vars(askey_wilson))
     steps = []
     factors = qseries._factors
 
-    def counted(step, powers, i, j):
+    def counted(step, i, j):
         steps.append((i, j))
-        return factors(step, powers, i, j)
+        return factors(step, i, j)
 
     monkeypatch.setattr(qseries, "_factors", counted)
     q = F(1, 2)
