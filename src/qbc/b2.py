@@ -135,6 +135,15 @@ def b2_oracle(w: B2Weight, P: ParamPoint) -> LaurentPoly:
 # multiplies them, steps a running product by ratio and turns each cell into
 # the value its coefficient accumulates with coefficient.
 #
+# The series has five indices: the principal n, theta2, theta3 and the two
+# two-factor sums (skew and diagonal).  The head of each n stays a product of
+# full ladders, since its q^n T/(c1 c2) ladders shift with n.  Every other
+# index is a running-ratio direction, and one stepper walks them all:
+# direction(unit, factors, label) yields term k + 1 = term k * unit * num /
+# den with (num, den) = factors(k).  A dead numerator ends the direction, a
+# dead denominator is a ParameterDegeneracy, and an index past the scan bound
+# is NonTerminating.
+#
 # The second ring tracks one coefficient per value and nothing past
 # it: a product or quotient of leading terms is exact, and a sum whose leading
 # terms cancel only knows that it is O(v^(off + 1)).  So a limit it returns
@@ -361,11 +370,6 @@ def _series_terms(w: B2Weight, P: ParamPoint, ring, bound: int) -> dict:
             prod = prod * ring.factor(gamma * qp(k), p)
         return prod
 
-    def guard(x, what):
-        if ring.dead(x):
-            raise ParameterDegeneracy(f"vanishing {what} in the explicit series")
-        return x
-
     def stop(num, den, what) -> bool:
         """Whether this ladder direction just terminated.
 
@@ -375,13 +379,22 @@ def _series_terms(w: B2Weight, P: ParamPoint, ring, bound: int) -> dict:
         """
         if ring.zero_is_identical and ring.dead(num):
             return True
-        guard(den, what)
+        if ring.dead(den):
+            raise ParameterDegeneracy(f"vanishing {what} in the explicit series")
         return ring.dead(num)
 
-    def overran(label):
-        return NonTerminating(
-            f"{label} index passed {bound} without a vanishing factor"
-        )
+    def direction(unit, factors, label):
+        """Yield (k, term k) along one running-ratio direction: term 0 is
+        one, and term k + 1 is term k * unit * num / den with (num, den) =
+        factors(k), until stop reads num as dead."""
+        run = ring.one
+        for k in range(bound + 1):
+            yield k, run
+            num, den = factors(k)
+            if stop(num, den, "ladder denominator"):
+                return
+            run = ring.ratio(run * unit, num, den)
+        raise NonTerminating(f"{label} index passed {bound} without a vanishing factor")
 
     ladder_memo: dict = {}
 
@@ -393,27 +406,21 @@ def _series_terms(w: B2Weight, P: ParamPoint, ring, bound: int) -> dict:
         step, so the cells are memoized per (step, m)."""
         key = (step, m)
         if key not in ladder_memo:
-            cells = []
-            run = ring.one
-            k = 0
-            while True:
-                cells.append(((-2 * k, step * k), run))
-                if k > bound:
-                    raise overran(label)
-                num = ring.factor(qp(k), 1) * ring.factor(qp(m + k) * const, 0)
-                den = ring.factor(qp(1 + k), 0) * ring.factor(qp(m + 1 + k) * const, -1)
-                if stop(num, den, "ladder denominator"):
-                    break
-                run = ring.ratio(run * ring.unit(q, -1), num, den)
-                k += 1
-            ladder_memo[key] = cells
+
+            def factors(k):
+                return (
+                    ring.factor(qp(k), 1) * ring.factor(qp(m + k) * const, 0),
+                    ring.factor(qp(1 + k), 0) * ring.factor(qp(m + 1 + k) * const, -1),
+                )
+
+            ladder_memo[key] = [
+                ((-2 * k, step * k), run)
+                for k, run in direction(ring.unit(q, -1), factors, label)
+            ]
         return ladder_memo[key]
 
     out: dict = {}
-    n = 0
-    while True:
-        if n > bound:
-            raise overran("principal direction")
+    for n in range(bound + 1):
         # the two 2n-ladders sharing numerator arguments are folded into
         # denominator tails of length n
         head_num = (
@@ -435,19 +442,40 @@ def _series_terms(w: B2Weight, P: ParamPoint, ring, bound: int) -> dict:
             * ladder(qp(n) * T_cc, -2, n)
         )
         if stop(head_num, head_den, "series prefactor denominator"):
-            break
+            return out
         hterm = ring.ratio(ring.unit(q_T ** (2 * n), n), head_num, head_den)
 
-        b2run = ring.one
-        t2 = 0
-        while True:
-            if t2 > bound:
-                raise overran("second direction")
-            b3run = ring.one
-            t3 = 0
-            while True:
-                if t3 > bound:
-                    raise overran("third direction")
+        def second(k):
+            return (
+                ring.factor(qp(n + k) * T, 0)
+                * ring.factor(qp(2 * n + k) * T_c2c2, 0)
+                * ring.factor(qp(n + k) * T_cc, -1)
+                * ring.factor(qp(1 + k) * c1_c2, 1),
+                ring.factor(qp(1 + k), 0)
+                * ring.factor(qp(n + 1 + k) * inv_c2c2, 0)
+                * ring.factor(qp(2 * n + k) * T_cc, -1)
+                * ring.factor(qp(n + 1 + k) * c1_c2, 1),
+            )
+
+        for t2, b2run in direction(ring.unit(q_T, 0), second, "second direction"):
+
+            def third(k):
+                return (
+                    ring.factor(qp(n + k) * T, 0)
+                    * ring.factor(qp(2 * n + k) * T_c1c1, -2)
+                    * ring.factor(qp(k) * c2_c1, 0)
+                    * ring.factor(qp(1 - t2 + k) * c2_c1, -2)
+                    * ring.factor(qp(n + k) * T_cc, -1)
+                    * ring.factor(qp(2 * n + t2 + 1 + k) * T_cc, -2),
+                    ring.factor(qp(1 + k), 0)
+                    * ring.factor(qp(n + 1 + k) * inv_c1c1, -2)
+                    * ring.factor(qp(n + 1 + k) * c2_c1, -1)
+                    * ring.factor(qp(k - t2) * c2_c1, -1)
+                    * ring.factor(qp(2 * n + 1 + k) * T_cc, -2)
+                    * ring.factor(qp(2 * n + t2 + k) * T_cc, -1),
+                )
+
+            for t3, b3run in direction(ring.unit(q_T, 0), third, "third direction"):
                 cell = hterm * b2run * b3run
                 base1 = d1 - 2 * n - 2 * t3
                 base2 = d2 - 2 * n - 2 * t2
@@ -460,46 +488,7 @@ def _series_terms(w: B2Weight, P: ParamPoint, ring, bound: int) -> dict:
                     for (g1, g2), w4 in diagonal:
                         exps = (base1 + e1 + g1, base2 + e2 + g2)
                         out[exps] = out.get(exps, ring.zero) + ring.coefficient(left * w4)
-                k = t3
-                num = (
-                    ring.factor(qp(n + k) * T, 0)
-                    * ring.factor(qp(2 * n + k) * T_c1c1, -2)
-                    * ring.factor(qp(k) * c2_c1, 0)
-                    * ring.factor(qp(1 - t2 + k) * c2_c1, -2)
-                    * ring.factor(qp(n + k) * T_cc, -1)
-                    * ring.factor(qp(2 * n + t2 + 1 + k) * T_cc, -2)
-                )
-                den = (
-                    ring.factor(qp(1 + k), 0)
-                    * ring.factor(qp(n + 1 + k) * inv_c1c1, -2)
-                    * ring.factor(qp(n + 1 + k) * c2_c1, -1)
-                    * ring.factor(qp(k - t2) * c2_c1, -1)
-                    * ring.factor(qp(2 * n + 1 + k) * T_cc, -2)
-                    * ring.factor(qp(2 * n + t2 + k) * T_cc, -1)
-                )
-                if stop(num, den, "ladder denominator"):
-                    break
-                b3run = ring.ratio(b3run * ring.unit(q_T, 0), num, den)
-                t3 += 1
-            k = t2
-            num = (
-                ring.factor(qp(n + k) * T, 0)
-                * ring.factor(qp(2 * n + k) * T_c2c2, 0)
-                * ring.factor(qp(n + k) * T_cc, -1)
-                * ring.factor(qp(1 + k) * c1_c2, 1)
-            )
-            den = (
-                ring.factor(qp(1 + k), 0)
-                * ring.factor(qp(n + 1 + k) * inv_c2c2, 0)
-                * ring.factor(qp(2 * n + k) * T_cc, -1)
-                * ring.factor(qp(n + 1 + k) * c1_c2, 1)
-            )
-            if stop(num, den, "ladder denominator"):
-                break
-            b2run = ring.ratio(b2run * ring.unit(q_T, 0), num, den)
-            t2 += 1
-        n += 1
-    return out
+    raise NonTerminating(f"principal direction index passed {bound} without a vanishing factor")
 
 
 def _default_bound(w: B2Weight) -> int:

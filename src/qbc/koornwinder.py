@@ -222,6 +222,10 @@ def g_series_list(rmax: int, n: int, P: ParamPoint) -> tuple:
     P.require("sqrt_t")
     table = _G_TABLES.setdefault((n, P), [])
     if len(table) <= rmax:
+        if n > 1:
+            # each entry reads the rank below to its own order; growing it
+            # once here keeps those reads from recomputing its head list
+            g_series_list(rmax, n - 1, P)
         h = qbinom_series(P.t, P.q, rmax)
         while len(table) <= rmax:
             table.append(_g_entry(len(table), n, P, h))

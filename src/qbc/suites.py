@@ -43,6 +43,7 @@ from .b2 import (
     b2_row_threefold,
     f_b2_poly,
 )
+from .errors import MissingSquareRoot
 from .koornwinder import g_row_general, kernel_identity_check, koorn_oracle
 from .macdonald_bcd import (
     FAMILY_B,
@@ -165,6 +166,18 @@ class RunConfig:
                 cp.beta < 1 or cp.point.sqrt_t != cp.point.sqrt_q ** cp.beta for cp in pts
             ):
                 raise ValueError("kernel points must have sqrt_t = sqrt_q^beta, beta >= 1")
+            if name == "b2-character" and any(
+                not cp.point.sqrt_q == cp.point.sqrt_t == cp.point.sqrt_T for cp in pts
+            ):
+                raise ValueError("b2-character points must have sqrt_q = sqrt_t = sqrt_T")
+            if name in ("koornwinder", "kernel"):
+                for cp in pts:
+                    try:
+                        cp.point.alpha
+                    except MissingSquareRoot as exc:
+                        raise ValueError(
+                            f"{name} points must have abcd/q a rational square: {exc}"
+                        ) from None
 
     def points(self, group: str):
         if group not in self.groups:

@@ -3,7 +3,7 @@
 Every comparison is exact (Fraction arithmetic, == on polynomials); the wall
 clock bounds are generous and only guard against complexity regressions.
 Criterion 8 sweeps the rank-two conjecture up to the shipped total weight
-bound of 3; `qbc verify b2 --max-weight 11` runs the extended sweep.
+bound of 3; `qbc verify b2 --max-weight 13` runs the extended sweep.
 A last test pins the timing-free report of every suite at the default
 configuration, so a refactor that changes any verdict or case shows, and
 one more pins the report of the 366 legacy cases alone, so coverage can

@@ -4,7 +4,7 @@ fivefold series, and its collapsed forms."""
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import qbc.b2
 from qbc.algebra import (
@@ -37,6 +37,7 @@ from qbc.errors import DimensionMismatch, NonTerminating, ParameterDegeneracy, Q
 from qbc.koornwinder import CACHE_ENV
 from qbc.suites import _plan, _run, default_config, run_suite
 from conftest import monomial_symmetric, poly_key
+import b2_reference
 
 # t, t^2, T, tT, t^2T must stay off integer powers of q, or a denominator
 # ladder pins to 1 at a live index.  Both points were picked for that.
@@ -275,6 +276,16 @@ class TestCharacterCollapse:
     def test_series_limit_matches_polytope(self, r1, r2):
         w = B2Weight(r1, r2)
         assert b2_character_series(w, CHAR_POINT) == b2_character_polytope(r1, r2)
+
+    @pytest.mark.parametrize("s", [F(1, 2), F(1, 3), F(2, 3)])
+    def test_series_limit_matches_polytope_past_the_suite(self, s):
+        # the b2-character suite stops at total weight 2, and the test
+        # above at 4 at one point
+        P = ParamPoint(sqrt_q=s, sqrt_t=s, sqrt_T=s)
+        for total in range(3, 7):
+            for r1 in range(total + 1):
+                w = B2Weight(r1, total - r1)
+                assert b2_character_series(w, P) == b2_character_polytope(r1, total - r1), w
 
     def test_needs_collapsed_point(self):
         with pytest.raises(ParameterDegeneracy):
@@ -595,6 +606,96 @@ class TestPairRing:
         run = ring.ratio(_Pair(6, 10), _Pair(4, 9), _Pair(8, 3))
         assert (run.num, run.den) == (1, 10)
         assert ring.coefficient(run) == F(1, 10)
+
+
+class _CutScalars(_RationalScalars):
+    """The pair ring with 1 - t dead: both two-factor sums stop at their
+    first cell, so the theta2 direction can pass the scan bound.  On the
+    two shipped rings it cannot, since the diagonal sum at (n, 0, 0) is at
+    least as long, unless t = q^-j, where a ladder denominator vanishes
+    first."""
+
+    def factor(self, gamma, p):
+        if p == 1 and gamma.num == gamma.den:
+            return _Pair(0)
+        return super().factor(gamma, p)
+
+
+def _terms_outcome(series, Ring, w, P, bound):
+    """The coefficient dict of series on a fresh Ring, jet values
+    finalized, each the value or the class and message of the QbcError it
+    raised; or the class and message of the error the series raised."""
+    ring = Ring(P.t)
+    try:
+        terms = series(w, P, ring, bound)
+    except QbcError as exc:
+        return type(exc), str(exc)
+    if not hasattr(ring, "finalize"):
+        return terms
+    out = {}
+    for exps, x in terms.items():
+        try:
+            out[exps] = ring.finalize(x)
+        except QbcError as exc:
+            out[exps] = type(exc), str(exc)
+    return out
+
+
+@st.composite
+def _stepper_inputs(draw):
+    # the drawn point or one of the shipped generic ones, where most draws
+    # of the pair ring sum the series instead of degenerating
+    P, w = draw(_series_inputs())
+    P = draw(st.sampled_from([P, B2P1, B2P2]))
+    bound = draw(st.integers(0, _default_bound(w)))
+    return P, w, bound, draw(st.sampled_from([_RationalScalars, _JetScalars]))
+
+
+def _pinned(sq, st_, sT, r1, r2, bound, Ring):
+    return ParamPoint(sqrt_q=sq, sqrt_t=st_, sqrt_T=sT), B2Weight(r1, r2), bound, Ring
+
+
+#: an input on which the series raises, for each overrun label and each
+#: degeneracy of the series
+_PINNED = {
+    "principal direction": _pinned(F(1, 2), F(1, 2), F(1, 2), 0, 0, 0, _JetScalars),
+    "second direction": _pinned(F(1, 2), F(1, 3), F(1, 5), 0, 2, 1, _CutScalars),
+    "third direction": _pinned(F(1, 2), F(1), F(1, 2), 2, 0, 0, _RationalScalars),
+    "skew direction": _pinned(F(1, 2), F(1, 2), F(1, 2), 1, 0, 0, _RationalScalars),
+    "diagonal direction": _pinned(F(1, 2), F(1, 2), F(1, 2), 0, 1, 0, _JetScalars),
+    "ladder denominator": _pinned(F(1, 2), F(1, 2), F(1, 2), 0, 0, 0, _RationalScalars),
+    "series prefactor denominator": _pinned(F(1, 2), F(1, 4), F(2), 0, 0, 1, _RationalScalars),
+}
+
+
+class TestSeriesReference:
+    """The series walks every running-ratio direction through one stepper;
+    it must give what the hand-written loops of b2_reference gave, values,
+    error classes and messages alike, on both rings and at every bound."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(_stepper_inputs())
+    @example(_PINNED["principal direction"])
+    @example(_PINNED["second direction"])
+    @example(_PINNED["third direction"])
+    @example(_PINNED["skew direction"])
+    @example(_PINNED["diagonal direction"])
+    @example(_PINNED["ladder denominator"])
+    @example(_PINNED["series prefactor denominator"])
+    def test_series_matches_the_hand_written_loops(self, drawn):
+        P, w, bound, Ring = drawn
+        assert _terms_outcome(_series_terms, Ring, w, P, bound) == _terms_outcome(
+            b2_reference._series_terms, Ring, w, P, bound
+        )
+
+    @pytest.mark.parametrize("label", sorted(_PINNED))
+    def test_pinned_inputs_raise_where_named(self, label):
+        P, w, bound, Ring = _PINNED[label]
+        if label.endswith("direction"):
+            want = NonTerminating, f"{label} index passed {bound} without a vanishing factor"
+        else:
+            want = ParameterDegeneracy, f"vanishing {label} in the explicit series"
+        assert _terms_outcome(_series_terms, Ring, w, P, bound) == want
 
 
 def _plan_report(r1, r2, P):

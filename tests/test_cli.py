@@ -288,6 +288,24 @@ class TestVerify:
                 "koornwinder": [{"sqrt_q": "1/2", "a": "2", "b": "3", "c": "5", "d": "5/6"}]
             },
         },
+        # a point that breaks its group's shape, which the suites would
+        # otherwise meet mid-run as a degenerate point
+        "b2-character-point-uncollapsed": {
+            "schema": 1,
+            "points": {"b2-character": [{"sqrt_q": "1/2", "sqrt_t": "1/3", "sqrt_T": "1/2"}]},
+        },
+        "koornwinder-alpha-irrational": {
+            "schema": 1,
+            "points": {
+                "koornwinder": [
+                    {"sqrt_q": "1/2", "sqrt_t": "1/3", "a": "2", "b": "3", "c": "5", "d": "7"}
+                ]
+            },
+        },
+        "kernel-alpha-irrational": {
+            "schema": 1,
+            "points": {"kernel": [dict(KERNEL_ABCD, d="7", sqrt_q="1/2", sqrt_t="1/2", beta=1)]},
+        },
     }
 
     @pytest.mark.parametrize("shape", sorted(MALFORMED_CONFIGS))
@@ -307,6 +325,20 @@ class TestVerify:
             ("askey-wilson-point-without-s", "askey-wilson points must carry s"),
             ("koornwinder-point-without-sqrt-t", "koornwinder points must carry sqrt_t"),
             ("kernel-point-without-beta", "kernel points must carry beta"),
+            (
+                "b2-character-point-uncollapsed",
+                "b2-character points must have sqrt_q = sqrt_t = sqrt_T",
+            ),
+            (
+                "koornwinder-alpha-irrational",
+                "koornwinder points must have abcd/q a rational square: "
+                "840 is not the square of a rational",
+            ),
+            (
+                "kernel-alpha-irrational",
+                "kernel points must have abcd/q a rational square: "
+                "2940 is not the square of a rational",
+            ),
         ],
     )
     def test_config_fault_is_named_as_it_loads(self, shape, reason, tmp_path, capsys):

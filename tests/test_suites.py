@@ -90,8 +90,9 @@ def test_kernel_setup_lands_in_the_first_case(clock, monkeypatch):
     # the shared set-up of a kernel plan is one g_series_list call and one
     # operator application per series coefficient; only those advance the
     # clock here, so everything they cost must show in the y00 case.  On
-    # empty G tables the rank-2 call grows orders 0..6, and each entry
-    # reads the rank-1 table through g_series_list: 8 calls in all
+    # empty G tables the rank-2 call grows orders 0..6, first growing the
+    # rank-1 table to order 6, and each entry reads the rank-1 table
+    # through g_series_list: 9 calls in all
     monkeypatch.setattr(qbc.koornwinder, "_G_TABLES", {})
 
     def charged(fn, seconds):
@@ -112,7 +113,7 @@ def test_kernel_setup_lands_in_the_first_case(clock, monkeypatch):
     report = suites.run_suite("kernel", one_point)
     assert report.passed
     seconds = {c.case_id: c.seconds for c in report.cases}
-    assert seconds.pop("kernel-p1-n2-beta1-y00") == 8 * 100.0 + 7 * 1.0
+    assert seconds.pop("kernel-p1-n2-beta1-y00") == 9 * 100.0 + 7 * 1.0
     assert len(seconds) == 6 and set(seconds.values()) == {0.0}
     assert "seconds" not in report.to_json_obj(with_timing=False)["cases"][0]
 
@@ -138,6 +139,20 @@ def test_lassalle_suite_builds_each_g_list_once_and_takes_one_oracle_per_row(
     assert len(calls) == 60
     assert isinstance(qbc.koornwinder.g_series_list(1, 1, calls[0][1]), tuple)
 
+
+def test_verify_all_computes_each_head_list_once_per_growth(tmp_path, monkeypatch, g_builds):
+    # a rank-n table grows the rank below to its own order before its
+    # entries read it, so each of the 52 growths of verify all's 76 G
+    # entries computes the head list (t;q)_j/(q;q)_j once, and no entry
+    # grows the rank below again
+    monkeypatch.setenv(qbc.koornwinder.CACHE_ENV, str(tmp_path))
+    heads = []
+    real = qbc.koornwinder.qbinom_series
+    monkeypatch.setattr(qbc.koornwinder, "qbinom_series", lambda *a: heads.append(a) or real(*a))
+    report = suites.run_suite("all", suites.default_config())
+    assert report.passed
+    assert len(g_builds) == len(set(g_builds)) == 76
+    assert len(heads) == 52
 
 
 def test_poly_mismatch_names_the_leading_monomial_of_a_planted_error(tmp_path, monkeypatch):
