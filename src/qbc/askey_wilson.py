@@ -8,7 +8,8 @@ The same coefficient families reappear in the several-variable layers with
 rescaled parameters, so the c_e / c_o style functions read their parameters
 from a ParamPoint that the caller may have rebuilt.  The families are
 summed by qseries' integer walk kernel: walk and convolve for the two-index
-families, and its terminating-row kernel for psi_series' rows.
+families, and its terminating-row kernel for psi_series' rows, which
+convolve multiplies by their prefactor.
 """
 
 from __future__ import annotations
@@ -276,7 +277,8 @@ def psi_series(s, P: ParamPoint, N: int) -> tuple:
     _terminating_row, phi_sum's kernel, on one compiled step: it stops at
     its first zero upper factor, as phi_sum stops at its first cutoff, and
     a vanishing lower factor inside it raises phi_sum's PoleInLower, naming
-    the row n and the term."""
+    the row n and the term.  The prefactor's coefficients multiply the
+    rows by convolve at stride 1, one Fraction per coefficient of x^j."""
     P.require("a", "b", "c", "d")
     a, b, c, d, q = P.a, P.b, P.c, P.d, P.q
     sq = P.sqrt_q
@@ -311,13 +313,12 @@ def psi_series(s, P: ParamPoint, N: int) -> tuple:
             head = Fraction(head.numerator * num, head.denominator * den * low)
         total = _terminating_row(inner, n, n + 1, f"row {n} of the inner 6phi5")
         rows.append(head * Fraction(*total))
-    # the prefactor's coefficients of x^i, (a^2/q; q)_i / (q; q)_i (q/a)^i
+    # the prefactor's coefficients of x^i, (a^2/q; q)_i / (q; q)_i (q/a)^i,
+    # each times the rows truncated to x^N
     qa = q / a
     weights = [value * qa ** i for i, value in enumerate(pref)]
-    return tuple(
-        sum((weights[i] * rows[j - i] for i in range(j + 1)), Fraction(0))
-        for j in range(N + 1)
-    )
+    truncated = ((i, rows[: N + 1 - i]) for i in range(N + 1))
+    return tuple(convolve(weights, truncated, N + 1, stride=1))
 
 
 @lru_cache(maxsize=None)
@@ -362,24 +363,29 @@ def fourfold_poly(lam: int, P: ParamPoint) -> LaurentPoly:
 
 def even_sum_closed(s, P: ParamPoint, N: int) -> list:
     """Coefficients of x^(2K), K = 0..N, of sum c_e(k,l;s) x^(2k+2l) by the
-    per-degree closed form: a head factor times a terminating 4phi3 in q^2."""
+    per-degree closed form: a head factor times a terminating 4phi3 in q^2.
+
+    The parameters free of K are built once; q^(2K) s^2, q^(-2K) and the
+    power (q^3/(a^2 c^2))^K each step by one multiply per degree."""
     P.require("a", "c")
     a, c, q = P.a, P.c, P.q
     s = rat(s)
     q2 = q * q
+    a2, c2, s2 = a * a, c * c, s * s
+    a2c2_q = a2 * c2 / q
+    head_uppers, head_lowers = (a2c2_q, s2), (q2, q2 * s2 / a2c2_q)
+    fixed, lowers = (a2 / q, c2 / q), (-s, -q * s, a2c2_q)
+    unit = q2 / a2c2_q  # q^3/(a^2 c^2)
+    shifted, down, power = s2, Fraction(1), Fraction(1)  # K = 0
     closed = []
     for K in range(N + 1):
+        if K:
+            shifted, down, power = shifted * q2, down / q2, power * unit
         head = qpoch_ratio(
-            (a ** 2 * c ** 2 / q, s ** 2), (q2, q ** 3 * s ** 2 / (a ** 2 * c ** 2)),
-            q2, K, "the head factor of the closed even form",
+            head_uppers, head_lowers, q2, K, "the head factor of the closed even form"
         )
-        spec = PhiSpec(
-            uppers=(a ** 2 / q, c ** 2 / q, q ** (2 * K) * s ** 2, q ** (-2 * K)),
-            lowers=(-s, -q * s, a ** 2 * c ** 2 / q),
-            base=q2,
-            argument=q2,
-        )
-        closed.append(head * (q ** 3 / (a ** 2 * c ** 2)) ** K * phi_sum(spec, K))
+        spec = PhiSpec(uppers=fixed + (shifted, down), lowers=lowers, base=q2, argument=q2)
+        closed.append(head * power * phi_sum(spec, K))
     return closed
 
 

@@ -22,7 +22,7 @@ from .algebra import (
     weyl_invariant,
 )
 from .errors import DimensionMismatch, InexactDivision, NonTerminating, ParameterDegeneracy
-from .qseries import qpoch, qpoch_ratio
+from .qseries import _add_over_lcm, qpoch, qpoch_ratio
 from .reports import SKIPPED, poly_mismatch
 
 
@@ -132,8 +132,8 @@ def b2_oracle(w: B2Weight, P: ParamPoint) -> LaurentPoly:
 # expansions in v (t = tv (1 + v)) at q = t = T, where the factors pick up
 # zeros and poles that only cancel in the limit.  The walk hands each ring
 # gamma as an integer _Pair; a ring builds its values with factor and unit,
-# multiplies them, steps a running product by ratio and turns each cell into
-# the value its coefficient accumulates with coefficient.
+# multiplies them, steps a running product by ratio, adds each cell to its
+# coefficient with accumulate, and hands the coefficients back with finish.
 #
 # The series has five indices: the principal n, theta2, theta3 and the two
 # two-factor sums (skew and diagonal).  The head of each n stays a product of
@@ -277,12 +277,12 @@ class _Scalars:
 class _RationalScalars(_Scalars):
     """Plain evaluation with a numeric t, on unreduced integer pairs: a
     factor 1 - gamma t^p costs integer multiplies only, ratio reduces a
-    running product once per step, and each cell of the series adds one
-    reduced Fraction to its coefficient."""
+    running product once per step, and each cell of the series is added to
+    its coefficient as an integer numerator over the running lcm of the
+    coefficient's denominators; finish makes one Fraction per coefficient."""
 
     zero_is_identical = False
     one = _Pair(1)
-    zero = Fraction(0)
 
     def unit(self, gamma, p):
         return gamma * self.power(p)
@@ -300,8 +300,11 @@ class _RationalScalars(_Scalars):
         g = gcd(top, bottom)
         return _Pair(top // g, bottom // g)
 
-    def coefficient(self, x) -> Fraction:
-        return Fraction(x.num, x.den)
+    def accumulate(self, out: dict, exps, x) -> None:
+        _add_over_lcm(out.setdefault(exps, [0, 1]), x.num, x.den)
+
+    def finish(self, out: dict) -> dict:
+        return {exps: Fraction(*entry) for exps, entry in out.items()}
 
 
 class _JetScalars(_Scalars):
@@ -336,8 +339,11 @@ class _JetScalars(_Scalars):
     def ratio(self, x, num, den):
         return x * num / den
 
-    def coefficient(self, x):
-        return x
+    def accumulate(self, out: dict, exps, x) -> None:
+        out[exps] = out.get(exps, self.zero) + x
+
+    def finish(self, out: dict) -> dict:
+        return out
 
     def finalize(self, x) -> Fraction:
         return x.value()
@@ -442,7 +448,7 @@ def _series_terms(w: B2Weight, P: ParamPoint, ring, bound: int) -> dict:
             * ladder(qp(n) * T_cc, -2, n)
         )
         if stop(head_num, head_den, "series prefactor denominator"):
-            return out
+            return ring.finish(out)
         hterm = ring.ratio(ring.unit(q_T ** (2 * n), n), head_num, head_den)
 
         def second(k):
@@ -486,8 +492,7 @@ def _series_terms(w: B2Weight, P: ParamPoint, ring, bound: int) -> dict:
                 for (e1, e2), w1 in skew:
                     left = cell * w1
                     for (g1, g2), w4 in diagonal:
-                        exps = (base1 + e1 + g1, base2 + e2 + g2)
-                        out[exps] = out.get(exps, ring.zero) + ring.coefficient(left * w4)
+                        ring.accumulate(out, (base1 + e1 + g1, base2 + e2 + g2), left * w4)
     raise NonTerminating(f"principal direction index passed {bound} without a vanishing factor")
 
 

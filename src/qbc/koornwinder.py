@@ -35,7 +35,7 @@ from .algebra import (
 )
 from .askey_wilson import _coupled_steps, _odd_steps, _odd_walk, _primed_walk
 from .errors import CacheError, DimensionMismatch, ParameterDegeneracy
-from .qseries import convolve, qbinom_series
+from .qseries import _add_over_lcm, convolve, qbinom_series
 from .reports import nonzero
 
 CACHE_ENV = "QBC_CACHE_DIR"
@@ -247,18 +247,21 @@ def _g_entry(m: int, n: int, P: ParamPoint, h: list) -> OrbitPoly:
                      h_((j + kappa_n)/2) h_((j - kappa_n)/2)
 
     over the j with 0 <= kappa_n <= min(j, kappa_(n-1)) and
-    kappa_n = j mod 2."""
+    kappa_n = j mod 2.  Each product is formed in integers and each sum
+    runs over the lcm of its denominators, one Fraction per weight."""
     if n > 1:
         lower = [g.terms for g in g_series_list(m, n - 1, P)]
     else:
         lower = [{(): 1}] + [{}] * m
-    terms: dict = {}
+    sums: dict = {}  # weight -> [numerator, denominator]
     for j in range(m + 1):
         for head, c in lower[m - j].items():
+            cn, cd = c.numerator, c.denominator
             for k in range(j % 2, min(j, head[-1] if head else j) + 1, 2):
-                key = head + (k,)
-                terms[key] = terms.get(key, 0) + c * h[(j + k) // 2] * h[(j - k) // 2]
-    return OrbitPoly(n, terms)
+                x, y = h[(j + k) // 2], h[(j - k) // 2]
+                tn, td = cn * x.numerator * y.numerator, cd * x.denominator * y.denominator
+                _add_over_lcm(sums.setdefault(head + (k,), [0, 1]), tn, td)
+    return OrbitPoly(n, {key: Fraction(*entry) for key, entry in sums.items()})
 
 
 def g_series(r: int, n: int, P: ParamPoint) -> OrbitPoly:

@@ -4,7 +4,9 @@ All evaluation is exact, in integers reduced once per result.  This is the
 one integer walk kernel: a term ratio is a step of records
 1 - C q^(x i + y j), compiled in a base q with its own table of powers
 (_compiled, _factors); walk and convolve sum the two-index families, and
-_terminating_row every terminating row, phi_sum's and psi_series'.
+_terminating_row every terminating row, phi_sum's and psi_series'.  Every
+sum of many terms runs as an integer numerator over the running lcm of its
+denominators, with one Fraction per output coefficient.
 A basic hypergeometric sum must terminate: the caller passes an N for which
 some upper parameter equals base^-N, and the sum stops at the first cutoff
 at or below N, found by exact multiplications, never by floating point.
@@ -73,6 +75,21 @@ def power_of_base(u, q, cap: int) -> Optional[int]:
         pn *= qn
         pd *= qd
     return None
+
+
+def _add_over_lcm(entry: list, tn: int, td: int) -> None:
+    """Add tn / td to the sum entry = [num, den], kept as an integer
+    numerator over the lcm of the denominators added so far, so that no
+    Fraction, and no gcd of the numerator, is made per term.  A sign may
+    sit on either integer of the term; the sum makes one Fraction at the
+    end."""
+    sd = entry[1]
+    if sd % td:
+        g = gcd(sd, td)
+        entry[0] = entry[0] * (td // g) + tn * (sd // g)
+        entry[1] = sd // g * td
+    else:
+        entry[0] += tn * (sd // td)
 
 
 class _Powers(dict):
@@ -192,7 +209,7 @@ def walk(tops, q, outer, inner, what: str, shift: int = 0, stride: int = 1) -> l
 
     outer, inner = _compiled(q, outer, inner, shift=shift)
     size = max((i + stride * top for i, top in enumerate(tops)), default=-1) + 1
-    nums, dens = [0] * size, [1] * size
+    sums = [[0, 1] for _ in range(size)]
     hn = hd = 1
     for i, top in enumerate(tops):
         if i:
@@ -201,39 +218,27 @@ def walk(tops, q, outer, inner, what: str, shift: int = 0, stride: int = 1) -> l
         for j in range(top + 1):
             if j:
                 tn, td = advance(tn, td, inner, i, j - 1)
-            d = i + stride * j
-            sd = dens[d]
-            if sd % td:
-                g = gcd(sd, td)
-                nums[d] = nums[d] * (td // g) + tn * (sd // g)
-                dens[d] = sd // g * td
-            else:
-                nums[d] += tn * (sd // td)
-    return [Fraction(n, d) for n, d in zip(nums, dens)]
+            _add_over_lcm(sums[i + stride * j], tn, td)
+    return [Fraction(n, d) for n, d in sums]
 
 
-def convolve(outer, rows, size: int, scale=1) -> list:
+def convolve(outer, rows, size: int, scale=1, stride: int = 2) -> list:
     """Entry e, for e < size, the sum of outer[w] row[K] over the (w, row)
-    pairs of rows and the K with w + 2K = e, times scale.  Each product is
-    crossed in integers and each sum runs over the lcm of its denominators,
-    as walk's diagonal sums do: no Fraction is made per pair, and one per
-    entry at the end."""
-    nums, dens = [0] * size, [1] * size
+    pairs of rows and the K with w + stride K = e, times scale; a row must
+    not reach past size.  Each product is crossed in integers and each sum
+    runs over the lcm of its denominators, as walk's diagonal sums do: no
+    Fraction is made per pair, and one per entry at the end.  stride is 2
+    for the fourfold families, whose even rows step x^2, and 1 for
+    psi_series' Cauchy product."""
+    sums = [[0, 1] for _ in range(size)]
     for w, row in rows:
         on, od = outer[w].numerator, outer[w].denominator
         for K, value in enumerate(row):
             vn, vd = value.numerator, value.denominator
             g1, g2 = gcd(on, vd), gcd(vn, od)
-            tn, td = (on // g1) * (vn // g2), (od // g2) * (vd // g1)
-            e, sd = w + 2 * K, dens[w + 2 * K]
-            if sd % td:
-                g = gcd(sd, td)
-                nums[e] = nums[e] * (td // g) + tn * (sd // g)
-                dens[e] = sd // g * td
-            else:
-                nums[e] += tn * (sd // td)
+            _add_over_lcm(sums[w + stride * K], (on // g1) * (vn // g2), (od // g2) * (vd // g1))
     sn, sd = scale.numerator, scale.denominator
-    return [Fraction(n * sn, d * sd) for n, d in zip(nums, dens)]
+    return [Fraction(n * sn, d * sd) for n, d in sums]
 
 
 @dataclass(frozen=True)

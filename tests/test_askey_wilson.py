@@ -580,11 +580,34 @@ def _coupled_reference(s, P, N):
     return coupled
 
 
+def _even_sum_closed_reference(s, P, N):
+    """even_sum_closed as it rebuilt every parameter of its head factor and
+    its 4phi3 once per degree."""
+    P.require("a", "c")
+    a, c, q = P.a, P.c, P.q
+    s = rat(s)
+    q2 = q * q
+    closed = []
+    for K in range(N + 1):
+        head = qpoch_ratio(
+            (a ** 2 * c ** 2 / q, s ** 2), (q2, q ** 3 * s ** 2 / (a ** 2 * c ** 2)),
+            q2, K, "the head factor of the closed even form",
+        )
+        spec = PhiSpec(
+            uppers=(a ** 2 / q, c ** 2 / q, q ** (2 * K) * s ** 2, q ** (-2 * K)),
+            lowers=(-s, -q * s, a ** 2 * c ** 2 / q),
+            base=q2,
+            argument=q2,
+        )
+        closed.append(head * (q ** 3 / (a ** 2 * c ** 2)) ** K * phi_sum(spec, K))
+    return closed
+
+
 def _even_sum_forms_reference(s, P, N):
     # the routes in the order even_sum_forms takes them, so the first
     # degenerate route raises first in both
     raw = [sum(coeff_ce(K - l, l, s, P) for l in range(K + 1)) for K in range(N + 1)]
-    closed = even_sum_closed(s, P, N)
+    closed = _even_sum_closed_reference(s, P, N)
     return EvenSumForms(raw, closed, _split_reference(s, P, N), _coupled_reference(s, P, N))
 
 
@@ -751,6 +774,56 @@ EVEN_POLE = (POINT_A, Fraction(672))
 ODD_POLE = (POINT_A.replace(d=105), Fraction(840))
 RECAST_POLE = (POINT_A, -POINT_A.a * POINT_A.c / POINT_A.q ** 2)
 COUPLED_POLE = (POINT_A, Fraction(12544))
+
+
+@st.composite
+def _closed_even_inputs(draw):
+    """A drawn point and s, or one changed so that a lower factor of the
+    closed even form vanishes at a drawn degree: -s or -q s = q^(-2m) in the
+    4phi3, or its a^2 c^2/q = q^(-2m); q^3 s^2/(a^2 c^2) = q^(-2m) in the
+    head factor."""
+    P, s = draw(_walk_inputs())
+    q, sq = P.q, P.sqrt_q
+    m, sign = draw(st.integers(0, 3)), draw(st.sampled_from((1, -1)))
+    pole = draw(st.sampled_from(("none", "-s", "-qs", "ac", "head")))
+    if pole == "-s":
+        s = -(q ** (-2 * m))
+    elif pole == "-qs":
+        s = -(q ** (-2 * m - 1))
+    elif pole == "ac":
+        P = P.replace(c=sign * sq ** (1 - 2 * m) / P.a)
+    elif pole == "head":
+        s = sign * P.a * P.c * sq ** (-3 - 2 * m)
+    return P, s
+
+
+class TestClosedEvenForm:
+    """even_sum_closed builds the parameters free of the degree once per
+    call; it must give what the per-degree rebuild gave, values, error
+    classes and messages alike."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(_closed_even_inputs(), st.integers(0, 6))
+    def test_matches_the_per_degree_reference(self, drawn, N):
+        P, s = drawn
+        assert _outcome(even_sum_closed, s, P, N) == _outcome(
+            _even_sum_closed_reference, s, P, N
+        )
+
+    def test_degenerate_draws_raise_each_error(self):
+        # the drawn inputs reach the head factor's ParameterDegeneracy and
+        # the 4phi3's PoleInLower, as well as values
+        seen = set()
+
+        @settings(derandomize=True, max_examples=300, deadline=None)
+        @given(_closed_even_inputs(), st.integers(0, 6))
+        def record(drawn, N):
+            P, s = drawn
+            outcome = _outcome(_even_sum_closed_reference, s, P, N)
+            seen.add(outcome[0] if type(outcome) is tuple else list)
+
+        record()
+        assert seen == {list, ParameterDegeneracy, PoleInLower}
 
 
 class TestRunningRatioWalks:

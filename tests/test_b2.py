@@ -397,8 +397,11 @@ class _ReferenceJetScalars:
     def ratio(self, x, num, den):
         return x * num / den
 
-    def coefficient(self, x):
-        return x
+    def accumulate(self, out, exps, x):
+        out[exps] = out.get(exps, self.zero) + x
+
+    def finish(self, out):
+        return out
 
     def finalize(self, x):
         return x.value()
@@ -428,8 +431,11 @@ class _ReferenceRationalScalars:
     def ratio(self, x, num, den):
         return x * num / den
 
-    def coefficient(self, x):
-        return x
+    def accumulate(self, out, exps, x):
+        out[exps] = out.get(exps, self.zero) + x
+
+    def finish(self, out):
+        return out
 
 
 def _series_outcome(ring, w, P):
@@ -605,7 +611,23 @@ class TestPairRing:
         ring = _RationalScalars(F(1, 3))
         run = ring.ratio(_Pair(6, 10), _Pair(4, 9), _Pair(8, 3))
         assert (run.num, run.den) == (1, 10)
-        assert ring.coefficient(run) == F(1, 10)
+
+    def test_cells_add_over_a_running_lcm(self):
+        # unreduced cells, signs on either integer, denominators that do
+        # and do not divide the running one; finish makes one reduced
+        # Fraction per coefficient, zeros kept
+        ring = _RationalScalars(F(1, 3))
+        cells = [
+            ((0, 0), _Pair(2, 4)), ((0, 0), _Pair(-3, 6)), ((2, 0), _Pair(1, -3)),
+            ((2, 0), _Pair(5, 4)), ((2, 0), _Pair(-7, 8)), ((2, 0), _Pair(9, 12)),
+        ]
+        out, want = {}, {}
+        for exps, cell in cells:
+            ring.accumulate(out, exps, cell)
+            want[exps] = want.get(exps, F(0)) + F(cell.num, cell.den)
+        finished = ring.finish(out)
+        assert finished == want == {(0, 0): 0, (2, 0): F(19, 24)}
+        assert all(type(c) is F for c in finished.values())
 
 
 class _CutScalars(_RationalScalars):
@@ -619,6 +641,35 @@ class _CutScalars(_RationalScalars):
         if p == 1 and gamma.num == gamma.den:
             return _Pair(0)
         return super().factor(gamma, p)
+
+
+class _RationalCells(_RationalScalars):
+    """The pair ring as b2_reference reads it, with the step each cell took
+    before cells were summed over a running lcm: one reduced Fraction added
+    to its coefficient, from a Fraction zero."""
+
+    zero = F(0)
+
+    def coefficient(self, x):
+        return F(x.num, x.den)
+
+
+class _JetCells(_JetScalars):
+    """The jet ring as b2_reference reads it: each cell's _LeadTerm added
+    to its coefficient as it is."""
+
+    def coefficient(self, x):
+        return x
+
+
+class _CutCells(_CutScalars, _RationalCells):
+    """_CutScalars as b2_reference reads it."""
+
+
+#: the ring b2_reference runs on, for each ring the shipped series runs on
+_REFERENCE_READS = {
+    _RationalScalars: _RationalCells, _JetScalars: _JetCells, _CutScalars: _CutCells,
+}
 
 
 def _terms_outcome(series, Ring, w, P, bound):
@@ -685,7 +736,7 @@ class TestSeriesReference:
     def test_series_matches_the_hand_written_loops(self, drawn):
         P, w, bound, Ring = drawn
         assert _terms_outcome(_series_terms, Ring, w, P, bound) == _terms_outcome(
-            b2_reference._series_terms, Ring, w, P, bound
+            b2_reference._series_terms, _REFERENCE_READS[Ring], w, P, bound
         )
 
     @pytest.mark.parametrize("label", sorted(_PINNED))

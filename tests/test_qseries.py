@@ -9,6 +9,7 @@ from qbc import askey_wilson, qseries
 from qbc.algebra import ParamPoint
 from qbc.qseries import (
     PhiSpec,
+    convolve,
     phi_sum,
     power_of_base,
     qbinom_series,
@@ -344,6 +345,34 @@ def test_kernel_matches_fraction_loops(data):
     )
     assert _result(phi_sum, spec, N) == _result(_terminating_reference, spec, N)
     assert _result(qbinom_series, a, q, N) == _result(_qbinom_series_reference, a, q, N)
+
+
+def _convolve_reference(outer, rows, size, scale, stride):
+    out = [F(0)] * size
+    for w, row in rows:
+        for K, value in enumerate(row):
+            out[w + stride * K] += outer[w] * value
+    return [value * scale for value in out]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.data())
+def test_convolve_matches_a_fraction_double_sum(data):
+    # ragged rows, some sharing an outer index, with zero and negative
+    # entries and denominators that do and do not divide one another, at
+    # both strides its callers use and a scale that need not be 1
+    stride = data.draw(st.sampled_from((1, 2)), label="stride")
+    size = data.draw(st.integers(1, 12), label="size")
+    entry = st.builds(F, st.integers(-20, 20), st.sampled_from((1, 2, 3, 4, 6, 9, 10, 35)))
+    outer = data.draw(st.lists(entry, min_size=size, max_size=size), label="outer")
+    rows = []
+    for w in data.draw(st.lists(st.integers(0, size - 1), max_size=6), label="row indices"):
+        length = data.draw(st.integers(0, (size - 1 - w) // stride + 1))
+        rows.append((w, data.draw(st.lists(entry, min_size=length, max_size=length))))
+    scale = data.draw(entry, label="scale")
+    got = convolve(outer, iter(rows), size, scale, stride)
+    assert got == _convolve_reference(outer, rows, size, scale, stride)
+    assert all(type(value) is F for value in got)
 
 
 def test_every_terminating_row_steps_through_one_kernel(monkeypatch):
