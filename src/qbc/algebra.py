@@ -308,14 +308,6 @@ class LaurentPoly(_TermForm):
             raise DimensionMismatch(f"exponent tuple {exps} does not have {self.num_vars} entries")
         return exps
 
-    @classmethod
-    def zero(cls, num_vars: int, scale: int = 1) -> "LaurentPoly":
-        return cls(num_vars, {}, scale)
-
-    @classmethod
-    def monomial(cls, exps: Sequence[int], coeff=1, scale: int = 1) -> "LaurentPoly":
-        return cls(len(exps), {tuple(exps): rat(coeff)}, scale)
-
     def __mul__(self, other):
         # a LaurentPoly is tested first: the scalar check behind _times goes
         # through the numbers ABC, and most products are of two polynomials

@@ -22,7 +22,7 @@ from .algebra import (
     weyl_invariant,
 )
 from .errors import DimensionMismatch, InexactDivision, NonTerminating, ParameterDegeneracy
-from .qseries import _add_over_lcm, qpoch, qpoch_ratio
+from .qseries import _add_over_lcm, qpoch
 from .reports import SKIPPED, poly_mismatch
 
 
@@ -44,10 +44,6 @@ class B2Weight:
     @property
     def total(self) -> int:
         return self.r1 + self.r2
-
-
-def _mono(e1: int, e2: int, coeff=1) -> LaurentPoly:
-    return LaurentPoly.monomial((e1, e2), coeff, 2)
 
 
 def _b2_generator(P: ParamPoint) -> tuple:
@@ -127,284 +123,264 @@ def b2_oracle(w: B2Weight, P: ParamPoint) -> LaurentPoly:
 # -- the explicit series ---------------------------------------------------------
 #
 # Every Pochhammer argument is gamma * t^p with gamma free of t, so the same
-# summation code runs over two scalar rings: exact rationals, carried as
-# unreduced integer pairs, at a generic point, and leading terms of Laurent
-# expansions in v (t = tv (1 + v)) at q = t = T, where the factors pick up
-# zeros and poles that only cancel in the limit.  The walk hands each ring
-# gamma as an integer _Pair; a ring builds its values with factor and unit,
-# multiplies them, steps a running product by ratio, adds each cell to its
-# coefficient with accumulate, and hands the coefficients back with finish.
+# summation code runs over two scalar rings: exact rationals at a generic
+# point, and leading terms of Laurent expansions in v (t = tv (1 + v)) at
+# q = t = T, where the factors pick up zeros and poles that only cancel in
+# the limit.  Both rings carry bare Python integers, with no object made per
+# factor or per cell: a value is a tuple (num, den) for num / den in the
+# first ring and (num, den, off) for (num / den) v^off in the second,
+# reduced once a step, in ratio.  A factor 1 - C q^(e + k) t^p of a ladder
+# is a record (an, ad, p, e), whose an / ad = C t^p the ring folds once per
+# series with scaled.  product multiplies the factors of a list of records
+# at step k, ratio steps a running value, accumulate crosses a cell with
+# its skew and diagonal weights into the coefficients, each an integer
+# numerator over the running lcm of its denominators, and finish hands back
+# the nonzero coefficients, one Fraction each.  A value is dead when its
+# numerator is 0: zero at the point in the first ring, zero as a function
+# of t in the second.  The walk's zero tests take that numerator as an int,
+# so a truth test there reads it; a value tuple itself is always true.
 #
 # The series has five indices: the principal n, theta2, theta3 and the two
 # two-factor sums (skew and diagonal).  The head of each n stays a product of
 # full ladders, since its q^n T/(c1 c2) ladders shift with n.  Every other
 # index is a running-ratio direction, and one stepper walks them all:
-# direction(unit, factors, label) yields term k + 1 = term k * unit * num /
-# den with (num, den) = factors(k).  A dead numerator ends the direction, a
-# dead denominator is a ParameterDegeneracy, and an index past the scan bound
-# is NonTerminating.
+# direction(start, unit, nums, dens, label) yields term k + 1 = term k *
+# unit * num / den with num and den the products of the factor records nums
+# and dens at k.  A dead numerator ends the direction, a dead denominator is
+# a ParameterDegeneracy, and an index past the scan bound is NonTerminating.
+# A direction's term 0 is the running term of the index it is nested in, so
+# a cell of the series is its theta3 term and costs no product of its own.
 #
-# The second ring tracks one coefficient per value and nothing past
-# it: a product or quotient of leading terms is exact, and a sum whose leading
+# The second ring tracks one coefficient per value and nothing past it: a
+# product or quotient of leading terms is exact, and a sum whose leading
 # terms cancel only knows that it is O(v^(off + 1)).  So a limit it returns
 # is exact, and a coefficient whose terms cancel at order 0 or below raises
 # ParameterDegeneracy instead of being expanded further.
 
 
-class _LeadTerm:
-    """coeff * v^off + O(v^(off + 1)) while coeff != 0; with coeff == 0 it
-    is O(v^off), all that is left after leading terms cancel; off None marks
-    the identically zero series."""
-
-    __slots__ = ("coeff", "off")
-
-    def __init__(self, coeff, off):
-        self.coeff = coeff
-        self.off = off
-
-    def is_exact_zero(self) -> bool:
-        return self.off is None
-
-    def __mul__(self, other):
-        if self.off is None or other.off is None:
-            return _LEAD_ZERO
-        if not self.coeff or not other.coeff:
-            raise ParameterDegeneracy("series precision exhausted in a product")
-        return _LeadTerm(self.coeff * other.coeff, self.off + other.off)
-
-    def __truediv__(self, other):
-        if not other.coeff:
-            raise ParameterDegeneracy("division by a vanishing series")
-        if self.off is None:
-            return _LEAD_ZERO
-        if not self.coeff:
-            raise ParameterDegeneracy("series precision exhausted in a product")
-        return _LeadTerm(self.coeff / other.coeff, self.off - other.off)
-
-    def __add__(self, other):
-        if self.off is None:
-            return other
-        if other.off is None or self.off < other.off:
-            return self
-        if other.off < self.off:
-            return other
-        if not self.coeff or not other.coeff:
-            return _LeadTerm(Fraction(0), self.off)
-        total = self.coeff + other.coeff
-        return _LeadTerm(total, self.off) if total else _LeadTerm(total, self.off + 1)
-
-    def value(self) -> Fraction:
-        """Evaluate at v = 0; a surviving negative power is a genuine pole."""
-        if self.off is None:
-            return Fraction(0)
-        if not self.coeff:
-            if self.off < 1:
-                raise ParameterDegeneracy("series precision exhausted at evaluation")
-            return Fraction(0)
-        if self.off < 0:
-            raise ParameterDegeneracy(
-                "coefficient diverges at the collapsed parameter point"
-            )
-        return self.coeff if self.off == 0 else Fraction(0)
-
-
-_LEAD_ZERO = _LeadTerm(Fraction(0), None)
-
-
-class _Pair:
-    """An unreduced quotient num / den of two Python integers: a gamma of
-    the series, or a value of the rational ring.
-
-    A product of ladder factors built on pairs costs integer multiplies
-    only; the ring reduces it once a step, in ratio.  Only the operators
-    the series needs exist: pair * pair, int - pair and pair ** k for
-    k >= 0.  A step never divides: ratio gets its numerator and denominator
-    apart, after the series checks the denominator, so pair / pair is a
-    TypeError.  == and bool() raise TypeError too, so a zero test has to
-    say what it reads: is_zero, the numerator."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: int, den: int = 1):
-        self.num = num
-        self.den = den
-
-    def is_zero(self) -> bool:
-        return self.num == 0
-
-    def __mul__(self, other: "_Pair") -> "_Pair":
-        return _Pair(self.num * other.num, self.den * other.den)
-
-    def __rsub__(self, other: int) -> "_Pair":
-        return _Pair(other * self.den - self.num, self.den)
-
-    def __pow__(self, k: int) -> "_Pair":
-        return _Pair(self.num ** k, self.den ** k)
-
-    def __eq__(self, other):
-        raise TypeError("a pair has no value equality; test is_zero()")
-
-    def __bool__(self):
-        raise TypeError("a pair has no truth value; test is_zero()")
-
-
 def _power_table(x):
-    """k -> x^k as an integer _Pair, for any integer k and a nonzero
+    """k -> x^k as integers (num, den), for any integer k and a nonzero
     rational x; each power is computed once."""
     x = rat(x)
     num, den = x.numerator, x.denominator
     memo = {}
 
-    def power(k: int) -> _Pair:
+    def power(k: int) -> tuple:
         pair = memo.get(k)
         if pair is None:
-            pair = memo[k] = (
-                _Pair(num ** k, den ** k) if k >= 0 else _Pair(den ** -k, num ** -k)
-            )
+            pair = memo[k] = (num ** k, den ** k) if k >= 0 else (den ** -k, num ** -k)
         return pair
 
     return power
 
 
-class _Scalars:
-    """Shared by both rings: gamma arrives as an integer _Pair and t^p is
-    read from one power table."""
+class _Ring:
+    """Shared by both rings: q^e and t^p read from two power tables.  A
+    factor record (an, ad, p, e) stands for 1 - x at step k, with
+    x = (an / ad) q^(e + k) and an / ad = C t^p for a C free of q and t."""
 
-    def __init__(self, t):
-        self.power = _power_table(t)
+    def __init__(self, q, t):
+        self.q_power, self.t_power = _power_table(q), _power_table(t)
+
+    def scaled(self, cn: int, cd: int, p: int) -> tuple:
+        """C t^p as integers (an, ad)."""
+        tn, td = self.t_power(p)
+        return cn * tn, cd * td
+
+    @staticmethod
+    def ratio(x, unit, num, den) -> tuple:
+        """x unit num / den as a reduced pair; den is not dead."""
+        top = x[0] * unit[0] * num[0] * den[1]
+        bottom = x[1] * unit[1] * num[1] * den[0]
+        g = gcd(top, bottom)
+        return top // g, bottom // g
 
 
-class _RationalScalars(_Scalars):
+class _RationalRing(_Ring):
     """Plain evaluation with a numeric t, on unreduced integer pairs: a
-    factor 1 - gamma t^p costs integer multiplies only, ratio reduces a
-    running product once per step, and each cell of the series is added to
-    its coefficient as an integer numerator over the running lcm of the
-    coefficient's denominators; finish makes one Fraction per coefficient."""
+    product of factors costs integer multiplies only, ratio reduces a
+    running term once per step, and each cell of the series is added to its
+    coefficient as an integer numerator over the running lcm of the
+    coefficient's denominators."""
 
     zero_is_identical = False
-    one = _Pair(1)
+    one = (1, 1)
+    unit = _Ring.scaled
 
-    def unit(self, gamma, p):
-        return gamma * self.power(p)
+    def product(self, records, k: int) -> tuple:
+        q_power = self.q_power
+        num = den = 1
+        for an, ad, _, e in records:
+            qn, qd = q_power(e + k)
+            xd = ad * qd
+            num *= xd - an * qn
+            den *= xd
+        return num, den
 
-    def factor(self, gamma, p):
-        return 1 - gamma * self.power(p)
+    @staticmethod
+    def accumulate(out: dict, base1: int, base2: int, cell, skew, diagonal) -> None:
+        """Add cell times each product of a skew and a diagonal weight to
+        the coefficient at base plus both offsets."""
+        cn, cd = cell
+        for (e1, e2), (sn, sd) in skew:
+            ln, ld, b1, b2 = cn * sn, cd * sd, base1 + e1, base2 + e2
+            for (g1, g2), (wn, wd) in diagonal:
+                exps = (b1 + g1, b2 + g2)
+                entry = out.get(exps)
+                if entry is None:
+                    out[exps] = [ln * wn, ld * wd]
+                else:
+                    _add_over_lcm(entry, ln * wn, ld * wd)
 
-    def dead(self, x) -> bool:
-        return x.is_zero()
-
-    def ratio(self, x, num, den):
-        """x num / den, reduced; den is not dead."""
-        top = x.num * num.num * den.den
-        bottom = x.den * num.den * den.num
-        g = gcd(top, bottom)
-        return _Pair(top // g, bottom // g)
-
-    def accumulate(self, out: dict, exps, x) -> None:
-        _add_over_lcm(out.setdefault(exps, [0, 1]), x.num, x.den)
-
-    def finish(self, out: dict) -> dict:
-        return {exps: Fraction(*entry) for exps, entry in out.items()}
+    @staticmethod
+    def finish(out: dict) -> dict:
+        return {exps: Fraction(num, den) for exps, (num, den) in out.items() if num}
 
 
-class _JetScalars(_Scalars):
-    """Leading terms of the expansion around t = tv, for points where the
-    plain substitution hits 0/0.  A dead value here is zero as a rational
-    function of t, not merely zero at the point."""
+class _JetRing(_Ring):
+    """Leading terms (num / den) v^off of the expansion around t = tv, for
+    points where the plain substitution hits 0/0.  A dead value here is zero
+    as a rational function of t, not merely zero at the point; a coefficient
+    entry [0, den, off] is O(v^off), what is left after its leading terms
+    cancel."""
 
     zero_is_identical = True
-    one = _LeadTerm(Fraction(1), 0)
-    zero = _LEAD_ZERO
+    one = (1, 1, 0)
 
-    def _constant(self, gamma, p) -> Fraction:
-        x = gamma * self.power(p)
-        return Fraction(x.num, x.den)
+    def unit(self, cn: int, cd: int, p: int) -> tuple:
+        return (*self.scaled(cn, cd, p), 0)
 
-    def unit(self, gamma, p):
-        return _LeadTerm(self._constant(gamma, p), 0)
-
-    def factor(self, gamma, p):
-        # 1 - gamma tv^p (1 + v)^p; where the constant term vanishes the
-        # linear one, -gamma tv^p p v, leads unless p = 0
-        x = self._constant(gamma, p)
-        if x != 1:
-            return _LeadTerm(1 - x, 0)
+    @staticmethod
+    def factor(xn: int, xd: int, p: int) -> tuple:
+        """1 - x (1 + v)^p, for x = xn / xd = gamma tv^p: where the constant
+        term vanishes the linear one, -x p v, leads unless p = 0, and then
+        the factor is zero identically."""
+        if xn != xd:
+            return xd - xn, xd, 0
         if p == 0:
-            return _LEAD_ZERO
-        return _LeadTerm(-x * p, 1)
+            return 0, 1, 0
+        return -p, 1, 1
 
-    def dead(self, x) -> bool:
-        return x.is_exact_zero()
+    def product(self, records, k: int) -> tuple:
+        q_power, factor = self.q_power, self.factor
+        num = den = 1
+        off = 0
+        for an, ad, p, e in records:
+            qn, qd = q_power(e + k)
+            fn, fd, fo = factor(an * qn, ad * qd, p)
+            num *= fn
+            den *= fd
+            off += fo
+        return num, den, off
 
-    def ratio(self, x, num, den):
-        return x * num / den
+    def ratio(self, x, unit, num, den) -> tuple:
+        return (*super().ratio(x, unit, num, den), x[2] + unit[2] + num[2] - den[2])
 
-    def accumulate(self, out: dict, exps, x) -> None:
-        out[exps] = out.get(exps, self.zero) + x
+    @staticmethod
+    def add(out: dict, exps, num: int, den: int, off: int) -> None:
+        """Add the live term (num / den) v^off to the coefficient at exps:
+        the lower order wins, and where the leading coefficients cancel
+        all that is known is O(v^(off + 1))."""
+        entry = out.get(exps)
+        if entry is None or off < entry[2]:
+            out[exps] = [num, den, off]
+        elif off == entry[2] and entry[0]:
+            _add_over_lcm(entry, num, den)
+            if not entry[0]:
+                entry[2] = off + 1
 
-    def finish(self, out: dict) -> dict:
-        return out
+    def accumulate(self, out: dict, base1: int, base2: int, cell, skew, diagonal) -> None:
+        cn, cd, co = cell
+        for (e1, e2), (sn, sd, so) in skew:
+            ln, ld, lo, b1, b2 = cn * sn, cd * sd, co + so, base1 + e1, base2 + e2
+            for (g1, g2), (wn, wd, wo) in diagonal:
+                self.add(out, (b1 + g1, b2 + g2), ln * wn, ld * wd, lo + wo)
 
-    def finalize(self, x) -> Fraction:
-        return x.value()
+    @staticmethod
+    def finish(out: dict) -> dict:
+        """The coefficients at v = 0: a leading term at a negative order is
+        a genuine pole, and one lost to cancellation at order 0 or below is
+        unknown; both raise ParameterDegeneracy."""
+        terms = {}
+        for exps, (num, den, off) in out.items():
+            if not num:
+                if off < 1:
+                    raise ParameterDegeneracy("series precision exhausted at evaluation")
+            elif off < 0:
+                raise ParameterDegeneracy("coefficient diverges at the collapsed parameter point")
+            elif off == 0:
+                terms[exps] = Fraction(num, den)
+        return terms
 
 
 def _series_terms(w: B2Weight, P: ParamPoint, ring, bound: int) -> dict:
-    """Doubled-exponent coefficient dict of the terminating fivefold series.
+    """Doubled-exponent coefficient dict of the terminating fivefold series,
+    its nonzero coefficients as Fractions.
 
     All t-dependence is routed through the ring; every other argument is a
-    gamma = q^k T^a c1^b c2^c, an integer _Pair read from per-call power
-    tables, with the two numeric spectral pieces c1, c2 of s1 = t c1,
-    s2 = c2.  Ladder directions stop when a running numerator factor is
-    identically zero; indices past the scan bound raise NonTerminating.
+    gamma = q^k C, with C = T^a c1^b c2^c an integer pair and c1, c2 the two
+    numeric spectral pieces of s1 = t c1, s2 = c2.  Ladder directions stop
+    when a running numerator factor is dead; indices past the scan bound
+    raise NonTerminating.
     """
     d1, d2 = w.doubled
-    qp, Tp = _power_table(P.q), _power_table(P.T)
-    c1p = _power_table(P.sqrt_T * P.sqrt_q ** d1)
-    c2p = _power_table(P.sqrt_T * P.sqrt_q ** d2)
-    q, T = qp(1), Tp(1)
-    inv_cc = c1p(-1) * c2p(-1)
-    T_cc = T * inv_cc
-    c1_c2, c2_c1 = c1p(1) * c2p(-1), c2p(1) * c1p(-1)
-    inv_c1c1, inv_c2c2 = c1p(-2), c2p(-2)
-    T_c1c1, T_c2c2 = T * inv_c1c1, T * inv_c2c2
-    q_T = q * Tp(-1)
+    sqn, sqd = P.sqrt_q.numerator, P.sqrt_q.denominator
+    sTn, sTd = P.sqrt_T.numerator, P.sqrt_T.denominator
+    qn, qd, Tn, Td = sqn ** 2, sqd ** 2, sTn ** 2, sTd ** 2
+    c1n, c1d = sTn * sqn ** d1, sTd * sqd ** d1
+    c2n, c2d = sTn * sqn ** d2, sTd * sqd ** d2
+    identical, product, ratio = ring.zero_is_identical, ring.product, ring.ratio
 
-    def ladder(gamma, p, m):
-        prod = ring.one
-        for k in range(m):
-            prod = prod * ring.factor(gamma * qp(k), p)
-        return prod
+    def fold(cn, cd, p):
+        """The constant (an, ad, p) of the factors 1 - C q^e t^p over e,
+        with C = cn / cd and an / ad = C t^p."""
+        return (*ring.scaled(cn, cd, p), p)
 
-    def stop(num, den, what) -> bool:
-        """Whether this ladder direction just terminated.
+    # the constants C of the factors, each folded with its power of t: a
+    # name ends in _t for t, _1t for 1/t and _1tt for 1/t^2
+    one, one_t, one_1t = fold(1, 1, 0), fold(1, 1, 1), fold(1, 1, -1)
+    T_0, T_1t = fold(Tn, Td, 0), fold(Tn, Td, -1)
+    inv_cc_1t, inv_cc_1tt = fold(c1d * c2d, c1n * c2n, -1), fold(c1d * c2d, c1n * c2n, -2)
+    T_cc, T_cc_1t, T_cc_1tt = (fold(Tn * c1d * c2d, Td * c1n * c2n, p) for p in (0, -1, -2))
+    c1_c2_t = fold(c1n * c2d, c1d * c2n, 1)
+    c2_c1, c2_c1_1t, c2_c1_1tt = (fold(c2n * c1d, c2d * c1n, p) for p in (0, -1, -2))
+    inv_c1c1_1tt, inv_c2c2 = fold(c1d ** 2, c1n ** 2, -2), fold(c2d ** 2, c2n ** 2, 0)
+    T_c1c1_1tt = fold(Tn * c1d ** 2, Td * c1n ** 2, -2)
+    T_c2c2 = fold(Tn * c2d ** 2, Td * c2n ** 2, 0)
+    q_t = ring.unit(qn, qd, -1)
+    q_T = ring.unit(qn * Td, qd * Tn, 0)
+
+    def stop(num: int, den: int, what) -> bool:
+        """Whether this ladder direction just terminated, read off the
+        numerators of its num and den values.
 
         In the series ring a dead value is zero identically, which only
         happens through the pinned truncation factors, so it wins over a
         dead denominator; numerically a simultaneous 0/0 is a degeneracy.
         """
-        if ring.zero_is_identical and ring.dead(num):
+        if identical and not num:
             return True
-        if ring.dead(den):
+        if not den:
             raise ParameterDegeneracy(f"vanishing {what} in the explicit series")
-        return ring.dead(num)
+        return not num
 
-    def direction(unit, factors, label):
+    def direction(start, unit, nums, dens, label):
         """Yield (k, term k) along one running-ratio direction: term 0 is
-        one, and term k + 1 is term k * unit * num / den with (num, den) =
-        factors(k), until stop reads num as dead."""
-        run = ring.one
+        start, and term k + 1 is term k * unit * num / den with num and den
+        the products of the factor records nums and dens at k, until stop
+        reads num as dead."""
+        run = start
         for k in range(bound + 1):
             yield k, run
-            num, den = factors(k)
-            if stop(num, den, "ladder denominator"):
+            num, den = product(nums, k), product(dens, k)
+            if stop(num[0], den[0], "ladder denominator"):
                 return
-            run = ring.ratio(run * unit, num, den)
+            run = ratio(run, unit, num, den)
         raise NonTerminating(f"{label} index passed {bound} without a vanishing factor")
 
     ladder_memo: dict = {}
 
-    def two_factor_sum(step: int, m: int, const, label: str):
+    def two_factor_sum(step: int, m: int, const, const_1t, label: str):
         """Cells (doubled exponent offset, weight) of the sum over one ladder
         direction stepping (-2, step), with gamma = q^m const: cell k + 1 is
         cell k times (q/t) (1 - q^k t)(1 - gamma q^k) /
@@ -412,87 +388,58 @@ def _series_terms(w: B2Weight, P: ParamPoint, ring, bound: int) -> dict:
         step, so the cells are memoized per (step, m)."""
         key = (step, m)
         if key not in ladder_memo:
-
-            def factors(k):
-                return (
-                    ring.factor(qp(k), 1) * ring.factor(qp(m + k) * const, 0),
-                    ring.factor(qp(1 + k), 0) * ring.factor(qp(m + 1 + k) * const, -1),
-                )
-
+            nums = ((*one_t, 0), (*const, m))
+            dens = ((*one, 1), (*const_1t, m + 1))
             ladder_memo[key] = [
                 ((-2 * k, step * k), run)
-                for k, run in direction(ring.unit(q, -1), factors, label)
+                for k, run in direction(ring.one, q_t, nums, dens, label)
             ]
         return ladder_memo[key]
+
+    def ladders(*specs):
+        """The factor records of the ladders (constant, length m, first
+        exponent e): 1 - C q^(e + k) t^p for k < m."""
+        return [(*A, e + k) for A, m, e in specs for k in range(m)]
 
     out: dict = {}
     for n in range(bound + 1):
         # the two 2n-ladders sharing numerator arguments are folded into
         # denominator tails of length n
-        head_num = (
-            ladder(q, -1, n)
-            * ladder(T, -1, n)
-            * ladder(T, 0, n)
-            * ladder(q * inv_cc, -2, n)
-            * ladder(T_c1c1, -2, 2 * n)
-            * ladder(T_c2c2, 0, 2 * n)
-        )
-        head_den = (
-            ladder(q, 0, n)
-            * ladder(q * inv_c1c1, -2, n)
-            * ladder(q * inv_c2c2, 0, n)
-            * ladder(q * c1_c2, 1, n)
-            * ladder(q * c2_c1, -1, n)
-            * ladder(q * inv_cc, -1, n)
-            * ladder(qp(n) * T_cc, -1, n)
-            * ladder(qp(n) * T_cc, -2, n)
-        )
-        if stop(head_num, head_den, "series prefactor denominator"):
+        head_num = product(ladders(
+            (one_1t, n, 1), (T_1t, n, 0), (T_0, n, 0), (inv_cc_1tt, n, 1),
+            (T_c1c1_1tt, 2 * n, 0), (T_c2c2, 2 * n, 0),
+        ), 0)
+        head_den = product(ladders(
+            (one, n, 1), (inv_c1c1_1tt, n, 1), (inv_c2c2, n, 1), (c1_c2_t, n, 1),
+            (c2_c1_1t, n, 1), (inv_cc_1t, n, 1), (T_cc_1t, n, n), (T_cc_1tt, n, n),
+        ), 0)
+        if stop(head_num[0], head_den[0], "series prefactor denominator"):
             return ring.finish(out)
-        hterm = ring.ratio(ring.unit(q_T ** (2 * n), n), head_num, head_den)
-
-        def second(k):
-            return (
-                ring.factor(qp(n + k) * T, 0)
-                * ring.factor(qp(2 * n + k) * T_c2c2, 0)
-                * ring.factor(qp(n + k) * T_cc, -1)
-                * ring.factor(qp(1 + k) * c1_c2, 1),
-                ring.factor(qp(1 + k), 0)
-                * ring.factor(qp(n + 1 + k) * inv_c2c2, 0)
-                * ring.factor(qp(2 * n + k) * T_cc, -1)
-                * ring.factor(qp(n + 1 + k) * c1_c2, 1),
+        head = ring.unit((qn * Td) ** (2 * n), (qd * Tn) ** (2 * n), n)
+        hterm = ratio(ring.one, head, head_num, head_den)
+        second = (
+            ((*T_0, n), (*T_c2c2, 2 * n), (*T_cc_1t, n), (*c1_c2_t, 1)),
+            ((*one, 1), (*inv_c2c2, n + 1), (*T_cc_1t, 2 * n), (*c1_c2_t, n + 1)),
+        )
+        for t2, run2 in direction(hterm, q_T, *second, "second direction"):
+            third = (
+                (
+                    (*T_0, n), (*T_c1c1_1tt, 2 * n), (*c2_c1, 0), (*c2_c1_1tt, 1 - t2),
+                    (*T_cc_1t, n), (*T_cc_1tt, 2 * n + t2 + 1),
+                ),
+                (
+                    (*one, 1), (*inv_c1c1_1tt, n + 1), (*c2_c1_1t, n + 1), (*c2_c1_1t, -t2),
+                    (*T_cc_1tt, 2 * n + 1), (*T_cc_1t, 2 * n + t2),
+                ),
             )
-
-        for t2, b2run in direction(ring.unit(q_T, 0), second, "second direction"):
-
-            def third(k):
-                return (
-                    ring.factor(qp(n + k) * T, 0)
-                    * ring.factor(qp(2 * n + k) * T_c1c1, -2)
-                    * ring.factor(qp(k) * c2_c1, 0)
-                    * ring.factor(qp(1 - t2 + k) * c2_c1, -2)
-                    * ring.factor(qp(n + k) * T_cc, -1)
-                    * ring.factor(qp(2 * n + t2 + 1 + k) * T_cc, -2),
-                    ring.factor(qp(1 + k), 0)
-                    * ring.factor(qp(n + 1 + k) * inv_c1c1, -2)
-                    * ring.factor(qp(n + 1 + k) * c2_c1, -1)
-                    * ring.factor(qp(k - t2) * c2_c1, -1)
-                    * ring.factor(qp(2 * n + 1 + k) * T_cc, -2)
-                    * ring.factor(qp(2 * n + t2 + k) * T_cc, -1),
-                )
-
-            for t3, b3run in direction(ring.unit(q_T, 0), third, "third direction"):
-                cell = hterm * b2run * b3run
-                base1 = d1 - 2 * n - 2 * t3
-                base2 = d2 - 2 * n - 2 * t2
+            for t3, cell in direction(run2, q_T, *third, "third direction"):
                 # the x2/x1 direction depends on theta3 - theta2 only, the
                 # 1/(x1 x2) direction on 2n + theta2 + theta3
-                skew = two_factor_sum(2, t3 - t2, c2_c1, "skew direction")
-                diagonal = two_factor_sum(-2, 2 * n + t2 + t3, T_cc, "diagonal direction")
-                for (e1, e2), w1 in skew:
-                    left = cell * w1
-                    for (g1, g2), w4 in diagonal:
-                        ring.accumulate(out, (base1 + e1 + g1, base2 + e2 + g2), left * w4)
+                ring.accumulate(
+                    out, d1 - 2 * n - 2 * t3, d2 - 2 * n - 2 * t2, cell,
+                    two_factor_sum(2, t3 - t2, c2_c1, c2_c1_1t, "skew direction"),
+                    two_factor_sum(-2, 2 * n + t2 + t3, T_cc, T_cc_1t, "diagonal direction"),
+                )
     raise NonTerminating(f"principal direction index passed {bound} without a vanishing factor")
 
 
@@ -508,9 +455,7 @@ def f_b2_poly(w: B2Weight, P: ParamPoint) -> LaurentPoly:
     so the result is memoized per (w, P) for the process; it is shared by
     every caller and must not be mutated."""
     P.require("sqrt_t", "sqrt_T")
-    ring = _RationalScalars(P.t)
-    terms = _series_terms(w, P, ring, _default_bound(w))
-    return LaurentPoly(2, {e: c for e, c in terms.items() if c}, 2)
+    return LaurentPoly(2, _series_terms(w, P, _RationalRing(P.q, P.t), _default_bound(w)), 2)
 
 
 def b2_character_series(w: B2Weight, P: ParamPoint) -> LaurentPoly:
@@ -519,14 +464,7 @@ def b2_character_series(w: B2Weight, P: ParamPoint) -> LaurentPoly:
     P.require("sqrt_t", "sqrt_T")
     if not (P.sqrt_q == P.sqrt_t == P.sqrt_T):
         raise ParameterDegeneracy("character collapse needs q = t = T")
-    ring = _JetScalars(P.q)
-    terms = _series_terms(w, P, ring, _default_bound(w))
-    out = {}
-    for exps, jet in terms.items():
-        value = ring.finalize(jet)
-        if value:
-            out[exps] = value
-    return LaurentPoly(2, out, 2)
+    return LaurentPoly(2, _series_terms(w, P, _JetRing(P.q, P.q), _default_bound(w)), 2)
 
 
 def b2_character_polytope(r1: int, r2: int) -> LaurentPoly:
@@ -547,41 +485,59 @@ def b2_character_polytope(r1: int, r2: int) -> LaurentPoly:
     return LaurentPoly(2, out, 2)
 
 
+def _skew_ladder(m: int, q, t) -> list:
+    """The weights k = 0..m of a skew sum of the threefold row,
+    (q^-m; q)_k (t; q)_k / (q, q^(1-m)/t; q)_k (q/t)^k, each from the one
+    before by its running ratio."""
+    weights = [Fraction(1)]
+    for j in range(m):
+        lower = (1 - q ** (j + 1)) * (1 - q ** (j + 1 - m) / t)
+        if not lower:
+            raise ParameterDegeneracy("vanishing lower Pochhammer in the skew ladder")
+        weights.append(weights[j] * qpoch(q ** (j - m), q, 1) * (1 - t * q ** j) / lower * q / t)
+    return weights
+
+
 def b2_row_threefold(r: int, P: ParamPoint) -> LaurentPoly:
-    """Single-row polynomial as the collapsed threefold sum."""
+    """Single-row polynomial as the collapsed threefold sum: over t3, the
+    weight w3 times x_1^(r - t3) times the skew sums in x_2/x_1 and in
+    1/(x_1 x_2), which share one ladder.
+
+    w3 steps by its running ratio as t3 grows.  The terminating factors
+    1 - q^(j - r) of w3 and 1 - q^(j - m) of a skew ladder stay bare qpoch
+    factors, so this module's qpoch lookup site, which perfbench/spans.py
+    traces, still sees work."""
     if r < 0:
         raise ValueError("row length must be nonnegative")
     P.require("sqrt_t", "sqrt_T")
     q, t, T = P.q, P.t, P.T
-
-    # each sum's terminating (q^-m; q) ladder stays a bare qpoch factor, so
-    # this module's qpoch lookup site, which perfbench/spans.py traces,
-    # still sees work; the other ladders form one quotient
-    def skew_sum(t3: int, e1: int, e2: int) -> LaurentPoly:
-        # shared ladder for the x2/x1 and 1/(x1 x2) directions
-        total = LaurentPoly.zero(2, 2)
-        for k in range(r - t3 + 1):
-            wgt = (
-                qpoch(q ** (t3 - r), q, k)
-                * qpoch_ratio((t,), (q, q ** (t3 - r + 1) / t), q, k, "the skew ladder")
-                * (q / t) ** k
-            )
-            if wgt:
-                total = total + _mono(e1 * k, e2 * k, wgt)
-        return total
-
-    total = LaurentPoly.zero(2, 2)
+    out: dict = {}
+    w3 = Fraction(1)
     for t3 in range(r + 1):
-        w3 = qpoch(q ** -r, q, t3) * qpoch_ratio(
-            (T, q ** (-2 * r) / t ** 2, q ** (-r + 1) / t ** 2),
-            (q, q ** (-2 * r + 1) / (t * t * T), q ** (-r + 1) / t, q ** -r / t),
-            q, t3, "the threefold ladder",
-        ) * (q / T) ** t3
+        if t3:
+            # (q^-r, T, q^-2r/t^2, q^(1-r)/t^2; q)_t3 over
+            # (q, q^(1-2r)/(t^2 T), q^(1-r)/t, q^-r/t; q)_t3, times (q/T)^t3
+            qj = q ** (t3 - 1)
+            lower = (
+                (1 - q * qj)
+                * (1 - q ** (1 - 2 * r) * qj / (t * t * T))
+                * (1 - q ** (1 - r) * qj / t)
+                * (1 - q ** -r * qj / t)
+            )
+            if not lower:
+                raise ParameterDegeneracy("vanishing lower Pochhammer in the threefold ladder")
+            w3 = w3 * qpoch(q ** -r * qj, q, 1) * (1 - T * qj) * (
+                1 - q ** (-2 * r) * qj / (t * t)
+            ) * (1 - q ** (1 - r) * qj / (t * t)) / lower * q / T
         if not w3:
             continue
-        block = skew_sum(t3, -2, 2) * skew_sum(t3, -2, -2)
-        total = total + block * _mono(-2 * t3, 0, w3)
-    return total * _mono(2 * r, 0)
+        ladder = [(w.numerator, w.denominator) for w in _skew_ladder(r - t3, q, t)]
+        _RationalRing.accumulate(
+            out, 2 * (r - t3), 0, (w3.numerator, w3.denominator),
+            [((-2 * k, 2 * k), w) for k, w in enumerate(ladder)],
+            [((-2 * k, -2 * k), w) for k, w in enumerate(ladder)],
+        )
+    return LaurentPoly(2, _RationalRing.finish(out), 2)
 
 
 def b2_conjecture_check(r1: int, r2: int, P: ParamPoint) -> list:

@@ -332,16 +332,17 @@ def suite_bibasic(cfg: RunConfig):
         pj = P.to_json_obj()
 
         def even_check():
+            # whole lists, power by power and route by route within a power:
+            # a route of another length raises instead of passing unchecked
             forms = even_sum_forms(P.s, P, half)
-            routes = (
-                ("closed", forms.closed),
-                ("bibasic-split", forms.bibasic_split),
-                ("bibasic-coupled", forms.bibasic_coupled),
+            names = ("closed", "bibasic-split", "bibasic-coupled")
+            routes = zip(
+                forms.raw, forms.closed, forms.bibasic_split, forms.bibasic_coupled, strict=True
             )
             return first_mismatch(
-                mismatch(vals[K], forms.raw[K], power=2 * K, route=name)
-                for K in range(half + 1)
-                for name, vals in routes
+                mismatch(val, raw, power=2 * K, route=name)
+                for K, (raw, *vals) in enumerate(routes)
+                for name, val in zip(names, vals)
             )
 
         yield f"bib-even-p{i}", "even-sum-forms", pj, {"max_power": 2 * half}, even_check
@@ -351,7 +352,8 @@ def suite_bibasic(cfg: RunConfig):
             first = even_sum_closed(P.s, P, half)
             second = even_sum_closed(P.s, swapped, half)
             return first_mismatch(
-                mismatch(second[K], first[K], power=2 * K) for K in range(half + 1)
+                mismatch(got, want, power=2 * K)
+                for K, (got, want) in enumerate(zip(second, first, strict=True))
             )
 
         yield f"bib-watson-p{i}", "watson-symmetry", pj, {"max_power": 2 * half}, watson_check

@@ -3,7 +3,17 @@
 import pytest
 
 from qbc import koornwinder
-from qbc.algebra import OrbitPoly, padded_partition
+from qbc.algebra import LaurentPoly, OrbitPoly, padded_partition
+
+
+def monomial(exps, coeff=1, scale: int = 1) -> LaurentPoly:
+    """coeff x^exps as a LaurentPoly in len(exps) variables."""
+    return LaurentPoly(len(exps), {tuple(exps): coeff}, scale)
+
+
+def zero_poly(n: int, scale: int = 1) -> LaurentPoly:
+    """The zero LaurentPoly in n variables."""
+    return LaurentPoly(n, {}, scale)
 
 
 def monomial_symmetric(entries, n: int, scale: int = 1):

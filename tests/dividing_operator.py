@@ -32,7 +32,7 @@ from qbc.algebra import (
     weyl_invariant,
 )
 from qbc.errors import DimensionMismatch, ParameterDegeneracy
-from conftest import monomial_symmetric
+from conftest import monomial_symmetric, zero_poly
 
 
 def _places(num_vars: int, half: int) -> list:
@@ -399,12 +399,12 @@ class DividingShiftOperator:
             raise ValueError("operator input is not invariant under signed permutations")
         g, g_den = self._difference(f)
         if g.is_zero():
-            return LaurentPoly.zero(f.num_vars, f.scale)
+            return zero_poly(f.num_vars, f.scale)
         if self._pole is not None:
             g = algebra.exact_div(g, self._pole)
         total = self._orbit_sum(g)
         if not total.terms:
-            return LaurentPoly.zero(f.num_vars, f.scale)
+            return zero_poly(f.num_vars, f.scale)
         for divisor in self._divisors:
             total = algebra.exact_div(total, divisor)
         unscale = self._unscale / g_den

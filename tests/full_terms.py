@@ -12,6 +12,7 @@ orbit form.
 from qbc import koornwinder, macdonald_bcd
 from qbc.algebra import LaurentPoly
 from qbc.qseries import qbinom_series
+from conftest import zero_poly
 
 #: the full-term G table of each (n, P), for the test process
 _TABLES: dict = {}
@@ -49,7 +50,7 @@ def g_series_list(rmax, n, P) -> tuple:
 def row_sum(n, terms) -> LaurentPoly:
     """Sum of p * w over the (p, w) pairs of terms, one Fraction product
     and one Fraction sum per term."""
-    total = LaurentPoly.zero(n)
+    total = zero_poly(n)
     for p, w in terms:
         if w:
             total = total + p * w

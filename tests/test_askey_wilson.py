@@ -35,7 +35,7 @@ from qbc.qseries import (
     PhiSpec, _compiled, _factors, phi_sum, qbinom_series, qpoch, qpoch_multi, qpoch_ratio,
 )
 from qbc.suites import default_config
-from conftest import monomial_symmetric
+from conftest import monomial, monomial_symmetric, zero_poly
 import per_term
 from test_algebra import _exponent_box, qshift
 
@@ -208,15 +208,15 @@ class TestEigenvalue:
 
 class TestAwPoly:
     def test_degree_zero(self):
-        assert aw_poly(0, POINT_A) == LaurentPoly.monomial((0,))
+        assert aw_poly(0, POINT_A) == monomial((0,))
 
     def test_degree_one_two_term_expansion(self):
         # a^-1 [(1-ab)(1-ac)(1-ad) - (1-abcd)(1-ax)(1-a/x)]
         P = POINT_A
         a, b, c, d = P.a, P.b, P.c, P.d
-        x = LaurentPoly.monomial((1,))
-        xinv = LaurentPoly.monomial((-1,))
-        one = LaurentPoly.monomial((0,))
+        x = monomial((1,))
+        xinv = monomial((-1,))
+        one = monomial((0,))
         expected = (
             one * ((1 - a * b) * (1 - a * c) * (1 - a * d))
             - (one - x * a) * (one - xinv * a) * (1 - a * b * c * d)
@@ -250,7 +250,7 @@ class TestAwPoly:
 
 class TestOperator:
     def test_kills_constants(self):
-        assert aw_apply(LaurentPoly.monomial((0,)), POINT_A).is_zero()
+        assert aw_apply(monomial((0,)), POINT_A).is_zero()
 
     def test_matches_direct_substitution(self):
         # independent route: evaluate the two rational coefficients of the
@@ -427,10 +427,10 @@ class TestSeriesIdentities:
         f = LaurentPoly(
             1, {(2 * n - 1,): ser[n] for n in range(N + 1)}, scale=2
         )
-        one = LaurentPoly.monomial((0,), scale=2)
+        one = monomial((0,), scale=2)
 
         def xp(p):
-            return LaurentPoly.monomial((2 * p,), 1, 2)
+            return monomial((2 * p,), 1, 2)
 
         lcd = (one - xp(2)) * (one - xp(2) * q) * (one - xp(2) * (1 / q))
         gup = one - xp(2) * (1 / q)
@@ -625,11 +625,11 @@ def _aw_poly_reference(n, P):
             raise ParameterDegeneracy(
                 f"lower Pochhammer ({prod};q)_m vanishes for some m <= {n}"
             )
-    x = LaurentPoly.monomial((1,))
-    xinv = LaurentPoly.monomial((-1,))
-    one = LaurentPoly.monomial((0,))
+    x = monomial((1,))
+    xinv = monomial((-1,))
+    one = monomial((0,))
     abcd = a * b * c * d
-    total = LaurentPoly.zero(1)
+    total = zero_poly(1)
     scalar = Fraction(1)
     pair = one
     qm = Fraction(1)

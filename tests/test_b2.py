@@ -19,9 +19,8 @@ from qbc.b2 import (
     _b2_operator,
     _default_bound,
     _dominant_below,
-    _JetScalars,
-    _Pair,
-    _RationalScalars,
+    _JetRing,
+    _RationalRing,
     _series_terms,
     b2_apply,
     b2_character_polytope,
@@ -36,8 +35,9 @@ from qbc.cli import main
 from qbc.errors import DimensionMismatch, NonTerminating, ParameterDegeneracy, QbcError
 from qbc.koornwinder import CACHE_ENV
 from qbc.suites import _plan, _run, default_config, run_suite
-from conftest import monomial_symmetric, poly_key
+from conftest import monomial, monomial_symmetric, poly_key
 import b2_reference
+from b2_reference import _Pair
 
 # t, t^2, T, tT, t^2T must stay off integer powers of q, or a denominator
 # ladder pins to 1 at a live index.  Both points were picked for that.
@@ -45,7 +45,7 @@ B2P1 = ParamPoint(sqrt_q=F(1, 2), sqrt_t=F(1, 3), sqrt_T=F(1, 5))
 B2P2 = ParamPoint(sqrt_q=F(1, 3), sqrt_t=F(1, 2), sqrt_T=F(1, 5))
 CHAR_POINT = ParamPoint(sqrt_q=F(1, 2), sqrt_t=F(1, 2), sqrt_T=F(1, 2))
 
-ONE = LaurentPoly.monomial((0, 0), scale=2)
+ONE = monomial((0, 0), scale=2)
 
 
 def eval_doubled(f, u1, u2):
@@ -118,7 +118,7 @@ class TestOperator:
 
     def test_rejects_unit_lattice_input(self):
         with pytest.raises(DimensionMismatch):
-            b2_apply(LaurentPoly.monomial((0, 0)), B2P1)
+            b2_apply(monomial((0, 0)), B2P1)
 
 
 def e_zero(P):
@@ -235,7 +235,7 @@ class TestExplicitSeries:
 
     def test_tiny_scan_bound_raises(self):
         with pytest.raises(NonTerminating):
-            _series_terms(B2Weight(2, 2), B2P1, _RationalScalars(B2P1.t), 1)
+            _series_terms(B2Weight(2, 2), B2P1, _RationalRing(B2P1.q, B2P1.t), 1)
 
 
 class TestSingleRowCollapse:
@@ -438,20 +438,26 @@ class _ReferenceRationalScalars:
         return out
 
 
-def _series_outcome(ring, w, P):
-    """Every finalized coefficient, each the value or the class of the
-    QbcError it raised; or the class of the error the series raised."""
+def _outcome(series, ring, w, P, bound=None):
+    """The nonzero coefficients series sums on ring, as Fractions, or the
+    class and message of the QbcError it raised.  A ring of the object
+    protocol hands back its values unfinalized; they are finalized here in
+    the order the series first reached them, as the jet ring's finish
+    does."""
+    if bound is None:
+        bound = _default_bound(w)
     try:
-        terms = _series_terms(w, P, ring, _default_bound(w))
+        terms = series(w, P, ring, bound)
+        if hasattr(ring, "finalize"):
+            terms = {exps: ring.finalize(x) for exps, x in terms.items()}
     except QbcError as exc:
-        return type(exc)
-    out = {}
-    for exps, x in terms.items():
-        try:
-            out[exps] = ring.finalize(x)
-        except QbcError as exc:
-            out[exps] = type(exc)
-    return out
+        return type(exc), str(exc)
+    return {exps: c for exps, c in terms.items() if c}
+
+
+def _shipped(Ring, P):
+    """A shipped ring at P: its powers of q and of t."""
+    return Ring(P.q, P.t)
 
 
 _SMALL = st.builds(F, st.integers(-5, 5).filter(bool), st.integers(1, 4))
@@ -459,12 +465,11 @@ _SIGN = st.sampled_from([F(1), F(-1)])
 
 
 @st.composite
-def _series_inputs(draw, collapse=True):
+def _points(draw, collapse=True):
     """A point, collapsed (q = t = T, the square roots up to sign) about
-    half the time unless collapse is False, and a weight of total at most
-    3.  Off the collapse sqrt_t and sqrt_T are signed powers of sqrt q or
-    small rationals times them, so that factors pin to 0 and denominators
-    vanish at live indices."""
+    half the time unless collapse is False.  Off the collapse sqrt_t and
+    sqrt_T are signed powers of sqrt q or small rationals times them, so
+    that factors pin to 0 and denominators vanish at live indices."""
     sq = draw(_SMALL.filter(lambda x: abs(x) != 1))
 
     def coordinate():
@@ -475,24 +480,32 @@ def _series_inputs(draw, collapse=True):
         st_, sT = sq * draw(_SIGN), sq * draw(_SIGN)
     else:
         st_, sT = coordinate(), coordinate()
+    return ParamPoint(sqrt_q=sq, sqrt_t=st_, sqrt_T=sT)
+
+
+@st.composite
+def _series_inputs(draw, collapse=True):
+    """A drawn point and a weight of total at most 3."""
     total = draw(st.integers(0, 3))
     r1 = draw(st.integers(0, total))
-    return ParamPoint(sqrt_q=sq, sqrt_t=st_, sqrt_T=sT), B2Weight(r1, total - r1)
+    return draw(_points(collapse)), B2Weight(r1, total - r1)
 
 
-RINGS = [_JetScalars, _ReferenceJetScalars]
+RINGS = [b2_reference._JetScalars, _ReferenceJetScalars]
 
 
 class TestLeadingTermRing:
     """The collapsed series keeps one leading coefficient per value; it must
-    give what the 48-term truncated ring gave, values and errors alike."""
+    give what the 48-term truncated ring gave, values and errors alike.  The
+    object tests run on both reference rings, which the shipped jet ring's
+    series is held to."""
 
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(_series_inputs())
     def test_series_matches_truncated_reference(self, drawn):
         P, w = drawn
-        assert _series_outcome(_JetScalars(P.t), w, P) == _series_outcome(
-            _ReferenceJetScalars(P.t), w, P
+        assert _outcome(_series_terms, _shipped(_JetRing, P), w, P) == _outcome(
+            b2_reference._series_terms, _ReferenceJetScalars(P.t), w, P
         )
 
     @pytest.mark.parametrize("Ring", RINGS)
@@ -545,20 +558,124 @@ class TestLeadingTermRing:
         assert ring.finalize(ring.factor(_Pair(4), 1) / ring.factor(_Pair(16), 2)) == F(1, 2)
 
 
-def _rational_outcome(Ring, w, P):
-    """The coefficient dict of the plain series on Ring, or the class and
-    message of the error it raised."""
-    try:
-        return _series_terms(w, P, Ring(P.t), _default_bound(w))
-    except QbcError as exc:
-        return type(exc), str(exc)
+def _lead(entry):
+    """A jet coefficient entry [num, den, off] as (coefficient, off)."""
+    num, den, off = entry
+    return F(num, den), off
+
+
+class TestJetRing:
+    """The jet ring's integer pieces at each branch, against the leading
+    terms of the object ring they replace: a factor at x != 1, at x = 1
+    with p = 0 (an exact zero) and with p != 0 (order 1, lead -x p); the
+    addition of a term below, at and above an entry's order, with the
+    cancellation that moves it to order off + 1; and finish, where a pole
+    or an exhausted precision at order 0 or below raises."""
+
+    @pytest.mark.parametrize(
+        "gamma, p, lead",
+        [
+            ((2, 1), 0, (F(-1), 0)),
+            ((-3, 5), -1, (F(17, 5), 0)),
+            ((1, 1), 0, None),
+            ((4, 1), 1, (F(-1), 1)),
+            ((16, 1), 2, (F(-2), 1)),
+            ((1, 4), -1, (F(1), 1)),
+            ((-64, -1), 3, (F(-3), 1)),
+        ],
+        ids=["x=2", "x=-12/5", "x=1,p=0", "x=1,p=1", "x=1,p=2", "x=1,p=-1", "x=1,p=3"],
+    )
+    def test_factor_at_each_branch(self, gamma, p, lead):
+        # at tv = 1/4, x = gamma tv^p; None is the exact zero
+        ring, objects = _JetRing(F(1, 4), F(1, 4)), b2_reference._JetScalars(F(1, 4))
+        num, den, off = ring.factor(*ring.scaled(*gamma, p), p)
+        reference = objects.factor(_Pair(*gamma), p)
+        if lead is None:
+            assert num == 0 and den != 0
+            assert reference.is_exact_zero()
+        else:
+            assert (F(num, den), off) == lead == (reference.coeff, reference.off)
+
+    def test_product_multiplies_leads_and_adds_orders(self):
+        # records (an, ad, p, e): 1 - (an / ad) q^(e + k), q = tv = 1/4
+        ring, objects = _JetRing(F(1, 4), F(1, 4)), b2_reference._JetScalars(F(1, 4))
+        records = [(1, 1, 1, 0), (2, 1, 0, 0), (1, 1, -1, 1), (1, 1, 0, 0)]
+        gammas = [(_Pair(4), 1), (_Pair(2), 0), (_Pair(1, 16), -1), (_Pair(1), 0)]
+        for k, count in ((0, 3), (1, 4)):
+            num, den, off = ring.product(records[:count], k)
+            want = objects.one
+            for gamma, p in gammas[:count]:
+                want = want * objects.factor(gamma * _Pair(1, 4) ** k, p)
+            assert (F(num, den), off) == (want.coeff, want.off)
+        # the exact zero 1 - q^0 at k = 0 kills the product
+        assert ring.product(records, 0)[0] == 0
+
+    def test_ratio_adds_orders(self):
+        ring = _JetRing(F(1, 4), F(1, 4))
+        assert ring.ratio((1, 2, 1), (3, 1, 0), (2, 3, 1), (4, 5, -1)) == (5, 4, 3)
+
+    def test_add_at_each_branch(self):
+        out = {}
+        _JetRing.add(out, 0, 1, 2, 1)  # a new coefficient
+        _JetRing.add(out, 0, 5, 1, 2)  # above its order: no change
+        assert _lead(out[0]) == (F(1, 2), 1)
+        _JetRing.add(out, 0, 1, 3, 1)  # at its order: the sum
+        assert _lead(out[0]) == (F(5, 6), 1)
+        _JetRing.add(out, 0, -5, 6, 1)  # cancelled: O(v^2)
+        assert out[0][0] == 0 and out[0][2] == 2
+        _JetRing.add(out, 0, 7, 1, 2)  # at the order it was lost at: still unknown
+        assert out[0][0] == 0 and out[0][2] == 2
+        _JetRing.add(out, 0, 3, 4, 0)  # below it: the new lead
+        assert _lead(out[0]) == (F(3, 4), 0)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 1), st.integers(-3, 3).filter(bool),
+                st.integers(-3, 3).filter(bool), st.integers(-1, 2),
+            ),
+            max_size=12,
+        )
+    )
+    def test_add_matches_leading_term_addition(self, terms):
+        out, want = {}, {}
+        for exps, num, den, off in terms:
+            _JetRing.add(out, exps, num, den, off)
+            term = b2_reference._LeadTerm(F(num, den), off)
+            want[exps] = want.get(exps, b2_reference._LEAD_ZERO) + term
+        assert {e: _lead(entry) for e, entry in out.items()} == {
+            e: (x.coeff, x.off) for e, x in want.items()
+        }
+
+    @pytest.mark.parametrize(
+        "entry, value",
+        [
+            ([3, 4, 0], F(3, 4)),
+            ([3, 4, 1], 0),
+            ([0, 1, 1], 0),
+            ([3, 4, -1], "coefficient diverges at the collapsed parameter point"),
+            ([0, 1, 0], "series precision exhausted at evaluation"),
+            ([0, 1, -1], "series precision exhausted at evaluation"),
+        ],
+        ids=["lead", "order-1", "exhausted-past-0", "pole", "exhausted-at-0", "exhausted-below-0"],
+    )
+    def test_finish_at_each_branch(self, entry, value):
+        reference = b2_reference._LeadTerm(F(entry[0], entry[1]), entry[2])
+        if isinstance(value, str):
+            with pytest.raises(ParameterDegeneracy, match=value):
+                _JetRing.finish({(0, 0): entry})
+            with pytest.raises(ParameterDegeneracy, match=value):
+                reference.value()
+        else:
+            assert _JetRing.finish({(0, 0): entry}) == ({(0, 0): value} if value else {})
+            assert reference.value() == value
 
 
 class TestPair:
-    """The unreduced pair of the series' ladder steps has no value
-    equality, no truth value and no division, so a stray zero test or
-    division fails loudly instead of reading False or skipping the series'
-    pole check."""
+    """The reference rings' unreduced pair has no value equality, no truth
+    value and no division, so a stray zero test or division fails loudly
+    instead of reading False or skipping the series' pole check."""
 
     def test_equality_and_truth_raise(self):
         zero, one = _Pair(0, 3), _Pair(2, 2)
@@ -587,15 +704,15 @@ class TestPair:
 
 
 class TestPairRing:
-    """The plain series runs on unreduced integer pairs; it must give what
-    the Fraction ring gave, values and errors alike."""
+    """The plain series runs on bare integer pairs; it must give what the
+    Fraction ring gave, values and errors alike."""
 
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(_series_inputs(collapse=False))
     def test_series_matches_fraction_reference(self, drawn):
         P, w = drawn
-        assert _rational_outcome(_RationalScalars, w, P) == _rational_outcome(
-            _ReferenceRationalScalars, w, P
+        assert _outcome(_series_terms, _shipped(_RationalRing, P), w, P) == _outcome(
+            b2_reference._series_terms, _ReferenceRationalScalars(P.t), w, P
         )
 
     @pytest.mark.parametrize("P", [B2P1, B2P2])
@@ -603,39 +720,70 @@ class TestPairRing:
         for total in range(7):
             for r1 in range(total + 1):
                 w = B2Weight(r1, total - r1)
-                terms = _rational_outcome(_ReferenceRationalScalars, w, P)
-                expected = LaurentPoly(2, {e: c for e, c in terms.items() if c}, 2)
-                assert f_b2_poly(w, P) == expected, w
+                terms = _outcome(b2_reference._series_terms, _ReferenceRationalScalars(P.t), w, P)
+                assert f_b2_poly(w, P) == LaurentPoly(2, terms, 2), w
 
     def test_ratio_reduces_the_running_product(self):
-        ring = _RationalScalars(F(1, 3))
-        run = ring.ratio(_Pair(6, 10), _Pair(4, 9), _Pair(8, 3))
-        assert (run.num, run.den) == (1, 10)
+        ring = _RationalRing(F(1, 9), F(1, 3))
+        assert ring.ratio((6, 10), (1, 1), (4, 9), (8, 3)) == (1, 10)
+        assert ring.ratio((6, 10), (-5, 2), (4, 9), (8, 3)) == (-1, 4)
+
+    def test_a_dead_value_is_a_zero_numerator(self):
+        # the walk's zero tests read a value's numerator as an int; the
+        # value, a tuple, is true even when it is zero
+        ring = _RationalRing(F(1, 9), F(1, 2))
+        dead = ring.product([(*ring.scaled(2, 1, 1), 1, 0), (3, 1, 0, 1)], 0)
+        assert dead == (0, 18) and dead
+        assert F(*ring.product([(*ring.scaled(2, 1, 1), 1, 0)], 1)) == F(8, 9)
+        P, w, bound, _ = _PINNED["ladder denominator"]
+        with pytest.raises(ParameterDegeneracy, match="vanishing ladder denominator"):
+            _series_terms(w, P, _RationalRing(P.q, P.t), bound)
 
     def test_cells_add_over_a_running_lcm(self):
         # unreduced cells, signs on either integer, denominators that do
-        # and do not divide the running one; finish makes one reduced
-        # Fraction per coefficient, zeros kept
-        ring = _RationalScalars(F(1, 3))
+        # and do not divide the running one, a block of cells crossed with
+        # its skew and diagonal weights; finish makes one reduced Fraction
+        # per nonzero coefficient
         cells = [
-            ((0, 0), _Pair(2, 4)), ((0, 0), _Pair(-3, 6)), ((2, 0), _Pair(1, -3)),
-            ((2, 0), _Pair(5, 4)), ((2, 0), _Pair(-7, 8)), ((2, 0), _Pair(9, 12)),
+            ((0, 0), (2, 4)), ((0, 0), (-3, 6)), ((2, 0), (1, -3)),
+            ((2, 0), (5, 4)), ((2, 0), (-7, 8)), ((2, 0), (9, 12)),
         ]
         out, want = {}, {}
-        for exps, cell in cells:
-            ring.accumulate(out, exps, cell)
-            want[exps] = want.get(exps, F(0)) + F(cell.num, cell.den)
-        finished = ring.finish(out)
-        assert finished == want == {(0, 0): 0, (2, 0): F(19, 24)}
+        for (b1, b2), cell in cells:
+            _RationalRing.accumulate(out, b1, b2, cell, [((0, 0), (1, 1))], [((0, 0), (1, 1))])
+            want[b1, b2] = want.get((b1, b2), F(0)) + F(*cell)
+        skew = [((0, 0), (1, 1)), ((-2, 2), (3, -5))]
+        diagonal = [((0, 0), (2, 7)), ((-2, -2), (-1, 4)), ((-4, -4), (5, 6))]
+        _RationalRing.accumulate(out, 4, 2, (2, 3), skew, diagonal)
+        for (e1, e2), s in skew:
+            for (g1, g2), d in diagonal:
+                exps = (4 + e1 + g1, 2 + e2 + g2)
+                want[exps] = want.get(exps, F(0)) + F(2, 3) * F(*s) * F(*d)
+        finished = _RationalRing.finish(out)
+        assert finished == {e: c for e, c in want.items() if c}
+        assert (0, 0) not in finished and finished[2, 0] == F(5, 8)
         assert all(type(c) is F for c in finished.values())
 
 
-class _CutScalars(_RationalScalars):
+class _CutScalars(_RationalRing):
     """The pair ring with 1 - t dead: both two-factor sums stop at their
     first cell, so the theta2 direction can pass the scan bound.  On the
     two shipped rings it cannot, since the diagonal sum at (n, 0, 0) is at
     least as long, unless t = q^-j, where a ladder denominator vanishes
     first."""
+
+    def product(self, records, k):
+        tn, td = self.t_power(1)
+        for an, ad, p, e in records:
+            qn, qd = self.q_power(e + k)
+            if p == 1 and an * qn * td == ad * qd * tn:
+                return 0, 1
+        return super().product(records, k)
+
+
+class _ReferenceCutScalars(b2_reference._RationalScalars):
+    """_CutScalars on the object ring: a factor 1 - gamma t with gamma = 1
+    is dead."""
 
     def factor(self, gamma, p):
         if p == 1 and gamma.num == gamma.den:
@@ -643,53 +791,12 @@ class _CutScalars(_RationalScalars):
         return super().factor(gamma, p)
 
 
-class _RationalCells(_RationalScalars):
-    """The pair ring as b2_reference reads it, with the step each cell took
-    before cells were summed over a running lcm: one reduced Fraction added
-    to its coefficient, from a Fraction zero."""
-
-    zero = F(0)
-
-    def coefficient(self, x):
-        return F(x.num, x.den)
-
-
-class _JetCells(_JetScalars):
-    """The jet ring as b2_reference reads it: each cell's _LeadTerm added
-    to its coefficient as it is."""
-
-    def coefficient(self, x):
-        return x
-
-
-class _CutCells(_CutScalars, _RationalCells):
-    """_CutScalars as b2_reference reads it."""
-
-
-#: the ring b2_reference runs on, for each ring the shipped series runs on
-_REFERENCE_READS = {
-    _RationalScalars: _RationalCells, _JetScalars: _JetCells, _CutScalars: _CutCells,
+#: the object ring b2_reference runs on, for each ring the series runs on
+_REFERENCE_RINGS = {
+    _RationalRing: b2_reference._RationalScalars,
+    _JetRing: b2_reference._JetScalars,
+    _CutScalars: _ReferenceCutScalars,
 }
-
-
-def _terms_outcome(series, Ring, w, P, bound):
-    """The coefficient dict of series on a fresh Ring, jet values
-    finalized, each the value or the class and message of the QbcError it
-    raised; or the class and message of the error the series raised."""
-    ring = Ring(P.t)
-    try:
-        terms = series(w, P, ring, bound)
-    except QbcError as exc:
-        return type(exc), str(exc)
-    if not hasattr(ring, "finalize"):
-        return terms
-    out = {}
-    for exps, x in terms.items():
-        try:
-            out[exps] = ring.finalize(x)
-        except QbcError as exc:
-            out[exps] = type(exc), str(exc)
-    return out
 
 
 @st.composite
@@ -699,7 +806,7 @@ def _stepper_inputs(draw):
     P, w = draw(_series_inputs())
     P = draw(st.sampled_from([P, B2P1, B2P2]))
     bound = draw(st.integers(0, _default_bound(w)))
-    return P, w, bound, draw(st.sampled_from([_RationalScalars, _JetScalars]))
+    return P, w, bound, draw(st.sampled_from([_RationalRing, _JetRing]))
 
 
 def _pinned(sq, st_, sT, r1, r2, bound, Ring):
@@ -709,20 +816,21 @@ def _pinned(sq, st_, sT, r1, r2, bound, Ring):
 #: an input on which the series raises, for each overrun label and each
 #: degeneracy of the series
 _PINNED = {
-    "principal direction": _pinned(F(1, 2), F(1, 2), F(1, 2), 0, 0, 0, _JetScalars),
+    "principal direction": _pinned(F(1, 2), F(1, 2), F(1, 2), 0, 0, 0, _JetRing),
     "second direction": _pinned(F(1, 2), F(1, 3), F(1, 5), 0, 2, 1, _CutScalars),
-    "third direction": _pinned(F(1, 2), F(1), F(1, 2), 2, 0, 0, _RationalScalars),
-    "skew direction": _pinned(F(1, 2), F(1, 2), F(1, 2), 1, 0, 0, _RationalScalars),
-    "diagonal direction": _pinned(F(1, 2), F(1, 2), F(1, 2), 0, 1, 0, _JetScalars),
-    "ladder denominator": _pinned(F(1, 2), F(1, 2), F(1, 2), 0, 0, 0, _RationalScalars),
-    "series prefactor denominator": _pinned(F(1, 2), F(1, 4), F(2), 0, 0, 1, _RationalScalars),
+    "third direction": _pinned(F(1, 2), F(1), F(1, 2), 2, 0, 0, _RationalRing),
+    "skew direction": _pinned(F(1, 2), F(1, 2), F(1, 2), 1, 0, 0, _RationalRing),
+    "diagonal direction": _pinned(F(1, 2), F(1, 2), F(1, 2), 0, 1, 0, _JetRing),
+    "ladder denominator": _pinned(F(1, 2), F(1, 2), F(1, 2), 0, 0, 0, _RationalRing),
+    "series prefactor denominator": _pinned(F(1, 2), F(1, 4), F(2), 0, 0, 1, _RationalRing),
 }
 
 
 class TestSeriesReference:
-    """The series walks every running-ratio direction through one stepper;
-    it must give what the hand-written loops of b2_reference gave, values,
-    error classes and messages alike, on both rings and at every bound."""
+    """The series walks every running-ratio direction through one stepper
+    on bare integers; it must give what the hand-written loops of
+    b2_reference gave on the object rings, values, error classes and
+    messages alike, on both rings and at every bound."""
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(_stepper_inputs())
@@ -735,8 +843,8 @@ class TestSeriesReference:
     @example(_PINNED["series prefactor denominator"])
     def test_series_matches_the_hand_written_loops(self, drawn):
         P, w, bound, Ring = drawn
-        assert _terms_outcome(_series_terms, Ring, w, P, bound) == _terms_outcome(
-            b2_reference._series_terms, _REFERENCE_READS[Ring], w, P, bound
+        assert _outcome(_series_terms, _shipped(Ring, P), w, P, bound) == _outcome(
+            b2_reference._series_terms, _REFERENCE_RINGS[Ring](P.t), w, P, bound
         )
 
     @pytest.mark.parametrize("label", sorted(_PINNED))
@@ -746,7 +854,44 @@ class TestSeriesReference:
             want = NonTerminating, f"{label} index passed {bound} without a vanishing factor"
         else:
             want = ParameterDegeneracy, f"vanishing {label} in the explicit series"
-        assert _terms_outcome(_series_terms, Ring, w, P, bound) == want
+        assert _outcome(_series_terms, _shipped(Ring, P), w, P, bound) == want
+
+
+def _row_outcome(threefold, r, P):
+    """The row threefold makes, or the class and message of its error."""
+    try:
+        return threefold(r, P)
+    except QbcError as exc:
+        return type(exc), str(exc)
+
+
+#: a point and row at which each ladder of the threefold row has a
+#: vanishing lower factor
+_THREEFOLD_PINNED = {
+    "the threefold ladder": (ParamPoint(sqrt_q=F(1, 2), sqrt_t=F(8), sqrt_T=F(8)), 3),
+    "the skew ladder": (ParamPoint(sqrt_q=F(1, 2), sqrt_t=F(8), sqrt_T=F(8)), 4),
+}
+
+
+class TestThreefoldReference:
+    """The threefold row shares one skew ladder between its two directions
+    and steps every weight by a running ratio; it must give what the
+    per-term sum of b2_reference gave, rows and error messages alike."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(_points(collapse=False), st.integers(0, 8))
+    @example(*_THREEFOLD_PINNED["the threefold ladder"])
+    @example(*_THREEFOLD_PINNED["the skew ladder"])
+    def test_row_matches_the_per_term_sum(self, P, r):
+        assert _row_outcome(b2_row_threefold, r, P) == _row_outcome(
+            b2_reference.b2_row_threefold, r, P
+        )
+
+    @pytest.mark.parametrize("what", sorted(_THREEFOLD_PINNED))
+    def test_pinned_points_raise_where_named(self, what):
+        P, r = _THREEFOLD_PINNED[what]
+        want = ParameterDegeneracy, f"vanishing lower Pochhammer in {what}"
+        assert _row_outcome(b2_row_threefold, r, P) == want
 
 
 def _plan_report(r1, r2, P):
@@ -834,7 +979,7 @@ class TestConjectureCheck:
 
 
 #: x_1 on the doubled lattice, a term no invariant series can have alone
-X1 = LaurentPoly.monomial((2, 0), 1, 2)
+X1 = monomial((2, 0), 1, 2)
 
 
 def _orbit_error(key):

@@ -38,7 +38,7 @@ from qbc.koornwinder import (
 )
 from qbc.qseries import qbinom_series, qpoch
 from qbc.suites import RunConfig, _plan, _run, default_config, run_suite
-from conftest import monomial_symmetric, orbit_sum, poly_key
+from conftest import monomial, monomial_symmetric, orbit_sum, poly_key, zero_poly
 import full_terms
 import per_term
 
@@ -299,15 +299,15 @@ def _g_list_reference(rmax, n, P):
     factor series multiplied in turn, every order of one factor before
     the next, as g_series_list computed it before its table grew."""
     heads = qbinom_series(P.t, P.q, rmax)
-    out = [LaurentPoly.monomial((0,) * n)] + [LaurentPoly.zero(n) for _ in range(rmax)]
+    out = [monomial((0,) * n)] + [zero_poly(n) for _ in range(rmax)]
     for i in range(n):
         for sign in (1, -1):
-            new = [LaurentPoly.zero(n) for _ in range(rmax + 1)]
+            new = [zero_poly(n) for _ in range(rmax + 1)]
             for r in range(rmax + 1):
                 for j in range(rmax + 1 - r):
                     exps = [0] * n
                     exps[i] = sign * j
-                    new[r + j] = new[r + j] + out[r] * LaurentPoly.monomial(exps, heads[j])
+                    new[r + j] = new[r + j] + out[r] * monomial(exps, heads[j])
             out = new
     return out
 
@@ -374,13 +374,13 @@ class TestGeneratingFamily:
         gs = [g.expand() for g in g_series_list(rmax, n, P)]
 
         def elementary(scalar):
-            polys = [LaurentPoly.monomial((0,) * n)]
+            polys = [monomial((0,) * n)]
             for i in range(n):
                 for sign in (1, -1):
                     e = [0] * n
                     e[i] = sign
-                    factor = LaurentPoly.monomial(e, -scalar)
-                    new = polys + [LaurentPoly.zero(n)]
+                    factor = monomial(e, -scalar)
+                    new = polys + [zero_poly(n)]
                     for r in range(len(polys)):
                         new[r + 1] = new[r + 1] + polys[r] * factor
                     polys = new
@@ -389,8 +389,8 @@ class TestGeneratingFamily:
         plain = elementary(Fraction(1))
         scaled = elementary(t)
         for r in range(rmax + 1):
-            lhs = LaurentPoly.zero(n)
-            rhs = LaurentPoly.zero(n)
+            lhs = zero_poly(n)
+            rhs = zero_poly(n)
             for j in range(r + 1):
                 if r - j < len(plain):
                     lhs = lhs + gs[j] * plain[r - j]
@@ -498,7 +498,7 @@ def _kernel_residuals_reference(n, beta, deg, P):
     gdown = [-v for v in gdown]
     residuals = []
     for e in range(deg + 1):
-        residual = LaurentPoly.zero(n)
+        residual = zero_poly(n)
         for j in range(min(e, 6) + 1):
             w = W[e - j]
             if lcd[j]:

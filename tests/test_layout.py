@@ -22,7 +22,6 @@ from collections import Counter
 from pathlib import Path
 
 from qbc.algebra import LaurentPoly, OrbitPoly, _TermForm
-from qbc.b2 import _LeadTerm, _Pair
 from qbc.suites import default_config, run_suite
 from test_memos import _clear_memos
 
@@ -53,8 +52,7 @@ UNREACHED_ALLOWED = {
     "OrbitPoly.__repr__": "only error messages show an orbit form",
     "_TermForm.__sub__": "only a failing poly_mismatch subtracts, to find the leading monomial",
     "_TermForm.__neg__": "only __sub__ negates, on a failing poly_mismatch",
-    "_Pair.__eq__": "a guard: comparing pairs raises TypeError by design",
-    "_Pair.__bool__": "a guard: the truth of a pair raises TypeError by design",
+    "_TermForm.__add__": "only __sub__ adds, on a failing poly_mismatch",
 }
 
 
@@ -232,7 +230,7 @@ def test_every_special_method_is_reached(isolated_cache, monkeypatch):
     # builder runs; each special method of the arithmetic classes counts its
     # calls, under its own name where two names share one function
     calls, wrapped = Counter(), set()
-    for cls in (_TermForm, LaurentPoly, OrbitPoly, _Pair, _LeadTerm):
+    for cls in (_TermForm, LaurentPoly, OrbitPoly):
         for name, method in list(vars(cls).items()):
             if name.startswith("__") and name.endswith("__") and inspect.isfunction(method):
                 key = f"{cls.__name__}.{name}"

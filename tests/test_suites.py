@@ -321,6 +321,46 @@ def test_watson_mismatch_names_the_power(monkeypatch):
     ]
 
 
+def _resized(values, change):
+    """values one entry short (change -1) or long (change 1)."""
+    values = list(values)
+    return values[:-1] if change < 0 else values + values[-1:]
+
+
+@pytest.mark.parametrize("change", [-1, 1], ids=["short", "long"])
+@pytest.mark.parametrize("field", ["raw", "closed", "bibasic_split", "bibasic_coupled"])
+def test_even_sum_route_of_another_length_raises(field, change, monkeypatch):
+    # the check compares the four whole lists, so a list one entry short or
+    # long raises instead of leaving a power unchecked
+    def planted(real):
+        def forms(s, P, N):
+            out = real(s, P, N)
+            return out._replace(**{field: _resized(getattr(out, field), change)})
+
+        return forms
+
+    with pytest.raises(ValueError, match=r"zip\(\) argument"):
+        _one_point_failures("bibasic", monkeypatch, "even_sum_forms", planted)
+
+
+@pytest.mark.parametrize("change", [-1, 1], ids=["short", "long"])
+@pytest.mark.parametrize("side", [0, 1], ids=["given", "swapped"])
+def test_watson_side_of_another_length_raises(side, change, monkeypatch):
+    # one side of the a/c swap one entry short or long raises
+    calls = []
+
+    def planted(real):
+        def closed(s, P, N):
+            calls.append(P)
+            out = real(s, P, N)
+            return _resized(out, change) if len(calls) % 2 == 1 - side else out
+
+        return closed
+
+    with pytest.raises(ValueError, match=r"zip\(\) argument"):
+        _one_point_failures("bibasic", monkeypatch, "even_sum_closed", planted)
+
+
 def test_series_recombination_mismatch_names_the_power(monkeypatch):
     # only the series case truncates at the configured degree 12
     def planted(real):

@@ -25,10 +25,9 @@ from pathlib import Path
 import pytest
 
 from qbc import algebra
-from qbc.algebra import LaurentPoly
 from qbc.koornwinder import CACHE_ENV, _koorn_generator, _koorn_operator
 from qbc.suites import default_config
-from conftest import monomial_symmetric, orbit_sum, poly_key
+from conftest import monomial, monomial_symmetric, orbit_sum, poly_key
 from dividing_operator import DividingShiftOperator
 from test_algebra import _mono, _unit_normalize
 
@@ -39,7 +38,7 @@ def _unabsorbed_lcd_factors(P, n):
     """The factor count of the least common denominator of the 2n terms of
     the rank-n operator, none absorbed: each denominator factor, up to a
     monomial unit, to its largest multiplicity in one term."""
-    one = LaurentPoly.monomial((0,) * n)
+    one = monomial((0,) * n)
     lcd = Counter()
     for i in range(n):
         for s in (1, -1):
